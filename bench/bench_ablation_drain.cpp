@@ -134,10 +134,6 @@ main(int argc, char **argv)
         specs.push_back({benchConfig(PersistMode::BbbMemSide, s),
                          "rtree-spatial", spatial});
     }
-    unsigned shards = bbbench::shardsArg(argc, argv,
-                                         specs.front().cfg.num_cores);
-    bbbench::applyShards(specs, shards);
-    rep.noteShards(shards);
     std::vector<ExperimentResult> results =
         bbbench::runGrid(specs, jobs, &rep);
 

@@ -47,10 +47,6 @@ main(int argc, char **argv)
             specs.push_back({cfg, name, p});
         }
     }
-    unsigned shards = bbbench::shardsArg(argc, argv,
-                                         specs.front().cfg.num_cores);
-    bbbench::applyShards(specs, shards);
-    rep.noteShards(shards);
     std::vector<ExperimentResult> results =
         bbbench::runGrid(specs, jobs, &rep);
 

@@ -13,7 +13,7 @@
  *
  * Every cell must recover consistently after the crash drain (zero
  * oracle violations is the exit-status contract), and the whole grid is
- * byte-identical at any --jobs/--shards width like every other bench.
+ * byte-identical at any --jobs width like every other bench.
  */
 
 #include <cstdio>
@@ -125,12 +125,6 @@ main(int argc, char **argv)
             }
         }
     }
-    unsigned shards =
-        bbbench::shardsArg(argc, argv, cells.front().cfg.num_cores);
-    for (Cell &c : cells)
-        c.cfg.shards = shards;
-    rep.noteShards(shards);
-
     std::vector<CellResult> results(cells.size());
     double secs = timedSeconds([&] {
         runIndexedJobs(

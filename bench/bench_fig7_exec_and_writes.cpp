@@ -45,11 +45,6 @@ main(int argc, char **argv)
         specs.push_back(
             {benchConfig(PersistMode::BbbMemSide, 1024), name, params});
     }
-    unsigned shards = bbbench::shardsArg(argc, argv,
-                                         specs.front().cfg.num_cores);
-    bbbench::applyShards(specs, shards);
-    bbbench::applySpec(specs, bbbench::specArg(argc, argv, shards));
-    rep.noteShards(shards);
     std::vector<ExperimentResult> results =
         bbbench::runGrid(specs, jobs, &rep);
     bbbench::reportExperiments(rep, results, /*with_entries=*/true);

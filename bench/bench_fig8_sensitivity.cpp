@@ -50,10 +50,6 @@ main(int argc, char **argv)
                 {benchConfig(PersistMode::BbbMemSide, s), name, params});
         }
     }
-    unsigned shards = bbbench::shardsArg(argc, argv,
-                                         specs.front().cfg.num_cores);
-    bbbench::applyShards(specs, shards);
-    rep.noteShards(shards);
     std::vector<ExperimentResult> results =
         bbbench::runGrid(specs, jobs, &rep);
     bbbench::reportExperiments(rep, results, /*with_entries=*/true);

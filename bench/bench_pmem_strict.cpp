@@ -44,10 +44,6 @@ main(int argc, char **argv)
         specs.push_back({benchConfig(PersistMode::AdrPmem), name, params});
         specs.push_back({strict_cfg, name, params});
     }
-    unsigned shards = bbbench::shardsArg(argc, argv,
-                                         specs.front().cfg.num_cores);
-    bbbench::applyShards(specs, shards);
-    rep.noteShards(shards);
     std::vector<ExperimentResult> results =
         bbbench::runGrid(specs, jobs, &rep);
 

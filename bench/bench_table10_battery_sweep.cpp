@@ -22,7 +22,6 @@ main(int argc, char **argv)
     // Analytic bench; same CLI conventions as the sim benches (see
     // bench_table9_battery_size.cpp).
     unsigned jobs = bbbench::jobsArg(argc, argv);
-    unsigned shards = bbbench::shardsArg(argc, argv);
 
     BenchReport rep("table10_battery_sweep");
     {
@@ -70,7 +69,6 @@ main(int argc, char **argv)
                 "Even a 1024-entry bbPB stays 22-49x cheaper than eADR "
                 "(Table IX).\n");
     rep.noteRun(0.0, jobs);
-    rep.noteShards(shards);
     rep.emitIfRequested(bbbench::jsonPathArg(argc, argv));
     return 0;
 }

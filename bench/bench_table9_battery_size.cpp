@@ -50,9 +50,8 @@ main(int argc, char **argv)
 {
     // Analytic bench: no simulation, but it follows the same CLI
     // conventions as the sim benches so campaign scripts can pass one
-    // flag set everywhere (--strict-args validates, --shards is noted).
+    // flag set everywhere (--strict-args validates, --jobs is noted).
     unsigned jobs = bbbench::jobsArg(argc, argv);
-    unsigned shards = bbbench::shardsArg(argc, argv);
 
     BenchReport rep("table9_battery_size");
     rep.setConfig("bbpb_entries", std::uint64_t{32});
@@ -74,7 +73,6 @@ main(int argc, char **argv)
         rows(serverPlatform(), rep);
     });
     rep.noteRun(secs, jobs);
-    rep.noteShards(shards);
     std::printf("\nPaper: mobile eADR 2.9e3/30 mm^3 (77x/3.6x core), "
                 "BBB 4.1/0.04 mm^3 (97.2%%/4.5%%);\n"
                 "       server eADR 34e3/300 mm^3 (404x/18.7x core), "

@@ -31,35 +31,8 @@ using bbb::cli::fastMode;
 using bbb::cli::hasFlag;
 using bbb::cli::jobsArg;
 using bbb::cli::jsonPathArg;
-using bbb::cli::shardsArg;
-using bbb::cli::specArg;
 using bbb::cli::splitList;
 using bbb::cli::stringOpt;
-
-/**
- * Apply the `--shards`/BBB_SHARDS kernel width to every spec in a grid.
- * Sharding parallelizes *within* one simulation and is byte-neutral to
- * its results, so it composes freely with the `--jobs` pool that
- * parallelizes *across* grid points (host threads ~ jobs x shards).
- */
-inline void
-applyShards(std::vector<bbb::ExperimentSpec> &specs, unsigned shards)
-{
-    for (bbb::ExperimentSpec &s : specs)
-        s.cfg.shards = shards;
-}
-
-/**
- * Apply the `--spec` speculative-probe switch to every spec in a grid.
- * Like sharding itself, speculation is byte-neutral to simulation
- * results — it only changes how fast the host computes them.
- */
-inline void
-applySpec(std::vector<bbb::ExperimentSpec> &specs, bool spec)
-{
-    for (bbb::ExperimentSpec &s : specs)
-        s.cfg.spec = spec;
-}
 
 /** The Table IV workload list used by Fig. 7 / Fig. 8. */
 inline std::vector<std::string>

@@ -1,9 +1,12 @@
 # Prove a binary's --json report is a pure function of its inputs: run
 # it at two worker-pool widths under BBB_REPORT_CANONICAL=1 and require
-# byte-identical documents.
+# byte-identical documents. Optionally diff the --jobs 1 document
+# against a committed baseline at --tolerance 0 (BASELINE + PYTHON +
+# TOOL).
 #
 # Usage (driven by the report_smoke ctest label):
 #   cmake -DBIN=<binary> -DARGS="<args>" -DOUT=<stem>
+#         [-DBASELINE=<json> -DPYTHON=<python3> -DTOOL=<compare...py>]
 #         -P report_determinism.cmake
 
 separate_arguments(ARGS)
@@ -26,4 +29,15 @@ if(NOT cmp_rc EQUAL 0)
     message(FATAL_ERROR
             "report differs between --jobs 1 and --jobs 8: "
             "${OUT}.j1.json vs ${OUT}.j8.json")
+endif()
+
+if(DEFINED BASELINE)
+    execute_process(
+        COMMAND ${PYTHON} ${TOOL} diff --tolerance 0
+                ${BASELINE} ${OUT}.j1.json
+        RESULT_VARIABLE diff_rc)
+    if(NOT diff_rc EQUAL 0)
+        message(FATAL_ERROR
+                "report diverges from committed baseline ${BASELINE}")
+    endif()
 endif()

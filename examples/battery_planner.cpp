@@ -21,7 +21,7 @@
  *   battery_planner [--traces T[,T...]] [--battery-caps J[,J...]]
  *                   [--policies P[,P...]] [--workloads W[,W...]]
  *                   [--modes M[,M...]] [--rounds K] [--lifetimes N]
- *                   [--ops N] [--campaign-seed N] [--jobs N] [--shards N]
+ *                   [--ops N] [--campaign-seed N] [--jobs N]
  *                   [--fast] [--strict-args] [--json PATH]
  *
  * Exit status: 0 when no lifetime violates the durability oracle,
@@ -156,7 +156,6 @@ main(int argc, char **argv)
         cli::stringOpt(argc, argv, "--campaign-seed", "1").c_str(),
         nullptr, 10);
     unsigned jobs = cli::jobsArg(argc, argv);
-    spec.base.shards = cli::shardsArg(argc, argv, spec.base.num_cores);
 
     // Condensed Section IV-C analytic header: the closed-form worst case
     // the trace sweep below stress-tests from the other side.
@@ -237,7 +236,6 @@ main(int argc, char **argv)
     rep.measured().setCount("min_viable.unviable_cells", unviable_cells);
     rep.measured().merge(summary.metrics, "");
     rep.noteRun(secs, jobs);
-    rep.noteShards(spec.base.shards);
     rep.emitIfRequested(cli::jsonPathArg(argc, argv));
 
     if (const LifetimeResult *bug = summary.firstViolation()) {

@@ -52,7 +52,7 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--workloads NAME[,NAME...]] [--points N] [--ops N]\n"
         "          [--initial N] [--campaign-seed N] [--jobs N]\n"
-        "          [--shards N] [--spec on|off] [--battery-fraction F]\n"
+        "          [--battery-fraction F]\n"
         "          [--media direct|ftl]\n"
         "          [--verbose] [--json PATH]\n"
         "   or: %s --workload NAME --seed S --crash-tick T --fault-plan P\n"
@@ -140,10 +140,6 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             jobs = static_cast<unsigned>(
                 std::strtoul(next().c_str(), nullptr, 10));
-        } else if (arg == "--shards") {
-            next(); // value parsed/validated below by cli::shardsArg
-        } else if (arg == "--spec") {
-            next(); // value parsed/validated below by cli::specArg
         } else if (arg == "--battery-fraction") {
             battery_fraction = std::strtod(next().c_str(), nullptr);
         } else if (arg == "--media") {
@@ -170,12 +166,6 @@ main(int argc, char **argv)
             usage(argv[0]);
         }
     }
-
-    // Sharded kernel width for every simulated sample (campaign and
-    // replay): byte-neutral to results, so repro lines need not carry it.
-    spec.base.shards =
-        bbb::cli::shardsArg(argc, argv, spec.base.num_cores);
-    spec.base.spec = bbb::cli::specArg(argc, argv, spec.base.shards);
 
     if (!media.empty())
         spec.base.media.kind = mediaKindFromName(media);
@@ -294,7 +284,6 @@ main(int argc, char **argv)
         rep.setConfig("media", mediaKindName(spec.base.media.kind));
         rep.measured().merge(summary.metrics, "");
         rep.noteRun(secs, jobs);
-        rep.noteShards(spec.base.shards);
         rep.writeFile(json_path);
     }
 

@@ -49,7 +49,7 @@ usage(const char *argv0)
         "usage: %s [--workloads NAME[,NAME...]] [--modes M[,M...]]\n"
         "          [--plans P[,P...]] [--rounds K] [--lifetimes N]\n"
         "          [--ops N] [--initial N] [--campaign-seed N] [--jobs N]\n"
-        "          [--shards N] [--spec on|off] [--verbose] [--json PATH]\n"
+        "          [--verbose] [--json PATH]\n"
         "          [--traces T[,T...]] [--battery-caps J[,J...]]\n"
         "          [--policies P[,P...]] [--media direct|ftl]\n"
         "   or: %s --workload NAME --mode M --seed S --rounds K "
@@ -158,10 +158,6 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             jobs = static_cast<unsigned>(
                 std::strtoul(next().c_str(), nullptr, 10));
-        } else if (arg == "--shards") {
-            next(); // value parsed/validated below by cli::shardsArg
-        } else if (arg == "--spec") {
-            next(); // value parsed/validated below by cli::specArg
         } else if (arg == "--verbose") {
             verbose = true;
         } else if (arg == "--json") {
@@ -203,12 +199,6 @@ main(int argc, char **argv)
             usage(argv[0]);
         }
     }
-
-    // Sharded kernel width for every simulated life (campaign and
-    // replay): byte-neutral to results, so repro lines need not carry it.
-    spec.base.shards =
-        bbb::cli::shardsArg(argc, argv, spec.base.num_cores);
-    spec.base.spec = bbb::cli::specArg(argc, argv, spec.base.shards);
 
     if (!media.empty()) {
         spec.base.media.kind = mediaKindFromName(media);
@@ -351,7 +341,6 @@ main(int argc, char **argv)
         }
         rep.measured().merge(summary.metrics, "");
         rep.noteRun(secs, jobs);
-        rep.noteShards(spec.base.shards);
         rep.writeFile(json_path);
     }
 

@@ -7,10 +7,9 @@
  * processor-side) and prints execution time, NVMM writes, bbPB behaviour,
  * and the crash-drain cost — the axes of the paper's Tables I and VII.
  *
- * Usage: persistency_modes [workload] [ops_per_thread] [--shards N]
+ * Usage: persistency_modes [workload] [ops_per_thread] [--jobs N]
  * `--jobs`/BBB_JOBS set the experiment-pool width (0 = hardware
- * concurrency); `--shards`/BBB_SHARDS the per-simulation sharded-kernel
- * width. Under `--strict-args` malformed values exit with status 2.
+ * concurrency).
  */
 
 #include <cstdio>
@@ -73,7 +72,6 @@ main(int argc, char **argv)
                                                     ? pt.bbpb_entries
                                                     : 32);
         cfg.pmem_auto_strict = pt.auto_strict;
-        cfg.shards = bbb::cli::shardsArg(argc, argv, cfg.num_cores);
         specs.push_back({cfg, workload, params});
     }
     std::vector<ExperimentResult> results = runExperiments(specs, jobs);

@@ -12,17 +12,12 @@
  *   3. Figure 2 verbatim on a BBB machine — no persistency instructions,
  *      and the list still survives: commit order *is* persist order.
  *
- * Run: quickstart [appends_per_thread] [--shards N]
- * `--shards` (or BBB_SHARDS) runs the simulations on the sharded
- * kernel; results are byte-identical at every width. `--strict-args`
- * makes a malformed --shards value fatal (exit 2).
+ * Run: quickstart [appends_per_thread]
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
-#include "api/cli.hh"
 #include "api/system.hh"
 #include "workloads/linkedlist.hh"
 
@@ -38,12 +33,10 @@ struct Outcome
 };
 
 Outcome
-buildListAndCrash(PersistMode mode, std::uint64_t appends, Tick crash_at,
-                  unsigned shards)
+buildListAndCrash(PersistMode mode, std::uint64_t appends, Tick crash_at)
 {
     SystemConfig cfg;
     cfg.num_cores = 2;
-    cfg.shards = shards;
     cfg.l1d.size_bytes = 8_KiB;
     cfg.llc.size_bytes = 32_KiB;
     cfg.dram.size_bytes = 64_MiB;
@@ -82,10 +75,8 @@ report(const char *label, const Outcome &o)
 int
 main(int argc, char **argv)
 {
-    std::uint64_t appends = 20000;
-    if (argc > 1 && argv[1][0] != '-')
-        appends = std::strtoull(argv[1], nullptr, 10);
-    unsigned shards = bbb::cli::shardsArg(argc, argv, 2);
+    std::uint64_t appends = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
+                                     : 20000;
     Tick crash_at = nsToTicks(120000); // mid-run
 
     std::printf("Appending %llu nodes per thread, crashing mid-run.\n\n",
@@ -98,7 +89,7 @@ main(int argc, char **argv)
     Outcome worst{};
     for (int i = 1; i <= 5; ++i) {
         Outcome o = buildListAndCrash(PersistMode::AdrUnsafe, appends,
-                                      crash_at * i / 3, shards);
+                                      crash_at * i / 3);
         if (!o.recovery.consistent()) {
             corrupt_seen = true;
             worst = o;
@@ -113,11 +104,11 @@ main(int argc, char **argv)
     }
 
     Outcome pmem =
-        buildListAndCrash(PersistMode::AdrPmem, appends, crash_at, shards);
+        buildListAndCrash(PersistMode::AdrPmem, appends, crash_at);
     report("Fig. 3 on ADR (clwb + sfence):", pmem);
 
     Outcome bbb =
-        buildListAndCrash(PersistMode::BbbMemSide, appends, crash_at, shards);
+        buildListAndCrash(PersistMode::BbbMemSide, appends, crash_at);
     report("Fig. 2 on BBB (no barriers!):", bbb);
 
     std::printf("\nBBB recovered %llu nodes where PMEM recovered %llu in "

@@ -9,8 +9,8 @@
  * Usage:
  *   run_experiment [--workload NAME[,NAME...]|all] [--mode MODE]
  *                  [--entries N] [--ops N] [--initial N] [--threshold F]
- *                  [--policy fcfs|lrw|random] [--jobs N] [--shards N]
- *                  [--stats] [--trace FILE] [--json PATH]
+ *                  [--policy fcfs|lrw|random] [--jobs N] [--stats]
+ *                  [--trace FILE] [--json PATH]
  *
  * Modes: adr-unsafe, adr-pmem, pmem-strict, eadr, bbb-mem-side,
  *        bbb-proc-side.
@@ -47,7 +47,7 @@ usage(const char *argv0)
                  "          [--entries N] [--ops N] [--initial N]\n"
                  "          [--threshold F] [--policy fcfs|lrw|random]\n"
                  "          [--media direct|ftl] [--endurance N]\n"
-                 "          [--jobs N] [--shards N] [--spec on|off] [--stats]"
+                 "          [--jobs N] [--stats]"
                  " [--trace FILE] [--json PATH]\n\n"
                  "workloads:",
                  argv0);
@@ -111,8 +111,6 @@ main(int argc, char **argv)
     bool dump_stats = false;
     unsigned jobs = bbb::cli::jobsArg(argc, argv);
     SystemConfig cfg = benchConfig(PersistMode::BbbMemSide, 32);
-    cfg.shards = bbb::cli::shardsArg(argc, argv, cfg.num_cores);
-    cfg.spec = bbb::cli::specArg(argc, argv, cfg.shards);
     WorkloadParams params = benchParams();
     params.ops_per_thread = 2000;
     params.initial_elements = 20000;
@@ -129,10 +127,6 @@ main(int argc, char **argv)
         } else if (arg == "--jobs") {
             jobs = static_cast<unsigned>(
                 std::strtoul(next().c_str(), nullptr, 10));
-        } else if (arg == "--shards") {
-            next(); // value already parsed/validated by cli::shardsArg
-        } else if (arg == "--spec") {
-            next(); // value already parsed/validated by cli::specArg
         } else if (arg == "--mode") {
             cfg.mode = parseMode(next(), auto_strict);
             cfg.pmem_auto_strict = auto_strict;
@@ -189,7 +183,6 @@ main(int argc, char **argv)
             for (std::size_t i = 0; i < results.size(); ++i)
                 report.addExperiment(sweep[i], results[i].metrics);
             report.noteRun(secs, jobs);
-            report.noteShards(cfg.shards);
             report.writeFile(json_path);
         }
         return 0;
@@ -271,7 +264,6 @@ main(int argc, char **argv)
                          std::uint64_t{params.ops_per_thread});
         report.setConfig("initial_elements",
                          std::uint64_t{params.initial_elements});
-        report.noteShards(cfg.shards);
         report.measured().merge(sys.snapshotMetrics(), "");
         report.writeFile(json_path);
     }

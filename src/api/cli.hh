@@ -101,62 +101,6 @@ jobsArg(int argc, char **argv)
                      std::strtoul(value.c_str(), nullptr, 10));
 }
 
-/**
- * Sharded-kernel width for one simulation: `--shards N` on the command
- * line, else the BBB_SHARDS environment variable, else 1 (the inline
- * single-threaded kernel). Zero, negative, or non-numeric values warn
- * and fall back to 1 — or, under `--strict-args`, exit with status 2.
- * When @p max_cores is non-zero and the request exceeds it, warns that
- * the kernel will clamp (the System clamps again defensively).
- */
-inline unsigned
-shardsArg(int argc, char **argv, unsigned max_cores = 0)
-{
-    std::string value = stringOpt(argc, argv, "--shards");
-    const char *origin = "--shards";
-    if (value.empty()) {
-        const char *env = std::getenv("BBB_SHARDS");
-        if (env && *env) {
-            value = env;
-            origin = "BBB_SHARDS";
-        }
-    }
-    if (value.empty())
-        return 1;
-    char *end = nullptr;
-    long n = std::strtol(value.c_str(), &end, 10);
-    if (n <= 0 || end == value.c_str() || *end != '\0') {
-        if (strictArgs(argc, argv)) {
-            std::fprintf(stderr,
-                         "error: %s must be a positive shard count, "
-                         "got '%s'\n",
-                         origin, value.c_str());
-            std::exit(2);
-        }
-        std::fprintf(stderr,
-                     "warning: %s must be a positive shard count, "
-                     "got '%s'; using 1\n",
-                     origin, value.c_str());
-        return 1;
-    }
-    if (max_cores && static_cast<unsigned long>(n) > max_cores) {
-        std::fprintf(stderr,
-                     "warning: %s %ld exceeds the %u simulated cores; "
-                     "the kernel will clamp\n",
-                     origin, n, max_cores);
-    }
-    return static_cast<unsigned>(n);
-}
-
-/**
- * Speculative load resolution for the sharded kernel: `--spec on|off`
- * (see sim/shard.hh). Defaults to on when @p shards > 1; speculation
- * needs worker shards, so an explicit `--spec on` at one shard warns
- * that it is inert and returns false (mirroring the kernel's
- * SystemConfig::resolvedSpec() clamp). Declared below onOffArg.
- */
-inline bool specArg(int argc, char **argv, unsigned shards);
-
 /** Split a comma-separated list, dropping empty segments. */
 inline std::vector<std::string>
 splitList(const std::string &arg)
@@ -269,21 +213,6 @@ onOffArg(int argc, char **argv, const char *flag, bool def)
                  "default\n",
                  flag, value.c_str());
     return def;
-}
-
-inline bool
-specArg(int argc, char **argv, unsigned shards)
-{
-    bool spec = onOffArg(argc, argv, "--spec", shards > 1);
-    if (spec && shards <= 1) {
-        // Reachable only with an explicit "on": the default at one
-        // shard is already off.
-        std::fprintf(stderr,
-                     "warning: --spec on has no effect at --shards 1; "
-                     "speculation stays off\n");
-        return false;
-    }
-    return spec;
 }
 
 /** `--json PATH` destination for the structured report ("" = none). */

@@ -3,18 +3,15 @@
  * bbb-litmus: model-check the simulator against the declarative
  * persistency models over the built-in litmus corpus.
  *
- *   bbb-litmus                      # full corpus, widths 1 and 4
+ *   bbb-litmus                      # full corpus
  *   bbb-litmus --smoke              # the fast subset (ctest litmus_smoke)
  *   bbb-litmus --list               # corpus inventory
  *   bbb-litmus --tests sb,mp        # named subset
  *   bbb-litmus --modes bbb,pmem     # restrict persistency modes
- *   bbb-litmus --widths 1,4         # shard widths (streams must match)
- *   bbb-litmus --shards 4           # shorthand for --widths 4
  *   bbb-litmus --por off            # disable partial-order reduction
- *   bbb-litmus --spec off           # disable the speculative load probe
  *   bbb-litmus --max-nodes N        # enumeration budget per config
  *   bbb-litmus --json PATH          # structured report
- *   bbb-litmus --replay "0 0d 1" --test sb --mode bbb [--width W]
+ *   bbb-litmus --replay "0 0d 1" --test sb --mode bbb
  *
  * Exit status: 0 all checks passed, 1 divergences found, 2 bad usage.
  * BBB_JOB_TIMEOUT_S arms a watchdog that aborts a runaway enumeration
@@ -54,7 +51,7 @@ listCorpus()
 }
 
 int
-replayMain(int argc, char **argv, const HarnessOptions &opts)
+replayMain(int argc, char **argv)
 {
     std::string sched = cli::stringOpt(argc, argv, "--replay");
     std::string name = cli::stringOpt(argc, argv, "--test");
@@ -76,7 +73,6 @@ replayMain(int argc, char **argv, const HarnessOptions &opts)
                      mode_name.c_str());
         return 2;
     }
-    unsigned width = opts.widths.empty() ? 1 : opts.widths.front();
     std::vector<Step> steps;
     std::string err;
     if (!parseSchedule(sched, &steps, &err)) {
@@ -85,8 +81,7 @@ replayMain(int argc, char **argv, const HarnessOptions &opts)
         return 2;
     }
     bool ok = false;
-    std::string report =
-        replaySchedule(*test, mode, width, steps, &ok, opts.spec);
+    std::string report = replaySchedule(*test, mode, steps, &ok);
     std::fputs(report.c_str(), stdout);
     return ok ? 0 : 1;
 }
@@ -97,18 +92,7 @@ int
 main(int argc, char **argv)
 {
     HarnessOptions opts;
-    opts.widths = cli::uintListArg(argc, argv, "--widths", {1, 4});
-    if (cli::hasFlag(argc, argv, "--shards") ||
-        std::getenv("BBB_SHARDS")) {
-        // --shards N (or BBB_SHARDS) is the repo-wide width knob; for
-        // the harness it means "this one width".
-        opts.widths = {cli::shardsArg(argc, argv, kMaxThreads)};
-    }
     opts.por = cli::onOffArg(argc, argv, "--por", true);
-    // Unlike the bench binaries the harness runs several widths, so the
-    // one-shard clamp warning of cli::specArg does not apply here —
-    // speculation is simply inert at width 1.
-    opts.spec = cli::onOffArg(argc, argv, "--spec", true);
     std::string max_nodes = cli::stringOpt(argc, argv, "--max-nodes");
     if (!max_nodes.empty())
         opts.max_nodes = std::strtoull(max_nodes.c_str(), nullptr, 10);
@@ -128,7 +112,7 @@ main(int argc, char **argv)
         return 0;
     }
     if (cli::hasFlag(argc, argv, "--replay"))
-        return replayMain(argc, argv, opts);
+        return replayMain(argc, argv);
 
     std::vector<Test> tests;
     std::string names = cli::stringOpt(argc, argv, "--tests");
@@ -152,14 +136,7 @@ main(int argc, char **argv)
     BenchReport report("bbb-litmus");
     report.setConfig("tests", std::uint64_t(tests.size()));
     report.setConfig("por", opts.por);
-    report.setConfig("spec", opts.spec);
     report.setConfig("max_nodes", opts.max_nodes);
-    {
-        std::string w;
-        for (unsigned width : opts.widths)
-            w += (w.empty() ? "" : ",") + std::to_string(width);
-        report.setConfig("widths", w);
-    }
 
     HarnessResult total;
     double secs = timedSeconds([&]() {
@@ -186,7 +163,6 @@ main(int argc, char **argv)
         }
     });
     report.noteRun(secs, 1);
-    report.noteShards(opts.widths.empty() ? 1 : opts.widths.back());
 
     for (const Violation &v : total.violations)
         std::fprintf(stderr, "%s\n", v.format().c_str());

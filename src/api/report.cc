@@ -100,8 +100,6 @@ BenchReport::writeJson(std::ostream &os) const
     w.beginObject();
     w.member("jobs",
              static_cast<std::uint64_t>(canonical ? 0 : _jobs));
-    w.member("shards",
-             static_cast<std::uint64_t>(canonical ? 0 : _shards));
     w.member("wall_clock_s", canonical ? 0.0 : _wall_clock_s);
     // Simulator throughput: counts are deterministic but the whole
     // section describes the run, not the result, so canonical mode

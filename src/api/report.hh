@@ -23,7 +23,7 @@
  *     "paper": { <MetricSnapshot> },    // published reference values
  *     "measured": { <MetricSnapshot> }, // headline measured values
  *     "experiments": [ { "label": "...", "metrics": { ... } }, ... ],
- *     "host": { "jobs": N, "shards": K, "wall_clock_s": S, "sim_ops": O,
+ *     "host": { "jobs": N, "wall_clock_s": S, "sim_ops": O,
  *               "events_fired": E, "events_per_sec": R, "ns_per_op": P }
  *   }
  */
@@ -87,9 +87,6 @@ class BenchReport
         _jobs = jobs;
     }
 
-    /** Record the sharded-kernel width the run used (`--shards`). */
-    void noteShards(unsigned shards) { _shards = shards; }
-
     /** Accumulate simulated work for the host-rate summary: @p ops
      *  memory operations and @p events fired across the run's systems.
      *  events/sec and ns/op are derived from the noteRun wall clock. */
@@ -135,7 +132,6 @@ class BenchReport
     std::vector<Entry> _experiments;
     double _wall_clock_s = 0.0;
     unsigned _jobs = 0;
-    unsigned _shards = 0;
     std::uint64_t _sim_ops = 0;
     std::uint64_t _events_fired = 0;
 };

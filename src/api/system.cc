@@ -73,26 +73,6 @@ System::System(const SystemConfig &cfg)
             std::make_unique<Core>(c, _cfg, _eq, *_hier, _stats));
     }
 
-    unsigned shards = _cfg.resolvedShards();
-    if (_cfg.shards > _cfg.num_cores) {
-        warn("--shards %u exceeds the %u simulated cores; clamping to %u",
-             _cfg.shards, _cfg.num_cores, shards);
-    }
-    if (shards > 1) {
-        _shard_rt = std::make_unique<ShardRuntime>(_cfg);
-        for (CoreId c = 0; c < _cfg.num_cores; ++c) {
-            if (_cfg.shardOf(c) != 0)
-                _cores[c]->setShardRuntime(_shard_rt.get());
-        }
-        if (_cfg.resolvedSpec()) {
-            std::uint64_t l1_lines = _cfg.l1d.size_bytes / kBlockSize;
-            _shadow = std::make_unique<ShadowL1Table>(
-                _cfg.num_cores, l1_lines / _cfg.l1d.assoc, _cfg.l1d.assoc);
-            _hier->setShadow(_shadow.get());
-            _shard_rt->setShadow(_shadow.get());
-        }
-    }
-
     _heap = std::make_unique<PersistentHeap>(_map, _cfg.num_cores);
     _crash = std::make_unique<CrashEngine>(_cfg, *_hier, *_nvmm,
                                            *_nvmm_media, *_backend, _cores,
@@ -182,38 +162,6 @@ System::snapshotMetrics(bool histogram_buckets) const
     m.setLevel("sim.host_ns_per_op",
                ops && secs > 0.0 ? secs * 1e9 / static_cast<double>(ops)
                                  : 0.0);
-
-    // Sharded-kernel telemetry. The shard count and commit-stall time
-    // describe the host-side run, not the simulated machine — the whole
-    // group is omitted in canonical mode so canonical documents stay
-    // byte-identical for any --shards value.
-    if (!canonical) {
-        unsigned shards = _cfg.resolvedShards();
-        Tick quantum = _cfg.shardQuantum();
-        m.setCount("sim.shard.count", shards);
-        m.setCount("sim.shard.quantum_ticks", quantum);
-        m.setCount("sim.shard.barriers",
-                   quantum ? _exec_time / quantum : 0);
-        m.setCount("sim.shard.commit_stall_ns",
-                   _shard_rt ? _shard_rt->commitStallNs() : 0);
-        m.setCount("sim.shard.spec_hits",
-                   _shard_rt ? _shard_rt->specHits() : 0);
-        m.setCount("sim.shard.spec_misses",
-                   _shard_rt ? _shard_rt->specMisses() : 0);
-        m.setCount("sim.shard.squashes",
-                   _shard_rt ? _shard_rt->squashes() : 0);
-        m.setCount("sim.shard.validate_ns",
-                   _shard_rt ? _shard_rt->validateNs() : 0);
-        for (unsigned s = 0; s < shards; ++s) {
-            std::uint64_t shard_ops = 0;
-            for (CoreId c = 0; c < _cfg.num_cores; ++c) {
-                if (_cfg.shardOf(c) == s)
-                    shard_ops += _cores[c]->memOps();
-            }
-            m.setCount("sim.shard.events_fired.s" + std::to_string(s),
-                       shard_ops);
-        }
-    }
     return m;
 }
 
@@ -221,12 +169,6 @@ void
 System::onThread(CoreId c, Core::ThreadBody body)
 {
     _cores.at(c)->bindThread(std::move(body));
-}
-
-void
-System::onThreadReset(CoreId c, std::function<void()> reset)
-{
-    _cores.at(c)->setThreadReset(std::move(reset));
 }
 
 void
@@ -278,8 +220,6 @@ System::setOpGate(OpGate *gate)
 void
 System::startGated()
 {
-    if (_shard_rt)
-        _shard_rt->start();
     for (auto &core : _cores)
         core->start();
 }
@@ -288,8 +228,6 @@ Tick
 System::run(Tick max_tick)
 {
     double t0 = hostNow();
-    if (_shard_rt)
-        _shard_rt->start();
     for (auto &core : _cores)
         core->start();
 
@@ -318,11 +256,9 @@ void
 System::runUntil(Tick until)
 {
     double t0 = hostNow();
-    // start() is idempotent on cores and shard workers, so repeated
-    // runUntil() calls resume where the previous one stopped — only the
-    // invariant-check event must not be scheduled twice.
-    if (_shard_rt)
-        _shard_rt->start();
+    // start() is idempotent on cores, so repeated runUntil() calls
+    // resume where the previous one stopped — only the invariant-check
+    // event must not be scheduled twice.
     for (auto &core : _cores)
         core->start();
     if (_cfg.check_invariants && !_invariants_scheduled) {
@@ -357,11 +293,6 @@ System::crashNow()
 {
     BBB_ASSERT(!_crashed, "system already crashed");
     _crashed = true;
-    // Freeze the worker shards first: after quiesce() no fiber runs
-    // again, and everything the workers wrote (workload issue logs, heap
-    // frontiers) is safe for the recovery path to read.
-    if (_shard_rt)
-        _shard_rt->quiesce();
     // The persistence-domain invariants must hold at the instant power
     // fails -- this is the state the drain is about to persist.
     if (_cfg.check_invariants)

@@ -40,7 +40,6 @@
 #include "persist/recovery.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
-#include "sim/shard.hh"
 #include "sim/stats.hh"
 
 namespace bbb
@@ -79,9 +78,6 @@ class System
     /** Processor-side bbPB, or nullptr. */
     ProcSideBbpb *procSideBbpb() { return _proc_bbpb; }
 
-    /** The sharded-kernel worker runtime, or nullptr at --shards 1. */
-    ShardRuntime *shardRuntime() { return _shard_rt.get(); }
-
     // --- fault injection -----------------------------------------------
     /**
      * Arm a fault plan: imperfect crash battery, failing media writes,
@@ -98,16 +94,6 @@ class System
     // --- workload binding ----------------------------------------------
     /** Bind a software thread to core @p c (one thread per core). */
     void onThread(CoreId c, Core::ThreadBody body);
-
-    /**
-     * Register a hook that rolls back every host-side effect of core
-     * @p c's thread body (logs, heap frontiers, registers) so the body
-     * can re-run from the top. Must precede onThread(c, ...). Under the
-     * sharded kernel with --spec on, this is what makes the core
-     * eligible for speculative load resolution: a mispredicted probe is
-     * recovered by resetting and replaying the committed prefix.
-     */
-    void onThreadReset(CoreId c, std::function<void()> reset);
 
     // --- crash-recover-resume ------------------------------------------
     /**
@@ -135,15 +121,15 @@ class System
     void setOpGate(OpGate *gate);
 
     /**
-     * Start the shard runtime and the cores without entering the
-     * free-running loop of run(): the caller steps eventQueue() itself.
-     * Used by the litmus schedule runner.
+     * Start the cores without entering the free-running loop of run():
+     * the caller steps eventQueue() itself. Used by the litmus schedule
+     * runner.
      */
     void startGated();
 
     /**
      * Run (or resume) the machine until tick @p until without crashing.
-     * Core and shard starts are idempotent, so repeated calls advance
+     * Core starts are idempotent, so repeated calls advance
      * the same execution — power-trace campaigns use this to stop at the
      * low-charge warning, apply a degradation policy, and continue to
      * the outage.
@@ -262,12 +248,6 @@ class System
     std::unique_ptr<CrashEngine> _crash;
     FaultStats _fault_stats;
     std::unique_ptr<FaultInjector> _faults;
-    /// Seqlock L1 mirror for the speculative probe (resolvedSpec() only).
-    /// Declared before _shard_rt: destroyed only after the workers join.
-    std::unique_ptr<ShadowL1Table> _shadow;
-    /// Declared after _cores so the workers are joined (and every fiber
-    /// parked) before the cores destroy the fibers.
-    std::unique_ptr<ShardRuntime> _shard_rt;
     /// Mutable: refreshed from the live components inside the const
     /// snapshotMetrics() immediately before the registry walk.
     mutable SimStats _sim;

@@ -149,20 +149,6 @@ class CacheArray
         line = Line{};
     }
 
-    /**
-     * Flat index of @p line within the array (set * assoc + way). The
-     * shadow-L1 export mirrors the array one-to-one, so publications are
-     * addressed by this index.
-     */
-    std::size_t
-    indexOf(const Line &line) const
-    {
-        const Line *p = &line;
-        BBB_ASSERT(p >= _lines.data() && p < _lines.data() + _lines.size(),
-                   "indexOf: line not part of this array");
-        return static_cast<std::size_t>(p - _lines.data());
-    }
-
     /** Apply @p fn to every valid line. Templated (not std::function) so
      *  per-line callbacks inline into the scan loop. */
     template <typename Fn>

@@ -83,7 +83,6 @@ CacheHierarchy::fetchFromOwner(LlcLine &llc_line, Tick &lat)
     }
     remote->state = Mesi::Shared;
     llc_line.owner = kNoCore;
-    publishShadow(o, *remote);
 }
 
 void
@@ -110,7 +109,6 @@ CacheHierarchy::evictL1Line(CoreId c, L1Line &line, Tick &lat)
     // the writeback above keeps the LLC copy as fresh as the entry.
 
     _l1[c].invalidate(line);
-    publishShadow(c, line);
 }
 
 void
@@ -132,7 +130,6 @@ CacheHierarchy::evictLlcLine(LlcLine &line, Tick &lat)
         lat += _l1_lat;
         ++_invalidations;
         _l1[c].invalidate(*l1_line);
-        publishShadow(c, *l1_line);
     }
     line.sharers = 0;
     line.owner = kNoCore;
@@ -229,7 +226,6 @@ CacheHierarchy::getForRead(CoreId c, Addr block, Tick &lat)
         installed.state = Mesi::Shared;
     }
     llc_line.sharers |= (1ull << c);
-    publishShadow(c, installed);
     return installed;
 }
 
@@ -247,7 +243,6 @@ CacheHierarchy::getForWrite(CoreId c, Addr block, Tick &lat)
             LlcLine *llc_line = _llc.find(block);
             BBB_ASSERT(llc_line, "E line not in LLC");
             BBB_ASSERT(llc_line->owner == c, "E line with foreign owner");
-            publishShadow(c, *line);
         }
         return *line;
     }
@@ -267,13 +262,11 @@ CacheHierarchy::getForWrite(CoreId c, Addr block, Tick &lat)
             lat += _l1_lat;
             ++_invalidations;
             _l1[o].invalidate(*remote);
-            publishShadow(o, *remote);
         }
         llc_line->sharers = (1ull << c);
         llc_line->owner = c;
         line->state = Mesi::Modified;
         _l1[c].touch(*line);
-        publishShadow(c, *line);
         return *line;
     }
 
@@ -293,7 +286,6 @@ CacheHierarchy::getForWrite(CoreId c, Addr block, Tick &lat)
             llc_line.dirty = true;
         }
         _l1[o].invalidate(*remote);
-        publishShadow(o, *remote);
         llc_line.owner = kNoCore;
         llc_line.sharers &= ~(1ull << o);
     }
@@ -305,7 +297,6 @@ CacheHierarchy::getForWrite(CoreId c, Addr block, Tick &lat)
         lat += _l1_lat;
         ++_invalidations;
         _l1[o].invalidate(*remote);
-        publishShadow(o, *remote);
     }
 
     L1Line &installed = installL1(c, block, lat);
@@ -313,7 +304,6 @@ CacheHierarchy::getForWrite(CoreId c, Addr block, Tick &lat)
     installed.state = Mesi::Modified;
     llc_line.sharers = (1ull << c);
     llc_line.owner = c;
-    publishShadow(c, installed);
     return installed;
 }
 
@@ -348,7 +338,6 @@ CacheHierarchy::store(CoreId c, Addr addr, unsigned size, const void *src)
     Tick lat = 0;
     L1Line &line = getForWrite(c, block, lat);
     std::memcpy(line.data.bytes.data() + blockOffset(addr), src, size);
-    publishShadow(c, line);
 
     if (persisting) {
         // Invariant 4: the block may live in at most one bbPB. Any other
@@ -391,7 +380,6 @@ CacheHierarchy::flushBlock(CoreId c, Addr addr)
             llc_line->data = owner_line->data;
             llc_line->dirty = false;
             owner_line->state = Mesi::Exclusive; // written back, now clean
-            publishShadow(llc_line->owner, *owner_line);
             dirty = true;
             lat += _l1_lat;
         }

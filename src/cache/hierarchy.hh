@@ -25,7 +25,6 @@
 
 #include "cache/cache_array.hh"
 #include "cache/mesi.hh"
-#include "cache/shadow_l1.hh"
 #include "core/persist_backend.hh"
 #include "mem/addr_map.hh"
 #include "mem/mem_ctrl.hh"
@@ -90,13 +89,6 @@ class CacheHierarchy
 
     /** Install the persistency backend (must outlive the hierarchy). */
     void setBackend(PersistencyBackend *backend) { _backend = backend; }
-
-    /**
-     * Export every L1 mutation to @p shadow (sharded kernel's speculative
-     * probe; see cache/shadow_l1.hh). Null detaches — the default — and
-     * publication is then a single predictable branch per mutation.
-     */
-    void setShadow(ShadowL1Table *shadow) { _shadow = shadow; }
 
     /**
      * Core @p c loads @p size bytes at @p addr into @p out.
@@ -174,17 +166,6 @@ class CacheHierarchy
     /** Pull the freshest data for an LLC line from a remote M owner. */
     void fetchFromOwner(LlcLine &llc_line, Tick &lat);
 
-    /** Mirror core @p c's (possibly just-invalidated) line to the shadow. */
-    void
-    publishShadow(CoreId c, const L1Line &line)
-    {
-        if (_shadow) {
-            _shadow->publish(c, _l1[c].indexOf(line), line.block,
-                             line.valid && line.state != Mesi::Invalid,
-                             line.state, line.data);
-        }
-    }
-
     /** Write @p data to the block's memory controller (force on full). */
     void writebackToMemory(Addr block, const BlockData &data, Tick &lat);
 
@@ -200,7 +181,6 @@ class CacheHierarchy
     MemCtrl &_nvmm;
     PersistencyBackend *_backend;
     NullPersistencyBackend _null_backend;
-    ShadowL1Table *_shadow = nullptr;
 
     std::vector<CacheArray<L1Line>> _l1;
     CacheArray<LlcLine> _llc;

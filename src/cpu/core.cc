@@ -1,9 +1,5 @@
 #include "cpu/core.hh"
 
-#include <chrono>
-
-#include "sim/shard.hh"
-
 namespace bbb
 {
 
@@ -25,7 +21,7 @@ ThreadContext::coreId() const
 Tick
 ThreadContext::now() const
 {
-    return _core.threadNow();
+    return _core._eq.now();
 }
 
 std::uint64_t
@@ -135,55 +131,12 @@ void
 Core::bindThread(ThreadBody body)
 {
     BBB_ASSERT(!_fiber, "core %u already has a thread", _id);
-    _body = std::move(body);
-    makeFiber();
-    if (_shard) {
-        ShardRuntime::FiberRebuild rebuild;
-        if (_thread_reset) {
-            // Squash recovery: drop the wrong-path fiber, roll the
-            // thread body's host-side effects back to a clean slate and
-            // re-run it from the top (the runtime replays the committed
-            // prefix from its journal). The same thread-context seed
-            // keeps the re-run deterministic.
-            rebuild = [this]() -> Fiber * {
-                _fiber.reset();
-                _tc.reset();
-                _thread_reset();
-                makeFiber();
-                return _fiber.get();
-            };
-        }
-        _shard->addCore(_id, _fiber.get(), std::move(rebuild));
-    }
-}
-
-void
-Core::makeFiber()
-{
     _tc = std::make_unique<ThreadContext>(*this,
                                           _cfg.seed * 1315423911u + _id);
     ThreadContext *tc = _tc.get();
-    _fiber = std::make_unique<Fiber>([this, tc]() { _body(*tc); });
-}
-
-void
-Core::setThreadReset(std::function<void()> reset)
-{
-    // A live fiber means either a double workload install (the core
-    // already has a thread) or a reset hook registered too late to be
-    // captured by bindThread's rebuild closure.
-    BBB_ASSERT(!_fiber,
-               "core %u already has a thread; reset hooks must be "
-               "installed before bindThread",
-               _id);
-    _thread_reset = std::move(reset);
-}
-
-void
-Core::setShardRuntime(ShardRuntime *rt)
-{
-    BBB_ASSERT(!_fiber, "core %u offloaded after bindThread", _id);
-    _shard = rt;
+    _fiber = std::make_unique<Fiber>([body = std::move(body), tc]() {
+        body(*tc);
+    });
 }
 
 void
@@ -192,41 +145,19 @@ Core::start()
     if (_started || !_fiber)
         return;
     _started = true;
-    if (_shard)
-        _shard->kick(_id);
     _eq.scheduleIn(0, [this]() { resumeFiber(); }, EventPriority::CoreOp);
-}
-
-Tick
-Core::threadNow() const
-{
-    // Offloaded fibers run ahead of commit; their clock is the resume
-    // time of their last committed load, maintained by the runtime.
-    return _shard ? _shard->segmentNow(_id) : _eq.now();
 }
 
 std::uint64_t
 Core::issueFromFiber(const MemOp &op)
-{
-    if (_shard) {
-        // Worker thread: hand the op to the mailbox. Accounting happens
-        // on the commit side, in resumeFiber(), where the inline kernel
-        // would have done it — keeping stats and traces identical.
-        return _shard->produceOp(_id, op);
-    }
-    noteIssued(op);
-    Fiber::yield();
-    return _result;
-}
-
-void
-Core::noteIssued(const MemOp &op)
 {
     _pending = op;
     _op_in_flight = true;
     ++_ops;
     if (_op_observer)
         _op_observer(op);
+    Fiber::yield();
+    return _result;
 }
 
 void
@@ -234,26 +165,6 @@ Core::resumeFiber()
 {
     if (_halted || _finished)
         return;
-
-    if (_shard) {
-        // Commit side of the sharded kernel: consume exactly one op at
-        // exactly the event where the inline kernel would resume the
-        // fiber. popOp blocks (host time, not simulated time) if the
-        // worker has not produced it yet.
-        MemOp op;
-        if (!_shard->popOp(_id, op)) {
-            _finished = true;
-            _finish_tick = _eq.now();
-            return;
-        }
-        noteIssued(op);
-        if (_gate) {
-            _gate->onParked(_id);
-            return;
-        }
-        executePending();
-        return;
-    }
 
     _fiber->resume();
 
@@ -299,42 +210,6 @@ Core::executePending()
     auto complete = [this](Tick lat, std::uint64_t result) {
         _result = result;
         _op_in_flight = false;
-        if (_shard && _pending.kind == OpKind::Load) {
-            if (_pending.spec) {
-                // The load was resolved speculatively on the worker: the
-                // fiber already ran ahead with spec_value. The load was
-                // still executed above exactly as the inline kernel
-                // would — same state changes, same latency — so the
-                // event schedule is independent of the prediction; all
-                // that is left is to check it.
-                auto t0 = std::chrono::steady_clock::now();
-                bool match = result == _pending.spec_value;
-                if (litmusMutation("spec-skip-validate"))
-                    match = true; // seeded bug: trust the probe blindly
-                if (match && _cfg.spec_mispredict_period &&
-                    ++_spec_validations % _cfg.spec_mispredict_period ==
-                        0) {
-                    // Fault injection: exercise the squash path with the
-                    // architecturally correct value, so recovered state
-                    // stays byte-identical while the machinery runs.
-                    match = false;
-                }
-                std::uint64_t ns = static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
-                if (match)
-                    _shard->specValidated(_id, ns);
-                else
-                    _shard->squash(_id, result, _eq.now() + lat, ns);
-            } else {
-                // Early value delivery: the architectural result is
-                // known now; only the latency is still being charged.
-                // Sending it immediately lets the worker compute the
-                // fiber's next segment during the load's latency window.
-                _shard->sendResume(_id, result, _eq.now() + lat);
-            }
-        }
         _eq.scheduleIn(lat, [this]() { resumeFiber(); },
                        EventPriority::CoreOp);
     };

@@ -36,7 +36,6 @@ namespace bbb
 {
 
 class Core;
-class ShardRuntime;
 
 /**
  * The interface workload code uses to touch simulated memory. All calls
@@ -111,25 +110,6 @@ class Core
     /** Bind the software thread this core will run. */
     void bindThread(ThreadBody body);
 
-    /**
-     * Register a hook that undoes every host-side effect of the thread
-     * body (workload logs, heap frontiers, litmus registers) so the body
-     * can be re-run from the top. Must be called before bindThread().
-     * On a worker shard this makes the core eligible for speculative
-     * load resolution: a mispredict destroys the fiber, runs the hook,
-     * and replays the committed prefix (see sim/shard.hh).
-     */
-    void setThreadReset(std::function<void()> reset);
-
-    /**
-     * Offload this core's fiber to a worker shard (sharded kernel).
-     * Must be called before bindThread(). The core then *consumes* ops
-     * from the runtime's mailbox at exactly the events where the inline
-     * kernel would resume its fiber, so the event schedule — and every
-     * stat derived from it — is unchanged.
-     */
-    void setShardRuntime(ShardRuntime *rt);
-
     /** Schedule the first fiber resume (idempotent). */
     void start();
 
@@ -177,15 +157,6 @@ class Core
     /** Called from the fiber side: record the op and yield. */
     std::uint64_t issueFromFiber(const MemOp &op);
 
-    /** (Re)create the thread context + fiber over _body. */
-    void makeFiber();
-
-    /** Simulated time as seen by the workload thread. */
-    Tick threadNow() const;
-
-    /** Commit-side bookkeeping for the op about to execute. */
-    void noteIssued(const MemOp &op);
-
     /** Resume the fiber (runs in simulator context). */
     void resumeFiber();
 
@@ -203,12 +174,6 @@ class Core
 
     std::unique_ptr<ThreadContext> _tc;
     std::unique_ptr<Fiber> _fiber;
-    /** The bound thread body, kept so a squash can rebuild the fiber. */
-    ThreadBody _body;
-    /** Host-state reset hook enabling squash rebuilds (may be empty). */
-    std::function<void()> _thread_reset;
-    /** Non-null when this core's fiber runs on a worker shard. */
-    ShardRuntime *_shard = nullptr;
 
     MemOp _pending;
     std::function<void(const MemOp &)> _op_observer;
@@ -221,9 +186,6 @@ class Core
     bool _started = false;
     bool _finished = false;
     bool _halted = false;
-    /** Speculative validations so far (spec_mispredict_period fault
-     *  injection counts against this). */
-    std::uint64_t _spec_validations = 0;
     Tick _finish_tick = 0;
     Tick _wait_start = 0;
 

@@ -38,20 +38,6 @@ struct MemOp
     std::uint64_t data = 0;
     /** Advance duration in cycles. */
     std::uint64_t cycles = 0;
-
-    // --- speculative probe metadata (sharded kernel, --spec on) --------
-    /**
-     * Load resolved by a worker-side L1-shadow probe: the fiber already
-     * ran ahead with spec_value, and the commit lane must validate that
-     * prediction against the authoritative hierarchy instead of waking
-     * the fiber with the result. `data` stays 0 for loads, so op
-     * observers see exactly what the inline kernel produces.
-     */
-    bool spec = false;
-    /** Speculation epoch of the producing fiber segment. */
-    std::uint32_t epoch = 0;
-    /** The probe's predicted value (valid only when spec). */
-    std::uint64_t spec_value = 0;
 };
 
 } // namespace bbb

@@ -15,16 +15,14 @@ namespace litmus
 std::string
 Violation::format() const
 {
-    std::string s = test + "/" + modeName(mode) + "/w" +
-                    std::to_string(width) + " schedule [" + schedule +
-                    "]: " + detail;
+    std::string s = test + "/" + modeName(mode) + " schedule [" +
+                    schedule + "]: " + detail;
     // "(any)" (missing witness) and abort markers have no single
     // schedule to replay.
     if (!schedule.empty() && schedule != "(any)" &&
         schedule != "(empty)") {
         s += "\n  replay: bbb-litmus --replay \"" + schedule +
-             "\" --test " + test + " --mode " + modeName(mode) +
-             " --width " + std::to_string(width);
+             "\" --test " + test + " --mode " + modeName(mode);
     }
     return s;
 }
@@ -73,15 +71,14 @@ struct Watchdog
     }
 
     void
-    check(const std::string &test, Mode mode, unsigned width,
-          std::uint64_t nodes, const std::vector<Step> &schedule) const
+    check(const std::string &test, Mode mode, std::uint64_t nodes,
+          const std::vector<Step> &schedule) const
     {
         if (!enabled || std::chrono::steady_clock::now() < deadline)
             return;
         fatal("litmus watchdog: BBB_JOB_TIMEOUT_S expired in test %s "
-              "(%s, width %u) after %llu nodes; exploring prefix [%s]",
-              test.c_str(), modeName(mode), width,
-              (unsigned long long)nodes,
+              "(%s) after %llu nodes; exploring prefix [%s]",
+              test.c_str(), modeName(mode), (unsigned long long)nodes,
               scheduleString(schedule).c_str());
     }
 };
@@ -90,36 +87,6 @@ std::string
 u64(std::uint64_t v)
 {
     return std::to_string(v);
-}
-
-/** One canonical line per prefix: the cross-width determinism unit. */
-std::string
-outcomeLine(const Test &test, const std::vector<Step> &schedule,
-            const SimResult &sim)
-{
-    std::string line = "[" + scheduleString(schedule) + "]";
-    line += " regs ";
-    for (unsigned r = 0; r < test.regs.size(); ++r) {
-        if (r)
-            line += ",";
-        line += test.regs[r] + "=";
-        line += sim.reg_done[r] ? u64(sim.regs[r]) : "-";
-    }
-    line += " image ";
-    for (unsigned v = 0; v < test.vars.size(); ++v) {
-        if (v)
-            line += ",";
-        line += test.vars[v] + "=" + u64(sim.image[v]);
-    }
-    if (sim.completed) {
-        line += " final ";
-        for (unsigned v = 0; v < test.vars.size(); ++v) {
-            if (v)
-                line += ",";
-            line += test.vars[v] + "=" + u64(sim.final_mem[v]);
-        }
-    }
-    return line;
 }
 
 /** The persist order the strict crash drain must honour: each core's
@@ -145,11 +112,9 @@ struct RunContext
     const Test &test;
     const Program &prog;
     Mode mode;
-    unsigned width;
     const HarnessOptions &opts;
     const Watchdog &watchdog;
     HarnessResult &res;
-    std::vector<std::string> &stream;
 
     unsigned run_violations = 0;
     std::vector<bool> witness_seen{};
@@ -160,13 +125,13 @@ struct RunContext
         ++run_violations;
         if (run_violations == opts.max_violations_per_run + 1) {
             res.violations.push_back(
-                {test.name, mode, width, scheduleString(schedule),
+                {test.name, mode, scheduleString(schedule),
                  "further violations in this configuration suppressed"});
             return;
         }
         if (run_violations > opts.max_violations_per_run)
             return;
-        res.violations.push_back({test.name, mode, width,
+        res.violations.push_back({test.name, mode,
                                   scheduleString(schedule),
                                   std::move(detail)});
     }
@@ -179,10 +144,9 @@ struct RunContext
     {
         if (opts.visit_hook)
             opts.visit_hook();
-        watchdog.check(test.name, mode, width, res.nodes + 1, schedule);
+        watchdog.check(test.name, mode, res.nodes + 1, schedule);
         ++res.sim_runs;
-        SimResult sim = runSchedule(test, prog, mode, width, schedule,
-                                    nullptr, opts.spec);
+        SimResult sim = runSchedule(test, prog, mode, schedule);
 
         if (!sim.ok) {
             addViolation(schedule, sim.error);
@@ -246,7 +210,6 @@ struct RunContext
         }
 
         noteWitnesses(sim, is_leaf);
-        stream.push_back(outcomeLine(test, schedule, sim));
 
         if (is_leaf && test.battery &&
             (mode == Mode::Bbb || mode == Mode::ProcSide))
@@ -321,8 +284,7 @@ struct RunContext
         } else {
             plan.battery_j = budget_j;
         }
-        SimResult sim = runSchedule(test, prog, mode, width, sch, &plan,
-                                    opts.spec);
+        SimResult sim = runSchedule(test, prog, mode, sch, &plan);
         std::string tag = std::string(charged ? "battery-cap k="
                                               : "battery k=") +
                           std::to_string(k) + ": ";
@@ -386,73 +348,45 @@ checkTest(const Test &test, const HarnessOptions &opts)
     HarnessResult res;
     ++res.tests_run;
     Watchdog watchdog = Watchdog::fromEnv();
-    BBB_ASSERT(!opts.widths.empty(), "no shard widths to check");
 
     for (Mode mode : effectiveModes(test, opts)) {
         Program prog = lower(test, mode);
-        std::vector<std::vector<std::string>> streams;
-        for (unsigned width : opts.widths) {
-            ++res.configs_run;
-            streams.emplace_back();
-            RunContext ctx{test,  prog,     mode,
-                           width, opts,     watchdog,
-                           res,   streams.back()};
-            ctx.witness_seen.assign(test.witnesses.size(), false);
+        ++res.configs_run;
+        RunContext ctx{test, prog, mode, opts, watchdog, res};
+        ctx.witness_seen.assign(test.witnesses.size(), false);
 
-            EnumOptions eopts;
-            eopts.por = opts.por;
-            eopts.max_nodes = opts.max_nodes;
-            EnumStats stats;
-            enumerate(prog, eopts, &stats,
-                      [&](const ModelState &state,
-                          const std::vector<Step> &schedule,
-                          bool is_leaf) {
-                          return ctx.visit(state, schedule, is_leaf);
-                      });
-            res.nodes += stats.nodes;
-            res.leaves += stats.leaves;
-            res.pruned += stats.pruned;
-            if (stats.aborted) {
-                res.violations.push_back(
-                    {test.name, mode, width, stats.abort_prefix,
-                     "enumeration aborted at max_nodes=" +
-                         u64(eopts.max_nodes) +
-                         " — raise --max-nodes or shrink the test"});
-                continue;
-            }
-
-            for (std::size_t w = 0; w < test.witnesses.size(); ++w) {
-                const Witness &wit = test.witnesses[w];
-                if (!wit.modes.empty() &&
-                    std::find(wit.modes.begin(), wit.modes.end(),
-                              mode) == wit.modes.end())
-                    continue;
-                if (!ctx.witness_seen[w]) {
-                    res.violations.push_back(
-                        {test.name, mode, width, "(any)",
-                         "witness never observed: " + wit.text});
-                }
-            }
+        EnumOptions eopts;
+        eopts.por = opts.por;
+        eopts.max_nodes = opts.max_nodes;
+        EnumStats stats;
+        enumerate(prog, eopts, &stats,
+                  [&](const ModelState &state,
+                      const std::vector<Step> &schedule, bool is_leaf) {
+                      return ctx.visit(state, schedule, is_leaf);
+                  });
+        res.nodes += stats.nodes;
+        res.leaves += stats.leaves;
+        res.pruned += stats.pruned;
+        if (stats.aborted) {
+            res.violations.push_back(
+                {test.name, mode, stats.abort_prefix,
+                 "enumeration aborted at max_nodes=" +
+                     u64(eopts.max_nodes) +
+                     " — raise --max-nodes or shrink the test"});
+            continue;
         }
 
-        // Shard-width determinism: the per-prefix outcome stream must
-        // be byte-identical at every width.
-        for (std::size_t i = 1; i < streams.size(); ++i) {
-            if (streams[i] == streams[0])
+        for (std::size_t w = 0; w < test.witnesses.size(); ++w) {
+            const Witness &wit = test.witnesses[w];
+            if (!wit.modes.empty() &&
+                std::find(wit.modes.begin(), wit.modes.end(), mode) ==
+                    wit.modes.end())
                 continue;
-            std::size_t at = 0;
-            while (at < streams[i].size() && at < streams[0].size() &&
-                   streams[i][at] == streams[0][at])
-                ++at;
-            std::string lhs = at < streams[0].size() ? streams[0][at]
-                                                     : "(missing)";
-            std::string rhs = at < streams[i].size() ? streams[i][at]
-                                                     : "(missing)";
-            res.violations.push_back(
-                {test.name, mode, opts.widths[i], "(stream)",
-                 "outcome stream diverges from width " +
-                     std::to_string(opts.widths[0]) + " at entry " +
-                     u64(at) + ": " + lhs + " vs " + rhs});
+            if (!ctx.witness_seen[w]) {
+                res.violations.push_back(
+                    {test.name, mode, "(any)",
+                     "witness never observed: " + wit.text});
+            }
         }
     }
     return res;
@@ -470,8 +404,8 @@ checkCorpus(const std::vector<Test> &tests, const HarnessOptions &opts)
 }
 
 std::string
-replaySchedule(const Test &test, Mode mode, unsigned width,
-               const std::vector<Step> &steps, bool *ok, bool spec)
+replaySchedule(const Test &test, Mode mode,
+               const std::vector<Step> &steps, bool *ok)
 {
     *ok = true;
     std::string out;
@@ -496,10 +430,8 @@ replaySchedule(const Test &test, Mode mode, unsigned width,
     }
     bool is_leaf = model.enabledSteps(prog).empty();
 
-    SimResult sim =
-        runSchedule(test, prog, mode, width, steps, nullptr, spec);
-    out += "test " + test.name + " mode " + modeName(mode) + " width " +
-           std::to_string(width) + "\n";
+    SimResult sim = runSchedule(test, prog, mode, steps);
+    out += "test " + test.name + " mode " + modeName(mode) + "\n";
     out += "schedule [" + scheduleString(steps) + "]" +
            (is_leaf ? " (complete)" : " (prefix; crash point)") + "\n";
     if (!sim.ok) {

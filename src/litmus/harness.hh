@@ -20,8 +20,7 @@
  * `sometimes` witnesses assert reachability so a checker that explores
  * nothing cannot be vacuously green. Battery tests additionally sweep
  * an undersized crash battery over every drain prefix length at every
- * leaf and demand the *exact* k-item cut image. Outcome streams are
- * compared byte-for-byte across shard widths.
+ * leaf and demand the *exact* k-item cut image.
  *
  * Every divergence carries a replayable schedule string
  * (`bbb-litmus --replay "<steps>" --test NAME --mode M`).
@@ -45,16 +44,9 @@ namespace litmus
 
 struct HarnessOptions
 {
-    /** Shard widths every configuration runs at (outcome streams must
-     *  be byte-identical across them). */
-    std::vector<unsigned> widths = {1, 4};
-    /** Speculative load probe on worker shards (`--spec`; inert at
-     *  width 1). On by default so the corpus continuously checks that
-     *  outcomes are independent of speculation. */
-    bool spec = true;
     bool por = true;
     std::uint64_t max_nodes = 200000;
-    /** Stop checking a (test, mode, width) run past this many
+    /** Stop checking a (test, mode) run past this many
      *  violations; a summary violation notes the truncation. */
     unsigned max_violations_per_run = 8;
     /** Restrict to the modes listed here (empty: the test's own). */
@@ -70,7 +62,6 @@ struct Violation
 {
     std::string test;
     Mode mode = Mode::Bbb;
-    unsigned width = 1;
     std::string schedule; ///< scheduleString() of the failing prefix
     std::string detail;
 
@@ -82,7 +73,7 @@ struct HarnessResult
 {
     std::vector<Violation> violations;
     unsigned tests_run = 0;
-    unsigned configs_run = 0; ///< (test, mode, width) combinations
+    unsigned configs_run = 0; ///< (test, mode) combinations
     std::uint64_t nodes = 0;
     std::uint64_t leaves = 0;
     std::uint64_t pruned = 0;
@@ -93,7 +84,7 @@ struct HarnessResult
     void merge(const HarnessResult &o);
 };
 
-/** Model-check one test across its modes and opts.widths. */
+/** Model-check one test across its modes. */
 HarnessResult checkTest(const Test &test, const HarnessOptions &opts);
 
 /** Model-check a corpus; results merge in order. */
@@ -101,14 +92,12 @@ HarnessResult checkCorpus(const std::vector<Test> &tests,
                           const HarnessOptions &opts);
 
 /**
- * Re-run one schedule prefix of @p test under @p mode at @p width and
- * return a human-readable report of the sim-vs-model comparison.
- * @p ok is set false if the prefix diverges (or the schedule is not
- * executable).
+ * Re-run one schedule prefix of @p test under @p mode and return a
+ * human-readable report of the sim-vs-model comparison. @p ok is set
+ * false if the prefix diverges (or the schedule is not executable).
  */
-std::string replaySchedule(const Test &test, Mode mode, unsigned width,
-                           const std::vector<Step> &steps, bool *ok,
-                           bool spec = true);
+std::string replaySchedule(const Test &test, Mode mode,
+                           const std::vector<Step> &steps, bool *ok);
 
 } // namespace litmus
 } // namespace bbb

@@ -10,12 +10,10 @@ namespace litmus
 {
 
 SystemConfig
-litmusConfig(Mode mode, unsigned shards, bool spec)
+litmusConfig(Mode mode)
 {
     SystemConfig cfg;
-    cfg.num_cores = kMaxThreads; // constant across tests: widths 1..4
-    cfg.shards = shards;
-    cfg.spec = spec;
+    cfg.num_cores = kMaxThreads; // constant across tests
     cfg.mode = persistModeOf(mode);
     // Small arrays keep per-node System construction cheap; the vars
     // (consecutive blocks) still land in distinct sets.
@@ -97,11 +95,10 @@ opMatches(const MemOp &got, const MOp &expect, Addr addr)
 
 SimResult
 runSchedule(const Test &test, const Program &prog, Mode mode,
-            unsigned shards, const std::vector<Step> &steps,
-            const FaultPlan *faults, bool spec)
+            const std::vector<Step> &steps, const FaultPlan *faults)
 {
     SimResult res;
-    SystemConfig cfg = litmusConfig(mode, shards, spec);
+    SystemConfig cfg = litmusConfig(mode);
     System sys(cfg);
     if (faults)
         sys.setFaultPlan(*faults);
@@ -113,29 +110,15 @@ runSchedule(const Test &test, const Program &prog, Mode mode,
     Gate gate;
     RegFile regs;
 
-    // Ops as committed (observer runs on the commit lane, one op per
-    // park, in release order) — checked against the lowered program so
-    // a replayed schedule provably drove the ops it claims.
+    // Ops as issued (the observer runs once per park, in release
+    // order) — checked against the lowered program so a replayed
+    // schedule provably drove the ops it claims.
     std::array<std::vector<MemOp>, kMaxThreads> committed;
 
     for (unsigned t = 0; t < prog.numThreads(); ++t) {
         const std::vector<MOp> *ops = &prog.threads[t];
         RegFile *rf = &regs;
         const std::array<Addr, kMaxVars> *va = &addr;
-        // Squash-rollback hook: the only host-side state a litmus
-        // thread body writes is its own registers (the committed-op
-        // ledger below is commit-lane-side and never rolls back).
-        std::vector<unsigned> tregs;
-        for (const MOp &op : *ops) {
-            if (op.kind == MKind::Load)
-                tregs.push_back(unsigned(op.reg));
-        }
-        sys.onThreadReset(t, [rf, tregs]() {
-            for (unsigned r : tregs) {
-                rf->val[r] = 0;
-                rf->done[r] = false;
-            }
-        });
         sys.onThread(t, [ops, rf, va](ThreadContext &tc) {
             for (const MOp &op : *ops) {
                 switch (op.kind) {
@@ -235,8 +218,8 @@ runSchedule(const Test &test, const Program &prog, Mode mode,
     }
 
     if (res.ok) {
-        // Leaf detection on the commit lane: every program op released,
-        // every fiber finished, every store buffer drained.
+        // Leaf detection: every program op released, every fiber
+        // finished, every store buffer drained.
         res.completed = true;
         for (unsigned t = 0; t < prog.numThreads(); ++t) {
             if (released[t] != prog.threads[t].size() ||
@@ -251,8 +234,7 @@ runSchedule(const Test &test, const Program &prog, Mode mode,
     }
 
     // Crash even on a divergence: the report's drain still runs and the
-    // caller may want the image for diagnostics. crashNow() quiesces the
-    // worker shards, which also publishes the fibers' register writes.
+    // caller may want the image for diagnostics.
     res.crash = sys.crashNow();
     PmemImage img = sys.pmemImage();
     for (unsigned v = 0; v < test.vars.size(); ++v)

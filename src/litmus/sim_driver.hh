@@ -5,7 +5,7 @@
  *
  * The driver owns op release order *and* store-retirement order via the
  * OpGate / manual-drain hooks (sim/op_gate.hh), so one schedule maps to
- * exactly one machine execution — at any shard width. After the prefix
+ * exactly one machine execution. After the prefix
  * runs, the machine is crashed and the post-crash NVMM image captured,
  * making every prefix a crash point.
  */
@@ -30,12 +30,12 @@ namespace litmus
 {
 
 /**
- * The machine the corpus runs on: 4 cores (so widths 1 and 4 are both
- * exact), small caches (litmus programs touch <= 8 blocks), manual
- * drains (threshold 1.0 keeps the auto drain engine quiet for <= 8
- * buffered stores), TSO, and crash-time invariant checking.
+ * The machine the corpus runs on: 4 cores (one per litmus thread),
+ * small caches (litmus programs touch <= 8 blocks), manual drains
+ * (threshold 1.0 keeps the auto drain engine quiet for <= 8 buffered
+ * stores), TSO, and crash-time invariant checking.
  */
-SystemConfig litmusConfig(Mode mode, unsigned shards, bool spec = true);
+SystemConfig litmusConfig(Mode mode);
 
 /** Block address of litmus variable @p var: consecutive blocks past the
  *  persistent heap header (which holds the heap magic). */
@@ -68,15 +68,12 @@ struct SimResult
 
 /**
  * Execute @p steps of @p prog (the @p mode lowering of @p test) on a
- * fresh system at shard width @p shards, then crash and capture the
- * image. @p faults optionally arms a fault plan (battery sweeps).
- * @p spec enables the sharded kernel's speculative load probe (inert at
- * one shard); outcomes must not depend on it — that independence is
- * exactly what running the corpus with it forced on checks.
+ * fresh system, then crash and capture the image. @p faults optionally
+ * arms a fault plan (battery sweeps).
  */
 SimResult runSchedule(const Test &test, const Program &prog, Mode mode,
-                      unsigned shards, const std::vector<Step> &steps,
-                      const FaultPlan *faults = nullptr, bool spec = true);
+                      const std::vector<Step> &steps,
+                      const FaultPlan *faults = nullptr);
 
 } // namespace litmus
 } // namespace bbb

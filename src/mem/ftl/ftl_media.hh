@@ -42,7 +42,7 @@
  *
  * Determinism: no RNG at all. Every decision reads ordered containers
  * (std::map / std::set keyed by (wear, frame)), so reports are
- * byte-identical at any --jobs/--shards width by construction.
+ * byte-identical at any --jobs width by construction.
  *
  * Crash contract: frames hold the device truth during a run; at
  * onCrashComplete() — the reboot "mount" — the reconstructed mapping is

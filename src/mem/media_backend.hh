@@ -31,8 +31,8 @@
  * Determinism: a backend may not consult any state outside the
  * simulation (host clocks, unordered containers, global RNGs). Every
  * FtlMedia decision derives from ordered tables keyed by (wear, frame),
- * evaluated on the commit lane, so canonical reports stay byte-identical
- * at any --jobs/--shards width.
+ * evaluated in event order, so canonical reports stay byte-identical at
+ * any --jobs width.
  */
 
 #ifndef BBB_MEM_MEDIA_BACKEND_HH

@@ -9,7 +9,8 @@
  *
  * Layout:
  *   persistBase() + 0        : 8-byte magic
- *   persistBase() + 8        : 16 root pointer slots (8 B each)
+ *   persistBase() + 8        : 64 root pointer slots (8 B each), one
+ *                              per simulated core at the 64-core limit
  *   persistBase() + 4 KiB    : per-arena bump regions
  *
  * The bump frontiers themselves are volatile simulator metadata: the
@@ -35,8 +36,10 @@ class PersistentHeap
 {
   public:
     static constexpr std::uint64_t kMagic = 0xBBB0'0001'CAFE'F00Dull;
-    static constexpr unsigned kRootSlots = 16;
+    static constexpr unsigned kRootSlots = 64;
     static constexpr std::uint64_t kHeaderBytes = 4096;
+    static_assert(8 + kRootSlots * 8 <= kHeaderBytes,
+                  "root slots must fit in the heap header");
 
     PersistentHeap(const AddrMap &map, unsigned arenas)
         : _map(map), _arenas(arenas)
@@ -54,11 +57,15 @@ class PersistentHeap
     Addr magicAddr() const { return _map.persistBase(); }
 
     /** Address of root pointer slot @p slot. */
-    Addr
-    rootAddr(unsigned slot) const
+    Addr rootAddr(unsigned slot) const { return rootAddr(_map, slot); }
+
+    /** Address of root pointer slot @p slot in any image laid out over
+     *  @p map (post-crash images have no heap object). */
+    static Addr
+    rootAddr(const AddrMap &map, unsigned slot)
     {
         BBB_ASSERT(slot < kRootSlots, "root slot %u out of range", slot);
-        return _map.persistBase() + 8 + slot * 8ull;
+        return map.persistBase() + 8 + slot * 8ull;
     }
 
     /**

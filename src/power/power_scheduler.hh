@@ -27,7 +27,7 @@
  *
  * All crossings are solved exactly from the piecewise-constant power
  * (pure double math, no iteration), so the same seed + trace produce the
- * same windows on every host and shard count.
+ * same windows on every host and --jobs width.
  */
 
 #ifndef BBB_POWER_POWER_SCHEDULER_HH

@@ -223,60 +223,6 @@ struct SystemConfig
     /** Core clock in MHz (2 GHz default). */
     std::uint64_t clock_mhz = 2000;
 
-    /**
-     * Sharded event kernel width (`--shards` / BBB_SHARDS): the number of
-     * host execution lanes one simulation spreads across. Shard 0 is the
-     * commit lane — the caller's thread, which owns the event queue and
-     * every shared component (directory/LLC, memory controllers, backing
-     * store, crash engine). Shards 1..N-1 are worker threads that run the
-     * fibers (workload segments) of the cores mapped to them, feeding the
-     * resulting memory operations back through per-core mailboxes that
-     * the commit lane drains in event order. 1 (default) keeps today's
-     * single-threaded kernel; values above num_cores clamp.
-     *
-     * The commit protocol makes the event schedule — and therefore every
-     * canonical report — byte-identical for any shard count (see
-     * docs/architecture.md, "Sharded event kernel").
-     */
-    unsigned shards = 1;
-
-    /**
-     * Sharded kernel synchronization window in ticks: a worker may run a
-     * fiber at most ~one quantum of simulated work ahead of the commit
-     * lane, and the `sim.shard.barriers` stat counts quantum boundaries
-     * crossed. 0 derives the default from the minimum cross-core
-     * visibility latency (an LLC access) scaled by the store-buffer
-     * depth — the deepest burst a core can issue before shared state can
-     * possibly observe it.
-     */
-    Tick shard_quantum_ticks = 0;
-
-    /**
-     * Per-core mailbox depth between a worker shard and the commit lane
-     * (ops buffered ahead of commit). 0 derives it from the quantum:
-     * one entry per core cycle of window, floor 64.
-     */
-    unsigned shard_mailbox_entries = 0;
-
-    /**
-     * Speculative load resolution on worker shards (`--spec`): workers
-     * probe a seqlock-versioned shadow of their core's private L1 and run
-     * ahead through predicted hits without parking; the commit lane
-     * validates every prediction against the authoritative hierarchy and
-     * squashes on mismatch. Prediction only — the committed event
-     * schedule (and every canonical report) is byte-identical with
-     * speculation on or off. Meaningful only when resolvedShards() > 1.
-     */
-    bool spec = true;
-
-    /**
-     * Testing knob: force a squash (with the *correct* value, so the
-     * committed schedule is untouched) on every Nth validated
-     * speculative load. 0 disables. Exercises the squash/replay path
-     * deterministically regardless of host timing.
-     */
-    std::uint64_t spec_mispredict_period = 0;
-
     CacheConfig l1d{128_KiB, 8, 2};
     CacheConfig llc{1_MiB, 8, 11};
 
@@ -352,53 +298,6 @@ struct SystemConfig
                mode == PersistMode::BbbProcSide;
     }
 
-    /** Shard count after clamping to the simulated core count. */
-    unsigned
-    resolvedShards() const
-    {
-        unsigned s = shards ? shards : 1;
-        return s > num_cores ? num_cores : s;
-    }
-
-    /** Which shard owns core `core`'s fiber (round-robin, shard 0 = commit). */
-    unsigned
-    shardOf(unsigned core) const
-    {
-        return core % resolvedShards();
-    }
-
-    /** Speculative probing after clamping: needs worker shards to probe. */
-    bool
-    resolvedSpec() const
-    {
-        return spec && resolvedShards() > 1;
-    }
-
-    /**
-     * Effective synchronization window: shard_quantum_ticks, or the
-     * derived default — the minimum cross-core visibility latency (one
-     * LLC access) times the store-buffer depth, i.e. the longest burst a
-     * core can retire before another core could possibly observe it.
-     */
-    Tick
-    shardQuantum() const
-    {
-        if (shard_quantum_ticks)
-            return shard_quantum_ticks;
-        return cycles(std::uint64_t(llc.latency_cycles) *
-                      store_buffer.entries);
-    }
-
-    /** Effective per-core mailbox depth (one op per window cycle, min 64). */
-    std::size_t
-    shardMailboxCapacity() const
-    {
-        if (shard_mailbox_entries)
-            return shard_mailbox_entries;
-        std::size_t per_window = shardQuantum() / cyclePeriod();
-        return per_window < 64 ? 64 : per_window;
-    }
-
     /**
      * Events attributable to one simulated core: its driver/resume
      * events plus in-flight store-buffer drains.
@@ -411,8 +310,7 @@ struct SystemConfig
 
     /**
      * Overhead of the shared components (WPQ/channel completions,
-     * invariant sampler, slack) — counted once, on whichever queue hosts
-     * them, never per shard.
+     * invariant sampler, slack), counted once per machine.
      */
     std::size_t
     sharedEventHint() const
@@ -421,26 +319,16 @@ struct SystemConfig
     }
 
     /**
-     * Upper bound on simultaneously-pending events for a queue serving
-     * `cores_on_queue` cores, for pre-sizing the EventQueue heap so it
-     * never reallocates mid-run. Under sharding each queue reserves only
-     * its own cores' share; `hosts_shared` adds the shared-component
-     * overhead exactly once (shard 0). Deliberately generous — a few
-     * unused slots cost bytes, a mid-run reallocation costs a heap copy
-     * on the hot path.
+     * Upper bound on simultaneously-pending events, for pre-sizing the
+     * EventQueue heap so it never reallocates mid-run: every core plus
+     * the shared components. Deliberately generous — a few unused slots
+     * cost bytes, a mid-run reallocation costs a heap copy on the hot
+     * path.
      */
-    std::size_t
-    eventCapacityHint(unsigned cores_on_queue, bool hosts_shared) const
-    {
-        return cores_on_queue * perCoreEventHint() +
-               (hosts_shared ? sharedEventHint() : 0);
-    }
-
-    /** Single-queue hint: every core plus the shared components. */
     std::size_t
     eventCapacityHint() const
     {
-        return eventCapacityHint(num_cores, true);
+        return num_cores * perCoreEventHint() + sharedEventHint();
     }
 };
 

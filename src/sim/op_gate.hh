@@ -4,20 +4,16 @@
  *
  * An OpGate turns the free-running cores into a stepwise machine: when a
  * gate is installed on a Core, every operation the thread issues is
- * *parked* at commit time instead of executing. The controller (the
- * litmus schedule runner) is told which core parked, and decides — in
- * whatever order its schedule dictates — when to call
- * Core::releasePending() to let the op execute. Between releases the
- * controller steps the event queue until the core parks its next op (or
- * finishes), so exactly one program-order operation is in flight per
- * release.
+ * *parked* instead of executing. The controller (the litmus schedule
+ * runner) is told which core parked, and decides — in whatever order
+ * its schedule dictates — when to call Core::releasePending() to let the
+ * op execute. Between releases the controller steps the event queue
+ * until the core parks its next op (or finishes), so exactly one
+ * program-order operation is in flight per release.
  *
- * The hook sits at the one point the inline and sharded kernels share:
- * the commit-side resume, after the op is popped/noted and before it
- * executes. Worker shards still run ahead through non-load segments, but
- * commit order — and therefore every architectural outcome — is wholly
- * runner-chosen, which is what makes litmus results identical at every
- * `--shards` width.
+ * The hook sits in the core's fiber resume, after the op is issued and
+ * before it executes, so execution order — and therefore every
+ * architectural outcome — is wholly runner-chosen.
  *
  * This header also hosts the litmus mutation switch: the mutation-kill
  * self-checks seed one deliberate ordering bug behind the

@@ -172,18 +172,12 @@ class Workload
     static Addr
     imageRootAddr(const AddrMap &map, unsigned slot)
     {
-        BBB_ASSERT(slot < PersistentHeap::kRootSlots,
-                   "root slot %u out of range", slot);
-        return map.persistBase() + 8 + slot * 8ull;
+        return PersistentHeap::rootAddr(map, slot);
     }
 
   protected:
-    /** Record a keyed op at issue time (fiber-side). Each tid's log is
-     *  written only by the one host thread running that core's fiber —
-     *  the main thread, or its worker shard under `--shards` — and read
-     *  by the oracle only after the System quiesces, so no locking is
-     *  needed. Under run-ahead the log may extend past the committed
-     *  prefix at a crash; the oracle's prefix semantics allow that. */
+    /** Record a keyed op at issue time (fiber-side; cores share one
+     *  OS thread per System, so no locking is needed). */
     void logOp(unsigned tid, std::uint64_t key)
     {
         _issued.at(tid).push_back(key);
@@ -213,16 +207,6 @@ class Workload
     bindThreads(System &sys)
     {
         for (CoreId c = _first; c < _end; ++c) {
-            // Squash-rollback hook for the sharded kernel's speculative
-            // probe: everything runThread changes outside simulated
-            // memory is this issue log and the thread's heap arena
-            // frontier (the per-thread RNG lives in the ThreadContext,
-            // which the core rebuilds with the same seed).
-            Addr frontier = sys.heap().frontier(c);
-            sys.onThreadReset(c, [this, &sys, c, frontier]() {
-                _issued.at(c).clear();
-                sys.heap().setFrontier(c, frontier);
-            });
             sys.onThread(c, [this, c](ThreadContext &tc) {
                 runThread(tc, c);
             });

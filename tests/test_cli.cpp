@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -79,139 +78,37 @@ TEST(CliDeath, StrictArgsAppliesToAnyStringFlag)
                 "--workloads requires a value");
 }
 
-namespace
-{
-
-/** Scope guard: clear BBB_SHARDS for the test, restore it afterwards. */
-struct ShardsEnvGuard
-{
-    ShardsEnvGuard()
-    {
-        const char *prev = std::getenv("BBB_SHARDS");
-        if (prev) {
-            _saved = prev;
-            _had = true;
-        }
-        unsetenv("BBB_SHARDS");
-    }
-    ~ShardsEnvGuard()
-    {
-        if (_had)
-            setenv("BBB_SHARDS", _saved.c_str(), 1);
-        else
-            unsetenv("BBB_SHARDS");
-    }
-
-  private:
-    std::string _saved;
-    bool _had = false;
-};
-
-} // namespace
-
-TEST(CliShards, DefaultsToOneShard)
-{
-    ShardsEnvGuard env;
-    Argv a({"--fast"});
-    EXPECT_EQ(cli::shardsArg(a.argc(), a.argv()), 1u);
-}
-
-TEST(CliShards, FlagValueParsed)
-{
-    ShardsEnvGuard env;
-    Argv a({"--shards", "4"});
-    EXPECT_EQ(cli::shardsArg(a.argc(), a.argv()), 4u);
-}
-
-TEST(CliShards, EnvFallbackAndFlagPrecedence)
-{
-    ShardsEnvGuard env;
-    setenv("BBB_SHARDS", "3", 1);
-    Argv from_env({"--fast"});
-    EXPECT_EQ(cli::shardsArg(from_env.argc(), from_env.argv()), 3u);
-    Argv flag_wins({"--shards", "2"});
-    EXPECT_EQ(cli::shardsArg(flag_wins.argc(), flag_wins.argv()), 2u);
-}
-
-TEST(CliShards, NonStrictBadValueFallsBackToOne)
-{
-    ShardsEnvGuard env;
-    Argv zero({"--shards", "0"});
-    EXPECT_EQ(cli::shardsArg(zero.argc(), zero.argv()), 1u);
-    Argv negative({"--shards", "-2"});
-    EXPECT_EQ(cli::shardsArg(negative.argc(), negative.argv()), 1u);
-    Argv garbage({"--shards", "4x"});
-    EXPECT_EQ(cli::shardsArg(garbage.argc(), garbage.argv()), 1u);
-}
-
-TEST(CliShards, ExceedingCoreCountWarnsButKeepsValue)
-{
-    ShardsEnvGuard env;
-    Argv a({"--shards", "16"});
-    // The kernel clamps via SystemConfig::resolvedShards(); the parser
-    // only warns so the caller sees the requested width.
-    EXPECT_EQ(cli::shardsArg(a.argc(), a.argv(), 8), 16u);
-}
-
-TEST(CliShardsDeath, StrictArgsRejectsZero)
-{
-    ShardsEnvGuard env;
-    Argv a({"--strict-args", "--shards", "0"});
-    EXPECT_EXIT(cli::shardsArg(a.argc(), a.argv()),
-                ::testing::ExitedWithCode(2),
-                "--shards must be a positive shard count");
-}
-
-TEST(CliShardsDeath, StrictArgsRejectsNegative)
-{
-    ShardsEnvGuard env;
-    Argv a({"--strict-args", "--shards", "-3"});
-    EXPECT_EXIT(cli::shardsArg(a.argc(), a.argv()),
-                ::testing::ExitedWithCode(2),
-                "--shards must be a positive shard count");
-}
-
-TEST(CliShardsDeath, StrictArgsRejectsBadEnvValue)
-{
-    ShardsEnvGuard env;
-    setenv("BBB_SHARDS", "nope", 1);
-    Argv a({"--strict-args", "--fast"});
-    EXPECT_EXIT(cli::shardsArg(a.argc(), a.argv()),
-                ::testing::ExitedWithCode(2),
-                "BBB_SHARDS must be a positive shard count");
-}
-
 TEST(CliUintList, DefaultWhenAbsent)
 {
     Argv a({"--fast"});
     std::vector<unsigned> def = {1, 4};
-    EXPECT_EQ(cli::uintListArg(a.argc(), a.argv(), "--widths", def), def);
+    EXPECT_EQ(cli::uintListArg(a.argc(), a.argv(), "--sizes", def), def);
 }
 
 TEST(CliUintList, ParsesCommaSeparatedValues)
 {
-    Argv a({"--widths", "1,2,4"});
+    Argv a({"--sizes", "1,2,4"});
     std::vector<unsigned> want = {1, 2, 4};
-    EXPECT_EQ(cli::uintListArg(a.argc(), a.argv(), "--widths", {1}),
+    EXPECT_EQ(cli::uintListArg(a.argc(), a.argv(), "--sizes", {1}),
               want);
 }
 
 TEST(CliUintList, NonStrictBadEntryKeepsDefault)
 {
-    Argv a({"--widths", "1,zero"});
+    Argv a({"--sizes", "1,zero"});
     std::vector<unsigned> def = {1, 4};
-    EXPECT_EQ(cli::uintListArg(a.argc(), a.argv(), "--widths", def), def);
-    Argv neg({"--widths", "-1"});
-    EXPECT_EQ(cli::uintListArg(neg.argc(), neg.argv(), "--widths", def),
+    EXPECT_EQ(cli::uintListArg(a.argc(), a.argv(), "--sizes", def), def);
+    Argv neg({"--sizes", "-1"});
+    EXPECT_EQ(cli::uintListArg(neg.argc(), neg.argv(), "--sizes", def),
               def);
 }
 
 TEST(CliUintListDeath, StrictArgsRejectsBadEntry)
 {
-    Argv a({"--strict-args", "--widths", "1,x"});
-    EXPECT_EXIT(cli::uintListArg(a.argc(), a.argv(), "--widths", {1}),
+    Argv a({"--strict-args", "--sizes", "1,x"});
+    EXPECT_EXIT(cli::uintListArg(a.argc(), a.argv(), "--sizes", {1}),
                 ::testing::ExitedWithCode(2),
-                "--widths expects positive integers");
+                "--sizes expects positive integers");
 }
 
 TEST(CliOnOff, ParsesSpellings)
@@ -240,37 +137,4 @@ TEST(CliOnOffDeath, StrictArgsRejectsMalformed)
     Argv a({"--strict-args", "--por", "maybe"});
     EXPECT_EXIT(cli::onOffArg(a.argc(), a.argv(), "--por", true),
                 ::testing::ExitedWithCode(2), "--por expects on\\|off");
-}
-
-TEST(CliSpec, DefaultTracksShardWidth)
-{
-    // Speculation defaults on whenever worker shards exist, off at the
-    // inline width where it could do nothing.
-    Argv a({"--fast"});
-    EXPECT_TRUE(cli::specArg(a.argc(), a.argv(), 4));
-    EXPECT_TRUE(cli::specArg(a.argc(), a.argv(), 2));
-    EXPECT_FALSE(cli::specArg(a.argc(), a.argv(), 1));
-}
-
-TEST(CliSpec, ExplicitValueParsed)
-{
-    Argv off({"--spec", "off"});
-    EXPECT_FALSE(cli::specArg(off.argc(), off.argv(), 4));
-    Argv on({"--spec", "on"});
-    EXPECT_TRUE(cli::specArg(on.argc(), on.argv(), 4));
-}
-
-TEST(CliSpec, ClampWarnsAndStaysOffAtOneShard)
-{
-    // An explicit --spec on at --shards 1 is a no-op: the parser warns
-    // and reports speculation off so callers see the effective state.
-    Argv a({"--spec", "on"});
-    EXPECT_FALSE(cli::specArg(a.argc(), a.argv(), 1));
-}
-
-TEST(CliSpecDeath, StrictArgsRejectsMalformed)
-{
-    Argv a({"--strict-args", "--spec", "maybe"});
-    EXPECT_EXIT(cli::specArg(a.argc(), a.argv(), 4),
-                ::testing::ExitedWithCode(2), "--spec expects on\\|off");
 }

@@ -228,10 +228,9 @@ TEST(EventQueue, LargeCaptureCallbacksWork)
 }
 
 // ---------------------------------------------------------------------
-// Event-capacity hint sizing (SystemConfig::eventCapacityHint and the
-// per-shard split it feeds). The hint exists so EventQueue::reserve can
-// pre-size the heap once and never reallocate mid-run; the sharded
-// kernel must not multiply the shared-component overhead per shard.
+// Event-capacity hint sizing (SystemConfig::eventCapacityHint). The
+// hint exists so EventQueue::reserve can pre-size the heap once and
+// never reallocate mid-run.
 // ---------------------------------------------------------------------
 
 #include "sim/config.hh"
@@ -244,38 +243,18 @@ TEST(EventCapacityHint, LegacyFormulaPreserved)
                          cfg.nvmm.wpq_entries + cfg.nvmm.channels +
                          cfg.dram.channels + 64;
     EXPECT_EQ(cfg.eventCapacityHint(), legacy);
-    EXPECT_EQ(cfg.eventCapacityHint(cfg.num_cores, true), legacy);
-}
-
-TEST(EventCapacityHint, PerShardSplitSumsToGlobalHint)
-{
-    // Splitting N cores across shards — shared components only on the
-    // queue that hosts them — must total exactly the monolithic hint:
-    // no per-shard duplication of the wpq/channel/slack overhead.
-    bbb::SystemConfig cfg;
-    cfg.num_cores = 8;
-    for (unsigned shards = 1; shards <= cfg.num_cores; ++shards) {
-        cfg.shards = shards;
-        std::size_t total = 0;
-        for (unsigned s = 0; s < cfg.resolvedShards(); ++s) {
-            unsigned cores_here = 0;
-            for (unsigned c = 0; c < cfg.num_cores; ++c)
-                if (cfg.shardOf(c) == s)
-                    ++cores_here;
-            total += cfg.eventCapacityHint(cores_here, s == 0);
-        }
-        EXPECT_EQ(total, cfg.eventCapacityHint())
-            << "shards=" << shards;
-    }
 }
 
 TEST(EventCapacityHint, CoreTermIsLinear)
 {
+    // Each core adds the same share on top of the shared-component
+    // overhead, which is counted once.
     bbb::SystemConfig cfg;
-    std::size_t one = cfg.eventCapacityHint(1, false);
-    EXPECT_EQ(cfg.eventCapacityHint(4, false), 4 * one);
-    EXPECT_EQ(cfg.eventCapacityHint(0, false), 0u);
-    EXPECT_EQ(cfg.eventCapacityHint(0, true), cfg.sharedEventHint());
+    cfg.num_cores = 1;
+    std::size_t one = cfg.eventCapacityHint() - cfg.sharedEventHint();
+    EXPECT_EQ(one, cfg.perCoreEventHint());
+    cfg.num_cores = 4;
+    EXPECT_EQ(cfg.eventCapacityHint(), cfg.sharedEventHint() + 4 * one);
 }
 
 TEST(EventCapacityHint, ReserveHonorsHint)

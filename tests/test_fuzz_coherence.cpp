@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -27,31 +26,6 @@ using namespace bbb;
 
 namespace
 {
-
-/** Scope guard: force canonical-report mode, restore on exit. */
-struct CanonicalGuard
-{
-    CanonicalGuard()
-    {
-        const char *prev = std::getenv("BBB_REPORT_CANONICAL");
-        if (prev) {
-            _saved = prev;
-            _had = true;
-        }
-        setenv("BBB_REPORT_CANONICAL", "1", 1);
-    }
-    ~CanonicalGuard()
-    {
-        if (_had)
-            setenv("BBB_REPORT_CANONICAL", _saved.c_str(), 1);
-        else
-            unsetenv("BBB_REPORT_CANONICAL");
-    }
-
-  private:
-    std::string _saved;
-    bool _had = false;
-};
 
 SystemConfig
 fuzzCfg(PersistMode mode, std::uint64_t seed)
@@ -193,62 +167,4 @@ TEST(FuzzThreads, RandomThreadedTrafficStaysCoherent)
     }
     sys.run();
     sys.checkInvariants();
-}
-
-TEST(FuzzThreads, ShardSpecSweepIsByteIdentical)
-{
-    // The same random threaded traffic across the kernel-width and
-    // speculative-probe grid: every (shards, spec) cell must produce a
-    // byte-identical canonical snapshot. Load-dependent control flow in
-    // the thread bodies makes this a strong check on squash/replay —
-    // a mispredicted load that escaped validation would steer a fiber
-    // down a different path and change the metric tree.
-    CanonicalGuard canonical;
-    auto run = [](unsigned shards, bool spec) {
-        SystemConfig cfg = fuzzCfg(PersistMode::BbbMemSide, 424242);
-        cfg.shards = shards;
-        cfg.spec = spec;
-        System sys(cfg);
-        const unsigned kBlocks = 16;
-        Addr base = sys.heap().alloc(0, kBlocks * kBlockSize, 64);
-        for (CoreId t = 0; t < cfg.num_cores; ++t) {
-            // Thread state lives entirely in the ThreadContext (rebuilt
-            // with the same seed on squash), so the host-side reset is
-            // empty — registering it is what arms speculation.
-            sys.onThreadReset(t, [] {});
-            sys.onThread(t, [&, t](ThreadContext &tc) {
-                for (int i = 0; i < 1000; ++i) {
-                    Addr block =
-                        base + tc.rng().below(kBlocks) * kBlockSize;
-                    if (tc.rng().chance(0.5)) {
-                        std::uint64_t v = tc.rng().next();
-                        tc.store64(block, v);
-                        tc.store64(block + 8, v ^ t);
-                    } else {
-                        std::uint64_t v = tc.load64(block);
-                        std::uint64_t tag = tc.load64(block + 8);
-                        std::uint64_t writer = v ^ tag;
-                        if (writer >= cfg.num_cores) {
-                            // Benign torn pair; still load-dependent
-                            // control flow the replay must reproduce.
-                            continue;
-                        }
-                    }
-                }
-            });
-        }
-        sys.run();
-        sys.checkInvariants();
-        return sys.snapshotMetrics().toJson();
-    };
-
-    std::string base_json = run(1, false);
-    for (unsigned shards : {1u, 2u, 4u}) {
-        for (bool spec : {false, true}) {
-            if (shards == 1 && !spec)
-                continue; // the reference cell itself
-            EXPECT_EQ(base_json, run(shards, spec))
-                << "shards " << shards << " spec " << spec;
-        }
-    }
 }

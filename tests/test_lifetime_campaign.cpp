@@ -122,3 +122,36 @@ TEST(LifetimeCampaign, SummaryBitIdenticalAtAnyJobsWidth)
     EXPECT_EQ(serial.metrics.count("lifetime.lifetimes"),
               serial.results.size());
 }
+
+TEST(LifetimeCampaign, ThirtyTwoCoreHashmapRunsAndRecovers)
+{
+    // Every workload thread owns one heap root slot, so machines past
+    // 16 cores need the header's slot table to cover the 64-core limit.
+    LifetimeSpec spec = smallSpec();
+    spec.base.num_cores = 32;
+    spec.params.ops_per_thread = 40;
+    spec.params.initial_elements = 20;
+
+    System sys(spec.base);
+    auto wl = makeWorkload("hashmap", spec.params);
+    wl->install(sys);
+    sys.run();
+    EXPECT_GT(sys.executionTime(), 0u);
+    sys.crashNow();
+    EXPECT_TRUE(wl->checkRecovery(sys.pmemImage()).consistent());
+
+    // One crash -> recover -> resume lifetime on the same machine shape.
+    LifetimeSample sample;
+    sample.cfg = spec.base;
+    sample.workload = "hashmap";
+    sample.params = spec.params;
+    sample.plan = FaultPlan::parse("none");
+    sample.plan_name = "none";
+    sample.seed = 3;
+    sample.rounds = 2;
+    sample.min_crash_tick = spec.min_crash_tick;
+    sample.max_crash_tick = spec.max_crash_tick;
+    LifetimeResult r = runLifetimeSample(sample);
+    EXPECT_EQ(r.outcome, LifetimeOutcome::Clean) << r.reproLine();
+    EXPECT_EQ(r.round_log.size(), 2u);
+}

@@ -34,14 +34,6 @@ struct MutateGuard
     ~MutateGuard() { unsetenv("BBB_LITMUS_MUTATE"); }
 };
 
-HarnessOptions
-fastOptions()
-{
-    HarnessOptions opts;
-    opts.widths = {1}; // the ctest litmus_smoke entry covers width 4
-    return opts;
-}
-
 const LitTest &
 mustFind(const char *name)
 {
@@ -55,23 +47,12 @@ mustFind(const char *name)
 TEST(LitmusHarness, SmokeCorpusPassesClean)
 {
     unsetenv("BBB_LITMUS_MUTATE");
-    HarnessResult r = checkCorpus(smokeCorpus(), fastOptions());
+    HarnessResult r = checkCorpus(smokeCorpus(), HarnessOptions());
     for (const Violation &v : r.violations)
         ADD_FAILURE() << v.format();
     EXPECT_TRUE(r.ok());
     EXPECT_GT(r.sim_runs, 0u);
     EXPECT_GT(r.battery_runs, 0u);
-}
-
-TEST(LitmusHarness, CrossWidthStreamsAgreeOnOneTest)
-{
-    unsetenv("BBB_LITMUS_MUTATE");
-    HarnessOptions opts;
-    opts.widths = {1, 2, 4};
-    HarnessResult r = checkTest(mustFind("sb"), opts);
-    for (const Violation &v : r.violations)
-        ADD_FAILURE() << v.format();
-    EXPECT_TRUE(r.ok());
 }
 
 // ---------------------------------------------------------------------
@@ -85,7 +66,7 @@ TEST(LitmusHarness, MutationKillDrainYoungest)
     // same-variable stores; the strict image check on coww sees the
     // stale value win.
     MutateGuard mutate("drain-youngest");
-    HarnessResult r = checkTest(mustFind("coww"), fastOptions());
+    HarnessResult r = checkTest(mustFind("coww"), HarnessOptions());
     EXPECT_FALSE(r.ok());
 }
 
@@ -96,7 +77,7 @@ TEST(LitmusHarness, MutationKillCrashReverseDrain)
     // wrong prefix survive.
     MutateGuard mutate("crash-reverse-drain");
     HarnessResult r = checkTest(mustFind("battery-prefix-1"),
-                                fastOptions());
+                                HarnessOptions());
     EXPECT_FALSE(r.ok());
 }
 
@@ -106,7 +87,7 @@ TEST(LitmusHarness, MutationKillFlushDrop)
     // data volatile: the durability-bound check on any pmem_strict
     // lowering catches the loss.
     MutateGuard mutate("flush-drop");
-    HarnessOptions opts = fastOptions();
+    HarnessOptions opts;
     opts.modes = {Mode::PmemStrict};
     HarnessResult r = checkTest(mustFind("sb"), opts);
     EXPECT_FALSE(r.ok());
@@ -117,10 +98,10 @@ TEST(LitmusHarness, MutationsDoNotLeakAcrossTests)
     // Positive control: with the switch clear, the same three tests
     // pass — the kills above come from the seeded bugs, not flakiness.
     unsetenv("BBB_LITMUS_MUTATE");
-    HarnessOptions opts = fastOptions();
+    HarnessOptions opts;
     EXPECT_TRUE(checkTest(mustFind("coww"), opts).ok());
     EXPECT_TRUE(checkTest(mustFind("battery-prefix-1"), opts).ok());
-    HarnessOptions strict = fastOptions();
+    HarnessOptions strict;
     strict.modes = {Mode::PmemStrict};
     EXPECT_TRUE(checkTest(mustFind("sb"), strict).ok());
 }
@@ -131,7 +112,7 @@ TEST(LitmusHarness, MutationsDoNotLeakAcrossTests)
 
 TEST(LitmusHarness, MaxNodesBudgetFailsLoudly)
 {
-    HarnessOptions opts = fastOptions();
+    HarnessOptions opts;
     opts.max_nodes = 5;
     HarnessResult r = checkTest(mustFind("sb"), opts);
     ASSERT_FALSE(r.ok());
@@ -151,7 +132,7 @@ TEST(LitmusHarness, ReplayMatchesOnAValidPrefix)
     ASSERT_TRUE(parseSchedule("0 0d", &steps, &err)) << err;
     bool ok = false;
     std::string report =
-        replaySchedule(mustFind("coww"), Mode::Bbb, 1, steps, &ok);
+        replaySchedule(mustFind("coww"), Mode::Bbb, steps, &ok);
     EXPECT_TRUE(ok) << report;
     EXPECT_NE(report.find("OK"), std::string::npos);
 }
@@ -162,7 +143,7 @@ TEST(LitmusHarness, ReplayRejectsUnreachablePrefixes)
     std::vector<Step> steps = {{0, true}};
     bool ok = true;
     std::string report =
-        replaySchedule(mustFind("coww"), Mode::Bbb, 1, steps, &ok);
+        replaySchedule(mustFind("coww"), Mode::Bbb, steps, &ok);
     EXPECT_FALSE(ok);
     EXPECT_NE(report.find("not enabled"), std::string::npos);
 }
@@ -177,7 +158,7 @@ TEST(LitmusHarness, ReplayReportsMutatedDivergence)
     ASSERT_TRUE(parseSchedule("0 0 0d", &steps, &err)) << err;
     bool ok = true;
     std::string report =
-        replaySchedule(mustFind("coww"), Mode::Bbb, 1, steps, &ok);
+        replaySchedule(mustFind("coww"), Mode::Bbb, steps, &ok);
     EXPECT_FALSE(ok);
     EXPECT_NE(report.find("MISMATCH"), std::string::npos);
 }
@@ -191,7 +172,7 @@ TEST(LitmusHarnessDeath, WatchdogAbortsRunawayEnumerations)
     EXPECT_EXIT(
         {
             setenv("BBB_JOB_TIMEOUT_S", "1", 1);
-            HarnessOptions opts = fastOptions();
+            HarnessOptions opts;
             opts.visit_hook = [] { usleep(150 * 1000); };
             checkTest(mustFind("sb"), opts);
         },

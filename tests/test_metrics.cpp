@@ -231,7 +231,6 @@ TEST(BenchReport, GoldenBytes)
                            "  \"experiments\": [],\n"
                            "  \"host\": {\n"
                            "    \"jobs\": 0,\n"
-                           "    \"shards\": 0,\n"
                            "    \"wall_clock_s\": 0,\n"
                            "    \"sim_ops\": 0,\n"
                            "    \"events_fired\": 0,\n"
@@ -246,7 +245,6 @@ TEST(BenchReport, CanonicalModeZeroesHostSection)
 {
     BenchReport rep("canon");
     rep.noteRun(1.25, 16);
-    rep.noteShards(4);
     rep.noteSim(1000, 5000);
     std::string normal, canonical;
     {
@@ -259,8 +257,6 @@ TEST(BenchReport, CanonicalModeZeroesHostSection)
         canonical = rep.toJson();
     }
     EXPECT_NE(normal.find("\"jobs\": 16"), std::string::npos);
-    EXPECT_NE(normal.find("\"shards\": 4"), std::string::npos);
-    EXPECT_NE(canonical.find("\"shards\": 0"), std::string::npos);
     EXPECT_NE(normal.find("\"sim_ops\": 1000"), std::string::npos);
     EXPECT_NE(normal.find("\"events_fired\": 5000"), std::string::npos);
     EXPECT_NE(normal.find("\"events_per_sec\": 4000"), std::string::npos);

@@ -39,7 +39,7 @@ SECTIONS = ["schema", "schema_version", "bench", "config", "paper",
 # (all zeroed under BBB_REPORT_CANONICAL=1). Reports written before the
 # sim-rate telemetry carry only the REQUIRED keys; new writers emit all
 # of HOST_KEYS.
-HOST_KEYS = {"jobs", "shards", "wall_clock_s", "sim_ops", "events_fired",
+HOST_KEYS = {"jobs", "wall_clock_s", "sim_ops", "events_fired",
              "events_per_sec", "ns_per_op"}
 HOST_REQUIRED_KEYS = {"jobs", "wall_clock_s"}
 

@@ -15,13 +15,7 @@ timing by design). The trailing ``wr_amp`` column is the mean NVMM
 write amplification (``media.write_amplification``) across the
 report's experiments — 1.0 on the direct pass-through backend, above
 it once the FTL wear model migrates; '-' for reports predating the
-media seam. ``stall_ns`` and ``spec_hit`` summarize the sharded
-kernel's commit-lane telemetry when the report carries it
-(bench_shard_scaling with --spec cells): total commit-lane stall
-nanoseconds and the aggregate speculative-probe hit rate across the
-report's ``measured`` cells; '-' for reports without those leaves,
-including canonical baselines, which zero host-side timing.
-Standard library only.
+media seam. Standard library only.
 
 Exit status: 0 on success, 2 on usage/IO errors.
 """
@@ -37,7 +31,6 @@ COLUMNS = [
     # (header, host key, format)
     ("wall_s", "wall_clock_s", "{:.2f}"),
     ("jobs", "jobs", "{:.0f}"),
-    ("shards", "shards", "{:.0f}"),
     ("sim_ops", "sim_ops", "{:.3e}"),
     ("events", "events_fired", "{:.3e}"),
     ("events/s", "events_per_sec", "{:.3e}"),
@@ -61,44 +54,6 @@ def write_amplification(doc):
     return "{:.4f}".format(sum(values) / len(values))
 
 
-def sum_leaves(node):
-    """(sum, count) over every numeric leaf of a nested metric dict."""
-    if isinstance(node, bool):
-        return 0.0, 0
-    if isinstance(node, (int, float)):
-        return float(node), 1
-    total, count = 0.0, 0
-    if isinstance(node, dict):
-        for value in node.values():
-            t, c = sum_leaves(value)
-            total += t
-            count += c
-    return total, count
-
-
-def commit_stall_ns(doc):
-    """Total commit-lane stall ns across the report's measured cells."""
-    measured = doc.get("measured")
-    if not isinstance(measured, dict):
-        return "-"
-    total, count = sum_leaves(measured.get("commit_stall_ns"))
-    if count == 0:
-        return "-"
-    return "{:.3e}".format(total)
-
-
-def spec_hit_rate(doc):
-    """Aggregate speculative-probe hit rate across measured cells."""
-    measured = doc.get("measured")
-    if not isinstance(measured, dict):
-        return "-"
-    hits, n_hits = sum_leaves(measured.get("spec_hits"))
-    misses, n_misses = sum_leaves(measured.get("spec_misses"))
-    if n_hits + n_misses == 0 or hits + misses == 0:
-        return "-"
-    return "{:.3f}".format(hits / (hits + misses))
-
-
 def load_host(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -110,9 +65,7 @@ def load_host(path):
         print(f"error: {path}: not a bbb-bench-report (no host section)",
               file=sys.stderr)
         sys.exit(2)
-    return doc.get("bench", "?"), doc["host"], \
-        [write_amplification(doc), commit_stall_ns(doc),
-         spec_hit_rate(doc)]
+    return doc.get("bench", "?"), doc["host"], write_amplification(doc)
 
 
 def cell(host, key, fmt):
@@ -142,14 +95,13 @@ def main(argv):
 
     rows = []
     for path in paths:
-        bench, host, derived = load_host(path)
+        bench, host, wr_amp = load_host(path)
         row = [os.path.basename(path), bench]
         row += [cell(host, key, fmt) for _, key, fmt in COLUMNS]
-        row += derived
+        row.append(wr_amp)
         rows.append(row)
 
-    headers = ["file", "bench"] + [h for h, _, _ in COLUMNS] \
-        + ["wr_amp", "stall_ns", "spec_hit"]
+    headers = ["file", "bench"] + [h for h, _, _ in COLUMNS] + ["wr_amp"]
     widths = [max(len(h), *(len(r[i]) for r in rows))
               for i, h in enumerate(headers)]
     def line(values):
