@@ -6,9 +6,10 @@
  * Campaign mode (default) sweeps seeded lifetimes — K rounds of
  * run → crash → recover → resume over one persistent image — across
  * workloads x persistency modes x fault plans on the parallel
- * experiment pool. Every round is judged by the durable-linearizability
- * oracle (see src/recover/lifetime.hh); the tally plus a one-line repro
- * for any violation is printed.
+ * experiment pool. Every round is judged by the ledger-repair and
+ * durable-linearizability oracle (see src/recover/lifetime.hh); the
+ * tally plus a one-line repro for any violation is printed. `--rounds 1`
+ * makes every lifetime a point crash: the crash-fault campaign.
  *
  * Replay mode re-runs exactly one lifetime from a repro line printed by
  * a campaign (crash ticks re-derive from the seed):
@@ -21,12 +22,19 @@
  *                     [--plans P[,P...]] [--rounds K] [--lifetimes N]
  *                     [--ops N] [--initial N] [--campaign-seed N]
  *                     [--jobs N] [--verbose] [--json PATH]
+ *                     [--media direct|ftl]
  *   lifetime_campaign --workload NAME --mode M --seed S --rounds K
  *                     --fault-plan P
+ *
+ * With --media ftl every lifetime runs on the FTL endurance backend (low
+ * fixed endurance so wear retirement shows at campaign scale); the plan
+ * token in each printed repro line carries media=ftl.
  *
  * Exit status: 0 when no lifetime violates the oracle, 1 otherwise.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -58,6 +66,27 @@ usage(const char *argv0)
         "[--media direct|ftl]\n",
         argv0, argv0);
     std::exit(2);
+}
+
+/**
+ * Value of an integer flag: a plain decimal of at least @p min, or exit
+ * 2 with a diagnostic (an unchecked strtoul turns `abc` into 0 and
+ * quietly sweeps nothing).
+ */
+std::uint64_t
+wholeArg(const char *flag, const std::string &text, std::uint64_t min = 0)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || v < min) {
+        std::fprintf(stderr, "error: %s expects %s, got '%s'\n", flag,
+                     min > 0 ? "a positive integer" : "a whole number",
+                     text.c_str());
+        std::exit(2);
+    }
+    return v;
 }
 
 /** Endurance rating used whenever this example runs media=ftl: low
@@ -143,21 +172,18 @@ main(int argc, char **argv)
             spec.plans = parsePlans(next());
         } else if (arg == "--rounds") {
             spec.rounds = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                wholeArg("--rounds", next(), 1));
         } else if (arg == "--lifetimes") {
             spec.lifetimes = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                wholeArg("--lifetimes", next(), 1));
         } else if (arg == "--ops") {
-            spec.params.ops_per_thread =
-                std::strtoull(next().c_str(), nullptr, 10);
+            spec.params.ops_per_thread = wholeArg("--ops", next());
         } else if (arg == "--initial") {
-            spec.params.initial_elements =
-                std::strtoull(next().c_str(), nullptr, 10);
+            spec.params.initial_elements = wholeArg("--initial", next());
         } else if (arg == "--campaign-seed") {
-            spec.campaign_seed = std::strtoull(next().c_str(), nullptr, 10);
+            spec.campaign_seed = wholeArg("--campaign-seed", next());
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            jobs = static_cast<unsigned>(wholeArg("--jobs", next()));
         } else if (arg == "--verbose") {
             verbose = true;
         } else if (arg == "--json") {
@@ -167,17 +193,15 @@ main(int argc, char **argv)
         } else if (arg == "--mode") {
             replay_mode = next();
         } else if (arg == "--seed") {
-            replay_seed = std::strtoull(next().c_str(), nullptr, 10);
+            replay_seed = wholeArg("--seed", next());
             replay = true;
         } else if (arg == "--fault-plan") {
             replay_plan = next();
         } else if (arg == "--traces") {
             spec.traces = bbb::cli::splitList(next());
         } else if (arg == "--battery-caps") {
-            spec.battery_caps.clear();
-            for (const std::string &tok : bbb::cli::splitList(next()))
-                spec.battery_caps.push_back(
-                    std::strtod(tok.c_str(), nullptr));
+            spec.battery_caps =
+                bbb::cli::parseRealList("--battery-caps", next(), true, {});
         } else if (arg == "--policies") {
             spec.policies.clear();
             for (const std::string &tok : bbb::cli::splitList(next()))
@@ -265,6 +289,18 @@ main(int argc, char **argv)
                         (unsigned long long)rr.image_fingerprint,
                         rr.oracle_ok ? "" : "  ORACLE: ",
                         rr.detail.c_str());
+            std::printf("         drain %llu wpq + %llu bbpb blocks, %llu "
+                        "sacrificed, %llu torn, %llu retries, %llu "
+                        "recrashes, %.3f uJ%s  retired %llu\n",
+                        (unsigned long long)rr.report.wpq_blocks,
+                        (unsigned long long)rr.report.bbpb_blocks,
+                        (unsigned long long)rr.report.sacrificed_blocks,
+                        (unsigned long long)rr.report.torn_media_blocks,
+                        (unsigned long long)rr.report.media_retries,
+                        (unsigned long long)rr.report.recrashes,
+                        rr.report.battery_spent_j * 1e6,
+                        rr.report.battery_exhausted ? " (EXHAUSTED)" : "",
+                        (unsigned long long)rr.retired_frames);
             if (rr.power_round)
                 std::printf("         budget %.3e J%s%s  proactive %llu\n",
                             rr.charge_at_outage,
@@ -306,6 +342,12 @@ main(int argc, char **argv)
                 (unsigned long long)summary.clean,
                 (unsigned long long)summary.degraded,
                 (unsigned long long)summary.violations);
+    if (media == "ftl")
+        std::printf("media    ftl (endurance %llu): %llu frames retired "
+                    "across the campaign\n",
+                    (unsigned long long)kFtlEnduranceCycles,
+                    (unsigned long long)summary.metrics.count(
+                        "lifetime.retired_frames"));
 
     if (!json_path.empty()) {
         BenchReport rep("lifetime_campaign");

@@ -119,58 +119,21 @@ splitList(const std::string &arg)
 }
 
 /**
- * Comma-separated list of positive integers: `@p flag N,M,...`, or
- * @p def when absent. Malformed or non-positive entries warn and
- * return @p def — or, under `--strict-args`, exit with status 2.
- */
-inline std::vector<unsigned>
-uintListArg(int argc, char **argv, const char *flag,
-            const std::vector<unsigned> &def)
-{
-    std::string value = stringOpt(argc, argv, flag);
-    if (value.empty())
-        return def;
-    std::vector<unsigned> out;
-    for (const std::string &tok : splitList(value)) {
-        char *end = nullptr;
-        long n = std::strtol(tok.c_str(), &end, 10);
-        if (n <= 0 || end == tok.c_str() || *end != '\0') {
-            if (strictArgs(argc, argv)) {
-                std::fprintf(stderr,
-                             "error: %s expects positive integers, "
-                             "got '%s'\n",
-                             flag, tok.c_str());
-                std::exit(2);
-            }
-            std::fprintf(stderr,
-                         "warning: %s expects positive integers, got "
-                         "'%s'; using the default\n",
-                         flag, tok.c_str());
-            return def;
-        }
-        out.push_back(static_cast<unsigned>(n));
-    }
-    return out.empty() ? def : out;
-}
-
-/**
- * Comma-separated list of non-negative reals: `@p flag 2e-6,5e-6,...`,
- * or @p def when absent. Malformed or negative entries warn and return
- * @p def — or, under `--strict-args`, exit with status 2.
+ * Parse @p value, the text given to @p flag, as a comma-separated list
+ * of non-negative reals; an empty list yields @p def. A malformed or
+ * negative entry warns and yields @p def — or, when @p strict, exits
+ * with status 2.
  */
 inline std::vector<double>
-realListArg(int argc, char **argv, const char *flag,
-            const std::vector<double> &def)
+parseRealList(const char *flag, const std::string &value, bool strict,
+              const std::vector<double> &def)
 {
-    std::string value = stringOpt(argc, argv, flag);
-    if (value.empty())
-        return def;
     std::vector<double> out;
     for (const std::string &tok : splitList(value)) {
         char *end = nullptr;
         double v = std::strtod(tok.c_str(), &end);
         if (end == tok.c_str() || *end != '\0' || v < 0.0) {
-            if (strictArgs(argc, argv)) {
+            if (strict) {
                 std::fprintf(stderr,
                              "error: %s expects non-negative reals, "
                              "got '%s'\n",
@@ -186,6 +149,21 @@ realListArg(int argc, char **argv, const char *flag,
         out.push_back(v);
     }
     return out.empty() ? def : out;
+}
+
+/**
+ * Comma-separated list of non-negative reals: `@p flag 2e-6,5e-6,...`,
+ * or @p def when absent. Entries parse as in parseRealList, strictly
+ * under `--strict-args`.
+ */
+inline std::vector<double>
+realListArg(int argc, char **argv, const char *flag,
+            const std::vector<double> &def)
+{
+    std::string value = stringOpt(argc, argv, flag);
+    if (value.empty())
+        return def;
+    return parseRealList(flag, value, strictArgs(argc, argv), def);
 }
 
 /**

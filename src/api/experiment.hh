@@ -97,7 +97,7 @@ unsigned resolveJobs(unsigned jobs);
 /**
  * Run @p count independent jobs — fn(0) .. fn(count-1) — on an
  * atomic-ticket worker pool (the engine underneath runExperiments and
- * runCrashCampaign). Each index is claimed by exactly one worker; @p fn
+ * runLifetimeCampaign). Each index is claimed by exactly one worker; @p fn
  * must make job i independent of which worker runs it (own System, own
  * RNG, writes only to slot i), which is what makes the results
  * bit-identical at any @p jobs width. @p jobs == 1 degenerates to a

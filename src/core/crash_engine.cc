@@ -243,6 +243,8 @@ CrashEngine::crash(Tick now)
             for (const auto &e : entries) {
                 if (batteryAllows(e.size, l1_rate_j)) {
                     _media.writeBytes(e.addr, &e.data, e.size);
+                    if (_faults)
+                        _faults->noteDrainedBytes(e.addr, &e.data, e.size);
                     ++rep.sb_entries;
                     l1_rate_bytes += e.size;
                     noteDrained();

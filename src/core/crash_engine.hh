@@ -37,7 +37,7 @@
  *
  * Sacrificed and torn blocks land in the injector's fault ledger with
  * the content a fault-free drain would have persisted, which is what the
- * campaign's recovery oracle replays (see fault/campaign.hh).
+ * lifetime campaign's recovery oracle replays (see recover/lifetime.hh).
  */
 
 #ifndef BBB_CORE_CRASH_ENGINE_HH

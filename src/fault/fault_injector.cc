@@ -56,16 +56,25 @@ FaultInjector::noteSacrificedBytes(MediaBackend &media, Addr addr,
 {
     // Store-buffer entries are sub-block writes: the intended content is
     // whatever the block holds (in the ledger if already damaged, else in
-    // the media image) with these bytes applied on top.
+    // the media image) with these bytes applied on top. Like the crash
+    // report, the counter tallies sacrificed items, not distinct blocks.
     Addr block = blockAlign(addr);
     auto it = _damaged.find(block);
     if (it == _damaged.end()) {
         BlockData current;
         media.readBlock(block, current.bytes.data());
         it = _damaged.emplace(block, current).first;
-        ++_stats->sacrificed_blocks;
     }
+    ++_stats->sacrificed_blocks;
     std::memcpy(it->second.bytes.data() + blockOffset(addr), src, size);
+}
+
+void
+FaultInjector::noteDrainedBytes(Addr addr, const void *src, unsigned size)
+{
+    auto it = _damaged.find(blockAlign(addr));
+    if (it != _damaged.end())
+        std::memcpy(it->second.bytes.data() + blockOffset(addr), src, size);
 }
 
 void

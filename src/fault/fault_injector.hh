@@ -19,7 +19,7 @@
  * crash time, or torn by media failures). Applying the ledger to a
  * post-crash image must yield a consistent structure — if it does not,
  * the damage is NOT explained by the injected faults and the run is a
- * genuine persistency bug (see campaign.hh).
+ * genuine persistency bug (see recover/lifetime.hh).
  *
  * All randomness comes from one deterministic stream seeded by
  * FaultPlan::fault_seed, drawn only on the single simulation thread, so
@@ -174,6 +174,13 @@ class FaultInjector
     /** A crash-time sub-block store-buffer write was sacrificed. */
     void noteSacrificedBytes(MediaBackend &media, Addr addr,
                              const void *src, unsigned size);
+
+    /**
+     * A crash-time sub-block store-buffer write reached media: a damaged
+     * block's intended content must carry these bytes too, or the
+     * ledger repair would roll them back.
+     */
+    void noteDrainedBytes(Addr addr, const void *src, unsigned size);
 
     /** --- Endurance retirements --------------------------------------- */
 

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "energy/energy_model.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace bbb
@@ -212,6 +214,27 @@ faultPlanPresets()
     recrash.recrash_budget_factor = 0.25;
     presets.push_back({"recrash", recrash});
     return presets;
+}
+
+FaultPlan
+undersizedBatteryPlan(const SystemConfig &cfg, double fraction,
+                      std::uint64_t fault_seed)
+{
+    PlatformSpec p;
+    p.name = "campaign";
+    p.cores = cfg.num_cores;
+    p.l1_total_bytes = cfg.num_cores * cfg.l1d.size_bytes;
+    p.l2_total_bytes = cfg.llc.size_bytes;
+    p.l3_total_bytes = 0;
+    p.mem_channels = cfg.nvmm.channels;
+    p.core_area_mm2 = 2.61;
+    DrainCostModel cost(p);
+
+    FaultPlan plan;
+    plan.fault_seed = fault_seed;
+    plan.battery_j = fraction * cost.bbbCrashBudgetJ(cfg.bbpb.entries,
+                                                     cfg.nvmm.wpq_entries);
+    return plan;
 }
 
 } // namespace bbb

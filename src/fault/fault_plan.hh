@@ -20,8 +20,10 @@
  *
  * A plan is a value type that serialises to one flag-friendly token
  * (`FaultPlan::toString` / `FaultPlan::parse`), so any campaign outcome
- * can be reproduced from a single command line:
- *   --seed S --crash-tick T --fault-plan battery_j=5e-6,media_p=0.01
+ * can be reproduced from a single command line (crash ticks re-derive
+ * from the lifetime seed; see recover/lifetime.hh):
+ *   --workload W --mode M --seed S --rounds 1
+ *   --fault-plan battery_j=5e-6,media_p=0.01
  */
 
 #ifndef BBB_FAULT_FAULT_PLAN_HH
@@ -35,6 +37,8 @@
 
 namespace bbb
 {
+
+struct SystemConfig;
 
 /**
  * Graceful-degradation policy applied at the battery's low-charge
@@ -166,10 +170,19 @@ struct NamedFaultPlan
 /**
  * The built-in plan family campaigns sweep by default: no faults, flaky
  * media, an exhausted battery, and a mid-drain re-crash. Battery budgets
- * are placeholders (campaigns size them against the machine with
- * undersizedBatteryPlan()).
+ * are fixed Joule figures; undersizedBatteryPlan() sizes one against a
+ * given machine instead.
  */
 std::vector<NamedFaultPlan> faultPlanPresets();
+
+/**
+ * A battery deliberately too small for the machine: @p fraction of the
+ * Section III-C worst-case crash budget (full bbPBs + full WPQ). Use
+ * with fraction < 1 to force sacrifices and demonstrate the
+ * oldest-first prefix property.
+ */
+FaultPlan undersizedBatteryPlan(const SystemConfig &cfg, double fraction,
+                                std::uint64_t fault_seed = 1);
 
 /** Shortest decimal form of @p v that round-trips through strtod. */
 std::string compactDouble(double v);

@@ -308,11 +308,11 @@ runLifetimeSample(const LifetimeSample &sample)
             wl->install(sys);
             // The durability baseline: everything prepare() persisted.
             // The key-level oracle is only sound for plans that cannot
-            // tear media: a torn block is read back by the running
-            // program (the cache refetches the stale half), so a stale
-            // pointer can fork a live structure and orphan mid-stream
-            // keys — ledgered damage propagating architecturally, which
-            // only the block-level structural oracle classifies fairly.
+            // tear media: a resumed round reads back the torn blocks of
+            // the round before, so a stale pointer can fork a live
+            // structure and orphan mid-stream keys — ledgered damage
+            // propagating architecturally, which only the block-level
+            // structural oracle classifies fairly.
             keyed = collectSortedKeys(*wl, sys.pmemImage(), expected) &&
                     !sample.plan.injectsMediaFaults();
         } else {
@@ -362,6 +362,8 @@ runLifetimeSample(const LifetimeSample &sample)
                 static_cast<double>(rr.report.sacrificed_blocks) * item_j);
         }
 
+        rr.retired_frames = sys.nvmmMedia().stats().retired_frames.value();
+
         // Oracle 1: the ledger-healed image must be consistent and, for
         // keyed workloads, durably linearizable against the baseline.
         BackingStore healed = sys.image().clone();
@@ -372,17 +374,18 @@ runLifetimeSample(const LifetimeSample &sample)
         }
         PmemImage healed_img(healed, sys.addrMap());
         rr.healed = wl->verifyImage(healed_img);
-        // Torn media blocks are read back by the running program, so
-        // their stale halves propagate into cleanly-written blocks —
-        // damage the final ledger cannot describe. Plans that can tear
-        // media therefore only claim the drain prefix and graceful
-        // recovery below; the healed-image checks need an intact
-        // read-path.
-        bool media = sample.plan.injectsMediaFaults();
+        // A resumed round reads back the torn blocks of the round
+        // before, so their stale halves propagate into cleanly-written
+        // blocks — damage the final ledger cannot describe. From round
+        // 1 on, plans that can tear media only claim the drain prefix
+        // and graceful recovery below. Round 0 reads no torn half (the
+        // controller forwards ledgered intent while powered), so its
+        // healed walk holds for every plan.
+        bool walk = round == 0 || !sample.plan.injectsMediaFaults();
         if (!rr.report.drain_prefix_ok) {
             rr.oracle_ok = false;
             rr.detail = "crash drain broke its oldest-first prefix";
-        } else if (!media && !rr.healed.consistent()) {
+        } else if (walk && !rr.healed.consistent()) {
             rr.oracle_ok = false;
             rr.detail = "healed image fails the consistency walk";
         } else if (keyed) {
@@ -464,6 +467,9 @@ runLifetimeCampaign(const LifetimeSpec &spec, unsigned jobs)
 
     std::uint64_t rounds = 0, damaged = 0, repairs = 0, dropped = 0;
     std::uint64_t rec_clean = 0, rec_degraded = 0, rec_unrecoverable = 0;
+    std::uint64_t sacrificed = 0, torn = 0, retries = 0, recrashes = 0;
+    std::uint64_t exhausted = 0, drained_bytes = 0, retired = 0;
+    double battery_spent_j = 0.0;
     for (const LifetimeResult &r : summary.results) {
         switch (r.outcome) {
           case LifetimeOutcome::Clean:
@@ -481,6 +487,15 @@ runLifetimeCampaign(const LifetimeSpec &spec, unsigned jobs)
             damaged += round.damaged_blocks;
             repairs += round.repairs;
             dropped += round.dropped;
+            retired += round.retired_frames;
+            sacrificed += round.report.sacrificed_blocks;
+            torn += round.report.torn_media_blocks;
+            retries += round.report.media_retries;
+            recrashes += round.report.recrashes;
+            if (round.report.battery_exhausted)
+                ++exhausted;
+            drained_bytes += round.report.drained_bytes;
+            battery_spent_j += round.report.battery_spent_j;
             switch (round.recovery) {
               case RecoveryStatus::Clean:
                 ++rec_clean;
@@ -507,6 +522,14 @@ runLifetimeCampaign(const LifetimeSpec &spec, unsigned jobs)
     m.setCount("lifetime.recovery_clean", rec_clean);
     m.setCount("lifetime.recovery_degraded", rec_degraded);
     m.setCount("lifetime.recovery_unrecoverable", rec_unrecoverable);
+    m.setCount("lifetime.retired_frames", retired);
+    m.setCount("lifetime.sacrificed_blocks", sacrificed);
+    m.setCount("lifetime.torn_media_blocks", torn);
+    m.setCount("lifetime.media_retries", retries);
+    m.setCount("lifetime.recrashes", recrashes);
+    m.setCount("lifetime.battery_exhausted", exhausted);
+    m.setCount("lifetime.drained_bytes", drained_bytes);
+    m.setReal("lifetime.battery_spent_j", battery_spent_j);
 
     // Power-environment aggregates, present only when the campaign swept
     // power traces (keeps point-crash snapshots byte-identical).

@@ -1,13 +1,15 @@
 /**
  * @file
- * Crash–recover–resume lifetimes: multi-crash campaigns with a durable-
- * linearizability oracle.
+ * Crash–recover–resume lifetimes: the crash-fault campaign engine, with
+ * a durable-linearizability oracle.
  *
  * A *lifetime* is K rounds of run → crash → recover → resume over one
  * persistent image. Round 0 installs the workload on a fresh machine;
  * every later round reboots a fresh System seeded with the image the
  * previous round's RecoveryManager repaired, restores the heap
- * frontiers, and resumes execution until the next seeded crash.
+ * frontiers, and resumes execution until the next seeded crash. A point
+ * crash — one seeded crash tick under one FaultPlan — is the one-round
+ * lifetime (`rounds = 1`).
  *
  * After every crash the round is judged twice:
  *
@@ -21,13 +23,16 @@
  *        - the keys new this round are exactly a program-order prefix
  *          of what each thread issued (Px86 persist order == program
  *          order: no phantom keys, no gaps in the persisted prefix).
- *      Checks (b) and (c) apply only to plans that cannot tear media:
- *      a torn block is read back by the running program, so a stale
- *      pointer can fork a live structure, orphan mid-stream keys, and
- *      propagate damage into cleanly-written blocks the final ledger
- *      cannot describe. Media-tearing plans therefore claim only the
- *      drain prefix (a) and graceful recovery below — the healed-image
- *      walks need an intact read-path to be a sound oracle.
+ *      If the ledger-healed image is consistent, the damage is fully
+ *      explained by the injected faults; if not, no fault explains it.
+ *      Media-tearing plans narrow (b) and (c). A resumed round reads
+ *      back blocks the previous round tore, so a stale pointer can
+ *      fork a live structure and propagate damage into cleanly-written
+ *      blocks the final ledger cannot describe: from round 1 on those
+ *      plans claim only the drain prefix (a) and graceful recovery
+ *      below. Round 0 still runs (b): the controller forwards ledgered
+ *      intent on powered reads, so it never reads a torn half-block.
+ *      The key oracle (c) stays off for those plans in every round.
  *   2. **Recovery** — run the workload's recover() on the *raw* (still
  *      damaged) image. It must never abort: outcomes are clean,
  *      degraded-repaired (damage unlinked, survivors kept), or a
@@ -121,6 +126,8 @@ struct LifetimeRound
     CrashReport report;
     /** Blocks the fault ledger says this round damaged. */
     std::uint64_t damaged_blocks = 0;
+    /** Media frames retired for wear during this round (media=ftl). */
+    std::uint64_t retired_frames = 0;
     /** Consistency walk over the ledger-healed image. */
     RecoveryResult healed;
     /** Recovery of the raw image (ledgered damage => DegradedRepaired). */
@@ -194,7 +201,7 @@ struct LifetimeSpec
     std::vector<PersistMode> modes;
     /** Fault-plan family; empty means faultPlanPresets(). */
     std::vector<NamedFaultPlan> plans;
-    /** Rounds per lifetime (>= 3 for a full campaign). */
+    /** Rounds per lifetime (1 = a point-crash sweep). */
     unsigned rounds = 3;
     /** Seeded lifetimes drawn per (workload, mode, plan) cell. */
     unsigned lifetimes = 2;
@@ -227,8 +234,9 @@ struct LifetimeSummary
 
     /**
      * Campaign-level aggregates as a metric tree (`lifetime.*`): the
-     * taxonomy tally plus per-round recovery/damage totals summed over
-     * every lifetime. Deterministic at any jobs width.
+     * taxonomy tally plus per-round recovery, damage and crash-drain
+     * totals summed over every lifetime. Deterministic at any jobs
+     * width.
      */
     MetricSnapshot metrics;
 

@@ -73,31 +73,50 @@ upperBound(MemAccessor &m, Addr node, unsigned count, std::uint64_t key)
 }
 
 /**
- * Insert (key, optional right child) into a non-full node at position
- * @p pos, shifting greater slots right. Slots persist before the count.
+ * Insert (key, right child) into a non-full interior node at position
+ * @p pos, shifting greater slots right. Slots persist before the count;
+ * a crash mid-shift at worst duplicates a child link.
  */
 void
 insertIntoNode(MemAccessor &m, Addr node, unsigned pos, std::uint64_t key,
                Addr right_child)
 {
-    std::uint64_t meta = m.ld(node);
-    bool is_leaf = metaIsLeaf(meta);
-    unsigned count = metaCount(meta);
+    unsigned count = metaCount(m.ld(node));
     BBB_ASSERT(count < kFanout, "insert into full btree node");
 
     for (unsigned i = count; i > pos; --i) {
-        std::uint64_t k = m.ld(keyAddr(node, i - 1));
-        std::uint64_t s = m.ld(keyAddr(node, i - 1) + 8);
-        m.st(keyAddr(node, i), k);
-        m.st(keyAddr(node, i) + 8, s);
-        if (!is_leaf)
-            m.st(childAddr(node, i + 1), m.ld(childAddr(node, i)));
+        m.st(keyAddr(node, i), m.ld(keyAddr(node, i - 1)));
+        m.st(childAddr(node, i + 1), m.ld(childAddr(node, i)));
     }
-    storeKeySlot(m, node, pos, key, is_leaf);
-    if (!is_leaf)
-        m.st(childAddr(node, pos + 1), right_child);
+    storeKeySlot(m, node, pos, key, false);
+    m.st(childAddr(node, pos + 1), right_child);
     m.persistObject(node + kKeysOff, kNodeBytes - kKeysOff);
-    publishMeta(m, node, is_leaf, count + 1);
+    publishMeta(m, node, false, count + 1);
+}
+
+/**
+ * Insert @p key into a non-full leaf copy-on-write: a fresh leaf takes
+ * the merged slots and one pointer store through @p link publishes it.
+ * Shifting a published leaf's slots in place is not crash-atomic even
+ * under strict persistency: a slot is two stores, so a crash between a
+ * shifted key and its checksum leaves a slot that matches neither.
+ */
+void
+insertIntoLeaf(MemAccessor &m, PersistentHeap &heap, unsigned arena,
+               Addr link, Addr leaf, unsigned pos, std::uint64_t key)
+{
+    unsigned count = metaCount(m.ld(leaf));
+    BBB_ASSERT(count < kFanout, "insert into full btree leaf");
+
+    Addr fresh = heap.alloc(arena, kNodeBytes, 64);
+    for (unsigned i = 0, from = 0; i <= count; ++i)
+        storeKeySlot(m, fresh, i, i == pos ? key : m.ld(keyAddr(leaf, from++)),
+                     true);
+    m.persistObject(fresh, kNodeBytes);
+    publishMeta(m, fresh, true, count + 1);
+    m.st(link, fresh);
+    m.wb(link);
+    m.barrier();
 }
 
 /**
@@ -177,6 +196,7 @@ BtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
     }
 
     Addr node = root;
+    Addr link = root_slot; // the pointer that publishes `node`
     unsigned depth = 0;
     for (;;) {
         BBB_ASSERT(++depth < kMaxDepth, "btree descend runaway");
@@ -185,7 +205,7 @@ BtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
         unsigned pos = upperBound(m, node, count, key);
 
         if (metaIsLeaf(meta)) {
-            insertIntoNode(m, node, pos, key, 0);
+            insertIntoLeaf(m, heap, arena, link, node, pos, key);
             return;
         }
 
@@ -193,9 +213,12 @@ BtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
         if (metaCount(m.ld(child)) == kFanout) {
             auto [median, sibling] = splitNode(m, heap, arena, child);
             insertIntoNode(m, node, pos, median, sibling);
-            if (key > median)
+            if (key > median) {
                 child = sibling;
+                ++pos;
+            }
         }
+        link = childAddr(node, pos);
         node = child;
     }
 }

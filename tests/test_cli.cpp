@@ -78,39 +78,6 @@ TEST(CliDeath, StrictArgsAppliesToAnyStringFlag)
                 "--workloads requires a value");
 }
 
-TEST(CliUintList, DefaultWhenAbsent)
-{
-    Argv a({"--fast"});
-    std::vector<unsigned> def = {1, 4};
-    EXPECT_EQ(cli::uintListArg(a.argc(), a.argv(), "--sizes", def), def);
-}
-
-TEST(CliUintList, ParsesCommaSeparatedValues)
-{
-    Argv a({"--sizes", "1,2,4"});
-    std::vector<unsigned> want = {1, 2, 4};
-    EXPECT_EQ(cli::uintListArg(a.argc(), a.argv(), "--sizes", {1}),
-              want);
-}
-
-TEST(CliUintList, NonStrictBadEntryKeepsDefault)
-{
-    Argv a({"--sizes", "1,zero"});
-    std::vector<unsigned> def = {1, 4};
-    EXPECT_EQ(cli::uintListArg(a.argc(), a.argv(), "--sizes", def), def);
-    Argv neg({"--sizes", "-1"});
-    EXPECT_EQ(cli::uintListArg(neg.argc(), neg.argv(), "--sizes", def),
-              def);
-}
-
-TEST(CliUintListDeath, StrictArgsRejectsBadEntry)
-{
-    Argv a({"--strict-args", "--sizes", "1,x"});
-    EXPECT_EXIT(cli::uintListArg(a.argc(), a.argv(), "--sizes", {1}),
-                ::testing::ExitedWithCode(2),
-                "--sizes expects positive integers");
-}
-
 TEST(CliOnOff, ParsesSpellings)
 {
     Argv on({"--por", "on"});

@@ -10,7 +10,6 @@
 
 #include "api/system.hh"
 #include "energy/energy_model.hh"
-#include "fault/campaign.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
 #include "mem/mem_ctrl.hh"
@@ -144,6 +143,29 @@ TEST(FaultInjector, CleanWriteSupersedesLedgeredDamage)
     store.writeBlock(0, filled(0x22).bytes.data());
     inj.noteCleanWrite(0);
     EXPECT_TRUE(inj.damagedBlocks().empty());
+}
+
+TEST(FaultInjector, DrainedStoreBufferBytesRideIntoLedgeredIntent)
+{
+    // A crash-time store-buffer write onto a torn block lands on media;
+    // the ledger repair must keep it rather than roll it back.
+    FaultPlan plan;
+    plan.media_fail_p = 0.5;
+    FaultInjector inj(plan);
+    BackingStore store;
+    DirectMedia media(store);
+    inj.commitTorn(media, 0, filled(0x11));
+    std::uint64_t v = 0x2222222222222222ull;
+    media.writeBytes(kBlockSize - 8, &v, 8);
+    inj.noteDrainedBytes(kBlockSize - 8, &v, 8);
+
+    inj.repairImage(store);
+    BlockData img;
+    store.readBlock(0, img.bytes.data());
+    EXPECT_EQ(img.bytes[0], 0x11);
+    EXPECT_EQ(img.bytes[kBlockSize - 9], 0x11);
+    EXPECT_EQ(img.bytes[kBlockSize - 8], 0x22);
+    EXPECT_EQ(img.bytes[kBlockSize - 1], 0x22);
 }
 
 TEST(MemCtrl, InjectedMediaFailuresRetryWithBackoffThenTear)

@@ -275,6 +275,7 @@ TEST(RtreeSpatialStructure, RectEnlargementMath)
 // B-tree structure.
 // ---------------------------------------------------------------------
 
+#include "api/experiment.hh"
 #include "workloads/btree.hh"
 
 namespace
@@ -343,4 +344,22 @@ TEST(BtreeStructure, SortedInsertionStaysShallow)
         ++depth;
     }
     EXPECT_LE(depth, 8u);
+}
+
+TEST(BtreeStructure, BenchSizedTreeFitsItsArena)
+{
+    // Copy-on-write leaf inserts leave each replaced leaf in the bump
+    // heap. A benchParams()-sized tree on the 8-core benchConfig()
+    // machine, which run_experiment builds btree on, must still fit one
+    // arena.
+    SystemConfig cfg = benchConfig(PersistMode::BbbMemSide);
+    AddrMap map = AddrMap::fromConfig(cfg);
+    PersistentHeap heap(map, cfg.num_cores);
+    BackingStore store;
+    ImageAccessor img(store);
+    WorkloadParams p = benchParams();
+    Rng rng(p.seed);
+    for (std::uint64_t i = 0; i < p.initial_elements + p.ops_per_thread; ++i)
+        BtreeWorkload::insert(img, heap, 0, heap.rootAddr(0), rng.next());
+    EXPECT_LT(heap.allocated(0), heap.arenaSize());
 }
