@@ -71,7 +71,7 @@ struct CellKey
     matches(const LifetimeResult &r) const
     {
         return r.workload == workload && r.mode == mode &&
-               r.plan.trace == trace && r.plan.policy == policy;
+               r.power_env.trace == trace && r.power_env.policy == policy;
     }
 };
 
@@ -82,7 +82,7 @@ capViable(const std::vector<LifetimeResult> &results, const CellKey &key,
 {
     bool any = false;
     for (const LifetimeResult &r : results) {
-        if (!key.matches(r) || r.plan.battery_cap_j != cap)
+        if (!key.matches(r) || r.power_env.capacity_j != cap)
             continue;
         any = true;
         if (r.outcome != LifetimeOutcome::Clean || r.power.starved)
@@ -131,10 +131,11 @@ main(int argc, char **argv)
         cli::stringOpt(argc, argv, "--traces",
                        fast ? "brownout:cycles=2,square:cycles=2"
                             : "brownout,square,outages"));
-    spec.battery_caps = cli::realListArg(
-        argc, argv, "--battery-caps",
-        fast ? std::vector<double>{2e-6, 50e-6}
-             : std::vector<double>{1e-6, 5e-6, 20e-6, 50e-6});
+    spec.battery_caps = fast ? std::vector<double>{2e-6, 50e-6}
+                             : std::vector<double>{1e-6, 5e-6, 20e-6, 50e-6};
+    std::string caps_arg = cli::stringOpt(argc, argv, "--battery-caps");
+    if (!caps_arg.empty())
+        spec.battery_caps = cli::positiveRealList("--battery-caps", caps_arg);
     spec.policies = {DegradePolicy::None, DegradePolicy::DrainOldest};
     std::string pols_arg = cli::stringOpt(argc, argv, "--policies");
     if (!pols_arg.empty()) {

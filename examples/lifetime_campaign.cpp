@@ -151,9 +151,7 @@ main(int argc, char **argv)
     std::uint64_t replay_seed = 0;
     bool replay = false;
     std::string replay_plan = "none";
-    std::string replay_trace;
-    double replay_cap = 50e-6;
-    DegradePolicy replay_policy = DegradePolicy::None;
+    PowerEnv replay_env;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -201,17 +199,18 @@ main(int argc, char **argv)
             spec.traces = bbb::cli::splitList(next());
         } else if (arg == "--battery-caps") {
             spec.battery_caps =
-                bbb::cli::parseRealList("--battery-caps", next(), true, {});
+                bbb::cli::positiveRealList("--battery-caps", next());
         } else if (arg == "--policies") {
             spec.policies.clear();
             for (const std::string &tok : bbb::cli::splitList(next()))
                 spec.policies.push_back(parseDegradePolicy(tok));
         } else if (arg == "--trace") {
-            replay_trace = next();
+            replay_env.trace = next();
         } else if (arg == "--battery-j") {
-            replay_cap = std::strtod(next().c_str(), nullptr);
+            replay_env.capacity_j =
+                bbb::cli::positiveReal("--battery-j", next());
         } else if (arg == "--policy") {
-            replay_policy = parseDegradePolicy(next());
+            replay_env.policy = parseDegradePolicy(next());
         } else if (arg == "--media") {
             media = next();
             (void)mediaKindFromName(media); // validate (fatal on typo)
@@ -228,12 +227,9 @@ main(int argc, char **argv)
         spec.base.media.kind = mediaKindFromName(media);
         if (media == "ftl")
             spec.base.media.endurance_cycles = kFtlEnduranceCycles;
-        // Stamp the backend into the plan tokens (point-crash sweeps) so
-        // every printed repro line is complete on its own. Power-trace
-        // sweeps rebuild their plans internally; their repro lines need
-        // --media repeated, which replay mode accepts.
-        if (spec.plans.empty() && spec.traces.empty())
-            spec.plans = faultPlanPresets();
+        // Stamp the backend into the plan tokens so every printed repro
+        // line is complete on its own.
+        spec.plans = spec.planFamily();
         for (NamedFaultPlan &np : spec.plans)
             np.plan.media = media;
     }
@@ -248,17 +244,7 @@ main(int argc, char **argv)
         sample.params = spec.params;
         sample.plan = FaultPlan::parse(replay_plan);
         sample.plan_name = replay_plan;
-        if (!replay_trace.empty()) {
-            // Power-trace replay: overlay the power environment on the
-            // (power-field-free) --fault-plan rest, exactly inverting
-            // LifetimeResult::reproLine.
-            sample.plan.trace = replay_trace;
-            sample.plan.battery_cap_j = replay_cap;
-            sample.plan.policy = replay_policy;
-            sample.plan_name = replay_trace + "+" +
-                               compactDouble(replay_cap) + "J+" +
-                               degradePolicyName(replay_policy);
-        }
+        sample.power_env = replay_env;
         if (!media.empty() && sample.plan.media.empty())
             sample.plan.media = media;
         if (sample.plan.media == "ftl")

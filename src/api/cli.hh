@@ -15,6 +15,7 @@
 #ifndef BBB_API_CLI_HH
 #define BBB_API_CLI_HH
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -119,51 +120,32 @@ splitList(const std::string &arg)
 }
 
 /**
- * Parse @p value, the text given to @p flag, as a comma-separated list
- * of non-negative reals; an empty list yields @p def. A malformed or
- * negative entry warns and yields @p def — or, when @p strict, exits
- * with status 2.
+ * Parse @p text, the value of @p flag, as a positive real (a battery
+ * capacity, say), or exit 2 with a diagnostic whatever the strictness:
+ * a zero or malformed capacity describes no battery at all.
  */
-inline std::vector<double>
-parseRealList(const char *flag, const std::string &value, bool strict,
-              const std::vector<double> &def)
+inline double
+positiveReal(const char *flag, const std::string &text)
 {
-    std::vector<double> out;
-    for (const std::string &tok : splitList(value)) {
-        char *end = nullptr;
-        double v = std::strtod(tok.c_str(), &end);
-        if (end == tok.c_str() || *end != '\0' || v < 0.0) {
-            if (strict) {
-                std::fprintf(stderr,
-                             "error: %s expects non-negative reals, "
-                             "got '%s'\n",
-                             flag, tok.c_str());
-                std::exit(2);
-            }
-            std::fprintf(stderr,
-                         "warning: %s expects non-negative reals, got "
-                         "'%s'; using the default\n",
-                         flag, tok.c_str());
-            return def;
-        }
-        out.push_back(v);
+    char *end = nullptr;
+    double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !(v > 0.0) ||
+        !std::isfinite(v)) {
+        std::fprintf(stderr, "error: %s expects a positive real, got '%s'\n",
+                     flag, text.c_str());
+        std::exit(2);
     }
-    return out.empty() ? def : out;
+    return v;
 }
 
-/**
- * Comma-separated list of non-negative reals: `@p flag 2e-6,5e-6,...`,
- * or @p def when absent. Entries parse as in parseRealList, strictly
- * under `--strict-args`.
- */
+/** Comma-separated list of positive reals, each as in positiveReal. */
 inline std::vector<double>
-realListArg(int argc, char **argv, const char *flag,
-            const std::vector<double> &def)
+positiveRealList(const char *flag, const std::string &value)
 {
-    std::string value = stringOpt(argc, argv, flag);
-    if (value.empty())
-        return def;
-    return parseRealList(flag, value, strictArgs(argc, argv), def);
+    std::vector<double> out;
+    for (const std::string &tok : splitList(value))
+        out.push_back(positiveReal(flag, tok));
+    return out;
 }
 
 /**

@@ -74,20 +74,6 @@ CrashEngine::proactiveDrain(std::uint64_t max_blocks)
     return drained;
 }
 
-PlatformSpec
-CrashEngine::simulatedPlatform() const
-{
-    PlatformSpec p;
-    p.name = "simulated";
-    p.cores = _cfg.num_cores;
-    p.l1_total_bytes = _cfg.num_cores * _cfg.l1d.size_bytes;
-    p.l2_total_bytes = _cfg.llc.size_bytes;
-    p.l3_total_bytes = 0;
-    p.mem_channels = _cfg.nvmm.channels;
-    p.core_area_mm2 = 2.61;
-    return p;
-}
-
 CrashReport
 CrashEngine::crash(Tick now)
 {
@@ -98,16 +84,18 @@ CrashEngine::crash(Tick now)
     for (auto &core : _cores)
         core->halt();
 
-    DrainCostModel cost(simulatedPlatform());
+    DrainCostModel cost(simulatedPlatform(_cfg));
     const EnergyConstants &con = cost.constants();
     const double l1_rate_j =
         con.sram_access_j_per_byte + con.l1_to_nvmm_j_per_byte;
-    const double llc_rate_j =
-        con.sram_access_j_per_byte + con.l2_to_nvmm_j_per_byte;
+    const double l1_block_j = con.l1BlockJ();
+    const double llc_block_j =
+        kBlockSize * (con.sram_access_j_per_byte + con.l2_to_nvmm_j_per_byte);
 
-    // Unlimited stand-in so the fault-free path shares the drain loop.
-    BatteryBudget unlimited;
-    BatteryBudget &battery = _faults ? _faults->battery() : unlimited;
+    // The battery gate: a negative budget is a correctly sized battery
+    // (no gate), so the fault-free path shares the drain loop.
+    double budget = _faults ? _faults->budgetJ() : -1.0;
+    double spent = 0.0;
     const bool media_faults =
         _faults && _faults->plan().injectsMediaFaults();
     const std::uint64_t recrash_after =
@@ -130,21 +118,26 @@ CrashEngine::crash(Tick now)
             // Power fails again mid-drain. Draining is idempotent, so
             // re-entering crash() with the residual budget is exactly
             // "continue under the scaled-down reserve".
-            battery.scaleResidual(_faults->plan().recrash_budget_factor);
+            if (budget >= 0.0)
+                budget = spent + (budget - spent) *
+                                     _faults->plan().recrash_budget_factor;
             ++rep.recrashes;
             recrash_pending = false;
         }
     };
 
-    // Gate one item of @p bytes at @p rate_j J/B through the battery.
-    auto batteryAllows = [&](std::uint64_t bytes, double rate_j) {
+    // Gate one item costing @p item_j through the battery; a refused
+    // item consumes nothing.
+    auto batteryAllows = [&](double item_j) {
         if (exhausted)
             return false; // prefix by construction: never drain again
-        if (battery.charge(static_cast<double>(bytes) * rate_j))
-            return true;
-        exhausted = true;
-        rep.battery_exhausted = true;
-        return false;
+        if (budget >= 0.0 && spent + item_j > budget) {
+            exhausted = true;
+            rep.battery_exhausted = true;
+            return false;
+        }
+        spent += item_j;
+        return true;
     };
 
     // Media-commit one full drained block, possibly tearing it.
@@ -167,7 +160,7 @@ CrashEngine::crash(Tick now)
     // contract they do not count into drained_bytes/drain_energy_j.
     auto wpq = _nvmm.takeWpqForCrash();
     for (auto &kv : wpq) {
-        if (batteryAllows(kBlockSize, llc_rate_j)) {
+        if (batteryAllows(llc_block_j)) {
             writeDrainedBlock(kv.first, kv.second);
             _nvmm.creditCrashCommit();
             ++rep.wpq_blocks;
@@ -191,8 +184,7 @@ CrashEngine::crash(Tick now)
         std::uint64_t idx = 0;
         for (const auto &rec : dirty) {
             bool is_l1 = idx++ < from_l1;
-            double rate = is_l1 ? l1_rate_j : llc_rate_j;
-            if (batteryAllows(kBlockSize, rate)) {
+            if (batteryAllows(is_l1 ? l1_block_j : llc_block_j)) {
                 writeDrainedBlock(rec.block, rec.data);
                 noteDrained();
                 if (is_l1) {
@@ -216,7 +208,7 @@ CrashEngine::crash(Tick now)
         // crashDrain() streams FCFS allocation order == persist order;
         // each block is applied as it passes, no intermediate copies.
         _backend.crashDrain([&](Addr block, const BlockData &data) {
-            if (batteryAllows(kBlockSize, l1_rate_j)) {
+            if (batteryAllows(l1_block_j)) {
                 writeDrainedBlock(block, data);
                 ++rep.bbpb_blocks;
                 l1_rate_bytes += kBlockSize;
@@ -241,7 +233,7 @@ CrashEngine::crash(Tick now)
         for (auto &core : _cores) {
             auto entries = core->storeBuffer().drainForCrash();
             for (const auto &e : entries) {
-                if (batteryAllows(e.size, l1_rate_j)) {
+                if (batteryAllows(e.size * l1_rate_j)) {
                     _media.writeBytes(e.addr, &e.data, e.size);
                     if (_faults)
                         _faults->noteDrainedBytes(e.addr, &e.data, e.size);
@@ -263,7 +255,7 @@ CrashEngine::crash(Tick now)
     rep.drain_time_s =
         static_cast<double>(rep.drained_bytes) /
         (cost.constants().channel_write_bw * _cfg.nvmm.channels);
-    rep.battery_spent_j = battery.spentJ();
+    rep.battery_spent_j = spent;
 
     // The reboot "mount": an FTL backend replays its reconstructed remap
     // table into the logical image so recovery's raw post-crash walk

@@ -21,7 +21,7 @@
  *
  * With a FaultInjector attached the drain stops being infallible:
  *
- *   - every drained byte charges the injector's BatteryBudget at the
+ *   - every drained byte charges the injector's Joule budget at the
  *     Table VI rate of its source (WPQ at the L2/L3 rate, bbPB/L1/SB at
  *     the L1 rate); once the budget runs out every remaining -- younger
  *     -- item is sacrificed, so the survivors always form an oldest-first
@@ -162,9 +162,6 @@ class CrashEngine
     void setFaultInjector(FaultInjector *faults) { _faults = faults; }
 
   private:
-    /** Platform view of the simulated machine, for the cost model. */
-    PlatformSpec simulatedPlatform() const;
-
     const SystemConfig &_cfg;
     CacheHierarchy &_hier;
     MemCtrl &_nvmm;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sim/config.hh"
 #include "sim/logging.hh"
 
 namespace bbb
@@ -30,6 +31,20 @@ EnergyConstants::densityJPerCm3(BatteryTech t)
         return 1e-2 * 3600.0;
     }
     panic("unknown battery technology");
+}
+
+PlatformSpec
+simulatedPlatform(const SystemConfig &cfg)
+{
+    PlatformSpec p;
+    p.name = "simulated";
+    p.cores = cfg.num_cores;
+    p.l1_total_bytes = cfg.num_cores * cfg.l1d.size_bytes;
+    p.l2_total_bytes = cfg.llc.size_bytes;
+    p.l3_total_bytes = 0;
+    p.mem_channels = cfg.nvmm.channels;
+    p.core_area_mm2 = 2.61;
+    return p;
 }
 
 std::uint64_t

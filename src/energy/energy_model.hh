@@ -31,6 +31,8 @@
 namespace bbb
 {
 
+struct SystemConfig;
+
 /** Energy storage technologies considered for flush-on-fail. */
 enum class BatteryTech
 {
@@ -57,62 +59,20 @@ struct EnergyConstants
 
     /** Volumetric energy density (J/cm^3). */
     static double densityJPerCm3(BatteryTech t);
+
+    /** Energy to drain one block from L1D (or bbPB) to NVMM (J). */
+    double
+    l1BlockJ() const
+    {
+        return kBlockSize * (sram_access_j_per_byte + l1_to_nvmm_j_per_byte);
+    }
 };
 
 /**
- * A finite crash-drain energy reserve, for fault-injection runs where the
- * battery is *not* sized to the Section IV-C worst case. Draining charges
- * it per byte at the Table VI rates; once exhausted, remaining blocks are
- * sacrificed. A negative capacity means "correctly sized" (never runs
- * out), reproducing the infallible drain the paper assumes.
+ * The simulated machine as a cost-model platform: its L1Ds, its LLC as
+ * the L2, and its NVMM channels.
  */
-class BatteryBudget
-{
-  public:
-    explicit BatteryBudget(double capacity_j = -1.0)
-        : _capacity_j(capacity_j)
-    {
-    }
-
-    bool limited() const { return _capacity_j >= 0.0; }
-    double spentJ() const { return _spent_j; }
-
-    double
-    remainingJ() const
-    {
-        return limited() ? _capacity_j - _spent_j : 0.0;
-    }
-
-    /**
-     * Consume @p energy_j if the reserve covers it.
-     * @return false (and consume nothing) when the budget is exhausted —
-     *         the caller must sacrifice the block it was about to drain.
-     */
-    bool
-    charge(double energy_j)
-    {
-        if (!limited()) {
-            _spent_j += energy_j;
-            return true;
-        }
-        if (_spent_j + energy_j > _capacity_j)
-            return false;
-        _spent_j += energy_j;
-        return true;
-    }
-
-    /** Re-crash during drain: scale what is left of the reserve. */
-    void
-    scaleResidual(double factor)
-    {
-        if (limited())
-            _capacity_j = _spent_j + remainingJ() * factor;
-    }
-
-  private:
-    double _capacity_j;
-    double _spent_j = 0.0;
-};
+PlatformSpec simulatedPlatform(const SystemConfig &cfg);
 
 /** Flush-on-fail cost estimates for eADR and BBB on a platform. */
 class DrainCostModel

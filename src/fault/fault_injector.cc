@@ -3,21 +3,9 @@
 #include <cstring>
 
 #include "mem/media_backend.hh"
-#include "power/battery.hh"
 
 namespace bbb
 {
-
-double
-FaultInjector::budgetFromPlan(const FaultPlan &plan)
-{
-    if (plan.battery_cap_j < 0.0)
-        return plan.battery_j;
-    Battery battery(BatterySpec::fromCapacityJ(plan.battery_cap_j));
-    if (plan.battery_stored_j >= 0.0)
-        battery.setStored(plan.battery_stored_j);
-    return battery.energy_stored();
-}
 
 MediaWriteOutcome
 FaultInjector::performMediaWrite(MediaBackend &media, Addr block,

@@ -10,7 +10,7 @@
  *    are latency-charged; a terminal failure tears the 64 B block,
  *    leaving only its first half in the image;
  *  - the crash engine's flush-on-fail drain: every drained byte charges
- *    the battery budget; when it runs out the remaining (younger) blocks
+ *    the Joule budget; when it runs out the remaining (younger) blocks
  *    are sacrificed, and an optional mid-drain re-crash shrinks the
  *    residual budget.
  *
@@ -33,7 +33,6 @@
 #include <map>
 #include <vector>
 
-#include "energy/energy_model.hh"
 #include "fault/fault_plan.hh"
 #include "mem/backing_store.hh"
 #include "mem/block_data.hh"
@@ -109,30 +108,21 @@ class FaultInjector
     explicit FaultInjector(const FaultPlan &plan,
                            FaultStats *stats = nullptr)
         : _plan(plan), _rng(plan.fault_seed ^ 0xfa017ull),
-          _battery(budgetFromPlan(plan)), _stats(stats ? stats : &_own_stats)
+          _budget_j(plan.battery_j), _stats(stats ? stats : &_own_stats)
     {
     }
 
-    /**
-     * The crash-drain Joule budget a plan provides: the charge stored in
-     * its Battery when one is described (cap_j), else the fixed
-     * battery_j constant. Energy-as-state means stored_j passes through
-     * bit-exactly, so Battery-derived budgets equal the constants they
-     * replace.
-     */
-    static double budgetFromPlan(const FaultPlan &plan);
-
     const FaultPlan &plan() const { return _plan; }
-    BatteryBudget &battery() { return _battery; }
-    const BatteryBudget &battery() const { return _battery; }
 
     /**
-     * Replace the crash-drain budget with the charge actually stored at
-     * the failure. The budget is only consulted at crash time, so
-     * power-trace campaigns may refine it any time before crashNow()
-     * without disturbing the armed media-fault stream or ledger.
+     * Crash-drain energy budget (J); negative means a correctly sized
+     * battery. Starts as the plan's battery_j. It is only consulted at
+     * crash time, so a power-trace round may replace it with the charge
+     * stored at the outage any time before crashNow() without
+     * disturbing the armed media-fault stream or ledger.
      */
-    void setBatteryBudgetJ(double j) { _battery = BatteryBudget(j); }
+    double budgetJ() const { return _budget_j; }
+    void setBudgetJ(double j) { _budget_j = j; }
 
     /**
      * Perform one media write of @p data to @p block through @p media,
@@ -259,7 +249,7 @@ class FaultInjector
   private:
     FaultPlan _plan;
     Rng _rng;
-    BatteryBudget _battery;
+    double _budget_j;
 
     /** block -> content an un-faulted run would have persisted. */
     std::map<Addr, BlockData> _damaged;

@@ -26,45 +26,10 @@ compactDouble(double v)
     return buf;
 }
 
-const char *
-degradePolicyName(DegradePolicy p)
-{
-    switch (p) {
-      case DegradePolicy::None:
-        return "none";
-      case DegradePolicy::DrainOldest:
-        return "drain-oldest";
-      case DegradePolicy::Throttle:
-        return "throttle";
-      case DegradePolicy::RefuseDirty:
-        return "refuse-dirty";
-    }
-    return "none";
-}
-
-DegradePolicy
-parseDegradePolicy(const std::string &name)
-{
-    for (DegradePolicy p : degradePolicyList()) {
-        if (name == degradePolicyName(p))
-            return p;
-    }
-    fatal("unknown degrade policy '%s' (want none, drain-oldest, "
-          "throttle, or refuse-dirty)",
-          name.c_str());
-}
-
-std::vector<DegradePolicy>
-degradePolicyList()
-{
-    return {DegradePolicy::None, DegradePolicy::DrainOldest,
-            DegradePolicy::Throttle, DegradePolicy::RefuseDirty};
-}
-
 std::string
 FaultPlan::toString() const
 {
-    if (!enabled() && trace.empty() && media.empty())
+    if (!enabled() && media.empty())
         return "none";
 
     FaultPlan defaults;
@@ -88,14 +53,6 @@ FaultPlan::toString() const
         sep() << "recrash_blocks=" << recrash_after_blocks;
     if (recrash_budget_factor != defaults.recrash_budget_factor)
         sep() << "recrash_factor=" << compactDouble(recrash_budget_factor);
-    if (battery_cap_j >= 0.0)
-        sep() << "cap_j=" << compactDouble(battery_cap_j);
-    if (battery_stored_j >= 0.0)
-        sep() << "stored_j=" << compactDouble(battery_stored_j);
-    if (!trace.empty())
-        sep() << "trace=" << trace;
-    if (policy != defaults.policy)
-        sep() << "policy=" << degradePolicyName(policy);
     if (!media.empty())
         sep() << "media=" << media;
     if (fault_seed != defaults.fault_seed)
@@ -124,49 +81,39 @@ FaultPlan::parse(const std::string &token)
         }
         std::string key = pair.substr(0, eq);
         std::string val = pair.substr(eq + 1);
-        // String-valued keys come before the numeric conversion.
-        if (key == "trace") {
-            plan.trace = val;
-            continue;
-        }
-        if (key == "policy") {
-            plan.policy = parseDegradePolicy(val);
-            continue;
-        }
+        // Values convert per key, so an unknown key is reported as one.
+        auto num = [&]() {
+            char *end = nullptr;
+            double v = std::strtod(val.c_str(), &end);
+            if (end == val.c_str() || *end != '\0')
+                fatal("non-numeric fault-plan value '%s'", pair.c_str());
+            return v;
+        };
+
         if (key == "media") {
             if (val != "direct" && val != "ftl")
                 fatal("unknown media kind '%s' (want direct or ftl)",
                       val.c_str());
             plan.media = val;
-            continue;
-        }
-        char *end = nullptr;
-        double num = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0')
-            fatal("non-numeric fault-plan value '%s'", pair.c_str());
-
-        if (key == "battery_j") {
-            plan.battery_j = num;
+        } else if (key == "battery_j") {
+            plan.battery_j = num();
         } else if (key == "media_p") {
-            if (num < 0.0 || num >= 1.0)
+            plan.media_fail_p = num();
+            if (plan.media_fail_p < 0.0 || plan.media_fail_p >= 1.0)
                 fatal("media_p must be in [0, 1): %s", val.c_str());
-            plan.media_fail_p = num;
         } else if (key == "media_retries") {
-            plan.media_retries = static_cast<unsigned>(num);
+            plan.media_retries = static_cast<unsigned>(num());
         } else if (key == "media_backoff_ns") {
-            plan.media_backoff = nsToTicks(num);
+            plan.media_backoff = nsToTicks(num());
         } else if (key == "recrash_blocks") {
-            plan.recrash_after_blocks = static_cast<std::uint64_t>(num);
+            plan.recrash_after_blocks = static_cast<std::uint64_t>(num());
         } else if (key == "recrash_factor") {
-            if (num < 0.0 || num > 1.0)
+            plan.recrash_budget_factor = num();
+            if (plan.recrash_budget_factor < 0.0 ||
+                plan.recrash_budget_factor > 1.0)
                 fatal("recrash_factor must be in [0, 1]: %s", val.c_str());
-            plan.recrash_budget_factor = num;
-        } else if (key == "cap_j") {
-            plan.battery_cap_j = num;
-        } else if (key == "stored_j") {
-            plan.battery_stored_j = num;
         } else if (key == "fault_seed") {
-            plan.fault_seed = static_cast<std::uint64_t>(num);
+            plan.fault_seed = static_cast<std::uint64_t>(num());
         } else {
             fatal("unknown fault-plan key '%s' in '%s'", key.c_str(),
                   token.c_str());
@@ -184,9 +131,7 @@ FaultPlan::operator==(const FaultPlan &o) const
            media_backoff == o.media_backoff &&
            recrash_after_blocks == o.recrash_after_blocks &&
            recrash_budget_factor == o.recrash_budget_factor &&
-           battery_cap_j == o.battery_cap_j &&
-           battery_stored_j == o.battery_stored_j && trace == o.trace &&
-           policy == o.policy && media == o.media;
+           media == o.media;
 }
 
 std::vector<NamedFaultPlan>
@@ -220,15 +165,7 @@ FaultPlan
 undersizedBatteryPlan(const SystemConfig &cfg, double fraction,
                       std::uint64_t fault_seed)
 {
-    PlatformSpec p;
-    p.name = "campaign";
-    p.cores = cfg.num_cores;
-    p.l1_total_bytes = cfg.num_cores * cfg.l1d.size_bytes;
-    p.l2_total_bytes = cfg.llc.size_bytes;
-    p.l3_total_bytes = 0;
-    p.mem_channels = cfg.nvmm.channels;
-    p.core_area_mm2 = 2.61;
-    DrainCostModel cost(p);
+    DrainCostModel cost(simulatedPlatform(cfg));
 
     FaultPlan plan;
     plan.fault_seed = fault_seed;

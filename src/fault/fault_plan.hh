@@ -40,27 +40,6 @@ namespace bbb
 
 struct SystemConfig;
 
-/**
- * Graceful-degradation policy applied at the battery's low-charge
- * warning: what the machine does when it learns the crash-drain budget
- * is about to shrink below what the buffered state needs.
- */
-enum class DegradePolicy
-{
-    /** Keep running; accept whatever the drain can save. */
-    None,
-    /** Proactively drain the oldest buffered entries to NVMM. */
-    DrainOldest,
-    /** Throttle the machine load so the battery discharges slower. */
-    Throttle,
-    /** Stop admitting new dirty blocks (coalescing only). */
-    RefuseDirty,
-};
-
-const char *degradePolicyName(DegradePolicy p);
-DegradePolicy parseDegradePolicy(const std::string &name);
-std::vector<DegradePolicy> degradePolicyList();
-
 /** Declarative description of the faults one run injects. */
 struct FaultPlan
 {
@@ -69,7 +48,9 @@ struct FaultPlan
 
     /**
      * Crash-drain battery budget in Joules; negative means a correctly
-     * sized battery (the infallible drain the paper assumes).
+     * sized battery (the infallible drain the paper assumes). A
+     * power-trace lifetime replaces it with the charge its battery
+     * holds at each outage (see recover/lifetime.hh).
      */
     double battery_j = -1.0;
 
@@ -96,31 +77,6 @@ struct FaultPlan
     double recrash_budget_factor = 0.5;
 
     /**
-     * Charge-state battery: usable capacity in Joules (negative means
-     * "no Battery — use the fixed battery_j budget if any"). When set,
-     * the crash-drain budget comes from a power::Battery sized to this
-     * capacity and holding @ref battery_stored_j at the failure.
-     */
-    double battery_cap_j = -1.0;
-
-    /**
-     * Charge actually stored at the failure (J); negative means fully
-     * charged. Power-trace campaigns write the live charge here each
-     * round, so every round replays from one plan token.
-     */
-    double battery_stored_j = -1.0;
-
-    /**
-     * Power trace driving outage timing (empty = point crashes). Uses
-     * ':'/';' separators only, so it rides inside this comma-separated
-     * token; see PowerTrace for the preset and `seg:` forms.
-     */
-    std::string trace;
-
-    /** Graceful-degradation policy at the low-charge warning. */
-    DegradePolicy policy = DegradePolicy::None;
-
-    /**
      * NVMM media backend the run simulates: "" (leave the SystemConfig
      * default), "direct", or "ftl". Rides in the plan token so an
      * endurance campaign's repro line selects the same backend.
@@ -131,8 +87,8 @@ struct FaultPlan
     bool
     enabled() const
     {
-        return battery_j >= 0.0 || battery_cap_j >= 0.0 ||
-               media_fail_p > 0.0 || recrash_after_blocks > 0;
+        return battery_j >= 0.0 || media_fail_p > 0.0 ||
+               recrash_after_blocks > 0;
     }
 
     /** True if the plan can tear media blocks at runtime or crash time. */

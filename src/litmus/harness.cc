@@ -254,40 +254,22 @@ struct RunContext
     {
         (void)model;
         auto order = batteryPersistOrder(prog);
-        const EnergyConstants con;
-        const double item_j =
-            double(kBlockSize) * (con.sram_access_j_per_byte +
-                                  con.l1_to_nvmm_j_per_byte);
+        const double item_j = EnergyConstants{}.l1BlockJ();
         for (std::size_t k = 0; k <= order.size(); ++k)
-            for (int charged = 0; charged < 2; ++charged)
-                batteryRun(sch, order, k,
-                           (double(k) + 0.5) * item_j, charged != 0);
+            batteryRun(sch, order, k, (double(k) + 0.5) * item_j);
     }
 
-    /**
-     * One undersized-battery run with budget for exactly k items.
-     * @p charged derives the budget from a live Battery charge state
-     * (capacity 2x the stored charge — a power-of-two multiple, so the
-     * stored Joules round-trip bit-exactly) instead of the battery_j
-     * constant; both paths must pin the identical k-item cut.
-     */
+    /** One undersized-battery run with budget for exactly k items. */
     void
     batteryRun(const std::vector<Step> &sch,
                const std::vector<std::pair<int, std::uint64_t>> &order,
-               std::size_t k, double budget_j, bool charged)
+               std::size_t k, double budget_j)
     {
         ++res.battery_runs;
         FaultPlan plan;
-        if (charged) {
-            plan.battery_cap_j = 2.0 * budget_j;
-            plan.battery_stored_j = budget_j;
-        } else {
-            plan.battery_j = budget_j;
-        }
+        plan.battery_j = budget_j;
         SimResult sim = runSchedule(test, prog, mode, sch, &plan);
-        std::string tag = std::string(charged ? "battery-cap k="
-                                              : "battery k=") +
-                          std::to_string(k) + ": ";
+        std::string tag = "battery k=" + std::to_string(k) + ": ";
         if (!sim.ok) {
             addViolation(sch, tag + sim.error);
             return;

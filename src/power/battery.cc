@@ -19,8 +19,6 @@ BatterySpec
 BatterySpec::fromCapacityJ(double capacity_j)
 {
     BatterySpec s;
-    if (capacity_j < 0.0)
-        capacity_j = 1.0; // effectively unlimited at per-block uJ scale
     double window = s.max_voltage_v * s.max_voltage_v -
                     s.min_voltage_v * s.min_voltage_v;
     s.capacitance_f = 2.0 * capacity_j / window;

@@ -12,9 +12,9 @@
  *
  * The usable energy above the cutoff voltage is the state variable
  * (voltage is derived: V = sqrt(Vmin^2 + 2E/C)), so `setStored(j)`
- * followed by `energy_stored()` round-trips exactly — the litmus
- * battery sweep relies on a Battery-derived budget being bit-equal to
- * the constant it replaces.
+ * followed by `energy_stored()` round-trips exactly: the charge a
+ * power-trace round hands the crash drain as its Joule budget is the
+ * charge the battery holds, bit for bit.
  *
  * Charging is power-based (charge_w scaled by the supply level), not an
  * RC exponential, matching the eh-sim capacitor's constant-current
@@ -58,10 +58,8 @@ struct BatterySpec
     double capacityJ() const;
 
     /**
-     * Spec sized to hold @p capacity_j usable Joules at the default
-     * voltages (capacitance derived). A negative @p capacity_j means
-     * "correctly sized": a 1 J reservoir, effectively unlimited at the
-     * Table VI per-block scale (~0.76 uJ/block).
+     * Spec sized to hold @p capacity_j (> 0) usable Joules at the
+     * default voltages (capacitance derived).
      */
     static BatterySpec fromCapacityJ(double capacity_j);
 };

@@ -26,6 +26,41 @@ secondsToTicksCeil(double s)
 
 } // namespace
 
+const char *
+degradePolicyName(DegradePolicy p)
+{
+    switch (p) {
+      case DegradePolicy::None:
+        return "none";
+      case DegradePolicy::DrainOldest:
+        return "drain-oldest";
+      case DegradePolicy::Throttle:
+        return "throttle";
+      case DegradePolicy::RefuseDirty:
+        return "refuse-dirty";
+    }
+    return "none";
+}
+
+DegradePolicy
+parseDegradePolicy(const std::string &name)
+{
+    for (DegradePolicy p : degradePolicyList()) {
+        if (name == degradePolicyName(p))
+            return p;
+    }
+    fatal("unknown degrade policy '%s' (want none, drain-oldest, "
+          "throttle, or refuse-dirty)",
+          name.c_str());
+}
+
+std::vector<DegradePolicy>
+degradePolicyList()
+{
+    return {DegradePolicy::None, DegradePolicy::DrainOldest,
+            DegradePolicy::Throttle, DegradePolicy::RefuseDirty};
+}
+
 void
 PowerStats::merge(const PowerStats &o)
 {

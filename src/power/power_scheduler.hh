@@ -36,6 +36,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "power/battery.hh"
 #include "power/power_trace.hh"
@@ -43,6 +45,27 @@
 
 namespace bbb
 {
+
+/**
+ * Graceful-degradation policy applied at the battery's low-charge
+ * warning: what the machine does when it learns the crash-drain budget
+ * is about to shrink below what the buffered state needs.
+ */
+enum class DegradePolicy
+{
+    /** Keep running; accept whatever the drain can save. */
+    None,
+    /** Proactively drain the oldest buffered entries to NVMM. */
+    DrainOldest,
+    /** Throttle the machine load so the battery discharges slower. */
+    Throttle,
+    /** Stop admitting new dirty blocks (coalescing only). */
+    RefuseDirty,
+};
+
+const char *degradePolicyName(DegradePolicy p);
+DegradePolicy parseDegradePolicy(const std::string &name);
+std::vector<DegradePolicy> degradePolicyList();
 
 /** Aggregated power-environment statistics for one campaign sample. */
 struct PowerStats

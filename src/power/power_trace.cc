@@ -271,7 +271,7 @@ PowerTrace::tryParse(const std::string &token, PowerTrace *out,
         return false;
     }
     if (token.find(',') != std::string::npos) {
-        // The token must survive FaultPlan's comma-separated form.
+        // The token must survive comma-separated `--traces` lists.
         *err = "trace token must not contain ',' (use ';' and ':')";
         return false;
     }

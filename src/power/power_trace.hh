@@ -10,8 +10,8 @@
  *
  * Two input forms:
  *
- *  - one-token form, for `--trace` flags and FaultPlan fields (must not
- *    contain commas — it rides inside the comma-separated plan token):
+ *  - one-token form, for `--trace`/`--traces` flags (must not contain
+ *    commas — `--traces` and LifetimeSpec lists split on them):
  *      preset names with `:`-separated parameters
  *        steady[:us=400]
  *        brownout[:cycles=4]            (brownout dip then outage, repeated)

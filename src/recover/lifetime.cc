@@ -46,27 +46,16 @@ namespace
 std::string
 lifetimeReproLine(const std::string &workload, PersistMode mode,
                   std::uint64_t seed, unsigned rounds,
-                  const FaultPlan &plan)
+                  const FaultPlan &plan, const PowerEnv &env)
 {
     std::ostringstream os;
     os << "--workload " << workload << " --mode " << persistModeName(mode)
        << " --seed " << seed << " --rounds " << rounds;
-    if (!plan.trace.empty()) {
-        // Power-trace samples replay from explicit flags (the acceptance
-        // contract: one --trace/--seed/--battery-j line per sample); the
-        // residual plan token carries whatever other faults ride along.
-        os << " --trace " << plan.trace << " --battery-j "
-           << compactDouble(plan.battery_cap_j) << " --policy "
-           << degradePolicyName(plan.policy);
-        FaultPlan rest = plan;
-        rest.trace.clear();
-        rest.battery_cap_j = -1.0;
-        rest.battery_stored_j = -1.0;
-        rest.policy = DegradePolicy::None;
-        os << " --fault-plan " << rest.toString();
-    } else {
-        os << " --fault-plan " << plan.toString();
-    }
+    if (env.active())
+        os << " --trace " << env.trace << " --battery-j "
+           << compactDouble(env.capacity_j) << " --policy "
+           << degradePolicyName(env.policy);
+    os << " --fault-plan " << plan.toString();
     return os.str();
 }
 
@@ -75,13 +64,14 @@ lifetimeReproLine(const std::string &workload, PersistMode mode,
 std::string
 LifetimeSample::reproLine() const
 {
-    return lifetimeReproLine(workload, cfg.mode, seed, rounds, plan);
+    return lifetimeReproLine(workload, cfg.mode, seed, rounds, plan,
+                             power_env);
 }
 
 std::string
 LifetimeResult::reproLine() const
 {
-    return lifetimeReproLine(workload, mode, seed, rounds, plan);
+    return lifetimeReproLine(workload, mode, seed, rounds, plan, power_env);
 }
 
 const LifetimeResult *
@@ -101,35 +91,52 @@ safePersistModes()
             PersistMode::BbbMemSide, PersistMode::BbbProcSide};
 }
 
+std::vector<NamedFaultPlan>
+LifetimeSpec::planFamily() const
+{
+    if (!plans.empty())
+        return plans;
+    if (traces.empty())
+        return faultPlanPresets();
+    return {{"none", FaultPlan{}}};
+}
+
 std::vector<LifetimeSample>
 planLifetimeCampaign(const LifetimeSpec &spec)
 {
     std::vector<PersistMode> modes =
         spec.modes.empty() ? safePersistModes() : spec.modes;
-    std::vector<NamedFaultPlan> plans =
-        spec.plans.empty() ? faultPlanPresets() : spec.plans;
+    // A power sweep runs every plan under every trace × battery × policy
+    // environment; a seeded sweep has the one trace-free environment.
+    std::vector<PowerEnv> envs(1);
     if (!spec.traces.empty()) {
-        // Power sweep: the plan axis is trace × battery × policy, each
-        // cell one replayable FaultPlan.
         std::vector<double> caps = spec.battery_caps;
         if (caps.empty())
             caps.push_back(50e-6);
         std::vector<DegradePolicy> pols = spec.policies;
         if (pols.empty())
             pols.push_back(DegradePolicy::None);
-        plans.clear();
+        envs.clear();
         for (const std::string &trace : spec.traces) {
             for (double cap : caps) {
-                for (DegradePolicy pol : pols) {
-                    FaultPlan p;
-                    p.trace = trace;
-                    p.battery_cap_j = cap;
-                    p.policy = pol;
-                    plans.push_back({trace + "+" + compactDouble(cap) +
-                                         "J+" + degradePolicyName(pol),
-                                     p});
-                }
+                for (DegradePolicy pol : pols)
+                    envs.push_back({trace, cap, pol});
             }
+        }
+    }
+    struct Cell
+    {
+        PowerEnv env;
+        NamedFaultPlan np;
+    };
+    std::vector<Cell> cells;
+    for (const PowerEnv &env : envs) {
+        for (NamedFaultPlan np : spec.planFamily()) {
+            if (env.active())
+                np.name = env.trace + "+" + compactDouble(env.capacity_j) +
+                          "J+" + degradePolicyName(env.policy) +
+                          (np.name == "none" ? "" : "+" + np.name);
+            cells.push_back({env, np});
         }
     }
     BBB_ASSERT(spec.min_crash_tick <= spec.max_crash_tick,
@@ -140,19 +147,20 @@ planLifetimeCampaign(const LifetimeSpec &spec)
     // sample list a pure function of the spec.
     Rng rng(spec.campaign_seed ^ 0x11f3713ull);
     std::vector<LifetimeSample> samples;
-    samples.reserve(spec.workloads.size() * modes.size() * plans.size() *
+    samples.reserve(spec.workloads.size() * modes.size() * cells.size() *
                     spec.lifetimes);
     for (const std::string &wl : spec.workloads) {
         for (PersistMode mode : modes) {
-            for (const NamedFaultPlan &np : plans) {
+            for (const Cell &cell : cells) {
                 for (unsigned i = 0; i < spec.lifetimes; ++i) {
                     LifetimeSample s;
                     s.cfg = spec.base;
                     s.cfg.mode = mode;
                     s.workload = wl;
                     s.params = spec.params;
-                    s.plan = np.plan;
-                    s.plan_name = np.name;
+                    s.plan = cell.np.plan;
+                    s.plan_name = cell.np.name;
+                    s.power_env = cell.env;
                     s.seed = rng.next();
                     s.rounds = spec.rounds;
                     s.min_crash_tick = spec.min_crash_tick;
@@ -253,6 +261,7 @@ runLifetimeSample(const LifetimeSample &sample)
     r.seed = sample.seed;
     r.rounds = sample.rounds;
     r.plan = sample.plan;
+    r.power_env = sample.power_env;
 
     // One schedule stream per lifetime: crash ticks and per-round seeds
     // re-derive from sample.seed alone, which is what makes the repro
@@ -266,18 +275,16 @@ runLifetimeSample(const LifetimeSample &sample)
 
     // Power-trace lifetimes: outages come from walking the trace with a
     // live battery instead of from seeded crash ticks.
-    const bool power_mode = !sample.plan.trace.empty();
+    const PowerEnv &env = sample.power_env;
+    const bool power_mode = env.active();
     std::unique_ptr<PowerScheduler> power;
-    double item_j = 0.0;
+    const double item_j = EnergyConstants{}.l1BlockJ();
     if (power_mode) {
-        PowerTrace ptrace = PowerTrace::parse(sample.plan.trace);
         power = std::make_unique<PowerScheduler>(
-            ptrace, BatterySpec::fromCapacityJ(sample.plan.battery_cap_j));
-        if (sample.plan.policy == DegradePolicy::Throttle)
+            PowerTrace::parse(env.trace),
+            BatterySpec::fromCapacityJ(env.capacity_j));
+        if (env.policy == DegradePolicy::Throttle)
             power->setPostWarningLoad(0.5);
-        EnergyConstants con;
-        item_j = kBlockSize * (con.sram_access_j_per_byte +
-                               con.l1_to_nvmm_j_per_byte);
     }
 
     for (unsigned round = 0; round < sample.rounds; ++round) {
@@ -302,6 +309,10 @@ runLifetimeSample(const LifetimeSample &sample)
         System sys(cfg);
         FaultPlan plan = sample.plan;
         plan.fault_seed = fault_seed;
+        // A power round always drains through a battery gate: arm the
+        // injector with a budget, refined to the outage charge below.
+        if (power_mode)
+            plan.battery_j = env.capacity_j;
         sys.setFaultPlan(plan);
 
         if (round == 0) {
@@ -331,12 +342,12 @@ runLifetimeSample(const LifetimeSample &sample)
             power->setWarningHook([&](Tick tick, double) -> double {
                 sys.runUntil(tick - win.start);
                 double spent = 0.0;
-                if (plan.policy == DegradePolicy::DrainOldest) {
+                if (env.policy == DegradePolicy::DrainOldest) {
                     std::uint64_t blocks = sys.proactiveDrain();
                     rr.proactive_blocks = blocks;
                     power->stats().proactive_drain_blocks += blocks;
                     spent = static_cast<double>(blocks) * item_j;
-                } else if (plan.policy == DegradePolicy::RefuseDirty) {
+                } else if (env.policy == DegradePolicy::RefuseDirty) {
                     sys.setLowPower(true);
                 }
                 return spent;
@@ -353,8 +364,7 @@ runLifetimeSample(const LifetimeSample &sample)
             // The drain budget is whatever charge the battery actually
             // held at the failure; the budget is only consulted at crash
             // time, so refining it now leaves the media stream untouched.
-            if (FaultInjector *finj = sys.faultInjector())
-                finj->setBatteryBudgetJ(win.charge_at_outage);
+            sys.faultInjector()->setBudgetJ(win.charge_at_outage);
             sys.runUntil(rr.crash_tick);
             rr.report = sys.crashNow();
             power->noteCrashSpend(

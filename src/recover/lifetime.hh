@@ -94,6 +94,26 @@ enum class LifetimeOutcome
 /** Printable outcome name. */
 const char *lifetimeOutcomeName(LifetimeOutcome o);
 
+/**
+ * Where a lifetime's outages come from. With no trace, each round
+ * crashes at a seeded tick; with one, each round runs until the trace's
+ * next outage and drains on the charge the battery then holds.
+ */
+struct PowerEnv
+{
+    /**
+     * Power trace driving outage timing (empty = seeded crash ticks);
+     * see PowerTrace for the preset and `seg:` forms.
+     */
+    std::string trace;
+    /** Usable battery capacity (J); must be positive. */
+    double capacity_j = 50e-6;
+    /** Graceful-degradation policy at the low-charge warning. */
+    DegradePolicy policy = DegradePolicy::None;
+
+    bool active() const { return !trace.empty(); }
+};
+
 /** One fully-specified lifetime (a runnable K-round sample). */
 struct LifetimeSample
 {
@@ -103,14 +123,16 @@ struct LifetimeSample
     FaultPlan plan;
     /** Name of the plan family this sample came from (display only). */
     std::string plan_name;
+    /** Outage timing: seeded crash ticks, or a power trace. */
+    PowerEnv power_env;
     /** Seed of the per-round schedule stream (crash ticks, sub-seeds). */
     std::uint64_t seed = 1;
     /** Crash–recover–resume rounds in this lifetime. */
     unsigned rounds = 3;
     /**
-     * Per-round crash tick sampling window. Ignored when plan.trace is
-     * set: outage timing then comes from the power trace, and `rounds`
-     * is only an upper bound (the trace decides how many windows fit).
+     * Per-round crash tick sampling window. Ignored under a power
+     * trace: outage timing then comes from the trace, and `rounds` is
+     * only an upper bound (the trace decides how many windows fit).
      */
     Tick min_crash_tick = nsToTicks(2000);
     Tick max_crash_tick = nsToTicks(400000);
@@ -141,7 +163,7 @@ struct LifetimeRound
     /** First failed check, empty when oracle_ok. */
     std::string detail;
 
-    /** --- Power-trace rounds only (plan.trace set) -------------------- */
+    /** --- Power-trace rounds only ----------------------------------- */
 
     /** This round's outage came from a power trace, not a seeded tick. */
     bool power_round = false;
@@ -164,6 +186,7 @@ struct LifetimeResult
     std::uint64_t seed = 0;
     unsigned rounds = 0;
     FaultPlan plan;
+    PowerEnv power_env;
 
     LifetimeOutcome outcome = LifetimeOutcome::Clean;
     /**
@@ -199,7 +222,10 @@ struct LifetimeSpec
     WorkloadParams params;
     /** Modes to sweep; empty means every safe mode (no AdrUnsafe). */
     std::vector<PersistMode> modes;
-    /** Fault-plan family; empty means faultPlanPresets(). */
+    /**
+     * Fault-plan family; empty means faultPlanPresets() for a seeded
+     * sweep and the single "none" plan for a power sweep.
+     */
     std::vector<NamedFaultPlan> plans;
     /** Rounds per lifetime (1 = a point-crash sweep). */
     unsigned rounds = 3;
@@ -212,16 +238,19 @@ struct LifetimeSpec
     std::uint64_t campaign_seed = 1;
 
     /**
-     * Power-environment sweep: when `traces` is non-empty the plan axis
-     * becomes trace × battery_caps × policies (the `plans` family is
-     * ignored), every outage comes from the trace, and `rounds` caps the
-     * windows taken per lifetime.
+     * Power-environment sweep: when `traces` is non-empty each plan
+     * runs under every trace × battery_caps × policies environment,
+     * every outage comes from the trace, and `rounds` caps the windows
+     * taken per lifetime.
      */
     std::vector<std::string> traces;
-    /** Usable battery capacities to sweep (J). */
+    /** Usable battery capacities to sweep (J); empty means 50 uJ. */
     std::vector<double> battery_caps;
     /** Degradation policies to sweep; empty means just None. */
     std::vector<DegradePolicy> policies;
+
+    /** The fault-plan family the sweep runs (see `plans`). */
+    std::vector<NamedFaultPlan> planFamily() const;
 };
 
 /** Campaign results plus the outcome tally. */

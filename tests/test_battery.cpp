@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the charge-state battery (src/power/battery.hh): the
- * capacitor energy window, the exact energy-as-state round-trip the
- * litmus battery sweep depends on, threshold semantics, and the
+ * capacitor energy window, the exact energy-as-state round-trip that
+ * power-trace crash budgets depend on, threshold semantics, and the
  * power-integration step.
  */
 
@@ -10,7 +10,6 @@
 
 #include <cmath>
 
-#include "energy/energy_model.hh"
 #include "power/battery.hh"
 
 using namespace bbb;
@@ -33,21 +32,10 @@ TEST(BatterySpec, FromCapacityRoundTripsTheCapacity)
     }
 }
 
-TEST(BatterySpec, NegativeCapacityMeansEffectivelyUnlimited)
-{
-    BatterySpec spec = BatterySpec::fromCapacityJ(-1.0);
-    EXPECT_DOUBLE_EQ(spec.capacityJ(), 1.0);
-    // Far beyond any drain: >1e6 paper-constant blocks.
-    EnergyConstants con;
-    double item_j = kBlockSize * (con.sram_access_j_per_byte +
-                                  con.l1_to_nvmm_j_per_byte);
-    EXPECT_GT(spec.capacityJ() / item_j, 1e6);
-}
-
 TEST(Battery, StoredEnergyRoundTripsExactly)
 {
     // Energy IS the state variable: setStored must read back bit-equal,
-    // so a Battery-derived crash budget equals the constant it replaces.
+    // so the charge a power round hands the crash drain is exact.
     Battery b(BatterySpec::fromCapacityJ(4e-6));
     const double stored[] = {0.7583296e-6, 1.5166592e-6, 3.9999999e-6};
     for (double j : stored) {

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the fault layer: FaultPlan serialisation, the battery
- * budget, media write failures (runtime and crash time), the fault
- * ledger + repair oracle, sacrifice prefix behaviour, and the
+ * Unit tests for the fault layer: FaultPlan serialisation, the crash
+ * drain's battery gate, media write failures (runtime and crash time),
+ * the fault ledger + repair oracle, sacrifice prefix behaviour, and the
  * fault-free-equivalence guarantee of a disabled plan.
  */
 
@@ -78,29 +78,16 @@ TEST(FaultPlan, RoundTripsThroughToString)
     EXPECT_TRUE(FaultPlan::parse("drained-battery").enabled());
 }
 
-TEST(BatteryBudget, ChargesUntilExhaustedThenRefuses)
+TEST(FaultPlan, OutageTimingKeysAreNotPlanKeys)
 {
-    BatteryBudget b(10.0);
-    EXPECT_TRUE(b.limited());
-    EXPECT_TRUE(b.charge(6.0));
-    EXPECT_FALSE(b.charge(5.0)); // would overdraw: refuse, consume nothing
-    EXPECT_DOUBLE_EQ(b.spentJ(), 6.0);
-    EXPECT_TRUE(b.charge(4.0)); // exactly the remainder fits
-    EXPECT_FALSE(b.charge(1e-9));
-
-    BatteryBudget unlimited;
-    EXPECT_FALSE(unlimited.limited());
-    EXPECT_TRUE(unlimited.charge(1e9));
-}
-
-TEST(BatteryBudget, ScaleResidualShrinksOnlyTheRemainder)
-{
-    BatteryBudget b(10.0);
-    ASSERT_TRUE(b.charge(4.0));
-    b.scaleResidual(0.5); // 6 J left -> 3 J left
-    EXPECT_DOUBLE_EQ(b.remainingJ(), 3.0);
-    EXPECT_FALSE(b.charge(3.1));
-    EXPECT_TRUE(b.charge(3.0));
+    // The battery a power trace drains and the outage timing belong to
+    // the lifetime (PowerEnv), not to the fault plan.
+    for (const char *token : {"cap_j=4e-06", "stored_j=2e-06",
+                              "trace=brownout", "policy=drain-oldest"}) {
+        EXPECT_EXIT(FaultPlan::parse(token), ::testing::ExitedWithCode(1),
+                    "unknown fault-plan key")
+            << token;
+    }
 }
 
 TEST(FaultInjector, TerminalMediaFailureTearsTheBlock)
@@ -262,20 +249,23 @@ TEST(System, UndersizedBatterySacrificesAnOldestFirstSuffix)
 
 TEST(System, RecrashShrinksTheResidualBudgetDeterministically)
 {
-    CrashReport reports[2];
-    std::uint64_t prints[2];
-    for (int run = 0; run < 2; ++run) {
+    auto crashWithRecrash = [](double factor, std::uint64_t *print) {
         SystemConfig cfg = smallCfg();
         System sys(cfg);
         FaultPlan plan = undersizedBatteryPlan(cfg, 0.2);
         plan.recrash_after_blocks = 6;
-        plan.recrash_budget_factor = 0.25;
+        plan.recrash_budget_factor = factor;
         sys.setFaultPlan(plan);
         auto wl = makeWorkload("skiplist", smallParams());
         wl->install(sys);
-        reports[run] = sys.runAndCrashAt(nsToTicks(60000));
-        prints[run] = sys.image().fingerprint();
-    }
+        CrashReport rep = sys.runAndCrashAt(nsToTicks(60000));
+        *print = sys.image().fingerprint();
+        return rep;
+    };
+    CrashReport reports[2];
+    std::uint64_t prints[2];
+    for (int run = 0; run < 2; ++run)
+        reports[run] = crashWithRecrash(0.25, &prints[run]);
     EXPECT_EQ(reports[0].recrashes, 1u);
     EXPECT_TRUE(reports[0].drain_prefix_ok);
     // Double crash is exactly repeatable: same report, same image.
@@ -285,6 +275,18 @@ TEST(System, RecrashShrinksTheResidualBudgetDeterministically)
     EXPECT_EQ(reports[0].bbpb_blocks, reports[1].bbpb_blocks);
     EXPECT_DOUBLE_EQ(reports[0].battery_spent_j,
                      reports[1].battery_spent_j);
+
+    // A zero factor leaves no residual: the drain stops at exactly the
+    // re-crash point, keeping the items it already drained and their
+    // energy, and the battery reads as exhausted.
+    std::uint64_t print = 0;
+    CrashReport zero = crashWithRecrash(0.0, &print);
+    EXPECT_EQ(zero.recrashes, 1u);
+    EXPECT_TRUE(zero.battery_exhausted);
+    EXPECT_TRUE(zero.drain_prefix_ok);
+    EXPECT_EQ(zero.wpq_blocks + zero.bbpb_blocks + zero.sb_entries, 6u);
+    EXPECT_GT(zero.sacrificed_blocks, 0u);
+    EXPECT_GT(zero.battery_spent_j, 0.0);
 }
 
 TEST(System, SampledInvariantCheckingRunsCleanAcrossModes)

@@ -194,6 +194,35 @@ TEST(PowerScheduler, WarningHookSpendIsDebited)
 
 // --- Power-trace lifetime campaigns ---------------------------------
 
+TEST(PowerCampaign, EveryPlanRunsUnderEveryPowerEnvironment)
+{
+    LifetimeSpec spec = powerSpec();
+    spec.modes = {PersistMode::BbbMemSide};
+    spec.traces = {"brownout:cycles=2"};
+    EXPECT_EQ(spec.planFamily().size(), 1u); // just "none" by default
+    spec.plans = {{"none", FaultPlan{}},
+                  {"flaky-media", FaultPlan::parse("flaky-media")}};
+    std::vector<LifetimeSample> samples = planLifetimeCampaign(spec);
+    // 2 caps x 2 policies x 2 plans, one lifetime each.
+    ASSERT_EQ(samples.size(), 8u);
+    EXPECT_EQ(samples[0].plan_name, "brownout:cycles=2+2e-06J+none");
+    EXPECT_EQ(samples[1].plan_name,
+              "brownout:cycles=2+2e-06J+none+flaky-media");
+    EXPECT_EQ(samples[7].power_env.capacity_j, 50e-6);
+    EXPECT_EQ(samples[7].power_env.policy, DegradePolicy::DrainOldest);
+    for (const LifetimeSample &s : samples) {
+        EXPECT_EQ(s.power_env.trace, "brownout:cycles=2");
+        // The plan token is the cell's own plan, power fields apart.
+        std::string line = s.reproLine();
+        EXPECT_NE(line.find(" --fault-plan " + s.plan.toString()),
+                  std::string::npos)
+            << line;
+        EXPECT_NE(line.find(" --trace brownout:cycles=2 --battery-j "),
+                  std::string::npos)
+            << line;
+    }
+}
+
 TEST(PowerCampaign, UndersizedBatteriesDegradeButNeverViolate)
 {
     LifetimeSpec spec = powerSpec();
@@ -208,10 +237,10 @@ TEST(PowerCampaign, UndersizedBatteriesDegradeButNeverViolate)
         EXPECT_TRUE(r.powered);
         EXPECT_NE(r.outcome, LifetimeOutcome::OracleViolation)
             << r.reproLine();
-        if (r.plan.battery_cap_j <= 2e-6 &&
+        if (r.power_env.capacity_j <= 2e-6 &&
             r.outcome == LifetimeOutcome::DegradedRepaired)
             any_degraded = true;
-        if (r.plan.battery_cap_j >= 50e-6 &&
+        if (r.power_env.capacity_j >= 50e-6 &&
             r.outcome == LifetimeOutcome::Clean)
             any_clean = true;
         for (const LifetimeRound &rr : r.round_log) {
@@ -247,7 +276,7 @@ TEST(PowerCampaign, DrainOldestPolicyDrainsBeforeTheOutage)
     for (const LifetimeResult &r : summary.results) {
         for (const LifetimeRound &rr : r.round_log) {
             saw_warning = saw_warning || rr.had_warning;
-            if (r.plan.policy == DegradePolicy::DrainOldest)
+            if (r.power_env.policy == DegradePolicy::DrainOldest)
                 drained += rr.proactive_blocks;
         }
     }
@@ -303,6 +332,7 @@ TEST(PowerCampaign, ReplayFromTheReproPlanIsExact)
     sample.workload = orig.workload;
     sample.params = spec.params;
     sample.plan = orig.plan;
+    sample.power_env = orig.power_env;
     sample.seed = orig.seed;
     sample.rounds = orig.rounds;
     LifetimeResult replay = runLifetimeSample(sample);

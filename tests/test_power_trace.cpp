@@ -86,7 +86,7 @@ TEST(PowerTrace, InlineSegmentsAndGaps)
 TEST(PowerTrace, RejectsEmptyAndCommaTokens)
 {
     EXPECT_NE(rejects("").find("empty trace token"), std::string::npos);
-    // The token rides inside FaultPlan's comma-separated form.
+    // The token must survive comma-separated `--traces` lists.
     EXPECT_NE(rejects("seg:0-10@1,20-30@0").find("','"),
               std::string::npos);
     EXPECT_NE(rejects("seg:").find("empty trace"), std::string::npos);
