@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator substrate: event
- * queue throughput, cache-array lookups, bbPB allocate/coalesce/drain,
- * backing-store access, and end-to-end simulated ops per host second.
+ * queue throughput, fiber switches, cache-array lookups, bbPB
+ * allocate/coalesce/drain, backing-store access, and end-to-end
+ * simulated ops per host second.
  * These guard the simulator's host-side performance (a slow simulator
  * caps the experiment sizes every other bench can afford).
  */
@@ -21,6 +22,7 @@
 #include "core/bbpb.hh"
 #include "mem/backing_store.hh"
 #include "sim/event_queue.hh"
+#include "sim/fiber.hh"
 #include "sim/rng.hh"
 
 using namespace bbb;
@@ -42,6 +44,23 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+void
+BM_FiberSwitch(benchmark::State &state)
+{
+    // One resume + yield round trip per iteration.
+    bool stop = false;
+    Fiber fiber([&stop]() {
+        while (!stop)
+            Fiber::yield();
+    });
+    for (auto _ : state)
+        fiber.resume();
+    stop = true;
+    fiber.resume(); // let the body return
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FiberSwitch);
 
 void
 BM_BackingStoreBlockWrite(benchmark::State &state)
@@ -129,6 +148,36 @@ BM_EndToEndSimulatedStores(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_EndToEndSimulatedStores)->Unit(benchmark::kMillisecond);
+
+void
+BM_CoreL1HitLoads(benchmark::State &state)
+{
+    // Host cost of one simulated L1-hit load on a lone core: with nothing
+    // else queued, every resume fires in place (no queueing, no switch).
+    constexpr unsigned kLoads = 16384;
+    for (auto _ : state) {
+        state.PauseTiming();
+        SystemConfig cfg;
+        cfg.num_cores = 1;
+        cfg.l1d.size_bytes = 8_KiB;
+        cfg.llc.size_bytes = 64_KiB;
+        cfg.dram.size_bytes = 64_MiB;
+        cfg.nvmm.size_bytes = 64_MiB;
+        System sys(cfg);
+        Addr base = sys.heap().alloc(0, 32 * kBlockSize, 64);
+        state.ResumeTiming();
+
+        std::uint64_t sum = 0;
+        sys.onThread(0, [&](ThreadContext &tc) {
+            for (unsigned i = 0; i < kLoads; ++i)
+                sum += tc.load64(base + (i % 32) * kBlockSize);
+        });
+        sys.run();
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(state.iterations() * kLoads);
+}
+BENCHMARK(BM_CoreL1HitLoads)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

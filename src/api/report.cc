@@ -28,6 +28,12 @@ BenchReport::setConfig(const std::string &key, const std::string &value)
 }
 
 void
+BenchReport::setConfig(const std::string &key, const char *value)
+{
+    _config[key] = value;
+}
+
+void
 BenchReport::setConfig(const std::string &key, std::uint64_t value)
 {
     _config[key] = jsonNumber(value);

@@ -60,6 +60,8 @@ class BenchReport
     /** --- config: the knobs this run was shaped by ------------------- */
 
     void setConfig(const std::string &key, const std::string &value);
+    /** Without this overload a string literal would bind to bool. */
+    void setConfig(const std::string &key, const char *value);
     void setConfig(const std::string &key, std::uint64_t value);
     void setConfig(const std::string &key, bool value);
 

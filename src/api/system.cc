@@ -83,6 +83,8 @@ System::System(const SystemConfig &cfg)
     sim.addCounter("ops", &_sim.ops, "memory operations simulated");
     sim.addCounter("events_fired", &_sim.events_fired,
                    "events executed by the event queue");
+    sim.addCounter("events_inlined", &_sim.events_inlined,
+                   "events_fired that fired in place without queueing");
 
     // Stamp the heap magic in media so recovery can sanity-check it.
     _store.write64(_heap->magicAddr(), PersistentHeap::kMagic);
@@ -120,6 +122,7 @@ System::snapshotMetrics(bool histogram_buckets) const
     // walk vary across hosts.
     _sim.ops.set(_hier->memOps());
     _sim.events_fired.set(_eq.executed());
+    _sim.events_inlined.set(_eq.inlined());
 
     MetricSnapshot m = _stats.snapshot(histogram_buckets);
 
@@ -236,12 +239,8 @@ System::run(Tick max_tick)
         scheduleInvariantCheck();
     }
 
-    // Run until every thread finishes, then let trailing buffer drains
-    // settle so write counts are complete.
-    while (!allThreadsFinished() && _eq.now() <= max_tick) {
-        if (!_eq.step())
-            break;
-    }
+    // Run until every thread finishes and trailing buffer drains settle,
+    // so write counts are complete.
     _eq.run(max_tick);
     _host_seconds += hostNow() - t0;
 

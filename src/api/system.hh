@@ -223,8 +223,9 @@ class System
     /** Registry-registered simulator-rate telemetry (the `sim` group). */
     struct SimStats
     {
-        StatCounter ops;          ///< memory operations simulated
-        StatCounter events_fired; ///< events executed by the queue
+        StatCounter ops;            ///< memory operations simulated
+        StatCounter events_fired;   ///< events executed by the queue
+        StatCounter events_inlined; ///< events_fired that fired in place
     };
 
     SystemConfig _cfg;

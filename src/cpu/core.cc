@@ -156,7 +156,13 @@ Core::issueFromFiber(const MemOp &op)
     ++_ops;
     if (_op_observer)
         _op_observer(op);
-    Fiber::yield();
+    // Execute the op on the fiber: nothing else runs between issue and
+    // execution, so this is the schedule of executing it after a yield.
+    // Suspend only if the op must wait or its resume event is not
+    // provably the next event. Gated cores park first: the runner
+    // decides when the op executes.
+    if (_gate || !executePending(true))
+        Fiber::yield();
     return _result;
 }
 
@@ -174,12 +180,10 @@ Core::resumeFiber()
         return;
     }
 
-    BBB_ASSERT(_op_in_flight, "fiber yielded without an op");
     if (_gate) {
+        BBB_ASSERT(_op_in_flight, "fiber yielded without an op");
         _gate->onParked(_id);
-        return;
     }
-    executePending();
 }
 
 void
@@ -187,7 +191,7 @@ Core::releasePending()
 {
     BBB_ASSERT(_gate, "releasePending without a gate");
     BBB_ASSERT(_op_in_flight, "releasePending with nothing parked");
-    executePending();
+    executePending(false);
 }
 
 void
@@ -197,21 +201,27 @@ Core::onSbChange()
         return;
     _waiting_on_sb = false;
     _stall_ticks += _eq.now() - _wait_start;
-    executePending();
+    executePending(false);
 }
 
-void
-Core::executePending()
+bool
+Core::executePending(bool in_fiber)
 {
     if (_halted)
-        return;
+        return false;
     BBB_ASSERT(_op_in_flight, "nothing pending");
 
-    auto complete = [this](Tick lat, std::uint64_t result) {
+    // The resume event fires in place only on the core's own fiber;
+    // every other caller (store-buffer wake-ups, gate releases) queues it.
+    auto complete = [this, in_fiber](Tick lat, std::uint64_t result) {
         _result = result;
         _op_in_flight = false;
-        _eq.scheduleIn(lat, [this]() { resumeFiber(); },
-                       EventPriority::CoreOp);
+        Tick when = _eq.now() + lat;
+        if (in_fiber && _eq.tryFireInline(when, EventPriority::CoreOp))
+            return true;
+        _eq.schedule(when, [this]() { resumeFiber(); },
+                     EventPriority::CoreOp);
+        return false;
     };
     auto waitOnSb = [this]() {
         _waiting_on_sb = true;
@@ -224,40 +234,36 @@ Core::executePending()
       case OpKind::Load: {
         ++_loads;
         std::uint64_t fwd;
-        if (_sb.forward(_pending.addr, _pending.size, fwd)) {
-            complete(cycle, fwd);
-            return;
-        }
+        if (_sb.forward(_pending.addr, _pending.size, fwd))
+            return complete(cycle, fwd);
         if (_sb.hasBlock(blockAlign(_pending.addr))) {
             // Partial overlap with a buffered store: wait for it to
             // retire rather than merging bytes.
             waitOnSb();
-            return;
+            return false;
         }
         std::uint64_t value = 0;
         AccessResult res =
             _hier.load(_id, _pending.addr, _pending.size, &value);
-        complete(res.latency, value);
-        return;
+        return complete(res.latency, value);
       }
 
       case OpKind::Store: {
         if (_sb.full()) {
             ++_sb_full_stalls;
             waitOnSb();
-            return;
+            return false;
         }
         ++_stores;
         bool persisting = _hier.addrMap().isPersistent(_pending.addr);
         _sb.push(_pending.addr, _pending.size, _pending.data, persisting);
-        complete(cycle, 0);
-        return;
+        return complete(cycle, 0);
       }
 
       case OpKind::Flush: {
         if (_sb.hasBlock(blockAlign(_pending.addr))) {
             waitOnSb();
-            return;
+            return false;
         }
         ++_flushes;
         // clwb-style flushes are asynchronous: the instruction retires
@@ -279,27 +285,25 @@ Core::executePending()
                            onSbChange(); // re-evaluate a waiting fence
                        },
                        EventPriority::MemResponse);
-        complete(cycle, 0);
-        return;
+        return complete(cycle, 0);
       }
 
       case OpKind::Fence: {
         if (!_sb.empty() || _flushes_outstanding > 0) {
             waitOnSb();
-            return;
+            return false;
         }
         ++_fences;
-        complete(cycle, 0);
-        return;
+        return complete(cycle, 0);
       }
 
       case OpKind::Advance:
-        complete(_pending.cycles * cycle, 0);
-        return;
+        return complete(_pending.cycles * cycle, 0);
 
       case OpKind::None:
         panic("core %u executing OpKind::None", _id);
     }
+    return false;
 }
 
 } // namespace bbb

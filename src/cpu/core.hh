@@ -4,8 +4,10 @@
  *
  * Each core executes one software thread, written as ordinary C++ running
  * on a fiber. The thread issues memory operations through its
- * ThreadContext; the core charges simulated latency for each operation by
- * suspending the fiber and resuming it when the operation completes.
+ * ThreadContext; the core executes each operation on the fiber and
+ * charges its simulated latency with a resume event. When that event is
+ * provably the next one the queue would run, it fires in place and the
+ * fiber carries on; otherwise the fiber suspends until the event fires.
  *
  * The model is a one-memory-op-at-a-time in-order core with a store buffer
  * (stores retire asynchronously, loads block). This reproduces the bbPB
@@ -160,8 +162,14 @@ class Core
     /** Resume the fiber (runs in simulator context). */
     void resumeFiber();
 
-    /** Try to start/complete the pending op; may set a wait state. */
-    void executePending();
+    /**
+     * Try to start/complete the pending op; may set a wait state.
+     * @param in_fiber true when called on this core's own fiber, which
+     *        may then fire the op's resume event in place.
+     * @return true if the resume fired in place (the fiber continues
+     *         without yielding).
+     */
+    bool executePending(bool in_fiber);
 
     /** Store-buffer change notification: re-evaluate waits. */
     void onSbChange();

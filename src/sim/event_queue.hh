@@ -6,10 +6,18 @@
  * Events at the same (tick, priority) fire in scheduling (FIFO) order so a
  * run is fully reproducible for a given configuration and seed.
  *
- * The queue is an explicit binary heap over move-only SmallFn entries:
+ * The queue is an explicit binary heap of 24-byte trivially copyable keys
+ * (tick, id, priority, slot); each key names a slot in a side vector that
+ * holds the event's move-only SmallFn callback, with freed slots recycled
+ * through a free list. Sifts therefore move keys, never callbacks, and
  * scheduling never heap-allocates for the capture sizes the simulator
- * uses, and cancellation is lazy with in-entry flags that are compacted
- * away once they outnumber half the live entries.
+ * uses once reserve() has sized the storage. Cancellation is lazy: a
+ * cancelled key is marked and skipped, and cancelled keys are compacted
+ * away once they outnumber half the heap.
+ *
+ * tryFireInline() is the kernel's fast path: a caller inside run() whose
+ * next event would provably be popped next anyway fires it in place and
+ * carries on, with the same clock, ids and executed() as the slow path.
  */
 
 #ifndef BBB_SIM_EVENT_QUEUE_HH
@@ -17,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -68,8 +77,8 @@ class EventQueue
         BBB_ASSERT(when >= _now, "scheduling into the past (%llu < %llu)",
                    (unsigned long long)when, (unsigned long long)_now);
         EventId id = _nextId++;
-        _heap.push_back(
-            Entry{when, static_cast<int>(prio), id, std::move(cb), false});
+        _heap.push_back(Key{when, id, static_cast<std::uint32_t>(prio),
+                            parkCallback(std::move(cb))});
         siftUp(_heap.size() - 1);
         return id;
     }
@@ -83,24 +92,51 @@ class EventQueue
     }
 
     /**
+     * Fire an event at (@p when, @p prio) in place, without queueing it,
+     * when it is provably the next event run() would pop: the caller is
+     * inside run(), @p when is within run()'s limit, and everything
+     * queued sorts strictly after it (an earlier tick, or the same tick
+     * at lower-or-equal priority, goes first). On success the clock,
+     * the id sequence and executed() advance exactly as if the event had
+     * been scheduled and popped, and the caller runs its continuation
+     * directly. step() never fires in place.
+     */
+    bool
+    tryFireInline(Tick when, EventPriority prio)
+    {
+        if (!_inRun || when > _runLimit)
+            return false;
+        const Key next{when, _nextId, static_cast<std::uint32_t>(prio), 0};
+        if (!_heap.empty() && !before(next, _heap.front()))
+            return false;
+        BBB_ASSERT(when >= _now, "firing into the past");
+        _now = when;
+        ++_nextId;
+        ++_executed;
+        ++_inlined;
+        return true;
+    }
+
+    /**
      * Cancel a previously scheduled event. Safe if already fired.
      *
-     * Cancellation is lazy: the entry stays heap-ordered (its callback is
-     * released immediately) and is skipped when popped. Once cancelled
-     * entries outnumber half the heap they are compacted away, so a
-     * deschedule-heavy caller cannot grow the heap without bound. The
+     * Cancellation is lazy: the key stays heap-ordered (its callback and
+     * slot are released immediately) and is skipped when popped. Once
+     * cancelled keys outnumber half the heap they are compacted away, so
+     * a deschedule-heavy caller cannot grow the heap without bound. The
      * linear id scan is fine: the simulator core never deschedules on the
      * hot path.
      */
     void
     deschedule(EventId id)
     {
-        for (Entry &e : _heap) {
-            if (e.id != id)
+        for (Key &k : _heap) {
+            if (k.id != id)
                 continue;
-            if (!e.cancelled) {
-                e.cancelled = true;
-                e.cb.reset();
+            if (k.slot != kCancelled) {
+                _slots[k.slot].reset();
+                _free.push_back(k.slot);
+                k.slot = kCancelled;
                 ++_cancelled;
                 if (_cancelled * 2 > _heap.size())
                     purgeCancelled();
@@ -117,24 +153,20 @@ class EventQueue
 
     /**
      * Run events until the queue is empty or @p maxTick is passed.
+     * Events may fire in place (tryFireInline) while it runs.
      * @return the tick of the last event executed.
      */
     Tick
     run(Tick maxTick = kMaxTick)
     {
-        while (!_heap.empty()) {
-            if (_heap.front().when > maxTick)
-                break;
-            Entry e = popTop();
-            if (e.cancelled) {
-                --_cancelled;
-                continue;
-            }
-            BBB_ASSERT(e.when >= _now, "event queue went backwards");
-            _now = e.when;
-            ++_executed;
-            e.cb();
-        }
+        const bool outerInRun = _inRun;
+        const Tick outerLimit = _runLimit;
+        _inRun = true;
+        _runLimit = maxTick;
+        while (!_heap.empty() && _heap.front().when <= maxTick)
+            fireTop();
+        _inRun = outerInRun;
+        _runLimit = outerLimit;
         return _now;
     }
 
@@ -142,45 +174,52 @@ class EventQueue
     bool
     step()
     {
-        while (!_heap.empty()) {
-            Entry e = popTop();
-            if (e.cancelled) {
-                --_cancelled;
-                continue;
-            }
-            BBB_ASSERT(e.when >= _now, "event queue went backwards");
-            _now = e.when;
-            ++_executed;
-            e.cb();
-            return true;
-        }
-        return false;
+        const bool outerInRun = _inRun;
+        _inRun = false;
+        bool fired = false;
+        while (!fired && !_heap.empty())
+            fired = fireTop();
+        _inRun = outerInRun;
+        return fired;
     }
 
-    /** Total events executed so far. */
+    /** Total events executed so far, in place or popped. */
     std::uint64_t executed() const { return _executed; }
 
-    /** Pre-size the heap storage for @p n simultaneous events so the
-     *  vector never reallocates mid-run (see
+    /** Events among executed() that fired in place (tryFireInline). */
+    std::uint64_t inlined() const { return _inlined; }
+
+    /** Pre-size the heap and callback slots for @p n simultaneous
+     *  events so neither reallocates mid-run (see
      *  SystemConfig::eventCapacityHint). */
-    void reserve(std::size_t n) { _heap.reserve(n); }
+    void
+    reserve(std::size_t n)
+    {
+        _heap.reserve(n);
+        _slots.reserve(n);
+        _free.reserve(n);
+    }
 
     /** Heap storage currently reserved (test hook). */
     std::size_t heapCapacity() const { return _heap.capacity(); }
 
   private:
-    struct Entry
+    /** Heap key: trivially copyable, so sifts never touch a callback. */
+    struct Key
     {
         Tick when;
-        int prio;
         EventId id;
-        Callback cb;
-        bool cancelled;
+        std::uint32_t prio;
+        std::uint32_t slot; ///< index into _slots, or kCancelled
     };
+
+    static_assert(std::is_trivially_copyable_v<Key> && sizeof(Key) == 24);
+
+    static constexpr std::uint32_t kCancelled = ~std::uint32_t{0};
 
     /** True if @p a fires before @p b (min-heap order). */
     static bool
-    before(const Entry &a, const Entry &b)
+    before(const Key &a, const Key &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
@@ -189,61 +228,94 @@ class EventQueue
         return a.id < b.id;
     }
 
+    /** Store @p cb in a free slot and return its index. */
+    std::uint32_t
+    parkCallback(Callback cb)
+    {
+        if (!_free.empty()) {
+            std::uint32_t slot = _free.back();
+            _free.pop_back();
+            _slots[slot] = std::move(cb);
+            return slot;
+        }
+        _slots.push_back(std::move(cb));
+        return static_cast<std::uint32_t>(_slots.size() - 1);
+    }
+
+    /**
+     * Pop the top key and run its event; false if it was cancelled. The
+     * callback leaves its slot before it runs, so events it schedules may
+     * reuse the slot (or grow the slot vector) safely.
+     */
+    bool
+    fireTop()
+    {
+        Key k = popTop();
+        if (k.slot == kCancelled) {
+            --_cancelled;
+            return false;
+        }
+        Callback cb = std::move(_slots[k.slot]);
+        _free.push_back(k.slot);
+        BBB_ASSERT(k.when >= _now, "event queue went backwards");
+        _now = k.when;
+        ++_executed;
+        cb();
+        return true;
+    }
+
     void
     siftUp(std::size_t i)
     {
-        Entry e = std::move(_heap[i]);
+        Key k = _heap[i];
         while (i > 0) {
             std::size_t parent = (i - 1) / 2;
-            if (!before(e, _heap[parent]))
+            if (!before(k, _heap[parent]))
                 break;
-            _heap[i] = std::move(_heap[parent]);
+            _heap[i] = _heap[parent];
             i = parent;
         }
-        _heap[i] = std::move(e);
+        _heap[i] = k;
     }
 
     void
     siftDown(std::size_t i)
     {
         const std::size_t n = _heap.size();
-        Entry e = std::move(_heap[i]);
+        Key k = _heap[i];
         for (;;) {
             std::size_t kid = 2 * i + 1;
             if (kid >= n)
                 break;
             if (kid + 1 < n && before(_heap[kid + 1], _heap[kid]))
                 ++kid;
-            if (!before(_heap[kid], e))
+            if (!before(_heap[kid], k))
                 break;
-            _heap[i] = std::move(_heap[kid]);
+            _heap[i] = _heap[kid];
             i = kid;
         }
-        _heap[i] = std::move(e);
+        _heap[i] = k;
     }
 
-    Entry
+    Key
     popTop()
     {
-        Entry top = std::move(_heap.front());
-        if (_heap.size() > 1) {
-            _heap.front() = std::move(_heap.back());
-            _heap.pop_back();
+        Key top = _heap.front();
+        _heap.front() = _heap.back();
+        _heap.pop_back();
+        if (!_heap.empty())
             siftDown(0);
-        } else {
-            _heap.pop_back();
-        }
         return top;
     }
 
-    /** Drop every cancelled entry and restore the heap invariant. Ids are
+    /** Drop every cancelled key and restore the heap invariant. Ids are
      *  kept, so FIFO same-(tick, priority) ordering is unaffected. */
     void
     purgeCancelled()
     {
         _heap.erase(std::remove_if(_heap.begin(), _heap.end(),
-                                   [](const Entry &e) {
-                                       return e.cancelled;
+                                   [](const Key &k) {
+                                       return k.slot == kCancelled;
                                    }),
                     _heap.end());
         _cancelled = 0;
@@ -251,11 +323,20 @@ class EventQueue
             siftDown(i);
     }
 
-    std::vector<Entry> _heap;
+    std::vector<Key> _heap;
+    /** Callbacks of queued events, indexed by Key::slot. */
+    std::vector<Callback> _slots;
+    /** Slots free for reuse. */
+    std::vector<std::uint32_t> _free;
     Tick _now = 0;
     EventId _nextId = 0;
     std::size_t _cancelled = 0;
     std::uint64_t _executed = 0;
+    std::uint64_t _inlined = 0;
+    /** Set while run() drives the queue: in-place firing is allowed up
+     *  to _runLimit. */
+    bool _inRun = false;
+    Tick _runLimit = 0;
 };
 
 } // namespace bbb

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event queue: temporal ordering, priority
- * buckets, FIFO tie-breaking, cancellation, and bounded runs.
+ * buckets, FIFO tie-breaking, cancellation, bounded runs, callback slot
+ * reuse, and the in-place firing fast path (tryFireInline).
  */
 
 #include <gtest/gtest.h>
@@ -225,6 +226,168 @@ TEST(EventQueue, LargeCaptureCallbacksWork)
     });
     eq.run();
     EXPECT_EQ(sum, 36u);
+}
+
+TEST(EventQueue, FifoSurvivesSlotReuseAndDeschedule)
+{
+    // Cancelled and fired events free their callback slots for reuse;
+    // events parked in recycled slots must still run after every
+    // earlier-scheduled event at the same (tick, priority).
+    EventQueue eq;
+    std::vector<int> order;
+    auto record = [&order](int i) {
+        return [&order, i]() { order.push_back(i); };
+    };
+    std::vector<EventId> ids;
+    for (int i = 0; i < 8; ++i)
+        ids.push_back(eq.schedule(10, record(i)));
+    eq.deschedule(ids[1]);
+    eq.deschedule(ids[3]);
+    for (int i = 8; i < 12; ++i)
+        eq.schedule(10, record(i));
+    eq.schedule(5, [&]() {
+        for (int i = 12; i < 14; ++i)
+            eq.schedule(10, record(i));
+    });
+    eq.run();
+    EXPECT_EQ(order,
+              (std::vector<int>{0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}));
+}
+
+TEST(EventQueue, CallbackMayScheduleBeyondReservedSlots)
+{
+    // A running callback that grows the slot storage must not be moved
+    // out from under itself: its captures stay valid after scheduling.
+    EventQueue eq;
+    eq.reserve(4);
+    std::vector<int> seen;
+    int tag = 41;
+    std::uint64_t fired = 0;
+    eq.schedule(1, [&eq, &seen, &fired, tag]() {
+        for (int i = 0; i < 256; ++i)
+            eq.scheduleIn(1, [&fired]() { ++fired; });
+        seen.push_back(tag + 1);
+    });
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<int>{42}));
+    EXPECT_EQ(fired, 256u);
+}
+
+// ---------------------------------------------------------------------
+// In-place firing (EventQueue::tryFireInline)
+// ---------------------------------------------------------------------
+
+TEST(EventQueueInline, RefusesBehindEarlierOrEqualPriorityEvents)
+{
+    EventQueue eq;
+    eq.schedule(10, []() {}, EventPriority::CoreOp);
+    bool earlier_tick = true, same_prio = true, lower_prio = true;
+    eq.schedule(5, [&]() {
+        earlier_tick = eq.tryFireInline(11, EventPriority::DrainComplete);
+        same_prio = eq.tryFireInline(10, EventPriority::CoreOp);
+        lower_prio = eq.tryFireInline(10, EventPriority::Default);
+    });
+    eq.run();
+    EXPECT_FALSE(earlier_tick);
+    EXPECT_FALSE(same_prio);
+    EXPECT_FALSE(lower_prio);
+    EXPECT_EQ(eq.inlined(), 0u);
+    EXPECT_EQ(eq.executed(), 2u);
+}
+
+TEST(EventQueueInline, FiresAheadOfLaterOrLowerPriorityEvents)
+{
+    EventQueue eq;
+    eq.schedule(10, []() {}, EventPriority::CoreOp);
+    bool higher_prio = false, earlier = false;
+    Tick at_higher = 0, at_earlier = 0;
+    eq.schedule(5, [&]() {
+        earlier = eq.tryFireInline(9, EventPriority::Stats);
+        at_earlier = eq.now();
+        higher_prio = eq.tryFireInline(10, EventPriority::MemResponse);
+        at_higher = eq.now();
+    });
+    eq.run();
+    EXPECT_TRUE(earlier);
+    EXPECT_EQ(at_earlier, 9u);
+    EXPECT_TRUE(higher_prio);
+    EXPECT_EQ(at_higher, 10u);
+    EXPECT_EQ(eq.inlined(), 2u);
+    EXPECT_EQ(eq.executed(), 4u);
+}
+
+TEST(EventQueueInline, RefusesPastRunLimit)
+{
+    EventQueue eq;
+    bool past = true, at_limit = false;
+    eq.schedule(10, [&]() {
+        past = eq.tryFireInline(21, EventPriority::CoreOp);
+        at_limit = eq.tryFireInline(20, EventPriority::CoreOp);
+    });
+    eq.run(20);
+    EXPECT_FALSE(past);
+    EXPECT_TRUE(at_limit);
+    EXPECT_EQ(eq.now(), 20u);
+}
+
+TEST(EventQueueInline, RefusesOutsideRunAndUnderStep)
+{
+    EventQueue eq;
+    EXPECT_FALSE(eq.tryFireInline(0, EventPriority::CoreOp));
+    bool under_step = true, nested_run = false;
+    eq.schedule(1, [&]() {
+        under_step = eq.tryFireInline(2, EventPriority::CoreOp);
+    });
+    EXPECT_TRUE(eq.step());
+    EXPECT_FALSE(under_step);
+
+    // step() inside a run()-driven event still never fires in place,
+    // and run() is allowed again once step() returns.
+    eq.schedule(3, [&]() {
+        eq.schedule(4, [&]() {
+            under_step = eq.tryFireInline(5, EventPriority::CoreOp);
+        });
+        EXPECT_TRUE(eq.step());
+        nested_run = eq.tryFireInline(6, EventPriority::CoreOp);
+    });
+    under_step = true;
+    eq.run();
+    EXPECT_FALSE(under_step);
+    EXPECT_TRUE(nested_run);
+    EXPECT_EQ(eq.inlined(), 1u);
+}
+
+TEST(EventQueueInline, AdvancesClockIdsAndExecutedLikeAPoppedEvent)
+{
+    // The same continuation, once queued and once fired in place, must
+    // leave identical clocks, id sequences and executed() counts.
+    EventQueue queued, inlined;
+    EventId after_queued = 0, after_inline = 0;
+    Tick at_queued = 0, at_inline = 0;
+    queued.schedule(5, [&]() {
+        queued.schedule(
+            8,
+            [&]() {
+                at_queued = queued.now();
+                after_queued = queued.schedule(9, []() {});
+            },
+            EventPriority::CoreOp);
+    });
+    inlined.schedule(5, [&]() {
+        ASSERT_TRUE(inlined.tryFireInline(8, EventPriority::CoreOp));
+        at_inline = inlined.now();
+        after_inline = inlined.schedule(9, []() {});
+    });
+    queued.run();
+    inlined.run();
+    EXPECT_EQ(at_queued, 8u);
+    EXPECT_EQ(at_inline, 8u);
+    EXPECT_EQ(after_queued, after_inline);
+    EXPECT_EQ(queued.executed(), 3u);
+    EXPECT_EQ(inlined.executed(), 3u);
+    EXPECT_EQ(queued.now(), inlined.now());
+    EXPECT_EQ(queued.inlined(), 0u);
+    EXPECT_EQ(inlined.inlined(), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -157,9 +157,10 @@ TEST(LifetimeCampaign, ThreeRoundsZeroViolationsAcrossSafeModes)
         for (const LifetimeRound &rr : r.round_log) {
             EXPECT_NE(rr.recovery, RecoveryStatus::Unrecoverable)
                 << r.reproLine();
-            if (rr.damaged_blocks > 0)
+            if (rr.damaged_blocks > 0) {
                 EXPECT_EQ(rr.recovery, RecoveryStatus::DegradedRepaired)
                     << r.reproLine();
+            }
         }
     }
 }

@@ -208,6 +208,23 @@ TEST(BenchReport, DocumentSectionsInFixedOrder)
     EXPECT_EQ(doc.back(), '\n');
 }
 
+TEST(BenchReport, StringLiteralConfigPrintsAsText)
+{
+    // A string literal must not decay to the bool overload and print as
+    // "true" (campaign reports once wrote "media": "true").
+    CanonicalGuard guard(false);
+    BenchReport rep("literal");
+    rep.setConfig("media", "direct");
+    rep.setConfig("harness", "google-benchmark");
+    rep.setConfig("fast", true);
+    std::string doc = rep.toJson();
+    EXPECT_NE(doc.find("\"media\": \"direct\""), std::string::npos);
+    EXPECT_NE(doc.find("\"harness\": \"google-benchmark\""),
+              std::string::npos);
+    EXPECT_NE(doc.find("\"fast\": \"true\""), std::string::npos);
+    EXPECT_EQ(doc.find("\"media\": \"true\""), std::string::npos);
+}
+
 TEST(BenchReport, GoldenBytes)
 {
     CanonicalGuard guard(false);
