@@ -47,17 +47,11 @@ thresholdEntries(const BbpbConfig &cfg)
 
 MemSideBbpb::MemSideBbpb(const SystemConfig &cfg, EventQueue &eq,
                          MemCtrl &nvmm, StatRegistry &stats)
-    : _cfg(cfg), _eq(eq), _nvmm(nvmm), _bufs(cfg.num_cores),
+    : _cfg(cfg), _eq(eq), _nvmm(nvmm),
+      _bufs(cfg.num_cores, CoreBuffer(cfg.bbpb.entries)),
       _index(static_cast<std::size_t>(cfg.num_cores) * cfg.bbpb.entries),
       _threshold(thresholdEntries(cfg.bbpb)), _drain_rng(cfg.seed ^ 0xd7a1)
 {
-    for (CoreBuffer &buf : _bufs) {
-        buf.slots.resize(_cfg.bbpb.entries);
-        // Chain every slot onto the free list, lowest index first.
-        for (std::uint32_t s = 0; s < _cfg.bbpb.entries; ++s)
-            buf.slots[s].next = s + 1 < _cfg.bbpb.entries ? s + 1 : kNil;
-        buf.free_head = 0;
-    }
     _stats.registerWith(stats.group("bbpb"));
 }
 
@@ -78,21 +72,9 @@ MemSideBbpb::buffer(CoreId c) const
 std::uint32_t
 MemSideBbpb::allocSlot(CoreId c, CoreBuffer &buf, Addr block)
 {
-    std::uint32_t s = buf.free_head;
-    BBB_ASSERT(s != kNil, "allocating from a full bbPB slab");
-    Slot &sl = buf.slots[s];
-    buf.free_head = sl.next;
-
-    sl.block = block;
-    sl.prev = buf.tail;
-    sl.next = kNil;
-    if (buf.tail != kNil)
-        buf.slots[buf.tail].next = s;
-    else
-        buf.head = s;
-    buf.tail = s;
-    ++buf.count;
-    _index.insert(block, c, s);
+    std::uint32_t s = buf.slots.pushBack();
+    buf.slots[s].block = block;
+    _index.insert(block, {c, s});
     return s;
 }
 
@@ -100,30 +82,20 @@ void
 MemSideBbpb::removeSlot(CoreId, CoreBuffer &buf, std::uint32_t s)
 {
     Slot &sl = buf.slots[s];
-    if (sl.prev != kNil)
-        buf.slots[sl.prev].next = sl.next;
-    else
-        buf.head = sl.next;
-    if (sl.next != kNil)
-        buf.slots[sl.next].prev = sl.prev;
-    else
-        buf.tail = sl.prev;
     _index.erase(sl.block);
     sl.block = kBadAddr;
-    sl.next = buf.free_head;
-    buf.free_head = s;
-    --buf.count;
+    buf.slots.remove(s);
 }
 
 bool
 MemSideBbpb::canAcceptPersist(CoreId c, Addr block)
 {
-    const OwnershipIndex::Ref *ref = _index.find(blockAlign(block));
+    const OwnershipRef *ref = _index.find(blockAlign(block));
     if (ref && ref->core == c)
         return true; // coalesce
     if (_low_power)
         return false; // refuse-dirty: no new blocks while charge is low
-    return buffer(c).count < _cfg.bbpb.entries;
+    return !buffer(c).slots.full();
 }
 
 void
@@ -133,9 +105,9 @@ MemSideBbpb::persistStore(CoreId c, Addr addr, unsigned size,
     (void)size;
     Addr block = blockAlign(addr);
     CoreBuffer &buf = buffer(c);
-    _stats.occupancy.sample(buf.count);
+    _stats.occupancy.sample(buf.slots.size());
 
-    OwnershipIndex::Ref *ref = _index.find(block);
+    OwnershipRef *ref = _index.find(block);
     if (ref) {
         // The entry is already in the persistence domain; coalescing is
         // unrestricted for the memory-side organisation. A hit on another
@@ -151,7 +123,7 @@ MemSideBbpb::persistStore(CoreId c, Addr addr, unsigned size,
         return;
     }
 
-    BBB_ASSERT(buf.count < _cfg.bbpb.entries,
+    BBB_ASSERT(!buf.slots.full(),
                "persistStore on full bbPB (missing canAcceptPersist?)");
     std::uint64_t seq = _next_seq++;
     Slot &sl = buf.slots[allocSlot(c, buf, block)];
@@ -167,7 +139,7 @@ void
 MemSideBbpb::onInvalidateForWrite(CoreId holder, Addr block)
 {
     block = blockAlign(block);
-    const OwnershipIndex::Ref *ref = _index.find(block);
+    const OwnershipRef *ref = _index.find(block);
     if (!ref || ref->core != holder)
         return;
     // Fig. 6(a)/(b): ownership migrates with the block; the writer's bbPB
@@ -180,7 +152,7 @@ void
 MemSideBbpb::onForcedDrain(Addr block, const BlockData &data)
 {
     block = blockAlign(block);
-    const OwnershipIndex::Ref *ref = _index.find(block);
+    const OwnershipRef *ref = _index.find(block);
     if (!ref)
         return; // no holder anywhere (Invariant 4: at most one)
     // Drain synchronously: the eviction cannot complete until the
@@ -210,14 +182,14 @@ bool
 MemSideBbpb::holds(CoreId c, Addr block) const
 {
     BBB_ASSERT(c < _bufs.size(), "bbPB holds() with bad core id %u", c);
-    const OwnershipIndex::Ref *ref = _index.find(blockAlign(block));
+    const OwnershipRef *ref = _index.find(blockAlign(block));
     return ref && ref->core == c;
 }
 
 CoreId
 MemSideBbpb::holder(Addr block) const
 {
-    const OwnershipIndex::Ref *ref = _index.find(blockAlign(block));
+    const OwnershipRef *ref = _index.find(blockAlign(block));
     return ref ? ref->core : kNoCore;
 }
 
@@ -227,9 +199,9 @@ MemSideBbpb::forEachHeld(
 {
     for (CoreId c = 0; c < static_cast<CoreId>(_bufs.size()); ++c) {
         // Walk the FCFS list: deterministic oldest-first order.
-        for (std::uint32_t s = _bufs[c].head; s != kNil;
-             s = _bufs[c].slots[s].next)
-            fn(c, _bufs[c].slots[s].block);
+        const Slab &slots = _bufs[c].slots;
+        for (std::uint32_t s = slots.head(); s != kNil; s = slots.next(s))
+            fn(c, slots[s].block);
     }
 }
 
@@ -243,14 +215,14 @@ MemSideBbpb::occupancy() const
 std::size_t
 MemSideBbpb::coreOccupancy(CoreId c) const
 {
-    return buffer(c).count;
+    return buffer(c).slots.size();
 }
 
 void
 MemSideBbpb::maybeStartDrain(CoreId c)
 {
     CoreBuffer &buf = _bufs[c];
-    if (buf.drain_active || buf.count < _threshold)
+    if (buf.drain_active || buf.slots.size() < _threshold)
         return;
     buf.drain_active = true;
     _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.drain_latency_cycles),
@@ -266,7 +238,7 @@ MemSideBbpb::drainStep(CoreId c)
 
     // Entries may have been removed (migration/forced drain) since the
     // step was scheduled; stop when below threshold.
-    if (buf.count < _threshold) {
+    if (buf.slots.size() < _threshold) {
         buf.drain_active = false;
         return;
     }
@@ -287,7 +259,7 @@ MemSideBbpb::drainStep(CoreId c)
     removeSlot(c, buf, s);
     ++_stats.drains;
 
-    if (buf.count >= _threshold) {
+    if (buf.slots.size() >= _threshold) {
         // Drains pipeline toward the controller: sustained rate is the
         // injection interval, not the end-to-end transfer latency.
         _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.drain_issue_cycles),
@@ -301,14 +273,15 @@ MemSideBbpb::drainStep(CoreId c)
 std::uint32_t
 MemSideBbpb::drainVictim(const CoreBuffer &buf)
 {
-    BBB_ASSERT(buf.count > 0, "drain victim from empty bbPB");
+    BBB_ASSERT(buf.slots.size() > 0, "drain victim from empty bbPB");
     switch (_cfg.bbpb.drain_policy) {
       case DrainPolicy::Fcfs:
-        return buf.head;
+        return buf.slots.head();
       case DrainPolicy::Lrw: {
         std::uint32_t best = kNil;
         std::uint64_t oldest_write = ~0ull;
-        for (std::uint32_t s = buf.head; s != kNil; s = buf.slots[s].next) {
+        for (std::uint32_t s = buf.slots.head(); s != kNil;
+             s = buf.slots.next(s)) {
             if (buf.slots[s].write_seq < oldest_write) {
                 oldest_write = buf.slots[s].write_seq;
                 best = s;
@@ -320,10 +293,10 @@ MemSideBbpb::drainVictim(const CoreBuffer &buf)
         // Victim index in deterministic FCFS order (the map-based
         // implementation sampled hash order, which was equally random
         // but an accident of the container).
-        std::uint64_t idx = _drain_rng.below(buf.count);
-        std::uint32_t s = buf.head;
+        std::uint64_t idx = _drain_rng.below(buf.slots.size());
+        std::uint32_t s = buf.slots.head();
         while (idx--)
-            s = buf.slots[s].next;
+            s = buf.slots.next(s);
         return s;
       }
     }
@@ -344,9 +317,10 @@ MemSideBbpb::forceDrainOldest(std::uint64_t max_blocks)
         CoreId best_c = kNoCore;
         std::uint64_t best_seq = ~0ull;
         for (CoreId c = 0; c < static_cast<CoreId>(_bufs.size()); ++c) {
-            if (_bufs[c].head == kNil)
+            const Slab &slots = _bufs[c].slots;
+            if (slots.head() == kNil)
                 continue;
-            const Slot &sl = _bufs[c].slots[_bufs[c].head];
+            const Slot &sl = slots[slots.head()];
             if (sl.seq < best_seq) {
                 best_seq = sl.seq;
                 best_c = c;
@@ -355,7 +329,7 @@ MemSideBbpb::forceDrainOldest(std::uint64_t max_blocks)
         if (best_c == kNoCore)
             break; // all buffers empty
         CoreBuffer &buf = _bufs[best_c];
-        std::uint32_t s = buf.head;
+        std::uint32_t s = buf.slots.head();
         const Slot &sl = buf.slots[s];
         if (!_nvmm.enqueueWrite(sl.block, sl.data))
             break; // WPQ full
@@ -378,7 +352,8 @@ MemSideBbpb::crashDrain(const PersistSink &sink)
         // so an exhausted battery sacrifices the *oldest* persists — the
         // prefix violation the litmus harness must catch.
         std::vector<std::uint32_t> order;
-        for (std::uint32_t s = buf.head; s != kNil; s = buf.slots[s].next)
+        for (std::uint32_t s = buf.slots.head(); s != kNil;
+             s = buf.slots.next(s))
             order.push_back(s);
         if (litmusMutation("crash-reverse-drain"))
             std::reverse(order.begin(), order.end());
@@ -386,14 +361,7 @@ MemSideBbpb::crashDrain(const PersistSink &sink)
             sink(buf.slots[s].block, buf.slots[s].data);
             ++_stats.crash_drained;
         }
-        for (std::uint32_t s = 0; s < buf.slots.size(); ++s) {
-            buf.slots[s].block = kBadAddr;
-            buf.slots[s].next =
-                s + 1 < buf.slots.size() ? s + 1 : kNil;
-        }
-        buf.head = buf.tail = kNil;
-        buf.free_head = 0;
-        buf.count = 0;
+        buf.slots.clear();
         buf.drain_active = false;
     }
     _index.clear();
@@ -435,21 +403,21 @@ ProcSideBbpb::recordAt(const CoreBuffer &buf, std::uint32_t i) const
 void
 ProcSideBbpb::indexAddRecord(CoreId c, Addr block)
 {
-    OwnershipIndex::Ref *ref = _index.find(block);
+    OwnershipRef *ref = _index.find(block);
     if (ref) {
         BBB_ASSERT(ref->core == c,
                    "ordered record for block %#llx held by core %u",
                    (unsigned long long)block, ref->core);
         ++ref->payload; // another record for the same block
     } else {
-        _index.insert(block, c, 1);
+        _index.insert(block, {c, 1});
     }
 }
 
 void
 ProcSideBbpb::indexDropRecord(Addr block)
 {
-    OwnershipIndex::Ref *ref = _index.find(block);
+    OwnershipRef *ref = _index.find(block);
     BBB_ASSERT(ref, "dropping unindexed record for block %#llx",
                (unsigned long long)block);
     if (--ref->payload == 0)
@@ -560,7 +528,7 @@ ProcSideBbpb::onForcedDrain(Addr block, const BlockData &data)
 {
     (void)data;
     block = blockAlign(block);
-    const OwnershipIndex::Ref *ref = _index.find(block);
+    const OwnershipRef *ref = _index.find(block);
     if (ref)
         drainPrefixFor(ref->core, block);
 }
@@ -577,14 +545,14 @@ bool
 ProcSideBbpb::holds(CoreId c, Addr block) const
 {
     BBB_ASSERT(c < _bufs.size(), "bbPB holds() with bad core id %u", c);
-    const OwnershipIndex::Ref *ref = _index.find(blockAlign(block));
+    const OwnershipRef *ref = _index.find(blockAlign(block));
     return ref && ref->core == c;
 }
 
 CoreId
 ProcSideBbpb::holder(Addr block) const
 {
-    const OwnershipIndex::Ref *ref = _index.find(blockAlign(block));
+    const OwnershipRef *ref = _index.find(blockAlign(block));
     return ref ? ref->core : kNoCore;
 }
 

@@ -22,8 +22,8 @@
  *
  * Storage is allocation-free after construction, mirroring the paper's
  * "tiny fixed SRAM" framing: the memory-side buffers are per-core slabs
- * of cfg.bbpb.entries slots threaded on an intrusive doubly-linked FCFS
- * list plus a free list, the processor-side buffers are fixed rings, and
+ * of cfg.bbpb.entries slots in FCFS order (sim/slot_fifo.hh), the
+ * processor-side buffers are fixed rings, and
  * both resolve ownership through one system-wide OwnershipIndex
  * (block -> (core, slot)), so holds()/holder()/migration are O(1).
  */
@@ -40,6 +40,7 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "sim/slot_fifo.hh"
 #include "sim/stats.hh"
 
 namespace bbb
@@ -98,13 +99,9 @@ class MemSideBbpb : public PersistencyBackend
     const BbpbStats &stats() const { return _stats; }
 
   private:
-    /** Slot index marking "no slot" (list ends, empty free list). */
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
     /**
      * One slab slot. Live slots sit on the per-core FCFS list (oldest
-     * allocation at the head — seq order, since coalescing never relinks);
-     * free slots are chained through `next`.
+     * allocation at the head — seq order, since coalescing never relinks).
      */
     struct Slot
     {
@@ -113,17 +110,16 @@ class MemSideBbpb : public PersistencyBackend
         std::uint64_t seq = 0;       ///< allocation order, FCFS draining
         std::uint64_t write_seq = 0; ///< last coalescing write, for LRW
         Tick alloc_tick = 0;         ///< allocation time, residency stats
-        std::uint32_t prev = kNil;
-        std::uint32_t next = kNil;
     };
+
+    using Slab = SlotFifo<Slot>;
+    static constexpr std::uint32_t kNil = Slab::kNil;
 
     struct CoreBuffer
     {
-        std::vector<Slot> slots; ///< fixed at cfg.bbpb.entries
-        std::uint32_t head = kNil;      ///< FCFS list, oldest entry
-        std::uint32_t tail = kNil;      ///< FCFS list, newest entry
-        std::uint32_t free_head = 0;    ///< free-slot chain
-        std::uint32_t count = 0;
+        explicit CoreBuffer(std::size_t entries) : slots(entries) {}
+
+        Slab slots; ///< fixed at cfg.bbpb.entries, FCFS order
         bool drain_active = false;
     };
 

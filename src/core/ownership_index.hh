@@ -5,161 +5,35 @@
  * The paper's Invariant 4 says a block lives in at most one bbPB at a
  * time, so ownership questions ("who holds this block?", "which slot is
  * it in?") have a single global answer. This index is that answer as a
- * data structure: one open-addressed hash table over every core's
- * buffer, mapping a block address to its (core, payload) pair, where
- * the payload is the holder's slot index (memory-side slabs) or a
- * record refcount (processor-side rings).
- *
- * The table is sized once at construction to a power of two at most
- * half full (capacity >= 2 x the worst-case entry count) and never
- * rehashes, so lookups, inserts, and erases are O(1) with short linear
- * probes and the hot persist path performs no heap allocation. Erase
- * uses backward-shift deletion, so there are no tombstones and probe
- * chains never degrade over a run.
+ * data structure: one fixed-capacity block table (sim/block_table.hh)
+ * over every core's buffer, mapping a block address to its (core,
+ * payload) pair, where the payload is the holder's slot index
+ * (memory-side slabs) or a record refcount (processor-side rings).
  */
 
 #ifndef BBB_CORE_OWNERSHIP_INDEX_HH
 #define BBB_CORE_OWNERSHIP_INDEX_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
-#include "sim/logging.hh"
+#include "sim/block_table.hh"
 #include "sim/types.hh"
 
 namespace bbb
 {
 
-/** Block -> (core, payload) map with fixed capacity (see file comment). */
-class OwnershipIndex
+/** One ownership record: which core holds the block, plus a payload the
+ *  owner interprets (slot index or record refcount). */
+struct OwnershipRef
 {
-  public:
-    /** One ownership record: which core holds the block, plus a payload
-     *  the owner interprets (slot index or record refcount). */
-    struct Ref
-    {
-        CoreId core;
-        std::uint32_t payload;
-    };
-
-    /**
-     * Size the table for @p max_entries simultaneously-held blocks: the
-     * smallest power of two >= 2 x max_entries (min 16 cells).
-     */
-    explicit OwnershipIndex(std::size_t max_entries)
-    {
-        std::size_t cap = 16;
-        while (cap < 2 * max_entries)
-            cap *= 2;
-        _cells.resize(cap, Cell{kBadAddr, {kNoCore, 0}});
-        _mask = cap - 1;
-    }
-
-    std::size_t size() const { return _size; }
-    std::size_t capacity() const { return _cells.size(); }
-
-    /** Home bucket of @p block (exposed so tests can craft collisions). */
-    std::size_t
-    bucketOf(Addr block) const
-    {
-        // Fibonacci hashing over the block number: multiplying by the
-        // 64-bit golden ratio spreads the sequential block addresses the
-        // workloads generate across the table.
-        std::uint64_t x = (block >> kBlockShift) * 0x9e3779b97f4a7c15ull;
-        return static_cast<std::size_t>(x >> 32) & _mask;
-    }
-
-    /** Ownership record for @p block, or nullptr when unheld. */
-    const Ref *
-    find(Addr block) const
-    {
-        std::size_t i = bucketOf(block);
-        while (_cells[i].block != kBadAddr) {
-            if (_cells[i].block == block)
-                return &_cells[i].ref;
-            i = (i + 1) & _mask;
-        }
-        return nullptr;
-    }
-
-    /** Mutable ownership record (payload updates), or nullptr. */
-    Ref *
-    find(Addr block)
-    {
-        return const_cast<Ref *>(
-            static_cast<const OwnershipIndex *>(this)->find(block));
-    }
-
-    /** Record that @p core holds @p block. The block must be absent
-     *  (Invariant 4: at most one holder system-wide). */
-    void
-    insert(Addr block, CoreId core, std::uint32_t payload)
-    {
-        BBB_ASSERT(_size < _cells.size() / 2 + 1,
-                   "ownership index over capacity");
-        std::size_t i = bucketOf(block);
-        while (_cells[i].block != kBadAddr) {
-            BBB_ASSERT(_cells[i].block != block,
-                       "block %#llx already held (core %u)",
-                       (unsigned long long)block, _cells[i].ref.core);
-            i = (i + 1) & _mask;
-        }
-        _cells[i] = Cell{block, {core, payload}};
-        ++_size;
-    }
-
-    /** Drop @p block's record (must exist). Backward-shift deletion keeps
-     *  every remaining probe chain contiguous. */
-    void
-    erase(Addr block)
-    {
-        std::size_t i = bucketOf(block);
-        while (_cells[i].block != block) {
-            BBB_ASSERT(_cells[i].block != kBadAddr,
-                       "erasing unheld block %#llx",
-                       (unsigned long long)block);
-            i = (i + 1) & _mask;
-        }
-        std::size_t hole = i;
-        for (;;) {
-            i = (i + 1) & _mask;
-            if (_cells[i].block == kBadAddr)
-                break;
-            // A cell may only move back if its home bucket precedes the
-            // hole along the (wrapping) probe sequence.
-            std::size_t home = bucketOf(_cells[i].block);
-            if (((i - home) & _mask) >= ((i - hole) & _mask)) {
-                _cells[hole] = _cells[i];
-                hole = i;
-            }
-        }
-        _cells[hole] = Cell{kBadAddr, {kNoCore, 0}};
-        --_size;
-    }
-
-    /** Forget every record (crash drain). Capacity is retained. */
-    void
-    clear()
-    {
-        if (_size == 0)
-            return;
-        std::fill(_cells.begin(), _cells.end(),
-                  Cell{kBadAddr, {kNoCore, 0}});
-        _size = 0;
-    }
-
-  private:
-    struct Cell
-    {
-        Addr block; ///< kBadAddr marks an empty cell
-        Ref ref;
-    };
-
-    std::vector<Cell> _cells;
-    std::size_t _mask = 0;
-    std::size_t _size = 0;
+    CoreId core;
+    std::uint32_t payload;
 };
+
+/** Block -> (core, payload) map with fixed capacity (see file comment).
+ *  An insert requires the block to be absent: Invariant 4, at most one
+ *  holder system-wide. */
+using OwnershipIndex = BlockTable<OwnershipRef>;
 
 } // namespace bbb
 

@@ -8,16 +8,28 @@
 namespace bbb
 {
 
+namespace
+{
+
+/** A DRAM controller is configured with wpq_entries == 0; give it a
+ *  conventional write queue anyway (it just is not a persistence
+ *  domain -- the crash engine never drains it). */
+MemConfig
+withWriteQueue(MemConfig cfg)
+{
+    if (cfg.wpq_entries == 0)
+        cfg.wpq_entries = 64;
+    return cfg;
+}
+
+} // namespace
+
 MemCtrl::MemCtrl(std::string name, const MemConfig &cfg, EventQueue &eq,
                  MediaBackend &media, StatRegistry &stats)
-    : _name(std::move(name)), _cfg(cfg), _eq(eq), _media(media)
+    : _name(std::move(name)), _cfg(withWriteQueue(cfg)), _eq(eq),
+      _media(media), _wpq(_cfg.wpq_entries), _wpq_index(_cfg.wpq_entries)
 {
     BBB_ASSERT(_cfg.channels > 0, "controller needs >= 1 channel");
-    // A DRAM controller is configured with wpq_entries == 0; give it a
-    // conventional write queue anyway (it just is not a persistence
-    // domain -- the crash engine never drains it).
-    if (_cfg.wpq_entries == 0)
-        _cfg.wpq_entries = 64;
     _channel_free.assign(_cfg.channels, 0);
     _wpq_occupancy = StatHistogram(
         16, std::max<std::uint64_t>(1, _cfg.wpq_entries / 16));
@@ -60,9 +72,8 @@ MemCtrl::readBlock(Addr addr, BlockData &out)
 
     // Forward the freshest pending copy from the WPQ if present; this does
     // not consume media bandwidth.
-    auto it = _wpq_index.find(block);
-    if (it != _wpq_index.end()) {
-        out = _wpq.at(it->second).data;
+    if (const std::uint32_t *slot = _wpq_index.find(block)) {
+        out = _wpq[*slot].data;
         // Forwarding from the controller queue still pays most of the
         // round trip; model it as half the media read latency.
         Tick lat = _cfg.read_latency / 2;
@@ -89,9 +100,9 @@ bool
 MemCtrl::canAcceptWrite(Addr addr) const
 {
     Addr block = blockAlign(addr);
-    if (_wpq_index.count(block))
+    if (_wpq_index.find(block))
         return true; // coalesce
-    return _wpq.size() < _cfg.wpq_entries;
+    return !_wpq.full();
 }
 
 bool
@@ -99,54 +110,51 @@ MemCtrl::enqueueWrite(Addr addr, const BlockData &data)
 {
     Addr block = blockAlign(addr);
 
-    auto it = _wpq_index.find(block);
-    if (it != _wpq_index.end()) {
-        _wpq.at(it->second).data = data;
+    if (std::uint32_t *slot = _wpq_index.find(block)) {
+        _wpq[*slot].data = data;
         ++_wpq_coalesces;
         return true;
     }
 
-    if (_wpq.size() >= _cfg.wpq_entries) {
+    if (_wpq.full()) {
         ++_wpq_rejects;
         return false;
     }
 
-    std::uint64_t seq = _next_seq++;
-    WpqEntry entry;
-    entry.addr = block;
-    entry.data = data;
-    _wpq.emplace(seq, std::move(entry));
-    _wpq_index.emplace(block, seq);
+    std::uint32_t slot = _wpq.pushBack();
+    _wpq[slot] = WpqEntry{block, data, 0};
+    _wpq_index.insert(block, slot);
     ++_wpq_inserts;
     _wpq_occupancy.sample(_wpq.size());
-    scheduleRetire();
+    scheduleRetire(slot);
     return true;
 }
 
 void
-MemCtrl::scheduleRetire()
+MemCtrl::clearWpq()
 {
-    // Start a media write for every pending entry: writes pipeline on
-    // their channels (the occupancy serialises bandwidth; each write
-    // completes a full write latency after it starts).
-    for (auto &kv : _wpq) {
-        if (kv.second.retiring)
-            continue;
-        kv.second.retiring = true;
-        ++_retiring;
-        std::uint64_t seq = kv.first;
-        std::uint64_t epoch = _wpq_epoch;
-        Tick start =
-            reserveChannel(channelOf(kv.second.addr), _cfg.write_occupancy);
-        _eq.schedule(
-            start + _cfg.write_latency,
-            [this, seq, epoch]() { completeRetire(seq, epoch); },
-            EventPriority::MemResponse);
-    }
+    _wpq.clear();
+    _wpq_index.clear();
+    ++_wpq_epoch; // orphan any still-scheduled retirements
 }
 
 void
-MemCtrl::completeRetire(std::uint64_t seq, std::uint64_t epoch)
+MemCtrl::scheduleRetire(std::uint32_t slot)
+{
+    // Writes pipeline on their channels: the occupancy serialises
+    // bandwidth, and each write completes a full write latency after it
+    // starts.
+    std::uint64_t epoch = _wpq_epoch;
+    Tick start =
+        reserveChannel(channelOf(_wpq[slot].addr), _cfg.write_occupancy);
+    _eq.schedule(
+        start + _cfg.write_latency,
+        [this, slot, epoch]() { completeRetire(slot, epoch); },
+        EventPriority::MemResponse);
+}
+
+void
+MemCtrl::completeRetire(std::uint32_t slot, std::uint64_t epoch)
 {
     // A crash handover (takeWpqForCrash) or synchronous drain cleared
     // the queue after this event was scheduled: the entry is gone and
@@ -154,9 +162,8 @@ MemCtrl::completeRetire(std::uint64_t seq, std::uint64_t epoch)
     if (epoch != _wpq_epoch)
         return;
 
-    auto it = _wpq.find(seq);
-    BBB_ASSERT(it != _wpq.end(), "retired WPQ entry vanished");
-    WpqEntry &e = it->second;
+    WpqEntry &e = _wpq[slot];
+    BBB_ASSERT(e.addr != kBadAddr, "retired WPQ entry vanished");
 
     if (_faults && _faults->sampleMediaAttemptFails()) {
         if (e.attempts < _faults->plan().media_retries) {
@@ -171,7 +178,7 @@ MemCtrl::completeRetire(std::uint64_t seq, std::uint64_t epoch)
             reserveChannel(channelOf(e.addr), _cfg.write_occupancy);
             _eq.schedule(
                 _eq.now() + backoff + _cfg.write_latency,
-                [this, seq, epoch]() { completeRetire(seq, epoch); },
+                [this, slot, epoch]() { completeRetire(slot, epoch); },
                 EventPriority::MemResponse);
             return;
         }
@@ -182,24 +189,17 @@ MemCtrl::completeRetire(std::uint64_t seq, std::uint64_t epoch)
         ++_torn_writes;
         ++_media_writes;
         _bytes_written += FaultInjector::kTornBytes;
-        _wpq_index.erase(e.addr);
-        _wpq.erase(it);
-        --_retiring;
-        _wpq_occupancy.sample(_wpq.size());
-        scheduleRetire();
-        return;
+    } else {
+        _media.commitBlock(e.addr, e.data);
+        if (_faults)
+            _faults->noteCleanWrite(e.addr);
+        ++_media_writes;
+        _bytes_written += kBlockSize;
     }
-
-    _media.commitBlock(e.addr, e.data);
-    if (_faults)
-        _faults->noteCleanWrite(e.addr);
-    ++_media_writes;
-    _bytes_written += kBlockSize;
     _wpq_index.erase(e.addr);
-    _wpq.erase(it);
-    --_retiring;
+    e.addr = kBadAddr;
+    _wpq.remove(slot);
     _wpq_occupancy.sample(_wpq.size());
-    scheduleRetire();
 }
 
 void
@@ -208,9 +208,8 @@ MemCtrl::forceWrite(Addr addr, const BlockData &data)
     Addr block = blockAlign(addr);
     // If the block is pending in the WPQ, coalesce there instead so a
     // later retirement cannot overwrite this value with an older one.
-    auto it = _wpq_index.find(block);
-    if (it != _wpq_index.end()) {
-        _wpq.at(it->second).data = data;
+    if (std::uint32_t *slot = _wpq_index.find(block)) {
+        _wpq[*slot].data = data;
         ++_wpq_coalesces;
         return;
     }
@@ -239,9 +238,8 @@ void
 MemCtrl::peekBlock(Addr addr, BlockData &out) const
 {
     Addr block = blockAlign(addr);
-    auto it = _wpq_index.find(block);
-    if (it != _wpq_index.end()) {
-        out = _wpq.at(it->second).data;
+    if (const std::uint32_t *slot = _wpq_index.find(block)) {
+        out = _wpq[*slot].data;
         return;
     }
     _media.readBlock(block, out.bytes.data());
@@ -254,17 +252,13 @@ MemCtrl::peekBlock(Addr addr, BlockData &out) const
 std::size_t
 MemCtrl::drainAllToMedia()
 {
-    std::size_t n = 0;
-    for (const auto &kv : _wpq) {
-        _media.commitBlock(kv.second.addr, kv.second.data);
+    std::size_t n = _wpq.size();
+    for (std::uint32_t s = _wpq.head(); s != Wpq::kNil; s = _wpq.next(s)) {
+        _media.commitBlock(_wpq[s].addr, _wpq[s].data);
         ++_media_writes;
         _bytes_written += kBlockSize;
-        ++n;
     }
-    _wpq.clear();
-    _wpq_index.clear();
-    _retiring = 0;
-    ++_wpq_epoch; // orphan any still-scheduled retirements
+    clearWpq();
     return n;
 }
 
@@ -273,13 +267,9 @@ MemCtrl::takeWpqForCrash()
 {
     std::vector<std::pair<Addr, BlockData>> out;
     out.reserve(_wpq.size());
-    // std::map iterates in sequence order == FIFO insertion order.
-    for (const auto &kv : _wpq)
-        out.emplace_back(kv.second.addr, kv.second.data);
-    _wpq.clear();
-    _wpq_index.clear();
-    _retiring = 0;
-    ++_wpq_epoch; // orphan any still-scheduled retirements
+    for (std::uint32_t s = _wpq.head(); s != Wpq::kNil; s = _wpq.next(s))
+        out.emplace_back(_wpq[s].addr, _wpq[s].data);
+    clearWpq();
     // A reseeded post-crash controller must not inherit channel
     // reservations from writes that no longer exist.
     _channel_free.assign(_cfg.channels, 0);

@@ -22,14 +22,15 @@
 #ifndef BBB_MEM_MEM_CTRL_HH
 #define BBB_MEM_MEM_CTRL_HH
 
-#include <map>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/media_backend.hh"
+#include "sim/block_table.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_fifo.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -168,26 +169,37 @@ class MemCtrl : private MediaTiming
         return _cfg.write_occupancy;
     }
 
-    /** Start media writes for the oldest pending entries, one per free
-     *  channel slot. */
-    void scheduleRetire();
+    /**
+     * Start the media write of the entry in @p slot: reserve its
+     * channel and schedule its completeRetire(). Every entry gets
+     * exactly one retire event, at insert; a retry re-schedules the
+     * same entry from completeRetire().
+     */
+    void scheduleRetire(std::uint32_t slot);
 
     /**
-     * Media write for entry @p seq finished: commit it through the
-     * backend. @p epoch is the WPQ epoch the write was scheduled in; a
-     * crash handover bumps the epoch, so a stale event returns without
+     * Media write for the entry in @p slot finished: commit it through
+     * the backend. @p epoch is the WPQ epoch the write was scheduled in;
+     * a crash handover bumps the epoch, so a stale event returns without
      * touching the (reseeded) queue.
      */
-    void completeRetire(std::uint64_t seq, std::uint64_t epoch);
+    void completeRetire(std::uint32_t slot, std::uint64_t epoch);
 
+    /** Empty the queue wholesale (crash handover / synchronous drain):
+     *  every slot is freed and the epoch bump orphans any
+     *  still-scheduled retirements. */
+    void clearWpq();
+
+    /** One pending WPQ block. */
     struct WpqEntry
     {
-        Addr addr;
+        Addr addr = kBadAddr; ///< kBadAddr while the slot is free
         BlockData data;
-        bool retiring = false;
         /** Failed media attempts so far (fault injection). */
         unsigned attempts = 0;
     };
+
+    using Wpq = SlotFifo<WpqEntry>;
 
     std::string _name;
     MemConfig _cfg;
@@ -196,14 +208,14 @@ class MemCtrl : private MediaTiming
     FaultInjector *_faults = nullptr;
 
     /**
-     * Pending writes in FIFO (sequence) order; std::map iteration order is
-     * insertion order because sequence numbers only grow. An address index
-     * supports coalescing and read forwarding.
+     * Pending writes: wpq_entries fixed slots in FIFO (insertion) order.
+     * Retirements complete out of order across channels and fault
+     * retries, so entries leave from anywhere in the list. The block
+     * index maps a pending block to its slot for coalescing and read
+     * forwarding.
      */
-    std::map<std::uint64_t, WpqEntry> _wpq;
-    std::unordered_map<Addr, std::uint64_t> _wpq_index;
-    std::uint64_t _next_seq = 0;
-    unsigned _retiring = 0;
+    Wpq _wpq;
+    BlockTable<std::uint32_t> _wpq_index;
 
     /** Bumped whenever the WPQ is cleared wholesale (crash handover /
      *  synchronous drain); orphans any still-scheduled retirements. */

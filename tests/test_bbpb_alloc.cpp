@@ -1,15 +1,18 @@
 /**
  * @file
- * Steady-state allocation check for the bbPB hot path.
+ * Steady-state allocation check for the persist hot path: the bbPB and
+ * the memory controller's write-pending queue (WPQ) below it.
  *
  * This translation unit replaces the global operator new/delete with
  * counting versions, gated by a flag so gtest's own allocations are
  * ignored. After construction, the slab buffers, the ownership index,
  * and the pre-reserved event-queue heap must serve the bbPB side of the
  * persist pipeline — persistStore (allocate and coalesce), ownership
- * probes, and migration — without touching the heap. The WPQ handoff
- * (MemCtrl::enqueueWrite) keeps its std::map bookkeeping and is outside
- * this contract, so the counted regions stop at the bbPB boundary.
+ * probes, and migration — without touching the heap. Once warm, the
+ * WPQ's fixed slots and block index must likewise serve MemCtrl
+ * enqueue, coalesce, forwarded and media reads, retirement, and
+ * fault-injected retries. Only first-touch backing-store pages and a
+ * torn write's fault-ledger entry may allocate.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include <new>
 
 #include "core/bbpb.hh"
+#include "fault/fault_injector.hh"
 #include "mem/backing_store.hh"
 #include "sim/event_queue.hh"
 
@@ -141,9 +145,7 @@ allocationsDuring(Fn &&fn)
 TEST(BbpbAllocationFree, MemSideSteadyStatePerformsNoHeapAllocation)
 {
     // Threshold 1.0: the drain engine only runs at capacity, so the
-    // counted region exercises pure slab traffic (the policy-drain path
-    // hands off to MemCtrl's WPQ, whose std::map is outside the bbPB
-    // allocation contract).
+    // counted region exercises pure slab traffic.
     Rig rig(32, 1.0);
     MemSideBbpb bbpb(rig.cfg, rig.eq, rig.nvmm, rig.stats);
 
@@ -176,7 +178,8 @@ TEST(BbpbAllocationFree, MemSideSteadyStatePerformsNoHeapAllocation)
 TEST(BbpbAllocationFree, MemSideSlotReuseAfterDrainsStaysAllocationFree)
 {
     // Fill-drain-refill cycles: slots keep coming off and going back on
-    // the free list. The drains themselves (WPQ handoff) run outside the
+    // the free list. Every round drains fresh blocks, whose first-touch
+    // backing-store pages allocate, so the drains run outside the
     // counted regions; only the slab traffic is counted.
     Rig rig(16, 0.5);
     MemSideBbpb bbpb(rig.cfg, rig.eq, rig.nvmm, rig.stats);
@@ -220,14 +223,58 @@ TEST(BbpbAllocationFree, ProcSideSteadyStatePerformsNoHeapAllocation)
                 (void)bbpb.holder(b);
             }
         });
-        // Uncounted: the ordered prefix drain streams every record
-        // through the WPQ (std::map bookkeeping lives there).
-        bbpb.onInvalidateForWrite(0, blk(15));
+        // Counted too: the ordered prefix drain streams every record
+        // through the WPQ.
+        n += allocationsDuring(
+            [&] { bbpb.onInvalidateForWrite(0, blk(15)); });
         ASSERT_EQ(bbpb.coreOccupancy(0), 0u);
     }
     EXPECT_EQ(n, 0u) << n << " heap allocations on the hot path";
     EXPECT_GT(bbpb.stats().coalesces.value(), 0u);
     EXPECT_GT(bbpb.stats().forced_drains.value(), 0u);
+}
+
+TEST(WpqAllocationFree, WarmQueuePerformsNoHeapAllocation)
+{
+    // More distinct blocks per round than the WPQ's 64 slots, so inserts
+    // meet a full queue and retire entries to make room. Failed media
+    // attempts retry; with 16 retries at p = 0.25 a tear (which files a
+    // fault-ledger entry) is practically impossible, and checked below.
+    Rig rig(32, 1.0);
+    FaultPlan plan;
+    plan.media_fail_p = 0.25;
+    plan.media_retries = 16;
+    FaultInjector inj(plan);
+    rig.nvmm.setFaultInjector(&inj);
+    MemCtrl &mc = rig.nvmm;
+
+    auto round = [&](unsigned r) {
+        for (unsigned i = 0; i < 96; ++i) {
+            Addr b = blk(i);
+            while (!mc.enqueueWrite(b, pattern(static_cast<unsigned char>(r))))
+                ASSERT_TRUE(rig.eq.step()) << "full WPQ with nothing queued";
+            // Coalesce, then a forwarded read and a media read.
+            ASSERT_TRUE(
+                mc.enqueueWrite(b, pattern(static_cast<unsigned char>(r + 1))));
+            BlockData out;
+            (void)mc.readBlock(b, out);
+            (void)mc.readBlock(blk(i + 1000), out);
+        }
+        rig.eq.run();
+    };
+    round(0); // warm-up: first-touch pages and event slots, uncounted
+
+    std::size_t n = allocationsDuring([&] {
+        for (unsigned r = 1; r <= 100; ++r)
+            round(r);
+    });
+    EXPECT_EQ(n, 0u) << n << " heap allocations in the warm WPQ";
+    EXPECT_GT(rig.stats.lookup("nvmm", "wpq_coalesces"), 0u);
+    EXPECT_GT(rig.stats.lookup("nvmm", "wpq_rejects"), 0u);
+    EXPECT_GT(rig.stats.lookup("nvmm", "media_retry_writes"), 0u);
+    EXPECT_GT(rig.stats.lookup("nvmm", "media_reads"), 0u);
+    EXPECT_EQ(rig.stats.lookup("nvmm", "torn_writes"), 0u);
+    EXPECT_EQ(mc.wpqOccupancy(), 0u);
 }
 
 TEST(BbpbAllocationFree, EventQueueReserveHonorsConfigHint)

@@ -1,17 +1,22 @@
 /**
  * @file
  * Unit tests for the memory controller: WPQ accept/reject/coalesce, media
- * retirement, read forwarding, channel bandwidth, force writes, and the
- * flush-on-fail drain.
+ * retirement, read forwarding, channel bandwidth, force writes, the
+ * flush-on-fail drain, the one-retire-event-per-entry invariant, and a
+ * seeded differential run against a std::map model of the queue.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
+#include "fault/fault_injector.hh"
 #include "mem/backing_store.hh"
 #include "mem/mem_ctrl.hh"
+#include "sim/block_table.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 
 using namespace bbb;
@@ -332,4 +337,266 @@ TEST(MemCtrl, WpqOccupancyHistogramSamplesEveryEnqueue)
     EXPECT_EQ(snap.count("nvmm.wpq_occupancy.sum"),
               (1u + 2 + 3 + 4) + (3 + 2 + 1 + 0));
     EXPECT_EQ(snap.real("nvmm.wpq_occupancy.max"), 4.0);
+}
+
+TEST(MemCtrl, EachPendingEntryOwnsExactlyOneRetireEvent)
+{
+    // Every entry's retire event is scheduled at insert, and nothing
+    // else schedules one, so on an otherwise idle queue the event count
+    // tracks the occupancy exactly. This is why retirement never needs
+    // to walk the queue looking for entries that are not yet retiring.
+    Ctx ctx;
+    MemCtrl mc = ctx.make();
+    for (Addr i = 0; i < 4; ++i) {
+        ASSERT_TRUE(mc.enqueueWrite(i * kBlockSize, pattern(1)));
+        EXPECT_EQ(ctx.eq.pending(), mc.wpqOccupancy());
+    }
+
+    // A coalesce (enqueued or forced) and a forwarded read add no event.
+    ASSERT_TRUE(mc.enqueueWrite(0, pattern(2)));
+    mc.forceWrite(kBlockSize, pattern(3));
+    BlockData out;
+    mc.readBlock(2 * kBlockSize, out);
+    EXPECT_EQ(mc.mediaReads(), 0u); // forwarded
+    EXPECT_EQ(mc.wpqOccupancy(), 4u);
+    EXPECT_EQ(ctx.eq.pending(), 4u);
+
+    // A retry re-arms the failing entry's own event instead of adding
+    // one, and a tear retires the entry with its event.
+    FaultPlan plan;
+    plan.media_fail_p = 1.0;
+    plan.media_retries = 2;
+    FaultInjector inj(plan);
+    mc.setFaultInjector(&inj);
+    while (ctx.eq.step())
+        ASSERT_EQ(ctx.eq.pending(), mc.wpqOccupancy());
+    EXPECT_EQ(ctx.stats.lookup("nvmm", "media_retry_writes"), 8u);
+    EXPECT_EQ(ctx.stats.lookup("nvmm", "torn_writes"), 4u);
+    EXPECT_EQ(mc.wpqOccupancy(), 0u);
+}
+
+namespace
+{
+
+/** DirectMedia that logs every full or torn commit, so a test learns
+ *  which block each retirement (or force write) wrote. */
+class RecordingMedia : public DirectMedia
+{
+  public:
+    struct Commit
+    {
+        Addr block;
+        BlockData data; ///< full content, or the intended one when torn
+        bool torn;
+    };
+
+    using DirectMedia::DirectMedia;
+
+    void
+    commitBlock(Addr block, const BlockData &data) override
+    {
+        log.push_back({block, data, false});
+        DirectMedia::commitBlock(block, data);
+    }
+
+    void
+    commitTorn(Addr block, const BlockData &intended,
+               unsigned torn_bytes) override
+    {
+        log.push_back({block, intended, true});
+        DirectMedia::commitTorn(block, intended, torn_bytes);
+    }
+
+    std::vector<Commit> log;
+};
+
+/**
+ * Reference WPQ: pending blocks in FIFO (sequence) order in std::maps,
+ * plus the content a block not pending forwards -- its last full write,
+ * or the intended content of a torn one.
+ */
+struct WpqModel
+{
+    explicit WpqModel(std::size_t cap) : capacity(cap) {}
+
+    std::size_t capacity;
+    std::map<std::uint64_t, Addr> fifo;
+    std::map<Addr, std::pair<std::uint64_t, BlockData>> pending;
+    std::map<Addr, BlockData> image;
+    std::uint64_t next_seq = 0;
+
+    bool
+    accepts(Addr block) const
+    {
+        return pending.count(block) || pending.size() < capacity;
+    }
+
+    void
+    write(Addr block, const BlockData &data)
+    {
+        auto it = pending.find(block);
+        if (it != pending.end()) {
+            it->second.second = data;
+            return;
+        }
+        fifo.emplace(next_seq, block);
+        pending.emplace(block, std::make_pair(next_seq++, data));
+    }
+
+    BlockData
+    view(Addr block) const
+    {
+        if (auto it = pending.find(block); it != pending.end())
+            return it->second.second;
+        if (auto it = image.find(block); it != image.end())
+            return it->second;
+        return BlockData{};
+    }
+};
+
+} // namespace
+
+TEST(MemCtrl, DifferentialAgainstMapModelWithMediaFaults)
+{
+    constexpr unsigned kEntries = 8;
+    EventQueue eq;
+    BackingStore store;
+    RecordingMedia media(store);
+    StatRegistry stats;
+    MemConfig cfg;
+    cfg.read_latency = nsToTicks(150);
+    cfg.write_latency = nsToTicks(500);
+    cfg.read_occupancy = nsToTicks(10);
+    cfg.write_occupancy = nsToTicks(28);
+    cfg.channels = 2;
+    cfg.wpq_entries = kEntries;
+    MemCtrl mc("nvmm", cfg, eq, media, stats);
+
+    // Failed attempts retry (entries leave out of FIFO order) and a
+    // third failure tears the block.
+    FaultPlan plan;
+    plan.media_fail_p = 0.3;
+    plan.media_retries = 2;
+    plan.media_backoff = nsToTicks(100);
+    FaultInjector inj(plan);
+    mc.setFaultInjector(&inj);
+
+    // Block pool: ordinary neighbours plus blocks crafted to share the
+    // block index's last and first home buckets, so probe chains wrap
+    // the table end and backward-shift deletion moves cells across it.
+    // The index is a BlockTable sized for wpq_entries.
+    BlockTable<std::uint32_t> shape(kEntries);
+    const std::size_t last = shape.capacity() - 1;
+    std::vector<Addr> pool;
+    for (Addr i = 0; i < 7; ++i)
+        pool.push_back(i * kBlockSize);
+    unsigned at_last = 0, at_first = 0;
+    for (Addr n = 1000; at_last < 5 || at_first < 4; ++n) {
+        Addr block = n * kBlockSize;
+        std::size_t home = shape.bucketOf(block);
+        if (home == last && at_last < 5) {
+            pool.push_back(block);
+            ++at_last;
+        } else if (home == 0 && at_first < 4) {
+            pool.push_back(block);
+            ++at_first;
+        }
+    }
+
+    WpqModel model(kEntries);
+    // Fold the media log into the model. Retirements must commit a
+    // pending block with exactly the model's (newest) content.
+    auto absorb = [&](bool retirements) {
+        for (const RecordingMedia::Commit &c : media.log) {
+            if (retirements) {
+                auto it = model.pending.find(c.block);
+                ASSERT_NE(it, model.pending.end())
+                    << "retired block " << c.block << " was not pending";
+                EXPECT_EQ(c.data.bytes, it->second.second.bytes);
+                model.fifo.erase(it->second.first);
+                model.pending.erase(it);
+            }
+            model.image[c.block] = c.data;
+        }
+        media.log.clear();
+    };
+
+    Rng rng(0x3a11);
+    std::uint64_t forwards = 0, crash_records = 0;
+    for (unsigned step = 0; step < 6000; ++step) {
+        Addr block = pool[rng.below(pool.size())];
+        BlockData data = pattern(static_cast<unsigned char>(rng.next()));
+        data.bytes[kBlockSize - 1] = static_cast<unsigned char>(step);
+        unsigned op = static_cast<unsigned>(rng.below(10));
+        if (op < 4) {
+            bool expected = model.accepts(block);
+            ASSERT_EQ(mc.enqueueWrite(block, data), expected)
+                << "step " << step;
+            if (expected)
+                model.write(block, data);
+            EXPECT_TRUE(media.log.empty());
+        } else if (op == 4) {
+            bool pending = model.pending.count(block) != 0;
+            mc.forceWrite(block, data);
+            if (pending) {
+                model.write(block, data); // coalesced, not committed
+                EXPECT_TRUE(media.log.empty());
+            } else {
+                EXPECT_EQ(media.log.size(), 1u);
+                absorb(false);
+            }
+        } else if (op == 5) {
+            BlockData out;
+            mc.peekBlock(block, out);
+            EXPECT_EQ(out.bytes, model.view(block).bytes) << "step " << step;
+        } else if (op == 6) {
+            std::uint64_t reads = mc.mediaReads();
+            BlockData out;
+            mc.readBlock(block, out);
+            EXPECT_EQ(out.bytes, model.view(block).bytes) << "step " << step;
+            bool forwarded = model.pending.count(block) != 0;
+            forwards += forwarded;
+            EXPECT_EQ(mc.mediaReads(), reads + (forwarded ? 0 : 1));
+        } else if (eq.step()) {
+            EXPECT_LE(media.log.size(), 1u);
+            absorb(true);
+        }
+        ASSERT_EQ(mc.wpqOccupancy(), model.pending.size())
+            << "step " << step;
+
+        if (step % 1500 == 1499) {
+            // Crash handover: FIFO (first-insertion) order, newest data.
+            auto records = mc.takeWpqForCrash();
+            ASSERT_EQ(records.size(), model.fifo.size());
+            std::size_t i = 0;
+            for (const auto &[seq, b] : model.fifo) {
+                EXPECT_EQ(records[i].first, b) << "record " << i;
+                EXPECT_EQ(records[i].second.bytes,
+                      model.pending.at(b).second.bytes);
+                ++i;
+            }
+            crash_records += records.size();
+            model.fifo.clear();
+            model.pending.clear();
+            EXPECT_EQ(mc.wpqOccupancy(), 0u);
+        }
+    }
+    eq.run();
+    absorb(true);
+    EXPECT_TRUE(model.pending.empty());
+    EXPECT_EQ(mc.wpqOccupancy(), 0u);
+    for (Addr block : pool) {
+        BlockData out;
+        mc.peekBlock(block, out);
+        EXPECT_EQ(out.bytes, model.view(block).bytes) << "block " << block;
+    }
+
+    // The run must have exercised every path it claims to cover.
+    EXPECT_GT(stats.lookup("nvmm", "wpq_coalesces"), 0u);
+    EXPECT_GT(stats.lookup("nvmm", "wpq_rejects"), 0u);
+    EXPECT_GT(stats.lookup("nvmm", "wpq_bypass_writes"), 0u);
+    EXPECT_GT(stats.lookup("nvmm", "media_retry_writes"), 0u);
+    EXPECT_GT(stats.lookup("nvmm", "torn_writes"), 0u);
+    EXPECT_GT(forwards, 0u);
+    EXPECT_GT(crash_records, 0u);
 }

@@ -55,7 +55,7 @@ TEST(OwnershipIndex, InsertFindErase)
     OwnershipIndex idx(64);
     EXPECT_EQ(idx.find(blk(1)), nullptr);
 
-    idx.insert(blk(1), 3, 7);
+    idx.insert(blk(1), {3, 7});
     ASSERT_NE(idx.find(blk(1)), nullptr);
     EXPECT_EQ(idx.find(blk(1))->core, 3u);
     EXPECT_EQ(idx.find(blk(1))->payload, 7u);
@@ -75,7 +75,7 @@ TEST(OwnershipIndex, CollidingBlocksProbeLinearly)
     OwnershipIndex idx(64);
     auto blocks = blocksHashingTo(idx, 5, 4);
     for (std::uint32_t i = 0; i < blocks.size(); ++i)
-        idx.insert(blocks[i], i, 100 + i);
+        idx.insert(blocks[i], {i, 100 + i});
     for (std::uint32_t i = 0; i < blocks.size(); ++i) {
         ASSERT_NE(idx.find(blocks[i]), nullptr);
         EXPECT_EQ(idx.find(blocks[i])->core, i);
@@ -99,7 +99,7 @@ TEST(OwnershipIndex, ProbesWrapAroundTableEnd)
     // Fill the last bucket and force the chain across the wrap point.
     auto blocks = blocksHashingTo(idx, last, 3);
     for (std::uint32_t i = 0; i < blocks.size(); ++i)
-        idx.insert(blocks[i], 0, i);
+        idx.insert(blocks[i], {0, i});
     for (std::uint32_t i = 0; i < blocks.size(); ++i) {
         ASSERT_NE(idx.find(blocks[i]), nullptr);
         EXPECT_EQ(idx.find(blocks[i])->payload, i);
@@ -121,8 +121,8 @@ TEST(OwnershipIndex, BackwardShiftKeepsUnrelatedChainsIntact)
     auto a = blocksHashingTo(idx, 10, 3);
     auto b = blocksHashingTo(idx, 11, 3);
     for (std::uint32_t i = 0; i < 3; ++i) {
-        idx.insert(a[i], 1, i);
-        idx.insert(b[i], 2, 10 + i);
+        idx.insert(a[i], {1, i});
+        idx.insert(b[i], {2, 10 + i});
     }
     idx.erase(a[0]);
     idx.erase(a[2]);
@@ -140,7 +140,7 @@ TEST(OwnershipIndex, ClearForgetsEverythingKeepsCapacity)
     OwnershipIndex idx(32);
     std::size_t cap = idx.capacity();
     for (std::uint64_t n = 0; n < 20; ++n)
-        idx.insert(blk(n), 0, static_cast<std::uint32_t>(n));
+        idx.insert(blk(n), {0, static_cast<std::uint32_t>(n)});
     EXPECT_EQ(idx.size(), 20u);
     idx.clear();
     EXPECT_EQ(idx.size(), 0u);
@@ -148,7 +148,7 @@ TEST(OwnershipIndex, ClearForgetsEverythingKeepsCapacity)
     for (std::uint64_t n = 0; n < 20; ++n)
         EXPECT_EQ(idx.find(blk(n)), nullptr);
     // Reusable after clear.
-    idx.insert(blk(3), 1, 4);
+    idx.insert(blk(3), {1, 4});
     ASSERT_NE(idx.find(blk(3)), nullptr);
     EXPECT_EQ(idx.find(blk(3))->core, 1u);
 }
@@ -158,7 +158,7 @@ TEST(OwnershipIndex, FillToDeclaredCapacityAndDrainInOddOrder)
     constexpr std::size_t kMax = 48;
     OwnershipIndex idx(kMax);
     for (std::uint64_t n = 0; n < kMax; ++n)
-        idx.insert(blk(n * 977 + 13), 0, static_cast<std::uint32_t>(n));
+        idx.insert(blk(n * 977 + 13), {0, static_cast<std::uint32_t>(n)});
     EXPECT_EQ(idx.size(), kMax);
     // Remove odd insertions first, then even, verifying lookups at each
     // step — stresses repeated backward shifts on a loaded table.
@@ -176,8 +176,8 @@ TEST(OwnershipIndex, FillToDeclaredCapacityAndDrainInOddOrder)
 TEST(OwnershipIndexDeath, DuplicateInsertPanics)
 {
     OwnershipIndex idx(8);
-    idx.insert(blk(1), 0, 0);
-    EXPECT_DEATH(idx.insert(blk(1), 1, 0), "already held");
+    idx.insert(blk(1), {0, 0});
+    EXPECT_DEATH(idx.insert(blk(1), {1, 0}), "already held");
 }
 
 TEST(OwnershipIndexDeath, EraseOfAbsentBlockPanics)
