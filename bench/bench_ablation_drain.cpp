@@ -135,7 +135,7 @@ main(int argc, char **argv)
                          "rtree-spatial", spatial});
     }
     std::vector<ExperimentResult> results =
-        bbbench::runGrid(specs, jobs, &rep);
+        bbbench::runGrid(specs, jobs);
 
     bbbench::banner("Ablations: drain policy, writeback skip, reuse ladder");
     const ExperimentResult *cursor = results.data();

@@ -48,7 +48,7 @@ main(int argc, char **argv)
         }
     }
     std::vector<ExperimentResult> results =
-        bbbench::runGrid(specs, jobs, &rep);
+        bbbench::runGrid(specs, jobs);
 
     bbbench::banner("Ablation: bbPB drain policy (32 entries; NVMM writes "
                     "and exec time normalized to FCFS)");

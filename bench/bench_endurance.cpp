@@ -136,16 +136,8 @@ main(int argc, char **argv)
                        "/" + c.policy + "/" + c.media;
             });
     });
-    rep.noteRun(secs, resolveJobs(jobs));
     std::printf("[grid] %zu points on %u jobs: %.2f s wall\n", cells.size(),
                 resolveJobs(jobs), secs);
-
-    std::uint64_t ops = 0, events = 0;
-    for (const CellResult &r : results) {
-        ops += r.metrics.count("sim.ops");
-        events += r.metrics.count("sim.events_fired");
-    }
-    rep.noteSim(ops, events);
 
     bbbench::banner("NVMM endurance: write amplification and projected "
                     "lifetime per media backend x mode x drain policy");

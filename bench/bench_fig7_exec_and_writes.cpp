@@ -46,7 +46,7 @@ main(int argc, char **argv)
             {benchConfig(PersistMode::BbbMemSide, 1024), name, params});
     }
     std::vector<ExperimentResult> results =
-        bbbench::runGrid(specs, jobs, &rep);
+        bbbench::runGrid(specs, jobs);
     bbbench::reportExperiments(rep, results, /*with_entries=*/true);
 
     bbbench::banner("Figure 7: execution time and NVMM writes, "

@@ -51,7 +51,7 @@ main(int argc, char **argv)
         }
     }
     std::vector<ExperimentResult> results =
-        bbbench::runGrid(specs, jobs, &rep);
+        bbbench::runGrid(specs, jobs);
     bbbench::reportExperiments(rep, results, /*with_entries=*/true);
 
     // result[size] = {rejections, exec, drains} geomean inputs

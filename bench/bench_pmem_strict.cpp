@@ -45,7 +45,7 @@ main(int argc, char **argv)
         specs.push_back({strict_cfg, name, params});
     }
     std::vector<ExperimentResult> results =
-        bbbench::runGrid(specs, jobs, &rep);
+        bbbench::runGrid(specs, jobs);
 
     bbbench::banner("Table I ablation: strict-persistency penalty, "
                     "PMEM flush+fence vs BBB (time normalized to eADR)");

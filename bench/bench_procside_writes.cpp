@@ -47,7 +47,7 @@ main(int argc, char **argv)
             {benchConfig(PersistMode::BbbProcSide, 32), name, params});
     }
     std::vector<ExperimentResult> results =
-        bbbench::runGrid(specs, jobs, &rep);
+        bbbench::runGrid(specs, jobs);
 
     bbbench::banner("Section V-C: processor-side vs memory-side bbPB "
                     "(normalized to eADR writes)");

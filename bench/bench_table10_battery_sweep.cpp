@@ -21,7 +21,7 @@ main(int argc, char **argv)
 
     // Analytic bench; same CLI conventions as the sim benches (see
     // bench_table9_battery_size.cpp).
-    unsigned jobs = bbbench::jobsArg(argc, argv);
+    bbbench::jobsArg(argc, argv);
 
     BenchReport rep("table10_battery_sweep");
     {
@@ -68,7 +68,6 @@ main(int argc, char **argv)
                 "1.3;  server 0.006 0.026 0.10 0.21 0.43 1.7 6.8\n"
                 "Even a 1024-entry bbPB stays 22-49x cheaper than eADR "
                 "(Table IX).\n");
-    rep.noteRun(0.0, jobs);
     rep.emitIfRequested(bbbench::jsonPathArg(argc, argv));
     return 0;
 }

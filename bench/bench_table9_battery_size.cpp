@@ -50,8 +50,8 @@ main(int argc, char **argv)
 {
     // Analytic bench: no simulation, but it follows the same CLI
     // conventions as the sim benches so campaign scripts can pass one
-    // flag set everywhere (--strict-args validates, --jobs is noted).
-    unsigned jobs = bbbench::jobsArg(argc, argv);
+    // flag set everywhere (--strict-args validates, --jobs is ignored).
+    bbbench::jobsArg(argc, argv);
 
     BenchReport rep("table9_battery_size");
     rep.setConfig("bbpb_entries", std::uint64_t{32});
@@ -68,11 +68,8 @@ main(int argc, char **argv)
                     "(worst-case provisioning)");
     std::printf("%-8s %-5s %-9s %14s %18s\n", "system", "scheme", "tech",
                 "volume (mm^3)", "area/core (%)");
-    double secs = timedSeconds([&] {
-        rows(mobilePlatform(), rep);
-        rows(serverPlatform(), rep);
-    });
-    rep.noteRun(secs, jobs);
+    rows(mobilePlatform(), rep);
+    rows(serverPlatform(), rep);
     std::printf("\nPaper: mobile eADR 2.9e3/30 mm^3 (77x/3.6x core), "
                 "BBB 4.1/0.04 mm^3 (97.2%%/4.5%%);\n"
                 "       server eADR 34e3/300 mm^3 (404x/18.7x core), "

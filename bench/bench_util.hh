@@ -11,7 +11,6 @@
 #ifndef BBB_BENCH_BENCH_UTIL_HH
 #define BBB_BENCH_BENCH_UTIL_HH
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -43,35 +42,22 @@ paperWorkloads()
 }
 
 /**
- * Submit a full bench grid to the experiment pool and report wall-clock,
- * so CI logs show what the pool buys. Results are in submission order
- * and bit-identical to a serial run (see runExperiments). When @p rep is
- * given, the wall clock and jobs width land in its host section.
+ * Submit a full bench grid to the experiment pool and print its
+ * wall-clock, so CI logs show what the pool buys. Results are in
+ * submission order and bit-identical to a serial run (see
+ * runExperiments).
  */
 inline std::vector<bbb::ExperimentResult>
-runGrid(const std::vector<bbb::ExperimentSpec> &specs, unsigned jobs,
-        bbb::BenchReport *rep = nullptr)
+runGrid(const std::vector<bbb::ExperimentSpec> &specs, unsigned jobs)
 {
-    auto start = std::chrono::steady_clock::now();
-    std::vector<bbb::ExperimentResult> results =
-        bbb::runExperiments(specs, jobs);
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
+    std::vector<bbb::ExperimentResult> results;
+    double secs = bbb::timedSeconds(
+        [&] { results = bbb::runExperiments(specs, jobs); });
     unsigned effective = bbb::resolveJobs(jobs);
     if (effective > specs.size() && !specs.empty())
         effective = static_cast<unsigned>(specs.size());
     std::printf("[grid] %zu points on %u jobs: %.2f s wall\n",
                 specs.size(), effective, secs);
-    if (rep) {
-        rep->noteRun(secs, effective);
-        std::uint64_t ops = 0, events = 0;
-        for (const bbb::ExperimentResult &r : results) {
-            ops += r.metrics.count("sim.ops");
-            events += r.metrics.count("sim.events_fired");
-        }
-        rep->noteSim(ops, events);
-    }
     return results;
 }
 

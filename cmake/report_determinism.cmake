@@ -1,5 +1,5 @@
 # Prove a binary's --json report is a pure function of its inputs: run
-# it at two worker-pool widths under BBB_REPORT_CANONICAL=1 and require
+# it at two worker-pool widths, with the shipped defaults, and require
 # byte-identical documents. Optionally diff the --jobs 1 document
 # against a committed baseline at --tolerance 0 (BASELINE + PYTHON +
 # TOOL).
@@ -13,8 +13,7 @@ separate_arguments(ARGS)
 
 foreach(jobs 1 8)
     execute_process(
-        COMMAND ${CMAKE_COMMAND} -E env BBB_REPORT_CANONICAL=1
-                ${BIN} ${ARGS} --jobs ${jobs} --json ${OUT}.j${jobs}.json
+        COMMAND ${BIN} ${ARGS} --jobs ${jobs} --json ${OUT}.j${jobs}.json
         RESULT_VARIABLE run_rc)
     if(NOT run_rc EQUAL 0)
         message(FATAL_ERROR "${BIN} --jobs ${jobs} exited with ${run_rc}")

@@ -1,24 +1,15 @@
 # Run one bench/campaign binary with `--json` and schema-validate the
 # resulting bbb-bench-report document.
 #
-# Usage (driven by the report_smoke / perf_smoke ctest labels):
+# Usage (driven by the report_smoke ctest label):
 #   cmake -DBIN=<binary> -DARGS="<args>" -DJSON=<out.json>
 #         -DPYTHON=<python3> -DTOOL=<compare_bench_json.py>
-#         [-DCANONICAL=0] -P report_smoke.cmake
-#
-# CANONICAL defaults to 1 (host section zeroed, byte-stable document);
-# the perf_smoke test passes 0 so the live host timings and sim-rate
-# telemetry go through schema validation too.
+#         -P report_smoke.cmake
 
 separate_arguments(ARGS)
 
-if(NOT DEFINED CANONICAL)
-    set(CANONICAL 1)
-endif()
-
 execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env BBB_REPORT_CANONICAL=${CANONICAL}
-            ${BIN} ${ARGS} --json ${JSON}
+    COMMAND ${BIN} ${ARGS} --json ${JSON}
     RESULT_VARIABLE run_rc)
 if(NOT run_rc EQUAL 0)
     message(FATAL_ERROR "${BIN} exited with ${run_rc}")

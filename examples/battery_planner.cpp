@@ -236,7 +236,6 @@ main(int argc, char **argv)
     }
     rep.measured().setCount("min_viable.unviable_cells", unviable_cells);
     rep.measured().merge(summary.metrics, "");
-    rep.noteRun(secs, jobs);
     rep.emitIfRequested(cli::jsonPathArg(argc, argv));
 
     if (const LifetimeResult *bug = summary.firstViolation()) {

@@ -308,9 +308,7 @@ main(int argc, char **argv)
         return r.outcome == LifetimeOutcome::OracleViolation ? 1 : 0;
     }
 
-    LifetimeSummary summary;
-    double secs = timedSeconds(
-        [&] { summary = runLifetimeCampaign(spec, jobs); });
+    LifetimeSummary summary = runLifetimeCampaign(spec, jobs);
 
     if (verbose) {
         for (const LifetimeResult &r : summary.results) {
@@ -368,7 +366,6 @@ main(int argc, char **argv)
                 rep.setConfig("policies", pols);
         }
         rep.measured().merge(summary.metrics, "");
-        rep.noteRun(secs, jobs);
         rep.writeFile(json_path);
     }
 

@@ -10,13 +10,13 @@
  *   run_experiment [--workload NAME[,NAME...]|all] [--mode MODE]
  *                  [--entries N] [--ops N] [--initial N] [--threshold F]
  *                  [--policy fcfs|lrw|random] [--jobs N] [--stats]
- *                  [--trace FILE] [--json PATH]
+ *                  [--json PATH]
  *
  * Modes: adr-unsafe, adr-pmem, pmem-strict, eadr, bbb-mem-side,
  *        bbb-proc-side.
  *
- * With a single workload the full report (stats, crash drain, recovery,
- * trace) is printed. With a comma-separated list or `all`, the grid is
+ * With a single workload the full report (stats, crash drain, recovery)
+ * is printed. With a comma-separated list or `all`, the grid is
  * submitted to the parallel experiment pool (`--jobs N`, or BBB_JOBS,
  * default hardware concurrency) and one CSV row is printed per point.
  */
@@ -32,7 +32,6 @@
 #include "api/experiment.hh"
 #include "api/report.hh"
 #include "api/system.hh"
-#include "api/trace.hh"
 
 using namespace bbb;
 
@@ -47,8 +46,7 @@ usage(const char *argv0)
                  "          [--entries N] [--ops N] [--initial N]\n"
                  "          [--threshold F] [--policy fcfs|lrw|random]\n"
                  "          [--media direct|ftl] [--endurance N]\n"
-                 "          [--jobs N] [--stats]"
-                 " [--trace FILE] [--json PATH]\n\n"
+                 "          [--jobs N] [--stats] [--json PATH]\n\n"
                  "workloads:",
                  argv0);
     for (const auto &name : workloadNames())
@@ -105,7 +103,6 @@ int
 main(int argc, char **argv)
 {
     std::string workload = "hashmap";
-    std::string trace_path;
     std::string json_path;
     bool auto_strict = false;
     bool dump_stats = false;
@@ -125,8 +122,7 @@ main(int argc, char **argv)
         if (arg == "--workload") {
             workload = next();
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            next(); // parsed and validated by jobsArg above
         } else if (arg == "--mode") {
             cfg.mode = parseMode(next(), auto_strict);
             cfg.pmem_auto_strict = auto_strict;
@@ -149,8 +145,6 @@ main(int argc, char **argv)
                 std::strtoull(next().c_str(), nullptr, 10);
         } else if (arg == "--stats") {
             dump_stats = true;
-        } else if (arg == "--trace") {
-            trace_path = next();
         } else if (arg == "--json") {
             json_path = next();
         } else {
@@ -165,9 +159,8 @@ main(int argc, char **argv)
         std::vector<ExperimentSpec> specs;
         for (const std::string &name : sweep)
             specs.push_back({cfg, name, params});
-        std::vector<ExperimentResult> results;
-        double secs = timedSeconds(
-            [&] { results = runExperiments(specs, jobs); });
+        std::vector<ExperimentResult> results =
+            runExperiments(specs, jobs);
         std::printf("%s\n", ExperimentResult::csvHeader().c_str());
         for (const ExperimentResult &r : results)
             std::printf("%s\n", r.toCsv().c_str());
@@ -182,7 +175,6 @@ main(int argc, char **argv)
                              std::uint64_t{params.initial_elements});
             for (std::size_t i = 0; i < results.size(); ++i)
                 report.addExperiment(sweep[i], results[i].metrics);
-            report.noteRun(secs, jobs);
             report.writeFile(json_path);
         }
         return 0;
@@ -190,7 +182,6 @@ main(int argc, char **argv)
     workload = sweep.empty() ? workload : sweep.front();
 
     System sys(cfg);
-    TraceRecorder recorder(sys);
     auto wl = makeWorkload(workload, params);
     wl->install(sys);
     sys.run();
@@ -245,11 +236,6 @@ main(int argc, char **argv)
                 (unsigned long long)res.dangling,
                 res.consistent() ? "CONSISTENT" : "CORRUPT");
 
-    if (!trace_path.empty()) {
-        writeTrace(recorder.trace(), trace_path);
-        std::printf("trace               %zu ops -> %s\n",
-                    recorder.trace().totalOps(), trace_path.c_str());
-    }
     if (dump_stats) {
         std::printf("\n");
         sys.stats().dumpAll(std::cout);

@@ -85,21 +85,38 @@ fastMode(int argc, char **argv)
 /**
  * Worker-pool width: `--jobs N` on the command line, else the BBB_JOBS
  * environment variable, else 0 (= hardware concurrency, resolved by the
- * worker pool).
+ * worker pool). N must be unsigned decimal digits (at most nine);
+ * anything else warns and uses 0 — or, under `--strict-args`, exits
+ * with status 2.
  */
 inline unsigned
 jobsArg(int argc, char **argv)
 {
-    std::string value = stringOpt(argc, argv, "--jobs");
+    const char *source = "--jobs";
+    std::string value = stringOpt(argc, argv, source);
     if (value.empty()) {
         const char *env = std::getenv("BBB_JOBS");
-        if (env)
-            value = env;
+        if (!env || !*env)
+            return 0;
+        source = "BBB_JOBS";
+        value = env;
     }
-    return value.empty()
-               ? 0
-               : static_cast<unsigned>(
-                     std::strtoul(value.c_str(), nullptr, 10));
+    bool digits = value.size() <= 9;
+    for (char c : value)
+        digits = digits && c >= '0' && c <= '9';
+    if (digits)
+        return static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
+    if (strictArgs(argc, argv)) {
+        std::fprintf(stderr,
+                     "error: %s expects an unsigned integer, got '%s'\n",
+                     source, value.c_str());
+        std::exit(2);
+    }
+    std::fprintf(stderr,
+                 "warning: %s expects an unsigned integer, got '%s'; "
+                 "using 0 (all hardware threads)\n",
+                 source, value.c_str());
+    return 0;
 }
 
 /** Split a comma-separated list, dropping empty segments. */

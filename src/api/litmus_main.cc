@@ -139,30 +139,27 @@ main(int argc, char **argv)
     report.setConfig("max_nodes", opts.max_nodes);
 
     HarnessResult total;
-    double secs = timedSeconds([&]() {
-        for (const Test &t : tests) {
-            HarnessResult r = checkTest(t, opts);
-            MetricSnapshot m;
-            m.setCount("litmus.nodes", r.nodes);
-            m.setCount("litmus.leaves", r.leaves);
-            m.setCount("litmus.pruned", r.pruned);
-            m.setCount("litmus.sim_runs", r.sim_runs);
-            m.setCount("litmus.battery_runs", r.battery_runs);
-            m.setCount("litmus.violations", r.violations.size());
-            report.addExperiment(t.name, m);
-            total.merge(r);
-            std::string verdict =
-                r.ok() ? "ok"
-                       : std::to_string(r.violations.size()) +
-                             " VIOLATIONS";
-            std::printf("%-20s %8llu nodes %8llu runs  %s\n",
-                        t.name.c_str(),
-                        (unsigned long long)r.nodes,
-                        (unsigned long long)r.sim_runs,
-                        verdict.c_str());
-        }
-    });
-    report.noteRun(secs, 1);
+    for (const Test &t : tests) {
+        HarnessResult r = checkTest(t, opts);
+        MetricSnapshot m;
+        m.setCount("litmus.nodes", r.nodes);
+        m.setCount("litmus.leaves", r.leaves);
+        m.setCount("litmus.pruned", r.pruned);
+        m.setCount("litmus.sim_runs", r.sim_runs);
+        m.setCount("litmus.battery_runs", r.battery_runs);
+        m.setCount("litmus.violations", r.violations.size());
+        report.addExperiment(t.name, m);
+        total.merge(r);
+        std::string verdict =
+            r.ok() ? "ok"
+                   : std::to_string(r.violations.size()) +
+                         " VIOLATIONS";
+        std::printf("%-20s %8llu nodes %8llu runs  %s\n",
+                    t.name.c_str(),
+                    (unsigned long long)r.nodes,
+                    (unsigned long long)r.sim_runs,
+                    verdict.c_str());
+    }
 
     for (const Violation &v : total.violations)
         std::fprintf(stderr, "%s\n", v.format().c_str());

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -12,14 +10,6 @@
 
 namespace bbb
 {
-
-/** BBB_REPORT_CANONICAL=1 zeroes the host section (determinism tests). */
-bool
-reportCanonicalMode()
-{
-    const char *env = std::getenv("BBB_REPORT_CANONICAL");
-    return env && *env && std::strcmp(env, "0") != 0;
-}
 
 void
 BenchReport::setConfig(const std::string &key, const std::string &value)
@@ -75,8 +65,6 @@ writeSnapshotMember(JsonWriter &w, const std::string &key,
 void
 BenchReport::writeJson(std::ostream &os) const
 {
-    const bool canonical = reportCanonicalMode();
-
     JsonWriter w(os);
     w.beginObject();
     w.member("schema", kSchema);
@@ -101,26 +89,6 @@ BenchReport::writeJson(std::ostream &os) const
         w.endObject();
     }
     w.endArray();
-
-    w.key("host");
-    w.beginObject();
-    w.member("jobs",
-             static_cast<std::uint64_t>(canonical ? 0 : _jobs));
-    w.member("wall_clock_s", canonical ? 0.0 : _wall_clock_s);
-    // Simulator throughput: counts are deterministic but the whole
-    // section describes the run, not the result, so canonical mode
-    // zeroes everything uniformly.
-    std::uint64_t ops = canonical ? 0 : _sim_ops;
-    std::uint64_t events = canonical ? 0 : _events_fired;
-    double secs = canonical ? 0.0 : _wall_clock_s;
-    w.member("sim_ops", ops);
-    w.member("events_fired", events);
-    w.member("events_per_sec",
-             secs > 0.0 ? static_cast<double>(events) / secs : 0.0);
-    w.member("ns_per_op",
-             ops && secs > 0.0 ? secs * 1e9 / static_cast<double>(ops)
-                               : 0.0);
-    w.endObject();
 
     w.endObject();
     os << '\n';

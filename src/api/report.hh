@@ -3,28 +3,23 @@
  * BenchReport: the one machine-readable artifact every bench and
  * campaign binary emits behind `--json <path>`.
  *
- * The document is schema-versioned ("bbb-bench-report", version 1) and
- * deterministic: config entries and metric trees serialize in sorted
- * order through the same JsonWriter as MetricSnapshot, so two runs of
- * the same binary at any `--jobs` width produce byte-identical files —
- * with one deliberate exception, the "host" section (wall-clock seconds
- * and the jobs width), which describes the run rather than the result.
- * Setting BBB_REPORT_CANONICAL=1 zeroes that section too, which is how
- * the determinism tests compare whole files; tools/compare_bench_json.py
- * likewise ignores it.
+ * The document is schema-versioned ("bbb-bench-report", version 2) and
+ * a pure function of the binary's inputs: config entries and metric
+ * trees serialize in sorted order through the same JsonWriter as
+ * MetricSnapshot, and nothing in it depends on the host, so two runs of
+ * the same binary at any `--jobs` width produce byte-identical files.
+ * Host performance is measured from outside the library (benchmark/).
  *
  * Layout (fixed key order):
  *
  *   {
  *     "schema": "bbb-bench-report",
- *     "schema_version": 1,
+ *     "schema_version": 2,
  *     "bench": "<binary name>",
  *     "config": { "<key>": "<string>", ... },          // sorted keys
  *     "paper": { <MetricSnapshot> },    // published reference values
  *     "measured": { <MetricSnapshot> }, // headline measured values
- *     "experiments": [ { "label": "...", "metrics": { ... } }, ... ],
- *     "host": { "jobs": N, "wall_clock_s": S, "sim_ops": O,
- *               "events_fired": E, "events_per_sec": R, "ns_per_op": P }
+ *     "experiments": [ { "label": "...", "metrics": { ... } }, ... ]
  *   }
  */
 
@@ -48,7 +43,7 @@ class BenchReport
 {
   public:
     static constexpr const char *kSchema = "bbb-bench-report";
-    static constexpr unsigned kSchemaVersion = 1;
+    static constexpr unsigned kSchemaVersion = 2;
 
     explicit BenchReport(std::string bench_name)
         : _bench(std::move(bench_name))
@@ -79,25 +74,6 @@ class BenchReport
                        const MetricSnapshot &metrics);
 
     std::size_t experiments() const { return _experiments.size(); }
-
-    /** --- host: the only non-deterministic section -------------------- */
-
-    void
-    noteRun(double wall_clock_s, unsigned jobs)
-    {
-        _wall_clock_s += wall_clock_s;
-        _jobs = jobs;
-    }
-
-    /** Accumulate simulated work for the host-rate summary: @p ops
-     *  memory operations and @p events fired across the run's systems.
-     *  events/sec and ns/op are derived from the noteRun wall clock. */
-    void
-    noteSim(std::uint64_t ops, std::uint64_t events)
-    {
-        _sim_ops += ops;
-        _events_fired += events;
-    }
 
     /** --- emission ---------------------------------------------------- */
 
@@ -132,24 +108,13 @@ class BenchReport
         MetricSnapshot metrics;
     };
     std::vector<Entry> _experiments;
-    double _wall_clock_s = 0.0;
-    unsigned _jobs = 0;
-    std::uint64_t _sim_ops = 0;
-    std::uint64_t _events_fired = 0;
 };
 
 /**
- * Seconds of wall clock spent in @p fn (steady clock) — the helper
- * benches use to fill BenchReport::noteRun around a grid or campaign.
+ * Seconds of wall clock spent in @p fn (steady clock), for the
+ * human-facing `[grid] ... s wall` lines; never part of a report.
  */
 double timedSeconds(const std::function<void()> &fn);
-
-/**
- * Whether BBB_REPORT_CANONICAL is set: the host section is zeroed, and
- * benches whose measured values are host timings (bench_micro) omit
- * them so the whole document is byte-stable.
- */
-bool reportCanonicalMode();
 
 } // namespace bbb
 

@@ -1,24 +1,9 @@
 #include "api/system.hh"
 
-#include <chrono>
-
-#include "api/report.hh"
 #include "mem/ftl/ftl_media.hh"
 
 namespace bbb
 {
-
-namespace
-{
-/** Host wall clock for the sim-rate telemetry (not simulated time). */
-double
-hostNow()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-} // namespace
 
 System::System(const SystemConfig &cfg)
     : _cfg(cfg), _map(AddrMap::fromConfig(cfg))
@@ -116,10 +101,8 @@ System::setFaultPlan(const FaultPlan &plan)
 MetricSnapshot
 System::snapshotMetrics(bool histogram_buckets) const
 {
-    // Refresh the sim-rate counters from the live components so the
-    // registry walk below sees current values. Counts are deterministic
-    // (ops, events); only the host-time-derived leaves appended after the
-    // walk vary across hosts.
+    // Refresh the simulator-work counters from the live components so
+    // the registry walk below sees current values.
     _sim.ops.set(_hier->memOps());
     _sim.events_fired.set(_eq.executed());
     _sim.events_inlined.set(_eq.inlined());
@@ -137,8 +120,7 @@ System::snapshotMetrics(bool histogram_buckets) const
                static_cast<double>(_backend->occupancy()));
 
     // Media-layer derived leaves: write amplification always, plus the
-    // wear/remap/lifetime subtree for the FTL backend. Simulated time
-    // only, so the leaves are canonical-safe.
+    // wear/remap/lifetime subtree for the FTL backend.
     _nvmm_media->addDerivedMetrics(m, ticksToNs(_exec_time) * 1e-9);
 
     // Instantaneous dirty-state watermarks from the hierarchy walk.
@@ -151,20 +133,6 @@ System::snapshotMetrics(bool histogram_buckets) const
                static_cast<double>(d.llc_dirty_blocks));
     m.setLevel("hierarchy.llc_valid_blocks",
                static_cast<double>(d.llc_valid_blocks));
-
-    // Host-rate leaves: how fast the simulator itself ran. These depend
-    // on the host machine, so canonical mode zeroes them — the `sim`
-    // count leaves above stay exact and comparable.
-    const bool canonical = reportCanonicalMode();
-    double secs = canonical ? 0.0 : _host_seconds;
-    std::uint64_t ops = _hier->memOps();
-    std::uint64_t events = _eq.executed();
-    m.setReal("sim.host_seconds", secs);
-    m.setLevel("sim.events_per_sec",
-               secs > 0.0 ? static_cast<double>(events) / secs : 0.0);
-    m.setLevel("sim.host_ns_per_op",
-               ops && secs > 0.0 ? secs * 1e9 / static_cast<double>(ops)
-                                 : 0.0);
     return m;
 }
 
@@ -230,7 +198,6 @@ System::startGated()
 Tick
 System::run(Tick max_tick)
 {
-    double t0 = hostNow();
     for (auto &core : _cores)
         core->start();
 
@@ -242,7 +209,6 @@ System::run(Tick max_tick)
     // Run until every thread finishes and trailing buffer drains settle,
     // so write counts are complete.
     _eq.run(max_tick);
-    _host_seconds += hostNow() - t0;
 
     Tick finish = 0;
     for (const auto &core : _cores)
@@ -254,7 +220,6 @@ System::run(Tick max_tick)
 void
 System::runUntil(Tick until)
 {
-    double t0 = hostNow();
     // start() is idempotent on cores, so repeated runUntil() calls
     // resume where the previous one stopped — only the invariant-check
     // event must not be scheduled twice.
@@ -265,7 +230,6 @@ System::runUntil(Tick until)
         scheduleInvariantCheck();
     }
     _eq.run(until);
-    _host_seconds += hostNow() - t0;
 }
 
 CrashReport

@@ -211,16 +211,13 @@ class System
     /** Run the hierarchy/backend invariant validator (tests). */
     void checkInvariants() { _hier->checkInvariants(); }
 
-    /** Host wall-clock seconds spent inside run()/runAndCrashAt(). */
-    double hostSeconds() const { return _host_seconds; }
-
   private:
     bool allThreadsFinished() const;
 
     /** Sampled invariant checking (SystemConfig::check_invariants). */
     void scheduleInvariantCheck();
 
-    /** Registry-registered simulator-rate telemetry (the `sim` group). */
+    /** Registry-registered simulator-work counts (the `sim` group). */
     struct SimStats
     {
         StatCounter ops;            ///< memory operations simulated
@@ -253,7 +250,6 @@ class System
     /// snapshotMetrics() immediately before the registry walk.
     mutable SimStats _sim;
     Tick _exec_time = 0;
-    double _host_seconds = 0.0;
     bool _crashed = false;
     bool _invariants_scheduled = false;
 };

@@ -135,7 +135,7 @@ class CacheHierarchy
     const AddrMap &addrMap() const { return _map; }
 
     /** Memory operations (loads + stores) performed so far — the "op"
-     *  denominator of the sim-rate telemetry. */
+     *  that `sim.ops` reports. */
     std::uint64_t memOps() const
     {
         return _loads.value() + _stores.value();

@@ -129,8 +129,8 @@ class Core
     bool halted() const { return _halted; }
 
     /**
-     * Observe every operation the thread issues (trace recording).
-     * Called at issue time, before the op executes.
+     * Observe every operation the thread issues (litmus schedule
+     * recording). Called at issue time, before the op executes.
      */
     void
     setOpObserver(std::function<void(const MemOp &)> observer)

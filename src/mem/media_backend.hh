@@ -31,7 +31,7 @@
  * Determinism: a backend may not consult any state outside the
  * simulation (host clocks, unordered containers, global RNGs). Every
  * FtlMedia decision derives from ordered tables keyed by (wear, frame),
- * evaluated in event order, so canonical reports stay byte-identical at
+ * evaluated in event order, so reports stay byte-identical at
  * any --jobs width.
  */
 
@@ -84,7 +84,7 @@ class MediaTiming
 /**
  * Media-layer counters, registered under the "media" stat group for the
  * NVMM backend (the DRAM controller's pass-through stays unregistered).
- * Shared by both backends so canonical reports carry the same key set
+ * Shared by both backends so reports carry the same key set
  * in either mode; the FTL-only counters simply stay zero under
  * DirectMedia.
  */
@@ -182,7 +182,7 @@ class MediaBackend
      * Append the derived media.* snapshot leaves: write amplification
      * for every backend, plus the wear/remap/lifetime subtree for the
      * FTL. @p exec_seconds is simulated (not host) time, so the leaves
-     * are deterministic and canonical-safe.
+     * are deterministic.
      */
     virtual void addDerivedMetrics(MetricSnapshot &m,
                                    double exec_seconds) const;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,46 @@ TEST(CliDeath, StrictArgsAppliesToAnyStringFlag)
     EXPECT_EXIT(cli::stringOpt(a.argc(), a.argv(), "--workloads"),
                 ::testing::ExitedWithCode(2),
                 "--workloads requires a value");
+}
+
+TEST(Cli, MalformedJobsWarnsAndUsesAllThreads)
+{
+    for (const char *bad : {"abc", "-1", "3x"}) {
+        Argv a({"--jobs", bad});
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(cli::jobsArg(a.argc(), a.argv()), 0u) << bad;
+        std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("warning: --jobs expects an unsigned integer"),
+                  std::string::npos)
+            << err;
+    }
+}
+
+TEST(Cli, JobsFallsBackToEnvironment)
+{
+    Argv a({"--fast"});
+    setenv("BBB_JOBS", "3", 1);
+    EXPECT_EQ(cli::jobsArg(a.argc(), a.argv()), 3u);
+    setenv("BBB_JOBS", "3x", 1);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(cli::jobsArg(a.argc(), a.argv()), 0u);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    unsetenv("BBB_JOBS");
+    EXPECT_NE(err.find("warning: BBB_JOBS expects an unsigned integer"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(cli::jobsArg(a.argc(), a.argv()), 0u);
+}
+
+TEST(CliDeath, StrictArgsRejectsMalformedJobs)
+{
+    for (const char *bad : {"abc", "-1", "3x"}) {
+        Argv a({"--strict-args", "--jobs", bad});
+        EXPECT_EXIT(cli::jobsArg(a.argc(), a.argv()),
+                    ::testing::ExitedWithCode(2),
+                    "error: --jobs expects an unsigned integer")
+            << bad;
+    }
 }
 
 TEST(CliOnOff, ParsesSpellings)

@@ -214,14 +214,12 @@ TEST(Core, RngIsPerThreadDeterministic)
 namespace
 {
 
-/** Canonical metrics (host-rate leaves zeroed) of @p sys, minus the one
- *  leaf that legitimately depends on how the run was sliced. */
+/** Metrics of @p sys, minus the one leaf that legitimately depends on
+ *  how the run was sliced. */
 std::string
 slicingInvariantMetrics(const System &sys)
 {
-    setenv("BBB_REPORT_CANONICAL", "1", 1);
     MetricSnapshot m = sys.snapshotMetrics();
-    unsetenv("BBB_REPORT_CANONICAL");
     // A slice boundary refuses in-place firing, so the share of events
     // fired in place varies with the slicing; the events do not.
     m.setCount("sim.events_inlined", 0);

@@ -2,12 +2,11 @@
  * @file
  * Integration tests for the structured-metrics layer: System metric
  * snapshots, ExperimentResult::metrics, and the BenchReport document
- * (schema sections, canonical mode, jobs-width determinism).
+ * (schema sections, golden bytes, jobs-width determinism).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -44,20 +43,6 @@ tinyParams()
     params.array_elements = 1 << 12;
     return params;
 }
-
-/** RAII guard for BBB_REPORT_CANONICAL so tests cannot leak it. */
-struct CanonicalGuard
-{
-    explicit CanonicalGuard(bool on)
-    {
-        if (on)
-            setenv("BBB_REPORT_CANONICAL", "1", 1);
-        else
-            unsetenv("BBB_REPORT_CANONICAL");
-    }
-
-    ~CanonicalGuard() { unsetenv("BBB_REPORT_CANONICAL"); }
-};
 
 } // namespace
 
@@ -124,11 +109,8 @@ TEST(ExperimentMetrics, ResultCarriesMetricTree)
 
 TEST(ExperimentMetrics, SerialAndParallelMetricsBitIdentical)
 {
-    // Canonical mode zeroes the host-rate leaves of the `sim` group
-    // (sim.host_seconds and friends vary with host scheduling); every
-    // other metric — including the sim.ops / sim.events_fired counts —
+    // Every metric, including the sim.ops / sim.events_fired counts,
     // must be bit-identical at any jobs width.
-    CanonicalGuard guard(true);
     std::vector<ExperimentSpec> specs;
     for (const char *w : {"hashmap", "linkedlist", "mutateC", "hashmap"})
         specs.push_back({tinyCfg(), w, tinyParams()});
@@ -140,48 +122,15 @@ TEST(ExperimentMetrics, SerialAndParallelMetricsBitIdentical)
     for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serial[i].metrics.toJson(), wide[i].metrics.toJson())
             << "spec " << i;
-}
-
-TEST(ExperimentMetrics, SimGroupCountsDeterministicRatesHostBound)
-{
-    // Non-canonical runs may disagree on the host-rate leaves but never
-    // on the simulated counts.
-    CanonicalGuard guard(false);
-    std::vector<ExperimentSpec> specs = {
-        {tinyCfg(), "hashmap", tinyParams()}};
-    ExperimentResult a = runExperiments(specs, 1).at(0);
-    ExperimentResult b = runExperiments(specs, 1).at(0);
-
-    EXPECT_GT(a.metrics.count("sim.ops"), 0u);
-    EXPECT_GT(a.metrics.count("sim.events_fired"), 0u);
-    EXPECT_EQ(a.metrics.count("sim.ops"), b.metrics.count("sim.ops"));
-    EXPECT_EQ(a.metrics.count("sim.events_fired"),
-              b.metrics.count("sim.events_fired"));
     // ops counts loads + stores, so it bounds the store count.
-    EXPECT_GE(a.metrics.count("sim.ops"),
-              a.metrics.count("hierarchy.stores"));
-    // The run took nonzero host time, so the rate leaves are live.
-    EXPECT_GT(a.metrics.real("sim.host_seconds"), 0.0);
-    EXPECT_GT(a.metrics.real("sim.events_per_sec"), 0.0);
-    EXPECT_GT(a.metrics.real("sim.host_ns_per_op"), 0.0);
-}
-
-TEST(ExperimentMetrics, CanonicalModeZeroesSimRateLeaves)
-{
-    CanonicalGuard guard(true);
-    std::vector<ExperimentSpec> specs = {
-        {tinyCfg(), "hashmap", tinyParams()}};
-    ExperimentResult r = runExperiments(specs, 1).at(0);
-    EXPECT_GT(r.metrics.count("sim.ops"), 0u);
-    EXPECT_GT(r.metrics.count("sim.events_fired"), 0u);
-    EXPECT_EQ(r.metrics.real("sim.host_seconds"), 0.0);
-    EXPECT_EQ(r.metrics.real("sim.events_per_sec"), 0.0);
-    EXPECT_EQ(r.metrics.real("sim.host_ns_per_op"), 0.0);
+    const MetricSnapshot &m = serial[0].metrics;
+    EXPECT_GT(m.count("sim.events_fired"), 0u);
+    EXPECT_GE(m.count("sim.ops"), m.count("hierarchy.stores"));
+    EXPECT_GT(m.count("hierarchy.stores"), 0u);
 }
 
 TEST(BenchReport, DocumentSectionsInFixedOrder)
 {
-    CanonicalGuard guard(false);
     BenchReport rep("demo");
     rep.setConfig("fast", true);
     rep.setConfig("ops", std::uint64_t{42});
@@ -190,21 +139,18 @@ TEST(BenchReport, DocumentSectionsInFixedOrder)
     MetricSnapshot em;
     em.setCount("bbpb.drains", 3);
     rep.addExperiment("hashmap/bbb-mem", em);
-    rep.noteRun(0.5, 8);
 
     std::string doc = rep.toJson();
     EXPECT_LT(doc.find("\"schema\": \"bbb-bench-report\""),
-              doc.find("\"schema_version\": 1"));
+              doc.find("\"schema_version\": 2"));
     EXPECT_LT(doc.find("\"schema_version\""), doc.find("\"bench\": \"demo\""));
     EXPECT_LT(doc.find("\"bench\""), doc.find("\"config\""));
     EXPECT_LT(doc.find("\"config\""), doc.find("\"paper\""));
     EXPECT_LT(doc.find("\"paper\""), doc.find("\"measured\""));
     EXPECT_LT(doc.find("\"measured\""), doc.find("\"experiments\""));
-    EXPECT_LT(doc.find("\"experiments\""), doc.find("\"host\""));
-    EXPECT_NE(doc.find("\"label\": \"hashmap/bbb-mem\""),
-              std::string::npos);
-    EXPECT_NE(doc.find("\"jobs\": 8"), std::string::npos);
-    EXPECT_NE(doc.find("\"wall_clock_s\": 0.5"), std::string::npos);
+    EXPECT_LT(doc.find("\"experiments\""),
+              doc.find("\"label\": \"hashmap/bbb-mem\""));
+    EXPECT_EQ(doc.find("\"host\""), std::string::npos);
     EXPECT_EQ(doc.back(), '\n');
 }
 
@@ -212,7 +158,6 @@ TEST(BenchReport, StringLiteralConfigPrintsAsText)
 {
     // A string literal must not decay to the bool overload and print as
     // "true" (campaign reports once wrote "media": "true").
-    CanonicalGuard guard(false);
     BenchReport rep("literal");
     rep.setConfig("media", "direct");
     rep.setConfig("harness", "google-benchmark");
@@ -227,14 +172,13 @@ TEST(BenchReport, StringLiteralConfigPrintsAsText)
 
 TEST(BenchReport, GoldenBytes)
 {
-    CanonicalGuard guard(false);
     BenchReport rep("golden");
     rep.setConfig("ops", std::uint64_t{7});
     rep.paperRef("x", 1.5);
     rep.measured().setCount("y", 2);
     const char *expected = "{\n"
                            "  \"schema\": \"bbb-bench-report\",\n"
-                           "  \"schema_version\": 1,\n"
+                           "  \"schema_version\": 2,\n"
                            "  \"bench\": \"golden\",\n"
                            "  \"config\": {\n"
                            "    \"ops\": \"7\"\n"
@@ -245,44 +189,7 @@ TEST(BenchReport, GoldenBytes)
                            "  \"measured\": {\n"
                            "    \"y\": 2\n"
                            "  },\n"
-                           "  \"experiments\": [],\n"
-                           "  \"host\": {\n"
-                           "    \"jobs\": 0,\n"
-                           "    \"wall_clock_s\": 0,\n"
-                           "    \"sim_ops\": 0,\n"
-                           "    \"events_fired\": 0,\n"
-                           "    \"events_per_sec\": 0,\n"
-                           "    \"ns_per_op\": 0\n"
-                           "  }\n"
+                           "  \"experiments\": []\n"
                            "}\n";
     EXPECT_EQ(rep.toJson(), expected);
-}
-
-TEST(BenchReport, CanonicalModeZeroesHostSection)
-{
-    BenchReport rep("canon");
-    rep.noteRun(1.25, 16);
-    rep.noteSim(1000, 5000);
-    std::string normal, canonical;
-    {
-        CanonicalGuard guard(false);
-        normal = rep.toJson();
-    }
-    {
-        CanonicalGuard guard(true);
-        EXPECT_TRUE(reportCanonicalMode());
-        canonical = rep.toJson();
-    }
-    EXPECT_NE(normal.find("\"jobs\": 16"), std::string::npos);
-    EXPECT_NE(normal.find("\"sim_ops\": 1000"), std::string::npos);
-    EXPECT_NE(normal.find("\"events_fired\": 5000"), std::string::npos);
-    EXPECT_NE(normal.find("\"events_per_sec\": 4000"), std::string::npos);
-    EXPECT_NE(canonical.find("\"jobs\": 0"), std::string::npos);
-    EXPECT_NE(canonical.find("\"wall_clock_s\": 0"), std::string::npos);
-    EXPECT_NE(canonical.find("\"sim_ops\": 0"), std::string::npos);
-    EXPECT_NE(canonical.find("\"events_per_sec\": 0"), std::string::npos);
-    EXPECT_EQ(canonical.find("1.25"), std::string::npos);
-    // Everything but the host section is shared.
-    EXPECT_EQ(normal.substr(0, normal.find("\"host\"")),
-              canonical.substr(0, canonical.find("\"host\"")));
 }

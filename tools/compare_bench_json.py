@@ -9,8 +9,8 @@ src/api/report.hh). This tool is the scripting face of that schema:
   diff       compare a candidate report against a baseline with a
              relative tolerance, exiting non-zero on regression
 
-The ``host`` section (jobs width, wall clock) describes the run rather
-than the result and is always ignored by ``diff``.
+A report is a pure function of its inputs: it carries no host timings
+(benchmark/ measures host performance from outside the library).
 
 Examples:
   tools/compare_bench_json.py validate out/fig7.json
@@ -27,27 +27,13 @@ import math
 import sys
 
 SCHEMA = "bbb-bench-report"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Fixed top-level sections, in emission order (key order in the file is
 # part of the determinism contract, but json.load does not check it; the
 # byte-level checks live in the report_determinism ctests).
 SECTIONS = ["schema", "schema_version", "bench", "config", "paper",
-            "measured", "experiments", "host"]
-
-# The host section: run description plus simulator-throughput summary
-# (all zeroed under BBB_REPORT_CANONICAL=1). Reports written before the
-# sim-rate telemetry carry only the REQUIRED keys; new writers emit all
-# of HOST_KEYS.
-HOST_KEYS = {"jobs", "wall_clock_s", "sim_ops", "events_fired",
-             "events_per_sec", "ns_per_op"}
-HOST_REQUIRED_KEYS = {"jobs", "wall_clock_s"}
-
-# Metric leaves inside measured/experiments that are derived from host
-# wall clock (see System::snapshotMetrics): excluded from diff the same
-# way the host section is.
-HOST_RATE_LEAVES = ("sim.host_seconds", "sim.events_per_sec",
-                    "sim.host_ns_per_op")
+            "measured", "experiments"]
 
 
 def fail(msg):
@@ -87,14 +73,16 @@ def validate_doc(doc, name):
     for key in doc:
         if key not in SECTIONS:
             errors.append(f"{name}: unknown section '{key}'")
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        errors.append(f"{name}: schema_version is {version}, want "
+                      f"{SCHEMA_VERSION} (regenerate the report with the "
+                      "current binaries)")
     if errors:
         return errors
 
     if doc["schema"] != SCHEMA:
         errors.append(f"{name}: schema is '{doc['schema']}', want '{SCHEMA}'")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        errors.append(f"{name}: schema_version is {doc['schema_version']}, "
-                      f"want {SCHEMA_VERSION}")
     if not isinstance(doc["bench"], str) or not doc["bench"]:
         errors.append(f"{name}: 'bench' must be a non-empty string")
 
@@ -122,15 +110,6 @@ def validate_doc(doc, name):
             if not isinstance(entry["label"], str) or not entry["label"]:
                 errors.append(f"{where}.label: must be a non-empty string")
             _check_metric_tree(entry["metrics"], f"{where}.metrics", errors)
-
-    host = doc["host"]
-    if (not isinstance(host, dict)
-            or not HOST_REQUIRED_KEYS <= set(host) <= HOST_KEYS
-            or not all(_is_number(host[k]) for k in host)):
-        errors.append(f"{name}: 'host' must be a subset of "
-                      f"{{{', '.join(sorted(HOST_KEYS))}}} containing "
-                      f"{{{', '.join(sorted(HOST_REQUIRED_KEYS))}}} "
-                      "with numeric values")
     return errors
 
 
@@ -149,15 +128,14 @@ def flatten(tree, prefix=""):
 def comparable_values(doc):
     """Every numeric value of a report, keyed by section-qualified name.
 
-    `paper` values are constants from the source publication and `host`
-    describes the run, so only `measured` and `experiments` take part.
+    `paper` values are constants from the source publication, so only
+    `measured` and `experiments` take part.
     """
     values = dict(flatten(doc["measured"], "measured"))
     for entry in doc["experiments"]:
         values.update(flatten(entry["metrics"],
                               f"experiments[{entry['label']}]"))
-    return {name: v for name, v in values.items()
-            if not name.endswith(HOST_RATE_LEAVES)}
+    return values
 
 
 def _within(base, cand, tolerance):
@@ -227,6 +205,9 @@ def cmd_diff(args):
     for name, b, c, why in regressions:
         if why == "missing":
             print(f"  MISSING  {name} (baseline {b})")
+        elif b is None or c is None:
+            print(f"  DRIFT    {name}: baseline {b} vs {c} "
+                  "(null on one side)")
         else:
             rel = abs(b - c) / max(abs(b), abs(c))
             print(f"  DRIFT    {name}: baseline {b} vs {c} "
