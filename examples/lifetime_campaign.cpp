@@ -33,8 +33,6 @@
  * Exit status: 0 when no lifetime violates the oracle, 1 otherwise.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -66,27 +64,6 @@ usage(const char *argv0)
         "[--media direct|ftl]\n",
         argv0, argv0);
     std::exit(2);
-}
-
-/**
- * Value of an integer flag: a plain decimal of at least @p min, or exit
- * 2 with a diagnostic (an unchecked strtoul turns `abc` into 0 and
- * quietly sweeps nothing).
- */
-std::uint64_t
-wholeArg(const char *flag, const std::string &text, std::uint64_t min = 0)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE || v < min) {
-        std::fprintf(stderr, "error: %s expects %s, got '%s'\n", flag,
-                     min > 0 ? "a positive integer" : "a whole number",
-                     text.c_str());
-        std::exit(2);
-    }
-    return v;
 }
 
 /** Endurance rating used whenever this example runs media=ftl: low
@@ -170,18 +147,22 @@ main(int argc, char **argv)
             spec.plans = parsePlans(next());
         } else if (arg == "--rounds") {
             spec.rounds = static_cast<unsigned>(
-                wholeArg("--rounds", next(), 1));
+                bbb::cli::unsignedArg("--rounds", next(), 1));
         } else if (arg == "--lifetimes") {
             spec.lifetimes = static_cast<unsigned>(
-                wholeArg("--lifetimes", next(), 1));
+                bbb::cli::unsignedArg("--lifetimes", next(), 1));
         } else if (arg == "--ops") {
-            spec.params.ops_per_thread = wholeArg("--ops", next());
+            spec.params.ops_per_thread =
+                bbb::cli::unsignedArg("--ops", next());
         } else if (arg == "--initial") {
-            spec.params.initial_elements = wholeArg("--initial", next());
+            spec.params.initial_elements =
+                bbb::cli::unsignedArg("--initial", next());
         } else if (arg == "--campaign-seed") {
-            spec.campaign_seed = wholeArg("--campaign-seed", next());
+            spec.campaign_seed =
+                bbb::cli::unsignedArg("--campaign-seed", next());
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(wholeArg("--jobs", next()));
+            jobs = static_cast<unsigned>(
+                bbb::cli::unsignedArg("--jobs", next()));
         } else if (arg == "--verbose") {
             verbose = true;
         } else if (arg == "--json") {
@@ -191,7 +172,7 @@ main(int argc, char **argv)
         } else if (arg == "--mode") {
             replay_mode = next();
         } else if (arg == "--seed") {
-            replay_seed = wholeArg("--seed", next());
+            replay_seed = bbb::cli::unsignedArg("--seed", next());
             replay = true;
         } else if (arg == "--fault-plan") {
             replay_plan = next();

@@ -127,22 +127,24 @@ main(int argc, char **argv)
             cfg.mode = parseMode(next(), auto_strict);
             cfg.pmem_auto_strict = auto_strict;
         } else if (arg == "--entries") {
-            cfg.bbpb.entries =
-                static_cast<unsigned>(std::strtoul(next().c_str(), nullptr, 10));
+            // A 0-entry bbPB rejects every persisting store: no run ends.
+            cfg.bbpb.entries = static_cast<unsigned>(
+                bbb::cli::unsignedArg("--entries", next(), 1, UINT32_MAX));
         } else if (arg == "--ops") {
-            params.ops_per_thread = std::strtoull(next().c_str(), nullptr, 10);
+            params.ops_per_thread = bbb::cli::unsignedArg("--ops", next());
         } else if (arg == "--initial") {
             params.initial_elements =
-                std::strtoull(next().c_str(), nullptr, 10);
+                bbb::cli::unsignedArg("--initial", next());
         } else if (arg == "--threshold") {
-            cfg.bbpb.drain_threshold = std::strtod(next().c_str(), nullptr);
+            cfg.bbpb.drain_threshold =
+                bbb::cli::positiveReal("--threshold", next(), 1.0);
         } else if (arg == "--policy") {
             cfg.bbpb.drain_policy = parsePolicy(next());
         } else if (arg == "--media") {
             cfg.media.kind = mediaKindFromName(next());
         } else if (arg == "--endurance") {
             cfg.media.endurance_cycles =
-                std::strtoull(next().c_str(), nullptr, 10);
+                bbb::cli::unsignedArg("--endurance", next());
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--json") {

@@ -16,6 +16,7 @@
 #define BBB_API_CLI_HH
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -75,6 +76,54 @@ stringOpt(int argc, char **argv, const char *flag,
     return value;
 }
 
+/**
+ * Parse @p text as plain unsigned decimal digits (no sign, space or
+ * suffix) no greater than @p max into @p out. False on anything else.
+ */
+inline bool
+parseUnsigned(const std::string &text, std::uint64_t max,
+              std::uint64_t *out)
+{
+    if (text.empty())
+        return false;
+    std::uint64_t v = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9')
+            return false;
+        unsigned d = static_cast<unsigned>(c - '0');
+        if (v > max / 10 || (v == max / 10 && d > max % 10))
+            return false;
+        v = v * 10 + d;
+    }
+    *out = v;
+    return true;
+}
+
+/**
+ * Parse @p text, the value of @p flag, as an unsigned decimal in
+ * [@p min, @p max], or exit 2 with a diagnostic whatever the
+ * strictness: `abc` or `5x` names no count, and an unchecked strtoul
+ * would quietly run 0 or 5 of them.
+ */
+inline std::uint64_t
+unsignedArg(const char *flag, const std::string &text,
+            std::uint64_t min = 0, std::uint64_t max = UINT64_MAX)
+{
+    std::uint64_t v = 0;
+    if (parseUnsigned(text, max, &v) && v >= min)
+        return v;
+    std::string range;
+    if (max != UINT64_MAX)
+        range = " in [" + std::to_string(min) + ", " +
+                std::to_string(max) + "]";
+    else if (min > 0)
+        range = " of at least " + std::to_string(min);
+    std::fprintf(stderr, "error: %s expects an unsigned integer%s, got "
+                         "'%s'\n",
+                 flag, range.c_str(), text.c_str());
+    std::exit(2);
+}
+
 /** True if `--fast` appears on the command line (CI smoke mode). */
 inline bool
 fastMode(int argc, char **argv)
@@ -85,9 +134,9 @@ fastMode(int argc, char **argv)
 /**
  * Worker-pool width: `--jobs N` on the command line, else the BBB_JOBS
  * environment variable, else 0 (= hardware concurrency, resolved by the
- * worker pool). N must be unsigned decimal digits (at most nine);
- * anything else warns and uses 0 — or, under `--strict-args`, exits
- * with status 2.
+ * worker pool). N must be unsigned decimal digits below 10^9; anything
+ * else warns and uses 0 — or, under `--strict-args`, exits with
+ * status 2.
  */
 inline unsigned
 jobsArg(int argc, char **argv)
@@ -101,11 +150,9 @@ jobsArg(int argc, char **argv)
         source = "BBB_JOBS";
         value = env;
     }
-    bool digits = value.size() <= 9;
-    for (char c : value)
-        digits = digits && c >= '0' && c <= '9';
-    if (digits)
-        return static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
+    std::uint64_t n = 0;
+    if (parseUnsigned(value, 999999999, &n))
+        return static_cast<unsigned>(n);
     if (strictArgs(argc, argv)) {
         std::fprintf(stderr,
                      "error: %s expects an unsigned integer, got '%s'\n",
@@ -137,22 +184,28 @@ splitList(const std::string &arg)
 }
 
 /**
- * Parse @p text, the value of @p flag, as a positive real (a battery
- * capacity, say), or exit 2 with a diagnostic whatever the strictness:
- * a zero or malformed capacity describes no battery at all.
+ * Parse @p text, the value of @p flag, as a real in (0, @p max] (a
+ * battery capacity, a drain threshold), or exit 2 with a diagnostic
+ * whatever the strictness: a zero or malformed capacity describes no
+ * battery at all.
  */
 inline double
-positiveReal(const char *flag, const std::string &text)
+positiveReal(const char *flag, const std::string &text,
+             double max = HUGE_VAL)
 {
     char *end = nullptr;
     double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || !(v > 0.0) ||
-        !std::isfinite(v)) {
+    if (end != text.c_str() && *end == '\0' && v > 0.0 && v <= max &&
+        std::isfinite(v))
+        return v;
+    if (max == HUGE_VAL)
         std::fprintf(stderr, "error: %s expects a positive real, got '%s'\n",
                      flag, text.c_str());
-        std::exit(2);
-    }
-    return v;
+    else
+        std::fprintf(stderr,
+                     "error: %s expects a real in (0, %g], got '%s'\n", flag,
+                     max, text.c_str());
+    std::exit(2);
 }
 
 /** Comma-separated list of positive reals, each as in positiveReal. */

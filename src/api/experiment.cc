@@ -116,10 +116,6 @@ resolveJobs(unsigned jobs)
     return hw ? hw : 1;
 }
 
-namespace
-{
-
-/** BBB_JOB_TIMEOUT_S in seconds; 0 (or unset) disables the watchdog. */
 long
 jobTimeoutSeconds()
 {
@@ -133,6 +129,9 @@ jobTimeoutSeconds()
               env);
     return s;
 }
+
+namespace
+{
 
 std::int64_t
 steadySeconds()

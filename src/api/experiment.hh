@@ -95,6 +95,13 @@ struct ExperimentSpec
 unsigned resolveJobs(unsigned jobs);
 
 /**
+ * The BBB_JOB_TIMEOUT_S wall-clock budget in seconds; 0 (or unset)
+ * disables the watchdogs that read it (the job pool below and the
+ * litmus checker). Anything but a whole number of seconds is fatal.
+ */
+long jobTimeoutSeconds();
+
+/**
  * Run @p count independent jobs — fn(0) .. fn(count-1) — on an
  * atomic-ticket worker pool (the engine underneath runExperiments and
  * runLifetimeCampaign). Each index is claimed by exactly one worker; @p fn

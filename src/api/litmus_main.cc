@@ -95,7 +95,7 @@ main(int argc, char **argv)
     opts.por = cli::onOffArg(argc, argv, "--por", true);
     std::string max_nodes = cli::stringOpt(argc, argv, "--max-nodes");
     if (!max_nodes.empty())
-        opts.max_nodes = std::strtoull(max_nodes.c_str(), nullptr, 10);
+        opts.max_nodes = cli::unsignedArg("--max-nodes", max_nodes);
     for (const std::string &tok :
          cli::splitList(cli::stringOpt(argc, argv, "--modes"))) {
         Mode m;

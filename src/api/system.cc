@@ -180,19 +180,13 @@ System::scheduleInvariantCheck()
 }
 
 void
-System::setOpGate(OpGate *gate)
+System::startGated(OpGate &gate)
 {
     for (auto &core : _cores) {
         core->setOpGate(gate);
-        core->storeBuffer().setManualDrain(gate != nullptr);
-    }
-}
-
-void
-System::startGated()
-{
-    for (auto &core : _cores)
+        core->storeBuffer().setManualDrain(true);
         core->start();
+    }
 }
 
 Tick

@@ -113,19 +113,13 @@ class System
     Tick run(Tick max_tick = kMaxTick);
 
     /**
-     * Install a schedule gate on every core (see sim/op_gate.hh) and
-     * switch the store buffers to manual drain: the litmus runner then
-     * owns both op release order and store-retirement order. Must be
-     * called before startGated().
+     * Install @p gate on every core (see sim/op_gate.hh), switch the
+     * store buffers to manual drain, and start the cores without
+     * entering the free-running loop of run(): the caller (the litmus
+     * schedule runner) then owns op release order and store-retirement
+     * order, and steps eventQueue() itself.
      */
-    void setOpGate(OpGate *gate);
-
-    /**
-     * Start the cores without entering the free-running loop of run():
-     * the caller steps eventQueue() itself. Used by the litmus schedule
-     * runner.
-     */
-    void startGated();
+    void startGated(OpGate &gate);
 
     /**
      * Run (or resume) the machine until tick @p until without crashing.

@@ -25,19 +25,13 @@ ThreadContext::now() const
 }
 
 std::uint64_t
-ThreadContext::issue(const MemOp &op)
-{
-    return _core.issueFromFiber(op);
-}
-
-std::uint64_t
 ThreadContext::load(Addr addr, unsigned size)
 {
     MemOp op;
     op.kind = OpKind::Load;
     op.addr = addr;
     op.size = size;
-    return issue(op);
+    return _core.issueFromFiber(op);
 }
 
 void
@@ -48,7 +42,7 @@ ThreadContext::store(Addr addr, unsigned size, std::uint64_t value)
     op.addr = addr;
     op.size = size;
     op.data = value;
-    issue(op);
+    _core.issueFromFiber(op);
 
     // Strict persistency on an ADR/PMEM machine: every persisting store
     // is followed by clwb + sfence (Section II-A / Figure 3).
@@ -71,7 +65,7 @@ ThreadContext::writeBack(Addr addr)
     op.kind = OpKind::Flush;
     op.addr = addr;
     op.size = 1;
-    issue(op);
+    _core.issueFromFiber(op);
 }
 
 void
@@ -81,7 +75,7 @@ ThreadContext::persistBarrier()
         return;
     MemOp op;
     op.kind = OpKind::Fence;
-    issue(op);
+    _core.issueFromFiber(op);
 }
 
 void
@@ -89,7 +83,7 @@ ThreadContext::fullFence()
 {
     MemOp op;
     op.kind = OpKind::Fence;
-    issue(op);
+    _core.issueFromFiber(op);
 }
 
 void
@@ -100,7 +94,7 @@ ThreadContext::compute(std::uint64_t cycles)
     MemOp op;
     op.kind = OpKind::Advance;
     op.cycles = cycles;
-    issue(op);
+    _core.issueFromFiber(op);
 }
 
 // ---------------------------------------------------------------------
@@ -110,7 +104,8 @@ ThreadContext::compute(std::uint64_t cycles)
 Core::Core(CoreId id, const SystemConfig &cfg, EventQueue &eq,
            CacheHierarchy &hier, StatRegistry &stats)
     : _id(id), _cfg(cfg), _eq(eq), _hier(hier),
-      _sb(id, cfg, eq, hier, stats)
+      _sb(id, cfg, eq, hier, stats),
+      _tc(*this, cfg.seed * 1315423911u + id)
 {
     _sb.setOnChange([this]() { onSbChange(); });
     _sb.setOutOfOrderDrain(cfg.relaxed_consistency);
@@ -131,11 +126,8 @@ void
 Core::bindThread(ThreadBody body)
 {
     BBB_ASSERT(!_fiber, "core %u already has a thread", _id);
-    _tc = std::make_unique<ThreadContext>(*this,
-                                          _cfg.seed * 1315423911u + _id);
-    ThreadContext *tc = _tc.get();
-    _fiber = std::make_unique<Fiber>([body = std::move(body), tc]() {
-        body(*tc);
+    _fiber = std::make_unique<Fiber>([this, body = std::move(body)]() {
+        body(_tc);
     });
 }
 
@@ -154,8 +146,6 @@ Core::issueFromFiber(const MemOp &op)
     _pending = op;
     _op_in_flight = true;
     ++_ops;
-    if (_op_observer)
-        _op_observer(op);
     // Execute the op on the fiber: nothing else runs between issue and
     // execution, so this is the schedule of executing it after a yield.
     // Suspend only if the op must wait or its resume event is not
@@ -182,7 +172,7 @@ Core::resumeFiber()
 
     if (_gate) {
         BBB_ASSERT(_op_in_flight, "fiber yielded without an op");
-        _gate->onParked(_id);
+        _gate->onParked(_id, _pending);
     }
 }
 

@@ -91,11 +91,6 @@ class ThreadContext
     Tick now() const;
 
   private:
-    friend class Core;
-
-    /** Hand @p op to the core and suspend until it completes. */
-    std::uint64_t issue(const MemOp &op);
-
     Core &_core;
     Rng _rng;
 };
@@ -129,34 +124,21 @@ class Core
     bool halted() const { return _halted; }
 
     /**
-     * Observe every operation the thread issues (litmus schedule
-     * recording). Called at issue time, before the op executes.
-     */
-    void
-    setOpObserver(std::function<void(const MemOp &)> observer)
-    {
-        _op_observer = std::move(observer);
-    }
-
-    /**
      * Install a schedule gate (see sim/op_gate.hh): every issued op
      * parks at commit time until releasePending() runs it. Install
-     * before start(); passing nullptr restores free-running execution.
+     * before start(); a gated core stays gated.
      */
-    void setOpGate(OpGate *gate) { _gate = gate; }
+    void setOpGate(OpGate &gate) { _gate = &gate; }
 
     /** Execute the op parked by the gate (runner context). */
     void releasePending();
-
-    /** True if a gated op is parked awaiting releasePending(). */
-    bool hasParkedOp() const { return _gate && _op_in_flight; }
 
     std::uint64_t memOps() const { return _ops.value(); }
 
   private:
     friend class ThreadContext;
 
-    /** Called from the fiber side: record the op and yield. */
+    /** Called from the fiber side: run the op, yielding if it waits. */
     std::uint64_t issueFromFiber(const MemOp &op);
 
     /** Resume the fiber (runs in simulator context). */
@@ -180,11 +162,10 @@ class Core
     CacheHierarchy &_hier;
     StoreBuffer _sb;
 
-    std::unique_ptr<ThreadContext> _tc;
+    ThreadContext _tc;
     std::unique_ptr<Fiber> _fiber;
 
     MemOp _pending;
-    std::function<void(const MemOp &)> _op_observer;
     OpGate *_gate = nullptr;
     /** Issued clwb-style flushes not yet durable (fences wait on this). */
     unsigned _flushes_outstanding = 0;

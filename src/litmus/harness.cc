@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
+#include "api/experiment.hh"
 #include "energy/energy_model.hh"
 #include "sim/logging.hh"
 
@@ -58,11 +58,8 @@ struct Watchdog
     fromEnv()
     {
         Watchdog w;
-        const char *env = std::getenv("BBB_JOB_TIMEOUT_S");
-        if (!env || !*env)
-            return w;
-        long secs = std::strtol(env, nullptr, 10);
-        if (secs <= 0)
+        long secs = jobTimeoutSeconds();
+        if (secs == 0)
             return w;
         w.enabled = true;
         w.deadline = std::chrono::steady_clock::now() +
@@ -107,6 +104,127 @@ batteryPersistOrder(const Program &prog)
     return order;
 }
 
+/**
+ * Undersized-battery sweep at a leaf: with budget for exactly k items,
+ * the image must be the exact k-item cut of the strict persist order —
+ * not one block more, less, or reordered. Appends one finding per
+ * failed check to @p findings and counts its runs in @p runs.
+ */
+void
+batterySweep(const Test &test, const Program &prog, Mode mode,
+             const std::vector<Step> &sch, std::uint64_t *runs,
+             std::vector<std::string> &findings)
+{
+    auto order = batteryPersistOrder(prog);
+    const double item_j = EnergyConstants{}.l1BlockJ();
+    for (std::size_t k = 0; k <= order.size(); ++k) {
+        ++*runs;
+        FaultPlan plan;
+        plan.battery_j = (double(k) + 0.5) * item_j;
+        SimResult sim = runSchedule(test, prog, mode, sch, &plan);
+        std::string tag = "battery k=" + std::to_string(k) + ": ";
+        if (!sim.ok) {
+            findings.push_back(tag + sim.error);
+            continue;
+        }
+        bool should_exhaust = k < order.size();
+        if (sim.crash.battery_exhausted != should_exhaust)
+            findings.push_back(tag + "battery_exhausted=" +
+                               (sim.crash.battery_exhausted ? "true"
+                                                            : "false") +
+                               ", expected the opposite");
+        std::uint64_t want_lost = order.size() - k;
+        if (sim.crash.sacrificed_blocks != want_lost)
+            findings.push_back(tag + "sacrificed " +
+                               u64(sim.crash.sacrificed_blocks) +
+                               " blocks, expected " + u64(want_lost));
+        if (!sim.crash.drain_prefix_ok)
+            findings.push_back(tag + "drain prefix oracle violated");
+        std::array<std::uint64_t, kMaxVars> want{};
+        for (std::size_t i = 0; i < k; ++i)
+            want[order[i].first] = order[i].second;
+        for (unsigned v = 0; v < test.vars.size(); ++v) {
+            if (sim.image[v] != want[v]) {
+                findings.push_back(tag + "image " + test.vars[v] + "=" +
+                                   u64(sim.image[v]) +
+                                   ", expected exact prefix value " +
+                                   u64(want[v]));
+            }
+        }
+    }
+}
+
+/**
+ * The per-prefix judge the checker and --replay share: compare @p sim,
+ * the simulator's run of @p schedule, against @p model, the model state
+ * after it, and return one finding per failed check (empty: the
+ * simulator matches the model on this prefix). Leaves of battery tests
+ * in bbb/procside modes also run the undersized-battery sweep, counted
+ * in @p battery_runs.
+ */
+std::vector<std::string>
+judgePrefix(const Test &test, const Program &prog, Mode mode,
+            const ModelState &model, const std::vector<Step> &schedule,
+            bool is_leaf, const SimResult &sim,
+            std::uint64_t *battery_runs)
+{
+    std::vector<std::string> findings;
+    if (!sim.ok) {
+        findings.push_back(sim.error);
+        return findings;
+    }
+
+    for (unsigned r = 0; r < test.regs.size(); ++r) {
+        if (sim.reg_done[r] != model.reg_done[r]) {
+            findings.push_back("register " + test.regs[r] +
+                               (sim.reg_done[r]
+                                    ? " written by the simulator but "
+                                      "not the model"
+                                    : " written by the model but not "
+                                      "the simulator"));
+        } else if (sim.reg_done[r] && sim.regs[r] != model.regs[r]) {
+            findings.push_back("register " + test.regs[r] + ": sim " +
+                               u64(sim.regs[r]) + " != model " +
+                               u64(model.regs[r]));
+        }
+    }
+
+    for (unsigned v = 0; v < test.vars.size(); ++v) {
+        if (!model.imageValueAllowed(mode, int(v), sim.image[v])) {
+            findings.push_back("post-crash image " + test.vars[v] + "=" +
+                               u64(sim.image[v]) + " not in allowed set " +
+                               model.allowedImageValues(mode, int(v)));
+        }
+    }
+
+    // Fault-free crash: the drain must be total and ordered.
+    if (sim.crash.battery_exhausted || sim.crash.sacrificed_blocks != 0)
+        findings.push_back("fault-free crash sacrificed " +
+                           u64(sim.crash.sacrificed_blocks) + " block(s)");
+    if (!sim.crash.drain_prefix_ok)
+        findings.push_back("crash drain violated the oldest-first prefix");
+
+    if (is_leaf != sim.completed) {
+        findings.push_back(is_leaf ? "model finished but the simulator "
+                                     "has work left"
+                                   : "simulator finished but the model "
+                                     "has work left");
+    } else if (is_leaf) {
+        for (unsigned v = 0; v < test.vars.size(); ++v) {
+            if (sim.final_mem[v] != model.mem[v]) {
+                findings.push_back("final memory " + test.vars[v] +
+                                   ": sim " + u64(sim.final_mem[v]) +
+                                   " != model " + u64(model.mem[v]));
+            }
+        }
+    }
+
+    if (is_leaf && test.battery &&
+        (mode == Mode::Bbb || mode == Mode::ProcSide))
+        batterySweep(test, prog, mode, schedule, battery_runs, findings);
+    return findings;
+}
+
 struct RunContext
 {
     const Test &test;
@@ -147,74 +265,12 @@ struct RunContext
         watchdog.check(test.name, mode, res.nodes + 1, schedule);
         ++res.sim_runs;
         SimResult sim = runSchedule(test, prog, mode, schedule);
-
-        if (!sim.ok) {
-            addViolation(schedule, sim.error);
-            return run_violations <= opts.max_violations_per_run;
-        }
-
-        for (unsigned r = 0; r < test.regs.size(); ++r) {
-            if (sim.reg_done[r] != model.reg_done[r]) {
-                addViolation(schedule,
-                             "register " + test.regs[r] +
-                                 (sim.reg_done[r]
-                                      ? " written by the simulator but "
-                                        "not the model"
-                                      : " written by the model but not "
-                                        "the simulator"));
-            } else if (sim.reg_done[r] &&
-                       sim.regs[r] != model.regs[r]) {
-                addViolation(schedule, "register " + test.regs[r] +
-                                           ": sim " + u64(sim.regs[r]) +
-                                           " != model " +
-                                           u64(model.regs[r]));
-            }
-        }
-
-        for (unsigned v = 0; v < test.vars.size(); ++v) {
-            if (!model.imageValueAllowed(mode, int(v), sim.image[v])) {
-                addViolation(
-                    schedule,
-                    "post-crash image " + test.vars[v] + "=" +
-                        u64(sim.image[v]) + " not in allowed set " +
-                        model.allowedImageValues(mode, int(v)));
-            }
-        }
-
-        // Fault-free crash: the drain must be total and ordered.
-        if (sim.crash.battery_exhausted ||
-            sim.crash.sacrificed_blocks != 0)
-            addViolation(schedule,
-                         "fault-free crash sacrificed " +
-                             u64(sim.crash.sacrificed_blocks) +
-                             " block(s)");
-        if (!sim.crash.drain_prefix_ok)
-            addViolation(schedule,
-                         "crash drain violated the oldest-first prefix");
-
-        if (is_leaf != sim.completed) {
-            addViolation(schedule,
-                         is_leaf ? "model finished but the simulator "
-                                   "has work left"
-                                 : "simulator finished but the model "
-                                   "has work left");
-        } else if (is_leaf) {
-            for (unsigned v = 0; v < test.vars.size(); ++v) {
-                if (sim.final_mem[v] != model.mem[v]) {
-                    addViolation(schedule,
-                                 "final memory " + test.vars[v] +
-                                     ": sim " + u64(sim.final_mem[v]) +
-                                     " != model " + u64(model.mem[v]));
-                }
-            }
-        }
-
-        noteWitnesses(sim, is_leaf);
-
-        if (is_leaf && test.battery &&
-            (mode == Mode::Bbb || mode == Mode::ProcSide))
-            batterySweep(model, schedule);
-
+        for (std::string &finding :
+             judgePrefix(test, prog, mode, model, schedule, is_leaf, sim,
+                         &res.battery_runs))
+            addViolation(schedule, std::move(finding));
+        if (sim.ok)
+            noteWitnesses(sim, is_leaf);
         return run_violations <= opts.max_violations_per_run;
     }
 
@@ -241,65 +297,6 @@ struct RunContext
             }
             if (match)
                 witness_seen[w] = true;
-        }
-    }
-
-    /**
-     * Undersized-battery sweep at a leaf: with budget for exactly k
-     * items, the image must be the exact k-item cut of the strict
-     * persist order — not one block more, less, or reordered.
-     */
-    void
-    batterySweep(const ModelState &model, const std::vector<Step> &sch)
-    {
-        (void)model;
-        auto order = batteryPersistOrder(prog);
-        const double item_j = EnergyConstants{}.l1BlockJ();
-        for (std::size_t k = 0; k <= order.size(); ++k)
-            batteryRun(sch, order, k, (double(k) + 0.5) * item_j);
-    }
-
-    /** One undersized-battery run with budget for exactly k items. */
-    void
-    batteryRun(const std::vector<Step> &sch,
-               const std::vector<std::pair<int, std::uint64_t>> &order,
-               std::size_t k, double budget_j)
-    {
-        ++res.battery_runs;
-        FaultPlan plan;
-        plan.battery_j = budget_j;
-        SimResult sim = runSchedule(test, prog, mode, sch, &plan);
-        std::string tag = "battery k=" + std::to_string(k) + ": ";
-        if (!sim.ok) {
-            addViolation(sch, tag + sim.error);
-            return;
-        }
-        bool should_exhaust = k < order.size();
-        if (sim.crash.battery_exhausted != should_exhaust)
-            addViolation(sch, tag + "battery_exhausted=" +
-                                  (sim.crash.battery_exhausted
-                                       ? "true"
-                                       : "false") +
-                                  ", expected the opposite");
-        std::uint64_t want_lost = order.size() - k;
-        if (sim.crash.sacrificed_blocks != want_lost)
-            addViolation(sch,
-                         tag + "sacrificed " +
-                             u64(sim.crash.sacrificed_blocks) +
-                             " blocks, expected " + u64(want_lost));
-        if (!sim.crash.drain_prefix_ok)
-            addViolation(sch, tag + "drain prefix oracle violated");
-        std::array<std::uint64_t, kMaxVars> want{};
-        for (std::size_t i = 0; i < k; ++i)
-            want[order[i].first] = order[i].second;
-        for (unsigned v = 0; v < test.vars.size(); ++v) {
-            if (sim.image[v] != want[v]) {
-                addViolation(sch, tag + "image " + test.vars[v] +
-                                      "=" + u64(sim.image[v]) +
-                                      ", expected exact prefix "
-                                      "value " +
-                                      u64(want[v]));
-            }
         }
     }
 };
@@ -389,8 +386,6 @@ std::string
 replaySchedule(const Test &test, Mode mode,
                const std::vector<Step> &steps, bool *ok)
 {
-    *ok = true;
-    std::string out;
     if (!test.runsIn(mode)) {
         *ok = false;
         return "test '" + test.name + "' does not run in mode " +
@@ -413,44 +408,34 @@ replaySchedule(const Test &test, Mode mode,
     bool is_leaf = model.enabledSteps(prog).empty();
 
     SimResult sim = runSchedule(test, prog, mode, steps);
-    out += "test " + test.name + " mode " + modeName(mode) + "\n";
+    std::uint64_t battery_runs = 0;
+    std::vector<std::string> findings = judgePrefix(
+        test, prog, mode, model, steps, is_leaf, sim, &battery_runs);
+    *ok = findings.empty();
+
+    std::string out = "test " + test.name + " mode " + modeName(mode) + "\n";
     out += "schedule [" + scheduleString(steps) + "]" +
            (is_leaf ? " (complete)" : " (prefix; crash point)") + "\n";
-    if (!sim.ok) {
-        *ok = false;
-        out += "DRIVE ERROR: " + sim.error + "\n";
-        return out;
+    if (sim.ok) {
+        for (unsigned r = 0; r < test.regs.size(); ++r) {
+            out += "  reg " + test.regs[r] + ": sim " +
+                   (sim.reg_done[r] ? u64(sim.regs[r]) : "(not written)") +
+                   ", model " +
+                   (model.reg_done[r] ? u64(model.regs[r])
+                                      : "(not written)") +
+                   "\n";
+        }
+        for (unsigned v = 0; v < test.vars.size(); ++v) {
+            out += "  image " + test.vars[v] + ": sim " +
+                   u64(sim.image[v]) + ", allowed " +
+                   model.allowedImageValues(mode, int(v)) + "\n";
+        }
     }
-    for (unsigned r = 0; r < test.regs.size(); ++r) {
-        std::string simv =
-            sim.reg_done[r] ? u64(sim.regs[r]) : "(not written)";
-        std::string modelv =
-            model.reg_done[r] ? u64(model.regs[r]) : "(not written)";
-        bool match = sim.reg_done[r] == model.reg_done[r] &&
-                     (!sim.reg_done[r] || sim.regs[r] == model.regs[r]);
-        if (!match)
-            *ok = false;
-        out += "  reg " + test.regs[r] + ": sim " + simv + ", model " +
-               modelv + (match ? "" : "  << MISMATCH") + "\n";
-    }
-    for (unsigned v = 0; v < test.vars.size(); ++v) {
-        bool allowed =
-            model.imageValueAllowed(mode, int(v), sim.image[v]);
-        if (!allowed)
-            *ok = false;
-        out += "  image " + test.vars[v] + ": sim " +
-               u64(sim.image[v]) + ", allowed " +
-               model.allowedImageValues(mode, int(v)) +
-               (allowed ? "" : "  << MISMATCH") + "\n";
-    }
-    if (is_leaf != sim.completed) {
-        *ok = false;
-        out += "  completion: sim ";
-        out += (sim.completed ? "finished" : "unfinished");
-        out += ", model ";
-        out += (is_leaf ? "finished" : "unfinished");
-        out += "  << MISMATCH\n";
-    }
+    if (battery_runs)
+        out += "  battery sweep: " + u64(battery_runs) +
+               " undersized-battery runs\n";
+    for (const std::string &finding : findings)
+        out += "  " + finding + "  << MISMATCH\n";
     out += *ok ? "OK: simulator matches the model on this prefix\n"
                : "DIVERGENCE: see mismatches above\n";
     return out;

@@ -4,7 +4,8 @@
  * the simulator through each one, and compare every prefix's outcome
  * (registers + post-crash image) against the declarative model.
  *
- * Checks per prefix (see src/litmus/model.hh for the contract):
+ * Checks per prefix, one judge shared by the checker and --replay (see
+ * src/litmus/model.hh for the contract):
  *  - lockstep drive: the schedule must be executable (an op parked
  *    exactly when the model says one is, matching the program's op);
  *  - registers: completed loads and their values match the model
@@ -92,9 +93,11 @@ HarnessResult checkCorpus(const std::vector<Test> &tests,
                           const HarnessOptions &opts);
 
 /**
- * Re-run one schedule prefix of @p test under @p mode and return a
- * human-readable report of the sim-vs-model comparison. @p ok is set
- * false if the prefix diverges (or the schedule is not executable).
+ * Re-run one schedule prefix of @p test under @p mode through the same
+ * per-prefix checks the checker runs (battery sweep included) and
+ * return a human-readable report: register and image values, then one
+ * `<< MISMATCH` line per failed check. @p ok is set false if any check
+ * fails (or the schedule is not a reachable prefix).
  */
 std::string replaySchedule(const Test &test, Mode mode,
                            const std::vector<Step> &steps, bool *ok);

@@ -50,17 +50,19 @@ litmusVarAddr(const AddrMap &map, int var)
 namespace
 {
 
-/** Records which cores have an op parked at the gate. */
+/** Holds the op each core has parked at the gate, if any. */
 struct Gate : OpGate
 {
     std::array<bool, kMaxThreads> parked{};
+    std::array<MemOp, kMaxThreads> op{};
 
     void
-    onParked(CoreId core) override
+    onParked(CoreId core, const MemOp &parked_op) override
     {
         BBB_ASSERT(core < kMaxThreads, "gated core id out of range");
         BBB_ASSERT(!parked[core], "core parked twice without a release");
         parked[core] = true;
+        op[core] = parked_op;
     }
 };
 
@@ -110,11 +112,6 @@ runSchedule(const Test &test, const Program &prog, Mode mode,
     Gate gate;
     RegFile regs;
 
-    // Ops as issued (the observer runs once per park, in release
-    // order) — checked against the lowered program so a replayed
-    // schedule provably drove the ops it claims.
-    std::array<std::vector<MemOp>, kMaxThreads> committed;
-
     for (unsigned t = 0; t < prog.numThreads(); ++t) {
         const std::vector<MOp> *ops = &prog.threads[t];
         RegFile *rf = &regs;
@@ -138,14 +135,9 @@ runSchedule(const Test &test, const Program &prog, Mode mode,
                 }
             }
         });
-        sys.core(t).setOpObserver(
-            [&committed, t](const MemOp &op) {
-                committed[t].push_back(op);
-            });
     }
 
-    sys.setOpGate(&gate);
-    sys.startGated();
+    sys.startGated(gate);
 
     auto fail = [&](std::string msg) {
         res.ok = false;
@@ -192,20 +184,18 @@ runSchedule(const Test &test, const Program &prog, Mode mode,
                 break;
             continue;
         }
-        if (!gate.parked[t] || !sys.core(t).hasParkedOp()) {
+        if (!gate.parked[t]) {
             fail("no op parked" + at +
                  " — the simulator thread is behind the model (stuck "
                  "on a wait the model does not have)");
             break;
         }
+        // The parked op is checked against the lowered program so a
+        // replayed schedule provably drives the ops it claims.
         std::size_t idx = released[t];
-        if (committed[t].size() != idx + 1) {
-            fail("commit-order ledger out of sync" + at);
-            break;
-        }
         const MOp &expect = prog.threads[t][idx];
         Addr want = expect.var >= 0 ? addr[expect.var] : kBadAddr;
-        if (!opMatches(committed[t][idx], expect, want)) {
+        if (!opMatches(gate.op[t], expect, want)) {
             fail("parked op does not match the program's op " +
                  std::to_string(idx) + at);
             break;

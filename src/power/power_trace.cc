@@ -45,12 +45,11 @@ split(const std::string &s, char sep)
 
 /**
  * Validate an assembled segment list: non-empty, every segment non-zero
- * length, tick ranges monotone, levels in [0, 1]. @p what names the
- * offending unit ("segment" or "line") and @p where maps the segment
- * index to the user-facing unit number.
+ * length, tick ranges monotone, levels in [0, 1]. @p where maps the
+ * segment index to the user-facing segment number.
  */
 bool
-validateSegments(const std::vector<PowerSegment> &segs, const char *what,
+validateSegments(const std::vector<PowerSegment> &segs,
                  const std::vector<unsigned> &where, std::string *err)
 {
     if (segs.empty()) {
@@ -60,7 +59,7 @@ validateSegments(const std::vector<PowerSegment> &segs, const char *what,
     Tick prev_end = 0;
     for (std::size_t i = 0; i < segs.size(); ++i) {
         std::ostringstream os;
-        os << what << ' ' << where[i] << ": ";
+        os << "segment " << where[i] << ": ";
         const PowerSegment &s = segs[i];
         if (s.end <= s.begin) {
             os << "zero-length segment [" << s.begin << ", " << s.end
@@ -288,7 +287,7 @@ PowerTrace::tryParse(const std::string &token, PowerTrace *out,
         for (std::size_t i = 0; i < segs.size(); ++i)
             where[i] = static_cast<unsigned>(i + 1);
     }
-    if (!validateSegments(segs, "segment", where, err))
+    if (!validateSegments(segs, where, err))
         return false;
 
     out->_segs = std::move(segs);
@@ -304,63 +303,6 @@ PowerTrace::parse(const std::string &token)
     if (!tryParse(token, &t, &err))
         fatal("bad power trace '%s': %s", token.c_str(), err.c_str());
     return t;
-}
-
-bool
-PowerTrace::tryParseText(const std::string &text, PowerTrace *out,
-                         std::string *err)
-{
-    std::string why;
-    if (!err)
-        err = &why;
-    std::vector<PowerSegment> segs;
-    std::vector<unsigned> where;
-    std::istringstream is(text);
-    std::string line;
-    unsigned lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        std::istringstream ls(line);
-        std::string b, e, l, extra;
-        if (!(ls >> b))
-            continue; // blank or comment-only line
-        std::ostringstream os;
-        os << "line " << lineno << ": ";
-        double b_ns = 0.0, e_ns = 0.0, level = 0.0;
-        if (!(ls >> e >> l) || (ls >> extra) ||
-            !parseDouble(b, &b_ns) || !parseDouble(e, &e_ns) ||
-            !parseDouble(l, &level)) {
-            os << "malformed segment '" << line
-               << "' (want START_NS END_NS LEVEL)";
-            *err = os.str();
-            return false;
-        }
-        if (b_ns < 0.0 || e_ns < 0.0) {
-            os << "negative tick range";
-            *err = os.str();
-            return false;
-        }
-        segs.push_back({nsToTicks(b_ns), nsToTicks(e_ns), level});
-        where.push_back(lineno);
-    }
-    if (!validateSegments(segs, "line", where, err))
-        return false;
-
-    // Canonical token so a text-loaded trace still replays from one line.
-    std::ostringstream tok;
-    tok << "seg:";
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-        if (i)
-            tok << ';';
-        tok << ticksToNs(segs[i].begin) << '-' << ticksToNs(segs[i].end)
-            << '@' << segs[i].level;
-    }
-    out->_segs = std::move(segs);
-    out->_token = tok.str();
-    return true;
 }
 
 std::vector<std::string>

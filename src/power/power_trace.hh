@@ -8,22 +8,18 @@
  * *whole* power history, so a machine still running at trace end sees an
  * outage there.
  *
- * Two input forms:
+ * A trace is written as one token, the value of a `--trace`/`--traces`
+ * flag (it must not contain commas — `--traces` and LifetimeSpec lists
+ * split on them): a preset name with `:`-separated parameters
+ *     steady[:us=400]
+ *     brownout[:cycles=4]            (brownout dip then outage, repeated)
+ *     square[:cycles=5][:on_us=45][:off_us=35]
+ *     outages[:seed=1][:cycles=5]    (seeded-random powered/outage spans)
+ * or inline segments, `;`-separated, ns ranges:
+ *     seg:0-60000@1;60000-70000@0.3
  *
- *  - one-token form, for `--trace`/`--traces` flags (must not contain
- *    commas — `--traces` and LifetimeSpec lists split on them):
- *      preset names with `:`-separated parameters
- *        steady[:us=400]
- *        brownout[:cycles=4]            (brownout dip then outage, repeated)
- *        square[:cycles=5][:on_us=45][:off_us=35]
- *        outages[:seed=1][:cycles=5]    (seeded-random powered/outage spans)
- *      or inline segments, `;`-separated, ns ranges:
- *        seg:0-60000@1;60000-70000@0.3
- *  - multi-line text (one segment per line, `start_ns end_ns level`,
- *    `#` comments), rejected with *line-numbered* diagnostics.
- *
- * Both reject empty traces, zero-length segments, non-monotone tick
- * ranges, and out-of-range levels. tryParse() reports instead of
+ * The parser rejects empty traces, zero-length segments, non-monotone
+ * tick ranges, and out-of-range levels. tryParse() reports instead of
  * fataling so drivers can exit(2) under --strict-args.
  */
 
@@ -73,13 +69,6 @@ class PowerTrace
 
     /** tryParse() or fatal() — the trusted repro-replay path. */
     static PowerTrace parse(const std::string &token);
-
-    /**
-     * Parse the multi-line text form (`start_ns end_ns level` per line)
-     * into @p out. Diagnostics carry 1-based line numbers.
-     */
-    static bool tryParseText(const std::string &text, PowerTrace *out,
-                             std::string *err);
 
   private:
     std::vector<PowerSegment> _segs;

@@ -2,14 +2,15 @@
  * @file
  * Deterministic schedule control for the event kernel.
  *
- * An OpGate turns the free-running cores into a stepwise machine: when a
- * gate is installed on a Core, every operation the thread issues is
- * *parked* instead of executing. The controller (the litmus schedule
- * runner) is told which core parked, and decides — in whatever order
- * its schedule dictates — when to call Core::releasePending() to let the
- * op execute. Between releases the controller steps the event queue
- * until the core parks its next op (or finishes), so exactly one
- * program-order operation is in flight per release.
+ * An OpGate turns the free-running cores into a stepwise machine: once
+ * System::startGated() installs a gate, every operation a thread issues
+ * is *parked* instead of executing. The gate is told which core parked
+ * and which op it parked, and the controller (the litmus schedule
+ * runner) decides — in whatever order its schedule dictates — when to
+ * call Core::releasePending() to let the op execute. Between releases
+ * the controller steps the event queue until the core parks its next op
+ * (or finishes), so exactly one program-order operation is in flight
+ * per release.
  *
  * The hook sits in the core's fiber resume, after the op is issued and
  * before it executes, so execution order — and therefore every
@@ -33,6 +34,8 @@
 namespace bbb
 {
 
+struct MemOp;
+
 /** Controller interface for gated (schedule-driven) cores. */
 class OpGate
 {
@@ -40,10 +43,11 @@ class OpGate
     virtual ~OpGate() = default;
 
     /**
-     * Core @p core has an operation parked and waits for
-     * Core::releasePending(). Called in simulator (commit) context.
+     * Core @p core has parked @p op and waits for
+     * Core::releasePending(). Called in simulator (commit) context;
+     * @p op stays valid until that release.
      */
-    virtual void onParked(CoreId core) = 0;
+    virtual void onParked(CoreId core, const MemOp &op) = 0;
 };
 
 /**

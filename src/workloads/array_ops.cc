@@ -52,8 +52,6 @@ ArrayWorkload::runThread(ThreadContext &tc, unsigned tid)
             m.wb(elemAddr(b));
             m.barrier();
         }
-        if (_p.compute_cycles)
-            tc.compute(_p.compute_cycles);
     }
 }
 

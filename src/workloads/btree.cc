@@ -245,8 +245,6 @@ BtreeWorkload::runThread(ThreadContext &tc, unsigned tid)
         std::uint64_t key = tc.rng().next();
         logOp(tid, key);
         insert(m, _sys->heap(), tid, root_slot, key);
-        if (_p.compute_cycles)
-            tc.compute(_p.compute_cycles);
     }
 }
 

@@ -62,8 +62,6 @@ CtreeWorkload::runThread(ThreadContext &tc, unsigned tid)
         std::uint64_t key = tc.rng().next();
         logOp(tid, key);
         insert(m, _sys->heap(), tid, root, key);
-        if (_p.compute_cycles)
-            tc.compute(_p.compute_cycles);
     }
 }
 

@@ -56,8 +56,6 @@ HashmapWorkload::runThread(ThreadContext &tc, unsigned tid)
         std::uint64_t key = tc.rng().next();
         logOp(tid, key);
         insert(m, _sys->heap(), tid, buckets, _nbuckets, key);
-        if (_p.compute_cycles)
-            tc.compute(_p.compute_cycles);
     }
 }
 

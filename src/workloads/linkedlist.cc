@@ -52,8 +52,6 @@ LinkedListWorkload::runThread(ThreadContext &tc, unsigned tid)
         std::uint64_t key = tc.rng().next();
         logOp(tid, key);
         appendNode(m, _sys->heap(), tid, root, key);
-        if (_p.compute_cycles)
-            tc.compute(_p.compute_cycles);
     }
 }
 

@@ -347,8 +347,6 @@ RtreeWorkload::runThread(ThreadContext &tc, unsigned tid)
     for (std::uint64_t i = 0; i < _p.ops_per_thread; ++i) {
         walk.advance();
         insert(m, _sys->heap(), tid, root_slot, walk.x, walk.y);
-        if (_p.compute_cycles)
-            tc.compute(_p.compute_cycles);
     }
 }
 

@@ -116,8 +116,6 @@ SkiplistWorkload::runThread(ThreadContext &tc, unsigned tid)
         std::uint64_t key = tc.rng().next() | 1;
         logOp(tid, key);
         insert(m, _sys->heap(), tid, head, key, tc.rng());
-        if (_p.compute_cycles)
-            tc.compute(_p.compute_cycles);
     }
 }
 

@@ -41,8 +41,6 @@ struct WorkloadParams
     std::uint64_t initial_elements = 20000;
     /** Array length for the mutate/swap workloads (paper: 1M). */
     std::uint64_t array_elements = 1ull << 20;
-    /** Compute cycles between consecutive operations (paper: ~none). */
-    std::uint64_t compute_cycles = 0;
     /** Base RNG seed. */
     std::uint64_t seed = 42;
     /**

@@ -119,6 +119,50 @@ TEST(CliDeath, StrictArgsRejectsMalformedJobs)
     }
 }
 
+TEST(Cli, NumericArgsAcceptWellFormedValuesInRange)
+{
+    EXPECT_EQ(cli::unsignedArg("--ops", "0"), 0u);
+    EXPECT_EQ(cli::unsignedArg("--ops", "18446744073709551615"),
+              UINT64_MAX);
+    EXPECT_EQ(cli::unsignedArg("--entries", "1", 1, UINT32_MAX), 1u);
+    EXPECT_DOUBLE_EQ(cli::positiveReal("--threshold", "0.25", 1.0), 0.25);
+    EXPECT_DOUBLE_EQ(cli::positiveReal("--threshold", "1", 1.0), 1.0);
+}
+
+TEST(CliDeath, UnsignedArgRejectsMalformedValues)
+{
+    for (const char *bad :
+         {"abc", "5x", "", "-1", "+5", " 5", "18446744073709551616"}) {
+        EXPECT_EXIT(cli::unsignedArg("--ops", bad),
+                    ::testing::ExitedWithCode(2),
+                    "error: --ops expects an unsigned integer")
+            << bad;
+    }
+}
+
+TEST(CliDeath, UnsignedArgEnforcesItsRange)
+{
+    EXPECT_EXIT(cli::unsignedArg("--entries", "0", 1, UINT32_MAX),
+                ::testing::ExitedWithCode(2),
+                "error: --entries expects an unsigned integer in "
+                "\\[1, 4294967295\\], got '0'");
+    EXPECT_EXIT(cli::unsignedArg("--entries", "4294967296", 1, UINT32_MAX),
+                ::testing::ExitedWithCode(2), "error: --entries expects");
+    EXPECT_EXIT(cli::unsignedArg("--rounds", "0", 1),
+                ::testing::ExitedWithCode(2),
+                "error: --rounds expects an unsigned integer of at least 1");
+}
+
+TEST(CliDeath, BoundedPositiveRealRejectsOutsideZeroToOne)
+{
+    for (const char *bad : {"0", "1.5", "-0.5", "abc", "0.5x", "nan", ""}) {
+        EXPECT_EXIT(cli::positiveReal("--threshold", bad, 1.0),
+                    ::testing::ExitedWithCode(2),
+                    "error: --threshold expects a real in \\(0, 1\\]")
+            << bad;
+    }
+}
+
 TEST(CliOnOff, ParsesSpellings)
 {
     Argv on({"--por", "on"});

@@ -104,6 +104,15 @@ TEST(LitmusHarness, MutationsDoNotLeakAcrossTests)
     HarnessOptions strict;
     strict.modes = {Mode::PmemStrict};
     EXPECT_TRUE(checkTest(mustFind("sb"), strict).ok());
+
+    // ...and so does the replay ReplayRunsTheBatterySweep kills.
+    std::vector<Step> steps;
+    std::string err;
+    ASSERT_TRUE(parseSchedule("0 0 0d 0d", &steps, &err)) << err;
+    bool ok = false;
+    std::string report =
+        replaySchedule(mustFind("battery-prefix-1"), Mode::Bbb, steps, &ok);
+    EXPECT_TRUE(ok) << report;
 }
 
 // ---------------------------------------------------------------------
@@ -163,6 +172,22 @@ TEST(LitmusHarness, ReplayReportsMutatedDivergence)
     EXPECT_NE(report.find("MISMATCH"), std::string::npos);
 }
 
+TEST(LitmusHarness, ReplayRunsTheBatterySweep)
+{
+    // The reverse crash drain only shows once the battery dies
+    // mid-drain, so a replay of the leaf the checker reports must run
+    // the same undersized-battery sweep to reproduce its verdict.
+    MutateGuard mutate("crash-reverse-drain");
+    std::vector<Step> steps;
+    std::string err;
+    ASSERT_TRUE(parseSchedule("0 0 0d 0d", &steps, &err)) << err;
+    bool ok = true;
+    std::string report =
+        replaySchedule(mustFind("battery-prefix-1"), Mode::Bbb, steps, &ok);
+    EXPECT_FALSE(ok) << report;
+    EXPECT_NE(report.find("MISMATCH"), std::string::npos) << report;
+}
+
 TEST(LitmusHarnessDeath, WatchdogAbortsRunawayEnumerations)
 {
     // The deadline is armed when checkTest starts, so a real blowup is
@@ -177,4 +202,17 @@ TEST(LitmusHarnessDeath, WatchdogAbortsRunawayEnumerations)
             checkTest(mustFind("sb"), opts);
         },
         ::testing::ExitedWithCode(1), "litmus watchdog");
+}
+
+TEST(LitmusHarnessDeath, MalformedTimeoutIsFatal)
+{
+    // The checker reads BBB_JOB_TIMEOUT_S through the job pool's parser:
+    // a value that is not whole seconds dies instead of running
+    // unguarded.
+    EXPECT_EXIT(
+        {
+            setenv("BBB_JOB_TIMEOUT_S", "abc", 1);
+            checkTest(mustFind("coww"), HarnessOptions());
+        },
+        ::testing::ExitedWithCode(1), "not a whole number of seconds");
 }

@@ -127,42 +127,6 @@ TEST(PowerTrace, RejectsUnknownPresetsAndParameters)
               std::string::npos);
 }
 
-TEST(PowerTrace, TextFormParsesWithCommentsAndReplayToken)
-{
-    PowerTrace t;
-    std::string err;
-    ASSERT_TRUE(PowerTrace::tryParseText("# warm then dip\n"
-                                         "0 60000 1.0\n"
-                                         "\n"
-                                         "60000 70000 0.3 # brownout\n",
-                                         &t, &err))
-        << err;
-    ASSERT_EQ(t.segments().size(), 2u);
-    // The canonical token replays the identical trace from one CLI flag.
-    PowerTrace replay = PowerTrace::parse(t.token());
-    ASSERT_EQ(replay.segments().size(), 2u);
-    EXPECT_EQ(replay.segments()[1].begin, t.segments()[1].begin);
-    EXPECT_EQ(replay.segments()[1].end, t.segments()[1].end);
-    EXPECT_DOUBLE_EQ(replay.segments()[1].level, 0.3);
-}
-
-TEST(PowerTrace, TextFormDiagnosticsCarryLineNumbers)
-{
-    PowerTrace t;
-    std::string err;
-    EXPECT_FALSE(PowerTrace::tryParseText(
-        "0 1000 1.0\n# fine so far\n1000 2000\n", &t, &err));
-    EXPECT_NE(err.find("line 3"), std::string::npos) << err;
-
-    EXPECT_FALSE(PowerTrace::tryParseText(
-        "0 1000 1.0\n500 2000 0.5\n", &t, &err));
-    EXPECT_NE(err.find("line 2"), std::string::npos) << err;
-    EXPECT_NE(err.find("non-monotone"), std::string::npos) << err;
-
-    EXPECT_FALSE(PowerTrace::tryParseText("# only comments\n\n", &t, &err));
-    EXPECT_NE(err.find("empty trace"), std::string::npos) << err;
-}
-
 TEST(PowerTrace, FuzzedTokensNeverCrashAndErrorsAreFilled)
 {
     // Random garbage from the token alphabet: every outcome must be a
