@@ -11,7 +11,7 @@
  * Every read is bounds-checked against the address map. A wild pointer in
  * a damaged structure must surface as a classified recovery error, never
  * as undefined behavior: out-of-range reads return zeroed bytes and bump
- * a counter that Workload::verifyImage() folds into RecoveryResult::oob.
+ * a counter that Workload::checkRecovery() folds into RecoveryResult::oob.
  */
 
 #ifndef BBB_PERSIST_RECOVERY_HH
@@ -76,7 +76,7 @@ class PmemImage
         return _map.valid(a) && _map.isPersistent(a);
     }
 
-    /** Out-of-range reads absorbed so far (see Workload::verifyImage). */
+    /** Out-of-range reads absorbed so far (see Workload::checkRecovery). */
     std::uint64_t oobReads() const { return _oob_reads; }
 
   private:

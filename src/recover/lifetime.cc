@@ -181,12 +181,10 @@ bool
 collectSortedKeys(const Workload &wl, const PmemImage &img,
                   std::vector<std::vector<std::uint64_t>> &out)
 {
-    out.assign(wl.boundEnd(), {});
-    for (unsigned t = wl.boundFirst(); t < wl.boundEnd(); ++t) {
-        if (!wl.collectKeys(img, t, out[t]))
-            return false;
-        std::sort(out[t].begin(), out[t].end());
-    }
+    if (!wl.collectKeys(img, out))
+        return false;
+    for (std::vector<std::uint64_t> &keys : out)
+        std::sort(keys.begin(), keys.end());
     return true;
 }
 
@@ -383,7 +381,7 @@ runLifetimeSample(const LifetimeSample &sample)
             inj->repairImage(healed);
         }
         PmemImage healed_img(healed, sys.addrMap());
-        rr.healed = wl->verifyImage(healed_img);
+        rr.healed = wl->checkRecovery(healed_img);
         // A resumed round reads back the torn blocks of the round
         // before, so their stale halves propagate into cleanly-written
         // blocks — damage the final ledger cannot describe. From round

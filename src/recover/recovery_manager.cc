@@ -21,7 +21,7 @@ recoveryStatusName(RecoveryStatus s)
 }
 
 RecoverOutcome
-RecoveryManager::recover(Workload &wl)
+RecoveryManager::recover(const Workload &wl)
 {
     RecoverOutcome out;
     PersistentHeap geom(_map, _arenas);
@@ -44,16 +44,9 @@ RecoveryManager::recover(Workload &wl)
     out.dropped = ctx.dropped();
     out.frontiers = ctx.frontiers();
 
-    if (ctx.unrecoverable()) {
-        out.status = RecoveryStatus::Unrecoverable;
-        out.detail = ctx.why();
-        return out;
-    }
-
     // The workload's own consistency walk is the arbiter: a repaired
     // image that still fails it must not be resumed.
-    PmemImage img(_image, _map);
-    out.verify = wl.verifyImage(img);
+    out.verify = wl.checkRecovery(PmemImage(_image, _map));
     if (!out.verify.consistent()) {
         out.status = RecoveryStatus::Unrecoverable;
         out.detail = "post-repair image still fails the consistency walk";

@@ -54,30 +54,6 @@ MetricSnapshot::real(const std::string &name) const
     return v ? v->asReal() : 0.0;
 }
 
-MetricSnapshot
-MetricSnapshot::delta(const MetricSnapshot &since) const
-{
-    MetricSnapshot d;
-    for (const auto &kv : _values) {
-        const MetricValue *old = since.find(kv.first);
-        MetricValue v = kv.second;
-        switch (v.kind) {
-          case MetricKind::Count: {
-            std::uint64_t base = old ? old->count : 0;
-            v.count = v.count >= base ? v.count - base : 0;
-            break;
-          }
-          case MetricKind::Real:
-            v.real -= old ? old->real : 0.0;
-            break;
-          case MetricKind::Level:
-            break; // levels are instantaneous; keep the newer reading
-        }
-        d._values[kv.first] = v;
-    }
-    return d;
-}
-
 void
 MetricSnapshot::merge(const MetricSnapshot &other, const std::string &prefix)
 {
@@ -95,13 +71,6 @@ writeMetricScalar(JsonWriter &w, const MetricValue &v)
         w.value(v.count);
     else
         w.value(v.real);
-}
-
-std::string
-metricScalarText(const MetricValue &v)
-{
-    return v.kind == MetricKind::Count ? jsonNumber(v.count)
-                                       : jsonNumber(v.real);
 }
 
 std::vector<std::string>
@@ -163,22 +132,6 @@ MetricSnapshot::toJson() const
 {
     std::ostringstream os;
     writeJson(os);
-    return os.str();
-}
-
-void
-MetricSnapshot::writeCsv(std::ostream &os) const
-{
-    os << "metric,value\n";
-    for (const auto &kv : _values)
-        os << kv.first << ',' << metricScalarText(kv.second) << '\n';
-}
-
-std::string
-MetricSnapshot::toCsv() const
-{
-    std::ostringstream os;
-    writeCsv(os);
     return os.str();
 }
 
@@ -300,17 +253,6 @@ StatGroup::dump(std::ostream &os) const
     accept(v);
 }
 
-void
-StatGroup::reset()
-{
-    for (const auto &c : _counters)
-        c.stat->reset();
-    for (const auto &a : _averages)
-        a.stat->reset();
-    for (const auto &h : _histograms)
-        h.stat->reset();
-}
-
 std::uint64_t
 StatGroup::counterValue(const std::string &stat_name) const
 {
@@ -373,13 +315,6 @@ StatRegistry::dumpAll(std::ostream &os) const
 {
     for (const auto &name : _order)
         _groups.at(name).dump(os);
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto &kv : _groups)
-        kv.second.reset();
 }
 
 std::uint64_t

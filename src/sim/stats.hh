@@ -6,15 +6,14 @@
  *
  * Modeled loosely on the gem5 stats framework but simplified: stats are
  * plain objects owned by components; a StatGroup records (name, pointer)
- * pairs for dumping and reset.
+ * pairs for dumping and snapshots.
  *
  * Everything that consumes the registry — the human text dump, metric
  * snapshots, lookups — goes through one StatVisitor interface, so adding
  * an output format never touches the stat types again. MetricSnapshot is
  * the machine-readable face: a deterministic, hierarchically-named value
- * tree (`core0.stall_ticks`, `bbpb.coalesces`, ...) with snapshot /
- * delta / reset semantics and dependency-free JSON and CSV emitters with
- * stable (sorted) key order.
+ * tree (`core0.stall_ticks`, `bbpb.coalesces`, ...) with a
+ * dependency-free JSON emitter with stable (sorted) key order.
  */
 
 #ifndef BBB_SIM_STATS_HH
@@ -150,14 +149,14 @@ class StatVisitor
                            const StatHistogram &h) = 0;
 };
 
-/** How MetricSnapshot::delta() composes one value. */
+/** What one MetricSnapshot value measures. */
 enum class MetricKind
 {
-    /** Monotonic event count (uint64, exact): delta subtracts. */
+    /** Monotonic event count (uint64, exact). */
     Count,
-    /** Accumulated real quantity (sum of samples): delta subtracts. */
+    /** Accumulated real quantity (sum of samples). */
     Real,
-    /** Instantaneous level / watermark: delta keeps the newer value. */
+    /** Instantaneous level / watermark. */
     Level,
 };
 
@@ -222,13 +221,6 @@ class MetricSnapshot
     /** Drop every value (an empty snapshot, not a zeroed one). */
     void reset() { _values.clear(); }
 
-    /**
-     * What changed since @p since: Count/Real subtract (saturating at
-     * zero for counts), Level keeps this snapshot's value. Names absent
-     * from @p since are treated as starting from zero.
-     */
-    MetricSnapshot delta(const MetricSnapshot &since) const;
-
     /** Copy every value of @p other in, optionally under `prefix.`. */
     void merge(const MetricSnapshot &other, const std::string &prefix = "");
 
@@ -242,10 +234,6 @@ class MetricSnapshot
      * to splice snapshots into report sections.
      */
     void writeJsonInto(JsonWriter &w) const;
-
-    /** Flat `metric,value` CSV (header + one sorted row per value). */
-    void writeCsv(std::ostream &os) const;
-    std::string toCsv() const;
 
     const std::map<std::string, MetricValue> &values() const
     {
@@ -297,9 +285,6 @@ class StatGroup
     /** Write `group.stat value # desc` lines, gem5 stats.txt style. */
     void dump(std::ostream &os) const;
 
-    /** Zero every registered stat. */
-    void reset();
-
     /** Look up a counter's current value by name; 0 if absent. */
     std::uint64_t counterValue(const std::string &stat_name) const;
 
@@ -347,9 +332,6 @@ class StatRegistry
 
     /** Dump every group in registration order. */
     void dumpAll(std::ostream &os) const;
-
-    /** Reset every group. */
-    void resetAll();
 
     /** Convenience: counter value of `g.s`; 0 if either is absent. */
     std::uint64_t lookup(const std::string &g, const std::string &s) const;

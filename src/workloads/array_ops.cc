@@ -55,57 +55,44 @@ ArrayWorkload::runThread(ThreadContext &tc, unsigned tid)
     }
 }
 
-RecoveryResult
-ArrayWorkload::checkRecovery(const PmemImage &img) const
-{
-    RecoveryResult res;
-    Addr base = img.read64(imageRootAddr(img.addrMap(), _first));
-    if (base == 0 || !img.validPersistent(base)) {
-        ++res.dangling;
-        return res;
-    }
-    for (std::uint64_t i = 0; i < _p.array_elements; ++i) {
-        ++res.checked;
-        if (validate(img.read64(base + i * 8)))
-            ++res.intact;
-        else
-            ++res.torn;
-    }
-    return res;
-}
-
 void
-ArrayWorkload::recover(RecoveryCtx &ctx)
+ArrayWorkload::walk(ImageWalk &w, const PmemImage &img) const
 {
-    PmemImage img = ctx.image();
-    Addr root = ctx.rootAddr(_first);
+    Addr root = imageRootAddr(img.addrMap(), _first);
     std::uint64_t n = _p.array_elements;
     Addr base = img.read64(root);
     if (base == 0 || !img.validPersistent(base) ||
         !img.validPersistent(base + n * 8 - 1)) {
-        // The base pointer is gone: rebuild the identity array. It was
-        // the first allocation in its arena, so this lands at the same
-        // address prepare() used.
-        Addr fresh = ctx.alloc(_first, n * 8, kBlockSize);
-        for (std::uint64_t i = 0; i < n; ++i)
-            ctx.write64(fresh + i * 8,
-                        encode(static_cast<std::uint32_t>(i)));
-        ctx.repair64(root, fresh);
-        ctx.noteDropped(n);
+        w.lost(_first, root, n);
         return;
     }
-    ctx.noteObject(base, n * 8);
+    std::uint64_t intact = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         std::uint64_t word = img.read64(base + i * 8);
-        if (!validate(word)) {
-            // Re-seal the element around whatever payload half survived:
-            // a stale-but-valid element, matching the workload's
-            // old-or-new atomicity contract.
-            ctx.repair64(base + i * 8,
-                         encode(static_cast<std::uint32_t>(word >> 32)));
-            ctx.noteDropped();
+        if (validate(word)) {
+            ++intact;
+            continue;
         }
+        // Re-seal the element around whatever payload half survived: a
+        // stale-but-valid element, matching the workload's old-or-new
+        // atomicity contract.
+        w.cut(base + i * 8, encode(static_cast<std::uint32_t>(word >> 32)),
+              1, ImageWalk::Damage::Torn);
     }
+    w.keep(base, n * 8, intact);
+}
+
+Addr
+ArrayWorkload::rebuildRoot(RecoveryCtx &ctx, unsigned tid) const
+{
+    // The base pointer is gone: rebuild the identity array. It was the
+    // first allocation in its arena, so this lands at the same address
+    // prepare() used.
+    std::uint64_t n = _p.array_elements;
+    Addr fresh = ctx.alloc(tid, n * 8, kBlockSize);
+    for (std::uint64_t i = 0; i < n; ++i)
+        ctx.write64(fresh + i * 8, encode(static_cast<std::uint32_t>(i)));
+    return fresh;
 }
 
 } // namespace bbb

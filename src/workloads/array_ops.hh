@@ -12,7 +12,7 @@
  * payload, the low half is a hash of it. Because 8-byte persists are
  * atomic at block granularity, a crash leaves each element either old or
  * new — both valid — so recovery checks that *every* element still
- * validates.
+ * validates, and re-seals one that does not.
  */
 
 #ifndef BBB_WORKLOADS_ARRAY_OPS_HH
@@ -41,8 +41,7 @@ class ArrayWorkload : public Workload
     const char *name() const override;
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
-    RecoveryResult checkRecovery(const PmemImage &img) const override;
-    void recover(RecoveryCtx &ctx) override;
+    void walk(ImageWalk &w, const PmemImage &img) const override;
 
     /** Pack a payload into a self-validating element. */
     static std::uint64_t
@@ -59,6 +58,9 @@ class ArrayWorkload : public Workload
         auto payload = static_cast<std::uint32_t>(word >> 32);
         return (word & 0xffffffffu) == (mix64(payload) & 0xffffffffu);
     }
+
+  protected:
+    Addr rebuildRoot(RecoveryCtx &ctx, unsigned tid) const override;
 
   private:
     Addr elemAddr(std::uint64_t idx) const { return _base + idx * 8; }

@@ -31,6 +31,8 @@
 #ifndef BBB_WORKLOADS_BTREE_HH
 #define BBB_WORKLOADS_BTREE_HH
 
+#include <optional>
+
 #include "workloads/workload.hh"
 
 namespace bbb
@@ -50,20 +52,21 @@ class BtreeWorkload : public Workload
     const char *name() const override { return "btree"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
-    RecoveryResult checkRecovery(const PmemImage &img) const override;
-    void recover(RecoveryCtx &ctx) override;
+    void walk(ImageWalk &w, const PmemImage &img) const override;
 
     /** One insert through an arbitrary accessor. */
     static void insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
                        Addr root_slot, std::uint64_t key);
 
   private:
-    void checkSubtree(const PmemImage &img, Addr node, unsigned depth,
-                      RecoveryResult &res) const;
-    /** Salvage a subtree in place; false if the node itself is unusable
-     *  (the caller truncates its own entry list before this child). */
-    bool salvageNode(RecoveryCtx &ctx, const PmemImage &img, Addr node,
-                     unsigned depth) const;
+    /**
+     * Walk the subtree at @p node, keeping its sound part. Returns the
+     * damage that makes @p node itself unusable, having reported nothing
+     * below it; the caller then cuts its own link to the node.
+     */
+    std::optional<ImageWalk::Damage>
+    walkNode(ImageWalk &w, const PmemImage &img, unsigned tid, Addr node,
+             unsigned depth) const;
 };
 
 } // namespace bbb

@@ -1,7 +1,5 @@
 #include "workloads/ctree.hh"
 
-#include "recover/recovery_manager.hh"
-
 namespace bbb
 {
 
@@ -66,90 +64,35 @@ CtreeWorkload::runThread(ThreadContext &tc, unsigned tid)
 }
 
 void
-CtreeWorkload::checkSubtree(const PmemImage &img, Addr node, unsigned depth,
-                            RecoveryResult &res) const
+CtreeWorkload::walk(ImageWalk &w, const PmemImage &img) const
 {
-    if (node == 0)
-        return;
-    if (!img.validPersistent(node) || depth > kMaxDepth) {
-        ++res.dangling;
-        return;
-    }
-    ++res.checked;
-    std::uint64_t key = img.read64(node + 0);
-    std::uint64_t sum = img.read64(node + 8);
-    if (sum != nodeChecksum(key)) {
-        ++res.torn;
-        return; // children of a torn node are garbage
-    }
-    ++res.intact;
-    checkSubtree(img, img.read64(node + 16), depth + 1, res);
-    checkSubtree(img, img.read64(node + 24), depth + 1, res);
-}
-
-RecoveryResult
-CtreeWorkload::checkRecovery(const PmemImage &img) const
-{
-    RecoveryResult res;
     for (unsigned t = _first; t < _end; ++t)
-        checkSubtree(img, img.read64(imageRootAddr(img.addrMap(), t)), 0,
-                     res);
-    return res;
+        walkSubtree(w, img, t, imageRootAddr(img.addrMap(), t), 0);
 }
 
 void
-CtreeWorkload::recoverSubtree(RecoveryCtx &ctx, const PmemImage &img,
-                              Addr link, unsigned depth) const
+CtreeWorkload::walkSubtree(ImageWalk &w, const PmemImage &img, unsigned tid,
+                           Addr link, unsigned depth) const
 {
+    // A damaged node costs its whole subtree: cutting the link keeps the
+    // walk linear and the tree a valid BST, and the lost descendants
+    // were torn or unreachable through a damaged interior node anyway.
     Addr node = img.read64(link);
     if (node == 0)
         return;
-    bool sound = img.validPersistent(node) && depth <= kMaxDepth &&
-                 img.read64(node + 8) ==
-                     nodeChecksum(img.read64(node + 0));
-    if (!sound) {
-        // Dropping the whole subtree keeps the walk linear and the tree
-        // a valid BST; the lost descendants were torn or unreachable
-        // through a damaged interior node anyway.
-        ctx.repair64(link, 0);
-        ctx.noteDropped();
+    if (!img.validPersistent(node) || depth > kMaxDepth) {
+        w.cut(link, 0, 1, ImageWalk::Damage::Dangling);
         return;
     }
-    ctx.noteObject(node, kNodeBytes);
-    recoverSubtree(ctx, img, node + 16, depth + 1);
-    recoverSubtree(ctx, img, node + 24, depth + 1);
-}
-
-void
-CtreeWorkload::recover(RecoveryCtx &ctx)
-{
-    PmemImage img = ctx.image();
-    for (unsigned t = _first; t < _end; ++t)
-        recoverSubtree(ctx, img, ctx.rootAddr(t), 0);
-}
-
-void
-CtreeWorkload::collectSubtree(const PmemImage &img, Addr node,
-                              unsigned depth,
-                              std::vector<std::uint64_t> &out) const
-{
-    if (node == 0 || !img.validPersistent(node) || depth > kMaxDepth)
-        return;
     std::uint64_t key = img.read64(node + 0);
-    if (img.read64(node + 8) != nodeChecksum(key))
+    if (img.read64(node + 8) != nodeChecksum(key)) {
+        w.cut(link, 0, 1, ImageWalk::Damage::Torn);
         return;
-    out.push_back(key);
-    collectSubtree(img, img.read64(node + 16), depth + 1, out);
-    collectSubtree(img, img.read64(node + 24), depth + 1, out);
-}
-
-bool
-CtreeWorkload::collectKeys(const PmemImage &img, unsigned tid,
-                           std::vector<std::uint64_t> &out) const
-{
-    collectSubtree(img, img.read64(imageRootAddr(img.addrMap(), tid)), 0,
-                   out);
-    return true;
+    }
+    w.keep(node, kNodeBytes, 0);
+    w.key(tid, key);
+    walkSubtree(w, img, tid, node + 16, depth + 1);
+    walkSubtree(w, img, tid, node + 24, depth + 1);
 }
 
 } // namespace bbb

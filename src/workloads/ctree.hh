@@ -31,22 +31,16 @@ class CtreeWorkload : public Workload
     const char *name() const override { return "ctree"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
-    RecoveryResult checkRecovery(const PmemImage &img) const override;
-    void recover(RecoveryCtx &ctx) override;
-    bool collectKeys(const PmemImage &img, unsigned tid,
-                     std::vector<std::uint64_t> &out) const override;
+    void walk(ImageWalk &w, const PmemImage &img) const override;
+    bool keyed() const override { return true; }
 
     /** One insert through an arbitrary accessor. */
     static void insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
                        Addr root, std::uint64_t key);
 
   private:
-    void checkSubtree(const PmemImage &img, Addr node, unsigned depth,
-                      RecoveryResult &res) const;
-    void recoverSubtree(RecoveryCtx &ctx, const PmemImage &img, Addr link,
-                        unsigned depth) const;
-    void collectSubtree(const PmemImage &img, Addr node, unsigned depth,
-                        std::vector<std::uint64_t> &out) const;
+    void walkSubtree(ImageWalk &w, const PmemImage &img, unsigned tid,
+                     Addr link, unsigned depth) const;
 };
 
 } // namespace bbb

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "recover/recovery_manager.hh"
+#include "workloads/linkedlist.hh"
 
 namespace bbb
 {
@@ -59,114 +60,34 @@ HashmapWorkload::runThread(ThreadContext &tc, unsigned tid)
     }
 }
 
-bool
-HashmapWorkload::bucketsUsable(const PmemImage &img, Addr buckets) const
-{
-    return buckets != 0 && img.validPersistent(buckets) &&
-           img.validPersistent(buckets + _nbuckets * 8 - 1);
-}
-
-RecoveryResult
-HashmapWorkload::checkRecovery(const PmemImage &img) const
-{
-    RecoveryResult res;
-    for (unsigned t = _first; t < _end; ++t) {
-        Addr buckets = img.read64(imageRootAddr(img.addrMap(), t));
-        if (!bucketsUsable(img, buckets)) {
-            ++res.dangling;
-            continue;
-        }
-        for (std::uint64_t b = 0; b < _nbuckets; ++b) {
-            Addr node = img.read64(buckets + b * 8);
-            std::uint64_t guard = 0;
-            while (node != 0) {
-                if (!img.validPersistent(node)) {
-                    ++res.dangling;
-                    break;
-                }
-                ++res.checked;
-                std::uint64_t key = img.read64(node + 0);
-                std::uint64_t sum = img.read64(node + 8);
-                if (sum == nodeChecksum(key)) {
-                    ++res.intact;
-                } else {
-                    ++res.torn;
-                    break;
-                }
-                node = img.read64(node + 16);
-                if (++guard > _p.initial_elements + lifeOps() + 8) {
-                    ++res.dangling;
-                    break;
-                }
-            }
-        }
-    }
-    return res;
-}
-
 void
-HashmapWorkload::recover(RecoveryCtx &ctx)
+HashmapWorkload::walk(ImageWalk &w, const PmemImage &img) const
 {
-    PmemImage img = ctx.image();
+    std::uint64_t limit = _p.initial_elements + lifeOps() + 8;
     for (unsigned t = _first; t < _end; ++t) {
-        Addr root = ctx.rootAddr(t);
+        Addr root = imageRootAddr(img.addrMap(), t);
         Addr buckets = img.read64(root);
-        if (!bucketsUsable(img, buckets)) {
-            // The bucket array itself is gone: rebuild an empty map.
-            // Nothing in this arena was noted yet, so the allocation
-            // lands at the arena base — the same spot prepare() used.
-            Addr fresh = ctx.alloc(t, _nbuckets * 8, kBlockSize);
-            for (std::uint64_t b = 0; b < _nbuckets; ++b)
-                ctx.write64(fresh + b * 8, 0);
-            ctx.repair64(root, fresh);
-            ctx.noteDropped();
+        if (buckets == 0 || !img.validPersistent(buckets) ||
+            !img.validPersistent(buckets + _nbuckets * 8 - 1)) {
+            w.lost(t, root, 1);
             continue;
         }
-        ctx.noteObject(buckets, _nbuckets * 8);
-        for (std::uint64_t b = 0; b < _nbuckets; ++b) {
-            Addr link = buckets + b * 8;
-            Addr node = img.read64(link);
-            std::uint64_t guard = 0;
-            while (node != 0) {
-                bool sound = img.validPersistent(node) &&
-                             img.read64(node + 8) ==
-                                 nodeChecksum(img.read64(node + 0)) &&
-                             ++guard <=
-                                 _p.initial_elements + lifeOps() + 8;
-                if (!sound) {
-                    ctx.repair64(link, 0);
-                    ctx.noteDropped();
-                    break;
-                }
-                ctx.noteObject(node, kNodeBytes);
-                link = node + 16;
-                node = img.read64(link);
-            }
-        }
+        w.keep(buckets, _nbuckets * 8, 0);
+        for (std::uint64_t b = 0; b < _nbuckets; ++b)
+            LinkedListWorkload::walkList(w, img, t, buckets + b * 8, limit);
     }
 }
 
-bool
-HashmapWorkload::collectKeys(const PmemImage &img, unsigned tid,
-                             std::vector<std::uint64_t> &out) const
+Addr
+HashmapWorkload::rebuildRoot(RecoveryCtx &ctx, unsigned tid) const
 {
-    Addr buckets = img.read64(imageRootAddr(img.addrMap(), tid));
-    if (!bucketsUsable(img, buckets))
-        return true;
-    for (std::uint64_t b = 0; b < _nbuckets; ++b) {
-        Addr node = img.read64(buckets + b * 8);
-        std::uint64_t guard = 0;
-        while (node != 0 && img.validPersistent(node)) {
-            std::uint64_t key = img.read64(node + 0);
-            if (img.read64(node + 8) != nodeChecksum(key))
-                break;
-            out.push_back(key);
-            node = img.read64(node + 16);
-            if (++guard > _p.initial_elements + lifeOps() + 8)
-                break;
-        }
-    }
-    return true;
+    // The bucket array itself is gone: rebuild an empty map. Nothing in
+    // this arena was kept, so the allocation lands at the arena base —
+    // the same spot prepare() used.
+    Addr fresh = ctx.alloc(tid, _nbuckets * 8, kBlockSize);
+    for (std::uint64_t b = 0; b < _nbuckets; ++b)
+        ctx.write64(fresh + b * 8, 0);
+    return fresh;
 }
 
 } // namespace bbb

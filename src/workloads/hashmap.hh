@@ -6,7 +6,7 @@
  * Layout: the root slot points at a power-of-two bucket array of 8-byte
  * head pointers; nodes are 24 B {key, checksum(key), next}. Insertion
  * prepends to the bucket chain with the same persist-then-publish
- * discipline as the linked list.
+ * discipline as the linked list, and recovery walks each chain as one.
  */
 
 #ifndef BBB_WORKLOADS_HASHMAP_HH
@@ -26,20 +26,18 @@ class HashmapWorkload : public Workload
     const char *name() const override { return "hashmap"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
-    RecoveryResult checkRecovery(const PmemImage &img) const override;
-    void recover(RecoveryCtx &ctx) override;
-    bool collectKeys(const PmemImage &img, unsigned tid,
-                     std::vector<std::uint64_t> &out) const override;
+    void walk(ImageWalk &w, const PmemImage &img) const override;
+    bool keyed() const override { return true; }
 
     /** One insert through an arbitrary accessor. */
     static void insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
                        Addr buckets, std::uint64_t nbuckets,
                        std::uint64_t key);
 
-  private:
-    /** True if the bucket array pointer and span are usable. */
-    bool bucketsUsable(const PmemImage &img, Addr buckets) const;
+  protected:
+    Addr rebuildRoot(RecoveryCtx &ctx, unsigned tid) const override;
 
+  private:
     std::uint64_t _nbuckets = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "workloads/linkedlist.hh"
 
-#include "recover/recovery_manager.hh"
-
 namespace bbb
 {
 
@@ -55,82 +53,40 @@ LinkedListWorkload::runThread(ThreadContext &tc, unsigned tid)
     }
 }
 
-RecoveryResult
-LinkedListWorkload::checkRecovery(const PmemImage &img) const
+void
+LinkedListWorkload::walkList(ImageWalk &w, const PmemImage &img,
+                             unsigned tid, Addr link, std::uint64_t limit)
 {
-    RecoveryResult res;
-    for (unsigned t = _first; t < _end; ++t) {
-        Addr node = img.read64(imageRootAddr(img.addrMap(), t));
-        std::uint64_t guard = 0;
-        while (node != 0) {
-            if (!img.validPersistent(node)) {
-                ++res.dangling;
-                break;
-            }
-            ++res.checked;
-            std::uint64_t key = img.read64(node + 0);
-            std::uint64_t sum = img.read64(node + 8);
-            if (sum == nodeChecksum(key)) {
-                ++res.intact;
-            } else {
-                // The head reached an unpersisted node: the exact failure
-                // Figure 2's unguarded code risks.
-                ++res.torn;
-                break;
-            }
-            node = img.read64(node + 16);
-            if (++guard > _p.initial_elements + lifeOps() + 8) {
-                ++res.dangling; // cycle: structural corruption
-                break;
-            }
+    // `link` is the pointer slot that leads to `node`; cutting at damage
+    // nulls that slot, which keeps the intact prefix.
+    Addr node = img.read64(link);
+    std::uint64_t guard = 0;
+    while (node != 0) {
+        if (!img.validPersistent(node) || ++guard > limit) {
+            // Wild pointer or a cycle: structural corruption.
+            w.cut(link, 0, 1, ImageWalk::Damage::Dangling);
+            return;
         }
+        std::uint64_t key = img.read64(node + 0);
+        if (img.read64(node + 8) != nodeChecksum(key)) {
+            // The link reached an unpersisted node: the exact failure
+            // Figure 2's unguarded code risks.
+            w.cut(link, 0, 1, ImageWalk::Damage::Torn);
+            return;
+        }
+        w.keep(node, kNodeBytes, 0);
+        w.key(tid, key);
+        link = node + 16;
+        node = img.read64(link);
     }
-    return res;
 }
 
 void
-LinkedListWorkload::recover(RecoveryCtx &ctx)
+LinkedListWorkload::walk(ImageWalk &w, const PmemImage &img) const
 {
-    PmemImage img = ctx.image();
-    for (unsigned t = _first; t < _end; ++t) {
-        // `link` is the pointer slot that leads to `node`; truncating at
-        // damage means nulling that slot, which keeps the intact prefix.
-        Addr link = ctx.rootAddr(t);
-        Addr node = img.read64(link);
-        std::uint64_t guard = 0;
-        while (node != 0) {
-            bool sound = img.validPersistent(node) &&
-                         img.read64(node + 8) ==
-                             nodeChecksum(img.read64(node + 0)) &&
-                         ++guard <= _p.initial_elements + lifeOps() + 8;
-            if (!sound) {
-                ctx.repair64(link, 0);
-                ctx.noteDropped();
-                break;
-            }
-            ctx.noteObject(node, kNodeBytes);
-            link = node + 16;
-            node = img.read64(link);
-        }
-    }
-}
-
-bool
-LinkedListWorkload::collectKeys(const PmemImage &img, unsigned tid,
-                                std::vector<std::uint64_t> &out) const
-{
-    Addr node = img.read64(imageRootAddr(img.addrMap(), tid));
-    std::uint64_t guard = 0;
-    while (node != 0 && img.validPersistent(node)) {
-        std::uint64_t key = img.read64(node + 0);
-        if (img.read64(node + 8) != nodeChecksum(key))
-            break;
-        out.push_back(key);
-        node = img.read64(node + 16);
-        if (++guard > _p.initial_elements + lifeOps() + 8)
-            break;
-    }
-    return true;
+    for (unsigned t = _first; t < _end; ++t)
+        walkList(w, img, t, imageRootAddr(img.addrMap(), t),
+                 _p.initial_elements + lifeOps() + 8);
 }
 
 } // namespace bbb

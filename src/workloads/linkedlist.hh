@@ -31,14 +31,20 @@ class LinkedListWorkload : public Workload
     const char *name() const override { return "linkedlist"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
-    RecoveryResult checkRecovery(const PmemImage &img) const override;
-    void recover(RecoveryCtx &ctx) override;
-    bool collectKeys(const PmemImage &img, unsigned tid,
-                     std::vector<std::uint64_t> &out) const override;
+    void walk(ImageWalk &w, const PmemImage &img) const override;
+    bool keyed() const override { return true; }
 
     /** One prepend through an arbitrary accessor (shared logic). */
     static void appendNode(MemAccessor &m, PersistentHeap &heap,
                            unsigned arena, Addr root, std::uint64_t key);
+
+    /**
+     * Walk the list hanging off pointer slot @p link, keeping its sound
+     * prefix: at most @p limit nodes, each in the persistent range with
+     * a valid checksum. Hashmap bucket chains share this node layout.
+     */
+    static void walkList(ImageWalk &w, const PmemImage &img, unsigned tid,
+                         Addr link, std::uint64_t limit);
 };
 
 } // namespace bbb

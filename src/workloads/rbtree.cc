@@ -1,7 +1,5 @@
 #include "workloads/rbtree.hh"
 
-#include "recover/recovery_manager.hh"
-
 namespace bbb
 {
 
@@ -15,6 +13,7 @@ constexpr Addr kOffSum = 8;
 constexpr Addr kOffLeft = 16;
 constexpr Addr kOffRight = 24;
 constexpr Addr kOffParent = 32;
+constexpr std::uint64_t kNodeBytes = 40;
 
 constexpr std::uint64_t kRed = 1;
 
@@ -107,13 +106,13 @@ RbtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
                        Addr root_slot, std::uint64_t key)
 {
     // Build and persist the new (red) node before linking.
-    Addr node = heap.alloc(arena, 40, 8);
+    Addr node = heap.alloc(arena, kNodeBytes, 8);
     m.st(node + kOffKey, key);
     m.st(node + kOffSum, nodeChecksum(key));
     m.st(node + kOffLeft, 0);
     m.st(node + kOffRight, 0);
     m.st(node + kOffParent, kRed); // parent filled below
-    m.persistObject(node, 40);
+    m.persistObject(node, kNodeBytes);
 
     Addr root = m.ld(root_slot);
     if (root == 0) {
@@ -209,42 +208,20 @@ RbtreeWorkload::runThread(ThreadContext &tc, unsigned tid)
 }
 
 void
-RbtreeWorkload::checkSubtree(const PmemImage &img, Addr node,
-                             unsigned depth, RecoveryResult &res) const
+RbtreeWorkload::walk(ImageWalk &w, const PmemImage &img) const
 {
-    if (node == 0)
-        return;
-    if (!img.validPersistent(node) || depth > kMaxDepth) {
-        ++res.dangling;
-        return;
-    }
-    ++res.checked;
-    std::uint64_t key = img.read64(node + kOffKey);
-    std::uint64_t sum = img.read64(node + kOffSum);
-    if (sum != nodeChecksum(key)) {
-        ++res.torn;
-        return;
-    }
-    ++res.intact;
-    checkSubtree(img, img.read64(node + kOffLeft), depth + 1, res);
-    checkSubtree(img, img.read64(node + kOffRight), depth + 1, res);
-}
-
-RecoveryResult
-RbtreeWorkload::checkRecovery(const PmemImage &img) const
-{
-    RecoveryResult res;
+    std::set<Addr> visited;
     for (unsigned t = _first; t < _end; ++t)
-        checkSubtree(img, img.read64(imageRootAddr(img.addrMap(), t)), 0,
-                     res);
-    return res;
+        walkSubtree(w, img, t, imageRootAddr(img.addrMap(), t), 0, 0,
+                    visited);
 }
 
 void
-RbtreeWorkload::recoverSubtree(RecoveryCtx &ctx, const PmemImage &img,
-                               Addr link, Addr parent, unsigned depth,
-                               std::set<Addr> &visited) const
+RbtreeWorkload::walkSubtree(ImageWalk &w, const PmemImage &img,
+                            unsigned tid, Addr link, Addr parent,
+                            unsigned depth, std::set<Addr> &visited) const
 {
+    using Damage = ImageWalk::Damage;
     Addr node = img.read64(link);
     if (node == 0)
         return;
@@ -252,16 +229,18 @@ RbtreeWorkload::recoverSubtree(RecoveryCtx &ctx, const PmemImage &img,
     // blocks, interrupted rotations). Keep only the first (pre-order)
     // occurrence: a DAG'd tree would let a resumed rotation close a
     // cycle and hang the descent.
-    bool sound = img.validPersistent(node) && depth <= kMaxDepth &&
-                 visited.insert(node).second &&
-                 img.read64(node + kOffSum) ==
-                     nodeChecksum(img.read64(node + kOffKey));
-    if (!sound) {
-        ctx.repair64(link, 0);
-        ctx.noteDropped();
+    if (!img.validPersistent(node) || depth > kMaxDepth ||
+        !visited.insert(node).second) {
+        w.cut(link, 0, 1, Damage::Dangling);
         return;
     }
-    ctx.noteObject(node, 40);
+    std::uint64_t key = img.read64(node + kOffKey);
+    if (img.read64(node + kOffSum) != nodeChecksum(key)) {
+        w.cut(link, 0, 1, Damage::Torn);
+        return;
+    }
+    w.keep(node, kNodeBytes, 0);
+    w.key(tid, key);
     // Reconcile the rebalancing hints: a crash mid-rotation legitimately
     // leaves parent pointers stale (they are written after the structural
     // commits), and stale hints would derail a resumed fixup. Re-derive
@@ -270,18 +249,9 @@ RbtreeWorkload::recoverSubtree(RecoveryCtx &ctx, const PmemImage &img,
     // from a fixup-quiescent state. This is normalization, not damage.
     std::uint64_t want = parent; // black: color bit clear
     if (img.read64(node + kOffParent) != want)
-        ctx.normalize64(node + kOffParent, want);
-    recoverSubtree(ctx, img, node + kOffLeft, node, depth + 1, visited);
-    recoverSubtree(ctx, img, node + kOffRight, node, depth + 1, visited);
-}
-
-void
-RbtreeWorkload::recover(RecoveryCtx &ctx)
-{
-    PmemImage img = ctx.image();
-    std::set<Addr> visited;
-    for (unsigned t = _first; t < _end; ++t)
-        recoverSubtree(ctx, img, ctx.rootAddr(t), 0, 0, visited);
+        w.normalize(node + kOffParent, want);
+    walkSubtree(w, img, tid, node + kOffLeft, node, depth + 1, visited);
+    walkSubtree(w, img, tid, node + kOffRight, node, depth + 1, visited);
 }
 
 } // namespace bbb

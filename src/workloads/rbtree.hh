@@ -19,8 +19,8 @@
  * New nodes are persisted before they are linked. Rebalancing rotations
  * and recolorings are plain persisting stores: with strict persist
  * ordering every crash point is a structurally valid binary search tree
- * (parent/color words are only rebalancing hints and are ignored by
- * recovery).
+ * (parent/color words are only rebalancing hints, which recovery
+ * re-derives rather than trusts).
  */
 
 #ifndef BBB_WORKLOADS_RBTREE_HH
@@ -42,19 +42,16 @@ class RbtreeWorkload : public Workload
     const char *name() const override { return "rtree"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
-    RecoveryResult checkRecovery(const PmemImage &img) const override;
-    void recover(RecoveryCtx &ctx) override;
+    void walk(ImageWalk &w, const PmemImage &img) const override;
 
     /** One insert through an arbitrary accessor. */
     static void insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
                        Addr root_slot, std::uint64_t key);
 
   private:
-    void checkSubtree(const PmemImage &img, Addr node, unsigned depth,
-                      RecoveryResult &res) const;
-    void recoverSubtree(RecoveryCtx &ctx, const PmemImage &img, Addr link,
-                        Addr parent, unsigned depth,
-                        std::set<Addr> &visited) const;
+    void walkSubtree(ImageWalk &w, const PmemImage &img, unsigned tid,
+                     Addr link, Addr parent, unsigned depth,
+                     std::set<Addr> &visited) const;
 };
 
 } // namespace bbb

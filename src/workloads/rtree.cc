@@ -2,8 +2,6 @@
 
 #include <array>
 
-#include "recover/recovery_manager.hh"
-
 namespace bbb
 {
 
@@ -351,114 +349,60 @@ RtreeWorkload::runThread(ThreadContext &tc, unsigned tid)
 }
 
 void
-RtreeWorkload::checkSubtree(const PmemImage &img, Addr node, unsigned depth,
-                            RecoveryResult &res) const
+RtreeWorkload::walk(ImageWalk &w, const PmemImage &img) const
 {
-    if (node == 0)
-        return;
-    if (!img.validPersistent(node) || depth > kMaxDepth) {
-        ++res.dangling;
-        return;
-    }
-    std::uint64_t meta = img.read64(node);
-    unsigned count = metaCount(meta);
-    if (count > kFanout) {
-        ++res.torn; // corrupt meta word
-        return;
-    }
-    for (unsigned i = 0; i < count; ++i) {
-        Addr e = entryAddr(node, i);
-        Rect r;
-        r.x1 = static_cast<std::int64_t>(img.read64(e + 0));
-        r.y1 = static_cast<std::int64_t>(img.read64(e + 8));
-        r.x2 = static_cast<std::int64_t>(img.read64(e + 16));
-        r.y2 = static_cast<std::int64_t>(img.read64(e + 24));
-        std::uint64_t tag = img.read64(e + 32);
-        ++res.checked;
-        if (metaIsLeaf(meta)) {
-            if (tag == rectChecksum(r))
-                ++res.intact;
-            else
-                ++res.torn;
-        } else {
-            if (!img.validPersistent(tag)) {
-                ++res.dangling;
-                continue;
-            }
-            ++res.intact;
-            checkSubtree(img, tag, depth + 1, res);
-        }
+    for (unsigned t = _first; t < _end; ++t) {
+        Addr root_slot = imageRootAddr(img.addrMap(), t);
+        Addr root = img.read64(root_slot);
+        if (root == 0)
+            continue;
+        if (auto why = walkNode(w, img, root, 0))
+            w.cut(root_slot, 0, 1, *why);
     }
 }
 
-RecoveryResult
-RtreeWorkload::checkRecovery(const PmemImage &img) const
+std::optional<ImageWalk::Damage>
+RtreeWorkload::walkNode(ImageWalk &w, const PmemImage &img, Addr node,
+                        unsigned depth) const
 {
-    RecoveryResult res;
-    for (unsigned t = _first; t < _end; ++t)
-        checkSubtree(img, img.read64(imageRootAddr(img.addrMap(), t)), 0,
-                     res);
-    return res;
-}
-
-bool
-RtreeWorkload::salvageNode(RecoveryCtx &ctx, const PmemImage &img,
-                           Addr node, unsigned depth) const
-{
+    using Damage = ImageWalk::Damage;
     if (node == 0 || !img.validPersistent(node) || depth > kMaxDepth)
-        return false;
+        return Damage::Dangling;
     std::uint64_t meta = img.read64(node);
     bool is_leaf = metaIsLeaf(meta);
     unsigned count = metaCount(meta);
     if (count > kFanout)
-        return false; // corrupt meta word
+        return Damage::Torn; // corrupt meta word
 
+    // Keep the longest prefix of checksum-valid leaf entries or usable
+    // child subtrees.
     unsigned keep = count;
-    for (unsigned i = 0; i < count; ++i) {
+    std::optional<Damage> why;
+    for (unsigned i = 0; i < count && !why; ++i) {
         Addr e = entryAddr(node, i);
         std::uint64_t tag = img.read64(e + 32);
-        bool ok;
         if (is_leaf) {
             Rect r;
             r.x1 = static_cast<std::int64_t>(img.read64(e + 0));
             r.y1 = static_cast<std::int64_t>(img.read64(e + 8));
             r.x2 = static_cast<std::int64_t>(img.read64(e + 16));
             r.y2 = static_cast<std::int64_t>(img.read64(e + 24));
-            ok = tag == rectChecksum(r);
+            if (tag != rectChecksum(r))
+                why = Damage::Torn;
         } else {
-            ok = salvageNode(ctx, img, tag, depth + 1);
+            why = walkNode(w, img, tag, depth + 1);
         }
-        if (!ok) {
+        if (why)
             keep = i;
-            break;
-        }
     }
     // An interior node with no usable children would break the resumed
     // chooseSubtree (which requires a live entry): unusable upward.
     if (!is_leaf && keep == 0)
-        return false;
-    if (keep != count) {
-        ctx.repair64(node, metaWord(is_leaf, keep));
-        ctx.noteDropped(count - keep);
-    }
-    ctx.noteObject(node, kNodeBytes);
-    return true;
-}
-
-void
-RtreeWorkload::recover(RecoveryCtx &ctx)
-{
-    PmemImage img = ctx.image();
-    for (unsigned t = _first; t < _end; ++t) {
-        Addr root_slot = ctx.rootAddr(t);
-        Addr root = img.read64(root_slot);
-        if (root == 0)
-            continue;
-        if (!salvageNode(ctx, img, root, 0)) {
-            ctx.repair64(root_slot, 0);
-            ctx.noteDropped();
-        }
-    }
+        return why.value_or(Damage::Torn);
+    w.keep(node, kNodeBytes, keep);
+    if (keep != count)
+        w.cut(node, metaWord(is_leaf, keep), count - keep, *why);
+    return std::nullopt;
 }
 
 } // namespace bbb

@@ -25,6 +25,8 @@
 #ifndef BBB_WORKLOADS_RTREE_HH
 #define BBB_WORKLOADS_RTREE_HH
 
+#include <optional>
+
 #include "workloads/workload.hh"
 
 namespace bbb
@@ -42,8 +44,7 @@ class RtreeWorkload : public Workload
     const char *name() const override { return "rtree-spatial"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
-    RecoveryResult checkRecovery(const PmemImage &img) const override;
-    void recover(RecoveryCtx &ctx) override;
+    void walk(ImageWalk &w, const PmemImage &img) const override;
 
     /** Axis-aligned bounding rectangle (signed coordinates). */
     struct Rect
@@ -75,11 +76,14 @@ class RtreeWorkload : public Workload
                        Addr root_slot, std::int64_t x, std::int64_t y);
 
   private:
-    void checkSubtree(const PmemImage &img, Addr node, unsigned depth,
-                      RecoveryResult &res) const;
-    /** Salvage a subtree in place; false if the node is unusable. */
-    bool salvageNode(RecoveryCtx &ctx, const PmemImage &img, Addr node,
-                     unsigned depth) const;
+    /**
+     * Walk the subtree at @p node, keeping its sound part. Returns the
+     * damage that makes @p node itself unusable, having reported nothing
+     * below it; the caller then cuts its own link to the node.
+     */
+    std::optional<ImageWalk::Damage>
+    walkNode(ImageWalk &w, const PmemImage &img, Addr node,
+             unsigned depth) const;
 };
 
 } // namespace bbb

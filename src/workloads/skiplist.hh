@@ -13,9 +13,10 @@
  * Insertion persists the fully-built node, then links it bottom-up: the
  * level-0 link is the membership commit; higher-level links are search
  * accelerators whose loss after a crash degrades lookup speed but never
- * correctness. The recovery checker walks level 0 (every member) and
- * additionally verifies that each higher level is a subsequence of
- * level 0.
+ * correctness. The recovery walk keeps the head only if its checksum
+ * and height hold, keeps the sorted sound prefix of level 0, and cuts
+ * every higher-level pointer that does not land on a kept member taller
+ * than the level and ahead in key order.
  */
 
 #ifndef BBB_WORKLOADS_SKIPLIST_HH
@@ -41,10 +42,8 @@ class SkiplistWorkload : public Workload
     const char *name() const override { return "skiplist"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
-    RecoveryResult checkRecovery(const PmemImage &img) const override;
-    void recover(RecoveryCtx &ctx) override;
-    bool collectKeys(const PmemImage &img, unsigned tid,
-                     std::vector<std::uint64_t> &out) const override;
+    void walk(ImageWalk &w, const PmemImage &img) const override;
+    bool keyed() const override { return true; }
 
     /**
      * One insert through an arbitrary accessor. The head node lives at
@@ -56,6 +55,9 @@ class SkiplistWorkload : public Workload
     /** Create the (all-levels, key-less) head node. */
     static Addr makeHead(MemAccessor &m, PersistentHeap &heap,
                          unsigned arena);
+
+  protected:
+    Addr rebuildRoot(RecoveryCtx &ctx, unsigned tid) const override;
 };
 
 } // namespace bbb

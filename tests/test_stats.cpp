@@ -91,24 +91,6 @@ TEST(StatGroup, CounterValueLookup)
     EXPECT_EQ(g.counterValue("missing"), 0u);
 }
 
-TEST(StatGroup, ResetZeroesEverything)
-{
-    StatGroup g("g");
-    StatCounter c;
-    StatAverage a;
-    StatHistogram h;
-    c += 3;
-    a.sample(1.5);
-    h.sample(7);
-    g.addCounter("c", &c);
-    g.addAverage("a", &a);
-    g.addHistogram("h", &h);
-    g.reset();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_EQ(h.samples(), 0u);
-}
-
 TEST(StatRegistry, DuplicateGroupNameIsFatal)
 {
     StatRegistry reg;
@@ -268,48 +250,6 @@ TEST(MetricSnapshot, FindCountRealAccessors)
     EXPECT_EQ(m.size(), 3u);
 }
 
-TEST(MetricSnapshot, DeltaPerKindSemantics)
-{
-    MetricSnapshot before, after;
-    before.setCount("events", 10);
-    after.setCount("events", 25);
-    before.setReal("energy", 1.0);
-    after.setReal("energy", 3.5);
-    before.setLevel("occupancy", 9.0);
-    after.setLevel("occupancy", 4.0);
-    after.setCount("fresh", 2); // absent before -> counts from zero
-
-    MetricSnapshot d = after.delta(before);
-    EXPECT_EQ(d.count("events"), 15u);
-    EXPECT_DOUBLE_EQ(d.real("energy"), 2.5);
-    EXPECT_DOUBLE_EQ(d.real("occupancy"), 4.0); // level: keep newer
-    EXPECT_EQ(d.count("fresh"), 2u);
-
-    // Counts saturate at zero rather than wrapping.
-    MetricSnapshot shrunk;
-    shrunk.setCount("events", 3);
-    EXPECT_EQ(shrunk.delta(after).count("events"), 0u);
-}
-
-TEST(MetricSnapshot, SnapshotDeltaResetRoundTrip)
-{
-    StatRegistry reg;
-    StatCounter c;
-    reg.group("g").addCounter("n", &c);
-    c += 10;
-    MetricSnapshot first = reg.snapshot();
-    c += 7;
-    MetricSnapshot second = reg.snapshot();
-    EXPECT_EQ(second.delta(first).count("g.n"), 7u);
-
-    MetricSnapshot d = second.delta(first);
-    d.reset();
-    EXPECT_TRUE(d.empty());
-
-    reg.resetAll();
-    EXPECT_EQ(reg.snapshot().count("g.n"), 0u);
-}
-
 TEST(MetricSnapshot, MergeWithPrefix)
 {
     MetricSnapshot inner;
@@ -359,12 +299,4 @@ TEST(MetricSnapshot, EmptyJsonIsEmptyObject)
 {
     MetricSnapshot m;
     EXPECT_EQ(m.toJson(), "{}");
-}
-
-TEST(MetricSnapshot, CsvSortedRows)
-{
-    MetricSnapshot m;
-    m.setCount("z", 1);
-    m.setReal("a", 0.5);
-    EXPECT_EQ(m.toCsv(), "metric,value\na,0.5\nz,1\n");
 }
