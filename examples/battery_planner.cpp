@@ -29,7 +29,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -143,19 +142,16 @@ main(int argc, char **argv)
         for (const std::string &p : cli::splitList(pols_arg))
             spec.policies.push_back(parseDegradePolicy(p));
     }
-    spec.rounds = static_cast<unsigned>(std::strtoul(
-        cli::stringOpt(argc, argv, "--rounds", fast ? "2" : "3").c_str(),
-        nullptr, 10));
-    spec.lifetimes = static_cast<unsigned>(std::strtoul(
-        cli::stringOpt(argc, argv, "--lifetimes", "1").c_str(), nullptr,
-        10));
-    spec.params.ops_per_thread = std::strtoull(
-        cli::stringOpt(argc, argv, "--ops", fast ? "250" : "400").c_str(),
-        nullptr, 10);
+    spec.rounds = static_cast<unsigned>(cli::unsignedArg(
+        "--rounds", cli::stringOpt(argc, argv, "--rounds", fast ? "2" : "3"),
+        1));
+    spec.lifetimes = static_cast<unsigned>(cli::unsignedArg(
+        "--lifetimes", cli::stringOpt(argc, argv, "--lifetimes", "1"), 1));
+    spec.params.ops_per_thread = cli::unsignedArg(
+        "--ops", cli::stringOpt(argc, argv, "--ops", fast ? "250" : "400"));
     spec.params.initial_elements = 80;
-    spec.campaign_seed = std::strtoull(
-        cli::stringOpt(argc, argv, "--campaign-seed", "1").c_str(),
-        nullptr, 10);
+    spec.campaign_seed = cli::unsignedArg(
+        "--campaign-seed", cli::stringOpt(argc, argv, "--campaign-seed", "1"));
     unsigned jobs = cli::jobsArg(argc, argv);
 
     // Condensed Section IV-C analytic header: the closed-form worst case

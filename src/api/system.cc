@@ -59,10 +59,8 @@ System::System(const SystemConfig &cfg)
     }
 
     _heap = std::make_unique<PersistentHeap>(_map, _cfg.num_cores);
-    _crash = std::make_unique<CrashEngine>(_cfg, *_hier, *_nvmm,
-                                           *_nvmm_media, *_backend, _cores,
-                                           _stats);
-    _fault_stats.registerWith(_stats.group("fault"));
+    _crash = std::make_unique<CrashEngine>(_cfg, *_hier, *_nvmm, *_backend,
+                                           _cores, _stats);
 
     StatGroup &sim = _stats.group("sim");
     sim.addCounter("ops", &_sim.ops, "memory operations simulated");
@@ -81,21 +79,17 @@ void
 System::setFaultPlan(const FaultPlan &plan)
 {
     BBB_ASSERT(!_crashed, "fault plan armed after the crash");
-    // The counters describe the armed plan's run; re-arming starts over.
-    _fault_stats.reset();
     if (!plan.enabled()) {
         // Detach entirely: the fault-free machine must not even consult
         // the injector, so disabled plans reproduce it bit for bit.
         _faults.reset();
         _nvmm->setFaultInjector(nullptr);
         _crash->setFaultInjector(nullptr);
-        _nvmm_media->setFaultInjector(nullptr);
         return;
     }
-    _faults = std::make_unique<FaultInjector>(plan, &_fault_stats);
+    _faults = std::make_unique<FaultInjector>(plan);
     _nvmm->setFaultInjector(_faults.get());
     _crash->setFaultInjector(_faults.get());
-    _nvmm_media->setFaultInjector(_faults.get());
 }
 
 MetricSnapshot

@@ -168,10 +168,16 @@ class System
      * cache-resident schemes). Without this correction a scheme that
      * merely postpones its writes past the end of the measurement window
      * would look artificially write-efficient.
+     *
+     * After a crash the drain already committed (and counted) everything
+     * the persistence domain held, so the count is exactly the media
+     * writes; eADR's still-dirty cache lines must not count twice.
      */
     std::uint64_t
     effectiveNvmmWrites() const
     {
+        if (_crashed)
+            return _nvmm->mediaWrites();
         std::uint64_t n = _nvmm->mediaWrites() + _nvmm->wpqOccupancy();
         if (_cfg.usesBbpb())
             n += _backend->occupancy();
@@ -182,8 +188,8 @@ class System
 
     /**
      * Capture the machine's full metric tree: every registry-registered
-     * stat (caches, controllers, store buffers, bbPBs, crash engine,
-     * fault layer) plus derived `system.*` results (exec time, NVMM
+     * stat (caches, controllers, media, store buffers, bbPBs, crash
+     * engine) plus derived `system.*` results (exec time, NVMM
      * write counts) and instantaneous `hierarchy.*_dirty_blocks`
      * watermarks. Deterministic: byte-stable JSON via
      * MetricSnapshot::toJson().
@@ -225,7 +231,7 @@ class System
     StatRegistry _stats;
     BackingStore _store;
     /// Media backends outlive (and are declared before) their
-    /// controllers; the NVMM one is shared with the crash engine.
+    /// controllers, which are their only writers.
     std::unique_ptr<MediaBackend> _dram_media;
     std::unique_ptr<MediaBackend> _nvmm_media;
     std::unique_ptr<MemCtrl> _dram;
@@ -238,7 +244,6 @@ class System
     std::vector<std::unique_ptr<Core>> _cores;
     std::unique_ptr<PersistentHeap> _heap;
     std::unique_ptr<CrashEngine> _crash;
-    FaultStats _fault_stats;
     std::unique_ptr<FaultInjector> _faults;
     /// Mutable: refreshed from the live components inside the const
     /// snapshotMetrics() immediately before the registry walk.

@@ -96,8 +96,6 @@ CrashEngine::crash(Tick now)
     // (no gate), so the fault-free path shares the drain loop.
     double budget = _faults ? _faults->budgetJ() : -1.0;
     double spent = 0.0;
-    const bool media_faults =
-        _faults && _faults->plan().injectsMediaFaults();
     const std::uint64_t recrash_after =
         _faults ? _faults->plan().recrash_after_blocks : 0;
 
@@ -140,17 +138,13 @@ CrashEngine::crash(Tick now)
         return true;
     };
 
-    // Media-commit one full drained block, possibly tearing it.
-    auto writeDrainedBlock = [&](Addr block, const BlockData &data) {
-        if (media_faults) {
-            MediaWriteOutcome out =
-                _faults->performMediaWrite(_media, block, data);
-            rep.media_retries += out.retries;
-            if (out.torn)
-                ++rep.torn_media_blocks;
-        } else {
-            _media.commitBlock(block, data);
-        }
+    // Commit one full drained block through the controller, possibly
+    // tearing it.
+    auto commitDrained = [&](Addr block, const BlockData &data) {
+        unsigned retries = 0;
+        if (_nvmm.writeThrough(block, data, retries) == MediaAttempt::Torn)
+            ++rep.torn_media_blocks;
+        rep.media_retries += retries;
     };
 
     // 1. WPQ: always in the persistence domain (ADR), and the oldest
@@ -161,14 +155,13 @@ CrashEngine::crash(Tick now)
     auto wpq = _nvmm.takeWpqForCrash();
     for (auto &kv : wpq) {
         if (batteryAllows(llc_block_j)) {
-            writeDrainedBlock(kv.first, kv.second);
-            _nvmm.creditCrashCommit();
+            commitDrained(kv.first, kv.second);
             ++rep.wpq_blocks;
             noteDrained();
         } else {
             sacrificed_seen = true;
             ++rep.sacrificed_blocks;
-            _faults->noteSacrificed(kv.first, kv.second);
+            _faults->noteDamaged(kv.first, kv.second);
         }
     }
 
@@ -185,7 +178,7 @@ CrashEngine::crash(Tick now)
         for (const auto &rec : dirty) {
             bool is_l1 = idx++ < from_l1;
             if (batteryAllows(is_l1 ? l1_block_j : llc_block_j)) {
-                writeDrainedBlock(rec.block, rec.data);
+                commitDrained(rec.block, rec.data);
                 noteDrained();
                 if (is_l1) {
                     ++rep.cache_blocks_l1;
@@ -197,7 +190,7 @@ CrashEngine::crash(Tick now)
             } else {
                 sacrificed_seen = true;
                 ++rep.sacrificed_blocks;
-                _faults->noteSacrificed(rec.block, rec.data);
+                _faults->noteDamaged(rec.block, rec.data);
             }
         }
         break;
@@ -209,14 +202,14 @@ CrashEngine::crash(Tick now)
         // each block is applied as it passes, no intermediate copies.
         _backend.crashDrain([&](Addr block, const BlockData &data) {
             if (batteryAllows(l1_block_j)) {
-                writeDrainedBlock(block, data);
+                commitDrained(block, data);
                 ++rep.bbpb_blocks;
                 l1_rate_bytes += kBlockSize;
                 noteDrained();
             } else {
                 sacrificed_seen = true;
                 ++rep.sacrificed_blocks;
-                _faults->noteSacrificed(block, data);
+                _faults->noteDamaged(block, data);
             }
         });
         break;
@@ -234,17 +227,17 @@ CrashEngine::crash(Tick now)
             auto entries = core->storeBuffer().drainForCrash();
             for (const auto &e : entries) {
                 if (batteryAllows(e.size * l1_rate_j)) {
-                    _media.writeBytes(e.addr, &e.data, e.size);
-                    if (_faults)
-                        _faults->noteDrainedBytes(e.addr, &e.data, e.size);
+                    _nvmm.crashPatch(e.addr, &e.data, e.size);
                     ++rep.sb_entries;
                     l1_rate_bytes += e.size;
                     noteDrained();
                 } else {
                     sacrificed_seen = true;
                     ++rep.sacrificed_blocks;
-                    _faults->noteSacrificedBytes(_media, e.addr, &e.data,
-                                                 e.size);
+                    BlockData current;
+                    _nvmm.peekBlock(e.addr, current);
+                    _faults->noteSacrificedBytes(e.addr, &e.data, e.size,
+                                                 current);
                 }
             }
         }
@@ -260,7 +253,7 @@ CrashEngine::crash(Tick now)
     // The reboot "mount": an FTL backend replays its reconstructed remap
     // table into the logical image so recovery's raw post-crash walk
     // reads every block through the mapping.
-    _media.onCrashComplete();
+    _nvmm.crashMount();
 
     _stats.note(rep);
     return rep;

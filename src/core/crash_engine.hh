@@ -12,12 +12,13 @@
  *                          (+ battery-backed store buffers under relaxed
  *                          consistency).
  *
- * The engine applies the drains through the NVMM media backend (producing
- * the image recovery code sees — the backend's onCrashComplete() "mount"
- * replays any remap table into the logical image afterwards) and reports
- * the energy/time cost of the drain using
- * the Table VI model, which is how the paper's Tables VII/VIII compare
- * eADR and BBB.
+ * The engine never touches media itself: it hands every drained block
+ * and store-buffer patch to the NVMM controller, the only writer of
+ * media (producing the image recovery code sees — the controller's
+ * crashMount() replays any remap table into the logical image
+ * afterwards). It reports the energy/time cost of the drain using the
+ * Table VI model, which is how the paper's Tables VII/VIII compare eADR
+ * and BBB.
  *
  * With a FaultInjector attached the drain stops being infallible:
  *
@@ -28,7 +29,7 @@
  *     prefix of the persist order (checked and reported as
  *     drain_prefix_ok);
  *   - each drained block's media write may fail per the plan, retrying
- *     and finally tearing the block;
+ *     and finally tearing the block (the controller's write attempt);
  *   - after recrash_after_blocks drained items, power "fails again":
  *     the residual budget is scaled by recrash_budget_factor and the
  *     remaining drain continues under the shrunken reserve (draining is
@@ -135,19 +136,18 @@ class CrashEngine
 {
   public:
     CrashEngine(const SystemConfig &cfg, CacheHierarchy &hier,
-                MemCtrl &nvmm, MediaBackend &media,
-                PersistencyBackend &backend,
+                MemCtrl &nvmm, PersistencyBackend &backend,
                 std::vector<std::unique_ptr<Core>> &cores,
                 StatRegistry &stats)
-        : _cfg(cfg), _hier(hier), _nvmm(nvmm), _media(media),
-          _backend(backend), _cores(cores)
+        : _cfg(cfg), _hier(hier), _nvmm(nvmm), _backend(backend),
+          _cores(cores)
     {
         _stats.registerWith(stats.group("crash"));
     }
 
     /**
-     * Power fails now: halt the cores, drain the persistence domain into
-     * the backing store, and report the cost.
+     * Power fails now: halt the cores, drain the persistence domain to
+     * media through the NVMM controller, and report the cost.
      */
     CrashReport crash(Tick now);
 
@@ -165,7 +165,6 @@ class CrashEngine
     const SystemConfig &_cfg;
     CacheHierarchy &_hier;
     MemCtrl &_nvmm;
-    MediaBackend &_media;
     PersistencyBackend &_backend;
     std::vector<std::unique_ptr<Core>> &_cores;
     FaultInjector *_faults = nullptr;

@@ -2,24 +2,28 @@
  * @file
  * FaultInjector: the runtime side of a FaultPlan.
  *
- * One injector is owned by a System and threaded through the two places
- * the plan's faults act:
+ * One injector is owned by a System. It decides and records; it never
+ * reads or writes media. It acts in the two places the plan's faults
+ * act:
  *
- *  - the NVMM controller's media writes (runtime and crash time): every
- *    write attempt may fail; bounded retries back off exponentially and
- *    are latency-charged; a terminal failure tears the 64 B block,
- *    leaving only its first half in the image;
+ *  - the NVMM controller's media writes (runtime and crash time): the
+ *    controller asks it whether each write attempt fails; bounded
+ *    retries back off exponentially and are latency-charged; a terminal
+ *    failure tears the 64 B block, leaving only its first half in the
+ *    image. The controller performs the write and reports the outcome;
  *  - the crash engine's flush-on-fail drain: every drained byte charges
  *    the Joule budget; when it runs out the remaining (younger) blocks
  *    are sacrificed, and an optional mid-drain re-crash shrinks the
  *    residual budget.
  *
- * The injector also keeps the *fault ledger* recovery oracles need: the
+ * The injector keeps the *fault ledger* recovery oracles need: the
  * intended content of every block the faults damaged (sacrificed at
  * crash time, or torn by media failures). Applying the ledger to a
  * post-crash image must yield a consistent structure — if it does not,
  * the damage is NOT explained by the injected faults and the run is a
- * genuine persistency bug (see recover/lifetime.hh).
+ * genuine persistency bug (see recover/lifetime.hh). How many blocks
+ * tore, retried or were sacrificed is counted once, where it happens:
+ * media.torn_programs, nvmm.media_retry_writes and crash.* respectively.
  *
  * All randomness comes from one deterministic stream seeded by
  * FaultPlan::fault_seed, drawn only on the single simulation thread, so
@@ -31,67 +35,15 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "fault/fault_plan.hh"
 #include "mem/backing_store.hh"
 #include "mem/block_data.hh"
 #include "sim/rng.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace bbb
 {
-
-class MediaBackend;
-
-/**
- * Fault-layer counters. A System owns one instance registered under the
- * "fault" stat group (so snapshots carry `fault.torn_blocks` etc. even
- * when no plan is armed); a standalone FaultInjector falls back to an
- * internal instance. Re-arming a plan resets them: the counters describe
- * the currently-armed plan's run, matching the injector's own lifetime.
- */
-struct FaultStats
-{
-    StatCounter torn_blocks;       ///< blocks torn by terminal failures
-    StatCounter media_retries;     ///< failed media attempts retried
-    StatCounter sacrificed_blocks; ///< crash-time items lost to battery
-    StatCounter retired_frames;    ///< media frames retired into the ledger
-
-    void
-    registerWith(StatGroup &g)
-    {
-        g.addCounter("torn_blocks", &torn_blocks,
-                     "blocks torn by terminal media write failures");
-        g.addCounter("media_retries", &media_retries,
-                     "media write retries taken");
-        g.addCounter("sacrificed_blocks", &sacrificed_blocks,
-                     "persistence-domain items lost to the battery");
-        g.addCounter("retired_frames", &retired_frames,
-                     "media frames retired at the endurance limit");
-    }
-
-    void
-    reset()
-    {
-        torn_blocks.reset();
-        media_retries.reset();
-        sacrificed_blocks.reset();
-        retired_frames.reset();
-    }
-};
-
-/** How one media write attempt sequence ended. */
-struct MediaWriteOutcome
-{
-    /** Terminal failure: only the first half of the block was written. */
-    bool torn = false;
-    /** Failed attempts before success/tearing (0 on a clean write). */
-    unsigned retries = 0;
-    /** Backoff latency accumulated by the retries. */
-    Tick backoff = 0;
-};
 
 /** Injects a FaultPlan's failures and keeps the fault ledger. */
 class FaultInjector
@@ -100,15 +52,9 @@ class FaultInjector
     /** Bytes of a torn block that still reach media (the first half). */
     static constexpr unsigned kTornBytes = kBlockSize / 2;
 
-    /**
-     * @p stats may point at an externally-registered FaultStats (the
-     * System's, registered under the "fault" group); nullptr falls back
-     * to an internal instance so standalone injectors keep working.
-     */
-    explicit FaultInjector(const FaultPlan &plan,
-                           FaultStats *stats = nullptr)
+    explicit FaultInjector(const FaultPlan &plan)
         : _plan(plan), _rng(plan.fault_seed ^ 0xfa017ull),
-          _budget_j(plan.battery_j), _stats(stats ? stats : &_own_stats)
+          _budget_j(plan.battery_j)
     {
     }
 
@@ -124,46 +70,39 @@ class FaultInjector
     double budgetJ() const { return _budget_j; }
     void setBudgetJ(double j) { _budget_j = j; }
 
-    /**
-     * Perform one media write of @p data to @p block through @p media,
-     * sampling the plan's failure probability per attempt. On terminal
-     * failure only the first kTornBytes land (a torn block); the block
-     * and its intended content are recorded in the fault ledger. A
-     * successful write clears any stale ledger entry for the block.
-     */
-    MediaWriteOutcome performMediaWrite(MediaBackend &media, Addr block,
-                                        const BlockData &data);
+    /** --- Media write attempts (decided here, written by MemCtrl) ---- */
 
-    /** --- Attempt-level media API (event-driven WPQ retirement) ------- */
-
-    /** Sample one media write attempt; true if it fails. */
+    /** Sample one media write attempt; true if it fails. Draws nothing
+     *  when the plan injects no media faults. */
     bool
     sampleMediaAttemptFails()
     {
         return _plan.media_fail_p > 0.0 && _rng.chance(_plan.media_fail_p);
     }
 
-    /** A failed attempt will be retried (latency charged by the caller). */
-    void noteRetry() { ++_stats->media_retries; }
-
-    /** Terminal failure: commit the torn half-block and ledger the rest. */
-    void commitTorn(MediaBackend &media, Addr block,
-                    const BlockData &intended);
+    /**
+     * @p block was damaged: a media write tore it, or the crash drain
+     * sacrificed it to an exhausted battery. Ledger the content an
+     * un-faulted run would have persisted.
+     */
+    void
+    noteDamaged(Addr block, const BlockData &intended)
+    {
+        _damaged[block] = intended;
+    }
 
     /** A clean full-block write landed: supersede any old damage. */
     void noteCleanWrite(Addr block) { _damaged.erase(block); }
 
-    /** A crash-time block was sacrificed to an exhausted battery. */
-    void
-    noteSacrificed(Addr block, const BlockData &intended)
-    {
-        _damaged[block] = intended;
-        ++_stats->sacrificed_blocks;
-    }
+    /** --- Crash drain sub-block writes -------------------------------- */
 
-    /** A crash-time sub-block store-buffer write was sacrificed. */
-    void noteSacrificedBytes(MediaBackend &media, Addr addr,
-                             const void *src, unsigned size);
+    /**
+     * A crash-time sub-block store-buffer write was sacrificed.
+     * @p current is the block's content as the controller presents it
+     * (the ledgered intent of an already damaged block).
+     */
+    void noteSacrificedBytes(Addr addr, const void *src, unsigned size,
+                             const BlockData &current);
 
     /**
      * A crash-time sub-block store-buffer write reached media: a damaged
@@ -171,36 +110,6 @@ class FaultInjector
      * ledger repair would roll them back.
      */
     void noteDrainedBytes(Addr addr, const void *src, unsigned size);
-
-    /** --- Endurance retirements --------------------------------------- */
-
-    /**
-     * One physical media frame retired at the endurance limit, filed by
-     * an FTL backend (see FtlMedia::freeOrRetire). Retirements are
-     * *graceful* — the data migrated before the frame left service — so
-     * they live in their own ledger, not in damagedBlocks(): the
-     * recovery oracle must not treat them as unexplained damage.
-     */
-    struct RetiredFrame
-    {
-        Addr logical;        ///< last logical block the frame held
-        std::uint64_t frame; ///< physical frame id
-        std::uint64_t wear;  ///< programs endured at retirement
-    };
-
-    /** File one endurance retirement into the ledger. */
-    void
-    noteRetiredFrame(Addr logical, std::uint64_t frame, std::uint64_t wear)
-    {
-        _retired.push_back({logical, frame, wear});
-        ++_stats->retired_frames;
-    }
-
-    /** Endurance retirements in filing order. */
-    const std::vector<RetiredFrame> &retiredFrames() const
-    {
-        return _retired;
-    }
 
     /** --- Fault ledger ------------------------------------------------ */
 
@@ -234,18 +143,6 @@ class FaultInjector
     /** Write every damaged block's intended content into @p store. */
     void repairImage(BackingStore &store) const;
 
-    std::uint64_t tornBlocks() const { return _stats->torn_blocks.value(); }
-    std::uint64_t
-    mediaRetries() const
-    {
-        return _stats->media_retries.value();
-    }
-    std::uint64_t
-    sacrificedBlocks() const
-    {
-        return _stats->sacrificed_blocks.value();
-    }
-
   private:
     FaultPlan _plan;
     Rng _rng;
@@ -253,12 +150,6 @@ class FaultInjector
 
     /** block -> content an un-faulted run would have persisted. */
     std::map<Addr, BlockData> _damaged;
-
-    /** Endurance retirements (graceful; separate from _damaged). */
-    std::vector<RetiredFrame> _retired;
-
-    FaultStats _own_stats; ///< fallback when no external stats are given
-    FaultStats *_stats;
 };
 
 } // namespace bbb

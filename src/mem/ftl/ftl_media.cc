@@ -1,8 +1,7 @@
 #include "mem/ftl/ftl_media.hh"
 
 #include <algorithm>
-
-#include "fault/fault_injector.hh"
+#include <cstring>
 
 namespace bbb
 {
@@ -101,18 +100,16 @@ FtlMedia::releaseMapping(Addr block)
     Frame &f = _frames[frame];
     _mapped[channelOf(block)].erase({f.wear, frame});
     f.logical = kNoFrame;
-    freeOrRetire(frame, block);
+    freeOrRetire(frame);
 }
 
 void
-FtlMedia::freeOrRetire(std::uint64_t frame, Addr last_logical)
+FtlMedia::freeOrRetire(std::uint64_t frame)
 {
     Frame &f = _frames[frame];
     if (f.wear >= _cfg.endurance_cycles) {
         f.retired = true;
         ++_stats.retired_frames;
-        if (_injector)
-            _injector->noteRetiredFrame(last_logical, frame, f.wear);
         return;
     }
     _free[frame % _channels].insert({f.wear, frame});
@@ -145,34 +142,12 @@ FtlMedia::maybeWearLevel(unsigned channel)
     mapBlock(logical, hot.second);
     ++_stats.migrations;
     src.logical = kNoFrame;
-    freeOrRetire(cold.second, logical);
-}
-
-void
-FtlMedia::touchTranslation(Addr block)
-{
-    std::uint64_t segment =
-        (block >> kBlockShift) / std::max(1u, _cfg.pmt_segment_blocks);
-    _gtd.insert(segment);
-    auto it = _cmt.find(segment);
-    if (it != _cmt.end()) {
-        ++_stats.cmt_hits;
-        _cmt_lru.splice(_cmt_lru.begin(), _cmt_lru, it->second);
-        return;
-    }
-    ++_stats.cmt_misses;
-    _cmt_lru.push_front(segment);
-    _cmt[segment] = _cmt_lru.begin();
-    if (_cmt.size() > std::max(1u, _cfg.cmt_entries)) {
-        _cmt.erase(_cmt_lru.back());
-        _cmt_lru.pop_back();
-    }
+    freeOrRetire(cold.second);
 }
 
 void
 FtlMedia::commitBlock(Addr block, const BlockData &data)
 {
-    touchTranslation(block);
     unsigned ch = channelOf(block);
     releaseMapping(block); // out-of-place: old frame back to the pool
     std::uint64_t frame = allocFrame(ch);
@@ -195,7 +170,6 @@ FtlMedia::commitTorn(Addr block, const BlockData &intended,
     readBlock(block, merged.bytes.data());
     std::memcpy(merged.bytes.data(), intended.bytes.data(),
                 std::min<std::size_t>(torn_bytes, kBlockSize));
-    touchTranslation(block);
     unsigned ch = channelOf(block);
     releaseMapping(block);
     std::uint64_t frame = allocFrame(ch);
@@ -208,7 +182,6 @@ FtlMedia::commitTorn(Addr block, const BlockData &intended,
 void
 FtlMedia::readBlock(Addr block, unsigned char *out)
 {
-    touchTranslation(block);
     auto it = _pmt.find(block);
     if (it != _pmt.end()) {
         _frames[it->second].data.copyTo(out);
@@ -292,7 +265,6 @@ FtlMedia::addDerivedMetrics(MetricSnapshot &m, double exec_seconds) const
     m.setCount("media.frames.in_service", _pmt.size());
     m.setLevel("media.frames.max_wear", static_cast<double>(max_wear));
     m.setLevel("media.frames.mean_wear", mean_wear);
-    m.setCount("media.map.segments", _gtd.size());
 
     // Lifetime projection: days until the hottest frame reaches the
     // endurance limit at the observed wear rate, plus the observed

@@ -2,18 +2,16 @@
  * @file
  * FtlMedia: an FTL-style NVMM endurance model behind the media seam.
  *
- * The shape follows a real SSD flash-translation layer (TrustedSSD's
- * pmt/gtd/cmt decomposition, per ROADMAP item 3), scaled to the
- * simulator's 64 B block granularity:
+ * The shape follows a real SSD flash-translation layer's page-mapping
+ * table (the pmt), scaled to the simulator's 64 B block granularity:
+ * logical block → physical frame. Every demand commit programs a *new*
+ * frame (out-of-place write); the old frame returns to its channel's
+ * free pool. The mapping is always memory-resident, so there is no
+ * translation cache to model.
  *
- *  - **pmt** — the page-mapping table: logical block → physical frame.
- *    Every demand commit programs a *new* frame (out-of-place write);
- *    the old frame returns to its channel's free pool.
- *  - **gtd** — the global translation directory: which translation
- *    segments (`pmt_segment_blocks` logical blocks each) exist at all.
- *  - **cmt** — the cached mapping table: a `cmt_entries`-way LRU over
- *    translation segments, purely telemetry (hit/miss counters) in this
- *    model — the mapping itself is always memory-resident.
+ * The only caller of the write methods is the owning MemCtrl: whether a
+ * program fails or tears is decided above the seam, and the FTL knows
+ * nothing of faults.
  *
  * Endurance model:
  *
@@ -30,9 +28,9 @@
  *    attached MediaTiming, so background traffic contends with demand
  *    writes in the timing model.
  *  - **Retirement**: a frame released with wear ≥ `endurance_cycles`
- *    never re-enters service; it is counted, and — when a fault plan is
- *    armed — filed into the FaultInjector's retirement ledger so
- *    campaigns can print replay lines.
+ *    never re-enters service; it is counted in `media.retired_frames`.
+ *    Retirement is graceful (the data moved out of place first), so it
+ *    damages nothing the recovery oracle must explain.
  *
  * Channel preservation: physical frames are minted per channel with
  * `frame % channels == channel`, and a logical block only ever maps to
@@ -55,7 +53,6 @@
 #define BBB_MEM_FTL_FTL_MEDIA_HH
 
 #include <cstddef>
-#include <list>
 #include <map>
 #include <set>
 #include <utility>
@@ -88,8 +85,6 @@ class FtlMedia : public MediaBackend
     void readBytes(Addr addr, void *out, std::size_t size) override;
 
     void onCrashComplete() override;
-
-    void setFaultInjector(FaultInjector *inj) override { _injector = inj; }
 
     void addDerivedMetrics(MetricSnapshot &m,
                            double exec_seconds) const override;
@@ -139,18 +134,14 @@ class FtlMedia : public MediaBackend
     void releaseMapping(Addr block);
 
     /** Return an unmapped @p frame to service, or retire it. */
-    void freeOrRetire(std::uint64_t frame, Addr last_logical);
+    void freeOrRetire(std::uint64_t frame);
 
     /** Static wear-leveling check for @p channel (cold → hot frame). */
     void maybeWearLevel(unsigned channel);
 
-    /** cmt/gtd telemetry for one translation of @p block. */
-    void touchTranslation(Addr block);
-
     BackingStore &_logical;
     MediaModelConfig _cfg;
     unsigned _channels;
-    FaultInjector *_injector = nullptr;
 
     std::vector<Frame> _frames;            ///< frame ledger, by frame id
     std::map<Addr, std::uint64_t> _pmt;    ///< logical block → frame
@@ -158,10 +149,6 @@ class FtlMedia : public MediaBackend
     std::vector<Pool> _mapped;             ///< per-channel mapped frames
     std::vector<std::uint64_t> _minted;    ///< per-channel mint counts
     unsigned _since_wl = 0;                ///< demand programs since WL check
-
-    std::set<std::uint64_t> _gtd;          ///< translation segments touched
-    std::list<std::uint64_t> _cmt_lru;     ///< cached segments, MRU first
-    std::map<std::uint64_t, std::list<std::uint64_t>::iterator> _cmt;
 };
 
 } // namespace bbb

@@ -21,8 +21,6 @@ MediaStats::registerWith(StatGroup &g)
                  "frames retired at the endurance limit");
     g.addCounter("frames_minted", &frames_minted,
                  "physical frames brought into service");
-    g.addCounter("cmt_hits", &cmt_hits, "cached-mapping-table hits");
-    g.addCounter("cmt_misses", &cmt_misses, "cached-mapping-table misses");
     g.addHistogram("wear", &wear, "frame wear sampled at each program");
 }
 

@@ -2,27 +2,32 @@
  * @file
  * The media seam: everything below the memory controller.
  *
- * Historically MemCtrl, CrashEngine, and FaultInjector all wrote the
- * BackingStore directly; the image *was* the device. MediaBackend turns
- * that into a layered seam: the controller (and the crash drain, and the
- * injector's torn commits) address *logical* blocks, and the backend
- * decides what physically happens — a pass-through (DirectMedia, the
- * historical behaviour, bit for bit) or an FTL-style endurance model
- * with wear-leveling remapping (FtlMedia, mem/ftl/).
+ * MediaBackend is a layered seam below the memory controller: the
+ * controller addresses *logical* blocks, and the backend decides what
+ * physically happens — a pass-through (DirectMedia, the historical
+ * behaviour, bit for bit) or an FTL-style endurance model with
+ * wear-leveling remapping (FtlMedia, mem/ftl/).
  *
  * The seam's contract:
  *
  *  - commitBlock / commitTorn / writeBytes are the only ways block
- *    content reaches media. DirectMedia forwards them to the logical
- *    BackingStore unchanged; FtlMedia remaps them to physical frames.
+ *    content reaches media, and the owning MemCtrl is their only caller
+ *    (at runtime and for the crash drain). DirectMedia forwards them to
+ *    the logical BackingStore unchanged; FtlMedia remaps them to
+ *    physical frames, and its own wear-leveling migrations and mount
+ *    are the only other media writes.
+ *  - The backend knows nothing of faults: whether an attempt fails or
+ *    tears, and the ledger of damaged blocks, stay in the controller
+ *    and the fault injector above the seam.
  *  - readBlock / readBytes return the *logical* content — WPQ
  *    forwarding and torn-content overlays stay in the controller, above
- *    the seam, exactly as before.
+ *    the seam.
  *  - onCrashComplete() runs once, after the crash engine finishes the
- *    flush-on-fail drain: the reboot's "mount" step. FtlMedia replays
- *    its reconstructed remap table into the logical image there, so
- *    RecoveryManager's raw post-crash walk reads every block through
- *    the mapping (DirectMedia has nothing to mount).
+ *    flush-on-fail drain (MemCtrl::crashMount()): the reboot's "mount"
+ *    step. FtlMedia replays its reconstructed remap table into the
+ *    logical image there, so RecoveryManager's raw post-crash walk
+ *    reads every block through the mapping (DirectMedia has nothing to
+ *    mount).
  *  - Background traffic a backend generates (wear-leveling migrations)
  *    contends with demand writes through the attached MediaTiming —
  *    the controller's own per-channel reserveChannel() — so endurance
@@ -48,8 +53,6 @@
 
 namespace bbb
 {
-
-class FaultInjector;
 
 /**
  * Channel a block interleaves to: cache-block-granularity round-robin.
@@ -98,8 +101,6 @@ struct MediaStats
     StatCounter migrations;      ///< wear-leveling background migrations
     StatCounter retired_frames;  ///< frames retired at the endurance limit
     StatCounter frames_minted;   ///< physical frames brought into service
-    StatCounter cmt_hits;        ///< cached-mapping-table hits
-    StatCounter cmt_misses;      ///< cached-mapping-table misses
     StatHistogram wear;          ///< frame wear sampled at each program
 
     MediaStats() : wear(16, 8) {}
@@ -122,8 +123,7 @@ struct MediaStats
 
 /**
  * Everything below the memory controller. One backend instance serves
- * one controller; the NVMM backend is also shared with the crash engine
- * and the fault injector (every media touch goes through the seam).
+ * one controller, which is its only writer.
  */
 class MediaBackend
 {
@@ -149,11 +149,11 @@ class MediaBackend
     virtual void writeBytes(Addr addr, const void *src,
                             std::size_t size) = 0;
 
-    /** Sub-block read of current logical content (sacrifice ledger). */
+    /** Sub-block read of current logical content. */
     virtual void readBytes(Addr addr, void *out, std::size_t size) = 0;
 
     /**
-     * The reboot "mount": called once by the crash engine after the
+     * The reboot "mount": called once through the controller after the
      * flush-on-fail drain finishes. An FTL replays its remap table into
      * the logical image here so recovery reads through the mapping.
      */
@@ -161,13 +161,6 @@ class MediaBackend
 
     /** Borrow the owning controller's channel timing (may be null). */
     void attachTiming(MediaTiming *timing) { _timing = timing; }
-
-    /**
-     * Hand the backend the armed fault injector (or null when a plan is
-     * cleared) so FtlMedia can file bad-frame retirements into the
-     * fault ledger. DirectMedia ignores it.
-     */
-    virtual void setFaultInjector(FaultInjector *) {}
 
     /** Register the media.* stat group (NVMM backend only). */
     void

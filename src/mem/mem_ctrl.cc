@@ -49,8 +49,6 @@ MemCtrl::MemCtrl(std::string name, const MemConfig &cfg, EventQueue &eq,
                  "blocks force-written past a full WPQ");
     g.addCounter("media_retry_writes", &_media_retry_writes,
                  "media write attempts retried after injected failures");
-    g.addCounter("torn_writes", &_torn_writes,
-                 "media writes torn by terminal injected failures");
     g.addAverage("read_latency_ticks", &_read_latency,
                  "average block read latency");
     g.addHistogram("wpq_occupancy", &_wpq_occupancy,
@@ -131,14 +129,6 @@ MemCtrl::enqueueWrite(Addr addr, const BlockData &data)
 }
 
 void
-MemCtrl::clearWpq()
-{
-    _wpq.clear();
-    _wpq_index.clear();
-    ++_wpq_epoch; // orphan any still-scheduled retirements
-}
-
-void
 MemCtrl::scheduleRetire(std::uint32_t slot)
 {
     // Writes pipeline on their channels: the occupancy serialises
@@ -153,49 +143,67 @@ MemCtrl::scheduleRetire(std::uint32_t slot)
         EventPriority::MemResponse);
 }
 
+MediaAttempt
+MemCtrl::attemptWrite(Addr block, const BlockData &data, unsigned failed)
+{
+    if (_faults && _faults->sampleMediaAttemptFails()) {
+        if (failed < _faults->plan().media_retries) {
+            ++_media_retry_writes;
+            return MediaAttempt::Retry;
+        }
+        // Retries exhausted: the media tears the block, persisting only
+        // its first half; the ledger keeps the intended content.
+        _media.commitTorn(block, data, FaultInjector::kTornBytes);
+        _faults->noteDamaged(block, data);
+        ++_media_writes;
+        _bytes_written += FaultInjector::kTornBytes;
+        return MediaAttempt::Torn;
+    }
+    _media.commitBlock(block, data);
+    if (_faults)
+        _faults->noteCleanWrite(block);
+    ++_media_writes;
+    _bytes_written += kBlockSize;
+    return MediaAttempt::Landed;
+}
+
+MediaAttempt
+MemCtrl::writeThrough(Addr block, const BlockData &data, unsigned &retries)
+{
+    retries = 0;
+    MediaAttempt r;
+    while ((r = attemptWrite(block, data, retries)) == MediaAttempt::Retry)
+        ++retries;
+    return r;
+}
+
 void
 MemCtrl::completeRetire(std::uint32_t slot, std::uint64_t epoch)
 {
-    // A crash handover (takeWpqForCrash) or synchronous drain cleared
-    // the queue after this event was scheduled: the entry is gone and
-    // the channel state was reset. The event is simply stale.
+    // A crash handover (takeWpqForCrash) cleared the queue after this
+    // event was scheduled: the entry is gone and the channel state was
+    // reset. The event is simply stale.
     if (epoch != _wpq_epoch)
         return;
 
     WpqEntry &e = _wpq[slot];
     BBB_ASSERT(e.addr != kBadAddr, "retired WPQ entry vanished");
 
-    if (_faults && _faults->sampleMediaAttemptFails()) {
-        if (e.attempts < _faults->plan().media_retries) {
-            // Retry after exponential backoff; the entry stays pending
-            // (and durable) in the WPQ, its channel slot is re-reserved,
-            // and the backoff is charged as extra retirement latency.
-            ++e.attempts;
-            _faults->noteRetry();
-            ++_media_retry_writes;
-            Tick backoff = _faults->plan().media_backoff
-                           << (e.attempts - 1);
-            reserveChannel(channelOf(e.addr), _cfg.write_occupancy);
-            _eq.schedule(
-                _eq.now() + backoff + _cfg.write_latency,
-                [this, slot, epoch]() { completeRetire(slot, epoch); },
-                EventPriority::MemResponse);
-            return;
-        }
-        // Retries exhausted: the media tears the block, persisting only
-        // its first half. The entry leaves the WPQ -- the durability
-        // guarantee is broken, which is exactly what the fault models.
-        _faults->commitTorn(_media, e.addr, e.data);
-        ++_torn_writes;
-        ++_media_writes;
-        _bytes_written += FaultInjector::kTornBytes;
-    } else {
-        _media.commitBlock(e.addr, e.data);
-        if (_faults)
-            _faults->noteCleanWrite(e.addr);
-        ++_media_writes;
-        _bytes_written += kBlockSize;
+    if (attemptWrite(e.addr, e.data, e.attempts) == MediaAttempt::Retry) {
+        // Retry after exponential backoff; the entry stays pending (and
+        // durable) in the WPQ, its channel slot is re-reserved, and the
+        // backoff is charged as extra retirement latency.
+        ++e.attempts;
+        Tick backoff = _faults->plan().media_backoff << (e.attempts - 1);
+        reserveChannel(channelOf(e.addr), _cfg.write_occupancy);
+        _eq.schedule(
+            _eq.now() + backoff + _cfg.write_latency,
+            [this, slot, epoch]() { completeRetire(slot, epoch); },
+            EventPriority::MemResponse);
+        return;
     }
+    // Landed or torn, the entry leaves the WPQ; a tear breaks the
+    // durability guarantee, which is exactly what the fault models.
     _wpq_index.erase(e.addr);
     e.addr = kBadAddr;
     _wpq.remove(slot);
@@ -214,24 +222,8 @@ MemCtrl::forceWrite(Addr addr, const BlockData &data)
         return;
     }
     ++_wpq_bypass_writes;
-    if (_faults && _faults->plan().injectsMediaFaults()) {
-        // The caller already charges the bypass stall as latency; the
-        // retry backoff folds into that synchronous cost.
-        MediaWriteOutcome out =
-            _faults->performMediaWrite(_media, block, data);
-        _media_retry_writes += out.retries;
-        ++_media_writes;
-        if (out.torn) {
-            ++_torn_writes;
-            _bytes_written += FaultInjector::kTornBytes;
-        } else {
-            _bytes_written += kBlockSize;
-        }
-        return;
-    }
-    _media.commitBlock(block, data);
-    ++_media_writes;
-    _bytes_written += kBlockSize;
+    unsigned retries = 0;
+    writeThrough(block, data, retries);
 }
 
 void
@@ -249,19 +241,6 @@ MemCtrl::peekBlock(Addr addr, BlockData &out) const
     }
 }
 
-std::size_t
-MemCtrl::drainAllToMedia()
-{
-    std::size_t n = _wpq.size();
-    for (std::uint32_t s = _wpq.head(); s != Wpq::kNil; s = _wpq.next(s)) {
-        _media.commitBlock(_wpq[s].addr, _wpq[s].data);
-        ++_media_writes;
-        _bytes_written += kBlockSize;
-    }
-    clearWpq();
-    return n;
-}
-
 std::vector<std::pair<Addr, BlockData>>
 MemCtrl::takeWpqForCrash()
 {
@@ -269,11 +248,21 @@ MemCtrl::takeWpqForCrash()
     out.reserve(_wpq.size());
     for (std::uint32_t s = _wpq.head(); s != Wpq::kNil; s = _wpq.next(s))
         out.emplace_back(_wpq[s].addr, _wpq[s].data);
-    clearWpq();
+    _wpq.clear();
+    _wpq_index.clear();
+    ++_wpq_epoch; // orphan any still-scheduled retirements
     // A reseeded post-crash controller must not inherit channel
     // reservations from writes that no longer exist.
     _channel_free.assign(_cfg.channels, 0);
     return out;
+}
+
+void
+MemCtrl::crashPatch(Addr addr, const void *src, unsigned size)
+{
+    _media.writeBytes(addr, src, size);
+    if (_faults)
+        _faults->noteDrainedBytes(addr, src, size);
 }
 
 } // namespace bbb

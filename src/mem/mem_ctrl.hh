@@ -8,6 +8,16 @@
  * retire from the WPQ through per-channel bandwidth; blocks are interleaved
  * across channels at cache-block granularity.
  *
+ * The controller is the only writer of NVMM media (an FTL backend's own
+ * wear-leveling migrations aside). Every block that reaches media -- a
+ * WPQ retirement, a force write past a full WPQ, or a crash-time
+ * flush-on-fail drain -- goes through one write attempt
+ * (attemptWrite()), which is also the one place the fault layer and the
+ * media meet: the attempt draws the plan's failure chance, commits the
+ * whole block or (retries exhausted) its torn half, files the outcome
+ * in the fault ledger, and counts it. The fault injector only decides
+ * and records; it never touches media.
+ *
  * The controller never touches the backing store itself: every media
  * commit and read goes through its MediaBackend (mem/media_backend.hh),
  * which is a pass-through (DirectMedia) or an FTL-style endurance model
@@ -38,6 +48,14 @@ namespace bbb
 {
 
 class FaultInjector;
+
+/** How one media write attempt of a block ended. */
+enum class MediaAttempt
+{
+    Landed, ///< the whole block reached media
+    Retry,  ///< the attempt failed and may be retried
+    Torn,   ///< retries exhausted: only the block's first half landed
+};
 
 /**
  * One memory controller (DRAM or NVMM).
@@ -82,9 +100,10 @@ class MemCtrl : private MediaTiming
     bool canAcceptWrite(Addr addr) const;
 
     /**
-     * Commit a block to media immediately, bypassing the WPQ. Used by the
-     * hierarchy when an eviction writeback finds the WPQ full (the stall
-     * is charged as latency by the caller) and by flush-on-fail drains.
+     * Commit a block to media immediately, bypassing the WPQ. Used when
+     * a write that must land now (an eviction writeback, a forced bbPB
+     * drain) finds the WPQ full; the caller charges the stall as
+     * latency, and any fault retries fold into that synchronous cost.
      */
     void forceWrite(Addr addr, const BlockData &data);
 
@@ -101,26 +120,20 @@ class MemCtrl : private MediaTiming
 
     /**
      * Attach a fault injector: every media write (retirement, force
-     * write) then fails with the plan's probability, retrying with
-     * exponential backoff charged as extra retirement latency, and tears
-     * the block on terminal failure. nullptr (the default) restores
-     * perfectly reliable media.
+     * write, crash drain) then fails with the plan's probability,
+     * retrying with exponential backoff (charged as extra retirement
+     * latency in the WPQ) and tearing the block on terminal failure.
+     * nullptr (the default) restores perfectly reliable media.
      */
     void setFaultInjector(FaultInjector *faults) { _faults = faults; }
 
     /** --- Crash support ---------------------------------------------- */
 
     /**
-     * Flush-on-fail: apply every pending WPQ block to media immediately
-     * (functionally) and return the number of blocks drained.
-     */
-    std::size_t drainAllToMedia();
-
-    /**
      * Crash-time handover to the crash engine: return the pending WPQ
      * blocks in FIFO (oldest-first) order and clear the queue. The
-     * engine owns the budgeted, fault-injected drain of these records;
-     * it reports each media commit back through creditCrashCommit().
+     * engine owns the budgeted drain of these records and commits each
+     * survivor back through writeThrough().
      *
      * Also resets the in-flight retirement bookkeeping: the epoch bump
      * invalidates every scheduled completeRetire() (their entries are
@@ -130,13 +143,25 @@ class MemCtrl : private MediaTiming
      */
     std::vector<std::pair<Addr, BlockData>> takeWpqForCrash();
 
-    /** Account one flush-on-fail media commit the crash engine made. */
-    void
-    creditCrashCommit()
-    {
-        ++_media_writes;
-        _bytes_written += kBlockSize;
-    }
+    /**
+     * Commit @p data to @p block synchronously, past the WPQ and with no
+     * timing: attempt until the write lands or tears. This is the crash
+     * engine's flush-on-fail commit of a drained WPQ, bbPB or eADR block
+     * and forceWrite()'s bypass. Sets @p retries to the failed attempts
+     * retried; returns Landed or Torn.
+     */
+    MediaAttempt writeThrough(Addr block, const BlockData &data,
+                              unsigned &retries);
+
+    /**
+     * Flush-on-fail patch of a battery-backed store-buffer entry's
+     * bytes. A patch onto a ledgered block rides into its intended
+     * content too, so the ledger repair never rolls it back.
+     */
+    void crashPatch(Addr addr, const void *src, unsigned size);
+
+    /** The reboot "mount" once the drain is done (see MediaBackend). */
+    void crashMount() { _media.onCrashComplete(); }
 
     /** --- Stats ------------------------------------------------------ */
 
@@ -185,10 +210,17 @@ class MemCtrl : private MediaTiming
      */
     void completeRetire(std::uint32_t slot, std::uint64_t epoch);
 
-    /** Empty the queue wholesale (crash handover / synchronous drain):
-     *  every slot is freed and the epoch bump orphans any
-     *  still-scheduled retirements. */
-    void clearWpq();
+    /**
+     * One media write attempt of @p data to @p block, the only path by
+     * which a block reaches media. @p failed is the number of earlier
+     * failed attempts of this write. Draws the plan's failure chance
+     * (nothing when no media faults are planned); a failure with
+     * retries left returns Retry, the last one commits the torn half
+     * and ledgers the intended content, and a success commits the whole
+     * block and clears any stale ledger entry.
+     */
+    MediaAttempt attemptWrite(Addr block, const BlockData &data,
+                              unsigned failed);
 
     /** One pending WPQ block. */
     struct WpqEntry
@@ -217,8 +249,8 @@ class MemCtrl : private MediaTiming
     Wpq _wpq;
     BlockTable<std::uint32_t> _wpq_index;
 
-    /** Bumped whenever the WPQ is cleared wholesale (crash handover /
-     *  synchronous drain); orphans any still-scheduled retirements. */
+    /** Bumped whenever the WPQ is cleared wholesale (crash handover);
+     *  orphans any still-scheduled retirements. */
     std::uint64_t _wpq_epoch = 0;
 
     std::vector<Tick> _channel_free;
@@ -231,7 +263,6 @@ class MemCtrl : private MediaTiming
     StatCounter _wpq_inserts;
     StatCounter _wpq_bypass_writes;
     StatCounter _media_retry_writes;
-    StatCounter _torn_writes;
     StatAverage _read_latency;
     StatHistogram _wpq_occupancy;
 };

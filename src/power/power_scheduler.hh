@@ -139,9 +139,8 @@ class PowerScheduler
 
     PowerScheduler(const PowerTrace &trace, const BatterySpec &spec);
 
-    /** Machine load while running normally (fraction of activity_w). */
-    void setLoad(double load) { _load = load; }
-    /** Load after a warning fired (throttle policy; default = load). */
+    /** Load after a warning fired, as a fraction of activity_w
+     *  (throttle policy; default 1.0, the normal load). */
     void setPostWarningLoad(double load) { _post_warning_load = load; }
     void setWarningHook(WarningHook hook) { _hook = std::move(hook); }
 
@@ -177,7 +176,7 @@ class PowerScheduler
 
     PowerTrace _trace;
     Battery _battery;
-    double _load = 1.0;
+    double _load = 1.0; ///< machine load while running normally
     double _post_warning_load = 1.0;
     WarningHook _hook;
 

@@ -147,12 +147,6 @@ struct MediaModelConfig
 
     /** Rated drive-writes-per-day, for the lifetime projection. */
     double dwpd_rating = 1.0;
-
-    /** Cached-mapping-table entries (hit/miss telemetry). */
-    unsigned cmt_entries = 256;
-
-    /** Blocks covered by one translation page (GTD granularity). */
-    unsigned pmt_segment_blocks = 1024;
 };
 
 /** bbPB geometry and drain policy (Section III-F). */

@@ -273,7 +273,7 @@ TEST(WpqAllocationFree, WarmQueuePerformsNoHeapAllocation)
     EXPECT_GT(rig.stats.lookup("nvmm", "wpq_rejects"), 0u);
     EXPECT_GT(rig.stats.lookup("nvmm", "media_retry_writes"), 0u);
     EXPECT_GT(rig.stats.lookup("nvmm", "media_reads"), 0u);
-    EXPECT_EQ(rig.stats.lookup("nvmm", "torn_writes"), 0u);
+    EXPECT_EQ(rig.media.stats().torn_programs.value(), 0u);
     EXPECT_EQ(mc.wpqOccupancy(), 0u);
 }
 

@@ -114,11 +114,14 @@ TEST_P(EveryDrainPolicy, DrainsNeverLoseData)
         bbpb.persistStore(0, b, 8, pattern(v));
         newest[b] = v;
     }
-    // Crash-drain the rest and apply like the crash engine would.
+    // Crash-drain the rest through the controller like the crash
+    // engine would: the WPQ first, then the bbPB.
     rig.eq.run();
+    unsigned retries = 0;
+    for (const auto &[block, data] : rig.nvmm.takeWpqForCrash())
+        rig.nvmm.writeThrough(block, data, retries);
     for (const auto &rec : bbpb.crashDrainRecords())
-        rig.store.writeBlock(rec.block, rec.data.bytes.data());
-    rig.nvmm.drainAllToMedia();
+        rig.nvmm.writeThrough(rec.block, rec.data, retries);
     for (const auto &[b, v] : newest) {
         std::uint64_t expect = 0;
         std::memset(&expect, v, 8);

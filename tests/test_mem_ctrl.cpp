@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the memory controller: WPQ accept/reject/coalesce, media
  * retirement, read forwarding, channel bandwidth, force writes, the
- * flush-on-fail drain, the one-retire-event-per-entry invariant, and a
+ * crash handover and write-through, the one-retire-event-per-entry
+ * invariant, and a
  * seeded differential run against a std::map model of the queue.
  */
 
@@ -192,15 +193,26 @@ TEST(MemCtrl, PeekSeesWpqThenMedia)
     EXPECT_EQ(out.bytes[0], 4);
 }
 
-TEST(MemCtrl, DrainAllToMediaFlushesEverything)
+TEST(MemCtrl, WriteThroughCommitsTheCrashHandover)
 {
+    // The crash drain's path: seize the WPQ, then commit every record
+    // synchronously through the controller, which counts each one.
     Ctx ctx;
     MemCtrl mc = ctx.make();
     ASSERT_TRUE(mc.enqueueWrite(0, pattern(1)));
     ASSERT_TRUE(mc.enqueueWrite(kBlockSize, pattern(2)));
-    std::size_t drained = mc.drainAllToMedia();
-    EXPECT_EQ(drained, 2u);
+    auto records = mc.takeWpqForCrash();
+    ASSERT_EQ(records.size(), 2u);
+    for (const auto &[block, data] : records) {
+        unsigned retries = 1;
+        EXPECT_EQ(mc.writeThrough(block, data, retries),
+                  MediaAttempt::Landed);
+        EXPECT_EQ(retries, 0u);
+    }
     EXPECT_EQ(mc.wpqOccupancy(), 0u);
+    EXPECT_EQ(mc.mediaWrites(), 2u);
+    EXPECT_EQ(ctx.stats.lookup("nvmm", "bytes_written"), 2 * kBlockSize);
+    EXPECT_EQ(ctx.stats.lookup("nvmm", "wpq_bypass_writes"), 0u);
     EXPECT_EQ(ctx.store.read64(0), 0x0101010101010101ull);
     EXPECT_EQ(ctx.store.read64(kBlockSize), 0x0202020202020202ull);
 }
@@ -283,11 +295,13 @@ TEST(MemCtrl, TakeWpqForCrashReturnsFifoOrderAndClears)
     EXPECT_EQ(records[2].first, kBlockSize);
     EXPECT_EQ(mc.wpqOccupancy(), 0u);
 
-    // Nothing reached media yet; the crash engine owns the commits.
+    // Nothing reached media yet; the crash engine owns the commits, and
+    // each one it makes through writeThrough() counts as a media write.
     EXPECT_EQ(ctx.store.read64(0), 0u);
-    std::uint64_t writes_before = mc.mediaWrites();
-    mc.creditCrashCommit();
-    EXPECT_EQ(mc.mediaWrites(), writes_before + 1);
+    EXPECT_EQ(mc.mediaWrites(), 0u);
+    unsigned retries = 0;
+    mc.writeThrough(records[0].first, records[0].second, retries);
+    EXPECT_EQ(mc.mediaWrites(), 1u);
 }
 
 TEST(MemCtrl, CrashTakeoverCancelsInFlightRetirements)
@@ -371,7 +385,7 @@ TEST(MemCtrl, EachPendingEntryOwnsExactlyOneRetireEvent)
     while (ctx.eq.step())
         ASSERT_EQ(ctx.eq.pending(), mc.wpqOccupancy());
     EXPECT_EQ(ctx.stats.lookup("nvmm", "media_retry_writes"), 8u);
-    EXPECT_EQ(ctx.stats.lookup("nvmm", "torn_writes"), 4u);
+    EXPECT_EQ(ctx.media.stats().torn_programs.value(), 4u);
     EXPECT_EQ(mc.wpqOccupancy(), 0u);
 }
 
@@ -596,7 +610,7 @@ TEST(MemCtrl, DifferentialAgainstMapModelWithMediaFaults)
     EXPECT_GT(stats.lookup("nvmm", "wpq_rejects"), 0u);
     EXPECT_GT(stats.lookup("nvmm", "wpq_bypass_writes"), 0u);
     EXPECT_GT(stats.lookup("nvmm", "media_retry_writes"), 0u);
-    EXPECT_GT(stats.lookup("nvmm", "torn_writes"), 0u);
+    EXPECT_GT(media.stats().torn_programs.value(), 0u);
     EXPECT_GT(forwards, 0u);
     EXPECT_GT(crash_records, 0u);
 }

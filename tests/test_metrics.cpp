@@ -62,7 +62,7 @@ TEST(SystemMetrics, SnapshotCoversRegistryAndDerivedValues)
     EXPECT_GT(m.count("hierarchy.stores"), 0u);
     EXPECT_GT(m.count("bbpb.drains"), 0u);
     EXPECT_NE(m.find("crash.crashes"), nullptr);
-    EXPECT_NE(m.find("fault.torn_blocks"), nullptr);
+    EXPECT_NE(m.find("media.torn_programs"), nullptr);
     // Derived values appended by System::snapshotMetrics.
     EXPECT_EQ(m.count("system.exec_ticks"),
               static_cast<std::uint64_t>(sys.executionTime()));
