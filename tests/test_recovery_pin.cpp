@@ -21,6 +21,7 @@
 
 #include <cstdio>
 #include <iterator>
+#include <ostream>
 
 #include "api/system.hh"
 #include "sim/rng.hh"
@@ -172,6 +173,15 @@ struct Pin
     std::uint64_t dropped;
     std::uint64_t normalized;
 };
+
+// Without this, gtest prints a Pin as its raw bytes, workload pointer
+// included, so the listed test names would change with every load
+// address.
+void
+PrintTo(const Pin &pin, std::ostream *os)
+{
+    *os << pin.workload;
+}
 
 class RecoveryPin : public ::testing::TestWithParam<Pin>
 {
