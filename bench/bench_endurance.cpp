@@ -2,8 +2,11 @@
  * @file
  * NVMM endurance campaign over the media-backend seam: the Fig. 7
  * workload matrix re-run per media backend (direct pass-through vs the
- * FTL wear model) x persistency mode x bbPB drain policy, each cell
- * ending in a full-power-failure drain and a recovery check.
+ * FTL wear model) x persistency mode, each cell ending in a
+ * full-power-failure drain and a recovery check. The memory-side BBB
+ * cells also cross the bbPB drain policy (FCFS vs LRW): only its victim
+ * choice reads the policy, so eADR and processor-side cells run FCFS
+ * alone.
  *
  * The FTL cells run with a deliberately tiny endurance rating so wear
  * effects are non-trivial at bench scale: frames wear out and retire,
@@ -72,9 +75,9 @@ runCell(const Cell &cell)
 int
 main(int argc, char **argv)
 {
-    bool fast = bbbench::fastMode(argc, argv);
-    unsigned jobs = bbbench::jobsArg(argc, argv);
-    std::string json = bbbench::jsonPathArg(argc, argv);
+    bool fast = cli::fastMode(argc, argv);
+    unsigned jobs = cli::jobsArg(argc, argv);
+    std::string json = cli::jsonPathArg(argc, argv);
     WorkloadParams params = bbbench::shapedParams(fast, 2000, 50000);
 
     // Endurance rating chosen so bench-scale write streams retire frames
@@ -110,6 +113,9 @@ main(int argc, char **argv)
     for (const std::string &name : workloads) {
         for (PersistMode mode : modes) {
             for (DrainPolicy policy : policies) {
+                if (policy != DrainPolicy::Fcfs &&
+                    mode != PersistMode::BbbMemSide)
+                    continue;
                 for (MediaKind media : medias) {
                     Cell c;
                     c.cfg = benchConfig(mode, 32);

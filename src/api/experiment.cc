@@ -296,20 +296,43 @@ runIndexedJobs(std::size_t count,
         std::rethrow_exception(failure);
 }
 
+std::vector<std::size_t>
+firstEqualSpecs(const std::vector<ExperimentSpec> &specs)
+{
+    std::vector<std::size_t> first(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        first[i] = i;
+        for (std::size_t j = 0; j < i; ++j) {
+            if (first[j] == j && specs[j] == specs[i]) {
+                first[i] = j;
+                break;
+            }
+        }
+    }
+    return first;
+}
+
 std::vector<ExperimentResult>
 runExperiments(const std::vector<ExperimentSpec> &specs, unsigned jobs)
 {
-    // Every point owns its System/event queue/RNG and writes only into
-    // its pre-sized slot, so results come back in submission order and
-    // bit-identical at any jobs width.
+    // Every distinct point owns its System/event queue/RNG and writes
+    // only into its pre-sized slot, so results come back in submission
+    // order and bit-identical at any jobs width. Repeats wait for the
+    // pool to drain, then copy their first occurrence.
+    std::vector<std::size_t> first = firstEqualSpecs(specs);
     std::vector<ExperimentResult> results(specs.size());
     runIndexedJobs(
         specs.size(),
         [&](std::size_t i) {
-            results[i] = runExperiment(specs[i].cfg, specs[i].workload,
-                                       specs[i].params);
+            if (first[i] == i)
+                results[i] = runExperiment(specs[i].cfg, specs[i].workload,
+                                           specs[i].params);
         },
         jobs);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (first[i] != i)
+            results[i] = results[first[i]];
+    }
     return results;
 }
 

@@ -3,8 +3,9 @@
  * Experiment harness: run one workload under one configuration and
  * collect the metrics the paper's evaluation reports.
  *
- * This is the backbone of the bench/ binaries (Fig. 7, Fig. 8, the
- * processor-side comparison, and the PMEM-strict ablation).
+ * This is the backbone of bench_paper, whose recipes (Fig. 7, Fig. 8,
+ * the processor-side comparison, the PMEM-strict ablation, ...) share
+ * one grid.
  */
 
 #ifndef BBB_API_EXPERIMENT_HH
@@ -89,7 +90,16 @@ struct ExperimentSpec
     SystemConfig cfg;
     std::string workload;
     WorkloadParams params;
+
+    bool operator==(const ExperimentSpec &) const = default;
 };
+
+/**
+ * For each of @p specs, the index of the first spec equal to it (its own
+ * index when it is the first of its kind).
+ */
+std::vector<std::size_t>
+firstEqualSpecs(const std::vector<ExperimentSpec> &specs);
 
 /** Resolve a jobs request: 0 means hardware concurrency (min 1). */
 unsigned resolveJobs(unsigned jobs);
@@ -131,7 +141,9 @@ void runIndexedJobs(std::size_t count,
  * Results come back in submission order, and every point is simulated by
  * its own System with its own event queue and RNG stream, so the result
  * vector is bit-identical to running the specs serially — regardless of
- * @p jobs or scheduling. @p jobs == 0 uses hardware concurrency;
+ * @p jobs or scheduling. A result is a pure function of its spec, so a
+ * spec submitted more than once is simulated once (firstEqualSpecs) and
+ * copied into every repeat. @p jobs == 0 uses hardware concurrency;
  * @p jobs == 1 degenerates to a plain serial loop on the calling thread.
  */
 std::vector<ExperimentResult>

@@ -217,26 +217,6 @@ FtlMedia::writeBytes(Addr addr, const void *src, std::size_t size)
 }
 
 void
-FtlMedia::readBytes(Addr addr, void *out, std::size_t size)
-{
-    unsigned char *p = static_cast<unsigned char *>(out);
-    while (size > 0) {
-        Addr block = blockAlign(addr);
-        std::size_t off = static_cast<std::size_t>(addr - block);
-        std::size_t chunk = std::min(size, kBlockSize - off);
-        auto it = _pmt.find(block);
-        if (it != _pmt.end())
-            std::memcpy(p, _frames[it->second].data.bytes.data() + off,
-                        chunk);
-        else
-            _logical.read(addr, p, chunk);
-        addr += chunk;
-        p += chunk;
-        size -= chunk;
-    }
-}
-
-void
 FtlMedia::onCrashComplete()
 {
     // The reboot "mount": replay the reconstructed mapping into the

@@ -82,7 +82,6 @@ class FtlMedia : public MediaBackend
                     unsigned torn_bytes) override;
     void readBlock(Addr block, unsigned char *out) override;
     void writeBytes(Addr addr, const void *src, std::size_t size) override;
-    void readBytes(Addr addr, void *out, std::size_t size) override;
 
     void onCrashComplete() override;
 

@@ -19,7 +19,7 @@
  *  - The backend knows nothing of faults: whether an attempt fails or
  *    tears, and the ledger of damaged blocks, stay in the controller
  *    and the fault injector above the seam.
- *  - readBlock / readBytes return the *logical* content — WPQ
+ *  - readBlock returns the *logical* content — WPQ
  *    forwarding and torn-content overlays stay in the controller, above
  *    the seam.
  *  - onCrashComplete() runs once, after the crash engine finishes the
@@ -149,9 +149,6 @@ class MediaBackend
     virtual void writeBytes(Addr addr, const void *src,
                             std::size_t size) = 0;
 
-    /** Sub-block read of current logical content. */
-    virtual void readBytes(Addr addr, void *out, std::size_t size) = 0;
-
     /**
      * The reboot "mount": called once through the controller after the
      * flush-on-fail drain finishes. An FTL replays its remap table into
@@ -230,12 +227,6 @@ class DirectMedia : public MediaBackend
         _store.write(addr, src, size);
         ++_stats.byte_writes;
         _stats.program_bytes += size;
-    }
-
-    void
-    readBytes(Addr addr, void *out, std::size_t size) override
-    {
-        _store.read(addr, out, size);
     }
 
   private:

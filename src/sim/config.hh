@@ -82,6 +82,8 @@ struct CacheConfig
     unsigned latency_cycles = 2;
     /** Replacement policy (0 == LRU; see cache/replacement.hh). */
     ReplPolicy repl{};
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /**
@@ -147,6 +149,8 @@ struct MediaModelConfig
 
     /** Rated drive-writes-per-day, for the lifetime projection. */
     double dwpd_rating = 1.0;
+
+    bool operator==(const MediaModelConfig &) const = default;
 };
 
 /** bbPB geometry and drain policy (Section III-F). */
@@ -179,6 +183,8 @@ struct BbpbConfig
      * store-granularity records.
      */
     bool proc_pairwise_coalescing = false;
+
+    bool operator==(const BbpbConfig &) const = default;
 };
 
 /** Memory timing (per kind). */
@@ -200,6 +206,8 @@ struct MemConfig
     unsigned channels = 4;
     /** WPQ entries (NVMM controller only; ADR domain). */
     unsigned wpq_entries = 64;
+
+    bool operator==(const MemConfig &) const = default;
 };
 
 /** Store buffer geometry. */
@@ -208,6 +216,8 @@ struct StoreBufferConfig
     unsigned entries = 32;
     /** Cycles between successive drains from SB head to L1D. */
     unsigned drain_interval_cycles = 1;
+
+    bool operator==(const StoreBufferConfig &) const = default;
 };
 
 /** Top-level system configuration. */
@@ -268,6 +278,12 @@ struct SystemConfig
 
     /** RNG seed shared by workloads and timing jitter. */
     std::uint64_t seed = 1;
+
+    /**
+     * Member-wise equality: two equal configs build the same machine, so
+     * the experiment pool simulates an equal spec only once.
+     */
+    bool operator==(const SystemConfig &) const = default;
 
     /** Ticks (picoseconds) per core cycle: 1 MHz has a 1e6 ps period. */
     Tick

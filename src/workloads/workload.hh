@@ -105,6 +105,8 @@ struct WorkloadParams
      */
     unsigned thread_offset = 0;
     unsigned thread_count = 0;
+
+    bool operator==(const WorkloadParams &) const = default;
 };
 
 /** Base class for all workloads. */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the parallel experiment runner: submission-ordered results,
- * bit-identical determinism between serial and pooled execution, and the
- * jobs=1 serial degenerate path.
+ * bit-identical determinism between serial and pooled execution, the
+ * jobs=1 serial degenerate path, and one simulation per distinct spec.
  */
 
 #include <gtest/gtest.h>
@@ -135,4 +135,43 @@ TEST(ExperimentPool, MoreJobsThanPointsIsFine)
     EXPECT_EQ(r[0].workload, "hashmap");
     EXPECT_EQ(r[1].workload, "hashmap");
     EXPECT_GT(r[0].exec_ticks, 0u);
+}
+
+TEST(ExperimentPool, ConfigEqualityCoversEveryMember)
+{
+    EXPECT_TRUE(SystemConfig{} == SystemConfig{});
+
+    SystemConfig media;
+    media.media.kind = MediaKind::Ftl;
+    EXPECT_FALSE(media == SystemConfig{});
+
+    SystemConfig policy;
+    policy.bbpb.drain_policy = DrainPolicy::Lrw;
+    EXPECT_FALSE(policy == SystemConfig{});
+
+    SystemConfig strict;
+    strict.pmem_auto_strict = true;
+    EXPECT_FALSE(strict == SystemConfig{});
+}
+
+TEST(ExperimentPool, EqualSpecsSimulateOnceAndShareTheResult)
+{
+    WorkloadParams p = tinyParams();
+    ExperimentSpec a{tinyConfig(PersistMode::BbbMemSide, 2), "hashmap", p};
+    ExperimentSpec b{tinyConfig(PersistMode::Eadr), "linkedlist", p};
+    ExperimentSpec a_prime = a;
+    a_prime.cfg.bbpb.drain_threshold = 0.25;
+    std::vector<ExperimentSpec> grid = {a, b, a, a_prime};
+    EXPECT_EQ(firstEqualSpecs(grid),
+              (std::vector<std::size_t>{0, 1, 0, 3}));
+
+    std::string alone = runExperiments({a}, 1)[0].metrics.toJson();
+    for (unsigned jobs : {1u, 4u}) {
+        std::vector<ExperimentResult> r = runExperiments(grid, jobs);
+        ASSERT_EQ(r.size(), grid.size());
+        EXPECT_EQ(r[0].metrics.toJson(), alone) << "jobs " << jobs;
+        EXPECT_EQ(r[2].metrics.toJson(), alone) << "jobs " << jobs;
+        expectIdentical(r[0], r[2], "repeated spec");
+        EXPECT_NE(r[3].exec_ticks, r[0].exec_ticks) << "jobs " << jobs;
+    }
 }
