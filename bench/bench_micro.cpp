@@ -3,7 +3,8 @@
  * Google-benchmark microbenchmarks of the simulator substrate: event
  * queue throughput, fiber switches, cache-array lookups, store-buffer
  * push/drain, bbPB allocate/coalesce/drain, WPQ enqueue/retire,
- * backing-store access, and end-to-end simulated ops per host second.
+ * backing-store access, end-to-end simulated ops per host second, and
+ * the post-crash recovery walk.
  * These guard the simulator's host-side performance (a slow simulator
  * caps the experiment sizes every other bench can afford).
  */
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "api/cli.hh"
+#include "api/experiment.hh"
 #include "api/report.hh"
 #include "api/system.hh"
 #include "cache/cache_array.hh"
@@ -23,9 +25,11 @@
 #include "cpu/store_buffer.hh"
 #include "mem/addr_map.hh"
 #include "mem/backing_store.hh"
+#include "recover/recovery_manager.hh"
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
 #include "sim/rng.hh"
+#include "workloads/workload.hh"
 
 using namespace bbb;
 
@@ -244,6 +248,39 @@ BM_CoreL1HitLoads(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kLoads);
 }
 BENCHMARK(BM_CoreL1HitLoads)->Unit(benchmark::kMillisecond);
+
+void
+BM_RecoveryWalk(benchmark::State &state)
+{
+    // Host cost of RecoveryManager::recover on an undamaged crash image at
+    // the crash_lifetimes shape (8 cores, 200 prebuilt elements and 100
+    // ops per thread, BBB-mem, crash at 60 us): the recovery walk, plus a
+    // second walk only if recovery wrote. Arg: hashmap, skiplist,
+    // linkedlist.
+    static const char *const kWorkloads[] = {"hashmap", "skiplist",
+                                             "linkedlist"};
+    const char *name = kWorkloads[state.range(0)];
+    state.SetLabel(name);
+    WorkloadParams params;
+    params.ops_per_thread = 100;
+    params.initial_elements = 200;
+    System sys(benchConfig(PersistMode::BbbMemSide));
+    auto wl = makeWorkload(name, params);
+    wl->install(sys);
+    sys.runAndCrashAt(nsToTicks(60000));
+    BackingStore image = sys.image().clone();
+
+    std::uint64_t checked = 0;
+    for (auto _ : state) {
+        RecoveryManager mgr(image, sys.addrMap(), sys.numCores());
+        checked = mgr.recover(*wl).verify.checked;
+        benchmark::DoNotOptimize(checked);
+    }
+    // Items are the objects the walk checked: time per item is per node.
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(checked));
+}
+BENCHMARK(BM_RecoveryWalk)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -36,12 +36,16 @@ class PmemImage
     {
     }
 
+    /** The walks' hot read: read()'s bounds rule, then the store's
+     *  one-page fast path. */
     std::uint64_t
     read64(Addr a) const
     {
-        std::uint64_t v = 0;
-        read(a, &v, sizeof(v));
-        return v;
+        if (!inBounds(a, sizeof(std::uint64_t))) {
+            ++_oob_reads;
+            return 0;
+        }
+        return _store.read64(a);
     }
 
     std::uint32_t
@@ -59,7 +63,7 @@ class PmemImage
         // outside it or wrap/run past it. Returning zeros keeps walkers
         // alive (zero is "null pointer / unbacked") while the counter
         // records that the structure pointed outside the machine.
-        if (!_map.valid(a) || size > _map.end() - a) {
+        if (!inBounds(a, size)) {
             std::memset(out, 0, size);
             ++_oob_reads;
             return;
@@ -80,6 +84,12 @@ class PmemImage
     std::uint64_t oobReads() const { return _oob_reads; }
 
   private:
+    bool
+    inBounds(Addr a, std::size_t size) const
+    {
+        return _map.valid(a) && size <= _map.end() - a;
+    }
+
     const BackingStore &_store;
     const AddrMap &_map;
     /** Mutable: checkers take the image const; OOB is a side channel. */

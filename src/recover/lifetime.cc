@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -176,15 +177,22 @@ planLifetimeCampaign(const LifetimeSpec &spec)
 namespace
 {
 
+using ThreadKeys = std::vector<std::vector<std::uint64_t>>;
+
+void
+sortKeys(ThreadKeys &keys)
+{
+    for (std::vector<std::uint64_t> &k : keys)
+        std::sort(k.begin(), k.end());
+}
+
 /** Sorted keys of every bound thread; false if the workload has none. */
 bool
-collectSortedKeys(const Workload &wl, const PmemImage &img,
-                  std::vector<std::vector<std::uint64_t>> &out)
+collectSortedKeys(const Workload &wl, const PmemImage &img, ThreadKeys &out)
 {
     if (!wl.collectKeys(img, out))
         return false;
-    for (std::vector<std::uint64_t> &keys : out)
-        std::sort(keys.begin(), keys.end());
+    sortKeys(out);
     return true;
 }
 
@@ -200,21 +208,17 @@ sortedDifference(const std::vector<std::uint64_t> &a,
 }
 
 /**
- * The per-round durable-linearizability check on the ledger-healed
- * image: survivors of previous rounds must all still be present, and
- * the keys new this round must be exactly a program-order prefix of
- * what each thread issued this round.
+ * The per-round durable-linearizability check on the sorted keys @p now
+ * of the ledger-healed image: survivors of previous rounds must all
+ * still be present, and the keys new this round must be exactly a
+ * program-order prefix of what each thread issued this round.
  *
  * @return empty string on success, else the failed check.
  */
 std::string
-checkKeyOracle(const Workload &wl, const PmemImage &healed,
-               const std::vector<std::vector<std::uint64_t>> &expected)
+checkKeyOracle(const Workload &wl, const ThreadKeys &now,
+               const ThreadKeys &expected)
 {
-    std::vector<std::vector<std::uint64_t>> now;
-    if (!collectSortedKeys(wl, healed, now))
-        return "key collection failed on the healed image";
-
     std::ostringstream why;
     for (unsigned t = wl.boundFirst(); t < wl.boundEnd(); ++t) {
         std::vector<std::uint64_t> lost = sortedDifference(expected[t], now[t]);
@@ -267,7 +271,7 @@ runLifetimeSample(const LifetimeSample &sample)
     Rng sched(sample.seed ^ 0x5c4ed11ull);
     BackingStore carried;
     std::vector<Addr> frontiers;
-    std::vector<std::vector<std::uint64_t>> expected;
+    ThreadKeys expected;
     bool keyed = false;
     bool degraded = false;
 
@@ -322,8 +326,8 @@ runLifetimeSample(const LifetimeSample &sample)
             // structure and orphan mid-stream keys — ledgered damage
             // propagating architecturally, which only the block-level
             // structural oracle classifies fairly.
-            keyed = collectSortedKeys(*wl, sys.pmemImage(), expected) &&
-                    !sample.plan.injectsMediaFaults();
+            keyed = !sample.plan.injectsMediaFaults() &&
+                    collectSortedKeys(*wl, sys.pmemImage(), expected);
         } else {
             reseedSystem(sys, carried, frontiers);
             wl->resume(sys);
@@ -374,14 +378,21 @@ runLifetimeSample(const LifetimeSample &sample)
 
         // Oracle 1: the ledger-healed image must be consistent and, for
         // keyed workloads, durably linearizable against the baseline.
-        BackingStore healed = sys.image().clone();
+        // Without ledgered damage the crash image is the healed image.
+        std::optional<BackingStore> repaired;
         const FaultInjector *inj = sys.faultInjector();
         if (inj && !inj->damagedBlocks().empty()) {
             rr.damaged_blocks = inj->damagedBlocks().size();
-            inj->repairImage(healed);
+            repaired = sys.image().clone();
+            inj->repairImage(*repaired);
         }
-        PmemImage healed_img(healed, sys.addrMap());
-        rr.healed = wl->checkRecovery(healed_img);
+        PmemImage healed_img(repaired ? *repaired : sys.image(),
+                             sys.addrMap());
+        // One walk counts the healed image and collects its keys.
+        ThreadKeys healed_keys;
+        rr.healed =
+            wl->checkRecovery(healed_img, keyed ? &healed_keys : nullptr);
+        sortKeys(healed_keys);
         // A resumed round reads back the torn blocks of the round
         // before, so their stale halves propagate into cleanly-written
         // blocks — damage the final ledger cannot describe. From round
@@ -397,7 +408,7 @@ runLifetimeSample(const LifetimeSample &sample)
             rr.oracle_ok = false;
             rr.detail = "healed image fails the consistency walk";
         } else if (keyed) {
-            std::string why = checkKeyOracle(*wl, healed_img, expected);
+            std::string why = checkKeyOracle(*wl, healed_keys, expected);
             if (!why.empty()) {
                 rr.oracle_ok = false;
                 rr.detail = why;
@@ -430,6 +441,8 @@ runLifetimeSample(const LifetimeSample &sample)
         rr.image_fingerprint = raw.fingerprint();
         r.image_fingerprint = rr.image_fingerprint;
         bool ok = rr.oracle_ok;
+        bool raw_is_healed = rr.damaged_blocks == 0 && rec.repairs == 0 &&
+                             rec.normalized == 0;
         r.round_log.push_back(std::move(rr));
         if (!ok) {
             r.outcome = LifetimeOutcome::OracleViolation;
@@ -442,7 +455,11 @@ runLifetimeSample(const LifetimeSample &sample)
 
         // Rebaseline durability on what recovery actually kept: a
         // degraded round shrinks the guarantee, it does not void it.
-        if (keyed)
+        // With no ledgered damage and no recovery write, raw holds the
+        // healed bytes, so the healed walk's keys are its keys.
+        if (keyed && raw_is_healed)
+            expected = std::move(healed_keys);
+        else if (keyed)
             collectSortedKeys(*wl, PmemImage(raw, sys.addrMap()), expected);
         carried = std::move(raw);
         frontiers = rec.frontiers;

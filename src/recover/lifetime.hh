@@ -13,10 +13,12 @@
  *
  * After every crash the round is judged twice:
  *
- *   1. **Healed-image oracle** — clone the post-crash image, write back
- *      the fault ledger (restoring exactly the blocks the injected
- *      faults damaged), and demand (a) the crash drain kept its oldest-
- *      first prefix, (b) the workload's consistency walk passes, and
+ *   1. **Healed-image oracle** — clone the post-crash image and write
+ *      back the fault ledger (restoring exactly the blocks the injected
+ *      faults damaged; an empty ledger leaves the post-crash image as
+ *      the healed one, read in place), and demand (a) the crash drain
+ *      kept its oldest-first prefix, (b) the workload's consistency
+ *      walk passes, and
  *      (c) for key-logging workloads, durable linearizability:
  *        - every key recovered after a previous round is still present
  *          (an acknowledged-and-survived key can never be lost later);
@@ -43,6 +45,12 @@
  * The survivor set is rebaselined from the recovered image after every
  * round, so deliberately degraded rounds shrink the guarantee instead
  * of failing it — graceful degradation, never a crash loop.
+ *
+ * A walk only reads, so a round walks each distinct set of bytes once:
+ * one walk of the healed image serves (b) and (c); the manager reuses
+ * the recovery walk's count when recovery wrote nothing; and when the
+ * ledger was empty and recovery wrote nothing, the raw image is the
+ * healed image, so its keys rebaseline the survivor set.
  *
  * AdrUnsafe is excluded from the default mode sweep: without flushes
  * the writeback order is arbitrary, so no prefix property holds (that

@@ -38,15 +38,19 @@ RecoveryManager::recover(const Workload &wl)
     }
 
     RecoveryCtx ctx(_image, _map, _arenas);
-    wl.recover(ctx);
+    RecoveryResult walked = wl.recover(ctx);
     out.repairs = ctx.repairs();
     out.normalized = ctx.normalized();
     out.dropped = ctx.dropped();
     out.frontiers = ctx.frontiers();
 
     // The workload's own consistency walk is the arbiter: a repaired
-    // image that still fails it must not be resumed.
-    out.verify = wl.checkRecovery(PmemImage(_image, _map));
+    // image that still fails it must not be resumed. A recovery that
+    // wrote nothing walked exactly these bytes, so its count stands;
+    // only a written image is walked again.
+    out.verify = out.repairs == 0 && out.normalized == 0
+                     ? walked
+                     : wl.checkRecovery(PmemImage(_image, _map));
     if (!out.verify.consistent()) {
         out.status = RecoveryStatus::Unrecoverable;
         out.detail = "post-repair image still fails the consistency walk";

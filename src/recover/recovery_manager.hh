@@ -7,8 +7,10 @@
  * the workload's recover() procedure against that image through a
  * RecoveryCtx that tracks repair writes and live high-water marks, then
  * re-validates the repaired image with the workload's checkRecovery() —
- * the same structural walk, now counting. The result is a structured
- * status — never an assert:
+ * the same structural walk, counting. A recovery that wrote nothing
+ * already walked those bytes, so its own count is the check and the
+ * walk runs again only after a repair or normalization write. The
+ * result is a structured status — never an assert:
  *
  *   Clean             image needed no repairs; resume directly.
  *   DegradedRepaired  torn/damaged tails were unlinked; the surviving
@@ -167,7 +169,7 @@ struct RecoverOutcome
     std::uint64_t normalized = 0;
     /** Tails/subtrees unlinked by the repairs. */
     std::uint64_t dropped = 0;
-    /** Post-repair consistency walk of the image. */
+    /** checkRecovery() of the recovered image. */
     RecoveryResult verify;
     /** Per-arena live high-water marks for the resumed allocator. */
     std::vector<Addr> frontiers;

@@ -39,6 +39,59 @@ drawHeight(Rng &rng)
     return h;
 }
 
+/** A node kept on level 0 by the recovery walk. */
+struct Member
+{
+    Addr node;
+    unsigned height;
+    std::uint64_t key;
+};
+
+/** Constant-time lookup of a member by node address: open addressing
+ *  over a table at most half full. */
+class MemberIndex
+{
+  public:
+    /** Index the first entry of each node in @p members, which must
+     *  outlive the lookups. */
+    void
+    build(const std::vector<Member> &members)
+    {
+        std::size_t size = 16;
+        while (size < 2 * members.size())
+            size *= 2;
+        _mask = size - 1;
+        _slots.assign(size, nullptr);
+        for (const Member &m : members) {
+            std::size_t s = slot(m.node);
+            while (_slots[s] && _slots[s]->node != m.node)
+                s = (s + 1) & _mask;
+            if (!_slots[s])
+                _slots[s] = &m;
+        }
+    }
+
+    const Member *
+    find(Addr node) const
+    {
+        for (std::size_t s = slot(node); _slots[s]; s = (s + 1) & _mask) {
+            if (_slots[s]->node == node)
+                return _slots[s];
+        }
+        return nullptr;
+    }
+
+  private:
+    std::size_t
+    slot(Addr node) const
+    {
+        return static_cast<std::size_t>(mix64(node)) & _mask;
+    }
+
+    std::vector<const Member *> _slots;
+    std::size_t _mask = 0;
+};
+
 } // namespace
 
 Addr
@@ -125,13 +178,9 @@ SkiplistWorkload::walk(ImageWalk &w, const PmemImage &img) const
 {
     using Damage = ImageWalk::Damage;
     std::uint64_t limit = (_p.initial_elements + lifeOps() + 8) * 2;
-    struct Member
-    {
-        Addr node;
-        unsigned height;
-        std::uint64_t key;
-    };
     std::vector<Member> members;
+    MemberIndex index;
+    std::vector<const Member *> tall;
 
     for (unsigned t = _first; t < _end; ++t) {
         Addr root = imageRootAddr(img.addrMap(), t);
@@ -173,16 +222,8 @@ SkiplistWorkload::walk(ImageWalk &w, const PmemImage &img) const
         }
 
         // Index the members by address. A level-0 cycle of equal keys
-        // lists a node more than once; keep one entry per node.
-        auto byNode = [](const Member &a, const Member &b) {
-            return a.node < b.node;
-        };
-        std::sort(members.begin(), members.end(), byNode);
-        members.erase(std::unique(members.begin(), members.end(),
-                                  [](const Member &a, const Member &b) {
-                                      return a.node == b.node;
-                                  }),
-                      members.end());
+        // lists a node more than once; the index keeps its first entry.
+        index.build(members);
 
         // Accelerator levels need membership *closure*, not just a cut
         // of the from-head chain: a search enters level lvl at whatever
@@ -197,20 +238,31 @@ SkiplistWorkload::walk(ImageWalk &w, const PmemImage &img) const
                               unsigned lvl) {
             if (n == 0)
                 return true;
-            auto it = std::lower_bound(members.begin(), members.end(),
-                                       Member{n, 0, 0}, byNode);
-            return it != members.end() && it->node == n &&
-                   it->height > lvl && it->key >= from_key;
+            const Member *m = index.find(n);
+            return m && m->height > lvl && m->key >= from_key;
         };
+        // The sweep visits each node once, in address order.
+        tall.clear();
+        for (const Member &m : members) {
+            if (m.height > 1 && index.find(m.node) == &m)
+                tall.push_back(&m);
+        }
+        std::sort(tall.begin(), tall.end(),
+                  [](const Member *a, const Member *b) {
+                      return a->node < b->node;
+                  });
         for (unsigned lvl = 1; lvl < kMaxHeight; ++lvl) {
+            // Only members taller than lvl have a next[lvl] field; the
+            // ones left are visited again at the next level up.
+            std::erase_if(tall, [lvl](const Member *m) {
+                return m->height <= lvl;
+            });
             Addr hl = nextAddr(head, lvl);
             if (!levelSound(0, img.read64(hl), lvl))
                 w.cut(hl, 0, 0, Damage::Dangling);
-            for (const Member &m : members) {
-                if (m.height <= lvl)
-                    continue; // node has no next[lvl] field
-                Addr l = nextAddr(m.node, lvl);
-                if (!levelSound(m.key, img.read64(l), lvl))
+            for (const Member *m : tall) {
+                Addr l = nextAddr(m->node, lvl);
+                if (!levelSound(m->key, img.read64(l), lvl))
                     w.cut(l, 0, 0, Damage::Dangling);
             }
         }

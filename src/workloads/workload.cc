@@ -14,10 +14,16 @@ namespace bbb
 namespace
 {
 
-/** checkRecovery(): tally what the walk reports. */
+/** checkRecovery(): tally what the walk reports and, given a key list,
+ *  collect each thread's kept keys. */
 class Count : public ImageWalk
 {
   public:
+    explicit Count(std::vector<std::vector<std::uint64_t>> *keys = nullptr)
+        : _keys(keys)
+    {
+    }
+
     void
     keep(Addr, std::uint64_t, std::uint64_t items) override
     {
@@ -26,10 +32,12 @@ class Count : public ImageWalk
     }
 
     void
-    key(unsigned, std::uint64_t) override
+    key(unsigned tid, std::uint64_t k) override
     {
         ++res.checked;
         ++res.intact;
+        if (_keys)
+            (*_keys)[tid].push_back(k);
     }
 
     void
@@ -46,44 +54,42 @@ class Count : public ImageWalk
     void lost(unsigned, Addr, std::uint64_t) override { ++res.dangling; }
 
     RecoveryResult res;
-};
-
-/** collectKeys(): each thread's kept keys. */
-class Keys : public ImageWalk
-{
-  public:
-    explicit Keys(std::vector<std::vector<std::uint64_t>> &out) : _out(out)
-    {
-    }
-
-    void
-    key(unsigned tid, std::uint64_t k) override
-    {
-        _out[tid].push_back(k);
-    }
 
   private:
-    std::vector<std::vector<std::uint64_t>> &_out;
+    std::vector<std::vector<std::uint64_t>> *_keys;
 };
+
+/** Run @p wl's walk into @p count; add the image's out-of-range reads. */
+RecoveryResult
+tally(const Workload &wl, Count &count, const PmemImage &img)
+{
+    std::uint64_t before = img.oobReads();
+    wl.walk(count, img);
+    count.res.oob = img.oobReads() - before;
+    return count.res;
+}
 
 } // namespace
 
-/** recover(): perform the walk's repairs through the context. */
-class Workload::Repair : public ImageWalk
+/** recover(): perform the walk's repairs through the context, counting
+ *  what the walk reports on the way. */
+class Workload::Repair : public Count
 {
   public:
     Repair(const Workload &wl, RecoveryCtx &ctx) : _wl(wl), _ctx(ctx) {}
 
     void
-    keep(Addr obj, std::uint64_t bytes, std::uint64_t) override
+    keep(Addr obj, std::uint64_t bytes, std::uint64_t items) override
     {
+        Count::keep(obj, bytes, items);
         _ctx.noteObject(obj, bytes);
     }
 
     void
     cut(Addr slot, std::uint64_t value, std::uint64_t dropped,
-        Damage) override
+        Damage why) override
     {
+        Count::cut(slot, value, dropped, why);
         _ctx.repair64(slot, value);
         _ctx.noteDropped(dropped);
     }
@@ -97,6 +103,7 @@ class Workload::Repair : public ImageWalk
     void
     lost(unsigned tid, Addr slot, std::uint64_t dropped) override
     {
+        Count::lost(tid, slot, dropped);
         _ctx.repair64(slot, _wl.rebuildRoot(_ctx, tid));
         _ctx.noteDropped(dropped);
     }
@@ -107,31 +114,31 @@ class Workload::Repair : public ImageWalk
 };
 
 RecoveryResult
-Workload::checkRecovery(const PmemImage &img) const
+Workload::checkRecovery(const PmemImage &img,
+                        std::vector<std::vector<std::uint64_t>> *keys) const
 {
-    Count count;
-    std::uint64_t before = img.oobReads();
-    walk(count, img);
-    count.res.oob = img.oobReads() - before;
-    return count.res;
+    if (keys)
+        keys->assign(_end, {});
+    Count count(keyed() ? keys : nullptr);
+    return tally(*this, count, img);
 }
 
-void
+RecoveryResult
 Workload::recover(RecoveryCtx &ctx) const
 {
     Repair repair(*this, ctx);
-    walk(repair, ctx.image());
+    return tally(*this, repair, ctx.image());
 }
 
 bool
 Workload::collectKeys(const PmemImage &img,
                       std::vector<std::vector<std::uint64_t>> &out) const
 {
-    out.assign(_end, {});
-    if (!keyed())
+    if (!keyed()) {
+        out.assign(_end, {});
         return false;
-    Keys keys(out);
-    walk(keys, img);
+    }
+    checkRecovery(img, &out);
     return true;
 }
 

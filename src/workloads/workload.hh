@@ -22,7 +22,11 @@
  *    campaign's durable-linearizability oracle (see src/recover/).
  *
  * Because they share one soundness predicate, an image passes
- * checkRecovery() exactly when recover() would repair nothing.
+ * checkRecovery() exactly when recover() would repair nothing. And
+ * because the walk only reads, two walks over the same bytes report the
+ * same: checkRecovery() collects the keys in the walk that counts, and
+ * recover() returns the count of its own walk, which is the image's
+ * checkRecovery() whenever the walk wrote nothing.
  * install()/resume() bind the measured loop to a fresh or reseeded
  * System.
  */
@@ -140,15 +144,24 @@ class Workload
      */
     virtual bool keyed() const { return false; }
 
-    /** Count what walk() reports, plus the image's out-of-range reads. */
-    RecoveryResult checkRecovery(const PmemImage &img) const;
+    /**
+     * Count what walk() reports, plus the image's out-of-range reads.
+     * With @p keys, the same walk also fills *keys as collectKeys()
+     * would (left empty per thread unless keyed()).
+     */
+    RecoveryResult
+    checkRecovery(const PmemImage &img,
+                  std::vector<std::vector<std::uint64_t>> *keys =
+                      nullptr) const;
 
     /**
      * Repair a damaged post-crash image in place: walk() it and perform
      * each cut's repair write, rebuild lost roots, and note every kept
-     * object so the resumed allocator never overwrites it.
+     * object so the resumed allocator never overwrites it. Returns the
+     * count of the walk's reports: the image's checkRecovery() whenever
+     * the walk wrote nothing.
      */
-    void recover(RecoveryCtx &ctx) const;
+    RecoveryResult recover(RecoveryCtx &ctx) const;
 
     /**
      * Every bound thread's kept keys, indexed by thread, in walk order.

@@ -1,13 +1,16 @@
 /**
  * @file
- * Unit tests for the sparse functional backing store.
+ * Unit tests for the sparse functional backing store and the bounds-checked
+ * post-crash view over it.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 
+#include "mem/addr_map.hh"
 #include "mem/backing_store.hh"
+#include "persist/recovery.hh"
 
 using namespace bbb;
 
@@ -100,6 +103,45 @@ TEST(BackingStore, SparseHugeAddresses)
     s.write64(far, 0xabcd);
     EXPECT_EQ(s.read64(far), 0xabcdu);
     EXPECT_EQ(s.pagesTouched(), 1u);
+}
+
+TEST(PmemImage, Read64MatchesGeneralReadAtTheEdges)
+{
+    // read64 takes the store's one-page fast path; it must return what
+    // read() returns and count the same out-of-range reads.
+    constexpr Addr kPage = BackingStore::kPageSize;
+    AddrMap map(64_KiB, 64_KiB);
+    BackingStore s;
+    auto fill = [&s](Addr from, Addr to) {
+        for (Addr a = from; a < to; ++a) {
+            unsigned char b = static_cast<unsigned char>(a * 7 + 1);
+            s.write(a, &b, 1);
+        }
+    };
+    fill(kPage - 16, kPage + 16);         // two backed pages
+    fill(3 * kPage - 16, 3 * kPage);      // page 3 stays unbacked
+    fill(map.end() - 16, map.end());      // the last bytes of the map
+
+    const Addr cases[] = {
+        kPage - 4,                // straddles two backed pages
+        3 * kPage - 4,            // straddles into an unbacked page
+        kPage - 16,               // inside one page
+        map.end() - 8,            // the last 8 bytes of the map
+        map.end() - 4,            // runs past end()
+        map.end(),                // starts at end()
+        0xdead'0000'beef'0000ull, // wild
+    };
+    PmemImage fast(s, map);
+    PmemImage general(s, map);
+    for (Addr a : cases) {
+        std::uint64_t v = 0;
+        general.read(a, &v, sizeof(v));
+        EXPECT_EQ(fast.read64(a), v) << "at " << a;
+        EXPECT_EQ(fast.oobReads(), general.oobReads()) << "at " << a;
+    }
+    EXPECT_EQ(fast.oobReads(), 3u);
+    EXPECT_NE(fast.read64(kPage - 4), 0u);
+    EXPECT_NE(fast.read64(map.end() - 8), 0u);
 }
 
 TEST(BackingStoreDeath, UnalignedBlockOpsPanic)

@@ -11,7 +11,12 @@
  *    copy makes no repair and drops nothing;
  *  - the recovered image passes checkRecovery();
  *  - recovering the recovered image again makes no repair, no
- *    normalization and no drop, and leaves its fingerprint unchanged.
+ *    normalization and no drop, and leaves its fingerprint unchanged;
+ *  - the outcome's verify count equals a fresh checkRecovery() of the
+ *    recovered image, whether recovery reused its own walk's count (it
+ *    wrote nothing) or walked again after a write;
+ *  - the keys checkRecovery() collects in its counting walk, and those
+ *    collectKeys() returns, equal the walk's own key reports.
  *
  * Wild pointers aim outside the machine, so the sanitizer presets also
  * see every walk read through them.
@@ -20,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <vector>
 
 #include "api/system.hh"
 #include "recover/recovery_manager.hh"
@@ -86,13 +92,52 @@ recoverInPlace(const Crashed &c, BackingStore &img)
     return mgr.recover(*c.wl);
 }
 
-/** The three properties on one damaged image. */
+void
+expectSameCount(const RecoveryResult &a, const RecoveryResult &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.checked, b.checked) << what;
+    EXPECT_EQ(a.intact, b.intact) << what;
+    EXPECT_EQ(a.torn, b.torn) << what;
+    EXPECT_EQ(a.dangling, b.dangling) << what;
+    EXPECT_EQ(a.oob, b.oob) << what;
+}
+
+/** Reference for the key collectors: the walk's key() reports. */
+class KeyLog : public ImageWalk
+{
+  public:
+    explicit KeyLog(unsigned threads) : keys(threads) {}
+
+    void
+    key(unsigned tid, std::uint64_t k) override
+    {
+        keys[tid].push_back(k);
+    }
+
+    std::vector<std::vector<std::uint64_t>> keys;
+};
+
+/** The properties on one damaged image. */
 void
 expectAgreement(const Crashed &c, const BackingStore &damaged,
                 const std::string &what)
 {
     RecoveryResult res = c.wl->checkRecovery(
         PmemImage(damaged, c.sys.addrMap()));
+
+    // Only a keyed() workload's collectors report keys.
+    KeyLog log(c.wl->boundEnd());
+    if (c.wl->keyed())
+        c.wl->walk(log, PmemImage(damaged, c.sys.addrMap()));
+    std::vector<std::vector<std::uint64_t>> walked_keys, keys;
+    expectSameCount(
+        c.wl->checkRecovery(PmemImage(damaged, c.sys.addrMap()),
+                            &walked_keys),
+        res, what + ": counting walk with keys");
+    EXPECT_EQ(walked_keys, log.keys) << what << ": counting walk's keys";
+    c.wl->collectKeys(PmemImage(damaged, c.sys.addrMap()), keys);
+    EXPECT_EQ(keys, log.keys) << what << ": collectKeys()";
 
     BackingStore once = damaged.clone();
     RecoverOutcome first = recoverInPlace(c, once);
@@ -104,9 +149,11 @@ expectAgreement(const Crashed &c, const BackingStore &damaged,
         << res.dangling << ", oob " << res.oob << ") but recover made "
         << first.repairs << " repair(s) and dropped " << first.dropped;
 
-    EXPECT_TRUE(c.wl->checkRecovery(PmemImage(once, c.sys.addrMap()))
-                    .consistent())
+    RecoveryResult after =
+        c.wl->checkRecovery(PmemImage(once, c.sys.addrMap()));
+    EXPECT_TRUE(after.consistent())
         << what << ": recovered image fails the check";
+    expectSameCount(first.verify, after, what + ": verify");
 
     BackingStore twice = once.clone();
     RecoverOutcome second = recoverInPlace(c, twice);
@@ -116,6 +163,7 @@ expectAgreement(const Crashed &c, const BackingStore &damaged,
         << what << ": second recovery normalized";
     EXPECT_EQ(twice.fingerprint(), once.fingerprint())
         << what << ": second recovery changed the image";
+    expectSameCount(second.verify, after, what + ": second verify");
 }
 
 /** Damage one image in place; false if the structure is too small. */
