@@ -3,8 +3,8 @@
  * Google-benchmark microbenchmarks of the simulator substrate: event
  * queue throughput, fiber switches, cache-array lookups, store-buffer
  * push/drain, bbPB allocate/coalesce/drain, WPQ enqueue/retire,
- * backing-store access, end-to-end simulated ops per host second, and
- * the post-crash recovery walk.
+ * backing-store access, end-to-end simulated ops per host second,
+ * machine construction, and the post-crash recovery walk.
  * These guard the simulator's host-side performance (a slow simulator
  * caps the experiment sizes every other bench can afford).
  */
@@ -248,6 +248,22 @@ BM_CoreL1HitLoads(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kLoads);
 }
 BENCHMARK(BM_CoreL1HitLoads)->Unit(benchmark::kMillisecond);
+
+void
+BM_SystemBuild(benchmark::State &state)
+{
+    // Host cost of constructing and destroying one Table III machine
+    // (8 cores, 128 KB L1D each, 1 MB LLC): the per-layer cost behind
+    // api.system_ctor_s, paid once per crash round by the lifetime
+    // campaign.
+    SystemConfig cfg = benchConfig(PersistMode::BbbMemSide);
+    for (auto _ : state) {
+        System sys(cfg);
+        benchmark::DoNotOptimize(sys.numCores());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SystemBuild)->Unit(benchmark::kMicrosecond);
 
 void
 BM_RecoveryWalk(benchmark::State &state)

@@ -71,10 +71,11 @@ CacheHierarchy::fetchFromOwner(LlcLine &llc_line, Tick &lat)
     if (llc_line.owner == kNoCore)
         return;
     CoreId o = llc_line.owner;
-    L1Line *remote = _l1[o].find(llc_line.block);
+    Addr block = _llc.blockOf(llc_line);
+    L1Line *remote = _l1[o].find(block);
     BBB_ASSERT(remote && remote->state != Mesi::Invalid,
                "directory owner %u lacks block %#llx", o,
-               (unsigned long long)llc_line.block);
+               (unsigned long long)block);
     lat += _l1_lat; // remote snoop
     ++_interventions;
     if (remote->state == Mesi::Modified) {
@@ -88,7 +89,7 @@ CacheHierarchy::fetchFromOwner(LlcLine &llc_line, Tick &lat)
 void
 CacheHierarchy::evictL1Line(CoreId c, L1Line &line, Tick &lat)
 {
-    Addr block = line.block;
+    Addr block = _l1[c].blockOf(line);
     LlcLine *llc_line = _llc.find(block);
     BBB_ASSERT(llc_line, "L1 block %#llx missing from inclusive LLC",
                (unsigned long long)block);
@@ -114,7 +115,7 @@ CacheHierarchy::evictL1Line(CoreId c, L1Line &line, Tick &lat)
 void
 CacheHierarchy::evictLlcLine(LlcLine &line, Tick &lat)
 {
-    Addr block = line.block;
+    Addr block = _llc.blockOf(line);
 
     // Back-invalidate every L1 copy (inclusive LLC), grabbing M data.
     for (CoreId c = 0; c < _cfg.num_cores; ++c) {
@@ -174,7 +175,7 @@ CacheHierarchy::getLlcLine(Addr block, Tick &lat)
     lat += ctrlFor(block).readBlock(block, data);
 
     LlcLine &victim = _llc.victim(block);
-    if (victim.valid)
+    if (_llc.isValid(victim))
         evictLlcLine(victim, lat);
 
     _llc.fill(victim, block);
@@ -190,7 +191,7 @@ L1Line &
 CacheHierarchy::installL1(CoreId c, Addr block, Tick &lat)
 {
     L1Line &victim = _l1[c].victim(block);
-    if (victim.valid)
+    if (_l1[c].isValid(victim))
         evictL1Line(c, victim, lat);
     _l1[c].fill(victim, block);
     return victim;
@@ -425,13 +426,13 @@ CacheHierarchy::collectDirtyNvmm(std::uint64_t *from_l1) const
 {
     std::vector<PersistRecord> out;
     std::uint64_t l1_sourced = 0;
-    _llc.forEachValid([&](const LlcLine &line) {
-        if (_map.kind(line.block) != MemKind::Nvmm)
+    _llc.forEachValid([&](Addr block, const LlcLine &line) {
+        if (_map.kind(block) != MemKind::Nvmm)
             return;
         bool dirty = line.dirty;
         BlockData data = line.data;
         if (line.owner != kNoCore) {
-            const L1Line *l1_line = _l1[line.owner].find(line.block);
+            const L1Line *l1_line = _l1[line.owner].find(block);
             if (l1_line && l1_line->state == Mesi::Modified) {
                 dirty = true;
                 data = l1_line->data;
@@ -439,7 +440,7 @@ CacheHierarchy::collectDirtyNvmm(std::uint64_t *from_l1) const
             }
         }
         if (dirty)
-            out.push_back({line.block, data});
+            out.push_back({block, data});
     });
     if (from_l1)
         *from_l1 = l1_sourced;
@@ -451,17 +452,17 @@ CacheHierarchy::dirtyStats() const
 {
     DirtyStats s;
     for (const auto &l1 : _l1) {
-        l1.forEachValid([&](const L1Line &line) {
+        l1.forEachValid([&](Addr, const L1Line &line) {
             ++s.l1_valid_blocks;
             if (line.state == Mesi::Modified)
                 ++s.l1_dirty_blocks;
         });
     }
-    _llc.forEachValid([&](const LlcLine &line) {
+    _llc.forEachValid([&](Addr block, const LlcLine &line) {
         ++s.llc_valid_blocks;
         bool dirty = line.dirty;
         if (line.owner != kNoCore) {
-            const L1Line *l1_line = _l1[line.owner].find(line.block);
+            const L1Line *l1_line = _l1[line.owner].find(block);
             if (l1_line && l1_line->state == Mesi::Modified)
                 dirty = true;
         }
@@ -477,15 +478,15 @@ CacheHierarchy::checkInvariants() const
     // Every valid L1 line is covered by the inclusive LLC and consistent
     // with the directory.
     for (CoreId c = 0; c < _cfg.num_cores; ++c) {
-        _l1[c].forEachValid([&](const L1Line &line) {
+        _l1[c].forEachValid([&](Addr block, const L1Line &line) {
             if (line.state == Mesi::Invalid)
                 return;
-            const LlcLine *llc_line = _llc.find(line.block);
+            const LlcLine *llc_line = _llc.find(block);
             BBB_ASSERT(llc_line, "L1 block %#llx not in LLC (core %u)",
-                       (unsigned long long)line.block, c);
+                       (unsigned long long)block, c);
             BBB_ASSERT(llc_line->sharers & (1ull << c),
                        "directory misses sharer %u for %#llx", c,
-                       (unsigned long long)line.block);
+                       (unsigned long long)block);
             if (line.state == Mesi::Modified ||
                 line.state == Mesi::Exclusive) {
                 BBB_ASSERT(llc_line->owner == c,
@@ -497,20 +498,20 @@ CacheHierarchy::checkInvariants() const
     }
 
     // Directory entries point at real copies; single-writer holds.
-    _llc.forEachValid([&](const LlcLine &line) {
+    _llc.forEachValid([&](Addr block, const LlcLine &line) {
         if (line.owner != kNoCore) {
-            const L1Line *l1_line = _l1[line.owner].find(line.block);
+            const L1Line *l1_line = _l1[line.owner].find(block);
             BBB_ASSERT(l1_line && canWriteSilently(l1_line->state),
                        "stale owner %u for %#llx", line.owner,
-                       (unsigned long long)line.block);
+                       (unsigned long long)block);
         }
         for (CoreId c = 0; c < _cfg.num_cores; ++c) {
             if (!(line.sharers & (1ull << c)))
                 continue;
-            const L1Line *l1_line = _l1[c].find(line.block);
+            const L1Line *l1_line = _l1[c].find(block);
             BBB_ASSERT(l1_line && l1_line->state != Mesi::Invalid,
                        "stale sharer bit %u for %#llx", c,
-                       (unsigned long long)line.block);
+                       (unsigned long long)block);
         }
     });
 
@@ -518,13 +519,13 @@ CacheHierarchy::checkInvariants() const
     // the LLC, and held by exactly one core (Invariant 4). The ownership
     // index enforces uniqueness structurally; cross-check that holder()
     // and holds() agree for every LLC-resident block.
-    _llc.forEachValid([&](const LlcLine &line) {
-        CoreId h = _backend->holder(line.block);
+    _llc.forEachValid([&](Addr block, const LlcLine &) {
+        CoreId h = _backend->holder(block);
         for (CoreId c = 0; c < _cfg.num_cores; ++c) {
-            BBB_ASSERT(_backend->holds(c, line.block) == (c == h &&
-                                                          h != kNoCore),
+            BBB_ASSERT(_backend->holds(c, block) ==
+                           (c == h && h != kNoCore),
                        "holder()/holds() disagree for %#llx (core %u)",
-                       (unsigned long long)line.block, c);
+                       (unsigned long long)block, c);
         }
     });
 

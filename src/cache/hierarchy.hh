@@ -35,15 +35,15 @@
 namespace bbb
 {
 
-/** Private L1D line. */
-struct L1Line : CacheLineBase
+/** Private L1D line payload (the array holds its block and stamp). */
+struct L1Line
 {
     Mesi state = Mesi::Invalid;
     BlockData data;
 };
 
-/** Shared LLC line with embedded directory state. */
-struct LlcLine : CacheLineBase
+/** Shared LLC line payload with embedded directory state. */
+struct LlcLine
 {
     bool dirty = false;
     /** Block maps to the persistent NVMM range (drives writeback skip). */

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "cache/cache_array.hh"
 #include "cache/hierarchy.hh"
@@ -16,7 +17,7 @@ using namespace bbb;
 namespace
 {
 
-struct Line : CacheLineBase
+struct Line
 {
     int payload = 0;
 };
@@ -53,7 +54,7 @@ TEST(CacheArray, FillThenFind)
     Line *found = a.find(640);
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(found->payload, 5);
-    EXPECT_EQ(found->block, 640u);
+    EXPECT_EQ(a.blockOf(*found), 640u);
     // Unaligned lookups resolve to the block.
     EXPECT_EQ(a.find(645), found);
 }
@@ -63,12 +64,12 @@ TEST(CacheArray, InvalidWaysPreferredAsVictims)
     CacheArray<Line> a(4_KiB, 4);
     for (unsigned i = 0; i < 4; ++i) {
         Line &v = a.victim(conflicting(a, i));
-        EXPECT_FALSE(v.valid);
+        EXPECT_FALSE(a.isValid(v));
         a.fill(v, conflicting(a, i));
     }
     // Set now full: next victim must be a valid line.
     Line &v = a.victim(conflicting(a, 4));
-    EXPECT_TRUE(v.valid);
+    EXPECT_TRUE(a.isValid(v));
 }
 
 TEST(CacheArray, LruEvictsLeastRecentlyTouched)
@@ -80,7 +81,7 @@ TEST(CacheArray, LruEvictsLeastRecentlyTouched)
     a.touch(*a.find(conflicting(a, 0)));
     a.touch(*a.find(conflicting(a, 2)));
     a.touch(*a.find(conflicting(a, 3)));
-    EXPECT_EQ(a.victim(conflicting(a, 4)).block, conflicting(a, 1));
+    EXPECT_EQ(a.blockOf(a.victim(conflicting(a, 4))), conflicting(a, 1));
 }
 
 TEST(CacheArray, FifoIgnoresTouches)
@@ -91,7 +92,7 @@ TEST(CacheArray, FifoIgnoresTouches)
     // Touch the oldest heavily: FIFO still evicts it.
     for (int i = 0; i < 10; ++i)
         a.touch(*a.find(conflicting(a, 0)));
-    EXPECT_EQ(a.victim(conflicting(a, 4)).block, conflicting(a, 0));
+    EXPECT_EQ(a.blockOf(a.victim(conflicting(a, 4))), conflicting(a, 0));
 }
 
 TEST(CacheArray, InvalidateFreesLine)
@@ -101,7 +102,7 @@ TEST(CacheArray, InvalidateFreesLine)
     a.fill(v, 0);
     a.invalidate(v);
     EXPECT_EQ(a.find(0), nullptr);
-    EXPECT_FALSE(v.valid);
+    EXPECT_FALSE(a.isValid(v));
 }
 
 TEST(CacheArray, ForEachValidVisitsExactlyValidLines)
@@ -110,42 +111,48 @@ TEST(CacheArray, ForEachValidVisitsExactlyValidLines)
     a.fill(a.victim(0), 0);
     a.fill(a.victim(kBlockSize), kBlockSize);
     std::set<Addr> seen;
-    a.forEachValid([&](Line &l) { seen.insert(l.block); });
+    a.forEachValid([&](Addr block, Line &) { seen.insert(block); });
     EXPECT_EQ(seen, (std::set<Addr>{0, kBlockSize}));
 }
 
-TEST(CacheArray, VictimWhereProtectsIneligible)
+TEST(CacheArray, FreshArrayHasNoValidLines)
 {
-    CacheArray<Line> a(4_KiB, 4, ReplPolicy::Lru);
-    for (unsigned i = 0; i < 4; ++i)
-        a.fill(a.victim(conflicting(a, i)), conflicting(a, i));
-    // Protect the LRU line (block 0); the next-oldest is chosen.
-    Line &v = a.victimWhere(conflicting(a, 4), [&](const Line &l) {
-        return l.block != conflicting(a, 0);
-    });
-    EXPECT_EQ(v.block, conflicting(a, 1));
+    CacheArray<Line> a(128_KiB, 8);
+    std::size_t visited = 0;
+    a.forEachValid([&](Addr, Line &) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+    EXPECT_EQ(a.find(0), nullptr);
 }
 
-TEST(CacheArray, VictimWhereCapsProtectionAtHalfTheWays)
+TEST(CacheArray, RefillConstructsPayloadAfterScribble)
 {
-    CacheArray<Line> a(4_KiB, 4, ReplPolicy::Lru);
-    for (unsigned i = 0; i < 4; ++i)
-        a.fill(a.victim(conflicting(a, i)), conflicting(a, i));
-    // Protecting 3 of 4 ways exceeds the cap: plain LRU wins.
-    Line &v = a.victimWhere(conflicting(a, 4), [&](const Line &l) {
-        return l.block == conflicting(a, 3);
-    });
-    EXPECT_EQ(v.block, conflicting(a, 0));
+    // fill() must construct the payload: a refilled way never exposes
+    // what its previous occupant left behind.
+    CacheArray<Line> a(4_KiB, 4);
+    Line &v = a.victim(0);
+    a.fill(v, 0);
+    v.payload = 42;
+    a.invalidate(v);
+    Line &w = a.victim(conflicting(a, 1));
+    ASSERT_EQ(&w, &v); // the freed way is the first invalid one
+    a.fill(w, conflicting(a, 1));
+    EXPECT_EQ(w.payload, Line{}.payload);
 }
 
-TEST(CacheArray, VictimWhereFallsBackWhenNoneEligible)
+TEST(CacheArray, ForEachValidVisitsInIndexOrder)
 {
-    CacheArray<Line> a(4_KiB, 4, ReplPolicy::Lru);
-    for (unsigned i = 0; i < 4; ++i)
-        a.fill(a.victim(conflicting(a, i)), conflicting(a, i));
-    Line &v =
-        a.victimWhere(conflicting(a, 4), [](const Line &) { return false; });
-    EXPECT_EQ(v.block, conflicting(a, 0)); // unrestricted LRU choice
+    // Fill out of index order, across sets and ways of one set; the scan
+    // reports set-major, way-minor order (the eADR crash-drain order).
+    CacheArray<Line> a(4_KiB, 4);
+    Addr set3 = 3 * kBlockSize;
+    Addr set3_way1 = set3 + conflicting(a, 1);
+    Addr set1 = 1 * kBlockSize;
+    Addr set0 = 0;
+    for (Addr b : {set3, set3_way1, set1, set0})
+        a.fill(a.victim(b), b);
+    std::vector<Addr> order;
+    a.forEachValid([&](Addr block, const Line &) { order.push_back(block); });
+    EXPECT_EQ(order, (std::vector<Addr>{set0, set1, set3, set3_way1}));
 }
 
 // ---------------------------------------------------------------------
@@ -163,7 +170,7 @@ TEST_P(CacheArrayPolicy, FullSetAlwaysYieldsValidVictim)
         a.fill(a.victim(conflicting(a, i)), conflicting(a, i));
     for (unsigned round = 0; round < 20; ++round) {
         Line &v = a.victim(conflicting(a, 4 + round));
-        EXPECT_TRUE(v.valid);
+        EXPECT_TRUE(a.isValid(v));
         a.fill(v, conflicting(a, 4 + round));
     }
 }
@@ -177,11 +184,11 @@ TEST_P(CacheArrayPolicy, FindNeverReturnsWrongBlock)
         Addr block = blockAlign(rng.below(64) * kBlockSize);
         Line *found = a.find(block);
         if (found) {
-            EXPECT_EQ(found->block, block);
+            EXPECT_EQ(a.blockOf(*found), block);
         } else {
             Line &v = a.victim(block);
-            if (v.valid)
-                resident.erase(v.block);
+            if (a.isValid(v))
+                resident.erase(a.blockOf(v));
             a.fill(v, block);
             resident.insert(block);
         }
@@ -202,7 +209,7 @@ TEST_P(CacheArrayPolicy, CapacityNeverExceeded)
             a.fill(v, block);
         }
         std::size_t valid = 0;
-        a.forEachValid([&](Line &) { ++valid; });
+        a.forEachValid([&](Addr, Line &) { ++valid; });
         EXPECT_LE(valid, a.numLines());
     }
 }
