@@ -32,20 +32,14 @@ System::System(const SystemConfig &cfg)
                                              *_nvmm, _stats);
 
     switch (_cfg.mode) {
-      case PersistMode::BbbMemSide: {
-        auto backend =
-            std::make_unique<MemSideBbpb>(_cfg, _eq, *_nvmm, _stats);
-        _mem_bbpb = backend.get();
-        _backend_owned = std::move(backend);
+      case PersistMode::BbbMemSide:
+        _backend_owned = std::make_unique<MemSideBbpb>(_cfg, _eq, *_nvmm,
+                                                       _stats);
         break;
-      }
-      case PersistMode::BbbProcSide: {
-        auto backend =
-            std::make_unique<ProcSideBbpb>(_cfg, _eq, *_nvmm, _stats);
-        _proc_bbpb = backend.get();
-        _backend_owned = std::move(backend);
+      case PersistMode::BbbProcSide:
+        _backend_owned = std::make_unique<ProcSideBbpb>(_cfg, _eq, *_nvmm,
+                                                        _stats);
         break;
-      }
       default:
         _backend_owned = std::make_unique<NullPersistencyBackend>();
         break;

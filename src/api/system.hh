@@ -73,10 +73,9 @@ class System
     Core &core(CoreId c) { return *_cores.at(c); }
     unsigned numCores() const { return _cfg.num_cores; }
 
-    /** Memory-side bbPB, or nullptr if the mode has none. */
-    MemSideBbpb *memSideBbpb() { return _mem_bbpb; }
-    /** Processor-side bbPB, or nullptr. */
-    ProcSideBbpb *procSideBbpb() { return _proc_bbpb; }
+    /** The bbPB (memory- or processor-side), or nullptr if the mode
+     *  has none. */
+    Bbpb *bbpb() { return dynamic_cast<Bbpb *>(_backend); }
 
     // --- fault injection -----------------------------------------------
     /**
@@ -239,8 +238,6 @@ class System
     std::unique_ptr<CacheHierarchy> _hier;
     std::unique_ptr<PersistencyBackend> _backend_owned;
     PersistencyBackend *_backend = nullptr;
-    MemSideBbpb *_mem_bbpb = nullptr;
-    ProcSideBbpb *_proc_bbpb = nullptr;
     std::vector<std::unique_ptr<Core>> _cores;
     std::unique_ptr<PersistentHeap> _heap;
     std::unique_ptr<CrashEngine> _crash;

@@ -17,12 +17,12 @@
 namespace bbb
 {
 
-/** Supported replacement policies. */
+/** Supported replacement policies. The values are fixed because
+ *  parameterized test names print them. */
 enum class ReplPolicy
 {
-    Lru,    ///< stamp refreshed on every touch
-    Fifo,   ///< stamp set only on fill
-    Random, ///< stamp is a random draw on fill
+    Lru = 0,    ///< stamp refreshed on every touch
+    Random = 2, ///< stamp is a random draw on fill
 };
 
 /** Printable policy name. */
@@ -32,8 +32,6 @@ replPolicyName(ReplPolicy p)
     switch (p) {
       case ReplPolicy::Lru:
         return "lru";
-      case ReplPolicy::Fifo:
-        return "fifo";
       case ReplPolicy::Random:
         return "random";
     }

@@ -42,60 +42,227 @@ thresholdEntries(const BbpbConfig &cfg)
 } // namespace
 
 // ---------------------------------------------------------------------
+// Bbpb: the shared engine
+// ---------------------------------------------------------------------
+
+Bbpb::Bbpb(const SystemConfig &cfg, EventQueue &eq, MemCtrl &nvmm,
+           StatRegistry &stats, const char *group, bool sample_residency)
+    : _cfg(cfg), _eq(eq), _nvmm(nvmm),
+      _index(static_cast<std::size_t>(cfg.num_cores) * cfg.bbpb.entries),
+      _bufs(cfg.num_cores, CoreBuffer(cfg.bbpb.entries)),
+      _threshold(thresholdEntries(cfg.bbpb)),
+      _sample_residency(sample_residency)
+{
+    _stats.registerWith(stats.group(group));
+}
+
+Bbpb::Slab &
+Bbpb::slab(CoreId c)
+{
+    BBB_ASSERT(c < _bufs.size(), "bbPB access with bad core id %u", c);
+    return _bufs[c].slots;
+}
+
+const Bbpb::Slab &
+Bbpb::slab(CoreId c) const
+{
+    BBB_ASSERT(c < _bufs.size(), "bbPB access with bad core id %u", c);
+    return _bufs[c].slots;
+}
+
+bool
+Bbpb::admitsNewEntry(CoreId c) const
+{
+    return !_low_power && !slab(c).full();
+}
+
+void
+Bbpb::append(CoreId c, Addr block, const BlockData &data)
+{
+    Slab &slots = slab(c);
+    BBB_ASSERT(!slots.full(),
+               "persistStore on full bbPB (missing canAcceptPersist?)");
+    std::uint64_t seq = _next_seq++;
+    std::uint32_t s = slots.pushBack();
+    Entry &e = slots[s];
+    e.block = block;
+    e.data = data;
+    e.seq = seq;
+    e.write_seq = seq;
+    e.alloc_tick = _eq.now();
+    if (OwnershipRef *ref = _index.find(block)) {
+        // Only ordered records reach here with the block indexed: a
+        // newer record of the same core's stream.
+        BBB_ASSERT(ref->core == c,
+                   "new entry for block %#llx held by core %u",
+                   (unsigned long long)block, ref->core);
+        ref->slot = s;
+    } else {
+        _index.insert(block, {c, s});
+    }
+    ++_stats.allocations;
+    maybeStartDrain(c);
+}
+
+void
+Bbpb::retire(CoreId c, std::uint32_t s, StatCounter &counter)
+{
+    if (_sample_residency) {
+        _stats.residency_ns.sample(static_cast<std::uint64_t>(
+            ticksToNs(_eq.now() - slab(c)[s].alloc_tick)));
+    }
+    remove(c, s);
+    ++counter;
+}
+
+void
+Bbpb::remove(CoreId c, std::uint32_t s)
+{
+    Slab &slots = slab(c);
+    Entry &e = slots[s];
+    if (_index.find(e.block)->slot == s)
+        _index.erase(e.block);
+    e.block = kBadAddr;
+    slots.remove(s);
+}
+
+bool
+Bbpb::skipLlcWriteback(Addr) const
+{
+    // Any dirty persistent value either sits in a bbPB (forced drain just
+    // handled it) or was already drained; the LLC writeback is redundant.
+    return true;
+}
+
+bool
+Bbpb::holds(CoreId c, Addr block) const
+{
+    BBB_ASSERT(c < _bufs.size(), "bbPB holds() with bad core id %u", c);
+    const OwnershipRef *ref = _index.find(blockAlign(block));
+    return ref && ref->core == c;
+}
+
+CoreId
+Bbpb::holder(Addr block) const
+{
+    const OwnershipRef *ref = _index.find(blockAlign(block));
+    return ref ? ref->core : kNoCore;
+}
+
+void
+Bbpb::forEachHeld(const std::function<void(CoreId, Addr)> &fn) const
+{
+    for (CoreId c = 0; c < static_cast<CoreId>(_bufs.size()); ++c) {
+        // Walk in allocation order: deterministic. A block spanning
+        // several ordered records is reported once, at its newest.
+        const Slab &slots = _bufs[c].slots;
+        for (std::uint32_t s = slots.head(); s != kNil; s = slots.next(s)) {
+            Addr block = slots[s].block;
+            if (_index.find(block)->slot == s)
+                fn(c, block);
+        }
+    }
+}
+
+std::size_t
+Bbpb::occupancy() const
+{
+    std::size_t n = 0;
+    for (const CoreBuffer &buf : _bufs)
+        n += buf.slots.size();
+    return n;
+}
+
+std::size_t
+Bbpb::coreOccupancy(CoreId c) const
+{
+    return slab(c).size();
+}
+
+void
+Bbpb::maybeStartDrain(CoreId c)
+{
+    CoreBuffer &buf = _bufs[c];
+    if (buf.drain_active || buf.slots.size() < _threshold)
+        return;
+    buf.drain_active = true;
+    _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.drain_latency_cycles),
+                   [this, c]() { drainStep(c); },
+                   EventPriority::DrainComplete);
+}
+
+void
+Bbpb::drainStep(CoreId c)
+{
+    CoreBuffer &buf = _bufs[c];
+    BBB_ASSERT(buf.drain_active, "drain step without active drain");
+
+    // Entries may have been removed (migration/forced drain) since the
+    // step was scheduled; stop when below threshold.
+    if (buf.slots.size() < _threshold) {
+        buf.drain_active = false;
+        return;
+    }
+
+    std::uint32_t s = drainVictim(buf.slots);
+    const Entry &e = buf.slots[s];
+    if (!_nvmm.enqueueWrite(e.block, e.data)) {
+        ++_stats.wpq_retries;
+        _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.retry_cycles),
+                       [this, c]() { drainStep(c); },
+                       EventPriority::DrainComplete);
+        return;
+    }
+    retire(c, s, _stats.drains);
+
+    if (buf.slots.size() >= _threshold) {
+        // Drains pipeline toward the controller: sustained rate is the
+        // injection interval, not the end-to-end transfer latency.
+        _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.drain_issue_cycles),
+                       [this, c]() { drainStep(c); },
+                       EventPriority::DrainComplete);
+    } else {
+        buf.drain_active = false;
+    }
+}
+
+void
+Bbpb::crashDrain(const PersistSink &sink)
+{
+    // FCFS order within a core: program order for ordered records, and
+    // irrelevant across blocks on the memory side (one entry per block
+    // system-wide). The seeded "crash-reverse-drain" mutation streams
+    // newest-first, so an exhausted battery sacrifices the *oldest*
+    // persists — the prefix violation the litmus harness must catch.
+    const bool reversed = litmusMutation("crash-reverse-drain");
+    for (CoreBuffer &buf : _bufs) {
+        Slab &slots = buf.slots;
+        for (std::uint32_t s = reversed ? slots.tail() : slots.head();
+             s != kNil; s = reversed ? slots.prev(s) : slots.next(s)) {
+            sink(slots[s].block, slots[s].data);
+            ++_stats.crash_drained;
+        }
+        slots.clear();
+        buf.drain_active = false;
+    }
+    _index.clear();
+}
+
+// ---------------------------------------------------------------------
 // MemSideBbpb
 // ---------------------------------------------------------------------
 
 MemSideBbpb::MemSideBbpb(const SystemConfig &cfg, EventQueue &eq,
                          MemCtrl &nvmm, StatRegistry &stats)
-    : _cfg(cfg), _eq(eq), _nvmm(nvmm),
-      _bufs(cfg.num_cores, CoreBuffer(cfg.bbpb.entries)),
-      _index(static_cast<std::size_t>(cfg.num_cores) * cfg.bbpb.entries),
-      _threshold(thresholdEntries(cfg.bbpb)), _drain_rng(cfg.seed ^ 0xd7a1)
+    : Bbpb(cfg, eq, nvmm, stats, "bbpb", true),
+      _drain_rng(cfg.seed ^ 0xd7a1)
 {
-    _stats.registerWith(stats.group("bbpb"));
-}
-
-MemSideBbpb::CoreBuffer &
-MemSideBbpb::buffer(CoreId c)
-{
-    BBB_ASSERT(c < _bufs.size(), "bbPB access with bad core id %u", c);
-    return _bufs[c];
-}
-
-const MemSideBbpb::CoreBuffer &
-MemSideBbpb::buffer(CoreId c) const
-{
-    BBB_ASSERT(c < _bufs.size(), "bbPB access with bad core id %u", c);
-    return _bufs[c];
-}
-
-std::uint32_t
-MemSideBbpb::allocSlot(CoreId c, CoreBuffer &buf, Addr block)
-{
-    std::uint32_t s = buf.slots.pushBack();
-    buf.slots[s].block = block;
-    _index.insert(block, {c, s});
-    return s;
-}
-
-void
-MemSideBbpb::removeSlot(CoreId, CoreBuffer &buf, std::uint32_t s)
-{
-    Slot &sl = buf.slots[s];
-    _index.erase(sl.block);
-    sl.block = kBadAddr;
-    buf.slots.remove(s);
 }
 
 bool
 MemSideBbpb::canAcceptPersist(CoreId c, Addr block)
 {
-    const OwnershipRef *ref = _index.find(blockAlign(block));
-    if (ref && ref->core == c)
-        return true; // coalesce
-    if (_low_power)
-        return false; // refuse-dirty: no new blocks while charge is low
-    return !buffer(c).slots.full();
+    return holds(c, block) || admitsNewEntry(c); // coalesce, or allocate
 }
 
 void
@@ -104,11 +271,9 @@ MemSideBbpb::persistStore(CoreId c, Addr addr, unsigned size,
 {
     (void)size;
     Addr block = blockAlign(addr);
-    CoreBuffer &buf = buffer(c);
-    _stats.occupancy.sample(buf.slots.size());
+    _stats.occupancy.sample(coreOccupancy(c));
 
-    OwnershipRef *ref = _index.find(block);
-    if (ref) {
+    if (const OwnershipRef *ref = _index.find(block)) {
         // The entry is already in the persistence domain; coalescing is
         // unrestricted for the memory-side organisation. A hit on another
         // core's entry is a caller bug: the hierarchy migrates ownership
@@ -116,35 +281,24 @@ MemSideBbpb::persistStore(CoreId c, Addr addr, unsigned size,
         BBB_ASSERT(ref->core == c,
                    "persistStore to block %#llx still held by core %u",
                    (unsigned long long)block, ref->core);
-        Slot &sl = buf.slots[ref->payload];
-        sl.data = line_data;
-        sl.write_seq = _next_seq++;
+        Entry &e = slab(c)[ref->slot];
+        e.data = line_data;
+        e.write_seq = _next_seq++;
         ++_stats.coalesces;
         return;
     }
-
-    BBB_ASSERT(!buf.slots.full(),
-               "persistStore on full bbPB (missing canAcceptPersist?)");
-    std::uint64_t seq = _next_seq++;
-    Slot &sl = buf.slots[allocSlot(c, buf, block)];
-    sl.data = line_data;
-    sl.seq = seq;
-    sl.write_seq = seq;
-    sl.alloc_tick = _eq.now();
-    ++_stats.allocations;
-    maybeStartDrain(c);
+    append(c, block, line_data);
 }
 
 void
 MemSideBbpb::onInvalidateForWrite(CoreId holder, Addr block)
 {
-    block = blockAlign(block);
-    const OwnershipRef *ref = _index.find(block);
+    const OwnershipRef *ref = _index.find(blockAlign(block));
     if (!ref || ref->core != holder)
         return;
     // Fig. 6(a)/(b): ownership migrates with the block; the writer's bbPB
     // takes over the obligation to drain, so no NVMM write happens here.
-    removeSlot(holder, buffer(holder), ref->payload);
+    remove(holder, ref->slot);
     ++_stats.migrations;
 }
 
@@ -163,127 +317,22 @@ MemSideBbpb::onForcedDrain(Addr block, const BlockData &data)
     // stall.
     if (!_nvmm.enqueueWrite(block, data))
         _nvmm.forceWrite(block, data);
-    CoreBuffer &buf = buffer(ref->core);
-    _stats.residency_ns.sample(static_cast<std::uint64_t>(
-        ticksToNs(_eq.now() - buf.slots[ref->payload].alloc_tick)));
-    removeSlot(ref->core, buf, ref->payload);
-    ++_stats.forced_drains;
-}
-
-bool
-MemSideBbpb::skipLlcWriteback(Addr) const
-{
-    // Any dirty persistent value either sits in a bbPB (forced drain just
-    // handled it) or was already drained; the LLC writeback is redundant.
-    return true;
-}
-
-bool
-MemSideBbpb::holds(CoreId c, Addr block) const
-{
-    BBB_ASSERT(c < _bufs.size(), "bbPB holds() with bad core id %u", c);
-    const OwnershipRef *ref = _index.find(blockAlign(block));
-    return ref && ref->core == c;
-}
-
-CoreId
-MemSideBbpb::holder(Addr block) const
-{
-    const OwnershipRef *ref = _index.find(blockAlign(block));
-    return ref ? ref->core : kNoCore;
-}
-
-void
-MemSideBbpb::forEachHeld(
-    const std::function<void(CoreId, Addr)> &fn) const
-{
-    for (CoreId c = 0; c < static_cast<CoreId>(_bufs.size()); ++c) {
-        // Walk the FCFS list: deterministic oldest-first order.
-        const Slab &slots = _bufs[c].slots;
-        for (std::uint32_t s = slots.head(); s != kNil; s = slots.next(s))
-            fn(c, slots[s].block);
-    }
-}
-
-std::size_t
-MemSideBbpb::occupancy() const
-{
-    // One index record per held block, system-wide (Invariant 4).
-    return _index.size();
-}
-
-std::size_t
-MemSideBbpb::coreOccupancy(CoreId c) const
-{
-    return buffer(c).slots.size();
-}
-
-void
-MemSideBbpb::maybeStartDrain(CoreId c)
-{
-    CoreBuffer &buf = _bufs[c];
-    if (buf.drain_active || buf.slots.size() < _threshold)
-        return;
-    buf.drain_active = true;
-    _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.drain_latency_cycles),
-                   [this, c]() { drainStep(c); },
-                   EventPriority::DrainComplete);
-}
-
-void
-MemSideBbpb::drainStep(CoreId c)
-{
-    CoreBuffer &buf = _bufs[c];
-    BBB_ASSERT(buf.drain_active, "drain step without active drain");
-
-    // Entries may have been removed (migration/forced drain) since the
-    // step was scheduled; stop when below threshold.
-    if (buf.slots.size() < _threshold) {
-        buf.drain_active = false;
-        return;
-    }
-
-    std::uint32_t s = drainVictim(buf);
-    const Slot &sl = buf.slots[s];
-
-    if (!_nvmm.enqueueWrite(sl.block, sl.data)) {
-        ++_stats.wpq_retries;
-        _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.retry_cycles),
-                       [this, c]() { drainStep(c); },
-                       EventPriority::DrainComplete);
-        return;
-    }
-
-    _stats.residency_ns.sample(static_cast<std::uint64_t>(
-        ticksToNs(_eq.now() - sl.alloc_tick)));
-    removeSlot(c, buf, s);
-    ++_stats.drains;
-
-    if (buf.slots.size() >= _threshold) {
-        // Drains pipeline toward the controller: sustained rate is the
-        // injection interval, not the end-to-end transfer latency.
-        _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.drain_issue_cycles),
-                       [this, c]() { drainStep(c); },
-                       EventPriority::DrainComplete);
-    } else {
-        buf.drain_active = false;
-    }
+    retire(ref->core, ref->slot, _stats.forced_drains);
 }
 
 std::uint32_t
-MemSideBbpb::drainVictim(const CoreBuffer &buf)
+MemSideBbpb::drainVictim(const Slab &slots)
 {
-    BBB_ASSERT(buf.slots.size() > 0, "drain victim from empty bbPB");
+    BBB_ASSERT(slots.size() > 0, "drain victim from empty bbPB");
     switch (_cfg.bbpb.drain_policy) {
       case DrainPolicy::Fcfs:
-        return buf.slots.head();
+        return slots.head();
       case DrainPolicy::Lrw: {
         std::uint32_t best = kNil;
         std::uint64_t oldest_write = ~0ull;
-        for (std::uint32_t s = buf.slots.head(); s != kNil;
-             s = buf.slots.next(s)) {
-            if (buf.slots[s].write_seq < oldest_write) {
-                oldest_write = buf.slots[s].write_seq;
+        for (std::uint32_t s = slots.head(); s != kNil; s = slots.next(s)) {
+            if (slots[s].write_seq < oldest_write) {
+                oldest_write = slots[s].write_seq;
                 best = s;
             }
         }
@@ -293,10 +342,10 @@ MemSideBbpb::drainVictim(const CoreBuffer &buf)
         // Victim index in deterministic FCFS order (the map-based
         // implementation sampled hash order, which was equally random
         // but an accident of the container).
-        std::uint64_t idx = _drain_rng.below(buf.slots.size());
-        std::uint32_t s = buf.slots.head();
+        std::uint64_t idx = _drain_rng.below(slots.size());
+        std::uint32_t s = slots.head();
         while (idx--)
-            s = buf.slots.next(s);
+            s = slots.next(s);
         return s;
       }
     }
@@ -316,55 +365,23 @@ MemSideBbpb::forceDrainOldest(std::uint64_t max_blocks)
     while (drained < max_blocks) {
         CoreId best_c = kNoCore;
         std::uint64_t best_seq = ~0ull;
-        for (CoreId c = 0; c < static_cast<CoreId>(_bufs.size()); ++c) {
-            const Slab &slots = _bufs[c].slots;
-            if (slots.head() == kNil)
-                continue;
-            const Slot &sl = slots[slots.head()];
-            if (sl.seq < best_seq) {
-                best_seq = sl.seq;
+        for (CoreId c = 0; c < _cfg.num_cores; ++c) {
+            const Slab &slots = slab(c);
+            if (slots.head() != kNil && slots[slots.head()].seq < best_seq) {
+                best_seq = slots[slots.head()].seq;
                 best_c = c;
             }
         }
         if (best_c == kNoCore)
             break; // all buffers empty
-        CoreBuffer &buf = _bufs[best_c];
-        std::uint32_t s = buf.slots.head();
-        const Slot &sl = buf.slots[s];
-        if (!_nvmm.enqueueWrite(sl.block, sl.data))
+        std::uint32_t s = slab(best_c).head();
+        const Entry &e = slab(best_c)[s];
+        if (!_nvmm.enqueueWrite(e.block, e.data))
             break; // WPQ full
-        _stats.residency_ns.sample(static_cast<std::uint64_t>(
-            ticksToNs(_eq.now() - sl.alloc_tick)));
-        removeSlot(best_c, buf, s);
-        ++_stats.proactive_drains;
+        retire(best_c, s, _stats.proactive_drains);
         ++drained;
     }
     return drained;
-}
-
-void
-MemSideBbpb::crashDrain(const PersistSink &sink)
-{
-    for (CoreBuffer &buf : _bufs) {
-        // FCFS order within a core (order is irrelevant across blocks
-        // since each block has exactly one entry system-wide). The
-        // seeded "crash-reverse-drain" mutation streams newest-first,
-        // so an exhausted battery sacrifices the *oldest* persists — the
-        // prefix violation the litmus harness must catch.
-        std::vector<std::uint32_t> order;
-        for (std::uint32_t s = buf.slots.head(); s != kNil;
-             s = buf.slots.next(s))
-            order.push_back(s);
-        if (litmusMutation("crash-reverse-drain"))
-            std::reverse(order.begin(), order.end());
-        for (std::uint32_t s : order) {
-            sink(buf.slots[s].block, buf.slots[s].data);
-            ++_stats.crash_drained;
-        }
-        buf.slots.clear();
-        buf.drain_active = false;
-    }
-    _index.clear();
 }
 
 // ---------------------------------------------------------------------
@@ -373,85 +390,14 @@ MemSideBbpb::crashDrain(const PersistSink &sink)
 
 ProcSideBbpb::ProcSideBbpb(const SystemConfig &cfg, EventQueue &eq,
                            MemCtrl &nvmm, StatRegistry &stats)
-    : _cfg(cfg), _eq(eq), _nvmm(nvmm), _bufs(cfg.num_cores),
-      _index(static_cast<std::size_t>(cfg.num_cores) * cfg.bbpb.entries),
-      _threshold(thresholdEntries(cfg.bbpb))
+    : Bbpb(cfg, eq, nvmm, stats, "bbpb_proc", false)
 {
-    for (CoreBuffer &buf : _bufs)
-        buf.ring.resize(_cfg.bbpb.entries);
-    _stats.registerWith(stats.group("bbpb_proc"));
-}
-
-ProcSideBbpb::Record &
-ProcSideBbpb::recordAt(CoreBuffer &buf, std::uint32_t i)
-{
-    std::uint32_t pos = buf.head + i;
-    if (pos >= buf.ring.size())
-        pos -= static_cast<std::uint32_t>(buf.ring.size());
-    return buf.ring[pos];
-}
-
-const ProcSideBbpb::Record &
-ProcSideBbpb::recordAt(const CoreBuffer &buf, std::uint32_t i) const
-{
-    std::uint32_t pos = buf.head + i;
-    if (pos >= buf.ring.size())
-        pos -= static_cast<std::uint32_t>(buf.ring.size());
-    return buf.ring[pos];
-}
-
-void
-ProcSideBbpb::indexAddRecord(CoreId c, Addr block)
-{
-    OwnershipRef *ref = _index.find(block);
-    if (ref) {
-        BBB_ASSERT(ref->core == c,
-                   "ordered record for block %#llx held by core %u",
-                   (unsigned long long)block, ref->core);
-        ++ref->payload; // another record for the same block
-    } else {
-        _index.insert(block, {c, 1});
-    }
-}
-
-void
-ProcSideBbpb::indexDropRecord(Addr block)
-{
-    OwnershipRef *ref = _index.find(block);
-    BBB_ASSERT(ref, "dropping unindexed record for block %#llx",
-               (unsigned long long)block);
-    if (--ref->payload == 0)
-        _index.erase(block);
-}
-
-void
-ProcSideBbpb::popFront(CoreBuffer &buf)
-{
-    BBB_ASSERT(buf.count > 0, "pop from empty record ring");
-    indexDropRecord(buf.ring[buf.head].block);
-    buf.ring[buf.head].block = kBadAddr;
-    ++buf.head;
-    if (buf.head >= buf.ring.size())
-        buf.head = 0;
-    --buf.count;
 }
 
 bool
-ProcSideBbpb::canAcceptPersist(CoreId c, Addr block)
+ProcSideBbpb::canAcceptPersist(CoreId c, Addr)
 {
-    BBB_ASSERT(c < _bufs.size(), "bbPB access with bad core id %u", c);
-    CoreBuffer &buf = _bufs[c];
-    block = blockAlign(block);
-    // The only coalescing opportunity (when enabled): a pair of
-    // consecutive stores to one block.
-    if (_cfg.bbpb.proc_pairwise_coalescing && buf.count > 0 &&
-        recordAt(buf, buf.count - 1).block == block &&
-        !recordAt(buf, buf.count - 1).coalesced_once) {
-        return true;
-    }
-    if (_low_power)
-        return false; // refuse-dirty: no new records while charge is low
-    return buf.count < _cfg.bbpb.entries;
+    return admitsNewEntry(c); // records never coalesce
 }
 
 void
@@ -459,59 +405,37 @@ ProcSideBbpb::persistStore(CoreId c, Addr addr, unsigned size,
                            const BlockData &line_data)
 {
     (void)size;
-    Addr block = blockAlign(addr);
-    BBB_ASSERT(c < _bufs.size(), "bbPB access with bad core id %u", c);
-    CoreBuffer &buf = _bufs[c];
-    _stats.occupancy.sample(buf.count);
+    _stats.occupancy.sample(coreOccupancy(c));
+    append(c, blockAlign(addr), line_data);
+}
 
-    if (_cfg.bbpb.proc_pairwise_coalescing && buf.count > 0) {
-        Record &back = recordAt(buf, buf.count - 1);
-        if (back.block == block && !back.coalesced_once) {
-            back.data = line_data;
-            back.coalesced_once = true;
-            ++_stats.coalesces;
-            return;
-        }
-    }
-
-    BBB_ASSERT(buf.count < _cfg.bbpb.entries,
-               "persistStore on full processor-side bbPB");
-    Record &rec = recordAt(buf, buf.count);
-    rec.block = block;
-    rec.data = line_data;
-    rec.coalesced_once = false;
-    ++buf.count;
-    indexAddRecord(c, block);
-    ++_stats.allocations;
-    maybeStartDrain(c);
+std::uint32_t
+ProcSideBbpb::drainVictim(const Slab &slots)
+{
+    return slots.head();
 }
 
 void
 ProcSideBbpb::drainPrefixFor(CoreId c, Addr block)
 {
-    BBB_ASSERT(c < _bufs.size(), "bbPB access with bad core id %u", c);
-    CoreBuffer &buf = _bufs[c];
-    // Find the last record for the block; everything at or before it must
-    // drain first to preserve persist order.
-    std::uint32_t last = buf.count;
-    for (std::uint32_t i = buf.count; i-- > 0;) {
-        if (recordAt(buf, i).block == block) {
-            last = i;
-            break;
-        }
-    }
-    if (last == buf.count)
-        return; // block not buffered
-
-    for (std::uint32_t i = 0; i <= last; ++i) {
-        const Record &r = buf.ring[buf.head];
+    // The index names the block's newest record; everything at or
+    // before it must drain first to preserve persist order.
+    const OwnershipRef *ref = _index.find(block);
+    if (!ref || ref->core != c)
+        return; // block not buffered here
+    const std::uint32_t last = ref->slot;
+    const Slab &slots = slab(c);
+    for (;;) {
+        std::uint32_t s = slots.head();
+        const Entry &e = slots[s];
         // Ordering forbids deferring (younger records would overtake),
         // so a full WPQ escalates to a bypass write rather than dropping
         // or reordering the record.
-        if (!_nvmm.enqueueWrite(r.block, r.data))
-            _nvmm.forceWrite(r.block, r.data);
-        ++_stats.forced_drains;
-        popFront(buf);
+        if (!_nvmm.enqueueWrite(e.block, e.data))
+            _nvmm.forceWrite(e.block, e.data);
+        retire(c, s, _stats.forced_drains);
+        if (s == last)
+            return;
     }
 }
 
@@ -524,162 +448,37 @@ ProcSideBbpb::onInvalidateForWrite(CoreId holder, Addr block)
 }
 
 void
-ProcSideBbpb::onForcedDrain(Addr block, const BlockData &data)
+ProcSideBbpb::onForcedDrain(Addr block, const BlockData &)
 {
-    (void)data;
     block = blockAlign(block);
-    const OwnershipRef *ref = _index.find(block);
-    if (ref)
+    if (const OwnershipRef *ref = _index.find(block))
         drainPrefixFor(ref->core, block);
-}
-
-bool
-ProcSideBbpb::skipLlcWriteback(Addr) const
-{
-    // Every persisting store's value reaches NVMM through its record, so
-    // the LLC writeback is still redundant.
-    return true;
-}
-
-bool
-ProcSideBbpb::holds(CoreId c, Addr block) const
-{
-    BBB_ASSERT(c < _bufs.size(), "bbPB holds() with bad core id %u", c);
-    const OwnershipRef *ref = _index.find(blockAlign(block));
-    return ref && ref->core == c;
-}
-
-CoreId
-ProcSideBbpb::holder(Addr block) const
-{
-    const OwnershipRef *ref = _index.find(blockAlign(block));
-    return ref ? ref->core : kNoCore;
-}
-
-void
-ProcSideBbpb::forEachHeld(
-    const std::function<void(CoreId, Addr)> &fn) const
-{
-    for (CoreId c = 0; c < static_cast<CoreId>(_bufs.size()); ++c) {
-        const CoreBuffer &buf = _bufs[c];
-        // Records keep program order; report each block once (a block
-        // may span several store records). The quadratic first-occurrence
-        // scan is bounded by the fixed ring size and only runs on the
-        // cold invariant-check path.
-        for (std::uint32_t i = 0; i < buf.count; ++i) {
-            Addr block = recordAt(buf, i).block;
-            bool first = true;
-            for (std::uint32_t j = 0; j < i && first; ++j)
-                first = recordAt(buf, j).block != block;
-            if (first)
-                fn(c, block);
-        }
-    }
-}
-
-std::size_t
-ProcSideBbpb::occupancy() const
-{
-    std::size_t n = 0;
-    for (const CoreBuffer &buf : _bufs)
-        n += buf.count;
-    return n;
-}
-
-std::size_t
-ProcSideBbpb::coreOccupancy(CoreId c) const
-{
-    BBB_ASSERT(c < _bufs.size(), "bbPB access with bad core id %u", c);
-    return _bufs[c].count;
-}
-
-void
-ProcSideBbpb::maybeStartDrain(CoreId c)
-{
-    CoreBuffer &buf = _bufs[c];
-    if (buf.drain_active || buf.count < _threshold)
-        return;
-    buf.drain_active = true;
-    _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.drain_latency_cycles),
-                   [this, c]() { drainStep(c); },
-                   EventPriority::DrainComplete);
-}
-
-void
-ProcSideBbpb::drainStep(CoreId c)
-{
-    CoreBuffer &buf = _bufs[c];
-    if (buf.count < _threshold) {
-        buf.drain_active = false;
-        return;
-    }
-
-    const Record &r = buf.ring[buf.head];
-    if (!_nvmm.enqueueWrite(r.block, r.data)) {
-        ++_stats.wpq_retries;
-        _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.retry_cycles),
-                       [this, c]() { drainStep(c); },
-                       EventPriority::DrainComplete);
-        return;
-    }
-    popFront(buf);
-    ++_stats.drains;
-
-    if (buf.count >= _threshold) {
-        _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.drain_issue_cycles),
-                       [this, c]() { drainStep(c); },
-                       EventPriority::DrainComplete);
-    } else {
-        buf.drain_active = false;
-    }
 }
 
 std::uint64_t
 ProcSideBbpb::forceDrainOldest(std::uint64_t max_blocks)
 {
-    // Ordered records only ever leave from the front, so the proactive
-    // drain round-robins the per-core fronts: per-core persist order is
+    // Ordered records only ever leave from the head, so the proactive
+    // drain round-robins the per-core heads: per-core persist order is
     // preserved exactly, and cores shed their oldest records fairly.
     std::uint64_t drained = 0;
     bool progress = true;
     while (drained < max_blocks && progress) {
         progress = false;
-        for (CoreId c = 0;
-             c < static_cast<CoreId>(_bufs.size()) && drained < max_blocks;
+        for (CoreId c = 0; c < _cfg.num_cores && drained < max_blocks;
              ++c) {
-            CoreBuffer &buf = _bufs[c];
-            if (buf.count == 0)
+            const Slab &slots = slab(c);
+            std::uint32_t s = slots.head();
+            if (s == kNil)
                 continue;
-            const Record &r = buf.ring[buf.head];
-            if (!_nvmm.enqueueWrite(r.block, r.data))
+            if (!_nvmm.enqueueWrite(slots[s].block, slots[s].data))
                 return drained; // WPQ full
-            popFront(buf);
-            ++_stats.proactive_drains;
+            retire(c, s, _stats.proactive_drains);
             ++drained;
             progress = true;
         }
     }
     return drained;
-}
-
-void
-ProcSideBbpb::crashDrain(const PersistSink &sink)
-{
-    for (CoreBuffer &buf : _bufs) {
-        // Ordered store records stream oldest-first; see the mem-side
-        // comment for the seeded "crash-reverse-drain" mutation.
-        const bool reversed = litmusMutation("crash-reverse-drain");
-        for (std::uint32_t i = 0; i < buf.count; ++i) {
-            std::uint32_t at = reversed ? buf.count - 1 - i : i;
-            const Record &r = recordAt(buf, at);
-            sink(r.block, r.data);
-            ++_stats.crash_drained;
-        }
-        buf.head = 0;
-        buf.count = 0;
-        buf.drain_active = false;
-    }
-    _index.clear();
 }
 
 } // namespace bbb

@@ -2,7 +2,12 @@
  * @file
  * Battery-backed persist buffers (bbPB) — the paper's core contribution.
  *
- * Two organisations from Section III-B:
+ * One persist-buffer engine, two organisations from Section III-B. The
+ * Bbpb base owns what they share: per-core slabs of cfg.bbpb.entries
+ * slots kept in allocation order (sim/slot_fifo.hh), one system-wide
+ * OwnershipIndex (block -> (core, slot)), the event-driven drain engine
+ * that feeds the NVMM controller's WPQ under the occupancy-threshold
+ * policy of Section III-F, the crash drain, and low-power admission.
  *
  *  - MemSideBbpb: the design the paper chooses. Each entry is one cache
  *    block already inside the persistence domain, so stores coalesce
@@ -11,21 +16,14 @@
  *    moves ownership between bbPBs without draining.
  *
  *  - ProcSideBbpb: the comparison design. Entries are ordered store
- *    records; coalescing is only permitted between consecutive records to
- *    the same block; records drain strictly in order and every record
- *    produces an NVMM write (Section V-C reports ~2.8x the writes of
- *    eADR).
- *
- * Both implement the PersistencyBackend hooks the cache hierarchy calls,
- * and both run an event-driven drain engine against the NVMM controller's
- * WPQ with the occupancy-threshold policy of Section III-F.
+ *    records that never coalesce; records drain strictly in order from
+ *    the head and every record produces an NVMM write (Section V-C
+ *    reports ~2.8x the writes of eADR).
  *
  * Storage is allocation-free after construction, mirroring the paper's
- * "tiny fixed SRAM" framing: the memory-side buffers are per-core slabs
- * of cfg.bbpb.entries slots in FCFS order (sim/slot_fifo.hh), the
- * processor-side buffers are fixed rings, and
- * both resolve ownership through one system-wide OwnershipIndex
- * (block -> (core, slot)), so holds()/holder()/migration are O(1).
+ * "tiny fixed SRAM" framing. The index maps a block to the slot of its
+ * newest entry — the only one on the memory side — so
+ * holds()/holder()/migration are O(1).
  */
 
 #ifndef BBB_CORE_BBPB_HH
@@ -59,27 +57,25 @@ struct BbpbStats
     StatCounter proactive_drains; ///< entries drained on low battery
     StatHistogram occupancy{33, 1};
     /** Entry lifetime from allocation to drain, in nanoseconds: how long
-     *  a value enjoys coalescing before it costs an NVMM write. */
+     *  a value enjoys coalescing before it costs an NVMM write. Sampled
+     *  by the memory side only. */
     StatHistogram residency_ns{32, 250};
 
     void registerWith(StatGroup &g);
 };
 
 /**
- * Memory-side battery-backed persist buffers, one buffer per core.
+ * The persist-buffer engine both organisations run on (see file
+ * comment). Subclasses supply admission, the drain victim, the
+ * coherence hooks and the low-battery drain order.
  */
-class MemSideBbpb : public PersistencyBackend
+class Bbpb : public PersistencyBackend
 {
   public:
-    MemSideBbpb(const SystemConfig &cfg, EventQueue &eq, MemCtrl &nvmm,
-                StatRegistry &stats);
+    /** Scheduled drain steps hold `this`. */
+    Bbpb(const Bbpb &) = delete;
+    Bbpb &operator=(const Bbpb &) = delete;
 
-    // PersistencyBackend interface
-    bool canAcceptPersist(CoreId c, Addr block) override;
-    void persistStore(CoreId c, Addr addr, unsigned size,
-                      const BlockData &line_data) override;
-    void onInvalidateForWrite(CoreId holder, Addr block) override;
-    void onForcedDrain(Addr block, const BlockData &data) override;
     bool skipLlcWriteback(Addr block) const override;
     bool holds(CoreId c, Addr block) const override;
     CoreId holder(Addr block) const override;
@@ -87,7 +83,6 @@ class MemSideBbpb : public PersistencyBackend
         const std::function<void(CoreId, Addr)> &fn) const override;
     std::size_t occupancy() const override;
     void crashDrain(const PersistSink &sink) override;
-    std::uint64_t forceDrainOldest(std::uint64_t max_blocks) override;
     void setLowPower(bool on) override { _low_power = on; }
 
     /** Occupancy of one core's buffer. */
@@ -98,12 +93,13 @@ class MemSideBbpb : public PersistencyBackend
 
     const BbpbStats &stats() const { return _stats; }
 
-  private:
+  protected:
     /**
-     * One slab slot. Live slots sit on the per-core FCFS list (oldest
-     * allocation at the head — seq order, since coalescing never relinks).
+     * One slab slot. Live slots sit on the per-core list in allocation
+     * order (oldest at the head — seq order, since coalescing never
+     * relinks).
      */
-    struct Slot
+    struct Entry
     {
         BlockData data;
         Addr block = kBadAddr;
@@ -112,52 +108,92 @@ class MemSideBbpb : public PersistencyBackend
         Tick alloc_tick = 0;         ///< allocation time, residency stats
     };
 
-    using Slab = SlotFifo<Slot>;
+    using Slab = SlotFifo<Entry>;
     static constexpr std::uint32_t kNil = Slab::kNil;
 
+    /** Registers the stats under @p group; @p sample_residency turns on
+     *  the residency_ns histogram. */
+    Bbpb(const SystemConfig &cfg, EventQueue &eq, MemCtrl &nvmm,
+         StatRegistry &stats, const char *group, bool sample_residency);
+
+    Slab &slab(CoreId c);
+    const Slab &slab(CoreId c) const;
+
+    /** May core @p c allocate a new entry? Refuse-dirty: not while
+     *  charge is low, and only into a free slot. */
+    bool admitsNewEntry(CoreId c) const;
+
+    /** Append an entry for @p block holding @p data at core @p c's tail,
+     *  index it as the block's newest entry, and start the drain engine
+     *  if the buffer reached the threshold. */
+    void append(CoreId c, Addr block, const BlockData &data);
+
+    /** Entry @p s of core @p c reached the WPQ: count it in @p counter,
+     *  sample its residency, and free it. */
+    void retire(CoreId c, std::uint32_t s, StatCounter &counter);
+
+    /** Unlink and free slot @p s of core @p c; the block leaves the
+     *  index with its newest entry. */
+    void remove(CoreId c, std::uint32_t s);
+
+    /** The slot the drain engine writes back next from @p slots. */
+    virtual std::uint32_t drainVictim(const Slab &slots) = 0;
+
+    const SystemConfig _cfg;
+    EventQueue &_eq;
+    MemCtrl &_nvmm;
+    OwnershipIndex _index;
+    std::uint64_t _next_seq = 0;
+    BbpbStats _stats;
+
+  private:
     struct CoreBuffer
     {
         explicit CoreBuffer(std::size_t entries) : slots(entries) {}
 
-        Slab slots; ///< fixed at cfg.bbpb.entries, FCFS order
+        Slab slots; ///< fixed at cfg.bbpb.entries, allocation order
         bool drain_active = false;
     };
-
-    CoreBuffer &buffer(CoreId c);
-    const CoreBuffer &buffer(CoreId c) const;
-
-    /** Allocate a free slot for @p block and append it to the FCFS tail. */
-    std::uint32_t allocSlot(CoreId c, CoreBuffer &buf, Addr block);
-
-    /** Unlink slot @p s from core @p c's FCFS list, free it, and drop the
-     *  block from the ownership index. */
-    void removeSlot(CoreId c, CoreBuffer &buf, std::uint32_t s);
-
-    /** Pick the slot the drain policy evicts next from @p buf. */
-    std::uint32_t drainVictim(const CoreBuffer &buf);
 
     /** Start the drain engine for core @p c if policy demands it. */
     void maybeStartDrain(CoreId c);
 
-    /** One drain step: move the FCFS-oldest entry toward the WPQ. */
+    /** One drain step: move the victim entry toward the WPQ. */
     void drainStep(CoreId c);
 
-    SystemConfig _cfg;
-    EventQueue &_eq;
-    MemCtrl &_nvmm;
     std::vector<CoreBuffer> _bufs;
-    OwnershipIndex _index;
-    std::uint64_t _next_seq = 0;
-    unsigned _threshold;
-    Rng _drain_rng;
+    const unsigned _threshold;
+    const bool _sample_residency;
     bool _low_power = false;
-    BbpbStats _stats;
+};
+
+/**
+ * Memory-side battery-backed persist buffers, one buffer per core.
+ */
+class MemSideBbpb : public Bbpb
+{
+  public:
+    MemSideBbpb(const SystemConfig &cfg, EventQueue &eq, MemCtrl &nvmm,
+                StatRegistry &stats);
+
+    bool canAcceptPersist(CoreId c, Addr block) override;
+    void persistStore(CoreId c, Addr addr, unsigned size,
+                      const BlockData &line_data) override;
+    void onInvalidateForWrite(CoreId holder, Addr block) override;
+    void onForcedDrain(Addr block, const BlockData &data) override;
+    std::uint64_t forceDrainOldest(std::uint64_t max_blocks) override;
+
+  private:
+    /** The slot cfg.bbpb.drain_policy evicts next. */
+    std::uint32_t drainVictim(const Slab &slots) override;
+
+    Rng _drain_rng;
 };
 
 /**
  * Processor-side persist buffers: ordered store records per core.
  */
-class ProcSideBbpb : public PersistencyBackend
+class ProcSideBbpb : public Bbpb
 {
   public:
     ProcSideBbpb(const SystemConfig &cfg, EventQueue &eq, MemCtrl &nvmm,
@@ -168,70 +204,15 @@ class ProcSideBbpb : public PersistencyBackend
                       const BlockData &line_data) override;
     void onInvalidateForWrite(CoreId holder, Addr block) override;
     void onForcedDrain(Addr block, const BlockData &data) override;
-    bool skipLlcWriteback(Addr block) const override;
-    bool holds(CoreId c, Addr block) const override;
-    CoreId holder(Addr block) const override;
-    void forEachHeld(
-        const std::function<void(CoreId, Addr)> &fn) const override;
-    std::size_t occupancy() const override;
-    void crashDrain(const PersistSink &sink) override;
     std::uint64_t forceDrainOldest(std::uint64_t max_blocks) override;
-    void setLowPower(bool on) override { _low_power = on; }
-
-    std::size_t coreOccupancy(CoreId c) const;
-
-    const BbpbStats &stats() const { return _stats; }
 
   private:
-    struct Record
-    {
-        Addr block = kBadAddr;
-        BlockData data;
-        /**
-         * Ordered records permit only the paper's special case: "two
-         * stores [that] are subsequent and involve the same block" may
-         * share an entry, so each record absorbs at most one extra store.
-         */
-        bool coalesced_once = false;
-    };
+    /** Records drain in program order: always the head. */
+    std::uint32_t drainVictim(const Slab &slots) override;
 
-    /** Fixed ring of ordered records; front (head) is the oldest. */
-    struct CoreBuffer
-    {
-        std::vector<Record> ring; ///< fixed at cfg.bbpb.entries
-        std::uint32_t head = 0;
-        std::uint32_t count = 0;
-        bool drain_active = false;
-    };
-
-    Record &recordAt(CoreBuffer &buf, std::uint32_t i);
-    const Record &recordAt(const CoreBuffer &buf, std::uint32_t i) const;
-
-    /** Count one more record for @p block in @p c's ring (index refcount
-     *  — a block may span several ordered records of one core). */
-    void indexAddRecord(CoreId c, Addr block);
-
-    /** Drop one record's worth of refcount for @p block. */
-    void indexDropRecord(Addr block);
-
-    /** Pop the front record, releasing its index refcount. */
-    void popFront(CoreBuffer &buf);
-
-    void maybeStartDrain(CoreId c);
-    void drainStep(CoreId c);
-
-    /** Synchronously drain records from the front up to and including the
-     *  last record for @p block (ordering must be preserved). */
+    /** Synchronously drain records from the head up to and including
+     *  the last record for @p block (ordering must be preserved). */
     void drainPrefixFor(CoreId c, Addr block);
-
-    SystemConfig _cfg;
-    EventQueue &_eq;
-    MemCtrl &_nvmm;
-    std::vector<CoreBuffer> _bufs;
-    OwnershipIndex _index;
-    unsigned _threshold;
-    bool _low_power = false;
-    BbpbStats _stats;
 };
 
 } // namespace bbb

@@ -6,9 +6,10 @@
  * time, so ownership questions ("who holds this block?", "which slot is
  * it in?") have a single global answer. This index is that answer as a
  * data structure: one fixed-capacity block table (sim/block_table.hh)
- * over every core's buffer, mapping a block address to its (core,
- * payload) pair, where the payload is the holder's slot index
- * (memory-side slabs) or a record refcount (processor-side rings).
+ * over every core's buffer, mapping a block address to its (core, slot)
+ * pair, where the slot holds the block's newest entry in the holder's
+ * slab: its only entry on the memory side, its newest ordered record on
+ * the processor side.
  */
 
 #ifndef BBB_CORE_OWNERSHIP_INDEX_HH
@@ -22,15 +23,15 @@
 namespace bbb
 {
 
-/** One ownership record: which core holds the block, plus a payload the
- *  owner interprets (slot index or record refcount). */
+/** One ownership record: which core holds the block, and the slot of
+ *  its newest entry there. */
 struct OwnershipRef
 {
     CoreId core;
-    std::uint32_t payload;
+    std::uint32_t slot;
 };
 
-/** Block -> (core, payload) map with fixed capacity (see file comment).
+/** Block -> (core, slot) map with fixed capacity (see file comment).
  *  An insert requires the block to be absent: Invariant 4, at most one
  *  holder system-wide. */
 using OwnershipIndex = BlockTable<OwnershipRef>;

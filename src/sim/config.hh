@@ -175,14 +175,6 @@ struct BbpbConfig
     unsigned drain_issue_cycles = 4;
     /** Retry interval when a persisting store finds the bbPB full. */
     unsigned retry_cycles = 8;
-    /**
-     * Processor-side organisation only: permit the paper's "special
-     * case" of coalescing two subsequent stores to the same block. Off by
-     * default — the paper's processor-side results ("almost every
-     * persisting store must ... drain to the NVMM") reflect
-     * store-granularity records.
-     */
-    bool proc_pairwise_coalescing = false;
 
     bool operator==(const BbpbConfig &) const = default;
 };

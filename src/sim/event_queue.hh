@@ -11,9 +11,8 @@
  * holds the event's move-only SmallFn callback, with freed slots recycled
  * through a free list. Sifts therefore move keys, never callbacks, and
  * scheduling never heap-allocates for the capture sizes the simulator
- * uses once reserve() has sized the storage. Cancellation is lazy: a
- * cancelled key is marked and skipped, and cancelled keys are compacted
- * away once they outnumber half the heap.
+ * uses once reserve() has sized the storage. Events cannot be cancelled:
+ * every scheduled event fires.
  *
  * tryFireInline() is the kernel's fast path: a caller inside run() whose
  * next event would provably be popped next anyway fires it in place and
@@ -23,7 +22,6 @@
 #ifndef BBB_SIM_EVENT_QUEUE_HH
 #define BBB_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -50,10 +48,10 @@ enum class EventPriority : int
     Stats = 5,
 };
 
-/** Handle used to cancel a scheduled event. */
+/** Scheduling sequence number: breaks (tick, priority) ties FIFO. */
 using EventId = std::uint64_t;
 
-/** Discrete-event queue with cancellation and deterministic ordering. */
+/** Discrete-event queue with deterministic ordering. */
 class EventQueue
 {
   public:
@@ -66,10 +64,7 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return _now; }
 
-    /**
-     * Schedule @p cb at absolute tick @p when.
-     * @return an id usable with deschedule().
-     */
+    /** Schedule @p cb at absolute tick @p when; returns its id. */
     EventId
     schedule(Tick when, Callback cb,
              EventPriority prio = EventPriority::Default)
@@ -117,36 +112,8 @@ class EventQueue
         return true;
     }
 
-    /**
-     * Cancel a previously scheduled event. Safe if already fired.
-     *
-     * Cancellation is lazy: the key stays heap-ordered (its callback and
-     * slot are released immediately) and is skipped when popped. Once
-     * cancelled keys outnumber half the heap they are compacted away, so
-     * a deschedule-heavy caller cannot grow the heap without bound. The
-     * linear id scan is fine: the simulator core never deschedules on the
-     * hot path.
-     */
-    void
-    deschedule(EventId id)
-    {
-        for (Key &k : _heap) {
-            if (k.id != id)
-                continue;
-            if (k.slot != kCancelled) {
-                _slots[k.slot].reset();
-                _free.push_back(k.slot);
-                k.slot = kCancelled;
-                ++_cancelled;
-                if (_cancelled * 2 > _heap.size())
-                    purgeCancelled();
-            }
-            return;
-        }
-    }
-
-    /** Number of events still scheduled, excluding descheduled ones. */
-    std::size_t pending() const { return _heap.size() - _cancelled; }
+    /** Number of events still scheduled. */
+    std::size_t pending() const { return _heap.size(); }
 
     /** True if no runnable events remain. */
     bool empty() const { return pending() == 0; }
@@ -174,13 +141,13 @@ class EventQueue
     bool
     step()
     {
+        if (_heap.empty())
+            return false;
         const bool outerInRun = _inRun;
         _inRun = false;
-        bool fired = false;
-        while (!fired && !_heap.empty())
-            fired = fireTop();
+        fireTop();
         _inRun = outerInRun;
-        return fired;
+        return true;
     }
 
     /** Total events executed so far, in place or popped. */
@@ -210,12 +177,10 @@ class EventQueue
         Tick when;
         EventId id;
         std::uint32_t prio;
-        std::uint32_t slot; ///< index into _slots, or kCancelled
+        std::uint32_t slot; ///< index into _slots
     };
 
     static_assert(std::is_trivially_copyable_v<Key> && sizeof(Key) == 24);
-
-    static constexpr std::uint32_t kCancelled = ~std::uint32_t{0};
 
     /** True if @p a fires before @p b (min-heap order). */
     static bool
@@ -243,25 +208,20 @@ class EventQueue
     }
 
     /**
-     * Pop the top key and run its event; false if it was cancelled. The
-     * callback leaves its slot before it runs, so events it schedules may
-     * reuse the slot (or grow the slot vector) safely.
+     * Pop the top key and run its event. The callback leaves its slot
+     * before it runs, so events it schedules may reuse the slot (or grow
+     * the slot vector) safely.
      */
-    bool
+    void
     fireTop()
     {
         Key k = popTop();
-        if (k.slot == kCancelled) {
-            --_cancelled;
-            return false;
-        }
         Callback cb = std::move(_slots[k.slot]);
         _free.push_back(k.slot);
         BBB_ASSERT(k.when >= _now, "event queue went backwards");
         _now = k.when;
         ++_executed;
         cb();
-        return true;
     }
 
     void
@@ -308,21 +268,6 @@ class EventQueue
         return top;
     }
 
-    /** Drop every cancelled key and restore the heap invariant. Ids are
-     *  kept, so FIFO same-(tick, priority) ordering is unaffected. */
-    void
-    purgeCancelled()
-    {
-        _heap.erase(std::remove_if(_heap.begin(), _heap.end(),
-                                   [](const Key &k) {
-                                       return k.slot == kCancelled;
-                                   }),
-                    _heap.end());
-        _cancelled = 0;
-        for (std::size_t i = _heap.size() / 2; i-- > 0;)
-            siftDown(i);
-    }
-
     std::vector<Key> _heap;
     /** Callbacks of queued events, indexed by Key::slot. */
     std::vector<Callback> _slots;
@@ -330,7 +275,6 @@ class EventQueue
     std::vector<std::uint32_t> _free;
     Tick _now = 0;
     EventId _nextId = 0;
-    std::size_t _cancelled = 0;
     std::uint64_t _executed = 0;
     std::uint64_t _inlined = 0;
     /** Set while run() drives the queue: in-place firing is allowed up

@@ -1,8 +1,8 @@
 /**
  * @file
  * Fixed-capacity slot pool threaded by an intrusive insertion-order list,
- * shared by the memory-side bbPB slabs (core/bbpb.hh) and the memory
- * controller's write-pending queue (mem/mem_ctrl.hh).
+ * shared by the bbPB slabs (core/bbpb.hh) and the memory controller's
+ * write-pending queue (mem/mem_ctrl.hh).
  *
  * Both hold a bounded set of blocks that leave in any order (drain
  * policies, out-of-order retirements) but must also be walked oldest
@@ -42,8 +42,14 @@ class SlotFifo
     /** Oldest live slot, or kNil when empty. */
     std::uint32_t head() const { return _head; }
 
+    /** Newest live slot, or kNil when empty. */
+    std::uint32_t tail() const { return _tail; }
+
     /** Live slot inserted after @p slot, or kNil. */
     std::uint32_t next(std::uint32_t slot) const { return _nodes[slot].next; }
+
+    /** Live slot inserted before @p slot, or kNil. */
+    std::uint32_t prev(std::uint32_t slot) const { return _nodes[slot].prev; }
 
     Item &operator[](std::uint32_t slot) { return _nodes[slot].item; }
     const Item &

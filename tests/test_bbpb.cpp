@@ -30,19 +30,21 @@ struct Rig
     StatRegistry stats;
     MemCtrl nvmm;
 
-    explicit Rig(unsigned entries = 8, double threshold = 0.75)
-        : cfg(makeCfg(entries, threshold)),
+    explicit Rig(unsigned entries = 8, double threshold = 0.75,
+                 unsigned wpq_entries = SystemConfig{}.nvmm.wpq_entries)
+        : cfg(makeCfg(entries, threshold, wpq_entries)),
           nvmm("nvmm", cfg.nvmm, eq, media, stats)
     {
     }
 
     static SystemConfig
-    makeCfg(unsigned entries, double threshold)
+    makeCfg(unsigned entries, double threshold, unsigned wpq_entries)
     {
         SystemConfig cfg;
         cfg.num_cores = 2;
         cfg.bbpb.entries = entries;
         cfg.bbpb.drain_threshold = threshold;
+        cfg.nvmm.wpq_entries = wpq_entries;
         return cfg;
     }
 };
@@ -61,6 +63,16 @@ Addr
 blk(unsigned i)
 {
     return kBase + i * kBlockSize;
+}
+
+/** Blocks pending in the rig's WPQ, oldest first (empties the queue). */
+std::vector<Addr>
+wpqBlocks(Rig &rig)
+{
+    std::vector<Addr> out;
+    for (const auto &[block, data] : rig.nvmm.takeWpqForCrash())
+        out.push_back(block);
+    return out;
 }
 
 } // namespace
@@ -201,6 +213,46 @@ TEST(MemSideBbpb, SingleEntryBufferDrainsImmediately)
     EXPECT_EQ(rig.nvmm.mediaWrites(), 1u);
 }
 
+TEST(MemSideBbpb, ForceDrainOldestTakesGlobalAllocationOrder)
+{
+    Rig rig(4, 1.0);
+    MemSideBbpb bbpb(rig.cfg, rig.eq, rig.nvmm, rig.stats);
+    bbpb.persistStore(1, blk(0), 8, pattern(1)); // globally oldest
+    bbpb.persistStore(0, blk(1), 8, pattern(2));
+    bbpb.persistStore(1, blk(2), 8, pattern(3));
+    bbpb.persistStore(0, blk(3), 8, pattern(4));
+    bbpb.persistStore(1, blk(0), 8, pattern(5)); // coalesce: age kept
+    EXPECT_EQ(bbpb.forceDrainOldest(3), 3u);
+    EXPECT_EQ(wpqBlocks(rig), (std::vector<Addr>{blk(0), blk(1), blk(2)}));
+    EXPECT_TRUE(bbpb.holds(0, blk(3)));
+    EXPECT_EQ(bbpb.occupancy(), 1u);
+    EXPECT_EQ(bbpb.stats().proactive_drains.value(), 3u);
+}
+
+TEST(MemSideBbpb, ForceDrainOldestStopsAtFullWpq)
+{
+    Rig rig(4, 1.0, 2);
+    MemSideBbpb bbpb(rig.cfg, rig.eq, rig.nvmm, rig.stats);
+    for (unsigned i = 0; i < 4; ++i)
+        bbpb.persistStore(i % 2, blk(i), 8, pattern(1));
+    EXPECT_EQ(bbpb.forceDrainOldest(4), 2u);
+    EXPECT_EQ(bbpb.occupancy(), 2u);
+    EXPECT_EQ(wpqBlocks(rig), (std::vector<Addr>{blk(0), blk(1)}));
+}
+
+TEST(MemSideBbpb, LowPowerStillCoalescesButRefusesNewBlocks)
+{
+    Rig rig(4, 1.0);
+    MemSideBbpb bbpb(rig.cfg, rig.eq, rig.nvmm, rig.stats);
+    bbpb.persistStore(0, blk(0), 8, pattern(1));
+    bbpb.setLowPower(true);
+    EXPECT_TRUE(bbpb.canAcceptPersist(0, blk(0)));  // coalesces
+    EXPECT_FALSE(bbpb.canAcceptPersist(0, blk(1))); // new dirty block
+    EXPECT_FALSE(bbpb.canAcceptPersist(1, blk(0))); // not core 1's entry
+    bbpb.setLowPower(false);
+    EXPECT_TRUE(bbpb.canAcceptPersist(0, blk(1)));
+}
+
 // ---------------------------------------------------------------------
 // Processor-side organisation
 // ---------------------------------------------------------------------
@@ -213,18 +265,6 @@ TEST(ProcSideBbpb, NoCoalescingByDefault)
     bbpb.persistStore(0, blk(0) + 8, 8, pattern(2)); // same block, again
     EXPECT_EQ(bbpb.coreOccupancy(0), 2u); // two ordered records
     EXPECT_EQ(bbpb.stats().coalesces.value(), 0u);
-}
-
-TEST(ProcSideBbpb, PairwiseCoalescingWhenEnabled)
-{
-    Rig rig(8, 1.0);
-    rig.cfg.bbpb.proc_pairwise_coalescing = true;
-    ProcSideBbpb bbpb(rig.cfg, rig.eq, rig.nvmm, rig.stats);
-    bbpb.persistStore(0, blk(0), 8, pattern(1));
-    bbpb.persistStore(0, blk(0), 8, pattern(2)); // coalesces (pair)
-    bbpb.persistStore(0, blk(0), 8, pattern(3)); // budget spent: new record
-    EXPECT_EQ(bbpb.coreOccupancy(0), 2u);
-    EXPECT_EQ(bbpb.stats().coalesces.value(), 1u);
 }
 
 TEST(ProcSideBbpb, InvalidationDrainsOrderedPrefix)
@@ -279,6 +319,47 @@ TEST(ProcSideBbpb, FullBufferRejects)
     bbpb.persistStore(0, blk(1), 8, pattern(2));
     EXPECT_FALSE(bbpb.canAcceptPersist(0, blk(2)));
     EXPECT_FALSE(bbpb.canAcceptPersist(0, blk(0))); // no coalescing
+}
+
+TEST(ProcSideBbpb, ForceDrainOldestRoundRobinsCoreFronts)
+{
+    Rig rig(4, 1.0);
+    ProcSideBbpb bbpb(rig.cfg, rig.eq, rig.nvmm, rig.stats);
+    bbpb.persistStore(1, blk(0), 8, pattern(1));
+    bbpb.persistStore(1, blk(1), 8, pattern(2));
+    bbpb.persistStore(1, blk(2), 8, pattern(3));
+    bbpb.persistStore(0, blk(3), 8, pattern(4)); // allocated last
+    // Core 0's front goes first, then core 1's: per-core order only.
+    EXPECT_EQ(bbpb.forceDrainOldest(3), 3u);
+    EXPECT_EQ(wpqBlocks(rig), (std::vector<Addr>{blk(3), blk(0), blk(1)}));
+    EXPECT_TRUE(bbpb.holds(1, blk(2)));
+    EXPECT_EQ(bbpb.stats().proactive_drains.value(), 3u);
+}
+
+TEST(ProcSideBbpb, ForceDrainOldestStopsAtFullWpq)
+{
+    Rig rig(4, 1.0, 2);
+    ProcSideBbpb bbpb(rig.cfg, rig.eq, rig.nvmm, rig.stats);
+    bbpb.persistStore(0, blk(0), 8, pattern(1));
+    bbpb.persistStore(0, blk(1), 8, pattern(2));
+    bbpb.persistStore(1, blk(2), 8, pattern(3));
+    bbpb.persistStore(1, blk(3), 8, pattern(4));
+    EXPECT_EQ(bbpb.forceDrainOldest(4), 2u);
+    EXPECT_EQ(wpqBlocks(rig), (std::vector<Addr>{blk(0), blk(2)}));
+    EXPECT_EQ(bbpb.coreOccupancy(0), 1u);
+    EXPECT_EQ(bbpb.coreOccupancy(1), 1u);
+}
+
+TEST(ProcSideBbpb, LowPowerRefusesEveryStore)
+{
+    Rig rig(4, 1.0);
+    ProcSideBbpb bbpb(rig.cfg, rig.eq, rig.nvmm, rig.stats);
+    bbpb.persistStore(0, blk(0), 8, pattern(1));
+    bbpb.setLowPower(true);
+    EXPECT_FALSE(bbpb.canAcceptPersist(0, blk(0))); // held: still refused
+    EXPECT_FALSE(bbpb.canAcceptPersist(0, blk(1)));
+    bbpb.setLowPower(false);
+    EXPECT_TRUE(bbpb.canAcceptPersist(0, blk(0)));
 }
 
 // ---------------------------------------------------------------------
@@ -462,4 +543,150 @@ TEST(MemSideBbpbGolden, SlabMatchesMapSemanticsOnRandomTrace)
         }
     }
     EXPECT_EQ(i, records.size());
+}
+
+// ---------------------------------------------------------------------
+// Golden trace for ordered records: the processor side against a model
+// of per-core program-order record lists.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Reference model of the processor-side semantics: each core keeps its
+ *  store records in program order; every removal takes a prefix. */
+struct OrderedModel
+{
+    using Record = std::pair<Addr, unsigned char>;
+    std::vector<std::vector<Record>> cores;
+    unsigned entries;
+    unsigned threshold;
+
+    OrderedModel(unsigned num_cores, unsigned n, double frac)
+        : cores(num_cores), entries(n),
+          threshold(std::clamp(static_cast<unsigned>(std::ceil(frac * n)),
+                               1u, n))
+    {
+    }
+
+    CoreId
+    holder(Addr block) const
+    {
+        for (CoreId c = 0; c < cores.size(); ++c)
+            for (const Record &r : cores[c])
+                if (r.first == block)
+                    return c;
+        return kNoCore;
+    }
+
+    /** Drop core @p c's records up to and including @p block's last. */
+    void
+    drainPrefix(CoreId c, Addr block)
+    {
+        std::vector<Record> &recs = cores[c];
+        auto last = std::find_if(recs.rbegin(), recs.rend(),
+                                 [&](const Record &r) {
+                                     return r.first == block;
+                                 });
+        recs.erase(recs.begin(), last.base());
+    }
+
+    /** Round-robin the per-core fronts, like ProcSideBbpb's proactive
+     *  drain with a WPQ that never fills. */
+    std::uint64_t
+    forceDrainOldest(std::uint64_t max)
+    {
+        std::uint64_t drained = 0;
+        bool progress = true;
+        while (drained < max && progress) {
+            progress = false;
+            for (auto &recs : cores) {
+                if (drained == max || recs.empty())
+                    continue;
+                recs.erase(recs.begin());
+                ++drained;
+                progress = true;
+            }
+        }
+        return drained;
+    }
+
+    void
+    settle()
+    {
+        for (auto &recs : cores)
+            while (recs.size() >= threshold)
+                recs.erase(recs.begin());
+    }
+};
+
+} // namespace
+
+TEST(ProcSideBbpbGolden, RecordsMatchOrderedModelOnRandomTrace)
+{
+    constexpr unsigned kEntries = 8;
+    constexpr double kThreshold = 0.75;
+    Rig rig(kEntries, kThreshold);
+    ProcSideBbpb bbpb(rig.cfg, rig.eq, rig.nvmm, rig.stats);
+    OrderedModel model(rig.cfg.num_cores, kEntries, kThreshold);
+
+    Rng rng(0xbeefu);
+    for (unsigned step = 0; step < 4000; ++step) {
+        CoreId c = static_cast<CoreId>(rng.below(rig.cfg.num_cores));
+        Addr block = blk(static_cast<unsigned>(rng.below(12)));
+        std::uint64_t action = rng.below(10);
+        auto v = static_cast<unsigned char>(step);
+
+        if (action < 7) {
+            // A persisting store, with the hierarchy's invalidation of
+            // another core's records in front of it.
+            CoreId who = model.holder(block);
+            if (who != kNoCore && who != c) {
+                bbpb.onInvalidateForWrite(who, block);
+                model.drainPrefix(who, block);
+            }
+            if (!bbpb.canAcceptPersist(c, block)) {
+                ASSERT_EQ(model.cores[c].size(), kEntries);
+                continue;
+            }
+            bbpb.persistStore(c, block, 8, pattern(v));
+            model.cores[c].push_back({block, v});
+        } else if (action < 9) {
+            // LLC eviction: forced drain through the block's last record.
+            CoreId who = model.holder(block);
+            bbpb.onForcedDrain(block, pattern(0xee));
+            if (who != kNoCore)
+                model.drainPrefix(who, block);
+        } else {
+            std::uint64_t k = rng.below(4);
+            ASSERT_EQ(bbpb.forceDrainOldest(k), model.forceDrainOldest(k));
+        }
+        rig.eq.run();
+        model.settle();
+
+        std::size_t total = 0;
+        for (CoreId mc = 0; mc < rig.cfg.num_cores; ++mc) {
+            ASSERT_EQ(bbpb.coreOccupancy(mc), model.cores[mc].size())
+                << "step " << step << " core " << mc;
+            total += model.cores[mc].size();
+        }
+        ASSERT_EQ(bbpb.occupancy(), total) << "step " << step;
+        for (unsigned b = 0; b < 12; ++b)
+            ASSERT_EQ(bbpb.holder(blk(b)), model.holder(blk(b)))
+                << "step " << step << " block " << b;
+    }
+
+    // Crash drain: every record, per core in program order.
+    auto records = bbpb.crashDrainRecords();
+    std::size_t i = 0;
+    for (const auto &recs : model.cores) {
+        for (const auto &[block, v] : recs) {
+            ASSERT_LT(i, records.size());
+            EXPECT_EQ(records[i].block, block);
+            EXPECT_EQ(records[i].data.bytes[0], v);
+            ++i;
+        }
+    }
+    EXPECT_EQ(i, records.size());
+    EXPECT_EQ(bbpb.occupancy(), 0u);
 }

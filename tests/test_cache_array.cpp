@@ -84,17 +84,6 @@ TEST(CacheArray, LruEvictsLeastRecentlyTouched)
     EXPECT_EQ(a.blockOf(a.victim(conflicting(a, 4))), conflicting(a, 1));
 }
 
-TEST(CacheArray, FifoIgnoresTouches)
-{
-    CacheArray<Line> a(4_KiB, 4, ReplPolicy::Fifo);
-    for (unsigned i = 0; i < 4; ++i)
-        a.fill(a.victim(conflicting(a, i)), conflicting(a, i));
-    // Touch the oldest heavily: FIFO still evicts it.
-    for (int i = 0; i < 10; ++i)
-        a.touch(*a.find(conflicting(a, 0)));
-    EXPECT_EQ(a.blockOf(a.victim(conflicting(a, 4))), conflicting(a, 0));
-}
-
 TEST(CacheArray, InvalidateFreesLine)
 {
     CacheArray<Line> a(4_KiB, 4);
@@ -216,7 +205,6 @@ TEST_P(CacheArrayPolicy, CapacityNeverExceeded)
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, CacheArrayPolicy,
                          ::testing::Values(ReplPolicy::Lru,
-                                           ReplPolicy::Fifo,
                                            ReplPolicy::Random),
                          [](const auto &param_info) {
                              return replPolicyName(param_info.param);

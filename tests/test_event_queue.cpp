@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event queue: temporal ordering, priority
- * buckets, FIFO tie-breaking, cancellation, bounded runs, callback slot
- * reuse, and the in-place firing fast path (tryFireInline).
+ * buckets, FIFO tie-breaking, bounded runs, callback slot reuse, and the
+ * in-place firing fast path (tryFireInline).
  */
 
 #include <gtest/gtest.h>
@@ -65,85 +65,6 @@ TEST(EventQueue, ScheduleInIsRelative)
     });
     eq.run();
     EXPECT_EQ(seen, 150u);
-}
-
-TEST(EventQueue, DescheduleCancelsEvent)
-{
-    EventQueue eq;
-    bool fired = false;
-    EventId id = eq.schedule(10, [&]() { fired = true; });
-    eq.deschedule(id);
-    eq.run();
-    EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, PendingExcludesDescheduledEvents)
-{
-    EventQueue eq;
-    EventId a = eq.schedule(10, []() {});
-    eq.schedule(20, []() {});
-    EXPECT_EQ(eq.pending(), 2u);
-    eq.deschedule(a);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.deschedule(a); // double-deschedule must not decrement again
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(eq.pending(), 0u);
-}
-
-TEST(EventQueue, EmptyIgnoresCancelledResidue)
-{
-    EventQueue eq;
-    EventId a = eq.schedule(10, []() {});
-    EXPECT_FALSE(eq.empty());
-    eq.deschedule(a);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, MassDescheduleDoesNotDisturbSurvivors)
-{
-    // Cancel enough events to trigger the internal compaction, then check
-    // the survivors still run in FIFO order within a (tick, priority).
-    EventQueue eq;
-    std::vector<int> order;
-    std::vector<EventId> doomed;
-    for (int i = 0; i < 64; ++i) {
-        if (i % 2 == 0) {
-            doomed.push_back(
-                eq.schedule(7, []() { FAIL() << "cancelled event fired"; }));
-        } else {
-            eq.schedule(7, [&order, i]() { order.push_back(i); });
-        }
-    }
-    for (EventId id : doomed)
-        eq.deschedule(id);
-    EXPECT_EQ(eq.pending(), 32u);
-    eq.run();
-    ASSERT_EQ(order.size(), 32u);
-    for (std::size_t i = 1; i < order.size(); ++i)
-        EXPECT_LT(order[i - 1], order[i]);
-}
-
-TEST(EventQueue, DescheduleUnknownIdIsNoop)
-{
-    EventQueue eq;
-    eq.schedule(10, []() {});
-    eq.deschedule(12345); // never scheduled
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(eq.executed(), 1u);
-}
-
-TEST(EventQueue, DescheduleAfterFireIsSafe)
-{
-    EventQueue eq;
-    EventId id = eq.schedule(10, []() {});
-    eq.run();
-    eq.deschedule(id); // must not crash or affect later events
-    bool fired = false;
-    eq.schedule(20, [&]() { fired = true; });
-    eq.run();
-    EXPECT_TRUE(fired);
 }
 
 TEST(EventQueue, RunStopsAtMaxTick)
@@ -228,30 +149,27 @@ TEST(EventQueue, LargeCaptureCallbacksWork)
     EXPECT_EQ(sum, 36u);
 }
 
-TEST(EventQueue, FifoSurvivesSlotReuseAndDeschedule)
+TEST(EventQueue, FifoSurvivesSlotReuse)
 {
-    // Cancelled and fired events free their callback slots for reuse;
-    // events parked in recycled slots must still run after every
-    // earlier-scheduled event at the same (tick, priority).
+    // Fired events free their callback slots for reuse; events parked in
+    // recycled slots (lower indices than the queued ones) must still run
+    // after every earlier-scheduled event at the same (tick, priority).
     EventQueue eq;
     std::vector<int> order;
     auto record = [&order](int i) {
         return [&order, i]() { order.push_back(i); };
     };
-    std::vector<EventId> ids;
+    eq.schedule(1, []() {});
+    eq.schedule(2, []() {});
     for (int i = 0; i < 8; ++i)
-        ids.push_back(eq.schedule(10, record(i)));
-    eq.deschedule(ids[1]);
-    eq.deschedule(ids[3]);
-    for (int i = 8; i < 12; ++i)
         eq.schedule(10, record(i));
     eq.schedule(5, [&]() {
-        for (int i = 12; i < 14; ++i)
+        for (int i = 8; i < 12; ++i)
             eq.schedule(10, record(i));
     });
     eq.run();
     EXPECT_EQ(order,
-              (std::vector<int>{0, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}));
+              (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
 }
 
 TEST(EventQueue, CallbackMayScheduleBeyondReservedSlots)

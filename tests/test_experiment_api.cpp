@@ -163,22 +163,19 @@ TEST(System, ModeSelectsBackendKind)
         SystemConfig cfg = base;
         cfg.mode = PersistMode::BbbMemSide;
         System sys(cfg);
-        EXPECT_NE(sys.memSideBbpb(), nullptr);
-        EXPECT_EQ(sys.procSideBbpb(), nullptr);
+        EXPECT_NE(dynamic_cast<MemSideBbpb *>(sys.bbpb()), nullptr);
     }
     {
         SystemConfig cfg = base;
         cfg.mode = PersistMode::BbbProcSide;
         System sys(cfg);
-        EXPECT_EQ(sys.memSideBbpb(), nullptr);
-        EXPECT_NE(sys.procSideBbpb(), nullptr);
+        EXPECT_NE(dynamic_cast<ProcSideBbpb *>(sys.bbpb()), nullptr);
     }
     {
         SystemConfig cfg = base;
         cfg.mode = PersistMode::Eadr;
         System sys(cfg);
-        EXPECT_EQ(sys.memSideBbpb(), nullptr);
-        EXPECT_EQ(sys.procSideBbpb(), nullptr);
+        EXPECT_EQ(sys.bbpb(), nullptr);
     }
 }
 

@@ -81,6 +81,19 @@ TEST(LitmusHarness, MutationKillCrashReverseDrain)
     EXPECT_FALSE(r.ok());
 }
 
+TEST(LitmusHarness, MutationKillCrashReverseDrainInEachOrganisation)
+{
+    // Both bbPB organisations stream their crash drain through the same
+    // engine: the reversed drain must be caught in each one alone.
+    MutateGuard mutate("crash-reverse-drain");
+    for (Mode m : {Mode::Bbb, Mode::ProcSide}) {
+        HarnessOptions opts;
+        opts.modes = {m};
+        EXPECT_FALSE(checkTest(mustFind("battery-prefix-1"), opts).ok())
+            << modeName(m);
+    }
+}
+
 TEST(LitmusHarness, MutationKillFlushDrop)
 {
     // A flush that retires without writing back leaves fence-confirmed

@@ -58,12 +58,12 @@ TEST(OwnershipIndex, InsertFindErase)
     idx.insert(blk(1), {3, 7});
     ASSERT_NE(idx.find(blk(1)), nullptr);
     EXPECT_EQ(idx.find(blk(1))->core, 3u);
-    EXPECT_EQ(idx.find(blk(1))->payload, 7u);
+    EXPECT_EQ(idx.find(blk(1))->slot, 7u);
     EXPECT_EQ(idx.size(), 1u);
 
-    // Mutable find: payload updates in place.
-    idx.find(blk(1))->payload = 9;
-    EXPECT_EQ(idx.find(blk(1))->payload, 9u);
+    // Mutable find: slot updates in place.
+    idx.find(blk(1))->slot = 9;
+    EXPECT_EQ(idx.find(blk(1))->slot, 9u);
 
     idx.erase(blk(1));
     EXPECT_EQ(idx.find(blk(1)), nullptr);
@@ -79,7 +79,7 @@ TEST(OwnershipIndex, CollidingBlocksProbeLinearly)
     for (std::uint32_t i = 0; i < blocks.size(); ++i) {
         ASSERT_NE(idx.find(blocks[i]), nullptr);
         EXPECT_EQ(idx.find(blocks[i])->core, i);
-        EXPECT_EQ(idx.find(blocks[i])->payload, 100 + i);
+        EXPECT_EQ(idx.find(blocks[i])->slot, 100 + i);
     }
 
     // Erase the middle of the chain; the rest must stay reachable
@@ -88,7 +88,7 @@ TEST(OwnershipIndex, CollidingBlocksProbeLinearly)
     EXPECT_EQ(idx.find(blocks[1]), nullptr);
     for (std::uint32_t i : {0u, 2u, 3u}) {
         ASSERT_NE(idx.find(blocks[i]), nullptr) << "lost block " << i;
-        EXPECT_EQ(idx.find(blocks[i])->payload, 100 + i);
+        EXPECT_EQ(idx.find(blocks[i])->slot, 100 + i);
     }
 }
 
@@ -102,13 +102,13 @@ TEST(OwnershipIndex, ProbesWrapAroundTableEnd)
         idx.insert(blocks[i], {0, i});
     for (std::uint32_t i = 0; i < blocks.size(); ++i) {
         ASSERT_NE(idx.find(blocks[i]), nullptr);
-        EXPECT_EQ(idx.find(blocks[i])->payload, i);
+        EXPECT_EQ(idx.find(blocks[i])->slot, i);
     }
     // Erase across the wrap: survivors must shift back over the boundary.
     idx.erase(blocks[0]);
     for (std::uint32_t i : {1u, 2u}) {
         ASSERT_NE(idx.find(blocks[i]), nullptr);
-        EXPECT_EQ(idx.find(blocks[i])->payload, i);
+        EXPECT_EQ(idx.find(blocks[i])->slot, i);
     }
 }
 
@@ -127,11 +127,11 @@ TEST(OwnershipIndex, BackwardShiftKeepsUnrelatedChainsIntact)
     idx.erase(a[0]);
     idx.erase(a[2]);
     ASSERT_NE(idx.find(a[1]), nullptr);
-    EXPECT_EQ(idx.find(a[1])->payload, 1u);
+    EXPECT_EQ(idx.find(a[1])->slot, 1u);
     for (std::uint32_t i = 0; i < 3; ++i) {
         ASSERT_NE(idx.find(b[i]), nullptr) << "lost chain-b block " << i;
         EXPECT_EQ(idx.find(b[i])->core, 2u);
-        EXPECT_EQ(idx.find(b[i])->payload, 10 + i);
+        EXPECT_EQ(idx.find(b[i])->slot, 10 + i);
     }
 }
 
@@ -166,7 +166,7 @@ TEST(OwnershipIndex, FillToDeclaredCapacityAndDrainInOddOrder)
         idx.erase(blk(n * 977 + 13));
     for (std::uint64_t n = 0; n < kMax; n += 2) {
         ASSERT_NE(idx.find(blk(n * 977 + 13)), nullptr);
-        EXPECT_EQ(idx.find(blk(n * 977 + 13))->payload, n);
+        EXPECT_EQ(idx.find(blk(n * 977 + 13))->slot, n);
     }
     for (std::uint64_t n = 0; n < kMax; n += 2)
         idx.erase(blk(n * 977 + 13));
