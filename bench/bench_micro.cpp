@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator substrate: event
  * queue throughput, fiber switches, cache-array lookups, store-buffer
- * push/drain, bbPB allocate/coalesce/drain, WPQ enqueue/retire,
- * backing-store access, end-to-end simulated ops per host second,
+ * push/drain, bbPB allocate/coalesce/drain, WPQ enqueue/retire, FTL
+ * commit/read over a large mapping, backing-store access, end-to-end simulated ops per host second,
  * machine construction, and the post-crash recovery walk.
  * These guard the simulator's host-side performance (a slow simulator
  * caps the experiment sizes every other bench can afford).
@@ -25,6 +25,7 @@
 #include "cpu/store_buffer.hh"
 #include "mem/addr_map.hh"
 #include "mem/backing_store.hh"
+#include "mem/ftl/ftl_media.hh"
 #include "recover/recovery_manager.hh"
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
@@ -158,6 +159,35 @@ BM_MemCtrlEnqueueRetire(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MemCtrlEnqueueRetire);
+
+void
+BM_FtlCommitRead(benchmark::State &state)
+{
+    // One out-of-place commit plus one mapped read per iteration, over
+    // 64K mapped blocks (a persist_storm swapC point maps about 50K), so
+    // the page-mapping table and the wear pools work at full size.
+    constexpr std::uint64_t kBlocks = 1 << 16;
+    SystemConfig cfg;
+    BackingStore store;
+    FtlMedia ftl(store, cfg.media, cfg.nvmm.channels);
+    BlockData data;
+    for (std::uint64_t b = 0; b < kBlocks; ++b)
+        ftl.commitBlock(b * kBlockSize, data);
+    BlockData out;
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        // An odd stride visits every block in a scattered order.
+        Addr block = ((i * 40503) % kBlocks) * kBlockSize;
+        data.bytes[0] = static_cast<unsigned char>(i);
+        ftl.commitBlock(block, data);
+        ftl.readBlock(((i * 7919 + 1) % kBlocks) * kBlockSize,
+                      out.bytes.data());
+        ++i;
+    }
+    benchmark::DoNotOptimize(out.bytes[0]);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FtlCommitRead);
 
 void
 BM_StoreBufferPushDrain(benchmark::State &state)

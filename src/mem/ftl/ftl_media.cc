@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 
 namespace bbb
 {
@@ -17,8 +18,7 @@ constexpr std::uint64_t kMintBatch = 8;
 FtlMedia::FtlMedia(BackingStore &logical, const MediaModelConfig &cfg,
                    unsigned channels)
     : _logical(logical), _cfg(cfg),
-      _channels(std::max(1u, channels)),
-      _free(_channels), _mapped(_channels), _minted(_channels, 0)
+      _channels(std::max(1u, channels)), _chan(_channels)
 {
     BBB_ASSERT(_cfg.endurance_cycles > 0, "zero endurance");
     // Span the wear histogram over the endurance limit: 16 buckets from
@@ -27,18 +27,20 @@ FtlMedia::FtlMedia(BackingStore &logical, const MediaModelConfig &cfg,
         16, std::max<std::uint64_t>(1, _cfg.endurance_cycles / 16));
 }
 
+FtlMedia::~FtlMedia() = default;
+
 std::uint64_t
 FtlMedia::frameOf(Addr block) const
 {
-    auto it = _pmt.find(block);
-    return it == _pmt.end() ? kNoFrame : it->second;
+    const std::uint64_t *frame = _pmt.find(block);
+    return frame ? *frame : kNoFrame;
 }
 
 std::size_t
 FtlMedia::freeFrames(unsigned channel) const
 {
     BBB_ASSERT(channel < _channels, "bad channel");
-    return _free[channel].size();
+    return _chan[channel].free.size();
 }
 
 std::uint64_t
@@ -50,21 +52,22 @@ FtlMedia::frameWear(std::uint64_t frame) const
 std::uint64_t
 FtlMedia::allocFrame(unsigned channel)
 {
-    if (_free[channel].empty()) {
+    Channel &c = _chan[channel];
+    if (c.free.empty()) {
+        // Minted in id order at wear 0, so the batch is already sorted.
         for (std::uint64_t i = 0; i < kMintBatch; ++i) {
             // frame % channels == channel, so a remap can never move a
             // block's traffic off its interleave channel.
-            std::uint64_t id = channel + _channels * _minted[channel]++;
+            std::uint64_t id = channel + _channels * c.minted++;
             if (id >= _frames.size())
                 _frames.resize(id + 1);
             _frames[id].minted = true;
-            _free[channel].insert({0, id});
+            c.free.emplace_back(0, id);
             ++_stats.frames_minted;
         }
     }
-    auto it = _free[channel].begin(); // dynamic WL: least-worn free frame
-    std::uint64_t frame = it->second;
-    _free[channel].erase(it);
+    std::uint64_t frame = c.free.front().second; // dynamic WL: least worn
+    c.free.erase(c.free.begin());
     return frame;
 }
 
@@ -81,25 +84,40 @@ FtlMedia::program(std::uint64_t frame, const BlockData &data)
 }
 
 void
-FtlMedia::mapBlock(Addr block, std::uint64_t frame)
+FtlMedia::mapFrame(Addr block, std::uint64_t frame)
 {
     Frame &f = _frames[frame];
     f.logical = block;
-    _pmt[block] = frame;
-    _mapped[channelOf(block)].insert({f.wear, frame});
+    Channel &c = _chan[channelOf(block)];
+    if (f.wear >= c.mapped.size())
+        c.mapped.resize(f.wear + 1);
+    WearBucket &b = c.mapped[f.wear];
+    b.frames.push_back(frame);
+    std::push_heap(b.frames.begin(), b.frames.end(), std::greater<>{});
+    ++b.live;
+    ++c.mapped_live;
+    c.coldest = std::min(c.coldest, f.wear);
 }
 
 void
-FtlMedia::releaseMapping(Addr block)
+FtlMedia::unmapFrame(std::uint64_t frame)
 {
-    auto it = _pmt.find(block);
-    if (it == _pmt.end())
-        return;
-    std::uint64_t frame = it->second;
-    _pmt.erase(it);
     Frame &f = _frames[frame];
-    _mapped[channelOf(block)].erase({f.wear, frame});
     f.logical = kNoFrame;
+    Channel &c = _chan[frame % _channels];
+    WearBucket &b = c.mapped[f.wear];
+    --b.live;
+    --c.mapped_live;
+    if (b.live == 0) {
+        b.frames.clear();
+    } else if (b.frames.size() > 2 * b.live) {
+        // More stale ids than valid ones: rebuild from the valid ones.
+        std::uint64_t wear = f.wear;
+        std::erase_if(b.frames, [&](std::uint64_t id) {
+            return _frames[id].logical == kNoFrame || _frames[id].wear != wear;
+        });
+        std::make_heap(b.frames.begin(), b.frames.end(), std::greater<>{});
+    }
     freeOrRetire(frame);
 }
 
@@ -112,51 +130,83 @@ FtlMedia::freeOrRetire(std::uint64_t frame)
         ++_stats.retired_frames;
         return;
     }
-    _free[frame % _channels].insert({f.wear, frame});
+    auto &free = _chan[frame % _channels].free;
+    std::pair<std::uint64_t, std::uint64_t> entry{f.wear, frame};
+    free.insert(std::upper_bound(free.begin(), free.end(), entry), entry);
+    BBB_ASSERT(free.size() <= kMintBatch, "free pool over one mint batch");
+}
+
+std::pair<std::uint64_t, std::uint64_t>
+FtlMedia::coldestMapped(unsigned channel)
+{
+    Channel &c = _chan[channel];
+    BBB_ASSERT(c.mapped_live > 0, "no mapped frame");
+    while (c.mapped[c.coldest].live == 0)
+        ++c.coldest;
+    std::uint64_t wear = c.coldest;
+    auto &heap = c.mapped[wear].frames;
+    for (;;) {
+        const Frame &f = _frames[heap.front()];
+        if (f.logical != kNoFrame && f.wear == wear)
+            return {wear, heap.front()};
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+        heap.pop_back();
+    }
 }
 
 void
 FtlMedia::maybeWearLevel(unsigned channel)
 {
-    if (_mapped[channel].empty() || _free[channel].empty())
+    Channel &c = _chan[channel];
+    if (c.mapped_live == 0 || c.free.empty())
         return;
-    auto cold = *_mapped[channel].begin();  // (wear, frame) coldest mapped
-    auto hot = *_free[channel].rbegin();    // most worn free frame
-    if (hot.first < cold.first + _cfg.wear_delta)
+    auto [cold_wear, cold] = coldestMapped(channel);
+    auto [hot_wear, hot] = c.free.back(); // most worn free frame
+    if (hot_wear < cold_wear + _cfg.wear_delta)
         return;
 
     // Static WL: park the cold block on the worn frame so the cold
     // frame's remaining endurance rejoins the free pool for hot writes.
-    Frame &src = _frames[cold.second];
+    Frame &src = _frames[cold];
     Addr logical = src.logical;
-    BBB_ASSERT(logical != kNoFrame, "mapped pool holds an unmapped frame");
-    _free[channel].erase(hot);
-    _mapped[channel].erase(cold);
-    _pmt.erase(logical);
+    c.free.pop_back();
     if (_timing) {
         _timing->reserveMediaChannel(channel,
                                      _timing->mediaReadOccupancy() +
                                          _timing->mediaWriteOccupancy());
     }
-    program(hot.second, src.data);
-    mapBlock(logical, hot.second);
+    program(hot, src.data);
+    mapFrame(logical, hot);
+    *_pmt.find(logical) = hot;
     ++_stats.migrations;
-    src.logical = kNoFrame;
-    freeOrRetire(cold.second);
+    unmapFrame(cold);
+}
+
+void
+FtlMedia::reprogram(Addr block, const BlockData &data)
+{
+    // One probe serves the whole rewrite: the old frame goes back to the
+    // pool before the allocation, and the same cell takes the new frame.
+    std::uint64_t *mapped = _pmt.find(block);
+    if (mapped)
+        unmapFrame(*mapped);
+    std::uint64_t frame = allocFrame(channelOf(block));
+    program(frame, data);
+    mapFrame(block, frame);
+    if (mapped)
+        *mapped = frame;
+    else
+        _pmt.insertGrowing(block, frame);
+    ++_stats.demand_programs;
 }
 
 void
 FtlMedia::commitBlock(Addr block, const BlockData &data)
 {
-    unsigned ch = channelOf(block);
-    releaseMapping(block); // out-of-place: old frame back to the pool
-    std::uint64_t frame = allocFrame(ch);
-    program(frame, data);
-    mapBlock(block, frame);
-    ++_stats.demand_programs;
+    reprogram(block, data);
     if (++_since_wl >= std::max(1u, _cfg.wl_interval)) {
         _since_wl = 0;
-        maybeWearLevel(ch);
+        maybeWearLevel(channelOf(block));
     }
 }
 
@@ -170,21 +220,15 @@ FtlMedia::commitTorn(Addr block, const BlockData &intended,
     readBlock(block, merged.bytes.data());
     std::memcpy(merged.bytes.data(), intended.bytes.data(),
                 std::min<std::size_t>(torn_bytes, kBlockSize));
-    unsigned ch = channelOf(block);
-    releaseMapping(block);
-    std::uint64_t frame = allocFrame(ch);
-    program(frame, merged);
-    mapBlock(block, frame);
-    ++_stats.demand_programs;
+    reprogram(block, merged);
     ++_stats.torn_programs;
 }
 
 void
 FtlMedia::readBlock(Addr block, unsigned char *out)
 {
-    auto it = _pmt.find(block);
-    if (it != _pmt.end()) {
-        _frames[it->second].data.copyTo(out);
+    if (const std::uint64_t *frame = _pmt.find(block)) {
+        _frames[*frame].data.copyTo(out);
         return;
     }
     // Never programmed through the FTL: the warm-up image lives in the
@@ -203,10 +247,8 @@ FtlMedia::writeBytes(Addr addr, const void *src, std::size_t size)
         Addr block = blockAlign(addr);
         std::size_t off = static_cast<std::size_t>(addr - block);
         std::size_t chunk = std::min(size, kBlockSize - off);
-        auto it = _pmt.find(block);
-        if (it != _pmt.end())
-            std::memcpy(_frames[it->second].data.bytes.data() + off, p,
-                        chunk);
+        if (const std::uint64_t *frame = _pmt.find(block))
+            std::memcpy(_frames[*frame].data.bytes.data() + off, p, chunk);
         else
             _logical.write(addr, p, chunk);
         addr += chunk;
@@ -222,7 +264,13 @@ FtlMedia::onCrashComplete()
     // The reboot "mount": replay the reconstructed mapping into the
     // logical image, in address order, so the raw post-crash walk
     // (RecoveryManager) reads every block through the remap table.
-    for (const auto &[block, frame] : _pmt)
+    std::vector<std::pair<Addr, std::uint64_t>> mapping;
+    mapping.reserve(_pmt.size());
+    _pmt.forEach([&](Addr block, std::uint64_t frame) {
+        mapping.emplace_back(block, frame);
+    });
+    std::sort(mapping.begin(), mapping.end());
+    for (const auto &[block, frame] : mapping)
         _logical.writeBlock(block, _frames[frame].data.bytes.data());
 }
 

@@ -38,27 +38,30 @@
  * moves a block's traffic to another channel, and the controller's
  * interleaving math stays valid (tests/test_channel_interleave.cpp).
  *
- * Determinism: no RNG at all. Every decision reads ordered containers
- * (std::map / std::set keyed by (wear, frame)), so reports are
+ * Determinism: no RNG at all, and no decision reads a container's
+ * iteration order. Both wear-leveling choices take the extreme of the
+ * (wear, frame) order: the least-worn free frame is the front of a
+ * sorted vector, the coldest mapped frame the smallest valid frame of
+ * the lowest non-empty wear bucket. The page-mapping table is an
+ * open-addressed BlockTable, read only by block address. So reports are
  * byte-identical at any --jobs width by construction.
  *
  * Crash contract: frames hold the device truth during a run; at
  * onCrashComplete() — the reboot "mount" — the reconstructed mapping is
- * replayed into the logical BackingStore in address order, so
- * RecoveryManager's raw post-crash image walk reads every block
- * through the remap table.
+ * sorted by block address and replayed into the logical BackingStore in
+ * that order, so RecoveryManager's raw post-crash image walk reads every
+ * block through the remap table.
  */
 
 #ifndef BBB_MEM_FTL_FTL_MEDIA_HH
 #define BBB_MEM_FTL_FTL_MEDIA_HH
 
 #include <cstddef>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "mem/media_backend.hh"
+#include "sim/block_table.hh"
 
 namespace bbb
 {
@@ -74,6 +77,10 @@ class FtlMedia : public MediaBackend
      */
     FtlMedia(BackingStore &logical, const MediaModelConfig &cfg,
              unsigned channels);
+    /** Out of line, so code that holds an FtlMedia (the benchmark
+     *  harness does) does not inline the teardown of its tables, and
+     *  that code's layout does not move when the tables change. */
+    ~FtlMedia() override;
 
     MediaKind kind() const override { return MediaKind::Ftl; }
 
@@ -112,8 +119,32 @@ class FtlMedia : public MediaBackend
         BlockData data{};        ///< physical content
     };
 
-    /** (wear, frame) ordered pool: begin() coldest, rbegin() hottest. */
-    using Pool = std::set<std::pair<std::uint64_t, std::uint64_t>>;
+    /** Frames of one wear that were mapped at that wear. */
+    struct WearBucket
+    {
+        /** Min-heap of frame ids. Unmapping a frame leaves its id here
+         *  (lazy erase): an id is valid only while its frame is still
+         *  mapped at this wear. */
+        std::vector<std::uint64_t> frames;
+        std::size_t live = 0; ///< valid ids in `frames`
+    };
+
+    /** One channel's frame pools. */
+    struct Channel
+    {
+        /** Free frames as sorted (wear, frame): front() least worn,
+         *  back() most worn. Refilled only when empty, and every
+         *  release is paired with an allocation, so it never holds more
+         *  than one mint batch. */
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> free;
+        /** Mapped frames, indexed by wear. A frame is mapped only right
+         *  after a program, and every program raises its wear, so a
+         *  (frame, wear) pair enters a bucket at most once. */
+        std::vector<WearBucket> mapped;
+        std::size_t mapped_live = 0; ///< valid ids over all buckets
+        std::uint64_t coldest = 0;   ///< no valid id below this wear
+        std::uint64_t minted = 0;    ///< frames minted so far
+    };
 
     unsigned channelOf(Addr block) const
     {
@@ -126,14 +157,23 @@ class FtlMedia : public MediaBackend
     /** Program @p data onto @p frame: wear, stats, content. */
     void program(std::uint64_t frame, const BlockData &data);
 
-    /** Map @p block onto @p frame (pmt + mapped pool + frame ledger). */
-    void mapBlock(Addr block, std::uint64_t frame);
+    /** Record that @p block now lives on the freshly programmed @p frame
+     *  (frame ledger + mapped pool; the caller updates the pmt). */
+    void mapFrame(Addr block, std::uint64_t frame);
 
-    /** Unmap and free-or-retire the frame currently holding @p block. */
-    void releaseMapping(Addr block);
+    /** Unmap @p frame and free or retire it. */
+    void unmapFrame(std::uint64_t frame);
 
     /** Return an unmapped @p frame to service, or retire it. */
     void freeOrRetire(std::uint64_t frame);
+
+    /** Out-of-place demand program of @p block: the old frame is
+     *  released before the least-worn free frame is allocated. */
+    void reprogram(Addr block, const BlockData &data);
+
+    /** (wear, frame) of @p channel's coldest mapped frame (one must
+     *  exist), dropping the stale ids in front of it. */
+    std::pair<std::uint64_t, std::uint64_t> coldestMapped(unsigned channel);
 
     /** Static wear-leveling check for @p channel (cold → hot frame). */
     void maybeWearLevel(unsigned channel);
@@ -142,12 +182,10 @@ class FtlMedia : public MediaBackend
     MediaModelConfig _cfg;
     unsigned _channels;
 
-    std::vector<Frame> _frames;            ///< frame ledger, by frame id
-    std::map<Addr, std::uint64_t> _pmt;    ///< logical block → frame
-    std::vector<Pool> _free;               ///< per-channel free frames
-    std::vector<Pool> _mapped;             ///< per-channel mapped frames
-    std::vector<std::uint64_t> _minted;    ///< per-channel mint counts
-    unsigned _since_wl = 0;                ///< demand programs since WL check
+    std::vector<Frame> _frames;        ///< frame ledger, by frame id
+    BlockTable<std::uint64_t> _pmt{0}; ///< logical block → frame
+    std::vector<Channel> _chan;        ///< per-channel frame pools
+    unsigned _since_wl = 0;            ///< demand programs since WL check
 };
 
 } // namespace bbb

@@ -34,8 +34,8 @@
  *    maintenance is visible in the timing model, not free.
  *
  * Determinism: a backend may not consult any state outside the
- * simulation (host clocks, unordered containers, global RNGs). Every
- * FtlMedia decision derives from ordered tables keyed by (wear, frame),
+ * simulation (host clocks, container iteration order, global RNGs).
+ * Every FtlMedia decision is the extreme of the (wear, frame) order,
  * evaluated in event order, so reports stay byte-identical at
  * any --jobs width.
  */

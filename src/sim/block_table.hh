@@ -1,16 +1,19 @@
 /**
  * @file
- * Fixed-capacity open-addressed map from a block address to a small
- * value, shared by every structure that indexes resident blocks: the
- * system-wide bbPB ownership index (core/ownership_index.hh) and the
- * memory controller's WPQ block index (mem/mem_ctrl.hh).
+ * Open-addressed map from a block address to a small value, shared by
+ * every structure that indexes blocks: the system-wide bbPB ownership
+ * index (core/ownership_index.hh), the memory controller's WPQ block
+ * index (mem/mem_ctrl.hh) and the FTL's page-mapping table
+ * (mem/ftl/ftl_media.hh).
  *
- * The table is sized once at construction to a power of two at most
- * half full (capacity >= 2 x the worst-case entry count) and never
- * rehashes, so lookups, inserts, and erases are O(1) with short linear
- * probes and the hot persist path performs no heap allocation. Erase
- * uses backward-shift deletion, so there are no tombstones and probe
- * chains never degrade over a run.
+ * The buffer indexes size the table once at construction to a power of
+ * two at most half full (capacity >= 2 x the worst-case entry count)
+ * and insert(), which never rehashes, so the hot persist path performs
+ * no heap allocation. A map with no a-priori bound (the FTL's) uses
+ * insertGrowing(), which doubles the capacity whenever an insert would
+ * pass half full. Either way lookups, inserts, and erases are O(1) with
+ * short linear probes. Erase uses backward-shift deletion, so there are
+ * no tombstones and probe chains never degrade over a run.
  */
 
 #ifndef BBB_SIM_BLOCK_TABLE_HH
@@ -27,7 +30,7 @@
 namespace bbb
 {
 
-/** Block -> @p Value map with fixed capacity (see file comment). */
+/** Block -> @p Value map (see file comment). */
 template <typename Value>
 class BlockTable
 {
@@ -98,6 +101,16 @@ class BlockTable
         ++_size;
     }
 
+    /** insert(), first doubling the capacity if the table would pass
+     *  half full. */
+    void
+    insertGrowing(Addr block, const Value &value)
+    {
+        if (2 * (_size + 1) > _cells.size())
+            grow();
+        insert(block, value);
+    }
+
     /** Drop @p block's record (must exist). Backward-shift deletion keeps
      *  every remaining probe chain contiguous. */
     void
@@ -137,12 +150,37 @@ class BlockTable
         _size = 0;
     }
 
+    /** Call @p fn(block, value) once per record, in table order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const Cell &c : _cells) {
+            if (c.block != kBadAddr)
+                fn(c.block, c.value);
+        }
+    }
+
   private:
     struct Cell
     {
         Addr block; ///< kBadAddr marks an empty cell
         Value value;
     };
+
+    /** Double the capacity and re-home every record. */
+    void
+    grow()
+    {
+        std::vector<Cell> old(2 * _cells.size(), Cell{kBadAddr, Value{}});
+        old.swap(_cells);
+        _mask = _cells.size() - 1;
+        _size = 0;
+        for (const Cell &c : old) {
+            if (c.block != kBadAddr)
+                insert(c.block, c.value);
+        }
+    }
 
     std::vector<Cell> _cells;
     std::size_t _mask = 0;

@@ -105,7 +105,8 @@ makeInitialFrame(unsigned char *stack_base, std::size_t stack_bytes,
 #endif // BBB_FIBER_RAW_X86_64
 
 Fiber::Fiber(Body body, std::size_t stack_bytes)
-    : _stack(stack_bytes), _body(std::move(body))
+    : _stack(new unsigned char[stack_bytes]), _stack_bytes(stack_bytes),
+      _body(std::move(body))
 {
     BBB_ASSERT(stack_bytes >= 16 * 1024, "fiber stack too small");
 }
@@ -140,7 +141,7 @@ Fiber::resume()
 #if BBB_FIBER_RAW_X86_64
     if (!_started) {
         _started = true;
-        _sp = makeInitialFrame(_stack.data(), _stack.size(), &trampoline);
+        _sp = makeInitialFrame(_stack.get(), _stack_bytes, &trampoline);
     }
     gCurrent = this;
     bbbFiberSwitch(&_caller_sp, _sp);
@@ -149,8 +150,8 @@ Fiber::resume()
     if (!_started) {
         _started = true;
         getcontext(&_context);
-        _context.uc_stack.ss_sp = _stack.data();
-        _context.uc_stack.ss_size = _stack.size();
+        _context.uc_stack.ss_sp = _stack.get();
+        _context.uc_stack.ss_size = _stack_bytes;
         _context.uc_link = nullptr;
         makecontext(&_context, reinterpret_cast<void (*)()>(&trampoline), 0);
     }

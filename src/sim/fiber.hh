@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <vector>
 
 namespace bbb
 {
@@ -69,7 +68,11 @@ class Fiber
     void *_caller_sp = nullptr;
     ucontext_t _context;
     ucontext_t _caller;
-    std::vector<unsigned char> _stack;
+    // Left uninitialised: a machine starts one fiber per simulated
+    // thread on every install and resume, and zero-filling each 256 KiB
+    // stack cost more than the whole install.
+    std::unique_ptr<unsigned char[]> _stack;
+    std::size_t _stack_bytes;
     Body _body;
     bool _started = false;
     bool _finished = false;

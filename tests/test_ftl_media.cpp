@@ -2,12 +2,17 @@
  * @file
  * Unit tests for the media seam: DirectMedia's pass-through contract and
  * FtlMedia's remapping, out-of-place wear, torn-program RMW, crash-time
- * flatten, static wear-leveling, and graceful endurance retirement.
+ * flatten, static wear-leveling, and graceful endurance retirement; and
+ * FtlMedia's flat tables checked choice for choice against a reference
+ * model on ordered trees.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -60,6 +65,189 @@ struct CountingTiming : MediaTiming
 
     Tick mediaReadOccupancy() const override { return 10; }
     Tick mediaWriteOccupancy() const override { return 28; }
+};
+
+/**
+ * The FTL's decisions on a std::map page-mapping table and
+ * std::set<(wear, frame)> pools: the reference FtlMedia's flat tables
+ * must match choice for choice.
+ */
+class RefFtl
+{
+  public:
+    RefFtl(BackingStore &logical, const MediaModelConfig &cfg,
+           unsigned channels)
+        : _logical(logical), _cfg(cfg), _channels(channels),
+          _free(channels), _mapped(channels), _minted(channels, 0)
+    {
+    }
+
+    void
+    commitBlock(Addr block, const BlockData &data)
+    {
+        reprogram(block, data);
+        if (++_since_wl >= std::max(1u, _cfg.wl_interval)) {
+            _since_wl = 0;
+            wearLevel(mediaChannelOf(block, _channels));
+        }
+    }
+
+    void
+    commitTorn(Addr block, const BlockData &intended, unsigned torn_bytes)
+    {
+        BlockData merged;
+        readBlock(block, merged.bytes.data());
+        std::memcpy(merged.bytes.data(), intended.bytes.data(),
+                    std::min<std::size_t>(torn_bytes, kBlockSize));
+        reprogram(block, merged);
+        ++torn_programs;
+    }
+
+    void
+    readBlock(Addr block, unsigned char *out) const
+    {
+        auto it = _pmt.find(block);
+        if (it != _pmt.end())
+            _frames[it->second].data.copyTo(out);
+        else
+            _logical.readBlock(block, out);
+    }
+
+    void
+    writeBytes(Addr addr, const void *src, std::size_t size)
+    {
+        const auto *p = static_cast<const unsigned char *>(src);
+        while (size > 0) {
+            Addr block = blockAlign(addr);
+            std::size_t off = addr - block;
+            std::size_t chunk = std::min(size, kBlockSize - off);
+            auto it = _pmt.find(block);
+            if (it != _pmt.end())
+                std::memcpy(_frames[it->second].data.bytes.data() + off, p,
+                            chunk);
+            else
+                _logical.write(addr, p, chunk);
+            addr += chunk;
+            p += chunk;
+            size -= chunk;
+        }
+        ++byte_writes;
+    }
+
+    void
+    onCrashComplete()
+    {
+        for (const auto &[block, frame] : _pmt)
+            _logical.writeBlock(block, _frames[frame].data.bytes.data());
+    }
+
+    std::uint64_t
+    frameOf(Addr block) const
+    {
+        auto it = _pmt.find(block);
+        return it == _pmt.end() ? FtlMedia::kNoFrame : it->second;
+    }
+    std::uint64_t
+    frameWear(std::uint64_t frame) const
+    {
+        return frame < _frames.size() ? _frames[frame].wear : 0;
+    }
+    std::size_t freeFrames(unsigned ch) const { return _free[ch].size(); }
+    std::size_t mappedBlocks() const { return _pmt.size(); }
+
+    std::uint64_t programs = 0, demand_programs = 0, torn_programs = 0,
+                  byte_writes = 0, migrations = 0, retired_frames = 0,
+                  frames_minted = 0;
+
+  private:
+    struct Frame
+    {
+        Addr logical = FtlMedia::kNoFrame;
+        std::uint64_t wear = 0;
+        BlockData data{};
+    };
+    using Pool = std::set<std::pair<std::uint64_t, std::uint64_t>>;
+
+    void
+    reprogram(Addr block, const BlockData &data)
+    {
+        unsigned ch = mediaChannelOf(block, _channels);
+        if (auto it = _pmt.find(block); it != _pmt.end()) {
+            std::uint64_t old = it->second;
+            _pmt.erase(it);
+            _mapped[ch].erase({_frames[old].wear, old});
+            freeOrRetire(old);
+        }
+        if (_free[ch].empty()) {
+            for (int i = 0; i < 8; ++i) {
+                std::uint64_t id = ch + _channels * _minted[ch]++;
+                if (id >= _frames.size())
+                    _frames.resize(id + 1);
+                _free[ch].insert({0, id});
+                ++frames_minted;
+            }
+        }
+        std::uint64_t frame = _free[ch].begin()->second;
+        _free[ch].erase(_free[ch].begin());
+        burn(frame, data);
+        map(block, frame);
+        ++demand_programs;
+    }
+
+    void
+    burn(std::uint64_t frame, const BlockData &data)
+    {
+        _frames[frame].data = data;
+        ++_frames[frame].wear;
+        ++programs;
+    }
+
+    void
+    map(Addr block, std::uint64_t frame)
+    {
+        _frames[frame].logical = block;
+        _pmt[block] = frame;
+        _mapped[mediaChannelOf(block, _channels)].insert(
+            {_frames[frame].wear, frame});
+    }
+
+    void
+    freeOrRetire(std::uint64_t frame)
+    {
+        Frame &f = _frames[frame];
+        f.logical = FtlMedia::kNoFrame;
+        if (f.wear >= _cfg.endurance_cycles)
+            ++retired_frames;
+        else
+            _free[frame % _channels].insert({f.wear, frame});
+    }
+
+    void
+    wearLevel(unsigned ch)
+    {
+        if (_mapped[ch].empty() || _free[ch].empty())
+            return;
+        auto cold = *_mapped[ch].begin();
+        auto hot = *_free[ch].rbegin();
+        if (hot.first < cold.first + _cfg.wear_delta)
+            return;
+        Addr logical = _frames[cold.second].logical;
+        _free[ch].erase(hot);
+        _mapped[ch].erase(cold);
+        burn(hot.second, _frames[cold.second].data);
+        map(logical, hot.second);
+        ++migrations;
+        freeOrRetire(cold.second);
+    }
+
+    BackingStore &_logical;
+    MediaModelConfig _cfg;
+    unsigned _channels;
+    std::vector<Frame> _frames;
+    std::map<Addr, std::uint64_t> _pmt;
+    std::vector<Pool> _free, _mapped;
+    std::vector<std::uint64_t> _minted;
+    unsigned _since_wl = 0;
 };
 
 } // namespace
@@ -272,8 +460,9 @@ TEST(FtlMedia, WornFramesRetireGracefully)
 
 TEST(FtlMedia, IdenticalCommitStreamsProduceIdenticalMappings)
 {
-    // The determinism contract: no RNG, ordered tables only — two
-    // instances fed the same stream agree frame for frame.
+    // The determinism contract: no RNG, and no decision reads a
+    // container's iteration order — two instances fed the same stream
+    // agree frame for frame.
     BackingStore store_a, store_b;
     FtlMedia a(store_a, ftlCfg(4, 2, 4), 2);
     FtlMedia b(store_b, ftlCfg(4, 2, 4), 2);
@@ -293,4 +482,113 @@ TEST(FtlMedia, IdenticalCommitStreamsProduceIdenticalMappings)
               b.stats().retired_frames.value());
     EXPECT_EQ(a.stats().frames_minted.value(),
               b.stats().frames_minted.value());
+}
+
+/** Everything observable about the FTL's state after one operation. */
+void
+expectSameState(const FtlMedia &ftl, const RefFtl &ref, unsigned channels,
+                unsigned blocks, unsigned migrations_reserved,
+                const char *step)
+{
+    SCOPED_TRACE(step);
+    for (unsigned i = 0; i < blocks; ++i)
+        ASSERT_EQ(ftl.frameOf(blk(i)), ref.frameOf(blk(i))) << "block " << i;
+    for (std::uint64_t f = 0; f < ftl.stats().frames_minted.value() + 8; ++f)
+        ASSERT_EQ(ftl.frameWear(f), ref.frameWear(f)) << "frame " << f;
+    for (unsigned ch = 0; ch < channels; ++ch)
+        ASSERT_EQ(ftl.freeFrames(ch), ref.freeFrames(ch)) << "channel " << ch;
+    ASSERT_EQ(ftl.mappedBlocks(), ref.mappedBlocks());
+    const MediaStats &s = ftl.stats();
+    ASSERT_EQ(s.programs.value(), ref.programs);
+    ASSERT_EQ(s.program_bytes.value(), ref.programs * kBlockSize);
+    ASSERT_EQ(s.demand_programs.value(), ref.demand_programs);
+    ASSERT_EQ(s.torn_programs.value(), ref.torn_programs);
+    ASSERT_EQ(s.byte_writes.value(), ref.byte_writes);
+    ASSERT_EQ(s.migrations.value(), ref.migrations);
+    ASSERT_EQ(s.retired_frames.value(), ref.retired_frames);
+    ASSERT_EQ(s.frames_minted.value(), ref.frames_minted);
+    ASSERT_EQ(s.wear.samples(), ref.programs);
+    ASSERT_EQ(migrations_reserved, ref.migrations);
+}
+
+TEST(FtlMedia, FlatTablesMakeTheReferenceModelsChoices)
+{
+    constexpr unsigned kBlocks = 40;
+    std::uint64_t retired = 0, migrated = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        auto pick = [&](std::uint64_t lo, std::uint64_t hi) {
+            return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+        };
+        unsigned channels = static_cast<unsigned>(pick(1, 4));
+        MediaModelConfig cfg = ftlCfg(pick(4, 6), 2,
+                                      static_cast<unsigned>(pick(4, 8)));
+
+        // Both start from the same warm-up image: unmapped blocks read
+        // through to it.
+        BackingStore store, ref_store;
+        for (unsigned i = 0; i < kBlocks; i += 3) {
+            store.writeBlock(blk(i), pattern(static_cast<unsigned char>(i))
+                                         .bytes.data());
+            ref_store.writeBlock(
+                blk(i), pattern(static_cast<unsigned char>(i)).bytes.data());
+        }
+        FtlMedia ftl(store, cfg, channels);
+        CountingTiming timing;
+        ftl.attachTiming(&timing);
+        RefFtl ref(ref_store, cfg, channels);
+
+        for (unsigned op = 0; op < 1500; ++op) {
+            // Skewed blocks: a hot few get most commits, so cold blocks
+            // pin frames and static wear leveling has work to do.
+            Addr block = blk(static_cast<unsigned>(
+                pick(0, 3) ? pick(0, 7) : pick(0, kBlocks - 1)));
+            BlockData data;
+            for (auto &b : data.bytes)
+                b = static_cast<unsigned char>(rng());
+            unsigned kind = static_cast<unsigned>(pick(0, 9));
+            const char *step;
+            if (kind < 5) {
+                step = "commitBlock";
+                ftl.commitBlock(block, data);
+                ref.commitBlock(block, data);
+            } else if (kind < 7) {
+                step = "commitTorn";
+                unsigned torn = static_cast<unsigned>(pick(0, kBlockSize));
+                ftl.commitTorn(block, data, torn);
+                ref.commitTorn(block, data, torn);
+            } else if (kind < 9) {
+                step = "readBlock";
+                BlockData a, b;
+                ftl.readBlock(block, a.bytes.data());
+                ref.readBlock(block, b.bytes.data());
+                ASSERT_EQ(a.bytes, b.bytes) << "op " << op;
+            } else {
+                step = "writeBytes";
+                Addr addr = block + pick(0, kBlockSize - 1);
+                std::size_t size = pick(1, kBlockSize);
+                ftl.writeBytes(addr, data.bytes.data(), size);
+                ref.writeBytes(addr, data.bytes.data(), size);
+            }
+            expectSameState(ftl, ref, channels, kBlocks, timing.calls, step);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+
+        ftl.onCrashComplete();
+        ref.onCrashComplete();
+        for (unsigned i = 0; i <= kBlocks; ++i) {
+            BlockData a, b;
+            store.readBlock(blk(i), a.bytes.data());
+            ref_store.readBlock(blk(i), b.bytes.data());
+            ASSERT_EQ(a.bytes, b.bytes) << "flattened block " << i;
+        }
+        EXPECT_EQ(store.fingerprint(), ref_store.fingerprint());
+        retired += ref.retired_frames;
+        migrated += ref.migrations;
+    }
+    // The streams must reach both rare paths, or the check proves little.
+    EXPECT_GT(retired, 0u);
+    EXPECT_GT(migrated, 0u);
 }

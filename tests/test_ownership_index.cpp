@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the fixed-capacity OwnershipIndex: sizing, collision
- * probing, wraparound at the end of the table, and backward-shift
- * deletion keeping probe chains intact.
+ * Unit tests for BlockTable, through its fixed-capacity OwnershipIndex
+ * instance: sizing, collision probing, wraparound at the end of the
+ * table, and backward-shift deletion keeping probe chains intact; and
+ * the doubling growth path the FTL's page-mapping table uses.
  */
 
 #include <gtest/gtest.h>
@@ -171,6 +172,85 @@ TEST(OwnershipIndex, FillToDeclaredCapacityAndDrainInOddOrder)
     for (std::uint64_t n = 0; n < kMax; n += 2)
         idx.erase(blk(n * 977 + 13));
     EXPECT_EQ(idx.size(), 0u);
+}
+
+TEST(BlockTable, GrowthKeepsCapacityAPowerOfTwoAtMostHalfFull)
+{
+    BlockTable<std::uint64_t> t(0);
+    EXPECT_EQ(t.capacity(), 16u);
+    std::size_t grows = 0, cap = t.capacity();
+    for (std::uint64_t n = 0; n < 5000; ++n) {
+        t.insertGrowing(blk(n), n);
+        if (t.capacity() != cap) {
+            EXPECT_EQ(t.capacity(), 2 * cap) << "growth must double";
+            cap = t.capacity();
+            ++grows;
+        }
+        EXPECT_EQ(t.capacity() & (t.capacity() - 1), 0u);
+        EXPECT_LE(2 * t.size(), t.capacity());
+    }
+    EXPECT_EQ(t.capacity(), 16384u); // smallest power of two >= 2 x 5000
+    EXPECT_EQ(grows, 10u);
+}
+
+TEST(BlockTable, EveryRecordSurvivesAGrow)
+{
+    BlockTable<std::uint64_t> t(8); // capacity 16
+    // Crowd one home bucket so the grow re-homes a wrapped chain too.
+    std::vector<Addr> chain;
+    for (std::uint64_t n = 1; chain.size() < 4; ++n) {
+        if (t.bucketOf(blk(n)) == t.capacity() - 1)
+            chain.push_back(blk(n));
+    }
+    for (std::uint64_t i = 0; i < chain.size(); ++i)
+        t.insertGrowing(chain[i], 1000 + i);
+    for (std::uint64_t n = 0; n < 200; ++n)
+        t.insertGrowing(blk(n * 977 + 13), n);
+    EXPECT_GT(t.capacity(), 16u);
+    EXPECT_EQ(t.size(), 204u);
+    for (std::uint64_t i = 0; i < chain.size(); ++i) {
+        ASSERT_NE(t.find(chain[i]), nullptr) << "lost chain block " << i;
+        EXPECT_EQ(*t.find(chain[i]), 1000 + i);
+    }
+    for (std::uint64_t n = 0; n < 200; ++n) {
+        ASSERT_NE(t.find(blk(n * 977 + 13)), nullptr) << "lost block " << n;
+        EXPECT_EQ(*t.find(blk(n * 977 + 13)), n);
+    }
+    std::size_t seen = 0;
+    t.forEach([&](Addr, std::uint64_t) { ++seen; });
+    EXPECT_EQ(seen, t.size());
+}
+
+TEST(BlockTable, BackwardShiftEraseWorksAcrossAGrownTable)
+{
+    BlockTable<std::uint64_t> t(0);
+    for (std::uint64_t n = 0; n < 300; ++n)
+        t.insertGrowing(blk(n * 31 + 7), n);
+    // Chains built before a grow and records added after it must both
+    // stay reachable while their neighbours shift back.
+    auto home = t.bucketOf(blk(7));
+    std::vector<Addr> colliders;
+    for (std::uint64_t n = 100000; colliders.size() < 3; ++n) {
+        if (t.bucketOf(blk(n)) == home)
+            colliders.push_back(blk(n));
+    }
+    for (std::uint64_t i = 0; i < colliders.size(); ++i)
+        t.insertGrowing(colliders[i], 5000 + i);
+    for (std::uint64_t n = 0; n < 300; n += 2)
+        t.erase(blk(n * 31 + 7));
+    t.erase(colliders[1]);
+    for (std::uint64_t n = 1; n < 300; n += 2) {
+        ASSERT_NE(t.find(blk(n * 31 + 7)), nullptr) << "lost block " << n;
+        EXPECT_EQ(*t.find(blk(n * 31 + 7)), n);
+    }
+    for (std::uint64_t n = 0; n < 300; n += 2)
+        EXPECT_EQ(t.find(blk(n * 31 + 7)), nullptr);
+    EXPECT_EQ(t.find(colliders[1]), nullptr);
+    for (std::uint64_t i : {0u, 2u}) {
+        ASSERT_NE(t.find(colliders[i]), nullptr);
+        EXPECT_EQ(*t.find(colliders[i]), 5000 + i);
+    }
+    EXPECT_EQ(t.size(), 152u);
 }
 
 TEST(OwnershipIndexDeath, DuplicateInsertPanics)
