@@ -3,8 +3,9 @@
  * Google-benchmark microbenchmarks of the simulator substrate: event
  * queue throughput, fiber switches, cache-array lookups, store-buffer
  * push/drain, bbPB allocate/coalesce/drain, WPQ enqueue/retire, FTL
- * commit/read over a large mapping, backing-store access, end-to-end simulated ops per host second,
- * machine construction, and the post-crash recovery walk.
+ * commit/read over a large mapping, backing-store writes, scattered
+ * reads and image fingerprints, end-to-end simulated ops per host
+ * second, machine construction, and the post-crash recovery walk.
  * These guard the simulator's host-side performance (a slow simulator
  * caps the experiment sizes every other bench can afford).
  */
@@ -83,6 +84,54 @@ BM_BackingStoreBlockWrite(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BackingStoreBlockWrite);
+
+void
+BM_BackingStoreRead64Scattered(benchmark::State &state)
+{
+    // One read64 per iteration over 4,096 materialised pages visited in a
+    // scattered order, so nearly every read misses the 64-slot page
+    // cache and goes to the page index.
+    constexpr std::uint64_t kPages = 4096;
+    constexpr Addr kPage = BackingStore::kPageSize;
+    BackingStore store;
+    for (std::uint64_t p = 0; p < kPages; ++p)
+        store.write64(p * 3 * kPage + 8 * (p % 512), p);
+    std::uint64_t sum = 0;
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        std::uint64_t p = (i * 2749) % kPages;
+        sum += store.read64(p * 3 * kPage + 8 * (p % 512));
+        ++i;
+    }
+    benchmark::DoNotOptimize(sum);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BackingStoreRead64Scattered);
+
+void
+BM_ImageFingerprint(benchmark::State &state)
+{
+    // BackingStore::fingerprint (the golden image check) over a prepared
+    // benchmark image at the fig7 grid's shape. Arg 0: rtree, a sparse
+    // tree image with many zero words; arg 1: mutateNC, a dense array
+    // image. Items are pages.
+    static const char *const kWorkloads[] = {"rtree", "mutateNC"};
+    const char *name = kWorkloads[state.range(0)];
+    state.SetLabel(name);
+    WorkloadParams params;
+    params.initial_elements = 12500;
+    params.array_elements = 1ull << 17;
+    System sys(benchConfig(PersistMode::BbbMemSide));
+    makeWorkload(name, params)->install(sys);
+    const BackingStore &image = sys.image();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(image.fingerprint());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(image.pagesTouched()));
+}
+BENCHMARK(BM_ImageFingerprint)
+    ->DenseRange(0, 1)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_CacheArrayFindTouch(benchmark::State &state)

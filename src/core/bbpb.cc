@@ -51,7 +51,8 @@ Bbpb::Bbpb(const SystemConfig &cfg, EventQueue &eq, MemCtrl &nvmm,
       _index(static_cast<std::size_t>(cfg.num_cores) * cfg.bbpb.entries),
       _bufs(cfg.num_cores, CoreBuffer(cfg.bbpb.entries)),
       _threshold(thresholdEntries(cfg.bbpb)),
-      _sample_residency(sample_residency)
+      _sample_residency(sample_residency),
+      _reverse_crash_drain(litmusMutation("crash-reverse-drain"))
 {
     _stats.registerWith(stats.group(group));
 }
@@ -234,7 +235,7 @@ Bbpb::crashDrain(const PersistSink &sink)
     // system-wide). The seeded "crash-reverse-drain" mutation streams
     // newest-first, so an exhausted battery sacrifices the *oldest*
     // persists — the prefix violation the litmus harness must catch.
-    const bool reversed = litmusMutation("crash-reverse-drain");
+    const bool reversed = _reverse_crash_drain;
     for (CoreBuffer &buf : _bufs) {
         Slab &slots = buf.slots;
         for (std::uint32_t s = reversed ? slots.tail() : slots.head();

@@ -164,6 +164,8 @@ class Bbpb : public PersistencyBackend
     std::vector<CoreBuffer> _bufs;
     const unsigned _threshold;
     const bool _sample_residency;
+    /** The seeded "crash-reverse-drain" litmus mutation (read once). */
+    const bool _reverse_crash_drain;
     bool _low_power = false;
 };
 

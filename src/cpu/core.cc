@@ -105,7 +105,8 @@ Core::Core(CoreId id, const SystemConfig &cfg, EventQueue &eq,
            CacheHierarchy &hier, StatRegistry &stats)
     : _id(id), _cfg(cfg), _eq(eq), _hier(hier),
       _sb(id, cfg, eq, hier, stats),
-      _tc(*this, cfg.seed * 1315423911u + id)
+      _tc(*this, cfg.seed * 1315423911u + id),
+      _flush_drop(litmusMutation("flush-drop"))
 {
     _sb.setOnChange([this]() { onSbChange(); });
     _sb.setOutOfOrderDrain(cfg.relaxed_consistency);
@@ -263,9 +264,7 @@ Core::executePending(bool in_fiber)
         // writing anything back: fence-confirmed data never reaches the
         // persistence domain — the Px86 violation the litmus
         // mutation-kill self-check must catch.
-        Tick lat = litmusMutation("flush-drop")
-                       ? cycle
-                       : _hier.flushBlock(_id, _pending.addr);
+        Tick lat = _flush_drop ? cycle : _hier.flushBlock(_id, _pending.addr);
         ++_flushes_outstanding;
         _eq.scheduleIn(lat,
                        [this]() {

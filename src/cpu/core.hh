@@ -175,6 +175,8 @@ class Core
     bool _started = false;
     bool _finished = false;
     bool _halted = false;
+    /** The seeded "flush-drop" litmus mutation (read once). */
+    const bool _flush_drop;
     Tick _finish_tick = 0;
     Tick _wait_start = 0;
 

@@ -8,7 +8,8 @@ namespace bbb
 StoreBuffer::StoreBuffer(CoreId core, const SystemConfig &cfg,
                          EventQueue &eq, CacheHierarchy &hier,
                          StatRegistry &stats)
-    : _core(core), _cfg(cfg), _eq(eq), _hier(hier)
+    : _core(core), _cfg(cfg), _eq(eq), _hier(hier),
+      _drain_youngest(litmusMutation("drain-youngest"))
 {
     StatGroup &g = stats.group("sb" + std::to_string(core));
     g.addCounter("pushes", &_pushes, "stores committed into the buffer");
@@ -154,7 +155,7 @@ StoreBuffer::retireOne()
     // mutation retires the youngest entry instead — the ordering bug the
     // litmus mutation-kill self-check must catch.
     std::size_t idx = 0;
-    if (litmusMutation("drain-youngest"))
+    if (_drain_youngest)
         idx = _entries.size() - 1;
 
     AccessResult res = _hier.store(_core, _entries[idx].addr,

@@ -111,6 +111,8 @@ class StoreBuffer
     Tick _port_free = 0;
     bool _ooo_drain = false;
     bool _manual_drain = false;
+    /** The seeded "drain-youngest" litmus mutation (read once). */
+    const bool _drain_youngest;
     std::function<void()> _on_change;
 
     StatCounter _pushes;

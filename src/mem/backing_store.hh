@@ -8,13 +8,16 @@
  * only a media write updates the backing store.
  *
  * Storage is allocated in 4 KiB pages on first touch so an 8+8 GB address
- * space costs only what the workloads actually touch.
+ * space costs only what the workloads actually touch. Each page is its
+ * own heap allocation, owned by a vector in first-touch order, so page
+ * pointers stay valid until clear(). The index from a page's base
+ * address to its page is the repository's open-addressed BlockTable
+ * (sim/block_table.hh), which doubles as the image grows.
  *
  * Accesses are dominated by 8-byte scalars (the functional ImageAccessor
  * used for workload warm-up) and single cache blocks, so lookups go
  * through a small direct-mapped cache of page pointers in front of the
- * hash map; unordered_map nodes are pointer-stable, which makes the
- * cached pointers safe until clear(). Copies and moves reset the cache.
+ * index. Copies and moves reset the cache; a moved-from store is empty.
  */
 
 #ifndef BBB_MEM_BACKING_STORE_HH
@@ -22,10 +25,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
-#include <unordered_map>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "sim/block_table.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -38,21 +44,34 @@ class BackingStore
   public:
     static constexpr std::uint64_t kPageSize = 4096;
 
-    BackingStore() = default;
-    BackingStore(const BackingStore &o) : _pages(o._pages) {}
-    BackingStore(BackingStore &&o) noexcept : _pages(std::move(o._pages)) {}
+    BackingStore() : _index(0) {}
+    BackingStore(const BackingStore &o) : _index(o._pages.size())
+    {
+        _pages.reserve(o._pages.size());
+        for (const Frame &f : o._pages)
+            adopt(f.base, std::make_unique<Page>(*f.bytes));
+    }
+    BackingStore(BackingStore &&o) noexcept : BackingStore()
+    {
+        *this = std::move(o);
+    }
     BackingStore &
     operator=(const BackingStore &o)
     {
-        _pages = o._pages;
-        resetCache();
+        if (this != &o)
+            *this = BackingStore(o);
         return *this;
     }
+    /** Take @p o's pages; @p o is left empty and independent. */
     BackingStore &
     operator=(BackingStore &&o) noexcept
     {
-        _pages = std::move(o._pages);
-        resetCache();
+        if (this != &o) {
+            std::swap(_pages, o._pages);
+            std::swap(_index, o._index);
+            o.clear();
+            resetCache();
+        }
         return *this;
     }
 
@@ -147,6 +166,7 @@ class BackingStore
     clear()
     {
         _pages.clear();
+        _index.clear();
         resetCache();
     }
 
@@ -154,42 +174,58 @@ class BackingStore
     BackingStore clone() const { return *this; }
 
     /**
-     * Content fingerprint (FNV-1a over pages in address order). All-zero
-     * pages hash like absent ones, so two images are equal-by-content iff
-     * their fingerprints match regardless of which pages materialised.
-     * Used to compare post-crash images across runs (determinism tests,
-     * campaign repro lines).
+     * Content fingerprint (FNV-1a over pages in address order: each
+     * page's number, then its bytes). All-zero pages hash like absent
+     * ones, so two images are equal-by-content iff their fingerprints
+     * match regardless of which pages materialised. Used to compare
+     * post-crash images across runs (determinism tests, campaign repro
+     * lines).
+     *
+     * The value is the byte-serial hash's. A zero byte's FNV-1a step is
+     * h *= P, so the bytes are walked a word at a time and a run of k
+     * zero bytes is folded into one multiply by P^k.
      */
     std::uint64_t
     fingerprint() const
     {
-        std::vector<Addr> pages;
-        pages.reserve(_pages.size());
-        for (const auto &kv : _pages)
-            pages.push_back(kv.first);
-        std::sort(pages.begin(), pages.end());
+        std::vector<const Frame *> order;
+        order.reserve(_pages.size());
+        for (const Frame &f : _pages)
+            order.push_back(&f);
+        std::sort(order.begin(), order.end(),
+                  [](const Frame *a, const Frame *b) {
+                      return a->base < b->base;
+                  });
 
-        std::uint64_t h = 1469598103934665603ull; // FNV offset basis
-        auto mix = [&h](const unsigned char *p, std::size_t n) {
-            for (std::size_t i = 0; i < n; ++i) {
-                h ^= p[i];
-                h *= 1099511628211ull; // FNV prime
-            }
-        };
-        static const Page kZero{};
-        for (Addr page : pages) {
-            const Page &p = _pages.at(page);
-            if (p == kZero)
-                continue;
-            mix(reinterpret_cast<const unsigned char *>(&page),
-                sizeof(page));
-            mix(p.data(), p.size());
+        constexpr std::size_t kWords = kPageSize / sizeof(std::uint64_t);
+        std::uint64_t h = kFnvBasis;
+        for (const Frame *f : order) {
+            const unsigned char *bytes = f->bytes->data();
+            std::size_t w = 0;
+            while (w < kWords && loadWord(bytes, w) == 0)
+                ++w;
+            if (w == kWords)
+                continue; // an all-zero page hashes like an absent one
+            std::size_t pending = 0;
+            mixWord(h, pending, f->base / kPageSize);
+            h *= kFnvPow[pending];
+            pending = 8 * w;
+            for (; w < kWords; ++w)
+                mixWord(h, pending, loadWord(bytes, w));
+            h *= kFnvPow[pending];
         }
         return h;
     }
 
   private:
     using Page = std::array<unsigned char, kPageSize>;
+
+    /** One materialised page: its base address and its owned bytes. */
+    struct Frame
+    {
+        Addr base;
+        std::unique_ptr<Page> bytes;
+    };
 
     /** Direct-mapped page-pointer cache slots (power of two). */
     static constexpr std::size_t kCacheWays = 64;
@@ -200,30 +236,95 @@ class BackingStore
         Page *ptr = nullptr; // nullptr with matching page = known absent
     };
 
+    static constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+    static constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+    /** kFnvPow[k] = P^k: the FNV-1a step over k zero bytes of a page. */
+    static constexpr std::array<std::uint64_t, kPageSize + 1> kFnvPow = [] {
+        std::array<std::uint64_t, kPageSize + 1> pow{};
+        pow[0] = 1;
+        for (std::size_t k = 1; k < pow.size(); ++k)
+            pow[k] = pow[k - 1] * kFnvPrime;
+        return pow;
+    }();
+
+    static_assert(std::endian::native == std::endian::little,
+                  "a word's low byte must be its first byte in memory");
+
+    static std::uint64_t
+    loadWord(const unsigned char *bytes, std::size_t w)
+    {
+        std::uint64_t v;
+        std::memcpy(&v, bytes + w * sizeof(v), sizeof(v));
+        return v;
+    }
+
+    /**
+     * Hash the 8 bytes of @p word (memory order) into @p h, with
+     * @p pending zero bytes not yet applied. A zero word only extends
+     * the run; otherwise the run is applied, the bytes up to the highest
+     * non-zero one are mixed, and the high zero bytes start a new run.
+     */
+    static void
+    mixWord(std::uint64_t &h, std::size_t &pending, std::uint64_t word)
+    {
+        if (word == 0) {
+            pending += 8;
+            return;
+        }
+        h *= kFnvPow[pending];
+        std::size_t n = (std::bit_width(word) + 7) / 8;
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= (word >> (8 * i)) & 0xff;
+            h *= kFnvPrime;
+        }
+        pending = 8 - n;
+    }
+
     /** Page lookup through the cache; nullptr if not materialised. */
     Page *
     lookup(Addr page) const
     {
         CacheEnt &e = _cache[page & (kCacheWays - 1)];
-        if (e.page != page) {
-            auto it = _pages.find(page);
-            e.page = page;
-            e.ptr = it == _pages.end()
-                        ? nullptr
-                        : const_cast<Page *>(&it->second);
-        }
+        if (e.page != page)
+            e = CacheEnt{page, indexed(page)};
         return e.ptr;
     }
 
+    /** The page, materialised on first touch. */
     Page &
     touch(Addr page)
     {
         CacheEnt &e = _cache[page & (kCacheWays - 1)];
-        if (e.page == page && e.ptr)
-            return *e.ptr;
-        Page &p = _pages[page]; // value-initialised (zeroed) on insert
-        e.page = page;
-        e.ptr = &p;
+        if (e.page != page || !e.ptr)
+            e = CacheEnt{page, materialise(page)};
+        return *e.ptr;
+    }
+
+    /** Page @p page from the index; nullptr if not materialised. */
+    Page *
+    indexed(Addr page) const
+    {
+        Page *const *p = _index.find(page * kPageSize);
+        return p ? *p : nullptr;
+    }
+
+    /** Page @p page, materialising a zeroed one if it is absent. Out of
+     *  line, so that only touch()'s cache hit inlines into write64(). */
+    [[gnu::noinline]] Page *
+    materialise(Addr page)
+    {
+        Page *p = indexed(page);
+        return p ? p : adopt(page * kPageSize, std::make_unique<Page>());
+    }
+
+    /** Own @p bytes as the page at @p base (which must be absent). */
+    Page *
+    adopt(Addr base, std::unique_ptr<Page> bytes)
+    {
+        Page *p = bytes.get();
+        _pages.push_back(Frame{base, std::move(bytes)});
+        _index.insertGrowing(base, p);
         return p;
     }
 
@@ -233,7 +334,8 @@ class BackingStore
         _cache.fill(CacheEnt{});
     }
 
-    std::unordered_map<Addr, Page> _pages;
+    std::vector<Frame> _pages;
+    BlockTable<Page *> _index;
     mutable std::array<CacheEnt, kCacheWays> _cache{};
 };
 

@@ -3,17 +3,19 @@
  * Open-addressed map from a block address to a small value, shared by
  * every structure that indexes blocks: the system-wide bbPB ownership
  * index (core/ownership_index.hh), the memory controller's WPQ block
- * index (mem/mem_ctrl.hh) and the FTL's page-mapping table
- * (mem/ftl/ftl_media.hh).
+ * index (mem/mem_ctrl.hh), the FTL's page-mapping table
+ * (mem/ftl/ftl_media.hh) and the backing store's page index
+ * (mem/backing_store.hh, keyed by page base address).
  *
  * The buffer indexes size the table once at construction to a power of
  * two at most half full (capacity >= 2 x the worst-case entry count)
  * and insert(), which never rehashes, so the hot persist path performs
- * no heap allocation. A map with no a-priori bound (the FTL's) uses
- * insertGrowing(), which doubles the capacity whenever an insert would
- * pass half full. Either way lookups, inserts, and erases are O(1) with
- * short linear probes. Erase uses backward-shift deletion, so there are
- * no tombstones and probe chains never degrade over a run.
+ * no heap allocation. A map with no a-priori bound (the FTL's, the
+ * backing store's) uses insertGrowing(), which doubles the capacity
+ * whenever an insert would pass half full. Either way lookups, inserts,
+ * and erases are O(1) with short linear probes. Erase uses
+ * backward-shift deletion, so there are no tombstones and probe chains
+ * never degrade over a run.
  */
 
 #ifndef BBB_SIM_BLOCK_TABLE_HH

@@ -19,8 +19,9 @@
  * This header also hosts the litmus mutation switch: the mutation-kill
  * self-checks seed one deliberate ordering bug behind the
  * BBB_LITMUS_MUTATE environment variable and assert that the harness
- * fails. The switch reads the environment on every call so tests can
- * setenv/unsetenv around individual runs.
+ * fails. The cores, store buffers and bbPBs read the switch once, when
+ * they are constructed, so a test sets it before it builds the machines
+ * of a run.
  */
 
 #ifndef BBB_SIM_OP_GATE_HH
@@ -52,9 +53,9 @@ class OpGate
 
 /**
  * True if BBB_LITMUS_MUTATE names @p name: the corresponding seeded
- * ordering bug is active. Used only by the mutation-kill self-checks;
- * unset (the normal case) costs one getenv per call on paths that are
- * not hot.
+ * ordering bug is active. Used only by the mutation-kill self-checks.
+ * It costs a getenv, so callers read it at construction, not per op:
+ * under pmem_auto_strict every persisting store flushes.
  */
 inline bool
 litmusMutation(const char *name)

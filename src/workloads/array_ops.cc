@@ -1,5 +1,8 @@
 #include "workloads/array_ops.hh"
 
+#include <algorithm>
+#include <array>
+
 #include "recover/recovery_manager.hh"
 
 namespace bbb
@@ -16,11 +19,19 @@ ArrayWorkload::name() const
 void
 ArrayWorkload::prepare(System &sys)
 {
-    _base = sys.heap().alloc(_first, _p.array_elements * 8, kBlockSize);
-    ImageAccessor img(sys.image());
-    img.st(sys.heap().rootAddr(_first), _base);
-    for (std::uint64_t i = 0; i < _p.array_elements; ++i)
-        img.st(elemAddr(i), encode(static_cast<std::uint32_t>(i)));
+    std::uint64_t n = _p.array_elements;
+    _base = sys.heap().alloc(_first, n * 8, kBlockSize);
+    BackingStore &image = sys.image();
+    image.write64(sys.heap().rootAddr(_first), _base);
+    // A page's worth of elements per write: the same bytes as one store
+    // per element, without a virtual call and page lookup per element.
+    std::array<std::uint64_t, BackingStore::kPageSize / 8> chunk;
+    for (std::uint64_t i = 0; i < n; i += chunk.size()) {
+        std::uint64_t m = std::min<std::uint64_t>(chunk.size(), n - i);
+        for (std::uint64_t k = 0; k < m; ++k)
+            chunk[k] = encode(static_cast<std::uint32_t>(i + k));
+        image.write(elemAddr(i), chunk.data(), m * 8);
+    }
 }
 
 void

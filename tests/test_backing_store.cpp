@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "mem/addr_map.hh"
 #include "mem/backing_store.hh"
 #include "persist/recovery.hh"
+#include "sim/rng.hh"
 
 using namespace bbb;
 
@@ -103,6 +106,201 @@ TEST(BackingStore, SparseHugeAddresses)
     s.write64(far, 0xabcd);
     EXPECT_EQ(s.read64(far), 0xabcdu);
     EXPECT_EQ(s.pagesTouched(), 1u);
+}
+
+namespace
+{
+
+/**
+ * The fingerprint's definition, byte by byte: FNV-1a over every page of
+ * @p pages that holds a non-zero byte, in address order, each page's
+ * number (8 bytes, little-endian) followed by its 4096 bytes.
+ */
+std::uint64_t
+referenceFingerprint(const BackingStore &s, std::vector<Addr> pages)
+{
+    std::sort(pages.begin(), pages.end());
+    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](unsigned char b) {
+        h ^= b;
+        h *= 1099511628211ull;
+    };
+    std::vector<unsigned char> bytes(BackingStore::kPageSize);
+    for (Addr page : pages) {
+        s.read(page * BackingStore::kPageSize, bytes.data(), bytes.size());
+        if (std::all_of(bytes.begin(), bytes.end(),
+                        [](unsigned char b) { return b == 0; }))
+            continue;
+        for (unsigned i = 0; i < 8; ++i)
+            mix(static_cast<unsigned char>(page >> (8 * i)));
+        for (unsigned char b : bytes)
+            mix(b);
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(BackingStore, FingerprintMatchesByteSerialFnv)
+{
+    constexpr Addr kPage = BackingStore::kPageSize;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Rng rng(seed);
+        BackingStore s;
+        std::vector<Addr> pages;
+        for (unsigned n = 0; n < 24; ++n) {
+            // Page numbers from 0 up to the far end of a 16 GiB space,
+            // with neighbours so consecutive pages occur.
+            Addr page = rng.below(3) == 0 ? rng.below(8)
+                                          : rng.below(16_GiB / kPage);
+            if (rng.below(4) == 0 && !pages.empty())
+                page = pages.back() + 1;
+            pages.push_back(page);
+            Addr base = page * kPage;
+            switch (rng.below(6)) {
+              case 0: // materialised but all zero
+                s.write64(base + 8 * rng.below(kPage / 8), 0);
+                break;
+              case 1: // only the last byte is non-zero
+                s.write(base + kPage - 1, "\x5a", 1);
+                break;
+              case 2: // only the first byte is non-zero
+                s.write(base, "\x01", 1);
+                break;
+              default: // runs of zero words, small and random words
+                for (Addr off = 0; off < kPage; off += 8) {
+                    std::uint64_t v = 0;
+                    switch (rng.below(5)) {
+                      case 0:
+                        v = rng.next();
+                        break;
+                      case 1: // trailing (high) zero bytes
+                        v = rng.next() >> (8 * rng.below(8));
+                        break;
+                      case 2: // leading (low) zero bytes
+                        v = rng.next() << (8 * rng.below(8));
+                        break;
+                      default:
+                        break;
+                    }
+                    if (v != 0)
+                        s.write64(base + off, v);
+                }
+                break;
+            }
+        }
+        EXPECT_EQ(s.fingerprint(), referenceFingerprint(s, pages))
+            << "seed " << seed;
+    }
+}
+
+TEST(BackingStore, FingerprintOfEdgeImages)
+{
+    constexpr Addr kPage = BackingStore::kPageSize;
+    BackingStore s;
+    const std::uint64_t empty = s.fingerprint();
+    EXPECT_EQ(empty, referenceFingerprint(s, {}));
+
+    s.write64(5 * kPage, 0); // a materialised zero page hashes as absent
+    EXPECT_EQ(s.fingerprint(), empty);
+
+    s.write(15_GiB + kPage - 1, "\x80", 1); // a lone last byte, far away
+    EXPECT_NE(s.fingerprint(), empty);
+    EXPECT_EQ(s.fingerprint(), referenceFingerprint(s, {5, 15_GiB / kPage}));
+
+    s.write64(0, 0x00ff000000000001ull); // page 0: a zero page number
+    s.write64(kPage - 8, 0xff00000000000000ull);
+    EXPECT_EQ(s.fingerprint(),
+              referenceFingerprint(s, {0, 5, 15_GiB / kPage}));
+
+    // Content decides, not which pages materialised.
+    BackingStore t;
+    t.write(15_GiB + kPage - 1, "\x80", 1);
+    t.write64(0, 0x00ff000000000001ull);
+    t.write64(kPage - 8, 0xff00000000000000ull);
+    EXPECT_EQ(t.fingerprint(), s.fingerprint());
+}
+
+TEST(BackingStore, IndexGrowthKeepsEveryPage)
+{
+    // 10 Ki pages take the page index through ten doublings.
+    constexpr unsigned kPages = 10240;
+    constexpr Addr kStride = 7 * BackingStore::kPageSize + 64;
+    BackingStore s;
+    for (unsigned i = 0; i < kPages; ++i)
+        s.write64(i * kStride, i + 1);
+    EXPECT_EQ(s.pagesTouched(), kPages);
+    for (unsigned i = 0; i < kPages; ++i)
+        ASSERT_EQ(s.read64(i * kStride), i + 1u) << "page " << i;
+    EXPECT_EQ(s.read64(kPages * kStride), 0u);
+    EXPECT_EQ(s.pagesTouched(), kPages);
+}
+
+TEST(BackingStore, CloneStaysIndependentAfterGrowthAndClear)
+{
+    constexpr unsigned kPages = 3000;
+    constexpr Addr kStride = 3 * BackingStore::kPageSize;
+    BackingStore s;
+    for (unsigned i = 0; i < kPages; ++i)
+        s.write64(i * kStride, i + 1);
+    BackingStore copy = s.clone();
+    EXPECT_EQ(copy.pagesTouched(), kPages);
+    EXPECT_EQ(copy.fingerprint(), s.fingerprint());
+
+    for (unsigned i = 0; i < kPages; ++i)
+        s.write64(i * kStride, 0);
+    copy.write64(kPages * kStride, 7); // grows the copy only
+    for (unsigned i = 0; i < kPages; ++i) {
+        ASSERT_EQ(copy.read64(i * kStride), i + 1u) << "page " << i;
+        ASSERT_EQ(s.read64(i * kStride), 0u) << "page " << i;
+    }
+    EXPECT_EQ(s.read64(kPages * kStride), 0u);
+    EXPECT_EQ(s.pagesTouched(), kPages);
+    EXPECT_EQ(copy.pagesTouched(), kPages + 1);
+
+    copy.clear();
+    EXPECT_EQ(copy.pagesTouched(), 0u);
+    EXPECT_EQ(copy.read64(kStride), 0u);
+    copy.write64(kStride, 9);
+    EXPECT_EQ(copy.read64(kStride), 9u);
+    EXPECT_EQ(s.read64(kStride), 0u);
+    EXPECT_EQ(copy.fingerprint(), referenceFingerprint(copy, {3}));
+}
+
+TEST(BackingStore, MovedFromStoreIsEmptyAndIndependent)
+{
+    constexpr Addr kAddr = BackingStore::kPageSize;
+    {
+        BackingStore a;
+        a.write64(kAddr, 1);
+        EXPECT_EQ(a.read64(kAddr), 1u); // the page is in a's cache
+        BackingStore b(std::move(a));
+        EXPECT_EQ(a.pagesTouched(), 0u);
+        EXPECT_EQ(a.read64(kAddr), 0u);
+        a.write64(kAddr, 7);
+        EXPECT_EQ(b.read64(kAddr), 1u);
+        EXPECT_EQ(a.read64(kAddr), 7u);
+        EXPECT_EQ(a.pagesTouched(), 1u);
+        EXPECT_EQ(b.pagesTouched(), 1u);
+    }
+    {
+        BackingStore a;
+        BackingStore b;
+        a.write64(kAddr, 1);
+        b.write64(2 * kAddr, 2);
+        EXPECT_EQ(a.read64(kAddr), 1u);
+        EXPECT_EQ(b.read64(2 * kAddr), 2u);
+        b = std::move(a);
+        EXPECT_EQ(b.read64(kAddr), 1u);
+        EXPECT_EQ(b.read64(2 * kAddr), 0u); // b's old content is gone
+        EXPECT_EQ(a.pagesTouched(), 0u);
+        EXPECT_EQ(a.read64(kAddr), 0u);
+        a.write64(kAddr, 7);
+        EXPECT_EQ(b.read64(kAddr), 1u);
+        EXPECT_EQ(a.read64(kAddr), 7u);
+        EXPECT_EQ(b.pagesTouched(), 1u);
+    }
 }
 
 TEST(PmemImage, Read64MatchesGeneralReadAtTheEdges)

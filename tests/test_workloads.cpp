@@ -9,6 +9,7 @@
 
 #include "api/experiment.hh"
 #include "api/system.hh"
+#include "workloads/accessor.hh"
 #include "workloads/array_ops.hh"
 #include "workloads/workload.hh"
 
@@ -179,6 +180,38 @@ TEST(Workloads, ArrayFullyValidatesAfterRun)
     RecoveryResult res = wl->checkRecovery(sys.pmemImage());
     EXPECT_EQ(res.checked, p.array_elements);
     EXPECT_EQ(res.torn, 0u);
+}
+
+TEST(Workloads, ArrayPrebuildMatchesWordByWordReference)
+{
+    // prepare() writes the array a page of elements at a time; the image
+    // must hold the bytes one store per element gives, for arrays shorter
+    // than, equal to, just past and well past one chunk.
+    for (std::uint64_t n : {1u, 511u, 512u, 513u, 1000u}) {
+        WorkloadParams p = smallParams();
+        p.array_elements = n;
+        System built(cfg());
+        makeWorkload("mutateNC", p)->install(built);
+
+        System ref(cfg());
+        Addr base = ref.heap().alloc(0, n * 8, kBlockSize);
+        ImageAccessor img(ref.image());
+        img.st(ref.heap().rootAddr(0), base);
+        for (std::uint64_t i = 0; i < n; ++i)
+            img.st(base + i * 8,
+                   ArrayWorkload::encode(static_cast<std::uint32_t>(i)));
+
+        const BackingStore &got = built.image();
+        const BackingStore &want = ref.image();
+        EXPECT_EQ(got.read64(built.heap().rootAddr(0)), base) << n;
+        for (std::uint64_t i = 0; i < n; ++i)
+            ASSERT_EQ(got.read64(base + i * 8), want.read64(base + i * 8))
+                << "array of " << n << ", element " << i;
+        EXPECT_EQ(got.read64(base + n * 8), 0u) << n;
+        EXPECT_EQ(got.read64(base - 8), 0u) << n;
+        EXPECT_EQ(got.pagesTouched(), want.pagesTouched()) << n;
+        EXPECT_EQ(got.fingerprint(), want.fingerprint()) << n;
+    }
 }
 
 TEST(Workloads, NonConflictingThreadsTouchDisjointSlices)
