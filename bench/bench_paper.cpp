@@ -1,9 +1,14 @@
 /**
  * @file
  * bench_paper: every table and figure this repo reproduces from the
- * paper's evaluation, as a recipe over one experiment grid.
+ * paper's evaluation, and the NVMM endurance campaign, as a recipe over
+ * one experiment grid.
  *
  *   bench_paper [RECIPE...] [--fast] [--jobs N] [--json PATH]
+ *
+ * Recipes: fig7_exec_and_writes, fig8_sensitivity, pmem_strict,
+ * procside_writes, drain_policy, ablation_drain, endurance and
+ * table7_drain_energy .. table10_battery_sweep.
  *
  * A recipe has a name (its report's `bench` field), the grid points it
  * reads, and a view that prints its table and fills its report from the
@@ -11,12 +16,14 @@
  * recipes (all of them when none is named) as one runExperiments grid,
  * which simulates each distinct point once, then hands each view its own
  * results in its own submission order. The Table VII-X recipes read no
- * points: they evaluate the Table VI drain-cost model.
+ * points: they evaluate the Table VI drain-cost model. The endurance
+ * points end in a power failure and a recovery check.
  *
  * `--fast` shrinks the simulated runs (CI smoke mode), `--jobs N` sets
  * the worker-pool width (else BBB_JOBS; 0 = hardware concurrency), and
- * `--json PATH` writes the report of the one named recipe. Bad input
- * exits 2.
+ * `--json PATH` writes the report of the one named recipe. Exit status:
+ * 0 on success, 1 when a crash-checked point recovers inconsistently or
+ * breaks its drain prefix, 2 on bad input.
  */
 
 #include <algorithm>
@@ -28,7 +35,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
+#include "api/cli.hh"
+#include "api/experiment.hh"
+#include "api/report.hh"
 #include "energy/energy_model.hh"
 
 using namespace bbb;
@@ -37,6 +46,34 @@ namespace
 {
 
 using Results = std::span<const ExperimentResult>;
+
+/** The Table IV workload list used by Fig. 7 / Fig. 8. */
+std::vector<std::string>
+paperWorkloads()
+{
+    return {"rtree",   "ctree",  "hashmap",   "mutateNC",
+            "mutateC", "swapNC", "swapC"};
+}
+
+/** Bench workload shape, honoring --fast. */
+WorkloadParams
+shapedParams(bool fast, std::uint64_t ops, std::uint64_t initial)
+{
+    WorkloadParams p = benchParams();
+    p.ops_per_thread = fast ? ops / 8 : ops;
+    p.initial_elements = fast ? initial / 8 : initial;
+    if (fast)
+        p.array_elements = 1ull << 17;
+    return p;
+}
+
+/** Print a separator + title in a consistent style. */
+void
+banner(const char *title)
+{
+    const std::string rule(79, '=');
+    std::printf("\n%s\n%s\n%s\n", rule.c_str(), title, rule.c_str());
+}
 
 /** Geometric mean of a vector of positive values. */
 double
@@ -80,7 +117,7 @@ noSpecs(bool)
 WorkloadParams
 fig7Params(bool fast)
 {
-    return bbbench::shapedParams(fast, 4000, 100000);
+    return shapedParams(fast, 4000, 100000);
 }
 
 /** Each Table IV workload in the Fig. 7 shape on each of @p cfgs. */
@@ -88,7 +125,7 @@ std::vector<ExperimentSpec>
 fig7Grid(bool fast, std::initializer_list<SystemConfig> cfgs)
 {
     std::vector<ExperimentSpec> specs;
-    for (const auto &name : bbbench::paperWorkloads()) {
+    for (const auto &name : paperWorkloads()) {
         for (const SystemConfig &cfg : cfgs)
             specs.push_back({cfg, name, fig7Params(fast)});
     }
@@ -118,14 +155,14 @@ fig7View(bool fast, Results results, BenchReport &rep)
     rep.paperRef("nvmm_writes_x.bbb1024.max", 1.01);
     reportExperiments(rep, results);
 
-    bbbench::banner("Figure 7: execution time and NVMM writes, "
-                    "BBB-32 / BBB-1024 / eADR (normalized to eADR)");
+    banner("Figure 7: execution time and NVMM writes, "
+           "BBB-32 / BBB-1024 / eADR (normalized to eADR)");
     std::printf("%-10s | %-29s | %-29s\n", "", "(a) execution time (x)",
                 "(b) NVMM writes (x)");
     std::printf("%-10s | %9s %9s %9s | %9s %9s %9s\n", "workload",
                 "BBB-32", "BBB-1024", "eADR", "BBB-32", "BBB-1024", "eADR");
 
-    auto workloads = bbbench::paperWorkloads();
+    auto workloads = paperWorkloads();
     std::vector<double> time32, time1024, writes32, writes1024;
     for (std::size_t w = 0; w < workloads.size(); ++w) {
         const std::string &name = workloads[w];
@@ -184,7 +221,7 @@ constexpr unsigned kFig8Sizes[] = {1, 2, 4, 8, 16, 32,
 WorkloadParams
 sweepParams(bool fast)
 {
-    return bbbench::shapedParams(fast, 2000, 20000);
+    return shapedParams(fast, 2000, 20000);
 }
 
 std::vector<ExperimentSpec>
@@ -195,7 +232,7 @@ fig8Specs(bool fast)
     WorkloadParams params = sweepParams(fast);
     std::vector<ExperimentSpec> specs;
     for (unsigned s : kFig8Sizes) {
-        for (const auto &name : bbbench::paperWorkloads()) {
+        for (const auto &name : paperWorkloads()) {
             specs.push_back(
                 {benchConfig(PersistMode::BbbMemSide, s), name, params});
         }
@@ -216,7 +253,7 @@ fig8View(bool fast, Results results, BenchReport &rep)
     // result[size] = {rejections, exec, drains} geomean inputs
     std::map<unsigned, std::vector<double>> rej, exec, drains;
 
-    auto workloads = bbbench::paperWorkloads();
+    auto workloads = paperWorkloads();
     for (std::size_t si = 0; si < std::size(kFig8Sizes); ++si) {
         unsigned s = kFig8Sizes[si];
         for (std::size_t w = 0; w < workloads.size(); ++w) {
@@ -232,8 +269,8 @@ fig8View(bool fast, Results results, BenchReport &rep)
         }
     }
 
-    bbbench::banner("Figure 8: bbPB size sensitivity "
-                    "(geomean over workloads, normalized to 1 entry)");
+    banner("Figure 8: bbPB size sensitivity "
+           "(geomean over workloads, normalized to 1 entry)");
     std::printf("%8s %18s %18s %18s\n", "entries", "(a) rejections (x)",
                 "(b) exec time (x)", "(c) drains (x)");
     for (unsigned s : kFig8Sizes) {
@@ -273,12 +310,12 @@ pmemStrictView(bool fast, Results results, BenchReport &rep)
     rep.setConfig("fast", fast);
     rep.setConfig("ops_per_thread", fig7Params(fast).ops_per_thread);
 
-    bbbench::banner("Table I ablation: strict-persistency penalty, "
-                    "PMEM flush+fence vs BBB (time normalized to eADR)");
+    banner("Table I ablation: strict-persistency penalty, "
+           "PMEM flush+fence vs BBB (time normalized to eADR)");
     std::printf("%-10s | %10s %10s %12s %12s\n", "workload", "unsafe",
                 "BBB-32", "pmem-epoch", "pmem-strict");
 
-    auto workloads = bbbench::paperWorkloads();
+    auto workloads = paperWorkloads();
     std::vector<double> bbb, epoch, strict;
     for (std::size_t w = 0; w < workloads.size(); ++w) {
         const std::string &name = workloads[w];
@@ -344,13 +381,13 @@ procsideView(bool fast, Results results, BenchReport &rep)
     rep.paperRef("drain_writes_x.procside.avg", 2.8);
     rep.paperRef("media_writes_x.memside.avg", 1.049);
 
-    bbbench::banner("Section V-C: processor-side vs memory-side bbPB "
-                    "(normalized to eADR writes)");
+    banner("Section V-C: processor-side vs memory-side bbPB "
+           "(normalized to eADR writes)");
     std::printf("%-10s | %12s %12s | %12s %12s | %10s\n", "workload",
                 "mem media", "proc media", "mem drains", "proc drains",
                 "rejections");
 
-    auto workloads = bbbench::paperWorkloads();
+    auto workloads = paperWorkloads();
     std::vector<double> mem_media, proc_media, mem_drain, proc_drain;
     for (std::size_t w = 0; w < workloads.size(); ++w) {
         const std::string &name = workloads[w];
@@ -433,8 +470,8 @@ drainPolicyView(bool fast, Results results, BenchReport &rep)
     rep.setConfig("bbpb_entries", std::uint64_t{32});
     rep.setConfig("ops_per_thread", sweepParams(fast).ops_per_thread);
 
-    bbbench::banner("Ablation: bbPB drain policy (32 entries; NVMM writes "
-                    "and exec time normalized to FCFS)");
+    banner("Ablation: bbPB drain policy (32 entries; NVMM writes "
+           "and exec time normalized to FCFS)");
     std::printf("%-14s | %9s %9s %9s | %9s %9s %9s\n", "workload",
                 "fcfs_w", "lrw_w", "rand_w", "fcfs_t", "lrw_t", "rand_t");
 
@@ -481,13 +518,13 @@ constexpr unsigned kLadderSizes[] = {8, 32, 128, 512, 1024};
 WorkloadParams
 ablationParams(bool fast)
 {
-    return bbbench::shapedParams(fast, 2000, 50000);
+    return shapedParams(fast, 2000, 50000);
 }
 
 WorkloadParams
 spatialParams(bool fast)
 {
-    return bbbench::shapedParams(fast, 1000, 20000);
+    return shapedParams(fast, 1000, 20000);
 }
 
 /**
@@ -606,13 +643,148 @@ ablationView(bool fast, Results results, BenchReport &rep)
     rep.setConfig("spatial_ops_per_thread",
                   spatialParams(fast).ops_per_thread);
 
-    bbbench::banner("Ablations: drain policy, writeback skip, reuse ladder");
+    banner("Ablations: drain policy, writeback skip, reuse ladder");
     const ExperimentResult *cursor = results.data();
     thresholdSweep(cursor, rep);
     cursor += std::size(kThresholds);
     writebackSkip(cursor, rep);
     cursor += std::size(kSkipWorkloads);
     reuseLadder(cursor, rep);
+}
+
+/* ---------------------------------------------------------------------
+ * NVMM endurance: Fig. 7(b)'s writes priced as media wear. The Fig. 7
+ * workloads run per media backend (direct pass-through vs the FTL wear
+ * model) x persistency mode, each cell ending in a full-power-failure
+ * drain and a recovery check. The memory-side BBB cells also cross the
+ * drain policy (FCFS vs LRW): only its victim choice reads the policy,
+ * so eADR and processor-side cells run FCFS alone.
+ *
+ * The FTL runs with a deliberately tiny endurance rating, because
+ * bench-scale write streams touch each block only a handful of times:
+ * endurance 4 retires hot frames, wear-delta 2 triggers static
+ * wear-leveling between them, and the write-amplification and
+ * projected-lifetime leaves (media.*) separate the drain policies. The
+ * direct cells are the 1.0x write-amplification reference column.
+ */
+
+constexpr PersistMode kEnduranceModes[] = {
+    PersistMode::Eadr, PersistMode::BbbMemSide, PersistMode::BbbProcSide};
+
+const MediaModelConfig kEnduranceFtl{.kind = MediaKind::Ftl,
+                                     .endurance_cycles = 4,
+                                     .wear_delta = 2,
+                                     .wl_interval = 8,
+                                     .dwpd_rating = 1.0};
+
+std::vector<ExperimentSpec>
+enduranceSpecs(bool fast)
+{
+    std::vector<ExperimentSpec> specs;
+    for (const std::string &name : paperWorkloads()) {
+        for (PersistMode mode : kEnduranceModes) {
+            for (DrainPolicy policy : {DrainPolicy::Fcfs, DrainPolicy::Lrw}) {
+                if (policy != DrainPolicy::Fcfs &&
+                    mode != PersistMode::BbbMemSide)
+                    continue;
+                for (MediaKind media : {MediaKind::Direct, MediaKind::Ftl}) {
+                    SystemConfig cfg = benchConfig(mode, 32);
+                    cfg.bbpb.drain_policy = policy;
+                    if (media == MediaKind::Ftl)
+                        cfg.media = kEnduranceFtl;
+                    specs.push_back({cfg, name, ablationParams(fast),
+                                     /*crash_at_end=*/true});
+                }
+            }
+        }
+    }
+    return specs;
+}
+
+/**
+ * Whether a crash-checked point recovered consistently from a drain that
+ * kept its oldest-first prefix.
+ */
+bool
+survivedCrash(const ExperimentResult &r)
+{
+    return r.recovery_consistent &&
+           r.metrics.count("crash.prefix_violations") == 0;
+}
+
+void
+enduranceView(bool fast, Results results, BenchReport &rep)
+{
+    WorkloadParams params = ablationParams(fast);
+    rep.setConfig("fast", fast);
+    rep.setConfig("ops_per_thread", params.ops_per_thread);
+    rep.setConfig("initial_elements", params.initial_elements);
+    rep.setConfig("array_elements", params.array_elements);
+    rep.setConfig("ftl_endurance_cycles", kEnduranceFtl.endurance_cycles);
+    rep.setConfig("ftl_wear_delta", std::uint64_t{kEnduranceFtl.wear_delta});
+    rep.setConfig("ftl_wl_interval",
+                  std::uint64_t{kEnduranceFtl.wl_interval});
+
+    banner("NVMM endurance: write amplification and projected "
+           "lifetime per media backend x mode x drain policy");
+    std::printf("%-10s %-14s %-6s %-7s | %8s %9s %8s %8s | %10s\n",
+                "workload", "mode", "policy", "media", "wr-amp",
+                "migration", "retired", "max-wear", "life-days");
+
+    std::vector<ExperimentSpec> specs = enduranceSpecs(fast);
+    unsigned violations = 0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const ExperimentResult &r = results[i];
+        std::string mode = persistModeName(r.mode);
+        std::string policy = drainPolicyName(specs[i].cfg.bbpb.drain_policy);
+        std::string media = mediaKindName(specs[i].cfg.media.kind);
+        std::string label =
+            r.workload + "/" + mode + "/" + policy + "/" + media;
+        rep.addExperiment(label, r.metrics);
+        if (!survivedCrash(r)) {
+            ++violations;
+            std::printf("%-52s ORACLE VIOLATION%s%s\n", label.c_str(),
+                        r.recovery_consistent
+                            ? ""
+                            : " (inconsistent recovery)",
+                        r.metrics.count("crash.prefix_violations")
+                            ? " (drain prefix broken)"
+                            : "");
+            continue;
+        }
+
+        double wamp = r.metrics.real("media.write_amplification");
+        double life = r.metrics.real("media.lifetime.projected_days");
+        std::string key = "endurance." + media + "." + r.workload + "." +
+                          mode + "." + policy;
+        rep.measured().setReal(key + ".write_amplification", wamp);
+        if (media == "ftl") {
+            rep.measured().setReal(key + ".projected_days", life);
+            rep.measured().setCount(
+                key + ".retired_frames",
+                r.metrics.count("media.retired_frames"));
+            rep.measured().setCount(key + ".migrations",
+                                    r.metrics.count("media.migrations"));
+        }
+        // Lifetimes extrapolate from sub-millisecond simulated runs, so
+        // the day counts are tiny; scientific notation keeps the column
+        // comparable across cells.
+        std::printf("%-10s %-14s %-6s %-7s | %8.4f %9llu %8llu %8.0f | "
+                    "%10.3e\n",
+                    r.workload.c_str(), mode.c_str(), policy.c_str(),
+                    media.c_str(), wamp,
+                    (unsigned long long)r.metrics.count("media.migrations"),
+                    (unsigned long long)r.metrics.count(
+                        "media.retired_frames"),
+                    r.metrics.real("media.frames.max_wear"),
+                    media == "ftl" ? life : 0.0);
+    }
+    rep.measured().setCount("endurance.cells", specs.size());
+    rep.measured().setCount("endurance.oracle_violations", violations);
+
+    std::printf("\n%zu cells, %u oracle violations (every cell must "
+                "recover consistently after its crash drain)\n",
+                specs.size(), violations);
 }
 
 /* ---------------------------------------------------------------------
@@ -646,8 +818,8 @@ drainEnergyView(bool, Results, BenchReport &rep)
 {
     rep.setConfig("bbpb_entries", std::uint64_t{32});
 
-    bbbench::banner("Table VII: draining energy, eADR (avg, 44.9% dirty) "
-                    "vs BBB-32 (worst case)");
+    banner("Table VII: draining energy, eADR (avg, 44.9% dirty) "
+           "vs BBB-32 (worst case)");
     std::printf("%-8s | %33s | %26s\n", "system", "ours (eADR, BBB, ratio)",
                 "paper (eADR, BBB, ratio)");
     drainEnergyRow(mobilePlatform(), 46.5, 145.0, 320.0, rep);
@@ -687,8 +859,7 @@ drainTimeView(bool, Results, BenchReport &rep)
 {
     rep.setConfig("bbpb_entries", std::uint64_t{32});
 
-    bbbench::banner(
-        "Table VIII: draining time, eADR (avg dirty) vs BBB-32");
+    banner("Table VIII: draining time, eADR (avg dirty) vs BBB-32");
     std::printf("%-8s | %31s | %24s\n", "system", "ours (eADR, BBB, ratio)",
                 "paper (eADR, BBB, ratio)");
     drainTimeRow(mobilePlatform(), 0.8, 2.6, 307.0, rep);
@@ -738,8 +909,8 @@ batterySizeView(bool, Results, BenchReport &rep)
     rep.paperRef("server.bbb.SuperCap.volume_mm3", 21.6);
     rep.paperRef("server.bbb.Li-thin.volume_mm3", 0.21);
 
-    bbbench::banner("Table IX: battery volume and footprint-to-core ratio "
-                    "(worst-case provisioning)");
+    banner("Table IX: battery volume and footprint-to-core ratio "
+           "(worst-case provisioning)");
     std::printf("%-8s %-5s %-9s %14s %18s\n", "system", "scheme", "tech",
                 "volume (mm^3)", "area/core (%)");
     batterySizeRows(mobilePlatform(), rep);
@@ -773,8 +944,7 @@ batterySweepView(bool, Results, BenchReport &rep)
                      paper_sc_server[i]);
     }
 
-    bbbench::banner(
-        "Table X: battery volume (mm^3) vs bbPB entries (1..1024)");
+    banner("Table X: battery volume (mm^3) vs bbPB entries (1..1024)");
     std::printf("%-9s %-8s |", "tech", "system");
     for (unsigned s : sizes)
         std::printf(" %8u", s);
@@ -825,6 +995,7 @@ constexpr Recipe kRecipes[] = {
     {"procside_writes", procsideSpecs, procsideView},
     {"drain_policy", drainPolicySpecs, drainPolicyView},
     {"ablation_drain", ablationSpecs, ablationView},
+    {"endurance", enduranceSpecs, enduranceView},
     {"table7_drain_energy", noSpecs, drainEnergyView},
     {"table8_drain_time", noSpecs, drainTimeView},
     {"table9_battery_size", noSpecs, batterySizeView},
@@ -922,6 +1093,12 @@ main(int argc, char **argv)
         selected[k]->view(fast, rest.first(counts[k]), rep);
         rest = rest.subspan(counts[k]);
         rep.emitIfRequested(json);
+    }
+
+    // Every crash-checked point must survive its crash.
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (specs[i].crash_at_end && !survivedCrash(results[i]))
+            return 1;
     }
     return 0;
 }

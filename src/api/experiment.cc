@@ -72,7 +72,7 @@ ExperimentResult::toCsv() const
 
 ExperimentResult
 runExperiment(const SystemConfig &cfg, const std::string &workload,
-              const WorkloadParams &params)
+              const WorkloadParams &params, bool crash_at_end)
 {
     System sys(cfg);
     auto wl = makeWorkload(workload, params);
@@ -102,6 +102,13 @@ runExperiment(const SystemConfig &cfg, const std::string &workload,
             stats.lookup("sb" + std::to_string(c), "persist_rejections");
         r.stall_ticks +=
             stats.lookup("core" + std::to_string(c), "stall_ticks");
+    }
+    if (crash_at_end) {
+        // Full power failure at quiescence; the FTL "mount" then
+        // flattens its remap table into the logical image.
+        sys.crashNow();
+        r.recovery_consistent =
+            wl->checkRecovery(sys.pmemImage()).consistent();
     }
     r.metrics = sys.snapshotMetrics();
     return r;
@@ -326,9 +333,14 @@ runExperiments(const std::vector<ExperimentSpec> &specs, unsigned jobs)
         [&](std::size_t i) {
             if (first[i] == i)
                 results[i] = runExperiment(specs[i].cfg, specs[i].workload,
-                                           specs[i].params);
+                                           specs[i].params,
+                                           specs[i].crash_at_end);
         },
-        jobs);
+        jobs,
+        [&](std::size_t i) {
+            return specs[i].workload + "/" +
+                   persistModeName(specs[i].cfg.mode);
+        });
     for (std::size_t i = 0; i < specs.size(); ++i) {
         if (first[i] != i)
             results[i] = results[first[i]];

@@ -51,6 +51,8 @@ struct ExperimentResult
     std::uint64_t persisting_stores = 0;
     /** Core ticks spent stalled on the store buffer. */
     std::uint64_t stall_ticks = 0;
+    /** Recovery check verdict of a crash_at_end run (else false). */
+    bool recovery_consistent = false;
 
     /**
      * The run's full metric tree (System::snapshotMetrics): every
@@ -79,17 +81,23 @@ struct ExperimentResult
  * @param cfg the machine (mode, bbPB size, cache geometry, ...).
  * @param workload a Table IV workload name.
  * @param params workload shape knobs.
+ * @param crash_at_end fail the power once the run has finished and
+ *        judge the image left behind (recovery_consistent). The metric
+ *        tree is taken after the crash drain, so its writes count in
+ *        `media.*` and a broken drain prefix in `crash.prefix_violations`.
  */
 ExperimentResult runExperiment(const SystemConfig &cfg,
                                const std::string &workload,
-                               const WorkloadParams &params);
+                               const WorkloadParams &params,
+                               bool crash_at_end = false);
 
-/** One point of an experiment grid: a machine, a workload, its shape. */
+/** One point of an experiment grid: runExperiment's arguments. */
 struct ExperimentSpec
 {
     SystemConfig cfg;
     std::string workload;
     WorkloadParams params;
+    bool crash_at_end = false;
 
     bool operator==(const ExperimentSpec &) const = default;
 };

@@ -10,6 +10,12 @@ System::System(const SystemConfig &cfg)
 {
     BBB_ASSERT(_cfg.num_cores >= 1 && _cfg.num_cores <= 64,
                "1..64 cores supported (directory uses a 64-bit mask)");
+    // An empty buffer could never accept a store, so the run would
+    // never end.
+    BBB_ASSERT(_cfg.store_buffer.entries >= 1,
+               "store buffer needs at least 1 entry");
+    BBB_ASSERT(!_cfg.usesBbpb() || _cfg.bbpb.entries >= 1,
+               "bbPB needs at least 1 entry");
 
     _eq.reserve(_cfg.eventCapacityHint());
 

@@ -59,6 +59,36 @@ TEST(Experiment, ProducesPopulatedMetrics)
     EXPECT_LE(r.pStoreFraction(), 1.0);
 }
 
+TEST(Experiment, CrashAtEndJudgesRecoveryAfterTheRun)
+{
+    WorkloadParams p;
+    p.ops_per_thread = 100;
+    p.initial_elements = 100;
+    for (MediaKind media : {MediaKind::Direct, MediaKind::Ftl}) {
+        SCOPED_TRACE(mediaKindName(media));
+        SystemConfig cfg = benchConfig(PersistMode::BbbMemSide, 32);
+        cfg.num_cores = 2;
+        cfg.media.kind = media;
+
+        ExperimentResult plain = runExperiment(cfg, "hashmap", p);
+        ExperimentResult crashed = runExperiment(cfg, "hashmap", p, true);
+        // The crash comes after the run, so the run itself is untouched.
+        EXPECT_EQ(crashed.exec_ticks, plain.exec_ticks);
+        EXPECT_EQ(plain.metrics.count("crash.crashes"), 0u);
+        EXPECT_EQ(crashed.metrics.count("crash.crashes"), 1u);
+        EXPECT_EQ(crashed.metrics.count("crash.prefix_violations"), 0u);
+        EXPECT_TRUE(crashed.recovery_consistent);
+
+        // A crash-checked point is not its plain twin, so the grid must
+        // simulate both.
+        std::vector<ExperimentResult> grid = runExperiments(
+            {{cfg, "hashmap", p}, {cfg, "hashmap", p, true}}, 1);
+        ASSERT_EQ(grid.size(), 2u);
+        EXPECT_NE(grid[0].metrics.toJson(), grid[1].metrics.toJson());
+        EXPECT_EQ(grid[1].metrics.toJson(), crashed.metrics.toJson());
+    }
+}
+
 TEST(Experiment, ProcSideReportsFromProcGroup)
 {
     SystemConfig cfg = benchConfig(PersistMode::BbbProcSide, 32);
@@ -184,4 +214,22 @@ TEST(SystemDeath, TooManyCoresRejected)
     SystemConfig cfg;
     cfg.num_cores = 65;
     EXPECT_DEATH({ System sys(cfg); }, "64");
+}
+
+TEST(SystemDeath, ZeroEntryStoreBufferRejected)
+{
+    SystemConfig cfg;
+    cfg.store_buffer.entries = 0;
+    EXPECT_DEATH({ System sys(cfg); }, "store buffer");
+}
+
+TEST(SystemDeath, ZeroEntryBbpbRejected)
+{
+    for (PersistMode mode :
+         {PersistMode::BbbMemSide, PersistMode::BbbProcSide}) {
+        SystemConfig cfg;
+        cfg.mode = mode;
+        cfg.bbpb.entries = 0;
+        EXPECT_DEATH({ System sys(cfg); }, "bbPB");
+    }
 }
