@@ -12,7 +12,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -379,30 +378,30 @@ BENCHMARK(BM_RecoveryWalk)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): the bench_smoke ctest driver
-// passes the harness-wide `--fast --jobs N --json P` flags to every bench
-// binary, and google-benchmark rejects flags it does not know.
+// Custom main instead of BENCHMARK_MAIN(): `--json PATH` is this
+// harness's own flag, `--benchmark_*` flags go to google-benchmark, and
+// anything else exits 2 like every other driver (src/api/cli.hh).
 int
 main(int argc, char **argv)
 {
-    std::string json = bbb::cli::jsonPathArg(argc, argv);
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--fast") == 0)
-            continue;
-        if ((std::strcmp(argv[i], "--jobs") == 0 ||
-             std::strcmp(argv[i], "--json") == 0) &&
-            i + 1 < argc) {
-            ++i;
-            continue;
-        }
-        args.push_back(argv[i]);
+    std::string json;
+    std::vector<char *> forwarded{argv[0]};
+    bbb::cli::Args args(argc, argv,
+                        "usage: bench_micro [--json PATH] "
+                        "[--benchmark_*...]");
+    while (args.next()) {
+        if (args.is("--json"))
+            json = args.value();
+        else if (args.arg().starts_with("--benchmark_"))
+            forwarded.push_back(argv[args.pos()]);
+        else
+            args.unknown();
     }
-    int kept = static_cast<int>(args.size());
-    args.push_back(nullptr);
-    benchmark::Initialize(&kept, args.data());
-    if (benchmark::ReportUnrecognizedArguments(kept, args.data()))
-        return 1;
+    int kept = static_cast<int>(forwarded.size());
+    forwarded.push_back(nullptr);
+    benchmark::Initialize(&kept, forwarded.data());
+    if (benchmark::ReportUnrecognizedArguments(kept, forwarded.data()))
+        return 2;
 
     benchmark::RunSpecifiedBenchmarks();
     // Host timings never enter a bbb-bench-report; the --json document

@@ -20,10 +20,10 @@
  * points end in a power failure and a recovery check.
  *
  * `--fast` shrinks the simulated runs (CI smoke mode), `--jobs N` sets
- * the worker-pool width (else BBB_JOBS; 0 = hardware concurrency), and
+ * the worker-pool width (0, the default, = hardware concurrency), and
  * `--json PATH` writes the report of the one named recipe. Exit status:
  * 0 on success, 1 when a crash-checked point recovers inconsistently or
- * breaks its drain prefix, 2 on bad input.
+ * breaks its drain prefix, 2 on bad usage (src/api/cli.hh).
  */
 
 #include <algorithm>
@@ -1002,19 +1002,6 @@ constexpr Recipe kRecipes[] = {
     {"table10_battery_sweep", noSpecs, batterySweepView},
 };
 
-[[noreturn]] void
-usageError(const std::string &what)
-{
-    std::fprintf(stderr,
-                 "error: %s\nusage: bench_paper [RECIPE...] [--fast] "
-                 "[--jobs N] [--json PATH]\nrecipes:",
-                 what.c_str());
-    for (const Recipe &r : kRecipes)
-        std::fprintf(stderr, " %s", r.name);
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-}
-
 /**
  * Run the whole grid through the pool and print its wall-clock, so CI
  * logs show what the pool and the deduplication buy.
@@ -1042,38 +1029,42 @@ runGrid(const std::vector<ExperimentSpec> &specs, unsigned jobs)
 int
 main(int argc, char **argv)
 {
+    std::string usage = "usage: bench_paper [RECIPE...] [--fast] [--jobs N] "
+                        "[--json PATH]\nrecipes:";
+    for (const Recipe &r : kRecipes)
+        usage += std::string(" ") + r.name;
+
     bool fast = false;
+    unsigned jobs = 0;
     std::string json;
+    int json_at = 0;
     std::vector<const Recipe *> selected;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--fast") {
+    cli::Args args(argc, argv, usage);
+    while (args.next()) {
+        if (args.is("--fast")) {
             fast = true;
-        } else if (arg == "--jobs" || arg == "--json") {
-            if (i + 1 >= argc)
-                usageError(arg + " requires a value");
-            if (arg == "--json")
-                json = argv[++i];
-            else // vetted here, read below by jobsArg
-                cli::unsignedArg("--jobs", argv[++i], 0, 999999999);
-        } else if (arg.starts_with("-")) {
-            usageError("unknown flag '" + arg + "'");
-        } else {
+        } else if (args.is("--jobs")) {
+            jobs = args.jobsValue();
+        } else if (args.is("--json")) {
+            json_at = args.pos();
+            json = args.value();
+        } else if (args.positional()) {
             auto it = std::find_if(
                 std::begin(kRecipes), std::end(kRecipes),
-                [&](const Recipe &r) { return arg == r.name; });
+                [&](const Recipe &r) { return args.is(r.name); });
             if (it == std::end(kRecipes))
-                usageError("unknown recipe '" + arg + "'");
+                args.fail("unknown recipe");
             selected.push_back(it);
+        } else {
+            args.unknown();
         }
     }
-    if (!json.empty() && selected.size() != 1)
-        usageError("--json writes one report: name exactly one recipe");
+    if (json_at && selected.size() != 1)
+        args.fail("writes one report: name exactly one recipe", json_at);
     if (selected.empty()) {
         for (const Recipe &r : kRecipes)
             selected.push_back(&r);
     }
-    unsigned jobs = cli::jobsArg(argc, argv);
 
     // One grid for every selected recipe, each owning a contiguous slice.
     std::vector<ExperimentSpec> specs;

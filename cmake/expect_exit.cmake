@@ -1,9 +1,9 @@
-# Prove a binary rejects bad input cleanly: run it and require exit
-# status EXPECT (a diagnostic exit, not an abort) with MATCH somewhere in
-# its stderr.
+# Prove a binary rejects bad usage cleanly: run it and require exit
+# status 2 (a diagnostic exit, not an abort or a finding) with MATCH
+# somewhere in its stderr. Driven by bbb_add_rejects (CMakeLists.txt).
 #
 # Usage:
-#   cmake -DBIN=<binary> -DARGS="<args>" -DEXPECT=<status> -DMATCH=<regex>
+#   cmake -DBIN=<binary> -DARGS="<args>" -DMATCH=<regex>
 #         -P expect_exit.cmake
 
 separate_arguments(ARGS)
@@ -11,8 +11,8 @@ separate_arguments(ARGS)
 execute_process(COMMAND ${BIN} ${ARGS}
                 RESULT_VARIABLE rc
                 ERROR_VARIABLE err)
-if(NOT rc STREQUAL "${EXPECT}")
-    message(FATAL_ERROR "${BIN} ${ARGS} exited with '${rc}', want ${EXPECT}")
+if(NOT rc STREQUAL "2")
+    message(FATAL_ERROR "${BIN} ${ARGS} exited with '${rc}', want 2")
 endif()
 if(NOT err MATCHES "${MATCH}")
     message(FATAL_ERROR "stderr lacks '${MATCH}': ${err}")

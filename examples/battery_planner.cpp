@@ -17,18 +17,16 @@
  * minimum viable capacity per (workload, mode, trace, policy) cell —
  * i.e. what a provisioning engineer would buy.
  *
- * Usage:
- *   battery_planner [--traces T[,T...]] [--battery-caps J[,J...]]
- *                   [--policies P[,P...]] [--workloads W[,W...]]
- *                   [--modes M[,M...]] [--rounds K] [--lifetimes N]
- *                   [--ops N] [--campaign-seed N] [--jobs N]
- *                   [--fast] [--strict-args] [--json PATH]
+ * Usage: see kUsage below. `--fast` shrinks every default it does not
+ * override to a smoke-sized sweep.
  *
  * Exit status: 0 when no lifetime violates the durability oracle,
- * 1 otherwise (undersized batteries must degrade, never corrupt).
+ * 1 otherwise (undersized batteries must degrade, never corrupt), 2 on
+ * bad usage (src/api/cli.hh).
  */
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +39,14 @@ using namespace bbb;
 
 namespace
 {
+
+const char *const kUsage =
+    "usage: battery_planner [--traces T[,T...]] [--battery-caps J[,J...]]\n"
+    "                       [--policies P[,P...]] [--workloads W[,W...]]\n"
+    "                       [--modes M[,M...]] [--rounds K] "
+    "[--lifetimes N]\n"
+    "                       [--ops N] [--campaign-seed N] [--jobs N]\n"
+    "                       [--fast] [--json PATH]";
 
 /** Small machine so trace windows land mid-run (same as the campaigns). */
 SystemConfig
@@ -109,50 +115,69 @@ cellPath(const CellKey &key)
 int
 main(int argc, char **argv)
 {
-    const bool fast = cli::fastMode(argc, argv);
-
     LifetimeSpec spec;
     spec.base = plannerCfg();
-    spec.workloads =
-        cli::splitList(cli::stringOpt(argc, argv, "--workloads",
-                                      fast ? "hashmap"
-                                           : "hashmap,linkedlist"));
     spec.modes = {PersistMode::BbbMemSide, PersistMode::BbbProcSide};
-    std::string modes_arg = cli::stringOpt(argc, argv, "--modes");
-    if (!modes_arg.empty()) {
-        spec.modes.clear();
-        for (const std::string &m : cli::splitList(modes_arg))
-            spec.modes.push_back(persistModeFromName(m));
-    }
-    // Trace tokens never contain ',' (PowerTrace enforces it), so the
-    // standard comma list composes cleanly with parameterized presets.
-    spec.traces = cli::splitList(
-        cli::stringOpt(argc, argv, "--traces",
-                       fast ? "brownout:cycles=2,square:cycles=2"
-                            : "brownout,square,outages"));
-    spec.battery_caps = fast ? std::vector<double>{2e-6, 50e-6}
-                             : std::vector<double>{1e-6, 5e-6, 20e-6, 50e-6};
-    std::string caps_arg = cli::stringOpt(argc, argv, "--battery-caps");
-    if (!caps_arg.empty())
-        spec.battery_caps = cli::positiveRealList("--battery-caps", caps_arg);
     spec.policies = {DegradePolicy::None, DegradePolicy::DrainOldest};
-    std::string pols_arg = cli::stringOpt(argc, argv, "--policies");
-    if (!pols_arg.empty()) {
-        spec.policies.clear();
-        for (const std::string &p : cli::splitList(pols_arg))
-            spec.policies.push_back(parseDegradePolicy(p));
-    }
-    spec.rounds = static_cast<unsigned>(cli::unsignedArg(
-        "--rounds", cli::stringOpt(argc, argv, "--rounds", fast ? "2" : "3"),
-        1));
-    spec.lifetimes = static_cast<unsigned>(cli::unsignedArg(
-        "--lifetimes", cli::stringOpt(argc, argv, "--lifetimes", "1"), 1));
-    spec.params.ops_per_thread = cli::unsignedArg(
-        "--ops", cli::stringOpt(argc, argv, "--ops", fast ? "250" : "400"));
+    spec.lifetimes = 1;
     spec.params.initial_elements = 80;
-    spec.campaign_seed = cli::unsignedArg(
-        "--campaign-seed", cli::stringOpt(argc, argv, "--campaign-seed", "1"));
-    unsigned jobs = cli::jobsArg(argc, argv);
+    spec.campaign_seed = 1;
+    // The flags whose defaults --fast shrinks, wherever it appears.
+    using Names = std::vector<std::string>;
+    using Caps = std::vector<double>;
+    bool fast = false;
+    std::optional<Names> workloads, traces;
+    std::optional<Caps> caps_j;
+    std::optional<std::uint64_t> rounds, ops;
+    unsigned jobs = 0;
+    std::string json;
+
+    cli::Args args(argc, argv, kUsage);
+    while (args.next()) {
+        if (args.is("--fast")) {
+            fast = true;
+        } else if (args.is("--workloads")) {
+            workloads = cli::splitList(args.value());
+        } else if (args.is("--modes")) {
+            spec.modes.clear();
+            for (const std::string &m : cli::splitList(args.value()))
+                spec.modes.push_back(persistModeFromName(m));
+        } else if (args.is("--traces")) {
+            // Trace tokens never contain ',' (PowerTrace enforces it),
+            // so the comma list composes with parameterized presets.
+            traces = cli::splitList(args.value());
+        } else if (args.is("--battery-caps")) {
+            caps_j = args.realListValue();
+        } else if (args.is("--policies")) {
+            spec.policies.clear();
+            for (const std::string &p : cli::splitList(args.value()))
+                spec.policies.push_back(parseDegradePolicy(p));
+        } else if (args.is("--rounds")) {
+            rounds = args.unsignedValue(1, UINT32_MAX);
+        } else if (args.is("--lifetimes")) {
+            spec.lifetimes =
+                static_cast<unsigned>(args.unsignedValue(1, UINT32_MAX));
+        } else if (args.is("--ops")) {
+            ops = args.unsignedValue();
+        } else if (args.is("--campaign-seed")) {
+            spec.campaign_seed = args.unsignedValue();
+        } else if (args.is("--jobs")) {
+            jobs = args.jobsValue();
+        } else if (args.is("--json")) {
+            json = args.value();
+        } else {
+            args.unknown();
+        }
+    }
+    spec.workloads = workloads.value_or(
+        fast ? Names{"hashmap"} : Names{"hashmap", "linkedlist"});
+    spec.traces = traces.value_or(
+        fast ? Names{"brownout:cycles=2", "square:cycles=2"}
+             : Names{"brownout", "square", "outages"});
+    spec.battery_caps = caps_j.value_or(
+        fast ? Caps{2e-6, 50e-6} : Caps{1e-6, 5e-6, 20e-6, 50e-6});
+    spec.rounds = static_cast<unsigned>(rounds.value_or(fast ? 2 : 3));
+    spec.params.ops_per_thread = ops.value_or(fast ? 250 : 400);
 
     // Condensed Section IV-C analytic header: the closed-form worst case
     // the trace sweep below stress-tests from the other side.
@@ -232,7 +257,7 @@ main(int argc, char **argv)
     }
     rep.measured().setCount("min_viable.unviable_cells", unviable_cells);
     rep.measured().merge(summary.metrics, "");
-    rep.emitIfRequested(cli::jsonPathArg(argc, argv));
+    rep.emitIfRequested(json);
 
     if (const LifetimeResult *bug = summary.firstViolation()) {
         std::printf("VIOLATION repro: lifetime_campaign %s\n",

@@ -21,14 +21,14 @@
  * by discarding the damage, and the resumed life still finishes on the
  * survivors.
  *
- * Run: crash_recovery [ops_per_thread] [crash_points]
+ * Run: crash_recovery [OPS_PER_THREAD [CRASH_POINTS]]
  * Exit status: 0 when every safe mode recovers clean and every mode
- * resumes, 1 otherwise.
+ * resumes, 1 otherwise, 2 on bad usage (src/api/cli.hh).
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "api/cli.hh"
 #include "api/system.hh"
 #include "recover/recovery_manager.hh"
 #include "workloads/workload.hh"
@@ -38,9 +38,18 @@ using namespace bbb;
 int
 main(int argc, char **argv)
 {
-    std::uint64_t ops = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                 : 4000;
-    int crash_points = argc > 2 ? std::atoi(argv[2]) : 4;
+    std::uint64_t ops = 4000;
+    std::uint64_t crash_points = 4;
+    cli::Args args(argc, argv,
+                   "usage: crash_recovery [OPS_PER_THREAD [CRASH_POINTS]]");
+    while (args.next()) {
+        if (!args.positional() || args.pos() > 2)
+            args.unknown();
+        else if (args.pos() == 1)
+            ops = args.unsignedValue();
+        else
+            crash_points = args.unsignedValue();
+    }
 
     WorkloadParams params;
     params.ops_per_thread = ops;
@@ -55,7 +64,7 @@ main(int argc, char **argv)
          {PersistMode::AdrUnsafe, PersistMode::AdrPmem, PersistMode::Eadr,
           PersistMode::BbbMemSide, PersistMode::BbbProcSide}) {
         bool safe = mode != PersistMode::AdrUnsafe;
-        for (int i = 1; i <= crash_points; ++i) {
+        for (std::uint64_t i = 1; i <= crash_points; ++i) {
             SystemConfig cfg;
             cfg.num_cores = 4;
             cfg.mode = mode;

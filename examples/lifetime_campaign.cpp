@@ -17,24 +17,21 @@
  *   lifetime_campaign --workload hashmap --mode bbb-mem-side \
  *                     --seed 123456 --rounds 3 --fault-plan flaky-media
  *
- * Usage:
- *   lifetime_campaign [--workloads NAME[,NAME...]] [--modes M[,M...]]
- *                     [--plans P[,P...]] [--rounds K] [--lifetimes N]
- *                     [--ops N] [--initial N] [--campaign-seed N]
- *                     [--jobs N] [--verbose] [--json PATH]
- *                     [--media direct|ftl]
- *   lifetime_campaign --workload NAME --mode M --seed S --rounds K
- *                     --fault-plan P
+ * Usage: see kUsage below.
  *
  * With --media ftl every lifetime runs on the FTL endurance backend (low
  * fixed endurance so wear retirement shows at campaign scale); the plan
  * token in each printed repro line carries media=ftl.
  *
- * Exit status: 0 when no lifetime violates the oracle, 1 otherwise.
+ * The replay flags (--workload, --mode, --fault-plan, --trace,
+ * --battery-j, --policy) need --seed, and the campaign-only flags are
+ * refused with it.
+ *
+ * Exit status: 0 when no lifetime violates the oracle, 1 otherwise,
+ * 2 on bad usage (src/api/cli.hh).
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -47,24 +44,16 @@ using namespace bbb;
 namespace
 {
 
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--workloads NAME[,NAME...]] [--modes M[,M...]]\n"
-        "          [--plans P[,P...]] [--rounds K] [--lifetimes N]\n"
-        "          [--ops N] [--initial N] [--campaign-seed N] [--jobs N]\n"
-        "          [--verbose] [--json PATH]\n"
-        "          [--traces T[,T...]] [--battery-caps J[,J...]]\n"
-        "          [--policies P[,P...]] [--media direct|ftl]\n"
-        "   or: %s --workload NAME --mode M --seed S --rounds K "
-        "--fault-plan P\n"
-        "          [--trace T --battery-j J --policy P] "
-        "[--media direct|ftl]\n",
-        argv0, argv0);
-    std::exit(2);
-}
+const char *const kUsage =
+    "usage: lifetime_campaign [--workloads NAME[,NAME...]] [--modes M[,M...]]\n"
+    "          [--plans P[,P...]] [--rounds K] [--lifetimes N]\n"
+    "          [--ops N] [--initial N] [--campaign-seed N] [--jobs N]\n"
+    "          [--verbose] [--json PATH]\n"
+    "          [--traces T[,T...]] [--battery-caps J[,J...]]\n"
+    "          [--policies P[,P...]] [--media direct|ftl]\n"
+    "   or: lifetime_campaign --workload NAME --mode M --seed S --rounds K\n"
+    "          --fault-plan P [--trace T --battery-j J --policy P]\n"
+    "          [--ops N] [--initial N] [--media direct|ftl]";
 
 /** Endurance rating used whenever this example runs media=ftl: low
  *  enough that lifetime-scale write streams retire frames. */
@@ -84,20 +73,6 @@ campaignCfg()
     cfg.l1d.repl = ReplPolicy::Random;
     cfg.llc.repl = ReplPolicy::Random;
     return cfg;
-}
-
-/**
- * Resolve --plans tokens: comma-separated preset names (multi-pair
- * key=value plans contain commas themselves — replay those one at a
- * time through --fault-plan).
- */
-std::vector<NamedFaultPlan>
-parsePlans(const std::string &arg)
-{
-    std::vector<NamedFaultPlan> plans;
-    for (const std::string &name : bbb::cli::splitList(arg))
-        plans.push_back({name, FaultPlan::parse(name)});
-    return plans;
 }
 
 } // namespace
@@ -122,87 +97,96 @@ main(int argc, char **argv)
     std::string json_path;
     std::string media;
 
-    // Replay flags (presence of --seed selects replay mode).
+    // Replay flags (--seed selects replay mode).
     std::string replay_workload;
     std::string replay_mode = "bbb-mem-side";
     std::uint64_t replay_seed = 0;
-    bool replay = false;
     std::string replay_plan = "none";
     PowerEnv replay_env;
+    // The last flag of each mode, to reject one used in the other.
+    int campaign_at = 0, replay_at = 0, seed_at = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (++i >= argc)
-                usage(argv[0]);
-            return argv[i];
-        };
-        if (arg == "--workloads") {
-            spec.workloads = bbb::cli::splitList(next());
-        } else if (arg == "--modes") {
-            spec.modes.clear();
-            for (const std::string &m : bbb::cli::splitList(next()))
-                spec.modes.push_back(persistModeFromName(m));
-        } else if (arg == "--plans") {
-            spec.plans = parsePlans(next());
-        } else if (arg == "--rounds") {
-            spec.rounds = static_cast<unsigned>(
-                bbb::cli::unsignedArg("--rounds", next(), 1));
-        } else if (arg == "--lifetimes") {
-            spec.lifetimes = static_cast<unsigned>(
-                bbb::cli::unsignedArg("--lifetimes", next(), 1));
-        } else if (arg == "--ops") {
-            spec.params.ops_per_thread =
-                bbb::cli::unsignedArg("--ops", next());
-        } else if (arg == "--initial") {
-            spec.params.initial_elements =
-                bbb::cli::unsignedArg("--initial", next());
-        } else if (arg == "--campaign-seed") {
-            spec.campaign_seed =
-                bbb::cli::unsignedArg("--campaign-seed", next());
-        } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                bbb::cli::unsignedArg("--jobs", next()));
-        } else if (arg == "--verbose") {
-            verbose = true;
-        } else if (arg == "--json") {
-            json_path = next();
-        } else if (arg == "--workload") {
-            replay_workload = next();
-        } else if (arg == "--mode") {
-            replay_mode = next();
-        } else if (arg == "--seed") {
-            replay_seed = bbb::cli::unsignedArg("--seed", next());
-            replay = true;
-        } else if (arg == "--fault-plan") {
-            replay_plan = next();
-        } else if (arg == "--traces") {
-            spec.traces = bbb::cli::splitList(next());
-        } else if (arg == "--battery-caps") {
-            spec.battery_caps =
-                bbb::cli::positiveRealList("--battery-caps", next());
-        } else if (arg == "--policies") {
-            spec.policies.clear();
-            for (const std::string &tok : bbb::cli::splitList(next()))
-                spec.policies.push_back(parseDegradePolicy(tok));
-        } else if (arg == "--trace") {
-            replay_env.trace = next();
-        } else if (arg == "--battery-j") {
-            replay_env.capacity_j =
-                bbb::cli::positiveReal("--battery-j", next());
-        } else if (arg == "--policy") {
-            replay_env.policy = parseDegradePolicy(next());
-        } else if (arg == "--media") {
-            media = next();
+    cli::Args args(argc, argv, kUsage);
+    while (args.next()) {
+        int at = args.pos();
+        if (args.is("--rounds")) {
+            spec.rounds =
+                static_cast<unsigned>(args.unsignedValue(1, UINT32_MAX));
+        } else if (args.is("--ops")) {
+            spec.params.ops_per_thread = args.unsignedValue();
+        } else if (args.is("--initial")) {
+            spec.params.initial_elements = args.unsignedValue();
+        } else if (args.is("--media")) {
+            media = args.value();
             (void)mediaKindFromName(media); // validate (fatal on typo)
-        } else if (arg == "--strict-args") {
-            // This loop is already strict: unknown or value-less flags
-            // exit(2) via usage(). Accepted so campaign scripts can pass
-            // the same flag set to drivers and cli::-based benches.
+        } else if (args.is("--seed")) {
+            replay_seed = args.unsignedValue();
+            seed_at = at;
+        } else if (args.is("--workload")) {
+            replay_workload = args.value();
+            replay_at = at;
+        } else if (args.is("--mode")) {
+            replay_mode = args.value();
+            replay_at = at;
+        } else if (args.is("--fault-plan")) {
+            replay_plan = args.value();
+            replay_at = at;
+        } else if (args.is("--trace")) {
+            replay_env.trace = args.value();
+            replay_at = at;
+        } else if (args.is("--battery-j")) {
+            replay_env.capacity_j = args.realValue();
+            replay_at = at;
+        } else if (args.is("--policy")) {
+            replay_env.policy = parseDegradePolicy(args.value());
+            replay_at = at;
         } else {
-            usage(argv[0]);
+            campaign_at = at;
+            if (args.is("--workloads")) {
+                spec.workloads = cli::splitList(args.value());
+            } else if (args.is("--modes")) {
+                spec.modes.clear();
+                for (const std::string &m : cli::splitList(args.value()))
+                    spec.modes.push_back(persistModeFromName(m));
+            } else if (args.is("--plans")) {
+                // Preset names only: a multi-pair key=value plan holds
+                // commas, so it replays alone through --fault-plan.
+                spec.plans.clear();
+                for (const std::string &name : cli::splitList(args.value()))
+                    spec.plans.push_back({name, FaultPlan::parse(name)});
+            } else if (args.is("--lifetimes")) {
+                spec.lifetimes =
+                    static_cast<unsigned>(args.unsignedValue(1, UINT32_MAX));
+            } else if (args.is("--campaign-seed")) {
+                spec.campaign_seed = args.unsignedValue();
+            } else if (args.is("--jobs")) {
+                jobs = args.jobsValue();
+            } else if (args.is("--verbose")) {
+                verbose = true;
+            } else if (args.is("--json")) {
+                json_path = args.value();
+            } else if (args.is("--traces")) {
+                spec.traces = cli::splitList(args.value());
+            } else if (args.is("--battery-caps")) {
+                spec.battery_caps = args.realListValue();
+            } else if (args.is("--policies")) {
+                spec.policies.clear();
+                for (const std::string &tok : cli::splitList(args.value()))
+                    spec.policies.push_back(parseDegradePolicy(tok));
+            } else {
+                args.unknown();
+            }
         }
     }
+    const bool replay = seed_at != 0;
+    if (replay && campaign_at)
+        args.fail("a campaign flag; --seed replays one lifetime",
+                  campaign_at);
+    if (!replay && replay_at)
+        args.fail("a replay flag; add --seed S to replay one lifetime",
+                  replay_at);
+    if (replay && replay_workload.empty())
+        args.fail("replay needs --workload NAME", seed_at);
 
     if (!media.empty()) {
         spec.base.media.kind = mediaKindFromName(media);
@@ -216,8 +200,6 @@ main(int argc, char **argv)
     }
 
     if (replay) {
-        if (replay_workload.empty())
-            usage(argv[0]);
         LifetimeSample sample;
         sample.cfg = spec.base;
         sample.cfg.mode = persistModeFromName(replay_mode);

@@ -7,13 +7,12 @@
  * processor-side) and prints execution time, NVMM writes, bbPB behaviour,
  * and the crash-drain cost — the axes of the paper's Tables I and VII.
  *
- * Usage: persistency_modes [workload] [ops_per_thread] [--jobs N]
- * `--jobs`/BBB_JOBS set the experiment-pool width (0 = hardware
- * concurrency).
+ * Usage: persistency_modes [WORKLOAD [OPS_PER_THREAD]] [--jobs N]
+ * `--jobs` sets the experiment-pool width (0, the default, = hardware
+ * concurrency). Bad usage exits 2 (src/api/cli.hh).
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -40,11 +39,22 @@ int
 main(int argc, char **argv)
 {
     std::string workload = "hashmap";
-    if (argc > 1 && argv[1][0] != '-')
-        workload = argv[1];
     WorkloadParams params = benchParams();
-    if (argc > 2 && argv[2][0] != '-')
-        params.ops_per_thread = std::strtoull(argv[2], nullptr, 10);
+    unsigned jobs = 0;
+    int positionals = 0;
+    cli::Args args(argc, argv,
+                   "usage: persistency_modes [WORKLOAD [OPS_PER_THREAD]] "
+                   "[--jobs N]");
+    while (args.next()) {
+        if (args.is("--jobs"))
+            jobs = args.jobsValue();
+        else if (!args.positional() || positionals == 2)
+            args.unknown();
+        else if (positionals++ == 0)
+            workload = args.value();
+        else
+            params.ops_per_thread = args.unsignedValue();
+    }
 
     const ModePoint points[] = {
         {"adr-unsafe (no persistency)", PersistMode::AdrUnsafe, 0, false},
@@ -63,9 +73,7 @@ main(int argc, char **argv)
     std::printf("%-30s %14s %12s %11s %11s %11s\n", "scheme", "exec(us)",
                 "nvmm_writes", "rejections", "coalesces", "stalls(us)");
 
-    // The whole mode tour is one independent grid; --jobs or BBB_JOBS
-    // picks the pool width (0 = hardware concurrency).
-    unsigned jobs = bbb::cli::jobsArg(argc, argv);
+    // The whole mode tour is one independent grid on a --jobs wide pool.
     std::vector<ExperimentSpec> specs;
     for (const ModePoint &pt : points) {
         SystemConfig cfg = benchConfig(pt.mode, pt.bbpb_entries

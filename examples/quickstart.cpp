@@ -12,12 +12,14 @@
  *   3. Figure 2 verbatim on a BBB machine — no persistency instructions,
  *      and the list still survives: commit order *is* persist order.
  *
- * Run: quickstart [appends_per_thread]
+ * Run: quickstart [APPENDS_PER_THREAD]
+ * Exit status: 0 when the three outcomes are as described, 1 otherwise,
+ * 2 on bad usage (src/api/cli.hh).
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "api/cli.hh"
 #include "api/system.hh"
 #include "workloads/linkedlist.hh"
 
@@ -75,8 +77,14 @@ report(const char *label, const Outcome &o)
 int
 main(int argc, char **argv)
 {
-    std::uint64_t appends = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
-                                     : 20000;
+    std::uint64_t appends = 20000;
+    cli::Args args(argc, argv, "usage: quickstart [APPENDS_PER_THREAD]");
+    while (args.next()) {
+        if (!args.positional() || args.pos() > 1)
+            args.unknown();
+        else
+            appends = args.unsignedValue();
+    }
     Tick crash_at = nsToTicks(120000); // mid-run
 
     std::printf("Appending %llu nodes per thread, crashing mid-run.\n\n",

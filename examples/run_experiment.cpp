@@ -6,24 +6,19 @@
  * bbPB sizing and prints the full metric set plus (optionally) the raw
  * statistics dump — the command-line face of the library.
  *
- * Usage:
- *   run_experiment [--workload NAME[,NAME...]|all] [--mode MODE]
- *                  [--entries N] [--ops N] [--initial N] [--threshold F]
- *                  [--policy fcfs|lrw|random] [--jobs N] [--stats]
- *                  [--json PATH]
+ * Usage: see the usage text in main(); it lists every workload name.
  *
  * Modes: adr-unsafe, adr-pmem, pmem-strict, eadr, bbb-mem-side,
  *        bbb-proc-side.
  *
  * With a single workload the full report (stats, crash drain, recovery)
- * is printed. With a comma-separated list or `all`, the grid is
- * submitted to the parallel experiment pool (`--jobs N`, or BBB_JOBS,
- * default hardware concurrency) and one CSV row is printed per point.
+ * is printed. With a comma-separated list or `all` (every registered
+ * workload), the grid is submitted to the parallel experiment pool
+ * (`--jobs N`, default 0 = hardware concurrency) and one CSV row is
+ * printed per point. Bad usage exits 2 (src/api/cli.hh).
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -35,128 +30,70 @@
 
 using namespace bbb;
 
-namespace
-{
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--workload NAME[,NAME...]|all] [--mode MODE]\n"
-                 "          [--entries N] [--ops N] [--initial N]\n"
-                 "          [--threshold F] [--policy fcfs|lrw|random]\n"
-                 "          [--media direct|ftl] [--endurance N]\n"
-                 "          [--jobs N] [--stats] [--json PATH]\n\n"
-                 "workloads:",
-                 argv0);
-    for (const auto &name : workloadNames())
-        std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, " rtree-spatial btree linkedlist\n");
-    std::exit(2);
-}
-
-PersistMode
-parseMode(const std::string &s, bool &auto_strict)
-{
-    auto_strict = false;
-    if (s == "adr-unsafe")
-        return PersistMode::AdrUnsafe;
-    if (s == "adr-pmem")
-        return PersistMode::AdrPmem;
-    if (s == "pmem-strict") {
-        auto_strict = true;
-        return PersistMode::AdrPmem;
-    }
-    if (s == "eadr")
-        return PersistMode::Eadr;
-    if (s == "bbb-mem-side")
-        return PersistMode::BbbMemSide;
-    if (s == "bbb-proc-side")
-        return PersistMode::BbbProcSide;
-    fatal("unknown mode '%s'", s.c_str());
-}
-
-DrainPolicy
-parsePolicy(const std::string &s)
-{
-    if (s == "fcfs")
-        return DrainPolicy::Fcfs;
-    if (s == "lrw")
-        return DrainPolicy::Lrw;
-    if (s == "random")
-        return DrainPolicy::Random;
-    fatal("unknown drain policy '%s'", s.c_str());
-}
-
-/** Split "a,b,c" (or "all") into workload names. */
-std::vector<std::string>
-parseWorkloads(const std::string &arg)
-{
-    if (arg == "all")
-        return workloadNames();
-    return bbb::cli::splitList(arg);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
+    std::string usage =
+        "usage: run_experiment [--workload NAME[,NAME...]|all] "
+        "[--mode MODE]\n"
+        "          [--entries N] [--ops N] [--initial N]\n"
+        "          [--threshold F] [--policy fcfs|lrw|random]\n"
+        "          [--media direct|ftl] [--endurance N]\n"
+        "          [--jobs N] [--stats] [--json PATH]\n"
+        "workloads:";
+    for (const std::string &name : workloadNames())
+        usage += " " + name;
+
     std::string workload = "hashmap";
     std::string json_path;
-    bool auto_strict = false;
     bool dump_stats = false;
-    unsigned jobs = bbb::cli::jobsArg(argc, argv);
+    unsigned jobs = 0;
     SystemConfig cfg = benchConfig(PersistMode::BbbMemSide, 32);
     WorkloadParams params = benchParams();
     params.ops_per_thread = 2000;
     params.initial_elements = 20000;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (++i >= argc)
-                usage(argv[0]);
-            return argv[i];
-        };
-        if (arg == "--workload") {
-            workload = next();
-        } else if (arg == "--jobs") {
-            next(); // parsed and validated by jobsArg above
-        } else if (arg == "--mode") {
-            cfg.mode = parseMode(next(), auto_strict);
-            cfg.pmem_auto_strict = auto_strict;
-        } else if (arg == "--entries") {
+    cli::Args args(argc, argv, usage);
+    while (args.next()) {
+        if (args.is("--workload")) {
+            workload = args.value();
+        } else if (args.is("--jobs")) {
+            jobs = args.jobsValue();
+        } else if (args.is("--mode")) {
+            // pmem-strict is adr-pmem with a flush+fence per store.
+            std::string mode = args.value();
+            cfg.pmem_auto_strict = mode == "pmem-strict";
+            cfg.mode = cfg.pmem_auto_strict ? PersistMode::AdrPmem
+                                            : persistModeFromName(mode);
+        } else if (args.is("--entries")) {
             // A 0-entry bbPB rejects every persisting store: no run ends.
-            cfg.bbpb.entries = static_cast<unsigned>(
-                bbb::cli::unsignedArg("--entries", next(), 1, UINT32_MAX));
-        } else if (arg == "--ops") {
-            params.ops_per_thread = bbb::cli::unsignedArg("--ops", next());
-        } else if (arg == "--initial") {
-            params.initial_elements =
-                bbb::cli::unsignedArg("--initial", next());
-        } else if (arg == "--threshold") {
-            cfg.bbpb.drain_threshold =
-                bbb::cli::positiveReal("--threshold", next(), 1.0);
-        } else if (arg == "--policy") {
-            cfg.bbpb.drain_policy = parsePolicy(next());
-        } else if (arg == "--media") {
-            cfg.media.kind = mediaKindFromName(next());
-        } else if (arg == "--endurance") {
-            cfg.media.endurance_cycles =
-                bbb::cli::unsignedArg("--endurance", next());
-        } else if (arg == "--stats") {
+            cfg.bbpb.entries =
+                static_cast<unsigned>(args.unsignedValue(1, UINT32_MAX));
+        } else if (args.is("--ops")) {
+            params.ops_per_thread = args.unsignedValue();
+        } else if (args.is("--initial")) {
+            params.initial_elements = args.unsignedValue();
+        } else if (args.is("--threshold")) {
+            cfg.bbpb.drain_threshold = args.realValue(1.0);
+        } else if (args.is("--policy")) {
+            cfg.bbpb.drain_policy = drainPolicyFromName(args.value());
+        } else if (args.is("--media")) {
+            cfg.media.kind = mediaKindFromName(args.value());
+        } else if (args.is("--endurance")) {
+            cfg.media.endurance_cycles = args.unsignedValue();
+        } else if (args.is("--stats")) {
             dump_stats = true;
-        } else if (arg == "--json") {
-            json_path = next();
+        } else if (args.is("--json")) {
+            json_path = args.value();
         } else {
-            usage(argv[0]);
+            args.unknown();
         }
     }
 
     // Multi-workload sweeps go through the parallel pool as one grid and
     // print CSV; the rich single-run report needs direct System access.
-    std::vector<std::string> sweep = parseWorkloads(workload);
+    std::vector<std::string> sweep =
+        workload == "all" ? workloadNames() : cli::splitList(workload);
     if (sweep.size() > 1) {
         std::vector<ExperimentSpec> specs;
         for (const std::string &name : sweep)
@@ -190,7 +127,8 @@ main(int argc, char **argv)
 
     std::printf("workload            %s\n", workload.c_str());
     std::printf("mode                %s%s\n", persistModeName(cfg.mode),
-                auto_strict ? " (strict per-store flush+fence)" : "");
+                cfg.pmem_auto_strict ? " (strict per-store flush+fence)"
+                                      : "");
     std::printf("bbpb                %u entries, %.0f%% threshold, %s\n",
                 cfg.bbpb.entries, cfg.bbpb.drain_threshold * 100,
                 drainPolicyName(cfg.bbpb.drain_policy));

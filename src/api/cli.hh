@@ -1,15 +1,28 @@
 /**
  * @file
- * Tiny shared command-line helpers for the bench and example binaries.
+ * The one command-line parser of the bench and example drivers.
  *
- * Every binary in bench/ and examples/ parses the same handful of flags
- * (`--fast`, `--jobs N`, `--json PATH`, comma-separated name lists);
- * this header is the single implementation. Flags may repeat — the last
- * occurrence wins, like most CLIs — and a trailing flag with a missing
- * value warns instead of being silently dropped. Under `--strict-args`
- * (passed by the campaign drivers, so a malformed sweep invocation
- * cannot quietly run with defaults) that warning is a hard error:
- * the process exits with status 2.
+ * Every driver walks its arguments once, in order, through an Args
+ * cursor; the cursor owns "requires a value" and "unknown flag":
+ *
+ *     cli::Args args(argc, argv, "usage: tool [--fast] [--jobs N]");
+ *     while (args.next()) {
+ *         if (args.is("--fast"))
+ *             fast = true;
+ *         else if (args.is("--jobs"))
+ *             jobs = args.jobsValue();
+ *         else
+ *             args.unknown();
+ *     }
+ *
+ * A flag may repeat; the last occurrence wins. Every misuse exits 2 with
+ * one `error:` line that names the argument and its position, then the
+ * driver's usage: an unknown flag, a flag with no value, a malformed
+ * value, a stray positional. Exit status across the drivers: 0 ok,
+ * 1 a finding (an oracle violation, a failed check), 2 bad usage.
+ *
+ * The value parsers below also stand alone, for values that do not come
+ * from a flag.
  */
 
 #ifndef BBB_API_CLI_HH
@@ -21,6 +34,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace bbb
@@ -28,89 +42,27 @@ namespace bbb
 namespace cli
 {
 
-/** True if @p flag appears anywhere on the command line. */
-inline bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    }
-    return false;
-}
-
-/** True if `--strict-args` appears: malformed flags become fatal. */
-inline bool
-strictArgs(int argc, char **argv)
-{
-    return hasFlag(argc, argv, "--strict-args");
-}
-
-/**
- * Value of the last `@p flag VALUE` pair, or @p def when absent. A
- * trailing @p flag with no value warns on stderr (instead of the old
- * behaviour of silently ignoring it) and keeps the previous value —
- * or, under `--strict-args`, exits with status 2.
- */
-inline std::string
-stringOpt(int argc, char **argv, const char *flag,
-          const std::string &def = std::string())
-{
-    std::string value = def;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], flag) != 0)
-            continue;
-        if (i + 1 >= argc) {
-            if (strictArgs(argc, argv)) {
-                std::fprintf(stderr,
-                             "error: %s requires a value\n", flag);
-                std::exit(2);
-            }
-            std::fprintf(stderr,
-                         "warning: %s requires a value; ignoring it\n",
-                         flag);
-            continue;
-        }
-        value = argv[++i];
-    }
-    return value;
-}
-
-/**
- * Parse @p text as plain unsigned decimal digits (no sign, space or
- * suffix) no greater than @p max into @p out. False on anything else.
- */
-inline bool
-parseUnsigned(const std::string &text, std::uint64_t max,
-              std::uint64_t *out)
-{
-    if (text.empty())
-        return false;
-    std::uint64_t v = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        unsigned d = static_cast<unsigned>(c - '0');
-        if (v > max / 10 || (v == max / 10 && d > max % 10))
-            return false;
-        v = v * 10 + d;
-    }
-    *out = v;
-    return true;
-}
-
 /**
  * Parse @p text, the value of @p flag, as an unsigned decimal in
- * [@p min, @p max], or exit 2 with a diagnostic whatever the
- * strictness: `abc` or `5x` names no count, and an unchecked strtoul
- * would quietly run 0 or 5 of them.
+ * [@p min, @p max], or exit 2 with a diagnostic: `abc` or `5x` names no
+ * count, and an unchecked strtoul would quietly run 0 or 5 of them.
  */
 inline std::uint64_t
 unsignedArg(const char *flag, const std::string &text,
             std::uint64_t min = 0, std::uint64_t max = UINT64_MAX)
 {
+    // Plain decimal digits only: no sign, space or suffix.
+    bool ok = !text.empty();
     std::uint64_t v = 0;
-    if (parseUnsigned(text, max, &v) && v >= min)
+    for (char c : text) {
+        unsigned d = static_cast<unsigned>(c - '0');
+        if (d > 9 || d > max || v > (max - d) / 10) {
+            ok = false;
+            break;
+        }
+        v = v * 10 + d;
+    }
+    if (ok && v >= min)
         return v;
     std::string range;
     if (max != UINT64_MAX)
@@ -122,48 +74,6 @@ unsignedArg(const char *flag, const std::string &text,
                          "'%s'\n",
                  flag, range.c_str(), text.c_str());
     std::exit(2);
-}
-
-/** True if `--fast` appears on the command line (CI smoke mode). */
-inline bool
-fastMode(int argc, char **argv)
-{
-    return hasFlag(argc, argv, "--fast");
-}
-
-/**
- * Worker-pool width: `--jobs N` on the command line, else the BBB_JOBS
- * environment variable, else 0 (= hardware concurrency, resolved by the
- * worker pool). N must be unsigned decimal digits below 10^9; anything
- * else warns and uses 0 — or, under `--strict-args`, exits with
- * status 2.
- */
-inline unsigned
-jobsArg(int argc, char **argv)
-{
-    const char *source = "--jobs";
-    std::string value = stringOpt(argc, argv, source);
-    if (value.empty()) {
-        const char *env = std::getenv("BBB_JOBS");
-        if (!env || !*env)
-            return 0;
-        source = "BBB_JOBS";
-        value = env;
-    }
-    std::uint64_t n = 0;
-    if (parseUnsigned(value, 999999999, &n))
-        return static_cast<unsigned>(n);
-    if (strictArgs(argc, argv)) {
-        std::fprintf(stderr,
-                     "error: %s expects an unsigned integer, got '%s'\n",
-                     source, value.c_str());
-        std::exit(2);
-    }
-    std::fprintf(stderr,
-                 "warning: %s expects an unsigned integer, got '%s'; "
-                 "using 0 (all hardware threads)\n",
-                 source, value.c_str());
-    return 0;
 }
 
 /** Split a comma-separated list, dropping empty segments. */
@@ -185,9 +95,8 @@ splitList(const std::string &arg)
 
 /**
  * Parse @p text, the value of @p flag, as a real in (0, @p max] (a
- * battery capacity, a drain threshold), or exit 2 with a diagnostic
- * whatever the strictness: a zero or malformed capacity describes no
- * battery at all.
+ * battery capacity, a drain threshold), or exit 2 with a diagnostic: a
+ * zero or malformed capacity describes no battery at all.
  */
 inline double
 positiveReal(const char *flag, const std::string &text,
@@ -219,38 +128,123 @@ positiveRealList(const char *flag, const std::string &value)
 }
 
 /**
- * Boolean switch with an explicit value: `@p flag on|off` (also
- * accepts 1/0/true/false), or @p def when absent. Anything else warns
- * and keeps @p def — or, under `--strict-args`, exits with status 2.
+ * Parse @p text, the value of @p flag, as a switch: on/1/true or
+ * off/0/false. Anything else exits 2 with a diagnostic.
  */
 inline bool
-onOffArg(int argc, char **argv, const char *flag, bool def)
+onOff(const char *flag, const std::string &text)
 {
-    std::string value = stringOpt(argc, argv, flag);
-    if (value.empty())
-        return def;
-    if (value == "on" || value == "1" || value == "true")
+    if (text == "on" || text == "1" || text == "true")
         return true;
-    if (value == "off" || value == "0" || value == "false")
+    if (text == "off" || text == "0" || text == "false")
         return false;
-    if (strictArgs(argc, argv)) {
-        std::fprintf(stderr, "error: %s expects on|off, got '%s'\n",
-                     flag, value.c_str());
-        std::exit(2);
-    }
-    std::fprintf(stderr,
-                 "warning: %s expects on|off, got '%s'; keeping the "
-                 "default\n",
-                 flag, value.c_str());
-    return def;
+    std::fprintf(stderr, "error: %s expects on|off, got '%s'\n", flag,
+                 text.c_str());
+    std::exit(2);
 }
 
-/** `--json PATH` destination for the structured report ("" = none). */
-inline std::string
-jsonPathArg(int argc, char **argv)
+/**
+ * One ordered pass over argv. next() steps to each argument in turn; the
+ * driver matches it with is() or positional() and reads a flag's value
+ * with value() or a typed *Value(), which consume the argument after
+ * it. A positional argument is its own value.
+ */
+class Args
 {
-    return stringOpt(argc, argv, "--json");
-}
+  public:
+    Args(int argc, char **argv, std::string usage)
+        : _argc(argc), _argv(argv), _usage(std::move(usage))
+    {}
+
+    /** Step to the next argument; false once argv is exhausted. */
+    bool
+    next()
+    {
+        _pos = ++_last;
+        return _pos < _argc;
+    }
+
+    /** The current argument's text and its index in argv (from 1). */
+    std::string arg() const { return _argv[_pos]; }
+    int pos() const { return _pos; }
+
+    bool
+    is(const char *flag) const
+    {
+        return std::strcmp(_argv[_pos], flag) == 0;
+    }
+
+    bool positional() const { return _argv[_pos][0] != '-'; }
+
+    /** The current flag's value (a positional's own text); exit 2 if none. */
+    std::string
+    value()
+    {
+        if (positional())
+            return arg();
+        if (_last + 1 >= _argc)
+            fail("requires a value");
+        return _argv[++_last];
+    }
+
+    std::uint64_t
+    unsignedValue(std::uint64_t min = 0, std::uint64_t max = UINT64_MAX)
+    {
+        return unsignedArg(where().c_str(), value(), min, max);
+    }
+
+    double
+    realValue(double max = HUGE_VAL)
+    {
+        return positiveReal(where().c_str(), value(), max);
+    }
+
+    std::vector<double>
+    realListValue()
+    {
+        return positiveRealList(where().c_str(), value());
+    }
+
+    bool onOffValue() { return onOff(where().c_str(), value()); }
+
+    /** `--jobs N`: the worker-pool width, 0 = hardware concurrency. */
+    unsigned
+    jobsValue()
+    {
+        return static_cast<unsigned>(unsignedValue(0, 999999999));
+    }
+
+    /** Exit 2 naming argument @p pos (default: the current one). */
+    [[noreturn]] void
+    fail(const std::string &why, int pos = 0) const
+    {
+        pos = pos ? pos : _pos;
+        std::fprintf(stderr, "error: %s (argument %d): %s\n%s\n",
+                     _argv[pos], pos, why.c_str(), _usage.c_str());
+        std::exit(2);
+    }
+
+    [[noreturn]] void
+    unknown() const
+    {
+        fail(positional() ? "unexpected argument" : "unknown flag");
+    }
+
+  private:
+    /** How a value's diagnostic names the argument that carried it. */
+    std::string
+    where() const
+    {
+        std::string at = "argument " + std::to_string(_pos);
+        return positional() ? at : arg() + " (" + at + ")";
+    }
+
+    int _argc;
+    char **_argv;
+    std::string _usage;
+    /** The current argument, and the last one consumed (it or its value). */
+    int _pos = 0, _last = 0;
+};
 
 } // namespace cli
 } // namespace bbb

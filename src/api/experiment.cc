@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -216,10 +217,14 @@ class JobWatchdog
                 std::string repro = _describe
                                         ? _describe(i)
                                         : "job index " + std::to_string(i);
-                fatal("watchdog: job %zu still running after %lld s "
-                      "(BBB_JOB_TIMEOUT_S=%ld); repro: %s",
-                      i, static_cast<long long>(ran), _timeout_s,
-                      repro.c_str());
+                // A hung job is a finding, not bad usage: exit 1, where
+                // fatal() would exit 2.
+                std::fprintf(stderr,
+                             "watchdog: job %zu still running after %lld s "
+                             "(BBB_JOB_TIMEOUT_S=%ld); repro: %s\n",
+                             i, static_cast<long long>(ran), _timeout_s,
+                             repro.c_str());
+                std::exit(1);
             }
         }
     }

@@ -13,7 +13,9 @@
  *   bbb-litmus --json PATH          # structured report
  *   bbb-litmus --replay "0 0d 1" --test sb --mode bbb
  *
- * Exit status: 0 all checks passed, 1 divergences found, 2 bad usage.
+ * Exit status: 0 all checks passed, 1 divergences found, 2 bad usage
+ * (src/api/cli.hh), including --test or --mode without --replay and a
+ * corpus flag with it.
  * BBB_JOB_TIMEOUT_S arms a watchdog that aborts a runaway enumeration
  * with the test name and the schedule prefix being explored.
  */
@@ -33,6 +35,12 @@ using namespace bbb::litmus;
 namespace
 {
 
+const char *const kUsage =
+    "usage: bbb-litmus [--smoke | --tests T[,T...] | --list] "
+    "[--modes M[,M...]]\n"
+    "                  [--por on|off] [--max-nodes N] [--json PATH]\n"
+    "   or: bbb-litmus --replay SCHEDULE --test NAME --mode M";
+
 void
 listCorpus()
 {
@@ -50,88 +58,91 @@ listCorpus()
     }
 }
 
-int
-replayMain(int argc, char **argv)
-{
-    std::string sched = cli::stringOpt(argc, argv, "--replay");
-    std::string name = cli::stringOpt(argc, argv, "--test");
-    std::string mode_name = cli::stringOpt(argc, argv, "--mode");
-    if (name.empty() || mode_name.empty()) {
-        std::fprintf(stderr,
-                     "error: --replay needs --test NAME and --mode M\n");
-        return 2;
-    }
-    const Test *test = findTest(name);
-    if (!test) {
-        std::fprintf(stderr, "error: no corpus test named '%s'\n",
-                     name.c_str());
-        return 2;
-    }
-    Mode mode;
-    if (!modeFromName(mode_name, &mode)) {
-        std::fprintf(stderr, "error: unknown mode '%s'\n",
-                     mode_name.c_str());
-        return 2;
-    }
-    std::vector<Step> steps;
-    std::string err;
-    if (!parseSchedule(sched, &steps, &err)) {
-        std::fprintf(stderr, "error: bad schedule '%s': %s\n",
-                     sched.c_str(), err.c_str());
-        return 2;
-    }
-    bool ok = false;
-    std::string report = replaySchedule(*test, mode, steps, &ok);
-    std::fputs(report.c_str(), stdout);
-    return ok ? 0 : 1;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     HarnessOptions opts;
-    opts.por = cli::onOffArg(argc, argv, "--por", true);
-    std::string max_nodes = cli::stringOpt(argc, argv, "--max-nodes");
-    if (!max_nodes.empty())
-        opts.max_nodes = cli::unsignedArg("--max-nodes", max_nodes);
-    for (const std::string &tok :
-         cli::splitList(cli::stringOpt(argc, argv, "--modes"))) {
-        Mode m;
-        if (!modeFromName(tok, &m)) {
-            std::fprintf(stderr, "error: unknown mode '%s'\n",
-                         tok.c_str());
-            return 2;
+    bool list = false, smoke = false;
+    std::vector<Test> tests;
+    std::string json;
+    // --replay SCHEDULE --test NAME --mode M, checked as they are read.
+    std::vector<Step> steps;
+    const Test *test = nullptr;
+    Mode mode{};
+    bool have_mode = false;
+    // The last flag of each side, to reject one used with the other.
+    int replay_at = 0, target_at = 0, corpus_at = 0;
+    cli::Args args(argc, argv, kUsage);
+    while (args.next()) {
+        if (args.is("--replay")) {
+            std::string err;
+            if (!parseSchedule(args.value(), &steps, &err))
+                args.fail("bad schedule: " + err);
+            replay_at = args.pos();
+        } else if (args.is("--test")) {
+            std::string name = args.value();
+            if (!(test = findTest(name)))
+                args.fail("no corpus test named '" + name + "'");
+            target_at = args.pos();
+        } else if (args.is("--mode")) {
+            std::string name = args.value();
+            if (!modeFromName(name, &mode))
+                args.fail("unknown mode '" + name + "'");
+            have_mode = true;
+            target_at = args.pos();
+        } else {
+            corpus_at = args.pos();
+            if (args.is("--list")) {
+                list = true;
+            } else if (args.is("--smoke")) {
+                smoke = true;
+            } else if (args.is("--tests")) {
+                tests.clear();
+                for (const std::string &n : cli::splitList(args.value())) {
+                    const Test *t = findTest(n);
+                    if (!t)
+                        args.fail("no corpus test named '" + n + "'");
+                    tests.push_back(*t);
+                }
+            } else if (args.is("--modes")) {
+                opts.modes.clear();
+                for (const std::string &tok : cli::splitList(args.value())) {
+                    Mode m;
+                    if (!modeFromName(tok, &m))
+                        args.fail("unknown mode '" + tok + "'");
+                    opts.modes.push_back(m);
+                }
+            } else if (args.is("--por")) {
+                opts.por = args.onOffValue();
+            } else if (args.is("--max-nodes")) {
+                opts.max_nodes = args.unsignedValue();
+            } else if (args.is("--json")) {
+                json = args.value();
+            } else {
+                args.unknown();
+            }
         }
-        opts.modes.push_back(m);
     }
 
-    if (cli::hasFlag(argc, argv, "--list")) {
+    if (replay_at) {
+        if (corpus_at)
+            args.fail("not a --replay flag", corpus_at);
+        if (!test || !have_mode)
+            args.fail("needs --test NAME and --mode M", replay_at);
+        bool ok = false;
+        std::fputs(replaySchedule(*test, mode, steps, &ok).c_str(), stdout);
+        return ok ? 0 : 1;
+    }
+    if (target_at)
+        args.fail("only --replay takes it", target_at);
+    if (list) {
         listCorpus();
         return 0;
     }
-    if (cli::hasFlag(argc, argv, "--replay"))
-        return replayMain(argc, argv);
-
-    std::vector<Test> tests;
-    std::string names = cli::stringOpt(argc, argv, "--tests");
-    if (!names.empty()) {
-        for (const std::string &n : cli::splitList(names)) {
-            const Test *t = findTest(n);
-            if (!t) {
-                std::fprintf(stderr,
-                             "error: no corpus test named '%s'\n",
-                             n.c_str());
-                return 2;
-            }
-            tests.push_back(*t);
-        }
-    } else if (cli::hasFlag(argc, argv, "--smoke")) {
-        tests = smokeCorpus();
-    } else {
-        tests = corpus();
-    }
+    if (tests.empty())
+        tests = smoke ? smokeCorpus() : corpus();
 
     BenchReport report("bbb-litmus");
     report.setConfig("tests", std::uint64_t(tests.size()));
@@ -173,7 +184,7 @@ main(int argc, char **argv)
     m.setCount("litmus.sim_runs", total.sim_runs);
     m.setCount("litmus.battery_runs", total.battery_runs);
     m.setCount("litmus.violations", total.violations.size());
-    report.emitIfRequested(cli::jsonPathArg(argc, argv));
+    report.emitIfRequested(json);
 
     std::printf("\n%u tests, %u configs, %llu schedules explored, "
                 "%llu sim runs: %s\n",

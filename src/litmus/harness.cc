@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 
 #include "api/experiment.hh"
 #include "energy/energy_model.hh"
@@ -73,10 +75,14 @@ struct Watchdog
     {
         if (!enabled || std::chrono::steady_clock::now() < deadline)
             return;
-        fatal("litmus watchdog: BBB_JOB_TIMEOUT_S expired in test %s "
-              "(%s) after %llu nodes; exploring prefix [%s]",
-              test.c_str(), modeName(mode), (unsigned long long)nodes,
-              scheduleString(schedule).c_str());
+        // A runaway enumeration is a finding, not bad usage: exit 1,
+        // where fatal() would exit 2.
+        std::fprintf(stderr,
+                     "litmus watchdog: BBB_JOB_TIMEOUT_S expired in test %s "
+                     "(%s) after %llu nodes; exploring prefix [%s]\n",
+                     test.c_str(), modeName(mode), (unsigned long long)nodes,
+                     scheduleString(schedule).c_str());
+        std::exit(1);
     }
 };
 

@@ -20,7 +20,8 @@
  *
  * The parser rejects empty traces, zero-length segments, non-monotone
  * tick ranges, and out-of-range levels. tryParse() reports instead of
- * fataling so drivers can exit(2) under --strict-args.
+ * fataling, for callers that must survive bad input (the parser fuzz
+ * test); parse() fatal()s, which exits 2.
  */
 
 #ifndef BBB_POWER_POWER_TRACE_HH

@@ -72,9 +72,9 @@ fatal(const char *fmt, ...)
 {
     std::va_list ap;
     va_start(ap, fmt);
-    logVPrint("fatal", fmt, ap);
+    logVPrint("error", fmt, ap);
     va_end(ap);
-    std::exit(1);
+    std::exit(2);
 }
 
 void

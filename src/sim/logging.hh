@@ -3,7 +3,8 @@
  * Logging and error-reporting helpers in the gem5 tradition.
  *
  * panic()  - an internal simulator bug; aborts.
- * fatal()  - a user/configuration error; exits with code 1.
+ * fatal()  - a user/configuration error; prints `error:` and exits 2,
+ *            the bad-usage status of every driver (src/api/cli.hh).
  * warn()   - something may be wrong but simulation continues.
  * inform() - a status message.
  *
@@ -47,7 +48,7 @@ void logVPrint(const char *prefix, const char *fmt, std::va_list ap);
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Report an unrecoverable user/configuration error and exit(1). */
+/** Report an unrecoverable user/configuration error and exit(2). */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 

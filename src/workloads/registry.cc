@@ -21,8 +21,9 @@ namespace bbb
 std::vector<std::string>
 workloadNames()
 {
-    return {"rtree",   "ctree",  "hashmap", "mutateNC",
-            "mutateC", "swapNC", "swapC",   "linkedlist"};
+    return {"rtree",      "ctree",         "hashmap", "mutateNC",
+            "mutateC",    "swapNC",        "swapC",   "linkedlist",
+            "skiplist",   "rtree-spatial", "btree"};
 }
 
 std::unique_ptr<Workload>

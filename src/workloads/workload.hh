@@ -289,7 +289,10 @@ class Workload
     std::vector<std::vector<std::uint64_t>> _issued;
 };
 
-/** All registered workload names (Table IV + the Fig. 2 linked list). */
+/**
+ * Every name makeWorkload() accepts: Table IV, the Fig. 2 linked list,
+ * then the skip list, spatial R-tree and B-tree of the crash campaigns.
+ */
 std::vector<std::string> workloadNames();
 
 /** Instantiate a workload by name; fatal() on unknown names. */

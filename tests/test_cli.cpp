@@ -1,12 +1,11 @@
 /**
  * @file
- * Unit tests for the shared bbb::cli argument helpers, in particular
- * the `--strict-args` hard-error mode the campaign drivers pass.
+ * Unit tests for the shared bbb::cli command line: the Args cursor every
+ * driver parses argv with, and the value parsers behind it.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,86 +34,93 @@ struct Argv
     std::vector<char *> _ptrs;
 };
 
+/** What a driver-style loop over --json/--jobs/--fast read. */
+struct Parsed
+{
+    std::string json;
+    unsigned jobs = 0;
+    bool fast = false;
+    std::vector<std::string> positionals;
+};
+
+/** Parse @p words the way every driver does: one Args pass. */
+Parsed
+parse(std::vector<std::string> words)
+{
+    Argv a(std::move(words));
+    Parsed p;
+    cli::Args args(a.argc(), a.argv(), "usage: test-binary");
+    while (args.next()) {
+        if (args.is("--json"))
+            p.json = args.value();
+        else if (args.is("--jobs"))
+            p.jobs = args.jobsValue();
+        else if (args.is("--fast"))
+            p.fast = true;
+        else if (args.positional())
+            p.positionals.push_back(args.value());
+        else
+            args.unknown();
+    }
+    return p;
+}
+
 } // namespace
 
-TEST(Cli, StringOptLastOccurrenceWins)
+TEST(CliArgs, LastOccurrenceWins)
 {
-    Argv a({"--json", "first.json", "--json", "second.json"});
-    EXPECT_EQ(cli::stringOpt(a.argc(), a.argv(), "--json"), "second.json");
+    Parsed p = parse({"--json", "first.json", "--jobs", "2", "--json",
+                      "second.json", "--jobs", "4"});
+    EXPECT_EQ(p.json, "second.json");
+    EXPECT_EQ(p.jobs, 4u);
 }
 
-TEST(Cli, TrailingFlagWarnsAndKeepsPreviousValue)
+TEST(CliArgs, ReadsFlagsAndValuesInOrder)
 {
-    Argv a({"--json", "kept.json", "--json"});
-    EXPECT_EQ(cli::stringOpt(a.argc(), a.argv(), "--json"), "kept.json");
+    Parsed p = parse({"--fast", "--json", "out.json", "--jobs", "0"});
+    EXPECT_TRUE(p.fast);
+    EXPECT_EQ(p.json, "out.json");
+    EXPECT_EQ(p.jobs, 0u);
+    // A flag's value is consumed even when it looks like a flag.
+    EXPECT_EQ(parse({"--json", "--fast"}).json, "--fast");
+    EXPECT_FALSE(parse({"--json", "--fast"}).fast);
 }
 
-TEST(Cli, StrictArgsFlagDetected)
+TEST(CliArgs, PositionalIsHandedBackToTheDriver)
 {
-    Argv with({"--strict-args"});
-    Argv without({"--fast"});
-    EXPECT_TRUE(cli::strictArgs(with.argc(), with.argv()));
-    EXPECT_FALSE(cli::strictArgs(without.argc(), without.argv()));
+    Parsed p = parse({"fig7", "--fast", "table7"});
+    EXPECT_EQ(p.positionals, (std::vector<std::string>{"fig7", "table7"}));
+    EXPECT_TRUE(p.fast);
 }
 
-TEST(Cli, StrictArgsAcceptsWellFormedFlags)
-{
-    Argv a({"--strict-args", "--json", "out.json", "--jobs", "4"});
-    EXPECT_EQ(cli::stringOpt(a.argc(), a.argv(), "--json"), "out.json");
-    EXPECT_EQ(cli::jobsArg(a.argc(), a.argv()), 4u);
-}
-
+// Strict argument handling is no longer a mode behind --strict-args: every
+// driver's Args cursor is strict, so a trailing flag is always fatal.
 TEST(CliDeath, StrictArgsMakesTrailingFlagFatal)
 {
-    Argv a({"--strict-args", "--json"});
-    EXPECT_EXIT(cli::stringOpt(a.argc(), a.argv(), "--json"),
-                ::testing::ExitedWithCode(2), "--json requires a value");
+    EXPECT_EXIT(parse({"--json", "out.json", "--json"}),
+                ::testing::ExitedWithCode(2),
+                "error: --json \\(argument 3\\): requires a value");
 }
 
 TEST(CliDeath, StrictArgsAppliesToAnyStringFlag)
 {
-    Argv a({"--strict-args", "--workloads"});
-    EXPECT_EXIT(cli::stringOpt(a.argc(), a.argv(), "--workloads"),
-                ::testing::ExitedWithCode(2),
-                "--workloads requires a value");
+    EXPECT_EXIT(parse({"--fast", "--jobs"}), ::testing::ExitedWithCode(2),
+                "error: --jobs \\(argument 2\\): requires a value");
 }
 
-TEST(Cli, MalformedJobsWarnsAndUsesAllThreads)
+TEST(CliArgsDeath, UnknownFlagExitsNamingItAndItsPosition)
 {
-    for (const char *bad : {"abc", "-1", "3x"}) {
-        Argv a({"--jobs", bad});
-        ::testing::internal::CaptureStderr();
-        EXPECT_EQ(cli::jobsArg(a.argc(), a.argv()), 0u) << bad;
-        std::string err = ::testing::internal::GetCapturedStderr();
-        EXPECT_NE(err.find("warning: --jobs expects an unsigned integer"),
-                  std::string::npos)
-            << err;
-    }
+    EXPECT_EXIT(parse({"--fast", "--fsat"}), ::testing::ExitedWithCode(2),
+                "error: --fsat \\(argument 2\\): unknown flag\nusage: "
+                "test-binary");
 }
 
-TEST(Cli, JobsFallsBackToEnvironment)
+TEST(CliArgsDeath, MalformedJobsExits)
 {
-    Argv a({"--fast"});
-    setenv("BBB_JOBS", "3", 1);
-    EXPECT_EQ(cli::jobsArg(a.argc(), a.argv()), 3u);
-    setenv("BBB_JOBS", "3x", 1);
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(cli::jobsArg(a.argc(), a.argv()), 0u);
-    std::string err = ::testing::internal::GetCapturedStderr();
-    unsetenv("BBB_JOBS");
-    EXPECT_NE(err.find("warning: BBB_JOBS expects an unsigned integer"),
-              std::string::npos)
-        << err;
-    EXPECT_EQ(cli::jobsArg(a.argc(), a.argv()), 0u);
-}
-
-TEST(CliDeath, StrictArgsRejectsMalformedJobs)
-{
-    for (const char *bad : {"abc", "-1", "3x"}) {
-        Argv a({"--strict-args", "--jobs", bad});
-        EXPECT_EXIT(cli::jobsArg(a.argc(), a.argv()),
-                    ::testing::ExitedWithCode(2),
-                    "error: --jobs expects an unsigned integer")
+    for (const char *bad : {"abc", "-1", "3x", "1000000000"}) {
+        EXPECT_EXIT(parse({"--jobs", bad}), ::testing::ExitedWithCode(2),
+                    "error: --jobs \\(argument 1\\) expects an unsigned "
+                    "integer")
             << bad;
     }
 }
@@ -165,28 +171,19 @@ TEST(CliDeath, BoundedPositiveRealRejectsOutsideZeroToOne)
 
 TEST(CliOnOff, ParsesSpellings)
 {
-    Argv on({"--por", "on"});
-    Argv off({"--por", "off"});
-    Argv one({"--por", "1"});
-    Argv zero({"--por", "0"});
-    EXPECT_TRUE(cli::onOffArg(on.argc(), on.argv(), "--por", false));
-    EXPECT_FALSE(cli::onOffArg(off.argc(), off.argv(), "--por", true));
-    EXPECT_TRUE(cli::onOffArg(one.argc(), one.argv(), "--por", false));
-    EXPECT_FALSE(cli::onOffArg(zero.argc(), zero.argv(), "--por", true));
+    EXPECT_TRUE(cli::onOff("--por", "on"));
+    EXPECT_FALSE(cli::onOff("--por", "off"));
+    EXPECT_TRUE(cli::onOff("--por", "1"));
+    EXPECT_FALSE(cli::onOff("--por", "0"));
+    EXPECT_TRUE(cli::onOff("--por", "true"));
+    EXPECT_FALSE(cli::onOff("--por", "false"));
 }
 
-TEST(CliOnOff, DefaultWhenAbsentOrMalformed)
+TEST(CliOnOffDeath, RejectsMalformed)
 {
-    Argv absent({"--fast"});
-    EXPECT_TRUE(cli::onOffArg(absent.argc(), absent.argv(), "--por",
-                              true));
-    Argv bad({"--por", "maybe"});
-    EXPECT_TRUE(cli::onOffArg(bad.argc(), bad.argv(), "--por", true));
-}
-
-TEST(CliOnOffDeath, StrictArgsRejectsMalformed)
-{
-    Argv a({"--strict-args", "--por", "maybe"});
-    EXPECT_EXIT(cli::onOffArg(a.argc(), a.argv(), "--por", true),
-                ::testing::ExitedWithCode(2), "--por expects on\\|off");
+    for (const char *bad : {"maybe", "", "ON"}) {
+        EXPECT_EXIT(cli::onOff("--por", bad), ::testing::ExitedWithCode(2),
+                    "error: --por expects on\\|off")
+            << bad;
+    }
 }

@@ -171,7 +171,7 @@ TEST(Logging, PanicAndFatalTerminate)
 {
     EXPECT_DEATH(panic("boom %d", 42), "boom 42");
     EXPECT_EXIT(fatal("bad config %s", "x"),
-                ::testing::ExitedWithCode(1), "bad config x");
+                ::testing::ExitedWithCode(2), "bad config x");
 }
 
 TEST(ConfigSweep, SeedChangesWorkloadTiming)

@@ -86,7 +86,7 @@ TEST(FaultPlan, OutageTimingKeysAreNotPlanKeys)
     // the lifetime (PowerEnv), not to the fault plan.
     for (const char *token : {"cap_j=4e-06", "stored_j=2e-06",
                               "trace=brownout", "policy=drain-oldest"}) {
-        EXPECT_EXIT(FaultPlan::parse(token), ::testing::ExitedWithCode(1),
+        EXPECT_EXIT(FaultPlan::parse(token), ::testing::ExitedWithCode(2),
                     "unknown fault-plan key")
             << token;
     }

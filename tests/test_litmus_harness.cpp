@@ -227,5 +227,5 @@ TEST(LitmusHarnessDeath, MalformedTimeoutIsFatal)
             setenv("BBB_JOB_TIMEOUT_S", "abc", 1);
             checkTest(mustFind("coww"), HarnessOptions());
         },
-        ::testing::ExitedWithCode(1), "not a whole number of seconds");
+        ::testing::ExitedWithCode(2), "not a whole number of seconds");
 }

@@ -95,7 +95,7 @@ TEST(StatRegistry, DuplicateGroupNameIsFatal)
 {
     StatRegistry reg;
     reg.group("one");
-    EXPECT_EXIT(reg.group("one"), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(reg.group("one"), ::testing::ExitedWithCode(2),
                 "registered twice");
 }
 
