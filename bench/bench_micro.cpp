@@ -4,8 +4,9 @@
  * queue throughput, fiber switches, cache-array lookups, store-buffer
  * push/drain, bbPB allocate/coalesce/drain, WPQ enqueue/retire, FTL
  * commit/read over a large mapping, backing-store writes, scattered
- * reads and image fingerprints, end-to-end simulated ops per host
- * second, machine construction, and the post-crash recovery walk.
+ * reads and image fingerprints, the workload prebuild, end-to-end
+ * simulated ops per host second, machine construction, and the
+ * post-crash recovery walk.
  * These guard the simulator's host-side performance (a slow simulator
  * caps the experiment sizes every other bench can afford).
  */
@@ -131,6 +132,40 @@ BM_ImageFingerprint(benchmark::State &state)
 BENCHMARK(BM_ImageFingerprint)
     ->DenseRange(0, 1)
     ->Unit(benchmark::kMicrosecond);
+
+void
+BM_WorkloadPrepare(benchmark::State &state)
+{
+    // Host cost of Workload::install (the functional prebuild behind
+    // workloads.install_s) at the fig7 grid's shape: 8 cores, 12,500
+    // prebuilt elements per thread. The machine is built and torn down
+    // outside the timed region. Arg: rtree, ctree, hashmap. Items are
+    // prebuilt elements.
+    static const char *const kWorkloads[] = {"rtree", "ctree", "hashmap"};
+    const char *name = kWorkloads[state.range(0)];
+    state.SetLabel(name);
+    WorkloadParams params;
+    params.initial_elements = 12500;
+    SystemConfig cfg = benchConfig(PersistMode::BbbMemSide);
+    unsigned cores = cfg.num_cores;
+    for (auto _ : state) {
+        state.PauseTiming();
+        {
+            System sys(cfg);
+            auto wl = makeWorkload(name, params);
+            state.ResumeTiming();
+            wl->install(sys);
+            state.PauseTiming();
+            benchmark::DoNotOptimize(sys.image().pagesTouched());
+        }
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() * cores *
+                            static_cast<std::int64_t>(params.initial_elements));
+}
+BENCHMARK(BM_WorkloadPrepare)
+    ->DenseRange(0, 2)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_CacheArrayFindTouch(benchmark::State &state)

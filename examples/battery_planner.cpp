@@ -137,7 +137,8 @@ main(int argc, char **argv)
         if (args.is("--fast")) {
             fast = true;
         } else if (args.is("--workloads")) {
-            workloads = cli::splitList(args.value());
+            workloads = args.checkNames(cli::splitList(args.value()),
+                                        workloadNameError);
         } else if (args.is("--modes")) {
             spec.modes.clear();
             for (const std::string &m : cli::splitList(args.value()))
@@ -145,7 +146,8 @@ main(int argc, char **argv)
         } else if (args.is("--traces")) {
             // Trace tokens never contain ',' (PowerTrace enforces it),
             // so the comma list composes with parameterized presets.
-            traces = cli::splitList(args.value());
+            traces = args.checkNames(cli::splitList(args.value()),
+                                     powerTraceError);
         } else if (args.is("--battery-caps")) {
             caps_j = args.realListValue();
         } else if (args.is("--policies")) {

@@ -123,7 +123,8 @@ main(int argc, char **argv)
             replay_seed = args.unsignedValue();
             seed_at = at;
         } else if (args.is("--workload")) {
-            replay_workload = args.value();
+            replay_workload =
+                args.checkNames({args.value()}, workloadNameError).front();
             replay_at = at;
         } else if (args.is("--mode")) {
             replay_mode = args.value();
@@ -132,7 +133,8 @@ main(int argc, char **argv)
             replay_plan = args.value();
             replay_at = at;
         } else if (args.is("--trace")) {
-            replay_env.trace = args.value();
+            replay_env.trace =
+                args.checkNames({args.value()}, powerTraceError).front();
             replay_at = at;
         } else if (args.is("--battery-j")) {
             replay_env.capacity_j = args.realValue();
@@ -143,7 +145,8 @@ main(int argc, char **argv)
         } else {
             campaign_at = at;
             if (args.is("--workloads")) {
-                spec.workloads = cli::splitList(args.value());
+                spec.workloads = args.checkNames(cli::splitList(args.value()),
+                                                 workloadNameError);
             } else if (args.is("--modes")) {
                 spec.modes.clear();
                 for (const std::string &m : cli::splitList(args.value()))
@@ -166,7 +169,8 @@ main(int argc, char **argv)
             } else if (args.is("--json")) {
                 json_path = args.value();
             } else if (args.is("--traces")) {
-                spec.traces = cli::splitList(args.value());
+                spec.traces = args.checkNames(cli::splitList(args.value()),
+                                              powerTraceError);
             } else if (args.is("--battery-caps")) {
                 spec.battery_caps = args.realListValue();
             } else if (args.is("--policies")) {

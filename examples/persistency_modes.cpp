@@ -51,7 +51,8 @@ main(int argc, char **argv)
         else if (!args.positional() || positionals == 2)
             args.unknown();
         else if (positionals++ == 0)
-            workload = args.value();
+            workload = args.checkNames({args.value()}, workloadNameError)
+                           .front();
         else
             params.ops_per_thread = args.unsignedValue();
     }

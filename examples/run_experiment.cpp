@@ -44,7 +44,7 @@ main(int argc, char **argv)
     for (const std::string &name : workloadNames())
         usage += " " + name;
 
-    std::string workload = "hashmap";
+    std::vector<std::string> sweep = {"hashmap"};
     std::string json_path;
     bool dump_stats = false;
     unsigned jobs = 0;
@@ -56,7 +56,10 @@ main(int argc, char **argv)
     cli::Args args(argc, argv, usage);
     while (args.next()) {
         if (args.is("--workload")) {
-            workload = args.value();
+            std::string names = args.value();
+            sweep = names == "all" ? workloadNames()
+                                   : args.checkNames(cli::splitList(names),
+                                                     workloadNameError);
         } else if (args.is("--jobs")) {
             jobs = args.jobsValue();
         } else if (args.is("--mode")) {
@@ -92,8 +95,6 @@ main(int argc, char **argv)
 
     // Multi-workload sweeps go through the parallel pool as one grid and
     // print CSV; the rich single-run report needs direct System access.
-    std::vector<std::string> sweep =
-        workload == "all" ? workloadNames() : cli::splitList(workload);
     if (sweep.size() > 1) {
         std::vector<ExperimentSpec> specs;
         for (const std::string &name : sweep)
@@ -118,7 +119,7 @@ main(int argc, char **argv)
         }
         return 0;
     }
-    workload = sweep.empty() ? workload : sweep.front();
+    const std::string &workload = sweep.front();
 
     System sys(cfg);
     auto wl = makeWorkload(workload, params);

@@ -224,6 +224,24 @@ class Args
         std::exit(2);
     }
 
+    /**
+     * Exit 2 naming the current argument unless @p names holds at least
+     * one name and @p why accepts each (it returns the reason a name is
+     * bad, "" for a good one); returns @p names. Drivers check names here
+     * so that a typo fails before anything runs, with its position.
+     */
+    template <class Why>
+    std::vector<std::string>
+    checkNames(std::vector<std::string> names, Why why) const
+    {
+        if (names.empty())
+            fail("names nothing");
+        for (const std::string &name : names)
+            if (std::string bad = why(name); !bad.empty())
+                fail(bad);
+        return names;
+    }
+
     [[noreturn]] void
     unknown() const
     {

@@ -107,6 +107,9 @@ class Core
     /** Bind the software thread this core will run. */
     void bindThread(ThreadBody body);
 
+    /** Whether a software thread is bound (bindThread() allows one). */
+    bool hasThread() const { return _fiber != nullptr; }
+
     /** Schedule the first fiber resume (idempotent). */
     void start();
 

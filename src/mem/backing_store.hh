@@ -14,10 +14,12 @@
  * address to its page is the repository's open-addressed BlockTable
  * (sim/block_table.hh), which doubles as the image grows.
  *
- * Accesses are dominated by 8-byte scalars (the functional ImageAccessor
- * used for workload warm-up) and single cache blocks, so lookups go
- * through a small direct-mapped cache of page pointers in front of the
- * index. Copies and moves reset the cache; a moved-from store is empty.
+ * Accesses are dominated by single cache blocks (the memory controller)
+ * and 8-byte scalars (root slots, crash repairs), so lookups go through
+ * a small direct-mapped cache of page pointers in front of the index.
+ * The workload warm-up writes whole pages (ArenaImage, the array
+ * prebuild). Copies and moves reset the cache; a moved-from store is
+ * empty.
  */
 
 #ifndef BBB_MEM_BACKING_STORE_HH
@@ -43,6 +45,8 @@ class BackingStore
 {
   public:
     static constexpr std::uint64_t kPageSize = 4096;
+    static_assert(kPageSize % kBlockSize == 0,
+                  "a cache block must never straddle a page");
 
     BackingStore() : _index(0) {}
     BackingStore(const BackingStore &o) : _index(o._pages.size())
@@ -112,20 +116,27 @@ class BackingStore
         }
     }
 
-    /** Read a full cache block. */
+    /** Read a full cache block: one page lookup, one fixed-size copy
+     *  (a block never straddles a page). */
     void
     readBlock(Addr block_addr, void *out) const
     {
         BBB_ASSERT(blockOffset(block_addr) == 0, "unaligned block read");
-        read(block_addr, out, kBlockSize);
+        const Page *p = lookup(block_addr / kPageSize);
+        if (!p)
+            std::memset(out, 0, kBlockSize);
+        else
+            std::memcpy(out, p->data() + block_addr % kPageSize, kBlockSize);
     }
 
-    /** Write a full cache block. */
+    /** Write a full cache block (one page, like readBlock). */
     void
     writeBlock(Addr block_addr, const void *src)
     {
         BBB_ASSERT(blockOffset(block_addr) == 0, "unaligned block write");
-        write(block_addr, src, kBlockSize);
+        std::memcpy(touch(block_addr / kPageSize).data() +
+                        block_addr % kPageSize,
+                    src, kBlockSize);
     }
 
     /** Convenience scalar accessors (fast path: within one page). */

@@ -305,6 +305,16 @@ PowerTrace::parse(const std::string &token)
     return t;
 }
 
+std::string
+powerTraceError(const std::string &token)
+{
+    PowerTrace t;
+    std::string err;
+    if (PowerTrace::tryParse(token, &t, &err))
+        return "";
+    return "bad power trace '" + token + "': " + err;
+}
+
 std::vector<std::string>
 powerTracePresetNames()
 {

@@ -76,6 +76,9 @@ class PowerTrace
     std::string _token;
 };
 
+/** Why PowerTrace::tryParse() rejects @p token, or "" if it parses. */
+std::string powerTraceError(const std::string &token);
+
 /** The built-in preset names campaigns sweep by default. */
 std::vector<std::string> powerTracePresetNames();
 

@@ -224,14 +224,13 @@ BtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
 void
 BtreeWorkload::prepare(System &sys)
 {
-    ImageAccessor img(sys.image());
     Rng rng(_p.seed ^ 0xb7ee);
-    for (unsigned t = _first; t < _end; ++t) {
+    forEachArena(sys, [&](MemAccessor &m, unsigned t) {
         Addr root_slot = sys.heap().rootAddr(t);
-        img.st(root_slot, 0);
+        m.st(root_slot, 0);
         for (std::uint64_t i = 0; i < _p.initial_elements; ++i)
-            insert(img, sys.heap(), t, root_slot, rng.next());
-    }
+            insert(m, sys.heap(), t, root_slot, rng.next());
+    });
 }
 
 void

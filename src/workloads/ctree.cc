@@ -41,14 +41,13 @@ CtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
 void
 CtreeWorkload::prepare(System &sys)
 {
-    ImageAccessor img(sys.image());
     Rng rng(_p.seed ^ 0xc43ee);
-    for (unsigned t = _first; t < _end; ++t) {
+    forEachArena(sys, [&](MemAccessor &m, unsigned t) {
         Addr root = sys.heap().rootAddr(t);
-        img.st(root, 0);
+        m.st(root, 0);
         for (std::uint64_t i = 0; i < _p.initial_elements; ++i)
-            insert(img, sys.heap(), t, root, rng.next());
-    }
+            insert(m, sys.heap(), t, root, rng.next());
+    });
 }
 
 void

@@ -37,15 +37,14 @@ HashmapWorkload::prepare(System &sys)
     _nbuckets = std::bit_ceil(std::max<std::uint64_t>(
         16, _p.initial_elements + _p.ops_per_thread));
 
-    ImageAccessor img(sys.image());
     Rng rng(_p.seed ^ 0x4a54);
-    for (unsigned t = _first; t < _end; ++t) {
+    forEachArena(sys, [&](MemAccessor &m, unsigned t) {
         // Bucket array: media zero-fill is the empty state.
         Addr buckets = sys.heap().alloc(t, _nbuckets * 8, kBlockSize);
-        img.st(sys.heap().rootAddr(t), buckets);
+        m.st(sys.heap().rootAddr(t), buckets);
         for (std::uint64_t i = 0; i < _p.initial_elements; ++i)
-            insert(img, sys.heap(), t, buckets, _nbuckets, rng.next());
-    }
+            insert(m, sys.heap(), t, buckets, _nbuckets, rng.next());
+    });
 }
 
 void

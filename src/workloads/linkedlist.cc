@@ -31,14 +31,13 @@ LinkedListWorkload::appendNode(MemAccessor &m, PersistentHeap &heap,
 void
 LinkedListWorkload::prepare(System &sys)
 {
-    ImageAccessor img(sys.image());
     Rng rng(_p.seed ^ 0x11511);
-    for (unsigned t = _first; t < _end; ++t) {
+    forEachArena(sys, [&](MemAccessor &m, unsigned t) {
         Addr root = sys.heap().rootAddr(t);
-        img.st(root, 0); // empty list
+        m.st(root, 0); // empty list
         for (std::uint64_t i = 0; i < _p.initial_elements; ++i)
-            appendNode(img, sys.heap(), t, root, rng.next());
-    }
+            appendNode(m, sys.heap(), t, root, rng.next());
+    });
 }
 
 void

@@ -26,6 +26,15 @@ workloadNames()
             "skiplist",   "rtree-spatial", "btree"};
 }
 
+std::string
+workloadNameError(const std::string &name)
+{
+    for (const std::string &known : workloadNames())
+        if (name == known)
+            return "";
+    return "unknown workload '" + name + "'";
+}
+
 std::unique_ptr<Workload>
 makeWorkload(const std::string &name, const WorkloadParams &p)
 {

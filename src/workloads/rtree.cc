@@ -323,17 +323,16 @@ struct PointWalk
 void
 RtreeWorkload::prepare(System &sys)
 {
-    ImageAccessor img(sys.image());
     Rng rng(_p.seed ^ 0x57ee);
-    for (unsigned t = _first; t < _end; ++t) {
+    forEachArena(sys, [&](MemAccessor &m, unsigned t) {
         Addr root_slot = sys.heap().rootAddr(t);
-        img.st(root_slot, 0);
+        m.st(root_slot, 0);
         PointWalk walk(rng);
         for (std::uint64_t i = 0; i < _p.initial_elements; ++i) {
             walk.advance();
-            insert(img, sys.heap(), t, root_slot, walk.x, walk.y);
+            insert(m, sys.heap(), t, root_slot, walk.x, walk.y);
         }
-    }
+    });
 }
 
 void

@@ -151,14 +151,13 @@ SkiplistWorkload::insert(MemAccessor &m, PersistentHeap &heap,
 void
 SkiplistWorkload::prepare(System &sys)
 {
-    ImageAccessor img(sys.image());
     Rng rng(_p.seed ^ 0x5c1b);
-    for (unsigned t = _first; t < _end; ++t) {
-        Addr head = makeHead(img, sys.heap(), t);
-        img.st(sys.heap().rootAddr(t), head);
+    forEachArena(sys, [&](MemAccessor &m, unsigned t) {
+        Addr head = makeHead(m, sys.heap(), t);
+        m.st(sys.heap().rootAddr(t), head);
         for (std::uint64_t i = 0; i < _p.initial_elements; ++i)
-            insert(img, sys.heap(), t, head, rng.next() | 1, rng);
-    }
+            insert(m, sys.heap(), t, head, rng.next() | 1, rng);
+    });
 }
 
 void

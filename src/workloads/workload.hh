@@ -170,13 +170,33 @@ class Workload
     bool collectKeys(const PmemImage &img,
                      std::vector<std::vector<std::uint64_t>> &out) const;
 
-    /** prepare() + bind runThread to this workload's core range. */
+    /**
+     * prepare() + bind runThread to this workload's core range. A core
+     * that is already bound fails before the prebuild writes into its
+     * arena.
+     */
     void
     install(System &sys)
     {
         beginLife(sys);
+        for (CoreId c = _first; c < _end; ++c)
+            BBB_ASSERT(!sys.core(c).hasThread(), "core %u already has a thread",
+                       c);
         prepare(sys);
         bindThreads(sys);
+    }
+
+    /**
+     * install() with every arena prebuilt word by word through an
+     * ImageAccessor: the reference that prepare()'s flat ArenaImage
+     * windows must reproduce byte for byte.
+     */
+    void
+    installWordByWord(System &sys)
+    {
+        _word_by_word = true;
+        install(sys);
+        _word_by_word = false;
     }
 
     /**
@@ -246,6 +266,29 @@ class Workload
      */
     virtual Addr rebuildRoot(RecoveryCtx &ctx, unsigned tid) const;
 
+    /**
+     * Run @p build(m, t) for each bound thread t: m is one ArenaImage,
+     * opened over t's empty heap arena and committed to the image once
+     * t's structure is built (an ImageAccessor under installWordByWord()).
+     * The prebuild of every pointer-based workload.
+     */
+    template <class Build>
+    void
+    forEachArena(System &sys, Build &&build)
+    {
+        ImageAccessor word_by_word(sys.image());
+        ArenaImage flat(sys.image(), sys.heap());
+        for (unsigned t = _first; t < _end; ++t) {
+            if (_word_by_word) {
+                build(static_cast<MemAccessor &>(word_by_word), t);
+                continue;
+            }
+            flat.open(t);
+            build(static_cast<MemAccessor &>(flat), t);
+            flat.commit();
+        }
+    }
+
     /** Record a keyed op at issue time (fiber-side; cores share one
      *  OS thread per System, so no locking is needed). */
     void logOp(unsigned tid, std::uint64_t key)
@@ -287,6 +330,7 @@ class Workload
 
     std::uint64_t _life_ops = 0;
     std::vector<std::vector<std::uint64_t>> _issued;
+    bool _word_by_word = false;
 };
 
 /**
@@ -294,6 +338,9 @@ class Workload
  * then the skip list, spatial R-tree and B-tree of the crash campaigns.
  */
 std::vector<std::string> workloadNames();
+
+/** Why makeWorkload() rejects @p name, or "" if it accepts it. */
+std::string workloadNameError(const std::string &name);
 
 /** Instantiate a workload by name; fatal() on unknown names. */
 std::unique_ptr<Workload> makeWorkload(const std::string &name,

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "api/experiment.hh"
 #include "api/system.hh"
 #include "workloads/accessor.hh"
@@ -212,6 +215,135 @@ TEST(Workloads, ArrayPrebuildMatchesWordByWordReference)
         EXPECT_EQ(got.pagesTouched(), want.pagesTouched()) << n;
         EXPECT_EQ(got.fingerprint(), want.fingerprint()) << n;
     }
+}
+
+namespace
+{
+
+/** The workloads whose prepare() builds through an ArenaImage. */
+const char *const kArenaWorkloads[] = {"rtree",    "ctree",      "hashmap",
+                                       "btree",    "skiplist",   "linkedlist",
+                                       "rtree-spatial"};
+
+/**
+ * Expect @p flat's image to equal @p ref's: the heap frontiers, every
+ * word of each arena's allocated range, the root slots, the fingerprint
+ * and the pages materialised.
+ */
+void
+expectSameImage(System &flat, System &ref, const std::string &label)
+{
+    SCOPED_TRACE(label);
+    const BackingStore &got = flat.image();
+    const BackingStore &want = ref.image();
+    PersistentHeap &heap = flat.heap();
+    std::uint64_t built = 0;
+    for (unsigned a = 0; a < heap.arenas(); ++a) {
+        ASSERT_EQ(heap.frontier(a), ref.heap().frontier(a)) << "arena " << a;
+        built += heap.allocated(a);
+        Addr lo = (heap.arenaBase(a) + 7) & ~Addr{7};
+        for (Addr w = lo; w < heap.frontier(a); w += 8)
+            ASSERT_EQ(got.read64(w), want.read64(w))
+                << "arena " << a << ", word " << (w - lo) / 8;
+    }
+    EXPECT_GT(built, 0u);
+    for (unsigned slot = 0; slot < PersistentHeap::kRootSlots; ++slot)
+        EXPECT_EQ(got.read64(heap.rootAddr(slot)),
+                  want.read64(heap.rootAddr(slot)))
+            << "root slot " << slot;
+    EXPECT_EQ(got.fingerprint(), want.fingerprint());
+    EXPECT_EQ(got.pagesTouched(), want.pagesTouched());
+    ::testing::Test::RecordProperty("pages_" + label,
+                                    std::to_string(got.pagesTouched()));
+}
+
+} // namespace
+
+TEST(Workloads, ArenaPrebuildMatchesWordByWordReference)
+{
+    // prepare() builds each arena in a flat buffer and commits it a page
+    // at a time; the image must be the one the same stores leave word by
+    // word through an ImageAccessor. Three shapes: one thread; the fig7
+    // machine (8 cores, 12,500 elements each); and a mix of ranged
+    // workloads on 5 cores, whose arena bases are not 8-aligned.
+    for (std::size_t i = 0; i < std::size(kArenaWorkloads); ++i) {
+        const char *name = kArenaWorkloads[i];
+        WorkloadParams one = smallParams();
+        one.initial_elements = 2000;
+        System flat1(cfg(PersistMode::BbbMemSide, 1));
+        System ref1(cfg(PersistMode::BbbMemSide, 1));
+        makeWorkload(name, one)->install(flat1);
+        makeWorkload(name, one)->installWordByWord(ref1);
+        expectSameImage(flat1, ref1, std::string(name) + "_1thread");
+
+        WorkloadParams fig7;
+        fig7.initial_elements = 12500;
+        System flat8(benchConfig(PersistMode::BbbMemSide));
+        System ref8(benchConfig(PersistMode::BbbMemSide));
+        makeWorkload(name, fig7)->install(flat8);
+        makeWorkload(name, fig7)->installWordByWord(ref8);
+        expectSameImage(flat8, ref8, std::string(name) + "_fig7");
+
+        // name on cores [1, 3), the next arena workload on [3, 5).
+        const char *partner =
+            kArenaWorkloads[(i + 1) % std::size(kArenaWorkloads)];
+        WorkloadParams a = smallParams(), b = smallParams();
+        a.thread_offset = 1;
+        a.thread_count = 2;
+        b.thread_offset = 3;
+        b.thread_count = 2;
+        System flat5(cfg(PersistMode::BbbMemSide, 5));
+        System ref5(cfg(PersistMode::BbbMemSide, 5));
+        ASSERT_NE(flat5.heap().arenaBase(1) % 8, 0u);
+        makeWorkload(name, a)->install(flat5);
+        makeWorkload(partner, b)->install(flat5);
+        makeWorkload(name, a)->installWordByWord(ref5);
+        makeWorkload(partner, b)->installWordByWord(ref5);
+        expectSameImage(flat5, ref5,
+                        std::string(name) + "+" + partner + "_ranged");
+    }
+}
+
+TEST(Workloads, ArenaImageStoresStayInTheBufferUntilCommit)
+{
+    // Arena 1 of 5 starts off 8-alignment. Stores into the arena land in
+    // the buffer only; commit() materialises just the pages they reached,
+    // and a store outside the arena (a root slot) goes straight through.
+    System sys(cfg(PersistMode::BbbMemSide, 5));
+    PersistentHeap &heap = sys.heap();
+    ASSERT_NE(heap.arenaBase(1) % 8, 0u);
+    BackingStore &image = sys.image();
+    ArenaImage m(image, heap);
+    m.open(1);
+    Addr obj = heap.alloc(1, 4 * BackingStore::kPageSize, 8);
+    Addr last = obj + 4 * BackingStore::kPageSize - 8;
+    m.st(heap.rootAddr(1), obj);
+    std::size_t pages = image.pagesTouched();
+    m.st(obj, 11);
+    m.st(last, 22);
+    EXPECT_EQ(m.windowEnd(), last + 8);
+    EXPECT_EQ(m.ld(obj), 11u);
+    EXPECT_EQ(m.ld(last), 22u);
+    EXPECT_EQ(m.ld(obj + 8), 0u);
+    EXPECT_EQ(image.pagesTouched(), pages);
+    EXPECT_EQ(image.read64(obj), 0u);
+    EXPECT_EQ(image.read64(heap.rootAddr(1)), obj);
+
+    m.commit();
+    EXPECT_EQ(image.pagesTouched(), pages + 2);
+    EXPECT_EQ(image.read64(obj), 11u);
+    EXPECT_EQ(image.read64(last), 22u);
+    // Closed: accesses go to the image.
+    m.st(obj + 8, 33);
+    EXPECT_EQ(image.read64(obj + 8), 33u);
+}
+
+TEST(WorkloadsDeath, ArenaImageNeedsAnEmptyArena)
+{
+    System sys(cfg());
+    sys.heap().alloc(0, 64);
+    ArenaImage m(sys.image(), sys.heap());
+    EXPECT_DEATH(m.open(0), "arena 0 is not empty");
 }
 
 TEST(Workloads, NonConflictingThreadsTouchDisjointSlices)
