@@ -306,6 +306,44 @@ BM_StoreBufferPushDrain(benchmark::State &state)
 BENCHMARK(BM_StoreBufferPushDrain);
 
 void
+BM_StoreBufferProbe(benchmark::State &state)
+{
+    // Three load probes per iteration against a full 32-deep buffer that
+    // holds words 0 and 1 of 16 blocks: a forwarding hit, a same-block
+    // load that must wait, and a miss. The drain never runs.
+    SystemConfig cfg;
+    cfg.num_cores = 1;
+    cfg.store_buffer.entries = 32;
+    cfg.dram.size_bytes = 64_MiB;
+    cfg.nvmm.size_bytes = 64_MiB;
+    System sys(cfg);
+    StatRegistry stats;
+    StoreBuffer sb(0, cfg, sys.eventQueue(), sys.hierarchy(), stats);
+    Addr base = sys.addrMap().dramBase();
+    constexpr unsigned kBlocks = 16;
+    for (unsigned w = 0; w < 2; ++w) {
+        for (unsigned b = 0; b < kBlocks; ++b)
+            sb.push(base + b * kBlockSize + w * 8, 8, b, false);
+    }
+    std::uint64_t i = 0, sum = 0;
+    for (auto _ : state) {
+        Addr block = base + (i % kBlocks) * kBlockSize;
+        std::uint64_t v = 0;
+        if (sb.probe(block + 8, 8, v) != SbProbe::Hit ||
+            sb.probe(block + 16, 8, v) != SbProbe::Blocked ||
+            sb.probe(block + kBlocks * kBlockSize, 8, v) != SbProbe::Miss) {
+            state.SkipWithError("unexpected store-buffer probe");
+            return;
+        }
+        sum += v;
+        ++i;
+    }
+    benchmark::DoNotOptimize(sum);
+    state.SetItemsProcessed(3 * state.iterations());
+}
+BENCHMARK(BM_StoreBufferProbe);
+
+void
 BM_EndToEndSimulatedStores(benchmark::State &state)
 {
     // Host cost of simulating one persisting store, end to end.

@@ -317,10 +317,16 @@ main(int argc, char **argv)
         rep.setConfig("media", mediaKindName(spec.base.media.kind));
         if (!spec.traces.empty()) {
             std::string traces, caps, pols;
-            for (const std::string &t : spec.traces)
-                traces += (traces.empty() ? "" : ",") + t;
-            for (double c : spec.battery_caps)
-                caps += (caps.empty() ? "" : ",") + compactDouble(c);
+            for (const std::string &t : spec.traces) {
+                if (!traces.empty())
+                    traces += ",";
+                traces += t;
+            }
+            for (double c : spec.battery_caps) {
+                if (!caps.empty())
+                    caps += ",";
+                caps += compactDouble(c);
+            }
             for (DegradePolicy p : spec.policies) {
                 if (!pols.empty())
                     pols += ",";

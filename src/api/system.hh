@@ -181,7 +181,7 @@ class System
         if (_cfg.usesBbpb())
             n += _backend->occupancy();
         else
-            n += _hier->collectDirtyNvmm().size();
+            n += _hier->countDirtyNvmm();
         return n;
     }
 

@@ -421,6 +421,15 @@ CacheHierarchy::peek(Addr addr, unsigned size, void *out)
     std::memcpy(out, data.bytes.data() + blockOffset(addr), size);
 }
 
+const L1Line *
+CacheHierarchy::modifiedL1Copy(Addr block, const LlcLine &line) const
+{
+    if (line.owner == kNoCore)
+        return nullptr;
+    const L1Line *l1_line = _l1[line.owner].find(block);
+    return l1_line && l1_line->state == Mesi::Modified ? l1_line : nullptr;
+}
+
 std::vector<PersistRecord>
 CacheHierarchy::collectDirtyNvmm(std::uint64_t *from_l1) const
 {
@@ -429,22 +438,28 @@ CacheHierarchy::collectDirtyNvmm(std::uint64_t *from_l1) const
     _llc.forEachValid([&](Addr block, const LlcLine &line) {
         if (_map.kind(block) != MemKind::Nvmm)
             return;
-        bool dirty = line.dirty;
-        BlockData data = line.data;
-        if (line.owner != kNoCore) {
-            const L1Line *l1_line = _l1[line.owner].find(block);
-            if (l1_line && l1_line->state == Mesi::Modified) {
-                dirty = true;
-                data = l1_line->data;
-                ++l1_sourced;
-            }
+        if (const L1Line *m = modifiedL1Copy(block, line)) {
+            out.push_back({block, m->data});
+            ++l1_sourced;
+        } else if (line.dirty) {
+            out.push_back({block, line.data});
         }
-        if (dirty)
-            out.push_back({block, data});
     });
     if (from_l1)
         *from_l1 = l1_sourced;
     return out;
+}
+
+std::uint64_t
+CacheHierarchy::countDirtyNvmm() const
+{
+    std::uint64_t n = 0;
+    _llc.forEachValid([&](Addr block, const LlcLine &line) {
+        if (_map.kind(block) == MemKind::Nvmm &&
+            (line.dirty || modifiedL1Copy(block, line)))
+            ++n;
+    });
+    return n;
 }
 
 DirtyStats
@@ -460,13 +475,7 @@ CacheHierarchy::dirtyStats() const
     }
     _llc.forEachValid([&](Addr block, const LlcLine &line) {
         ++s.llc_valid_blocks;
-        bool dirty = line.dirty;
-        if (line.owner != kNoCore) {
-            const L1Line *l1_line = _l1[line.owner].find(block);
-            if (l1_line && l1_line->state == Mesi::Modified)
-                dirty = true;
-        }
-        if (dirty)
+        if (line.dirty || modifiedL1Copy(block, line))
             ++s.llc_dirty_blocks;
     });
     return s;

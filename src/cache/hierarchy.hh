@@ -122,6 +122,9 @@ class CacheHierarchy
     std::vector<PersistRecord>
     collectDirtyNvmm(std::uint64_t *from_l1 = nullptr) const;
 
+    /** collectDirtyNvmm().size(), counted in place. */
+    std::uint64_t countDirtyNvmm() const;
+
     /** Dirty/valid block counts per level (whole hierarchy). */
     DirtyStats dirtyStats() const;
 
@@ -142,6 +145,10 @@ class CacheHierarchy
     }
 
   private:
+    /** The owner's L1 copy of LLC-resident @p block when it is Modified
+     *  (its data supersedes the LLC's), else nullptr. */
+    const L1Line *modifiedL1Copy(Addr block, const LlcLine &line) const;
+
     /** Ensure core @p c's L1 holds @p block with at least S permission.
      *  Returns the line; adds latency to @p lat. */
     L1Line &getForRead(CoreId c, Addr block, Tick &lat);

@@ -225,13 +225,16 @@ Core::executePending(bool in_fiber)
       case OpKind::Load: {
         ++_loads;
         std::uint64_t fwd;
-        if (_sb.forward(_pending.addr, _pending.size, fwd))
+        switch (_sb.probe(_pending.addr, _pending.size, fwd)) {
+          case SbProbe::Hit:
             return complete(cycle, fwd);
-        if (_sb.hasBlock(blockAlign(_pending.addr))) {
-            // Partial overlap with a buffered store: wait for it to
-            // retire rather than merging bytes.
+          case SbProbe::Blocked:
+            // The block is buffered but no store covers the load: wait
+            // for the block's stores to retire rather than merging bytes.
             waitOnSb();
             return false;
+          case SbProbe::Miss:
+            break;
         }
         std::uint64_t value = 0;
         AccessResult res =

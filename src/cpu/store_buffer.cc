@@ -9,6 +9,7 @@ StoreBuffer::StoreBuffer(CoreId core, const SystemConfig &cfg,
                          EventQueue &eq, CacheHierarchy &hier,
                          StatRegistry &stats)
     : _core(core), _cfg(cfg), _eq(eq), _hier(hier),
+      _entries(cfg.store_buffer.entries), _newest(cfg.store_buffer.entries),
       _drain_youngest(litmusMutation("drain-youngest"))
 {
     StatGroup &g = stats.group("sb" + std::to_string(core));
@@ -30,43 +31,68 @@ StoreBuffer::push(Addr addr, unsigned size, std::uint64_t data,
     BBB_ASSERT(!full(), "push into full store buffer");
     BBB_ASSERT(size > 0 && size <= 8 && withinBlock(addr, size),
                "unsupported store shape");
-    _entries.push_back(SbEntry{addr, size, data, persisting, false});
+    const Addr block = blockAlign(addr);
+    std::uint32_t slot = _entries.pushBack();
+    std::uint32_t older = kNil;
+    if (std::uint32_t *newest = _newest.find(block)) {
+        older = *newest;
+        _entries[older].younger = slot;
+        *newest = slot;
+    } else {
+        _newest.insert(block, slot);
+    }
+    _entries[slot] = Slot{SbEntry{addr, size, data, persisting, false},
+                          older, kNil};
     ++_pushes;
     maybeScheduleDrain(_cfg.cycles(_cfg.store_buffer.drain_interval_cycles));
 }
 
-bool
-StoreBuffer::forward(Addr addr, unsigned size, std::uint64_t &out) const
+SbProbe
+StoreBuffer::probe(Addr addr, unsigned size, std::uint64_t &out) const
 {
-    for (auto it = _entries.rbegin(); it != _entries.rend(); ++it) {
-        const SbEntry &e = *it;
+    const std::uint32_t *newest = _newest.find(blockAlign(addr));
+    if (!newest)
+        return SbProbe::Miss;
+    for (std::uint32_t s = *newest; s != kNil; s = _entries[s].older) {
+        const SbEntry &e = _entries[s].e;
         if (addr >= e.addr && addr + size <= e.addr + e.size) {
             std::uint64_t shifted = e.data >> ((addr - e.addr) * 8);
             std::uint64_t mask = size == 8 ? ~0ull
                                            : ((1ull << (size * 8)) - 1);
             out = shifted & mask;
             _forwards += 1;
-            return true;
+            return SbProbe::Hit;
         }
     }
-    return false;
+    return SbProbe::Blocked;
 }
 
-bool
-StoreBuffer::hasBlock(Addr block) const
+void
+StoreBuffer::remove(std::uint32_t slot)
 {
-    block = blockAlign(block);
-    for (const SbEntry &e : _entries) {
-        if (blockAlign(e.addr) == block)
-            return true;
-    }
-    return false;
+    const Slot &n = _entries[slot];
+    if (n.older != kNil)
+        _entries[n.older].younger = n.younger;
+    if (n.younger != kNil)
+        _entries[n.younger].older = n.older;
+    else if (n.older != kNil)
+        *_newest.find(blockAlign(n.e.addr)) = n.older;
+    else
+        _newest.erase(blockAlign(n.e.addr));
+    _entries.remove(slot);
+}
+
+AccessResult
+StoreBuffer::storeToL1(std::uint32_t slot)
+{
+    SbEntry &e = _entries[slot].e;
+    return _hier.store(_core, e.addr, e.size, &e.data);
 }
 
 void
 StoreBuffer::maybeScheduleDrain(Tick delay)
 {
-    if (_manual_drain || _drain_active || _entries.empty())
+    if (_manual_drain || _drain_active || empty())
         return;
     _drain_active = true;
     Tick now = _eq.now();
@@ -78,7 +104,7 @@ void
 StoreBuffer::drainStep()
 {
     BBB_ASSERT(_drain_active, "drain step while inactive");
-    if (_entries.empty()) {
+    if (empty()) {
         _drain_active = false;
         return;
     }
@@ -86,27 +112,18 @@ StoreBuffer::drainStep()
     // Pick the entry to retire: the head, unless out-of-order drain is
     // enabled and the head is blocked by a bbPB rejection — then the
     // oldest drainable entry may bypass it (relaxed-consistency model).
-    std::size_t idx = 0;
-    AccessResult res = _hier.store(_core, _entries[0].addr,
-                                   _entries[0].size, &_entries[0].data);
+    const std::uint32_t head = _entries.head();
+    std::uint32_t victim = head;
+    AccessResult res = storeToL1(head);
     if (res.status == StoreStatus::RetryPersist && _ooo_drain) {
-        for (std::size_t i = 1; i < _entries.size(); ++i) {
+        for (std::uint32_t s = _entries.next(head); s != kNil;
+             s = _entries.next(s)) {
             // A younger store to the same block must not bypass.
-            bool same_block_older = false;
-            for (std::size_t j = 0; j < i; ++j) {
-                if (blockAlign(_entries[j].addr) ==
-                    blockAlign(_entries[i].addr)) {
-                    same_block_older = true;
-                    break;
-                }
-            }
-            if (same_block_older)
+            if (_entries[s].older != kNil)
                 continue;
-            AccessResult r2 = _hier.store(_core, _entries[i].addr,
-                                          _entries[i].size,
-                                          &_entries[i].data);
+            AccessResult r2 = storeToL1(s);
             if (r2.status == StoreStatus::Done) {
-                idx = i;
+                victim = s;
                 res = r2;
                 ++_ooo_retires;
                 break;
@@ -115,8 +132,9 @@ StoreBuffer::drainStep()
     }
 
     if (res.status == StoreStatus::RetryPersist) {
-        if (!_entries[0].rejection_counted) {
-            _entries[0].rejection_counted = true;
+        SbEntry &blocked = _entries[head].e;
+        if (!blocked.rejection_counted) {
+            blocked.rejection_counted = true;
             ++_rejections;
         }
         ++_retry_polls;
@@ -125,7 +143,7 @@ StoreBuffer::drainStep()
         return;
     }
 
-    _entries.erase(_entries.begin() + static_cast<std::ptrdiff_t>(idx));
+    remove(victim);
     ++_retired;
 
     // The L1D write port is busy for the store's latency; the next drain
@@ -133,7 +151,7 @@ StoreBuffer::drainStep()
     Tick busy = std::max<Tick>(
         res.latency, _cfg.cycles(_cfg.store_buffer.drain_interval_cycles));
     _port_free = _eq.now() + busy;
-    if (_entries.empty()) {
+    if (empty()) {
         _drain_active = false;
     } else {
         _eq.schedule(_port_free, [this]() { drainStep(); },
@@ -148,37 +166,33 @@ bool
 StoreBuffer::retireOne()
 {
     BBB_ASSERT(_manual_drain, "retireOne outside manual drain mode");
-    if (_entries.empty())
+    if (empty())
         return false;
 
     // TSO drain order is oldest-first. The seeded "drain-youngest"
     // mutation retires the youngest entry instead — the ordering bug the
     // litmus mutation-kill self-check must catch.
-    std::size_t idx = 0;
-    if (_drain_youngest)
-        idx = _entries.size() - 1;
-
-    AccessResult res = _hier.store(_core, _entries[idx].addr,
-                                   _entries[idx].size,
-                                   &_entries[idx].data);
+    std::uint32_t slot = _drain_youngest ? _entries.tail() : _entries.head();
+    AccessResult res = storeToL1(slot);
     BBB_ASSERT(res.status == StoreStatus::Done,
                "manual drain rejected by the persistency backend");
-    _entries.erase(_entries.begin() + static_cast<std::ptrdiff_t>(idx));
+    remove(slot);
     ++_retired;
     if (_on_change)
         _on_change();
     return true;
 }
 
-std::deque<SbEntry>
+std::vector<SbEntry>
 StoreBuffer::drainForCrash()
 {
-    std::deque<SbEntry> out;
-    for (const SbEntry &e : _entries) {
+    std::vector<SbEntry> out;
+    forEach([&](const SbEntry &e) {
         if (e.persisting)
             out.push_back(e);
-    }
+    });
     _entries.clear();
+    _newest.clear();
     _drain_active = false;
     return out;
 }

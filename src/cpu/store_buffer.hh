@@ -11,18 +11,27 @@
  * (TSO-like). With out-of-order drain enabled (modelling a relaxed core),
  * a blocked head does not stop younger drainable stores — the scenario
  * that motivates battery-backing the store buffer.
+ *
+ * Entries live in a fixed SlotFifo (sim/slot_fifo.hh) in program order.
+ * A BlockTable (sim/block_table.hh) maps each buffered block to its
+ * newest entry, and every entry links to the next-older and next-younger
+ * entry of its block. A load or flush therefore probes the table once
+ * and walks only its own block's entries; retiring an entry from
+ * anywhere in the buffer is O(1).
  */
 
 #ifndef BBB_CPU_STORE_BUFFER_HH
 #define BBB_CPU_STORE_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "cache/hierarchy.hh"
+#include "sim/block_table.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_fifo.hh"
 #include "sim/stats.hh"
 
 namespace bbb
@@ -39,6 +48,14 @@ struct SbEntry
     bool rejection_counted = false;
 };
 
+/** What the buffer holds for a load (StoreBuffer::probe). */
+enum class SbProbe
+{
+    Miss,    ///< no buffered store touches the block: go to the cache
+    Hit,     ///< a buffered store covers the load: forwarded
+    Blocked, ///< the block is buffered but nothing covers the load: wait
+};
+
 /** The store buffer and its drain engine. */
 class StoreBuffer
 {
@@ -49,21 +66,35 @@ class StoreBuffer
     /** Observer invoked whenever an entry retires (slot freed). */
     void setOnChange(std::function<void()> cb) { _on_change = std::move(cb); }
 
-    bool full() const { return _entries.size() >= _cfg.store_buffer.entries; }
-    bool empty() const { return _entries.empty(); }
+    bool full() const { return _entries.full(); }
+    bool empty() const { return _entries.size() == 0; }
     std::size_t size() const { return _entries.size(); }
 
     /** Commit a store into the buffer (caller checked !full()). */
     void push(Addr addr, unsigned size, std::uint64_t data, bool persisting);
 
     /**
-     * Forward data to a load: if [addr, addr+size) is fully covered by the
-     * youngest matching entry, set @p out and return true.
+     * Look a load of [addr, addr+size) up in one block-index probe. The
+     * block's entries are walked youngest first; the first that fully
+     * covers the load forwards its bytes into @p out (Hit). A buffered
+     * block with no covering entry is Blocked; an unbuffered one is a
+     * Miss.
      */
-    bool forward(Addr addr, unsigned size, std::uint64_t &out) const;
+    SbProbe probe(Addr addr, unsigned size, std::uint64_t &out) const;
+
+    /** probe() == Hit. */
+    bool
+    forward(Addr addr, unsigned size, std::uint64_t &out) const
+    {
+        return probe(addr, size, out) == SbProbe::Hit;
+    }
 
     /** True if any buffered entry touches @p block. */
-    bool hasBlock(Addr block) const;
+    bool
+    hasBlock(Addr block) const
+    {
+        return _newest.find(blockAlign(block)) != nullptr;
+    }
 
     /** Allow younger drainable stores to bypass a blocked head. */
     void setOutOfOrderDrain(bool ooo) { _ooo_drain = ooo; }
@@ -84,13 +115,40 @@ class StoreBuffer
      */
     bool retireOne();
 
-    /** Program-order snapshot of buffered persisting stores (crash). */
-    std::deque<SbEntry> drainForCrash();
+    /** Call @p fn(entry) for each buffered store, oldest first. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::uint32_t s = _entries.head(); s != kNil;
+             s = _entries.next(s))
+            fn(_entries[s].e);
+    }
+
+    /** Empty the buffer, returning its persisting stores in program
+     *  order (crash). */
+    std::vector<SbEntry> drainForCrash();
 
     std::uint64_t rejections() const { return _rejections.value(); }
     std::uint64_t retryPolls() const { return _retry_polls.value(); }
 
   private:
+    /** A buffered store and its links in its block's chain. */
+    struct Slot
+    {
+        SbEntry e;
+        std::uint32_t older;   ///< next-older entry of the block, or kNil
+        std::uint32_t younger; ///< next-younger entry of the block, or kNil
+    };
+
+    static constexpr std::uint32_t kNil = SlotFifo<Slot>::kNil;
+
+    /** Retire @p slot from the buffer, wherever it sits. */
+    void remove(std::uint32_t slot);
+
+    /** Write @p slot's store to the L1D (may be rejected). */
+    AccessResult storeToL1(std::uint32_t slot);
+
     /** Kick the drain engine if idle and work exists. */
     void maybeScheduleDrain(Tick delay);
 
@@ -101,7 +159,10 @@ class StoreBuffer
     SystemConfig _cfg;
     EventQueue &_eq;
     CacheHierarchy &_hier;
-    std::deque<SbEntry> _entries;
+    /** Entries in program order (head = oldest). */
+    SlotFifo<Slot> _entries;
+    /** Buffered block -> slot of its newest entry. */
+    BlockTable<std::uint32_t> _newest;
     bool _drain_active = false;
     /**
      * The L1D write port is busy until this tick: a drain's latency

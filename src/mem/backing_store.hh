@@ -166,7 +166,13 @@ class BackingStore
                         sizeof(v));
             return;
         }
-        write(addr, &v, sizeof(v));
+        // Straddles two pages: the low bytes end this page, the rest
+        // start the next.
+        const auto *bytes = reinterpret_cast<const unsigned char *>(&v);
+        std::size_t low = kPageSize - off;
+        std::memcpy(touch(addr / kPageSize).data() + off, bytes, low);
+        std::memcpy(touch(addr / kPageSize + 1).data(), bytes + low,
+                    sizeof(v) - low);
     }
 
     /** Number of pages materialised so far. */

@@ -3,7 +3,8 @@
  * Open-addressed map from a block address to a small value, shared by
  * every structure that indexes blocks: the system-wide bbPB ownership
  * index (core/ownership_index.hh), the memory controller's WPQ block
- * index (mem/mem_ctrl.hh), the FTL's page-mapping table
+ * index (mem/mem_ctrl.hh), the store buffer's newest-entry index
+ * (cpu/store_buffer.hh), the FTL's page-mapping table
  * (mem/ftl/ftl_media.hh) and the backing store's page index
  * (mem/backing_store.hh, keyed by page base address).
  *
@@ -45,12 +46,9 @@ class BlockTable
      * the smallest power of two >= 2 x max_entries (min 16 cells).
      */
     explicit BlockTable(std::size_t max_entries)
+        : _cells(cellsFor(max_entries), Cell{kBadAddr, Value{}}),
+          _mask(_cells.size() - 1)
     {
-        std::size_t cap = 16;
-        while (cap < 2 * max_entries)
-            cap *= 2;
-        _cells.resize(cap, Cell{kBadAddr, Value{}});
-        _mask = cap - 1;
     }
 
     std::size_t size() const { return _size; }
@@ -169,6 +167,15 @@ class BlockTable
         Addr block; ///< kBadAddr marks an empty cell
         Value value;
     };
+
+    static std::size_t
+    cellsFor(std::size_t max_entries)
+    {
+        std::size_t cap = 16;
+        while (cap < 2 * max_entries)
+            cap *= 2;
+        return cap;
+    }
 
     /** Double the capacity and re-home every record. */
     void

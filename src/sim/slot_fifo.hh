@@ -1,10 +1,11 @@
 /**
  * @file
  * Fixed-capacity slot pool threaded by an intrusive insertion-order list,
- * shared by the bbPB slabs (core/bbpb.hh) and the memory controller's
- * write-pending queue (mem/mem_ctrl.hh).
+ * shared by the bbPB slabs (core/bbpb.hh), the memory controller's
+ * write-pending queue (mem/mem_ctrl.hh) and the per-core store buffer
+ * (cpu/store_buffer.hh).
  *
- * Both hold a bounded set of blocks that leave in any order (drain
+ * All three hold a bounded set of entries that leave in any order (drain
  * policies, out-of-order retirements) but must also be walked oldest
  * first (FCFS drains, crash handover). The pool allocates its slots once
  * at construction; live slots form a doubly-linked list in insertion

@@ -59,6 +59,26 @@ TEST(BackingStore, Scalar64Helpers)
     EXPECT_EQ(s.read64(72), 0u);
 }
 
+TEST(BackingStore, Scalar64HelpersStraddlePages)
+{
+    // Every split of an 8-byte word across a page boundary: the low
+    // bytes end one page and the rest start the next.
+    for (unsigned low = 1; low < 8; ++low) {
+        BackingStore s;
+        Addr addr = 2 * BackingStore::kPageSize - low;
+        std::uint64_t v = 0x0807060504030201ull;
+        s.write64(addr, v);
+        EXPECT_EQ(s.read64(addr), v) << low;
+        unsigned char bytes[10] = {};
+        s.read(addr - 1, bytes, sizeof(bytes));
+        EXPECT_EQ(bytes[0], 0u) << low;
+        for (unsigned i = 0; i < 8; ++i)
+            EXPECT_EQ(bytes[1 + i], i + 1) << low;
+        EXPECT_EQ(bytes[9], 0u) << low;
+        EXPECT_EQ(s.pagesTouched(), 2u) << low;
+    }
+}
+
 TEST(BackingStore, BlockOps)
 {
     BackingStore s;

@@ -406,6 +406,16 @@ TEST(Hierarchy, DirtyStatsCountLevels)
     EXPECT_EQ(s.llc_dirty_blocks, 1u); // via the M owner
 }
 
+TEST(Hierarchy, CountDirtyNvmmMatchesCollect)
+{
+    Rig rig;
+    rig.store64(0, rig.persist(0), 1); // M in L1
+    rig.store64(0, rig.persist(1), 2);
+    rig.load64(0, rig.persist(2));     // clean
+    rig.store64(0, rig.volatileAddr(), 3);
+    EXPECT_EQ(rig.hier.countDirtyNvmm(), rig.hier.collectDirtyNvmm().size());
+    EXPECT_EQ(rig.hier.countDirtyNvmm(), 2u);
+}
 TEST(Hierarchy, ManyCoresPingPongStaysCoherent)
 {
     Rig rig(4);
