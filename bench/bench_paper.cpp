@@ -296,12 +296,11 @@ fig8View(bool fast, Results results, BenchReport &rep)
 std::vector<ExperimentSpec>
 pmemStrictSpecs(bool fast)
 {
-    SystemConfig strict_cfg = benchConfig(PersistMode::AdrPmem);
-    strict_cfg.pmem_auto_strict = true;
     return fig7Grid(fast, {benchConfig(PersistMode::Eadr),
                            benchConfig(PersistMode::AdrUnsafe),
                            benchConfig(PersistMode::BbbMemSide, 32),
-                           benchConfig(PersistMode::AdrPmem), strict_cfg});
+                           benchConfig(PersistMode::AdrPmem),
+                           benchConfig(PersistMode::PmemStrict)});
 }
 
 void

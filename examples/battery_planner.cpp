@@ -48,22 +48,6 @@ const char *const kUsage =
     "                       [--ops N] [--campaign-seed N] [--jobs N]\n"
     "                       [--fast] [--json PATH]";
 
-/** Small machine so trace windows land mid-run (same as the campaigns). */
-SystemConfig
-plannerCfg()
-{
-    SystemConfig cfg;
-    cfg.num_cores = 2;
-    cfg.l1d.size_bytes = 4_KiB;
-    cfg.llc.size_bytes = 16_KiB;
-    cfg.dram.size_bytes = 64_MiB;
-    cfg.nvmm.size_bytes = 64_MiB;
-    cfg.bbpb.entries = 8;
-    cfg.l1d.repl = ReplPolicy::Random;
-    cfg.llc.repl = ReplPolicy::Random;
-    return cfg;
-}
-
 /** One sweep cell: every capacity shares the rest of the coordinates. */
 struct CellKey
 {
@@ -116,7 +100,7 @@ int
 main(int argc, char **argv)
 {
     LifetimeSpec spec;
-    spec.base = plannerCfg();
+    spec.base = campaignConfig();
     spec.modes = {PersistMode::BbbMemSide, PersistMode::BbbProcSide};
     spec.policies = {DegradePolicy::None, DegradePolicy::DrainOldest};
     spec.lifetimes = 1;
@@ -141,7 +125,9 @@ main(int argc, char **argv)
                                         workloadNameError);
         } else if (args.is("--modes")) {
             spec.modes.clear();
-            for (const std::string &m : cli::splitList(args.value()))
+            for (const std::string &m :
+                 args.checkNames(cli::splitList(args.value()),
+                                 persistModeNameError))
                 spec.modes.push_back(persistModeFromName(m));
         } else if (args.is("--traces")) {
             // Trace tokens never contain ',' (PowerTrace enforces it),

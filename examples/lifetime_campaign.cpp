@@ -59,29 +59,13 @@ const char *const kUsage =
  *  enough that lifetime-scale write streams retire frames. */
 constexpr std::uint64_t kFtlEnduranceCycles = 512;
 
-/** The campaign machine: small enough that crash points land mid-run. */
-SystemConfig
-campaignCfg()
-{
-    SystemConfig cfg;
-    cfg.num_cores = 2;
-    cfg.l1d.size_bytes = 4_KiB;
-    cfg.llc.size_bytes = 16_KiB;
-    cfg.dram.size_bytes = 64_MiB;
-    cfg.nvmm.size_bytes = 64_MiB;
-    cfg.bbpb.entries = 8;
-    cfg.l1d.repl = ReplPolicy::Random;
-    cfg.llc.repl = ReplPolicy::Random;
-    return cfg;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     LifetimeSpec spec;
-    spec.base = campaignCfg();
+    spec.base = campaignConfig();
     spec.workloads = {"hashmap", "skiplist", "linkedlist"};
     spec.params.ops_per_thread = 400;
     spec.params.initial_elements = 100;
@@ -127,7 +111,9 @@ main(int argc, char **argv)
                 args.checkNames({args.value()}, workloadNameError).front();
             replay_at = at;
         } else if (args.is("--mode")) {
-            replay_mode = args.value();
+            replay_mode =
+                args.checkNames({args.value()}, persistModeNameError)
+                    .front();
             replay_at = at;
         } else if (args.is("--fault-plan")) {
             replay_plan = args.value();
@@ -149,7 +135,9 @@ main(int argc, char **argv)
                                                  workloadNameError);
             } else if (args.is("--modes")) {
                 spec.modes.clear();
-                for (const std::string &m : cli::splitList(args.value()))
+                for (const std::string &m :
+                     args.checkNames(cli::splitList(args.value()),
+                                     persistModeNameError))
                     spec.modes.push_back(persistModeFromName(m));
             } else if (args.is("--plans")) {
                 // Preset names only: a multi-pair key=value plan holds

@@ -30,7 +30,6 @@ struct ModePoint
     const char *label;
     PersistMode mode;
     unsigned bbpb_entries;
-    bool auto_strict;
 };
 
 } // namespace
@@ -58,14 +57,13 @@ main(int argc, char **argv)
     }
 
     const ModePoint points[] = {
-        {"adr-unsafe (no persistency)", PersistMode::AdrUnsafe, 0, false},
-        {"pmem-strict (clwb+sfence)", PersistMode::AdrPmem, 0, true},
-        {"pmem-annotated (epoch-ish)", PersistMode::AdrPmem, 0, false},
-        {"eadr (whole hierarchy)", PersistMode::Eadr, 0, false},
-        {"bbb mem-side, 32 entries", PersistMode::BbbMemSide, 32, false},
-        {"bbb mem-side, 1024 entries", PersistMode::BbbMemSide, 1024,
-         false},
-        {"bbb proc-side, 32 entries", PersistMode::BbbProcSide, 32, false},
+        {"adr-unsafe (no persistency)", PersistMode::AdrUnsafe, 32},
+        {"pmem-strict (clwb+sfence)", PersistMode::PmemStrict, 32},
+        {"pmem-annotated (epoch-ish)", PersistMode::AdrPmem, 32},
+        {"eadr (whole hierarchy)", PersistMode::Eadr, 32},
+        {"bbb mem-side, 32 entries", PersistMode::BbbMemSide, 32},
+        {"bbb mem-side, 1024 entries", PersistMode::BbbMemSide, 1024},
+        {"bbb proc-side, 32 entries", PersistMode::BbbProcSide, 32},
     };
 
     std::printf("workload: %s, %llu ops/thread on 8 cores\n\n",
@@ -76,13 +74,9 @@ main(int argc, char **argv)
 
     // The whole mode tour is one independent grid on a --jobs wide pool.
     std::vector<ExperimentSpec> specs;
-    for (const ModePoint &pt : points) {
-        SystemConfig cfg = benchConfig(pt.mode, pt.bbpb_entries
-                                                    ? pt.bbpb_entries
-                                                    : 32);
-        cfg.pmem_auto_strict = pt.auto_strict;
-        specs.push_back({cfg, workload, params});
-    }
+    for (const ModePoint &pt : points)
+        specs.push_back({benchConfig(pt.mode, pt.bbpb_entries), workload,
+                         params});
     std::vector<ExperimentResult> results = runExperiments(specs, jobs);
 
     double eadr_time = 0;

@@ -8,8 +8,9 @@
  *
  * Usage: see the usage text in main(); it lists every workload name.
  *
- * Modes: adr-unsafe, adr-pmem, pmem-strict, eadr, bbb-mem-side,
- *        bbb-proc-side.
+ * Modes (--mode): adr-unsafe, adr-pmem, pmem-strict (adr-pmem with a
+ * clwb + sfence after every persisting store), eadr, bbb-mem-side,
+ * bbb-proc-side. An unknown mode exits 2 naming its argument.
  *
  * With a single workload the full report (stats, crash drain, recovery)
  * is printed. With a comma-separated list or `all` (every registered
@@ -63,11 +64,9 @@ main(int argc, char **argv)
         } else if (args.is("--jobs")) {
             jobs = args.jobsValue();
         } else if (args.is("--mode")) {
-            // pmem-strict is adr-pmem with a flush+fence per store.
-            std::string mode = args.value();
-            cfg.pmem_auto_strict = mode == "pmem-strict";
-            cfg.mode = cfg.pmem_auto_strict ? PersistMode::AdrPmem
-                                            : persistModeFromName(mode);
+            cfg.mode = persistModeFromName(
+                args.checkNames({args.value()}, persistModeNameError)
+                    .front());
         } else if (args.is("--entries")) {
             // A 0-entry bbPB rejects every persisting store: no run ends.
             cfg.bbpb.entries =
@@ -127,9 +126,7 @@ main(int argc, char **argv)
     sys.run();
 
     std::printf("workload            %s\n", workload.c_str());
-    std::printf("mode                %s%s\n", persistModeName(cfg.mode),
-                cfg.pmem_auto_strict ? " (strict per-store flush+fence)"
-                                      : "");
+    std::printf("mode                %s\n", persistModeName(cfg.mode));
     std::printf("bbpb                %u entries, %.0f%% threshold, %s\n",
                 cfg.bbpb.entries, cfg.bbpb.drain_threshold * 100,
                 drainPolicyName(cfg.bbpb.drain_policy));

@@ -7,15 +7,18 @@
  *   bbb-litmus --smoke              # the fast subset (ctest litmus_smoke)
  *   bbb-litmus --list               # corpus inventory
  *   bbb-litmus --tests sb,mp        # named subset
- *   bbb-litmus --modes bbb,pmem     # restrict persistency modes
+ *   bbb-litmus --modes bbb-mem-side,adr-pmem   # restrict modes
  *   bbb-litmus --por off            # disable partial-order reduction
  *   bbb-litmus --max-nodes N        # enumeration budget per config
  *   bbb-litmus --json PATH          # structured report
- *   bbb-litmus --replay "0 0d 1" --test sb --mode bbb
+ *   bbb-litmus --replay "0 0d 1" --test sb --mode bbb-mem-side
+ *
+ * Modes are persistModeName() tokens: bbb-mem-side, bbb-proc-side,
+ * eadr, adr-pmem, pmem-strict (adr-unsafe is not a litmus mode).
  *
  * Exit status: 0 all checks passed, 1 divergences found, 2 bad usage
- * (src/api/cli.hh), including --test or --mode without --replay and a
- * corpus flag with it.
+ * (src/api/cli.hh), including an unknown mode, --test or --mode without
+ * --replay, and a corpus flag with it.
  * BBB_JOB_TIMEOUT_S arms a watchdog that aborts a runaway enumeration
  * with the test name and the schedule prefix being explored.
  */
@@ -47,10 +50,10 @@ listCorpus()
     std::printf("%-20s %-6s %-8s modes\n", "test", "smoke", "battery");
     for (const Test &t : corpus()) {
         std::string modes;
-        for (Mode m : t.modes) {
+        for (PersistMode m : t.modes) {
             if (!modes.empty())
                 modes += ",";
-            modes += modeName(m);
+            modes += persistModeName(m);
         }
         std::printf("%-20s %-6s %-8s %s\n", t.name.c_str(),
                     t.smoke ? "yes" : "", t.battery ? "yes" : "",
@@ -70,7 +73,7 @@ main(int argc, char **argv)
     // --replay SCHEDULE --test NAME --mode M, checked as they are read.
     std::vector<Step> steps;
     const Test *test = nullptr;
-    Mode mode{};
+    PersistMode mode{};
     bool have_mode = false;
     // The last flag of each side, to reject one used with the other.
     int replay_at = 0, target_at = 0, corpus_at = 0;
@@ -87,9 +90,8 @@ main(int argc, char **argv)
                 args.fail("no corpus test named '" + name + "'");
             target_at = args.pos();
         } else if (args.is("--mode")) {
-            std::string name = args.value();
-            if (!modeFromName(name, &mode))
-                args.fail("unknown mode '" + name + "'");
+            mode = persistModeFromName(
+                args.checkNames({args.value()}, modeNameError).front());
             have_mode = true;
             target_at = args.pos();
         } else {
@@ -108,12 +110,10 @@ main(int argc, char **argv)
                 }
             } else if (args.is("--modes")) {
                 opts.modes.clear();
-                for (const std::string &tok : cli::splitList(args.value())) {
-                    Mode m;
-                    if (!modeFromName(tok, &m))
-                        args.fail("unknown mode '" + tok + "'");
-                    opts.modes.push_back(m);
-                }
+                for (const std::string &name :
+                     args.checkNames(cli::splitList(args.value()),
+                                     modeNameError))
+                    opts.modes.push_back(persistModeFromName(name));
             } else if (args.is("--por")) {
                 opts.por = args.onOffValue();
             } else if (args.is("--max-nodes")) {

@@ -46,7 +46,10 @@ System::System(const SystemConfig &cfg)
         _backend_owned = std::make_unique<ProcSideBbpb>(_cfg, _eq, *_nvmm,
                                                         _stats);
         break;
-      default:
+      case PersistMode::AdrPmem:
+      case PersistMode::PmemStrict:
+      case PersistMode::AdrUnsafe:
+      case PersistMode::Eadr:
         _backend_owned = std::make_unique<NullPersistencyBackend>();
         break;
     }

@@ -168,6 +168,7 @@ CrashEngine::crash(Tick now)
     // 2. Mode-specific drains, oldest-to-newest so fresher copies win.
     switch (_cfg.mode) {
       case PersistMode::AdrPmem:
+      case PersistMode::PmemStrict:
       case PersistMode::AdrUnsafe:
         break; // caches and buffers are lost
 
@@ -221,8 +222,7 @@ CrashEngine::crash(Tick now)
     // (Section III-C). Needed equally by eADR and BBB; disabling
     // sb_battery_backed reproduces the Section III-C ordering hazard.
     if (_cfg.relaxed_consistency && _cfg.sb_battery_backed &&
-        _cfg.mode != PersistMode::AdrPmem &&
-        _cfg.mode != PersistMode::AdrUnsafe) {
+        (_cfg.mode == PersistMode::Eadr || _cfg.usesBbpb())) {
         for (auto &core : _cores) {
             auto entries = core->storeBuffer().drainForCrash();
             for (const auto &e : entries) {

@@ -46,8 +46,7 @@ ThreadContext::store(Addr addr, unsigned size, std::uint64_t value)
 
     // Strict persistency on an ADR/PMEM machine: every persisting store
     // is followed by clwb + sfence (Section II-A / Figure 3).
-    const SystemConfig &cfg = _core.config();
-    if (cfg.mode == PersistMode::AdrPmem && cfg.pmem_auto_strict &&
+    if (_core.config().mode == PersistMode::PmemStrict &&
         _core.hierarchy().addrMap().isPersistent(addr)) {
         writeBack(addr);
         persistBarrier();
@@ -57,9 +56,9 @@ ThreadContext::store(Addr addr, unsigned size, std::uint64_t value)
 void
 ThreadContext::writeBack(Addr addr)
 {
-    // Only the ADR/PMEM machine needs (and executes) explicit flushes;
+    // Only the ADR/PMEM machines need (and execute) explicit flushes;
     // under eADR and BBB the instruction is never emitted (Table I).
-    if (_core.config().mode != PersistMode::AdrPmem)
+    if (!_core.config().executesFlushes())
         return;
     MemOp op;
     op.kind = OpKind::Flush;
@@ -71,7 +70,7 @@ ThreadContext::writeBack(Addr addr)
 void
 ThreadContext::persistBarrier()
 {
-    if (_core.config().mode != PersistMode::AdrPmem)
+    if (!_core.config().executesFlushes())
         return;
     MemOp op;
     op.kind = OpKind::Fence;

@@ -55,14 +55,18 @@ StoreBuffer::probe(Addr addr, unsigned size, std::uint64_t &out) const
         return SbProbe::Miss;
     for (std::uint32_t s = *newest; s != kNil; s = _entries[s].older) {
         const SbEntry &e = _entries[s].e;
-        if (addr >= e.addr && addr + size <= e.addr + e.size) {
-            std::uint64_t shifted = e.data >> ((addr - e.addr) * 8);
-            std::uint64_t mask = size == 8 ? ~0ull
-                                           : ((1ull << (size * 8)) - 1);
-            out = shifted & mask;
-            _forwards += 1;
-            return SbProbe::Hit;
-        }
+        if (addr >= e.addr + e.size || e.addr >= addr + size)
+            continue;
+        // The youngest store touching the load decides: an older one
+        // that covers it may hold bytes this one overwrote.
+        if (addr < e.addr || addr + size > e.addr + e.size)
+            return SbProbe::Blocked;
+        std::uint64_t shifted = e.data >> ((addr - e.addr) * 8);
+        std::uint64_t mask = size == 8 ? ~0ull
+                                       : ((1ull << (size * 8)) - 1);
+        out = shifted & mask;
+        _forwards += 1;
+        return SbProbe::Hit;
     }
     return SbProbe::Blocked;
 }

@@ -75,10 +75,11 @@ class StoreBuffer
 
     /**
      * Look a load of [addr, addr+size) up in one block-index probe. The
-     * block's entries are walked youngest first; the first that fully
-     * covers the load forwards its bytes into @p out (Hit). A buffered
-     * block with no covering entry is Blocked; an unbuffered one is a
-     * Miss.
+     * block's entries are walked youngest first; the first that
+     * overlaps the load decides: if it covers the load it forwards its
+     * bytes into @p out (Hit), else the load is Blocked (no byte
+     * merging). A buffered block with no overlapping entry is Blocked
+     * too; an unbuffered one is a Miss.
      */
     SbProbe probe(Addr addr, unsigned size, std::uint64_t &out) const;
 

@@ -12,7 +12,7 @@ namespace
 
 /**
  * The corpus text. Witness feasibility is lowering-sensitive: under
- * pmem_strict every store becomes st;flush;sfence, and a fence retires
+ * pmem-strict every store becomes st;flush;sfence, and a fence retires
  * only on an empty store buffer — so outcomes that need a store to
  * linger in the buffer past a later op of the same thread (the classic
  * SB relaxation) are tagged to the modes that keep them reachable.
@@ -24,7 +24,7 @@ const char *kCorpusText[] = {
 smoke
 t0: st x 1; ld y r0
 t1: st y 1; ld x r1
-sometimes [bbb procside eadr] final r0=0 r1=0
+sometimes [bbb-mem-side bbb-proc-side eadr] final r0=0 r1=0
 sometimes final r0=1 r1=1
 sometimes crash x=0 y=0
 sometimes crash x=1 y=1
@@ -135,10 +135,12 @@ sometimes crash x=2 y=2
     // disagreeing on the store order; the reachable witnesses pin down
     // that the enumerator really drives all four cores. Restricted to
     // single-store-per-writer lowerings to keep the state space sane.
+    // The writers' PMEM persist ops are elided by the strict machines
+    // (Table I): one the machine issued would be an op the model lacks.
     R"(test iriw
-modes bbb eadr
-t0: st x 1
-t1: st y 1
+modes bbb-mem-side eadr
+t0: st x 1; flush x; sfence
+t1: st y 1; flushopt y; sfence
 t2: ld x r0; ld y r1
 t3: ld y r2; ld x r3
 sometimes final r0=0 r1=0 r2=0 r3=0
@@ -210,7 +212,7 @@ sometimes final r0=0 r1=1
     // implies x's.
     R"(test epoch
 smoke
-modes pmem
+modes adr-pmem
 t0: st x 1; flush x; sfence; st y 1; flush y; sfence
 t1: ld y r0; ld x r1
 sometimes crash x=1 y=0
@@ -223,14 +225,14 @@ sometimes final r0=1 r1=1
     // the strict modes make impossible.
     R"(test missing-flush
 smoke
-modes pmem
+modes adr-pmem
 t0: st x 1; st y 1; flush y; sfence
 sometimes crash y=1 x=0
 sometimes crash x=0 y=0
 )",
 
     R"(test flushopt
-modes pmem
+modes adr-pmem
 t0: st x 1; flushopt x; sfence; st y 1
 t1: ld x r0
 sometimes crash x=1 y=0
@@ -240,7 +242,7 @@ sometimes final r0=1
     // Same-block flush ordering: after st1;st2;flush;sfence the fence
     // confirms the *coalesced* value, never the stale one.
     R"(test flush-order
-modes pmem pmem_strict
+modes adr-pmem pmem-strict
 t0: st x 1; st x 2; flush x; sfence
 sometimes crash x=2
 )",
@@ -248,7 +250,7 @@ sometimes crash x=2
     // A flush without a fence still reaches the ADR domain (WPQ):
     // x=1 is reachable but not guaranteed.
     R"(test adr-wpq
-modes pmem
+modes adr-pmem
 t0: st x 1; flush x
 sometimes crash x=1
 sometimes crash x=0
@@ -256,7 +258,7 @@ sometimes crash x=0
 
     // One fence confirming a batch of flushes.
     R"(test fence-batch
-modes pmem
+modes adr-pmem
 t0: st x 1; st y 1; flush x; flush y; sfence; st z 1
 sometimes crash x=1 y=1 z=0
 )",
@@ -264,7 +266,7 @@ sometimes crash x=1 y=1 z=0
     // Two confirmed versions of one block: after each sfence the image
     // is pinned exactly (durmin advances past the older value).
     R"(test wpq-coalesce
-modes pmem
+modes adr-pmem
 t0: st x 1; flush x; sfence; st x 2; flush x; sfence
 sometimes crash x=1
 sometimes crash x=2
@@ -277,7 +279,7 @@ sometimes crash x=2
     R"(test battery-prefix-1
 smoke
 battery
-modes bbb procside
+modes bbb-mem-side bbb-proc-side
 t0: st x 1; st y 2
 sometimes crash x=1 y=0
 sometimes crash x=1 y=2
@@ -285,9 +287,9 @@ sometimes crash x=1 y=2
 
     R"(test battery-prefix-2
 battery
-modes bbb procside
+modes bbb-mem-side bbb-proc-side
 t0: st x 1; st y 2
-t1: st z 3
+t1: st z 3; flush z; sfence
 sometimes crash x=1 y=0 z=0
 sometimes crash x=1 y=2 z=3
 )",

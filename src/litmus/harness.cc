@@ -17,14 +17,14 @@ namespace litmus
 std::string
 Violation::format() const
 {
-    std::string s = test + "/" + modeName(mode) + " schedule [" +
+    std::string s = test + "/" + persistModeName(mode) + " schedule [" +
                     schedule + "]: " + detail;
     // "(any)" (missing witness) and abort markers have no single
     // schedule to replay.
     if (!schedule.empty() && schedule != "(any)" &&
         schedule != "(empty)") {
         s += "\n  replay: bbb-litmus --replay \"" + schedule +
-             "\" --test " + test + " --mode " + modeName(mode);
+             "\" --test " + test + " --mode " + persistModeName(mode);
     }
     return s;
 }
@@ -70,7 +70,7 @@ struct Watchdog
     }
 
     void
-    check(const std::string &test, Mode mode, std::uint64_t nodes,
+    check(const std::string &test, PersistMode mode, std::uint64_t nodes,
           const std::vector<Step> &schedule) const
     {
         if (!enabled || std::chrono::steady_clock::now() < deadline)
@@ -80,7 +80,8 @@ struct Watchdog
         std::fprintf(stderr,
                      "litmus watchdog: BBB_JOB_TIMEOUT_S expired in test %s "
                      "(%s) after %llu nodes; exploring prefix [%s]\n",
-                     test.c_str(), modeName(mode), (unsigned long long)nodes,
+                     test.c_str(), persistModeName(mode),
+                     (unsigned long long)nodes,
                      scheduleString(schedule).c_str());
         std::exit(1);
     }
@@ -117,7 +118,7 @@ batteryPersistOrder(const Program &prog)
  * failed check to @p findings and counts its runs in @p runs.
  */
 void
-batterySweep(const Test &test, const Program &prog, Mode mode,
+batterySweep(const Test &test, const Program &prog, PersistMode mode,
              const std::vector<Step> &sch, std::uint64_t *runs,
              std::vector<std::string> &findings)
 {
@@ -169,7 +170,7 @@ batterySweep(const Test &test, const Program &prog, Mode mode,
  * in @p battery_runs.
  */
 std::vector<std::string>
-judgePrefix(const Test &test, const Program &prog, Mode mode,
+judgePrefix(const Test &test, const Program &prog, PersistMode mode,
             const ModelState &model, const std::vector<Step> &schedule,
             bool is_leaf, const SimResult &sim,
             std::uint64_t *battery_runs)
@@ -226,7 +227,8 @@ judgePrefix(const Test &test, const Program &prog, Mode mode,
     }
 
     if (is_leaf && test.battery &&
-        (mode == Mode::Bbb || mode == Mode::ProcSide))
+        (mode == PersistMode::BbbMemSide ||
+         mode == PersistMode::BbbProcSide))
         batterySweep(test, prog, mode, schedule, battery_runs, findings);
     return findings;
 }
@@ -235,7 +237,7 @@ struct RunContext
 {
     const Test &test;
     const Program &prog;
-    Mode mode;
+    PersistMode mode;
     const HarnessOptions &opts;
     const Watchdog &watchdog;
     HarnessResult &res;
@@ -307,24 +309,6 @@ struct RunContext
     }
 };
 
-/** Modes a run covers: the intersection of the test's and the
- *  options', in canonical order. */
-std::vector<Mode>
-effectiveModes(const Test &test, const HarnessOptions &opts)
-{
-    std::vector<Mode> out;
-    for (Mode m : allModes()) {
-        if (!test.runsIn(m))
-            continue;
-        if (!opts.modes.empty() &&
-            std::find(opts.modes.begin(), opts.modes.end(), m) ==
-                opts.modes.end())
-            continue;
-        out.push_back(m);
-    }
-    return out;
-}
-
 } // namespace
 
 HarnessResult
@@ -334,7 +318,11 @@ checkTest(const Test &test, const HarnessOptions &opts)
     ++res.tests_run;
     Watchdog watchdog = Watchdog::fromEnv();
 
-    for (Mode mode : effectiveModes(test, opts)) {
+    for (PersistMode mode : test.modes) {
+        if (!opts.modes.empty() &&
+            std::find(opts.modes.begin(), opts.modes.end(), mode) ==
+                opts.modes.end())
+            continue;
         Program prog = lower(test, mode);
         ++res.configs_run;
         RunContext ctx{test, prog, mode, opts, watchdog, res};
@@ -389,13 +377,13 @@ checkCorpus(const std::vector<Test> &tests, const HarnessOptions &opts)
 }
 
 std::string
-replaySchedule(const Test &test, Mode mode,
+replaySchedule(const Test &test, PersistMode mode,
                const std::vector<Step> &steps, bool *ok)
 {
     if (!test.runsIn(mode)) {
         *ok = false;
         return "test '" + test.name + "' does not run in mode " +
-               modeName(mode) + "\n";
+               persistModeName(mode) + "\n";
     }
     Program prog = lower(test, mode);
 
@@ -407,7 +395,7 @@ replaySchedule(const Test &test, Mode mode,
                    stepName(steps[i]) +
                    ") is not enabled in the model — not a reachable "
                    "prefix of this test's " +
-                   std::string(modeName(mode)) + " lowering\n";
+                   persistModeName(mode) + " lowering\n";
         }
         model.apply(prog, steps[i]);
     }
@@ -419,7 +407,8 @@ replaySchedule(const Test &test, Mode mode,
         test, prog, mode, model, steps, is_leaf, sim, &battery_runs);
     *ok = findings.empty();
 
-    std::string out = "test " + test.name + " mode " + modeName(mode) + "\n";
+    std::string out =
+        "test " + test.name + " mode " + persistModeName(mode) + "\n";
     out += "schedule [" + scheduleString(steps) + "]" +
            (is_leaf ? " (complete)" : " (prefix; crash point)") + "\n";
     if (sim.ok) {

@@ -7,7 +7,8 @@
  * Checks per prefix, one judge shared by the checker and --replay (see
  * src/litmus/model.hh for the contract):
  *  - lockstep drive: the schedule must be executable (an op parked
- *    exactly when the model says one is, matching the program's op);
+ *    exactly when the model says one is, matching the model's op: the
+ *    machine's own lowering agrees with lower());
  *  - registers: completed loads and their values match the model
  *    exactly;
  *  - crash image: strict modes must equal the model's memory exactly;
@@ -51,7 +52,7 @@ struct HarnessOptions
      *  violations; a summary violation notes the truncation. */
     unsigned max_violations_per_run = 8;
     /** Restrict to the modes listed here (empty: the test's own). */
-    std::vector<Mode> modes;
+    std::vector<PersistMode> modes;
     /** Test instrumentation: runs before every node visit, ahead of
      *  the BBB_JOB_TIMEOUT_S check (lets a test burn wall clock to
      *  prove the watchdog fires). */
@@ -62,7 +63,7 @@ struct HarnessOptions
 struct Violation
 {
     std::string test;
-    Mode mode = Mode::Bbb;
+    PersistMode mode = PersistMode::BbbMemSide;
     std::string schedule; ///< scheduleString() of the failing prefix
     std::string detail;
 
@@ -99,7 +100,7 @@ HarnessResult checkCorpus(const std::vector<Test> &tests,
  * `<< MISMATCH` line per failed check. @p ok is set false if any check
  * fails (or the schedule is not a reachable prefix).
  */
-std::string replaySchedule(const Test &test, Mode mode,
+std::string replaySchedule(const Test &test, PersistMode mode,
                            const std::vector<Step> &steps, bool *ok);
 
 } // namespace litmus

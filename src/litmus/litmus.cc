@@ -10,70 +10,24 @@ namespace bbb
 namespace litmus
 {
 
-const std::vector<Mode> &
-allModes()
+std::string
+modeNameError(const std::string &name)
 {
-    static const std::vector<Mode> kAll = {
-        Mode::Bbb, Mode::ProcSide, Mode::Eadr, Mode::Pmem,
-        Mode::PmemStrict};
-    return kAll;
-}
-
-const char *
-modeName(Mode m)
-{
-    switch (m) {
-      case Mode::Bbb:
-        return "bbb";
-      case Mode::ProcSide:
-        return "procside";
-      case Mode::Eadr:
-        return "eadr";
-      case Mode::Pmem:
-        return "pmem";
-      case Mode::PmemStrict:
-        return "pmem_strict";
-    }
-    return "?";
+    if (name == persistModeName(PersistMode::AdrUnsafe))
+        return "adr-unsafe is not a litmus mode (it promises no "
+               "persistency to check)";
+    return persistModeNameError(name);
 }
 
 bool
-modeFromName(const std::string &name, Mode *out)
+isStrictMode(PersistMode m)
 {
-    for (Mode m : allModes()) {
-        if (name == modeName(m)) {
-            *out = m;
-            return true;
-        }
-    }
-    return false;
-}
-
-PersistMode
-persistModeOf(Mode m)
-{
-    switch (m) {
-      case Mode::Bbb:
-        return PersistMode::BbbMemSide;
-      case Mode::ProcSide:
-        return PersistMode::BbbProcSide;
-      case Mode::Eadr:
-        return PersistMode::Eadr;
-      case Mode::Pmem:
-      case Mode::PmemStrict:
-        return PersistMode::AdrPmem;
-    }
-    return PersistMode::BbbMemSide;
+    return m == PersistMode::BbbMemSide || m == PersistMode::BbbProcSide ||
+           m == PersistMode::Eadr;
 }
 
 bool
-isStrictMode(Mode m)
-{
-    return m == Mode::Bbb || m == Mode::ProcSide || m == Mode::Eadr;
-}
-
-bool
-Test::runsIn(Mode m) const
+Test::runsIn(PersistMode m) const
 {
     return std::find(modes.begin(), modes.end(), m) != modes.end();
 }
@@ -134,13 +88,25 @@ struct ParseCtx
 {
     Test *test;
     std::string *err;
+    /** 1-based line being parsed; 0 once the whole text is read. */
+    unsigned line = 0;
 
     bool
     fail(const std::string &msg)
     {
         if (err)
-            *err = msg;
+            *err = line ? "line " + std::to_string(line) + ": " + msg : msg;
         return false;
+    }
+
+    /** A persistModeName() token naming a litmus mode. */
+    bool
+    mode(const std::string &tok, PersistMode *out)
+    {
+        if (std::string bad = modeNameError(tok); !bad.empty())
+            return fail(bad);
+        *out = persistModeFromName(tok);
+        return true;
     }
 
     int
@@ -251,10 +217,9 @@ parseWitness(ParseCtx &ctx, const std::string &rest)
             return ctx.fail("unterminated mode tag in witness");
         for (const std::string &tok :
              tokens(body.substr(1, close - 1))) {
-            Mode m;
-            if (!modeFromName(tok, &m))
-                return ctx.fail("unknown mode '" + tok +
-                                "' in witness tag");
+            PersistMode m{};
+            if (!ctx.mode(tok, &m))
+                return false;
             w.modes.push_back(m);
         }
         body = cleanLine(body.substr(close + 1));
@@ -306,6 +271,7 @@ parseTest(const std::string &text, Test *out, std::string *err)
     std::string raw;
     bool have_name = false;
     while (std::getline(in, raw)) {
+        ++ctx.line;
         std::string line = cleanLine(raw);
         if (line.empty())
             continue;
@@ -330,9 +296,9 @@ parseTest(const std::string &text, Test *out, std::string *err)
         if (line.rfind("modes", 0) == 0 &&
             (line.size() == 5 || line[5] == ' ' || line[5] == '\t')) {
             for (const std::string &tok : tokens(line.substr(5))) {
-                Mode m;
-                if (!modeFromName(tok, &m))
-                    return ctx.fail("unknown mode '" + tok + "'");
+                PersistMode m{};
+                if (!ctx.mode(tok, &m))
+                    return false;
                 if (!out->runsIn(m))
                     out->modes.push_back(m);
             }
@@ -383,6 +349,7 @@ parseTest(const std::string &text, Test *out, std::string *err)
 
         return ctx.fail("unrecognised line: '" + line + "'");
     }
+    ctx.line = 0;
 
     if (!have_name)
         return ctx.fail("empty litmus text");
@@ -390,8 +357,8 @@ parseTest(const std::string &text, Test *out, std::string *err)
         return ctx.fail("test '" + out->name + "' has no threads");
 
     if (out->modes.empty()) {
-        out->modes = {Mode::Bbb, Mode::ProcSide, Mode::Eadr,
-                      Mode::PmemStrict};
+        out->modes = {PersistMode::BbbMemSide, PersistMode::BbbProcSide,
+                      PersistMode::Eadr, PersistMode::PmemStrict};
     }
 
     if (out->battery) {
@@ -410,10 +377,11 @@ parseTest(const std::string &text, Test *out, std::string *err)
                 }
             }
         }
-        for (Mode m : out->modes) {
-            if (m != Mode::Bbb && m != Mode::ProcSide)
-                return ctx.fail("battery tests run in bbb/procside only "
-                                "(drain order is persist order there)");
+        for (PersistMode m : out->modes) {
+            if (m != PersistMode::BbbMemSide && m != PersistMode::BbbProcSide)
+                return ctx.fail("battery tests run in bbb-mem-side/"
+                                "bbb-proc-side only (drain order is "
+                                "persist order there)");
         }
     }
 
@@ -421,10 +389,10 @@ parseTest(const std::string &text, Test *out, std::string *err)
 }
 
 Program
-lower(const Test &test, Mode mode)
+lower(const Test &test, PersistMode mode)
 {
     const bool pmem =
-        mode == Mode::Pmem || mode == Mode::PmemStrict;
+        mode == PersistMode::AdrPmem || mode == PersistMode::PmemStrict;
     Program prog;
     prog.threads.resize(test.threads.size());
     for (std::size_t t = 0; t < test.threads.size(); ++t) {
@@ -433,7 +401,7 @@ lower(const Test &test, Mode mode)
             switch (op.kind) {
               case SrcKind::Store:
                 ops.push_back({MKind::Store, op.var, -1, op.val});
-                if (mode == Mode::PmemStrict) {
+                if (mode == PersistMode::PmemStrict) {
                     ops.push_back({MKind::Flush, op.var, -1, 0});
                     ops.push_back({MKind::Fence, -1, -1, 0});
                 }

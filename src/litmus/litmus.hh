@@ -9,12 +9,12 @@
  *
  *   test sb                      # name (required, first line)
  *   smoke                        # member of the fast ctest subset
- *   modes bbb procside eadr pmem_strict   # default: this safe set
+ *   modes bbb-mem-side eadr      # default: all modes but adr-pmem
  *   battery                      # run the battery-prefix sweep too
  *   t0: st x 1; ld y r0          # threads t0..t3, <= 8 ops each
  *   t1: st y 1; ld x r1
  *   sometimes final r0=0 r1=0    # reachability witness on final regs
- *   sometimes [pmem] crash y=1 x=0   # witness on a post-crash image
+ *   sometimes [adr-pmem] crash y=1 x=0   # witness on a post-crash image
  *
  * Ops: `st VAR VAL`, `ld VAR REG`, `flush VAR` (clwb), `flushopt VAR`
  * (same timing model as flush), `sfence` (persist barrier), `mfence`
@@ -49,35 +49,15 @@ constexpr unsigned kMaxVars = 8;
 constexpr unsigned kMaxRegs = 16;
 
 /**
- * The persistency configurations a litmus test runs against. These are
- * the paper's safe modes plus the epoch-style PMEM machine (flushes
- * only where the program wrote them) used by the flush-idiom tests.
+ * Why @p name is not a litmus mode ("" if it is one): every
+ * persistModeName() token but adr-unsafe, which promises no persistency
+ * for the model to check.
  */
-enum class Mode
-{
-    Bbb,        ///< BbbMemSide: strict persistency via the bbPB.
-    ProcSide,   ///< BbbProcSide: strict persistency, ordered records.
-    Eadr,       ///< Whole-hierarchy battery: strict persistency.
-    Pmem,       ///< AdrPmem, epoch style (Px86: flush/fence as written).
-    PmemStrict, ///< AdrPmem with st -> st;flush;sfence lowering.
-};
-
-/** All modes, in canonical (reporting) order. */
-const std::vector<Mode> &allModes();
-
-/** CLI/DSL name of a mode ("bbb", "procside", "eadr", "pmem",
- *  "pmem_strict"). */
-const char *modeName(Mode m);
-
-/** Parse a modeName() token; returns false on an unknown name. */
-bool modeFromName(const std::string &name, Mode *out);
-
-/** The SystemConfig persistency mode implementing @p m. */
-PersistMode persistModeOf(Mode m);
+std::string modeNameError(const std::string &name);
 
 /** True if @p m promises strict persistency (post-crash image ==
  *  volatile memory order), false for the Px86 (flush/fence) models. */
-bool isStrictMode(Mode m);
+bool isStrictMode(PersistMode m);
 
 /** Source-level op kinds (before mode lowering). */
 enum class SrcKind : std::uint8_t
@@ -106,7 +86,7 @@ struct Witness
      *  the final registers of a completed schedule. */
     bool on_crash = false;
     /** Modes the witness applies to; empty = every mode the test runs. */
-    std::vector<Mode> modes;
+    std::vector<PersistMode> modes;
     /** Partial assignment over registers (final witnesses). */
     std::vector<std::pair<int, std::uint64_t>> regs;
     /** Partial assignment over variables (crash witnesses). */
@@ -120,15 +100,15 @@ struct Test
 {
     std::string name;
     std::vector<std::vector<SrcOp>> threads;
-    std::vector<std::string> vars; ///< names, index = variable id
-    std::vector<std::string> regs; ///< names, index = register id
-    std::vector<Mode> modes;       ///< modes this test runs in
-    bool battery = false;          ///< also run the battery-prefix sweep
-    bool smoke = false;            ///< member of the fast subset
+    std::vector<std::string> vars;  ///< names, index = variable id
+    std::vector<std::string> regs;  ///< names, index = register id
+    std::vector<PersistMode> modes; ///< modes this test runs in
+    bool battery = false;           ///< also run the battery-prefix sweep
+    bool smoke = false;             ///< member of the fast subset
     std::vector<Witness> witnesses;
 
     /** True if @p m is in modes. */
-    bool runsIn(Mode m) const;
+    bool runsIn(PersistMode m) const;
 };
 
 /**
@@ -155,8 +135,8 @@ struct MOp
     std::uint64_t val = 0;
 };
 
-/** A mode-lowered program: what both the simulator threads and the
- *  declarative model execute. */
+/** A mode-lowered program: the ops the declarative model executes,
+ *  which the simulator's own lowering must reproduce op for op. */
 struct Program
 {
     std::vector<std::vector<MOp>> threads;
@@ -168,17 +148,18 @@ struct Program
 };
 
 /**
- * Lower @p test for @p mode:
+ * The model's lowering of @p test for @p mode, written independently of
+ * the machine's (ThreadContext::store/writeBack/persistBarrier), which
+ * the checker compares against it at every step:
  *  - PmemStrict expands every store into st; flush; sfence (the
  *    strict-persistency-on-PMEM baseline of Section II).
- *  - Pmem / PmemStrict keep programmer flush/flushopt/sfence ops.
- *  - The strict modes (bbb/procside/eadr) drop flushes and sfences —
- *    Table I: no persist instructions are needed, and the machine does
- *    not execute them (ThreadContext::writeBack/persistBarrier are
- *    no-ops there).
+ *  - AdrPmem / PmemStrict keep programmer flush/flushopt/sfence ops.
+ *  - The strict modes (bbb-mem-side/bbb-proc-side/eadr) drop flushes
+ *    and sfences — Table I: no persist instructions are needed, and the
+ *    machine does not execute them.
  *  - mfence survives every mode (it is a consistency fence).
  */
-Program lower(const Test &test, Mode mode);
+Program lower(const Test &test, PersistMode mode);
 
 } // namespace litmus
 } // namespace bbb

@@ -171,7 +171,7 @@ ModelState::enabledSteps(const Program &prog) const
 }
 
 bool
-ModelState::imageValueAllowed(Mode mode, int var,
+ModelState::imageValueAllowed(PersistMode mode, int var,
                               std::uint64_t value) const
 {
     if (isStrictMode(mode))
@@ -185,7 +185,7 @@ ModelState::imageValueAllowed(Mode mode, int var,
 }
 
 std::string
-ModelState::allowedImageValues(Mode mode, int var) const
+ModelState::allowedImageValues(PersistMode mode, int var) const
 {
     if (isStrictMode(mode))
         return std::to_string(mem[var]);

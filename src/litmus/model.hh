@@ -18,9 +18,11 @@
  *    history index; the next fence on that thread commits the captured
  *    indices into durmin.
  *
- * Because both the simulator and this model are driven by the *same*
- * schedule, each prefix maps to exactly one model state, and the
- * harness compares outcomes per schedule:
+ * The model executes lower()'s program; the simulator executes the
+ * source ops and lowers them itself, so each op the machine issues is
+ * checked against the model's op for it. Because both are driven by
+ * the *same* schedule, each prefix maps to exactly one model state, and
+ * the harness compares outcomes per schedule:
  *
  *  - registers must match exactly (TSO with in-order cores is
  *    deterministic given the schedule);
@@ -31,7 +33,7 @@
  *    may or may not have landed; anything older than a fence-confirmed
  *    flush must not reappear).
  *
- * The "allowed outcome set" of the ISSUE is the union of these
+ * The "allowed outcome set" of a test is the union of these
  * per-schedule checks over every enumerated interleaving and crash
  * point.
  */
@@ -106,10 +108,11 @@ struct ModelState
 
     /** True if the per-variable image value is allowed at this state
      *  under @p mode (strict: == mem; Px86: any hist index >= durmin). */
-    bool imageValueAllowed(Mode mode, int var, std::uint64_t value) const;
+    bool imageValueAllowed(PersistMode mode, int var,
+                           std::uint64_t value) const;
 
     /** Allowed image values for failure messages. */
-    std::string allowedImageValues(Mode mode, int var) const;
+    std::string allowedImageValues(PersistMode mode, int var) const;
 };
 
 /**

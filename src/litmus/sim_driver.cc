@@ -10,11 +10,11 @@ namespace litmus
 {
 
 SystemConfig
-litmusConfig(Mode mode)
+litmusConfig(PersistMode mode)
 {
     SystemConfig cfg;
     cfg.num_cores = kMaxThreads; // constant across tests
-    cfg.mode = persistModeOf(mode);
+    cfg.mode = mode;
     // Small arrays keep per-node System construction cheap; the vars
     // (consecutive blocks) still land in distinct sets.
     cfg.l1d = CacheConfig{8_KiB, 2, 2};
@@ -29,9 +29,6 @@ litmusConfig(Mode mode)
     // TSO: the model's FIFO store buffers are exact, and the crash
     // domain is the bbPB alone (the store buffer is volatile).
     cfg.relaxed_consistency = false;
-    // PmemStrict is a *lowering* (st -> st;flush;sfence appears in the
-    // program text the model also executes), not a config knob.
-    cfg.pmem_auto_strict = false;
     // run() is never called, so only the crash-time check fires.
     cfg.check_invariants = true;
     cfg.seed = 1;
@@ -73,7 +70,7 @@ struct RegFile
     std::array<bool, kMaxRegs> done{};
 };
 
-/** True if the op parked for @p expect matches the lowered op. */
+/** True if the op the machine parked matches the model's op. */
 bool
 opMatches(const MemOp &got, const MOp &expect, Addr addr)
 {
@@ -96,7 +93,7 @@ opMatches(const MemOp &got, const MOp &expect, Addr addr)
 } // namespace
 
 SimResult
-runSchedule(const Test &test, const Program &prog, Mode mode,
+runSchedule(const Test &test, const Program &prog, PersistMode mode,
             const std::vector<Step> &steps, const FaultPlan *faults)
 {
     SimResult res;
@@ -112,24 +109,29 @@ runSchedule(const Test &test, const Program &prog, Mode mode,
     Gate gate;
     RegFile regs;
 
+    // The threads issue the source ops: the machine lowers them itself.
     for (unsigned t = 0; t < prog.numThreads(); ++t) {
-        const std::vector<MOp> *ops = &prog.threads[t];
+        const std::vector<SrcOp> *ops = &test.threads[t];
         RegFile *rf = &regs;
         const std::array<Addr, kMaxVars> *va = &addr;
         sys.onThread(t, [ops, rf, va](ThreadContext &tc) {
-            for (const MOp &op : *ops) {
+            for (const SrcOp &op : *ops) {
                 switch (op.kind) {
-                  case MKind::Store:
+                  case SrcKind::Store:
                     tc.store64((*va)[op.var], op.val);
                     break;
-                  case MKind::Load:
+                  case SrcKind::Load:
                     rf->val[op.reg] = tc.load64((*va)[op.var]);
                     rf->done[op.reg] = true;
                     break;
-                  case MKind::Flush:
+                  case SrcKind::Flush:
+                  case SrcKind::FlushOpt:
                     tc.writeBack((*va)[op.var]);
                     break;
-                  case MKind::Fence:
+                  case SrcKind::SFence:
+                    tc.persistBarrier();
+                    break;
+                  case SrcKind::MFence:
                     tc.fullFence();
                     break;
                 }
@@ -190,8 +192,9 @@ runSchedule(const Test &test, const Program &prog, Mode mode,
                  "on a wait the model does not have)");
             break;
         }
-        // The parked op is checked against the lowered program so a
-        // replayed schedule provably drives the ops it claims.
+        // The parked op is checked against the model's lowered program:
+        // a replayed schedule provably drives the ops it claims, and the
+        // machine's lowering provably agrees with the model's.
         std::size_t idx = released[t];
         const MOp &expect = prog.threads[t][idx];
         Addr want = expect.var >= 0 ? addr[expect.var] : kBadAddr;

@@ -1,7 +1,9 @@
 /**
  * @file
- * The simulator side of the litmus harness: run one lowered litmus
- * program through a full bbb::System under an exact schedule.
+ * The simulator side of the litmus harness: run one litmus test's
+ * source program through a full bbb::System under an exact schedule.
+ * The machine lowers the source ops itself (ThreadContext), and every
+ * op it issues is checked against the model's lowered program.
  *
  * The driver owns op release order *and* store-retirement order via the
  * OpGate / manual-drain hooks (sim/op_gate.hh), so one schedule maps to
@@ -35,7 +37,7 @@ namespace litmus
  * (threshold 1.0 keeps the auto drain engine quiet for <= 8 buffered
  * stores), TSO, and crash-time invariant checking.
  */
-SystemConfig litmusConfig(Mode mode);
+SystemConfig litmusConfig(PersistMode mode);
 
 /** Block address of litmus variable @p var: consecutive blocks past the
  *  persistent heap header (which holds the heap magic). */
@@ -67,12 +69,13 @@ struct SimResult
 };
 
 /**
- * Execute @p steps of @p prog (the @p mode lowering of @p test) on a
- * fresh system, then crash and capture the image. @p faults optionally
- * arms a fault plan (battery sweeps).
+ * Execute @p steps of @p test's source program on a fresh @p mode
+ * system, then crash and capture the image. Each op the machine issues
+ * must match the next op of @p prog (the model's @p mode lowering of
+ * @p test). @p faults optionally arms a fault plan (battery sweeps).
  */
-SimResult runSchedule(const Test &test, const Program &prog, Mode mode,
-                      const std::vector<Step> &steps,
+SimResult runSchedule(const Test &test, const Program &prog,
+                      PersistMode mode, const std::vector<Step> &steps,
                       const FaultPlan *faults = nullptr);
 
 } // namespace litmus

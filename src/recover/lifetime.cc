@@ -92,6 +92,21 @@ safePersistModes()
             PersistMode::BbbMemSide, PersistMode::BbbProcSide};
 }
 
+SystemConfig
+campaignConfig()
+{
+    SystemConfig cfg;
+    cfg.num_cores = 2;
+    cfg.l1d.size_bytes = 4_KiB;
+    cfg.llc.size_bytes = 16_KiB;
+    cfg.dram.size_bytes = 64_MiB;
+    cfg.nvmm.size_bytes = 64_MiB;
+    cfg.bbpb.entries = 8;
+    cfg.l1d.repl = ReplPolicy::Random;
+    cfg.llc.repl = ReplPolicy::Random;
+    return cfg;
+}
+
 std::vector<NamedFaultPlan>
 LifetimeSpec::planFamily() const
 {

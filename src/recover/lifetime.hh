@@ -292,6 +292,14 @@ struct LifetimeSummary
 std::vector<PersistMode> safePersistModes();
 
 /**
+ * The small crash-campaign machine, so crash points and power-trace
+ * windows land mid-run: 2 cores, 4/16 KiB caches with random
+ * replacement (diverse eviction states), 64 MiB memories and an 8-entry
+ * bbPB (more drains, more hazard).
+ */
+SystemConfig campaignConfig();
+
+/**
  * Expand a spec into its deterministic sample list: for every workload x
  * mode x plan, `lifetimes` seeds drawn from one stream seeded by
  * campaign_seed. Pure function of the spec.

@@ -11,6 +11,8 @@ persistModeName(PersistMode m)
     switch (m) {
       case PersistMode::AdrPmem:
         return "adr-pmem";
+      case PersistMode::PmemStrict:
+        return "pmem-strict";
       case PersistMode::AdrUnsafe:
         return "adr-unsafe";
       case PersistMode::Eadr:
@@ -23,15 +25,25 @@ persistModeName(PersistMode m)
     return "unknown";
 }
 
+constexpr PersistMode kPersistModes[] = {
+    PersistMode::AdrPmem, PersistMode::PmemStrict, PersistMode::AdrUnsafe,
+    PersistMode::Eadr, PersistMode::BbbMemSide, PersistMode::BbbProcSide};
+
+std::string
+persistModeNameError(const std::string &name)
+{
+    for (PersistMode m : kPersistModes)
+        if (name == persistModeName(m))
+            return "";
+    return "unknown persistency mode '" + name + "'";
+}
+
 PersistMode
 persistModeFromName(const std::string &name)
 {
-    for (PersistMode m :
-         {PersistMode::AdrPmem, PersistMode::AdrUnsafe, PersistMode::Eadr,
-          PersistMode::BbbMemSide, PersistMode::BbbProcSide}) {
+    for (PersistMode m : kPersistModes)
         if (name == persistModeName(m))
             return m;
-    }
     fatal("unknown persistency mode '%s'", name.c_str());
 }
 

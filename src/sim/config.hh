@@ -33,6 +33,13 @@ enum class PersistMode
     AdrPmem,
 
     /**
+     * AdrPmem with strict persistency: every persisting store is also
+     * followed by clwb + sfence (Section II), on top of the workload's
+     * own calls. Next to AdrPmem so executesFlushes() is one compare.
+     */
+    PmemStrict,
+
+    /**
      * ADR only, but the program issues no flushes/fences ("unsafe"). Used
      * to demonstrate lost/torn data after a crash, and as the no-
      * persistency performance reference.
@@ -64,9 +71,12 @@ enum class PersistMode
 /** Printable name of a persistency mode. */
 const char *persistModeName(PersistMode m);
 
+/** Why @p name is not a persistModeName() token ("" if it is one). */
+std::string persistModeNameError(const std::string &name);
+
 /**
  * Parse a persistModeName() token back into its mode. fatal()s on an
- * unknown name — this is the campaign-repro CLI path.
+ * unknown name; drivers check names with persistModeNameError first.
  */
 PersistMode persistModeFromName(const std::string &name);
 
@@ -251,14 +261,6 @@ struct SystemConfig
     bool sb_battery_backed = true;
 
     /**
-     * When true and mode == AdrPmem, every persisting store is followed
-     * automatically by clwb + sfence: the strict-persistency-on-PMEM
-     * baseline of Section II. When false, only workload-annotated
-     * writeBack()/persistBarrier() calls are executed (epoch style).
-     */
-    bool pmem_auto_strict = false;
-
-    /**
      * Debug: validate the hierarchy/backend structural invariants (LLC
      * inclusion, directory consistency, single-writer, bbPB dirty
      * inclusion) on a sampled schedule during run() and once more at
@@ -290,6 +292,14 @@ struct SystemConfig
     cycles(std::uint64_t n) const
     {
         return n * cyclePeriod();
+    }
+
+    /** True if the machine executes clwb/sfence (Table I: only PMEM). */
+    bool
+    executesFlushes() const
+    {
+        return mode == PersistMode::AdrPmem ||
+               mode == PersistMode::PmemStrict;
     }
 
     /** True if the mode uses a bbPB. */

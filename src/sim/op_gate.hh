@@ -55,7 +55,7 @@ class OpGate
  * True if BBB_LITMUS_MUTATE names @p name: the corresponding seeded
  * ordering bug is active. Used only by the mutation-kill self-checks.
  * It costs a getenv, so callers read it at construction, not per op:
- * under pmem_auto_strict every persisting store flushes.
+ * under PmemStrict every persisting store flushes.
  */
 inline bool
 litmusMutation(const char *name)

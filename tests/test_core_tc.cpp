@@ -58,6 +58,27 @@ TEST(Core, SubWordAccesses)
     EXPECT_EQ(hi, 0xCCCCCCCCu);
 }
 
+TEST(Core, LoadAfterPartialOverwriteSeesTheNewBytes)
+{
+    // A cold store ahead of them holds the L1D write port, so both
+    // stores to `a` are still buffered when the load issues. The younger
+    // half-word store overlaps the load without covering it: the load
+    // must wait for the block to drain rather than forward the older,
+    // now partly stale, word.
+    System sys(cfg1(PersistMode::Eadr));
+    Addr cold = sys.heap().alloc(0, 64, 64);
+    Addr a = sys.heap().alloc(0, 8);
+    std::uint64_t seen = 0;
+    sys.onThread(0, [&](ThreadContext &tc) {
+        tc.store64(cold, 1);
+        tc.store64(a, 0xAAAAAAAABBBBBBBBull);
+        tc.store32(a + 4, 0xCCCCCCCC);
+        seen = tc.load64(a);
+    });
+    sys.run();
+    EXPECT_EQ(seen, 0xCCCCCCCCBBBBBBBBull);
+}
+
 TEST(Core, ComputeAdvancesTimeExactly)
 {
     System sys(cfg1(PersistMode::Eadr));
@@ -98,6 +119,22 @@ TEST(Core, OpCountersTrack)
     EXPECT_EQ(sys.stats().lookup("core0", "fences"), 1u);
 }
 
+TEST(Core, PmemStrictHonoursAnnotatedPersistInstructions)
+{
+    // The strict expansion adds to the program's own clwb/sfence; it
+    // does not replace them.
+    System sys(cfg1(PersistMode::PmemStrict));
+    Addr p = sys.heap().alloc(0, 8);
+    sys.onThread(0, [&](ThreadContext &tc) {
+        tc.store64(p, 1); // + flush + fence
+        tc.writeBack(p);
+        tc.persistBarrier();
+    });
+    sys.run();
+    EXPECT_EQ(sys.stats().lookup("core0", "flushes"), 2u);
+    EXPECT_EQ(sys.stats().lookup("core0", "fences"), 2u);
+}
+
 TEST(Core, PersistInstructionsAreNoopsOutsidePmem)
 {
     for (PersistMode mode : {PersistMode::Eadr, PersistMode::BbbMemSide,
@@ -118,9 +155,7 @@ TEST(Core, PersistInstructionsAreNoopsOutsidePmem)
 
 TEST(Core, AutoStrictInstrumentsEveryPersistingStore)
 {
-    SystemConfig cfg = cfg1(PersistMode::AdrPmem);
-    cfg.pmem_auto_strict = true;
-    System sys(cfg);
+    System sys(cfg1(PersistMode::PmemStrict));
     Addr p = sys.heap().alloc(0, 64, 64);
     Addr d = 4096; // DRAM: not instrumented
     sys.onThread(0, [&](ThreadContext &tc) {
@@ -148,9 +183,7 @@ TEST(Core, FenceWaitsForStoreBufferDrain)
 
 TEST(Core, StrictStoreIsDurableAtWpqAfterFence)
 {
-    SystemConfig cfg = cfg1(PersistMode::AdrPmem);
-    cfg.pmem_auto_strict = true;
-    System sys(cfg);
+    System sys(cfg1(PersistMode::PmemStrict));
     Addr p = sys.heap().alloc(0, 8);
     sys.onThread(0, [&](ThreadContext &tc) { tc.store64(p, 0xd00d); });
     sys.run();

@@ -8,32 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "api/system.hh"
+#include "recover/lifetime.hh"
 #include "workloads/workload.hh"
 
 using namespace bbb;
-
-namespace
-{
-
-SystemConfig
-sweepCfg()
-{
-    SystemConfig cfg;
-    cfg.num_cores = 2;
-    cfg.l1d.size_bytes = 4_KiB;
-    cfg.llc.size_bytes = 16_KiB;
-    cfg.dram.size_bytes = 64_MiB;
-    cfg.nvmm.size_bytes = 64_MiB;
-    cfg.mode = PersistMode::BbbMemSide;
-    cfg.bbpb.entries = 8; // small buffer: more drains, more hazard
-    // Random replacement decorrelates eviction order from insertion
-    // order so crash points sample diverse machine states.
-    cfg.l1d.repl = ReplPolicy::Random;
-    cfg.llc.repl = ReplPolicy::Random;
-    return cfg;
-}
-
-} // namespace
 
 class WorkloadCrashSweep
     : public ::testing::TestWithParam<std::tuple<std::string, int>>
@@ -43,7 +21,7 @@ class WorkloadCrashSweep
 TEST_P(WorkloadCrashSweep, ImageConsistentAtArbitraryCrashPoints)
 {
     auto [name, point] = GetParam();
-    SystemConfig cfg = sweepCfg();
+    SystemConfig cfg = campaignConfig(); // bbb-mem-side
     System sys(cfg);
 
     WorkloadParams p;
@@ -84,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(WorkloadCrashSweepExtra, ProcSideSweepAlsoConsistent)
 {
     for (int point = 1; point <= 4; ++point) {
-        SystemConfig cfg = sweepCfg();
+        SystemConfig cfg = campaignConfig();
         cfg.mode = PersistMode::BbbProcSide;
         System sys(cfg);
         WorkloadParams p;
@@ -102,7 +80,7 @@ TEST(WorkloadCrashSweepExtra, DrainPoliciesSweepConsistent)
 {
     for (DrainPolicy policy :
          {DrainPolicy::Fcfs, DrainPolicy::Lrw, DrainPolicy::Random}) {
-        SystemConfig cfg = sweepCfg();
+        SystemConfig cfg = campaignConfig(); // bbb-mem-side
         cfg.bbpb.drain_policy = policy;
         System sys(cfg);
         WorkloadParams p;

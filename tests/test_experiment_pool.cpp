@@ -149,9 +149,12 @@ TEST(ExperimentPool, ConfigEqualityCoversEveryMember)
     policy.bbpb.drain_policy = DrainPolicy::Lrw;
     EXPECT_FALSE(policy == SystemConfig{});
 
-    SystemConfig strict;
-    strict.pmem_auto_strict = true;
+    // The two PMEM machines differ by mode alone.
+    SystemConfig strict, epoch;
+    strict.mode = PersistMode::PmemStrict;
+    epoch.mode = PersistMode::AdrPmem;
     EXPECT_FALSE(strict == SystemConfig{});
+    EXPECT_FALSE(strict == epoch);
 }
 
 TEST(ExperimentPool, EqualSpecsSimulateOnceAndShareTheResult)

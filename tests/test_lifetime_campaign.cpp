@@ -27,14 +27,7 @@ LifetimeSpec
 smallSpec()
 {
     LifetimeSpec spec;
-    spec.base.num_cores = 2;
-    spec.base.l1d.size_bytes = 4_KiB;
-    spec.base.llc.size_bytes = 16_KiB;
-    spec.base.dram.size_bytes = 64_MiB;
-    spec.base.nvmm.size_bytes = 64_MiB;
-    spec.base.bbpb.entries = 8;
-    spec.base.l1d.repl = ReplPolicy::Random;
-    spec.base.llc.repl = ReplPolicy::Random;
+    spec.base = campaignConfig();
     spec.params.ops_per_thread = 120;
     spec.params.initial_elements = 40;
     spec.params.array_elements = 1 << 12;

@@ -17,6 +17,8 @@
 #include "litmus/harness.hh"
 
 using namespace bbb::litmus;
+using bbb::PersistMode;
+using bbb::persistModeName;
 
 // gtest also defines a class named Test.
 using LitTest = bbb::litmus::Test;
@@ -86,11 +88,11 @@ TEST(LitmusHarness, MutationKillCrashReverseDrainInEachOrganisation)
     // Both bbPB organisations stream their crash drain through the same
     // engine: the reversed drain must be caught in each one alone.
     MutateGuard mutate("crash-reverse-drain");
-    for (Mode m : {Mode::Bbb, Mode::ProcSide}) {
+    for (PersistMode m : {PersistMode::BbbMemSide, PersistMode::BbbProcSide}) {
         HarnessOptions opts;
         opts.modes = {m};
         EXPECT_FALSE(checkTest(mustFind("battery-prefix-1"), opts).ok())
-            << modeName(m);
+            << persistModeName(m);
     }
 }
 
@@ -101,7 +103,7 @@ TEST(LitmusHarness, MutationKillFlushDrop)
     // lowering catches the loss.
     MutateGuard mutate("flush-drop");
     HarnessOptions opts;
-    opts.modes = {Mode::PmemStrict};
+    opts.modes = {PersistMode::PmemStrict};
     HarnessResult r = checkTest(mustFind("sb"), opts);
     EXPECT_FALSE(r.ok());
 }
@@ -115,7 +117,7 @@ TEST(LitmusHarness, MutationsDoNotLeakAcrossTests)
     EXPECT_TRUE(checkTest(mustFind("coww"), opts).ok());
     EXPECT_TRUE(checkTest(mustFind("battery-prefix-1"), opts).ok());
     HarnessOptions strict;
-    strict.modes = {Mode::PmemStrict};
+    strict.modes = {PersistMode::PmemStrict};
     EXPECT_TRUE(checkTest(mustFind("sb"), strict).ok());
 
     // ...and so does the replay ReplayRunsTheBatterySweep kills.
@@ -124,7 +126,8 @@ TEST(LitmusHarness, MutationsDoNotLeakAcrossTests)
     ASSERT_TRUE(parseSchedule("0 0 0d 0d", &steps, &err)) << err;
     bool ok = false;
     std::string report =
-        replaySchedule(mustFind("battery-prefix-1"), Mode::Bbb, steps, &ok);
+        replaySchedule(mustFind("battery-prefix-1"),
+                       PersistMode::BbbMemSide, steps, &ok);
     EXPECT_TRUE(ok) << report;
 }
 
@@ -154,7 +157,7 @@ TEST(LitmusHarness, ReplayMatchesOnAValidPrefix)
     ASSERT_TRUE(parseSchedule("0 0d", &steps, &err)) << err;
     bool ok = false;
     std::string report =
-        replaySchedule(mustFind("coww"), Mode::Bbb, steps, &ok);
+        replaySchedule(mustFind("coww"), PersistMode::BbbMemSide, steps, &ok);
     EXPECT_TRUE(ok) << report;
     EXPECT_NE(report.find("OK"), std::string::npos);
 }
@@ -165,7 +168,7 @@ TEST(LitmusHarness, ReplayRejectsUnreachablePrefixes)
     std::vector<Step> steps = {{0, true}};
     bool ok = true;
     std::string report =
-        replaySchedule(mustFind("coww"), Mode::Bbb, steps, &ok);
+        replaySchedule(mustFind("coww"), PersistMode::BbbMemSide, steps, &ok);
     EXPECT_FALSE(ok);
     EXPECT_NE(report.find("not enabled"), std::string::npos);
 }
@@ -180,7 +183,7 @@ TEST(LitmusHarness, ReplayReportsMutatedDivergence)
     ASSERT_TRUE(parseSchedule("0 0 0d", &steps, &err)) << err;
     bool ok = true;
     std::string report =
-        replaySchedule(mustFind("coww"), Mode::Bbb, steps, &ok);
+        replaySchedule(mustFind("coww"), PersistMode::BbbMemSide, steps, &ok);
     EXPECT_FALSE(ok);
     EXPECT_NE(report.find("MISMATCH"), std::string::npos);
 }
@@ -196,7 +199,8 @@ TEST(LitmusHarness, ReplayRunsTheBatterySweep)
     ASSERT_TRUE(parseSchedule("0 0 0d 0d", &steps, &err)) << err;
     bool ok = true;
     std::string report =
-        replaySchedule(mustFind("battery-prefix-1"), Mode::Bbb, steps, &ok);
+        replaySchedule(mustFind("battery-prefix-1"),
+                       PersistMode::BbbMemSide, steps, &ok);
     EXPECT_FALSE(ok) << report;
     EXPECT_NE(report.find("MISMATCH"), std::string::npos) << report;
 }

@@ -16,6 +16,8 @@
 #include "litmus/model.hh"
 
 using namespace bbb::litmus;
+using bbb::PersistMode;
+using bbb::persistModeName;
 
 // gtest also defines a class named Test.
 using LitTest = bbb::litmus::Test;
@@ -70,7 +72,7 @@ TEST(LitmusEnum, GoldenCountsLoadsOnly2x2)
     // Leaves = C(4,2) = 6; tree nodes = 1+2+4+6+6 = 19.
     LitTest t = parse("test t\nt0: ld x r0; ld x r1\n"
                    "t1: ld y r2; ld y r3\n");
-    Program p = lower(t, Mode::Bbb);
+    Program p = lower(t, PersistMode::BbbMemSide);
     EnumOptions opts;
     opts.por = false;
     EnumStats stats;
@@ -87,7 +89,7 @@ TEST(LitmusEnum, GoldenCountsLoadsOnly2x3)
     // Leaves = C(5,2) = 10.
     LitTest t = parse("test t\nt0: ld x r0; ld x r1\n"
                    "t1: ld y r2; ld y r3; ld y r4\n");
-    Program p = lower(t, Mode::Bbb);
+    Program p = lower(t, PersistMode::BbbMemSide);
     EnumOptions opts;
     opts.por = false;
     EnumStats stats;
@@ -103,7 +105,7 @@ TEST(LitmusEnum, GoldenCountsStoreDrainVsLoad)
     // enabled after the issue, so the step sequences are fixed per
     // thread: leaves = C(3,1) = 3, nodes = 1+2+3+3 = 9.
     LitTest t = parse("test t\nt0: st x 1\nt1: ld x r0\n");
-    Program p = lower(t, Mode::Bbb);
+    Program p = lower(t, PersistMode::BbbMemSide);
     EnumOptions opts;
     opts.por = false;
     EnumStats stats;
@@ -119,7 +121,7 @@ TEST(LitmusEnum, PorCollapsesIndependentPrograms)
     // Fully independent threads (disjoint variables, loads only): the
     // sleep sets must collapse the whole tree to a single leaf.
     LitTest t = parse("test t\nt0: ld x r0\nt1: ld y r1\n");
-    Program p = lower(t, Mode::Bbb);
+    Program p = lower(t, PersistMode::BbbMemSide);
     EnumOptions opts;
     opts.por = true;
     EnumStats stats;
@@ -136,11 +138,11 @@ TEST(LitmusEnum, PorPreservesTheOutcomeSet)
     // register outcomes must be identical with and without POR.
     LitTest t = parse("test t\nt0: st x 1; ld y r0\n"
                    "t1: st y 1; ld x r1\n");
-    for (Mode m : {Mode::Bbb, Mode::PmemStrict}) {
+    for (PersistMode m : {PersistMode::BbbMemSide, PersistMode::PmemStrict}) {
         Program p = lower(t, m);
         EXPECT_EQ(leafRegOutcomes(p, 2, true),
                   leafRegOutcomes(p, 2, false))
-            << "mode " << modeName(m);
+            << "mode " << persistModeName(m);
     }
 }
 
@@ -148,7 +150,7 @@ TEST(LitmusEnum, DeterministicAcrossRuns)
 {
     LitTest t = parse("test t\nt0: st x 1; ld y r0\n"
                    "t1: st y 1; ld x r1\n");
-    Program p = lower(t, Mode::Bbb);
+    Program p = lower(t, PersistMode::BbbMemSide);
     auto collect = [&]() {
         std::vector<std::string> seq;
         EnumOptions opts;
@@ -171,7 +173,7 @@ TEST(LitmusEnum, DeterministicAcrossRuns)
 TEST(LitmusEnum, MaxNodesAborts)
 {
     LitTest t = parse("test t\nt0: st x 1; st x 2\nt1: st x 3; st x 4\n");
-    Program p = lower(t, Mode::Bbb);
+    Program p = lower(t, PersistMode::BbbMemSide);
     EnumOptions opts;
     opts.max_nodes = 3;
     EnumStats stats;
@@ -192,7 +194,7 @@ TEST(LitmusModel, SbAllowsAllFourOutcomes)
     LitTest t = parse("test t\nt0: st x 1; ld y r0\n"
                    "t1: st y 1; ld x r1\n");
     std::set<std::string> got =
-        leafRegOutcomes(lower(t, Mode::Bbb), 2, false);
+        leafRegOutcomes(lower(t, PersistMode::BbbMemSide), 2, false);
     std::set<std::string> want = {"0,0,", "0,1,", "1,0,", "1,1,"};
     EXPECT_EQ(got, want);
 }
@@ -202,7 +204,7 @@ TEST(LitmusModel, MfenceForbidsTheSbRelaxation)
     LitTest t = parse("test t\nt0: st x 1; mfence; ld y r0\n"
                    "t1: st y 1; mfence; ld x r1\n");
     std::set<std::string> got =
-        leafRegOutcomes(lower(t, Mode::Bbb), 2, false);
+        leafRegOutcomes(lower(t, PersistMode::BbbMemSide), 2, false);
     EXPECT_EQ(got.count("0,0,"), 0u);
     EXPECT_EQ(got.count("1,1,"), 1u);
     EXPECT_EQ(got.count("0,1,"), 1u);
@@ -214,7 +216,7 @@ TEST(LitmusModel, MpForbidsStaleDataAfterFlag)
     LitTest t = parse("test t\nt0: st x 1; st y 1\n"
                    "t1: ld y r0; ld x r1\n");
     std::set<std::string> got =
-        leafRegOutcomes(lower(t, Mode::Bbb), 2, false);
+        leafRegOutcomes(lower(t, PersistMode::BbbMemSide), 2, false);
     // r0=1 (flag seen) with r1=0 (stale data) violates TSO: drains are
     // FIFO, so x retires before y.
     EXPECT_EQ(got.count("1,0,"), 0u);
@@ -227,7 +229,7 @@ TEST(LitmusModel, CoherenceReadsNeverGoBackwards)
     LitTest t = parse("test t\nt0: st x 1; st x 2\n"
                    "t1: ld x r0; ld x r1\n");
     std::set<std::string> got =
-        leafRegOutcomes(lower(t, Mode::Bbb), 2, false);
+        leafRegOutcomes(lower(t, PersistMode::BbbMemSide), 2, false);
     EXPECT_EQ(got.count("2,1,"), 0u);
     EXPECT_EQ(got.count("1,0,"), 0u);
     EXPECT_EQ(got.count("2,0,"), 0u);
@@ -238,7 +240,7 @@ TEST(LitmusModel, CoherenceReadsNeverGoBackwards)
 TEST(LitmusModel, ForwardingReadsOwnBufferedStore)
 {
     LitTest t = parse("test t\nt0: st x 1; ld x r0\n");
-    Program p = lower(t, Mode::Bbb);
+    Program p = lower(t, PersistMode::BbbMemSide);
     ModelState m = ModelState::initial(1);
     ASSERT_TRUE(m.enabled(p, Step{0, false}));
     m.apply(p, Step{0, false}); // st -> buffer
@@ -255,48 +257,48 @@ TEST(LitmusModel, ForwardingReadsOwnBufferedStore)
 
 TEST(LitmusModel, DurminAdvancesOnFlushFencePairs)
 {
-    LitTest t = parse("test t\nmodes pmem\nt0: st x 1; flush x; sfence\n");
-    Program p = lower(t, Mode::Pmem);
+    LitTest t = parse("test t\nmodes adr-pmem\nt0: st x 1; flush x; sfence\n");
+    Program p = lower(t, PersistMode::AdrPmem);
     ModelState m = ModelState::initial(1);
 
     m.apply(p, Step{0, false}); // st into the buffer
-    EXPECT_TRUE(m.imageValueAllowed(Mode::Pmem, 0, 0));
-    EXPECT_FALSE(m.imageValueAllowed(Mode::Pmem, 0, 1));
+    EXPECT_TRUE(m.imageValueAllowed(PersistMode::AdrPmem, 0, 0));
+    EXPECT_FALSE(m.imageValueAllowed(PersistMode::AdrPmem, 0, 1));
 
     // The flush is gated on the buffer not holding x.
     EXPECT_FALSE(m.enabled(p, Step{0, false}));
     m.apply(p, Step{0, true}); // drain
-    EXPECT_TRUE(m.imageValueAllowed(Mode::Pmem, 0, 0));
-    EXPECT_TRUE(m.imageValueAllowed(Mode::Pmem, 0, 1));
+    EXPECT_TRUE(m.imageValueAllowed(PersistMode::AdrPmem, 0, 0));
+    EXPECT_TRUE(m.imageValueAllowed(PersistMode::AdrPmem, 0, 1));
 
     m.apply(p, Step{0, false}); // flush: captured, not yet confirmed
-    EXPECT_TRUE(m.imageValueAllowed(Mode::Pmem, 0, 0));
+    EXPECT_TRUE(m.imageValueAllowed(PersistMode::AdrPmem, 0, 0));
 
     m.apply(p, Step{0, false}); // sfence: x=1 is now durable
-    EXPECT_FALSE(m.imageValueAllowed(Mode::Pmem, 0, 0));
-    EXPECT_TRUE(m.imageValueAllowed(Mode::Pmem, 0, 1));
+    EXPECT_FALSE(m.imageValueAllowed(PersistMode::AdrPmem, 0, 0));
+    EXPECT_TRUE(m.imageValueAllowed(PersistMode::AdrPmem, 0, 1));
 }
 
 TEST(LitmusModel, StrictImageIsExactlyMemory)
 {
     LitTest t = parse("test t\nt0: st x 1; st x 2\n");
-    Program p = lower(t, Mode::Bbb);
+    Program p = lower(t, PersistMode::BbbMemSide);
     ModelState m = ModelState::initial(1);
     m.apply(p, Step{0, false});
     m.apply(p, Step{0, false});
     m.apply(p, Step{0, true}); // retire x=1
-    EXPECT_TRUE(m.imageValueAllowed(Mode::Bbb, 0, 1));
-    EXPECT_FALSE(m.imageValueAllowed(Mode::Bbb, 0, 0));
-    EXPECT_FALSE(m.imageValueAllowed(Mode::Bbb, 0, 2));
+    EXPECT_TRUE(m.imageValueAllowed(PersistMode::BbbMemSide, 0, 1));
+    EXPECT_FALSE(m.imageValueAllowed(PersistMode::BbbMemSide, 0, 0));
+    EXPECT_FALSE(m.imageValueAllowed(PersistMode::BbbMemSide, 0, 2));
     m.apply(p, Step{0, true}); // retire x=2
-    EXPECT_TRUE(m.imageValueAllowed(Mode::Bbb, 0, 2));
-    EXPECT_FALSE(m.imageValueAllowed(Mode::Bbb, 0, 1));
+    EXPECT_TRUE(m.imageValueAllowed(PersistMode::BbbMemSide, 0, 2));
+    EXPECT_FALSE(m.imageValueAllowed(PersistMode::BbbMemSide, 0, 1));
 }
 
 TEST(LitmusModel, FenceRequiresAnEmptyBuffer)
 {
     LitTest t = parse("test t\nt0: st x 1; mfence\n");
-    Program p = lower(t, Mode::Bbb);
+    Program p = lower(t, PersistMode::BbbMemSide);
     ModelState m = ModelState::initial(1);
     m.apply(p, Step{0, false});
     EXPECT_FALSE(m.enabled(p, Step{0, false})); // fence blocked

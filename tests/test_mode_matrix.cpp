@@ -92,7 +92,8 @@ INSTANTIATE_TEST_SUITE_P(
                           "mutateC", "swapNC", "swapC", "linkedlist",
                           "rtree-spatial", "btree", "skiplist"),
         ::testing::Values(PersistMode::AdrUnsafe, PersistMode::AdrPmem,
-                          PersistMode::Eadr, PersistMode::BbbMemSide,
+                          PersistMode::PmemStrict, PersistMode::Eadr,
+                          PersistMode::BbbMemSide,
                           PersistMode::BbbProcSide)),
     [](const auto &param_info) {
         std::string name = std::get<0>(param_info.param);

@@ -21,27 +21,11 @@ using namespace bbb;
 namespace
 {
 
-/** The small campaign machine (mirrors examples/lifetime_campaign). */
-SystemConfig
-smallCfg()
-{
-    SystemConfig cfg;
-    cfg.num_cores = 2;
-    cfg.l1d.size_bytes = 4_KiB;
-    cfg.llc.size_bytes = 16_KiB;
-    cfg.dram.size_bytes = 64_MiB;
-    cfg.nvmm.size_bytes = 64_MiB;
-    cfg.bbpb.entries = 8;
-    cfg.l1d.repl = ReplPolicy::Random;
-    cfg.llc.repl = ReplPolicy::Random;
-    return cfg;
-}
-
 LifetimeSpec
 powerSpec()
 {
     LifetimeSpec spec;
-    spec.base = smallCfg();
+    spec.base = campaignConfig();
     spec.workloads = {"hashmap"};
     spec.modes = {PersistMode::BbbMemSide, PersistMode::BbbProcSide};
     spec.params.ops_per_thread = 250;

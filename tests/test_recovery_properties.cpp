@@ -129,6 +129,7 @@ TEST_P(CrashPointSweep, ConsistentAndPrefixOrdered)
 INSTANTIATE_TEST_SUITE_P(
     SafeModes, CrashPointSweep,
     ::testing::Combine(::testing::Values(PersistMode::AdrPmem,
+                                         PersistMode::PmemStrict,
                                          PersistMode::Eadr,
                                          PersistMode::BbbMemSide,
                                          PersistMode::BbbProcSide),

@@ -150,6 +150,22 @@ TEST(StoreBuffer, ForwardingPrefersYoungest)
     EXPECT_EQ(out, 2u);
 }
 
+TEST(StoreBuffer, YoungerPartialOverlapBlocksStaleForward)
+{
+    // The older entry covers the load, but the younger one overwrote
+    // its high half: forwarding the older word would return stale
+    // bytes, so the load must wait for the buffer to drain.
+    Rig rig;
+    rig.sb.push(64, 8, 0xAAAAAAAABBBBBBBBull, false);
+    rig.sb.push(68, 4, 0xCCCCCCCCull, false);
+    std::uint64_t out = 0;
+    EXPECT_EQ(rig.sb.probe(64, 8, out), SbProbe::Blocked);
+    EXPECT_EQ(rig.sb.probe(64, 4, out), SbProbe::Hit); // untouched half
+    EXPECT_EQ(out, 0xBBBBBBBBull);
+    EXPECT_EQ(rig.sb.probe(68, 4, out), SbProbe::Hit);
+    EXPECT_EQ(out, 0xCCCCCCCCull);
+}
+
 TEST(StoreBuffer, HasBlockMatchesAtBlockGranularity)
 {
     Rig rig;
@@ -306,12 +322,14 @@ struct DequeModel
     probe(Addr addr, unsigned size, std::uint64_t &out) const
     {
         for (auto it = q.rbegin(); it != q.rend(); ++it) {
-            if (addr >= it->addr && addr + size <= it->addr + it->size) {
-                std::uint64_t mask =
-                    size == 8 ? ~0ull : ((1ull << (size * 8)) - 1);
-                out = (it->data >> ((addr - it->addr) * 8)) & mask;
-                return SbProbe::Hit;
-            }
+            if (addr >= it->addr + it->size || it->addr >= addr + size)
+                continue; // disjoint
+            if (addr < it->addr || addr + size > it->addr + it->size)
+                return SbProbe::Blocked; // youngest overlap is partial
+            std::uint64_t mask =
+                size == 8 ? ~0ull : ((1ull << (size * 8)) - 1);
+            out = (it->data >> ((addr - it->addr) * 8)) & mask;
+            return SbProbe::Hit;
         }
         return hasBlock(addr) ? SbProbe::Blocked : SbProbe::Miss;
     }
