@@ -33,13 +33,6 @@ enum class PersistMode
     AdrPmem,
 
     /**
-     * AdrPmem with strict persistency: every persisting store is also
-     * followed by clwb + sfence (Section II), on top of the workload's
-     * own calls. Next to AdrPmem so executesFlushes() is one compare.
-     */
-    PmemStrict,
-
-    /**
      * ADR only, but the program issues no flushes/fences ("unsafe"). Used
      * to demonstrate lost/torn data after a crash, and as the no-
      * persistency performance reference.
@@ -66,6 +59,13 @@ enum class PersistMode
      * every entry drains to NVMM.
      */
     BbbProcSide,
+
+    /**
+     * AdrPmem with strict persistency: every persisting store is also
+     * followed by clwb + sfence (Section II), on top of the workload's
+     * own calls. Last, so the other modes keep their values.
+     */
+    PmemStrict,
 };
 
 /** Printable name of a persistency mode. */
