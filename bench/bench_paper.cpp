@@ -474,7 +474,6 @@ drainPolicyView(bool fast, Results results, BenchReport &rep)
     std::printf("%-14s | %9s %9s %9s | %9s %9s %9s\n", "workload",
                 "fcfs_w", "lrw_w", "rand_w", "fcfs_t", "lrw_t", "rand_t");
 
-    const char *policy_names[] = {"fcfs", "lrw", "random"};
     for (std::size_t w = 0; w < std::size(kPolicyWorkloads); ++w) {
         const char *workload = kPolicyWorkloads[w];
         double writes[3], times[3];
@@ -482,7 +481,8 @@ drainPolicyView(bool fast, Results results, BenchReport &rep)
             const ExperimentResult &r = results[w * 3 + i];
             writes[i] = static_cast<double>(r.nvmm_writes);
             times[i] = static_cast<double>(r.exec_ticks);
-            rep.addExperiment(std::string(workload) + "/" + policy_names[i],
+            rep.addExperiment(std::string(workload) + "/" +
+                                  drainPolicyName(kPolicies[i]),
                               r.metrics);
         }
         std::printf("%-14s | %9.3f %9.3f %9.3f | %9.3f %9.3f %9.3f\n",
@@ -490,7 +490,8 @@ drainPolicyView(bool fast, Results results, BenchReport &rep)
                     writes[2] / writes[0], 1.0, times[1] / times[0],
                     times[2] / times[0]);
         for (std::size_t i = 1; i < 3; ++i) {
-            std::string key = std::string(workload) + "." + policy_names[i];
+            std::string key =
+                std::string(workload) + "." + drainPolicyName(kPolicies[i]);
             rep.measured().setReal(key + ".nvmm_writes_x",
                                    writes[i] / writes[0]);
             rep.measured().setReal(key + ".exec_time_x",
@@ -736,6 +737,7 @@ enduranceView(bool fast, Results results, BenchReport &rep)
         const ExperimentResult &r = results[i];
         std::string mode = persistModeName(r.mode);
         std::string policy = drainPolicyName(specs[i].cfg.bbpb.drain_policy);
+        const bool ftl = specs[i].cfg.media.kind == MediaKind::Ftl;
         std::string media = mediaKindName(specs[i].cfg.media.kind);
         std::string label =
             r.workload + "/" + mode + "/" + policy + "/" + media;
@@ -757,7 +759,7 @@ enduranceView(bool fast, Results results, BenchReport &rep)
         std::string key = "endurance." + media + "." + r.workload + "." +
                           mode + "." + policy;
         rep.measured().setReal(key + ".write_amplification", wamp);
-        if (media == "ftl") {
+        if (ftl) {
             rep.measured().setReal(key + ".projected_days", life);
             rep.measured().setCount(
                 key + ".retired_frames",
@@ -776,7 +778,7 @@ enduranceView(bool fast, Results results, BenchReport &rep)
                     (unsigned long long)r.metrics.count(
                         "media.retired_frames"),
                     r.metrics.real("media.frames.max_wear"),
-                    media == "ftl" ? life : 0.0);
+                    ftl ? life : 0.0);
     }
     rep.measured().setCount("endurance.cells", specs.size());
     rep.measured().setCount("endurance.oracle_violations", violations);

@@ -124,11 +124,7 @@ main(int argc, char **argv)
             workloads = args.checkNames(cli::splitList(args.value()),
                                         workloadNameError);
         } else if (args.is("--modes")) {
-            spec.modes.clear();
-            for (const std::string &m :
-                 args.checkNames(cli::splitList(args.value()),
-                                 persistModeNameError))
-                spec.modes.push_back(persistModeFromName(m));
+            spec.modes = args.enumListValue<PersistMode>();
         } else if (args.is("--traces")) {
             // Trace tokens never contain ',' (PowerTrace enforces it),
             // so the comma list composes with parameterized presets.
@@ -137,9 +133,7 @@ main(int argc, char **argv)
         } else if (args.is("--battery-caps")) {
             caps_j = args.realListValue();
         } else if (args.is("--policies")) {
-            spec.policies.clear();
-            for (const std::string &p : cli::splitList(args.value()))
-                spec.policies.push_back(parseDegradePolicy(p));
+            spec.policies = args.enumListValue<DegradePolicy>();
         } else if (args.is("--rounds")) {
             rounds = args.unsignedValue(1, UINT32_MAX);
         } else if (args.is("--lifetimes")) {
@@ -194,12 +188,8 @@ main(int argc, char **argv)
     // Min-viable-battery table: smallest swept capacity at which every
     // lifetime of the cell survives every outage with nothing sacrificed.
     BenchReport rep("battery_planner");
-    {
-        std::string caps;
-        for (double c : spec.battery_caps)
-            caps += (caps.empty() ? "" : ",") + compactDouble(c);
-        rep.setConfig("battery_caps_j", caps);
-    }
+    rep.setConfig("battery_caps_j",
+                  joinList(spec.battery_caps, compactDouble));
     rep.setConfig("rounds", std::uint64_t{spec.rounds});
     rep.setConfig("lifetimes", std::uint64_t{spec.lifetimes});
     rep.setConfig("ops_per_thread",

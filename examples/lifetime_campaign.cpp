@@ -32,6 +32,7 @@
  */
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,11 +80,11 @@ main(int argc, char **argv)
     unsigned jobs = 0;
     bool verbose = false;
     std::string json_path;
-    std::string media;
+    std::optional<MediaKind> media;
 
     // Replay flags (--seed selects replay mode).
     std::string replay_workload;
-    std::string replay_mode = "bbb-mem-side";
+    PersistMode replay_mode = PersistMode::BbbMemSide;
     std::uint64_t replay_seed = 0;
     std::string replay_plan = "none";
     PowerEnv replay_env;
@@ -101,8 +102,7 @@ main(int argc, char **argv)
         } else if (args.is("--initial")) {
             spec.params.initial_elements = args.unsignedValue();
         } else if (args.is("--media")) {
-            media = args.value();
-            (void)mediaKindFromName(media); // validate (fatal on typo)
+            media = args.enumValue<MediaKind>();
         } else if (args.is("--seed")) {
             replay_seed = args.unsignedValue();
             seed_at = at;
@@ -111,12 +111,11 @@ main(int argc, char **argv)
                 args.checkNames({args.value()}, workloadNameError).front();
             replay_at = at;
         } else if (args.is("--mode")) {
-            replay_mode =
-                args.checkNames({args.value()}, persistModeNameError)
-                    .front();
+            replay_mode = args.enumValue<PersistMode>();
             replay_at = at;
         } else if (args.is("--fault-plan")) {
-            replay_plan = args.value();
+            replay_plan =
+                args.checkNames({args.value()}, faultPlanError).front();
             replay_at = at;
         } else if (args.is("--trace")) {
             replay_env.trace =
@@ -126,7 +125,7 @@ main(int argc, char **argv)
             replay_env.capacity_j = args.realValue();
             replay_at = at;
         } else if (args.is("--policy")) {
-            replay_env.policy = parseDegradePolicy(args.value());
+            replay_env.policy = args.enumValue<DegradePolicy>();
             replay_at = at;
         } else {
             campaign_at = at;
@@ -134,16 +133,14 @@ main(int argc, char **argv)
                 spec.workloads = args.checkNames(cli::splitList(args.value()),
                                                  workloadNameError);
             } else if (args.is("--modes")) {
-                spec.modes.clear();
-                for (const std::string &m :
-                     args.checkNames(cli::splitList(args.value()),
-                                     persistModeNameError))
-                    spec.modes.push_back(persistModeFromName(m));
+                spec.modes = args.enumListValue<PersistMode>();
             } else if (args.is("--plans")) {
                 // Preset names only: a multi-pair key=value plan holds
                 // commas, so it replays alone through --fault-plan.
                 spec.plans.clear();
-                for (const std::string &name : cli::splitList(args.value()))
+                for (const std::string &name :
+                     args.checkNames(cli::splitList(args.value()),
+                                     faultPlanError))
                     spec.plans.push_back({name, FaultPlan::parse(name)});
             } else if (args.is("--lifetimes")) {
                 spec.lifetimes =
@@ -162,9 +159,7 @@ main(int argc, char **argv)
             } else if (args.is("--battery-caps")) {
                 spec.battery_caps = args.realListValue();
             } else if (args.is("--policies")) {
-                spec.policies.clear();
-                for (const std::string &tok : cli::splitList(args.value()))
-                    spec.policies.push_back(parseDegradePolicy(tok));
+                spec.policies = args.enumListValue<DegradePolicy>();
             } else {
                 args.unknown();
             }
@@ -180,9 +175,9 @@ main(int argc, char **argv)
     if (replay && replay_workload.empty())
         args.fail("replay needs --workload NAME", seed_at);
 
-    if (!media.empty()) {
-        spec.base.media.kind = mediaKindFromName(media);
-        if (media == "ftl")
+    if (media) {
+        spec.base.media.kind = *media;
+        if (media == MediaKind::Ftl)
             spec.base.media.endurance_cycles = kFtlEnduranceCycles;
         // Stamp the backend into the plan tokens so every printed repro
         // line is complete on its own.
@@ -194,15 +189,15 @@ main(int argc, char **argv)
     if (replay) {
         LifetimeSample sample;
         sample.cfg = spec.base;
-        sample.cfg.mode = persistModeFromName(replay_mode);
+        sample.cfg.mode = replay_mode;
         sample.workload = replay_workload;
         sample.params = spec.params;
         sample.plan = FaultPlan::parse(replay_plan);
         sample.plan_name = replay_plan;
         sample.power_env = replay_env;
-        if (!media.empty() && sample.plan.media.empty())
+        if (!sample.plan.media)
             sample.plan.media = media;
-        if (sample.plan.media == "ftl")
+        if (sample.plan.media == MediaKind::Ftl)
             sample.cfg.media.endurance_cycles = kFtlEnduranceCycles;
         sample.seed = replay_seed;
         sample.rounds = spec.rounds;
@@ -281,7 +276,7 @@ main(int argc, char **argv)
                 (unsigned long long)summary.clean,
                 (unsigned long long)summary.degraded,
                 (unsigned long long)summary.violations);
-    if (media == "ftl")
+    if (media == MediaKind::Ftl)
         std::printf("media    ftl (endurance %llu): %llu frames retired "
                     "across the campaign\n",
                     (unsigned long long)kFtlEnduranceCycles,
@@ -290,10 +285,7 @@ main(int argc, char **argv)
 
     if (!json_path.empty()) {
         BenchReport rep("lifetime_campaign");
-        std::string names;
-        for (const std::string &w : spec.workloads)
-            names += (names.empty() ? "" : ",") + w;
-        rep.setConfig("workloads", names);
+        rep.setConfig("workloads", joinList(spec.workloads));
         rep.setConfig("rounds", std::uint64_t{spec.rounds});
         rep.setConfig("lifetimes", std::uint64_t{spec.lifetimes});
         rep.setConfig("ops_per_thread",
@@ -304,23 +296,9 @@ main(int argc, char **argv)
         rep.setConfig("bbpb_entries", std::uint64_t{spec.base.bbpb.entries});
         rep.setConfig("media", mediaKindName(spec.base.media.kind));
         if (!spec.traces.empty()) {
-            std::string traces, caps, pols;
-            for (const std::string &t : spec.traces) {
-                if (!traces.empty())
-                    traces += ",";
-                traces += t;
-            }
-            for (double c : spec.battery_caps) {
-                if (!caps.empty())
-                    caps += ",";
-                caps += compactDouble(c);
-            }
-            for (DegradePolicy p : spec.policies) {
-                if (!pols.empty())
-                    pols += ",";
-                pols += degradePolicyName(p);
-            }
-            rep.setConfig("traces", traces);
+            std::string caps = joinList(spec.battery_caps, compactDouble);
+            std::string pols = joinList(spec.policies, degradePolicyName);
+            rep.setConfig("traces", joinList(spec.traces));
             if (!caps.empty())
                 rep.setConfig("battery_caps_j", caps);
             if (!pols.empty())

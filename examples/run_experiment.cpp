@@ -6,11 +6,9 @@
  * bbPB sizing and prints the full metric set plus (optionally) the raw
  * statistics dump — the command-line face of the library.
  *
- * Usage: see the usage text in main(); it lists every workload name.
- *
- * Modes (--mode): adr-unsafe, adr-pmem, pmem-strict (adr-pmem with a
- * clwb + sfence after every persisting store), eadr, bbb-mem-side,
- * bbb-proc-side. An unknown mode exits 2 naming its argument.
+ * Usage: see the usage text in main(); it lists every mode, drain
+ * policy, media kind and workload name. An unknown name exits 2 naming
+ * its argument.
  *
  * With a single workload the full report (stats, crash drain, recovery)
  * is printed. With a comma-separated list or `all` (every registered
@@ -38,12 +36,14 @@ main(int argc, char **argv)
         "usage: run_experiment [--workload NAME[,NAME...]|all] "
         "[--mode MODE]\n"
         "          [--entries N] [--ops N] [--initial N]\n"
-        "          [--threshold F] [--policy fcfs|lrw|random]\n"
-        "          [--media direct|ftl] [--endurance N]\n"
-        "          [--jobs N] [--stats] [--json PATH]\n"
-        "workloads:";
-    for (const std::string &name : workloadNames())
-        usage += " " + name;
+        "          [--threshold F] [--policy POLICY] [--media MEDIA]\n"
+        "          [--endurance N] [--jobs N] [--stats] [--json PATH]\n"
+        "modes: " +
+        joinList(nameValues<PersistMode>(), persistModeName, " ") +
+        "\npolicies: " +
+        joinList(nameValues<DrainPolicy>(), drainPolicyName, " ") +
+        "\nmedia: " + joinList(nameValues<MediaKind>(), mediaKindName, " ") +
+        "\nworkloads: " + joinList(workloadNames(), std::identity{}, " ");
 
     std::vector<std::string> sweep = {"hashmap"};
     std::string json_path;
@@ -64,9 +64,7 @@ main(int argc, char **argv)
         } else if (args.is("--jobs")) {
             jobs = args.jobsValue();
         } else if (args.is("--mode")) {
-            cfg.mode = persistModeFromName(
-                args.checkNames({args.value()}, persistModeNameError)
-                    .front());
+            cfg.mode = args.enumValue<PersistMode>();
         } else if (args.is("--entries")) {
             // A 0-entry bbPB rejects every persisting store: no run ends.
             cfg.bbpb.entries =
@@ -78,9 +76,9 @@ main(int argc, char **argv)
         } else if (args.is("--threshold")) {
             cfg.bbpb.drain_threshold = args.realValue(1.0);
         } else if (args.is("--policy")) {
-            cfg.bbpb.drain_policy = drainPolicyFromName(args.value());
+            cfg.bbpb.drain_policy = args.enumValue<DrainPolicy>();
         } else if (args.is("--media")) {
-            cfg.media.kind = mediaKindFromName(args.value());
+            cfg.media.kind = args.enumValue<MediaKind>();
         } else if (args.is("--endurance")) {
             cfg.media.endurance_cycles = args.unsignedValue();
         } else if (args.is("--stats")) {

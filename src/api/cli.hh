@@ -37,6 +37,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/names.hh"
+
 namespace bbb
 {
 namespace cli
@@ -117,16 +119,6 @@ positiveReal(const char *flag, const std::string &text,
     std::exit(2);
 }
 
-/** Comma-separated list of positive reals, each as in positiveReal. */
-inline std::vector<double>
-positiveRealList(const char *flag, const std::string &value)
-{
-    std::vector<double> out;
-    for (const std::string &tok : splitList(value))
-        out.push_back(positiveReal(flag, tok));
-    return out;
-}
-
 /**
  * Parse @p text, the value of @p flag, as a switch: on/1/true or
  * off/0/false. Anything else exits 2 with a diagnostic.
@@ -199,13 +191,39 @@ class Args
         return positiveReal(where().c_str(), value(), max);
     }
 
+    /** A comma-separated list of reals, each as in realValue(). */
     std::vector<double>
     realListValue()
     {
-        return positiveRealList(where().c_str(), value());
+        std::vector<double> out;
+        for (const std::string &tok : splitList(value()))
+            out.push_back(positiveReal(where().c_str(), tok));
+        return out;
     }
 
     bool onOffValue() { return onOff(where().c_str(), value()); }
+
+    /**
+     * The value as a name of enum E (sim/names.hh), checked as in
+     * checkNames(); @p why may narrow the vocabulary.
+     */
+    template <class E>
+    E
+    enumValue(std::string (*why)(const std::string &) = nameError<E>)
+    {
+        return parseName<E>(checkNames({value()}, why).front());
+    }
+
+    /** A comma-separated list of names of enum E, as in enumValue(). */
+    template <class E>
+    std::vector<E>
+    enumListValue(std::string (*why)(const std::string &) = nameError<E>)
+    {
+        std::vector<E> out;
+        for (const std::string &name : checkNames(splitList(value()), why))
+            out.push_back(parseName<E>(name));
+        return out;
+    }
 
     /** `--jobs N`: the worker-pool width, 0 = hardware concurrency. */
     unsigned

@@ -49,15 +49,9 @@ listCorpus()
 {
     std::printf("%-20s %-6s %-8s modes\n", "test", "smoke", "battery");
     for (const Test &t : corpus()) {
-        std::string modes;
-        for (PersistMode m : t.modes) {
-            if (!modes.empty())
-                modes += ",";
-            modes += persistModeName(m);
-        }
         std::printf("%-20s %-6s %-8s %s\n", t.name.c_str(),
                     t.smoke ? "yes" : "", t.battery ? "yes" : "",
-                    modes.c_str());
+                    joinList(t.modes, persistModeName).c_str());
     }
 }
 
@@ -90,8 +84,7 @@ main(int argc, char **argv)
                 args.fail("no corpus test named '" + name + "'");
             target_at = args.pos();
         } else if (args.is("--mode")) {
-            mode = persistModeFromName(
-                args.checkNames({args.value()}, modeNameError).front());
+            mode = args.enumValue<PersistMode>(modeNameError);
             have_mode = true;
             target_at = args.pos();
         } else {
@@ -109,11 +102,7 @@ main(int argc, char **argv)
                     tests.push_back(*t);
                 }
             } else if (args.is("--modes")) {
-                opts.modes.clear();
-                for (const std::string &name :
-                     args.checkNames(cli::splitList(args.value()),
-                                     modeNameError))
-                    opts.modes.push_back(persistModeFromName(name));
+                opts.modes = args.enumListValue<PersistMode>(modeNameError);
             } else if (args.is("--por")) {
                 opts.por = args.onOffValue();
             } else if (args.is("--max-nodes")) {

@@ -389,7 +389,7 @@ CacheHierarchy::flushBlock(CoreId c, Addr addr)
     if (dirty) {
         writebackToMemory(block, llc_line->data, lat);
         llc_line->dirty = false;
-        lat += _cfg.cycles(_cfg.bbpb.drain_latency_cycles);
+        lat += _cfg.cycles(kBbpbDrainLatencyCycles);
     }
     return lat;
 }

@@ -32,6 +32,10 @@ BbpbStats::registerWith(StatGroup &g)
 
 namespace
 {
+
+/** Core cycles between successive drain initiations (see drainStep). */
+constexpr unsigned kDrainIssueCycles = 4;
+
 unsigned
 thresholdEntries(const BbpbConfig &cfg)
 {
@@ -187,7 +191,7 @@ Bbpb::maybeStartDrain(CoreId c)
     if (buf.drain_active || buf.slots.size() < _threshold)
         return;
     buf.drain_active = true;
-    _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.drain_latency_cycles),
+    _eq.scheduleIn(_cfg.cycles(kBbpbDrainLatencyCycles),
                    [this, c]() { drainStep(c); },
                    EventPriority::DrainComplete);
 }
@@ -209,7 +213,7 @@ Bbpb::drainStep(CoreId c)
     const Entry &e = buf.slots[s];
     if (!_nvmm.enqueueWrite(e.block, e.data)) {
         ++_stats.wpq_retries;
-        _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.retry_cycles),
+        _eq.scheduleIn(_cfg.cycles(kPersistRetryCycles),
                        [this, c]() { drainStep(c); },
                        EventPriority::DrainComplete);
         return;
@@ -219,7 +223,7 @@ Bbpb::drainStep(CoreId c)
     if (buf.slots.size() >= _threshold) {
         // Drains pipeline toward the controller: sustained rate is the
         // injection interval, not the end-to-end transfer latency.
-        _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.drain_issue_cycles),
+        _eq.scheduleIn(_cfg.cycles(kDrainIssueCycles),
                        [this, c]() { drainStep(c); },
                        EventPriority::DrainComplete);
     } else {

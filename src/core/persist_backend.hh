@@ -29,6 +29,12 @@ struct PersistRecord
     BlockData data;
 };
 
+/** Core cycles to move a block from a bbPB to the WPQ (~L1 to MC). */
+constexpr unsigned kBbpbDrainLatencyCycles = 40;
+
+/** Core cycles before a store retries a full bbPB, or a drain the WPQ. */
+constexpr unsigned kPersistRetryCycles = 8;
+
 /**
  * Persistency-scheme hooks invoked by the cache hierarchy.
  *

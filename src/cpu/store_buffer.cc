@@ -5,6 +5,9 @@
 namespace bbb
 {
 
+/** Cycles between successive drains from the buffer's head to L1D. */
+constexpr unsigned kDrainIntervalCycles = 1;
+
 StoreBuffer::StoreBuffer(CoreId core, const SystemConfig &cfg,
                          EventQueue &eq, CacheHierarchy &hier,
                          StatRegistry &stats)
@@ -44,7 +47,7 @@ StoreBuffer::push(Addr addr, unsigned size, std::uint64_t data,
     _entries[slot] = Slot{SbEntry{addr, size, data, persisting, false},
                           older, kNil};
     ++_pushes;
-    maybeScheduleDrain(_cfg.cycles(_cfg.store_buffer.drain_interval_cycles));
+    maybeScheduleDrain(_cfg.cycles(kDrainIntervalCycles));
 }
 
 SbProbe
@@ -142,7 +145,7 @@ StoreBuffer::drainStep()
             ++_rejections;
         }
         ++_retry_polls;
-        _eq.scheduleIn(_cfg.cycles(_cfg.bbpb.retry_cycles),
+        _eq.scheduleIn(_cfg.cycles(kPersistRetryCycles),
                        [this]() { drainStep(); }, EventPriority::CacheOp);
         return;
     }
@@ -153,7 +156,7 @@ StoreBuffer::drainStep()
     // The L1D write port is busy for the store's latency; the next drain
     // cannot start earlier, whether or not the buffer goes empty first.
     Tick busy = std::max<Tick>(
-        res.latency, _cfg.cycles(_cfg.store_buffer.drain_interval_cycles));
+        res.latency, _cfg.cycles(kDrainIntervalCycles));
     _port_free = _eq.now() + busy;
     if (empty()) {
         _drain_active = false;

@@ -29,7 +29,7 @@ compactDouble(double v)
 std::string
 FaultPlan::toString() const
 {
-    if (!enabled() && media.empty())
+    if (!enabled() && !media)
         return "none";
 
     FaultPlan defaults;
@@ -53,85 +53,99 @@ FaultPlan::toString() const
         sep() << "recrash_blocks=" << recrash_after_blocks;
     if (recrash_budget_factor != defaults.recrash_budget_factor)
         sep() << "recrash_factor=" << compactDouble(recrash_budget_factor);
-    if (!media.empty())
-        sep() << "media=" << media;
+    if (media)
+        sep() << "media=" << mediaKindName(*media);
     if (fault_seed != defaults.fault_seed)
         sep() << "fault_seed=" << fault_seed;
     return os.str();
 }
 
-FaultPlan
-FaultPlan::parse(const std::string &token)
+namespace
+{
+
+/** Parse @p token into a default @p plan: "" or why it is malformed. */
+std::string
+parsePlan(const std::string &token, FaultPlan *plan)
 {
     if (token.empty() || token == "none")
-        return FaultPlan{};
+        return "";
     for (const NamedFaultPlan &preset : faultPlanPresets()) {
-        if (token == preset.name)
-            return preset.plan;
+        if (token == preset.name) {
+            *plan = preset.plan;
+            return "";
+        }
     }
+    if (token.find('=') == std::string::npos)
+        return "unknown fault-plan preset '" + token + "'";
 
-    FaultPlan plan;
     std::istringstream is(token);
     std::string pair;
     while (std::getline(is, pair, ',')) {
         auto eq = pair.find('=');
         if (eq == std::string::npos || eq == 0) {
-            fatal("malformed fault-plan pair '%s' in '%s' (want key=value)",
-                  pair.c_str(), token.c_str());
+            return "malformed fault-plan pair '" + pair + "' in '" + token +
+                   "' (want key=value)";
         }
         std::string key = pair.substr(0, eq);
         std::string val = pair.substr(eq + 1);
         // Values convert per key, so an unknown key is reported as one.
+        std::string bad;
         auto num = [&]() {
             char *end = nullptr;
             double v = std::strtod(val.c_str(), &end);
-            if (end == val.c_str() || *end != '\0')
-                fatal("non-numeric fault-plan value '%s'", pair.c_str());
-            return v;
+            if (end != val.c_str() && *end == '\0')
+                return v;
+            bad = "non-numeric fault-plan value '" + pair + "'";
+            return 0.0;
         };
 
         if (key == "media") {
-            if (val != "direct" && val != "ftl")
-                fatal("unknown media kind '%s' (want direct or ftl)",
-                      val.c_str());
-            plan.media = val;
+            plan->media = findName<MediaKind>(val);
+            bad = nameError<MediaKind>(val);
         } else if (key == "battery_j") {
-            plan.battery_j = num();
+            plan->battery_j = num();
         } else if (key == "media_p") {
-            plan.media_fail_p = num();
-            if (plan.media_fail_p < 0.0 || plan.media_fail_p >= 1.0)
-                fatal("media_p must be in [0, 1): %s", val.c_str());
+            plan->media_fail_p = num();
+            if (plan->media_fail_p < 0.0 || plan->media_fail_p >= 1.0)
+                bad = "media_p must be in [0, 1): " + val;
         } else if (key == "media_retries") {
-            plan.media_retries = static_cast<unsigned>(num());
+            plan->media_retries = static_cast<unsigned>(num());
         } else if (key == "media_backoff_ns") {
-            plan.media_backoff = nsToTicks(num());
+            plan->media_backoff = nsToTicks(num());
         } else if (key == "recrash_blocks") {
-            plan.recrash_after_blocks = static_cast<std::uint64_t>(num());
+            plan->recrash_after_blocks = static_cast<std::uint64_t>(num());
         } else if (key == "recrash_factor") {
-            plan.recrash_budget_factor = num();
-            if (plan.recrash_budget_factor < 0.0 ||
-                plan.recrash_budget_factor > 1.0)
-                fatal("recrash_factor must be in [0, 1]: %s", val.c_str());
+            plan->recrash_budget_factor = num();
+            if (plan->recrash_budget_factor < 0.0 ||
+                plan->recrash_budget_factor > 1.0)
+                bad = "recrash_factor must be in [0, 1]: " + val;
         } else if (key == "fault_seed") {
-            plan.fault_seed = static_cast<std::uint64_t>(num());
+            plan->fault_seed = static_cast<std::uint64_t>(num());
         } else {
-            fatal("unknown fault-plan key '%s' in '%s'", key.c_str(),
-                  token.c_str());
+            bad = "unknown fault-plan key '" + key + "' in '" + token + "'";
         }
+        if (!bad.empty())
+            return bad;
     }
+    return "";
+}
+
+} // namespace
+
+FaultPlan
+FaultPlan::parse(const std::string &token)
+{
+    FaultPlan plan;
+    if (std::string bad = parsePlan(token, &plan); !bad.empty())
+        fatal("%s", bad.c_str());
     return plan;
 }
 
-bool
-FaultPlan::operator==(const FaultPlan &o) const
+std::string
+faultPlanError(const std::string &token)
 {
-    return fault_seed == o.fault_seed && battery_j == o.battery_j &&
-           media_fail_p == o.media_fail_p &&
-           media_retries == o.media_retries &&
-           media_backoff == o.media_backoff &&
-           recrash_after_blocks == o.recrash_after_blocks &&
-           recrash_budget_factor == o.recrash_budget_factor &&
-           media == o.media;
+    FaultPlan plan;
+    return parsePlan(token, &plan);
 }
 
 std::vector<NamedFaultPlan>

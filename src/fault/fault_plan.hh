@@ -30,15 +30,14 @@
 #define BBB_FAULT_FAULT_PLAN_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "sim/types.hh"
+#include "sim/config.hh"
 
 namespace bbb
 {
-
-struct SystemConfig;
 
 /** Declarative description of the faults one run injects. */
 struct FaultPlan
@@ -77,11 +76,11 @@ struct FaultPlan
     double recrash_budget_factor = 0.5;
 
     /**
-     * NVMM media backend the run simulates: "" (leave the SystemConfig
-     * default), "direct", or "ftl". Rides in the plan token so an
+     * NVMM media backend the run simulates (unset: leave the
+     * SystemConfig default). Rides in the plan token (`media=ftl`) so an
      * endurance campaign's repro line selects the same backend.
      */
-    std::string media;
+    std::optional<MediaKind> media;
 
     /** True if any fault channel is active. */
     bool
@@ -108,13 +107,16 @@ struct FaultPlan
     /**
      * Parse a plan token produced by toString() (or hand-written in the
      * same key=value form). Also accepts the preset names from
-     * faultPlanPresets(). fatal()s on malformed input — this is the user-
-     * facing repro path.
+     * faultPlanPresets(). fatal()s on malformed input; drivers check
+     * tokens with faultPlanError() first.
      */
     static FaultPlan parse(const std::string &token);
 
-    bool operator==(const FaultPlan &o) const;
+    bool operator==(const FaultPlan &) const = default;
 };
+
+/** Why FaultPlan::parse() rejects @p token, or "" if it parses. */
+std::string faultPlanError(const std::string &token);
 
 /** A named fault plan, for campaign sweeps and CLI presets. */
 struct NamedFaultPlan

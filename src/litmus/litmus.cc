@@ -16,7 +16,7 @@ modeNameError(const std::string &name)
     if (name == persistModeName(PersistMode::AdrUnsafe))
         return "adr-unsafe is not a litmus mode (it promises no "
                "persistency to check)";
-    return persistModeNameError(name);
+    return nameError<PersistMode>(name);
 }
 
 bool
@@ -105,7 +105,7 @@ struct ParseCtx
     {
         if (std::string bad = modeNameError(tok); !bad.empty())
             return fail(bad);
-        *out = persistModeFromName(tok);
+        *out = parseName<PersistMode>(tok);
         return true;
     }
 

@@ -39,26 +39,7 @@ degradePolicyName(DegradePolicy p)
       case DegradePolicy::RefuseDirty:
         return "refuse-dirty";
     }
-    return "none";
-}
-
-DegradePolicy
-parseDegradePolicy(const std::string &name)
-{
-    for (DegradePolicy p : degradePolicyList()) {
-        if (name == degradePolicyName(p))
-            return p;
-    }
-    fatal("unknown degrade policy '%s' (want none, drain-oldest, "
-          "throttle, or refuse-dirty)",
-          name.c_str());
-}
-
-std::vector<DegradePolicy>
-degradePolicyList()
-{
-    return {DegradePolicy::None, DegradePolicy::DrainOldest,
-            DegradePolicy::Throttle, DegradePolicy::RefuseDirty};
+    return nullptr; // past the last policy (sim/names.hh)
 }
 
 void

@@ -41,6 +41,7 @@
 
 #include "power/battery.hh"
 #include "power/power_trace.hh"
+#include "sim/names.hh"
 #include "sim/types.hh"
 
 namespace bbb
@@ -64,8 +65,10 @@ enum class DegradePolicy
 };
 
 const char *degradePolicyName(DegradePolicy p);
-DegradePolicy parseDegradePolicy(const std::string &name);
-std::vector<DegradePolicy> degradePolicyList();
+
+template <>
+inline constexpr NameVocab<DegradePolicy> kNames<DegradePolicy>{
+    "degrade policy", degradePolicyName};
 
 /** Aggregated power-environment statistics for one campaign sample. */
 struct PowerStats

@@ -321,8 +321,8 @@ runLifetimeSample(const LifetimeSample &sample)
         cfg.seed = sys_seed;
         // Repro lines carry plan.toString(), so media=ftl rides in the
         // plan token and every round rebuilds the same backend.
-        if (!sample.plan.media.empty())
-            cfg.media.kind = mediaKindFromName(sample.plan.media);
+        if (sample.plan.media)
+            cfg.media.kind = *sample.plan.media;
         System sys(cfg);
         FaultPlan plan = sample.plan;
         plan.fault_seed = fault_seed;

@@ -213,9 +213,9 @@ struct LifetimeResult
     const LifetimeRound *firstViolation() const;
 
     /**
-     * Minimized single-line repro: feed these flags back through
-     * persistModeFromName / FaultPlan::parse / replayLifetimeSample to
-     * re-run this exact lifetime (crash ticks re-derive from the seed).
+     * Minimized single-line repro: feed these flags back to
+     * lifetime_campaign to re-run this exact lifetime (crash ticks
+     * re-derive from the seed).
      */
     std::string reproLine() const;
 };

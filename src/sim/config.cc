@@ -1,9 +1,9 @@
 #include "sim/config.hh"
 
-#include "sim/logging.hh"
-
 namespace bbb
 {
+
+// Each name switch ends its vocabulary with nullptr (sim/names.hh).
 
 const char *
 persistModeName(PersistMode m)
@@ -22,29 +22,7 @@ persistModeName(PersistMode m)
       case PersistMode::BbbProcSide:
         return "bbb-proc-side";
     }
-    return "unknown";
-}
-
-constexpr PersistMode kPersistModes[] = {
-    PersistMode::AdrPmem, PersistMode::PmemStrict, PersistMode::AdrUnsafe,
-    PersistMode::Eadr, PersistMode::BbbMemSide, PersistMode::BbbProcSide};
-
-std::string
-persistModeNameError(const std::string &name)
-{
-    for (PersistMode m : kPersistModes)
-        if (name == persistModeName(m))
-            return "";
-    return "unknown persistency mode '" + name + "'";
-}
-
-PersistMode
-persistModeFromName(const std::string &name)
-{
-    for (PersistMode m : kPersistModes)
-        if (name == persistModeName(m))
-            return m;
-    fatal("unknown persistency mode '%s'", name.c_str());
+    return nullptr;
 }
 
 const char *
@@ -58,18 +36,7 @@ drainPolicyName(DrainPolicy p)
       case DrainPolicy::Random:
         return "random";
     }
-    return "unknown";
-}
-
-DrainPolicy
-drainPolicyFromName(const std::string &name)
-{
-    for (DrainPolicy p :
-         {DrainPolicy::Fcfs, DrainPolicy::Lrw, DrainPolicy::Random}) {
-        if (name == drainPolicyName(p))
-            return p;
-    }
-    fatal("unknown drain policy '%s'", name.c_str());
+    return nullptr;
 }
 
 const char *
@@ -81,17 +48,7 @@ mediaKindName(MediaKind k)
       case MediaKind::Ftl:
         return "ftl";
     }
-    return "unknown";
-}
-
-MediaKind
-mediaKindFromName(const std::string &name)
-{
-    for (MediaKind k : {MediaKind::Direct, MediaKind::Ftl}) {
-        if (name == mediaKindName(k))
-            return k;
-    }
-    fatal("unknown media kind '%s'", name.c_str());
+    return nullptr;
 }
 
 } // namespace bbb

@@ -12,8 +12,8 @@
 #define BBB_SIM_CONFIG_HH
 
 #include <cstdint>
-#include <string>
 
+#include "sim/names.hh"
 #include "sim/types.hh"
 
 namespace bbb
@@ -71,14 +71,9 @@ enum class PersistMode
 /** Printable name of a persistency mode. */
 const char *persistModeName(PersistMode m);
 
-/** Why @p name is not a persistModeName() token ("" if it is one). */
-std::string persistModeNameError(const std::string &name);
-
-/**
- * Parse a persistModeName() token back into its mode. fatal()s on an
- * unknown name; drivers check names with persistModeNameError first.
- */
-PersistMode persistModeFromName(const std::string &name);
+template <>
+inline constexpr NameVocab<PersistMode> kNames<PersistMode>{
+    "persistency mode", persistModeName};
 
 /** Replacement policy selector (definition in cache/replacement.hh). */
 enum class ReplPolicy;
@@ -118,8 +113,9 @@ enum class DrainPolicy
 /** Printable drain-policy name. */
 const char *drainPolicyName(DrainPolicy p);
 
-/** Parse a drainPolicyName() token; fatal()s on an unknown name. */
-DrainPolicy drainPolicyFromName(const std::string &name);
+template <>
+inline constexpr NameVocab<DrainPolicy> kNames<DrainPolicy>{
+    "drain policy", drainPolicyName};
 
 /** Which media model serves the NVMM controller (mem/media_backend.hh). */
 enum class MediaKind
@@ -133,8 +129,9 @@ enum class MediaKind
 /** Printable media-kind name ("direct" / "ftl"). */
 const char *mediaKindName(MediaKind k);
 
-/** Parse a mediaKindName() token; fatal()s on an unknown name. */
-MediaKind mediaKindFromName(const std::string &name);
+template <>
+inline constexpr NameVocab<MediaKind> kNames<MediaKind>{
+    "media kind", mediaKindName};
 
 /**
  * The NVMM media model behind the controller. Only `kind` changes what
@@ -172,19 +169,6 @@ struct BbpbConfig
     double drain_threshold = 0.75;
     /** Drain victim selection. */
     DrainPolicy drain_policy = DrainPolicy::Fcfs;
-    /**
-     * Latency of moving one block from bbPB to the NVMM WPQ, in core
-     * cycles; approximately the L1-to-MC path.
-     */
-    unsigned drain_latency_cycles = 40;
-    /**
-     * Cycles between successive drain initiations: drains pipeline on the
-     * path to the memory controller, so the sustained drain rate is set
-     * by this injection interval, not by the end-to-end latency.
-     */
-    unsigned drain_issue_cycles = 4;
-    /** Retry interval when a persisting store finds the bbPB full. */
-    unsigned retry_cycles = 8;
 
     bool operator==(const BbpbConfig &) const = default;
 };
@@ -216,8 +200,6 @@ struct MemConfig
 struct StoreBufferConfig
 {
     unsigned entries = 32;
-    /** Cycles between successive drains from SB head to L1D. */
-    unsigned drain_interval_cycles = 1;
 
     bool operator==(const StoreBufferConfig &) const = default;
 };

@@ -8,14 +8,6 @@
 namespace bbb
 {
 
-const char *
-ArrayWorkload::name() const
-{
-    if (_op == Op::Mutate)
-        return _conflicting ? "mutateC" : "mutateNC";
-    return _conflicting ? "swapC" : "swapNC";
-}
-
 void
 ArrayWorkload::prepare(System &sys)
 {

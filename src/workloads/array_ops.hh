@@ -38,7 +38,6 @@ class ArrayWorkload : public Workload
     {
     }
 
-    const char *name() const override;
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
     void walk(ImageWalk &w, const PmemImage &img) const override;

@@ -49,7 +49,6 @@ class BtreeWorkload : public Workload
 
     explicit BtreeWorkload(const WorkloadParams &p) : Workload(p) {}
 
-    const char *name() const override { return "btree"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
     void walk(ImageWalk &w, const PmemImage &img) const override;

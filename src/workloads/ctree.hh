@@ -28,7 +28,6 @@ class CtreeWorkload : public Workload
   public:
     explicit CtreeWorkload(const WorkloadParams &p) : Workload(p) {}
 
-    const char *name() const override { return "ctree"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
     void walk(ImageWalk &w, const PmemImage &img) const override;

@@ -23,7 +23,6 @@ class HashmapWorkload : public Workload
   public:
     explicit HashmapWorkload(const WorkloadParams &p) : Workload(p) {}
 
-    const char *name() const override { return "hashmap"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
     void walk(ImageWalk &w, const PmemImage &img) const override;

@@ -28,7 +28,6 @@ class LinkedListWorkload : public Workload
   public:
     explicit LinkedListWorkload(const WorkloadParams &p) : Workload(p) {}
 
-    const char *name() const override { return "linkedlist"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
     void walk(ImageWalk &w, const PmemImage &img) const override;

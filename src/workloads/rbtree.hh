@@ -39,7 +39,6 @@ class RbtreeWorkload : public Workload
   public:
     explicit RbtreeWorkload(const WorkloadParams &p) : Workload(p) {}
 
-    const char *name() const override { return "rtree"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
     void walk(ImageWalk &w, const PmemImage &img) const override;

@@ -18,19 +18,53 @@
 namespace bbb
 {
 
+namespace
+{
+
+template <class W, auto... args>
+std::unique_ptr<Workload>
+make(const WorkloadParams &p)
+{
+    return std::make_unique<W>(p, args...);
+}
+
+using Op = ArrayWorkload::Op;
+
+/** Every workload, in workloadNames() order. */
+const struct
+{
+    const char *name;
+    std::unique_ptr<Workload> (*make)(const WorkloadParams &);
+} kWorkloads[] = {
+    {"rtree", make<RbtreeWorkload>},
+    {"ctree", make<CtreeWorkload>},
+    {"hashmap", make<HashmapWorkload>},
+    {"mutateNC", make<ArrayWorkload, Op::Mutate, false>},
+    {"mutateC", make<ArrayWorkload, Op::Mutate, true>},
+    {"swapNC", make<ArrayWorkload, Op::Swap, false>},
+    {"swapC", make<ArrayWorkload, Op::Swap, true>},
+    {"linkedlist", make<LinkedListWorkload>},
+    {"skiplist", make<SkiplistWorkload>},
+    {"rtree-spatial", make<RtreeWorkload>},
+    {"btree", make<BtreeWorkload>},
+};
+
+} // namespace
+
 std::vector<std::string>
 workloadNames()
 {
-    return {"rtree",      "ctree",         "hashmap", "mutateNC",
-            "mutateC",    "swapNC",        "swapC",   "linkedlist",
-            "skiplist",   "rtree-spatial", "btree"};
+    std::vector<std::string> names;
+    for (const auto &w : kWorkloads)
+        names.push_back(w.name);
+    return names;
 }
 
 std::string
 workloadNameError(const std::string &name)
 {
-    for (const std::string &known : workloadNames())
-        if (name == known)
+    for (const auto &w : kWorkloads)
+        if (name == w.name)
             return "";
     return "unknown workload '" + name + "'";
 }
@@ -38,32 +72,13 @@ workloadNameError(const std::string &name)
 std::unique_ptr<Workload>
 makeWorkload(const std::string &name, const WorkloadParams &p)
 {
-    if (name == "rtree")
-        return std::make_unique<RbtreeWorkload>(p);
-    if (name == "rtree-spatial")
-        return std::make_unique<RtreeWorkload>(p);
-    if (name == "btree")
-        return std::make_unique<BtreeWorkload>(p);
-    if (name == "skiplist")
-        return std::make_unique<SkiplistWorkload>(p);
-    if (name == "ctree")
-        return std::make_unique<CtreeWorkload>(p);
-    if (name == "hashmap")
-        return std::make_unique<HashmapWorkload>(p);
-    if (name == "mutateNC")
-        return std::make_unique<ArrayWorkload>(p, ArrayWorkload::Op::Mutate,
-                                               false);
-    if (name == "mutateC")
-        return std::make_unique<ArrayWorkload>(p, ArrayWorkload::Op::Mutate,
-                                               true);
-    if (name == "swapNC")
-        return std::make_unique<ArrayWorkload>(p, ArrayWorkload::Op::Swap,
-                                               false);
-    if (name == "swapC")
-        return std::make_unique<ArrayWorkload>(p, ArrayWorkload::Op::Swap,
-                                               true);
-    if (name == "linkedlist")
-        return std::make_unique<LinkedListWorkload>(p);
+    for (const auto &w : kWorkloads) {
+        if (name == w.name) {
+            std::unique_ptr<Workload> wl = w.make(p);
+            wl->_name = w.name;
+            return wl;
+        }
+    }
     fatal("unknown workload '%s'", name.c_str());
 }
 

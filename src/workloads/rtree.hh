@@ -41,7 +41,6 @@ class RtreeWorkload : public Workload
 
     explicit RtreeWorkload(const WorkloadParams &p) : Workload(p) {}
 
-    const char *name() const override { return "rtree-spatial"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
     void walk(ImageWalk &w, const PmemImage &img) const override;

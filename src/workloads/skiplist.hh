@@ -39,7 +39,6 @@ class SkiplistWorkload : public Workload
 
     explicit SkiplistWorkload(const WorkloadParams &p) : Workload(p) {}
 
-    const char *name() const override { return "skiplist"; }
     void prepare(System &sys) override;
     void runThread(ThreadContext &tc, unsigned tid) override;
     void walk(ImageWalk &w, const PmemImage &img) const override;

@@ -120,7 +120,8 @@ class Workload
     explicit Workload(const WorkloadParams &p) : _p(p) {}
     virtual ~Workload() = default;
 
-    virtual const char *name() const = 0;
+    /** The name makeWorkload() made this workload under. */
+    const char *name() const { return _name; }
 
     /** Functional pre-build: roots, initial structure (media writes). */
     virtual void prepare(System &sys) = 0;
@@ -307,6 +308,8 @@ class Workload
 
   private:
     class Repair;
+    friend std::unique_ptr<Workload> makeWorkload(const std::string &,
+                                                  const WorkloadParams &);
 
     void
     beginLife(System &sys)
@@ -328,6 +331,7 @@ class Workload
         }
     }
 
+    const char *_name = "";
     std::uint64_t _life_ops = 0;
     std::vector<std::vector<std::uint64_t>> _issued;
     bool _word_by_word = false;

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "api/cli.hh"
+#include "power/power_scheduler.hh"
+#include "sim/config.hh"
 
 using namespace bbb;
 
@@ -63,6 +65,19 @@ parse(std::vector<std::string> words)
             args.unknown();
     }
     return p;
+}
+
+/** The value of the last flag in @p words, read as a name of E. */
+template <class E>
+E
+readEnum(std::vector<std::string> words)
+{
+    Argv a(std::move(words));
+    cli::Args args(a.argc(), a.argv(), "usage: test-binary");
+    E e{};
+    while (args.next())
+        e = args.enumValue<E>();
+    return e;
 }
 
 } // namespace
@@ -186,4 +201,36 @@ TEST(CliOnOffDeath, RejectsMalformed)
                     "error: --por expects on\\|off")
             << bad;
     }
+}
+
+TEST(CliEnumValue, ReadsOneNameOrAList)
+{
+    EXPECT_EQ(readEnum<DrainPolicy>({"--policy", "lrw"}), DrainPolicy::Lrw);
+    EXPECT_EQ(readEnum<MediaKind>({"--media", "ftl"}), MediaKind::Ftl);
+
+    Argv a({"--modes", "eadr,,pmem-strict"});
+    cli::Args args(a.argc(), a.argv(), "usage: test-binary");
+    ASSERT_TRUE(args.next());
+    EXPECT_EQ(args.enumListValue<PersistMode>(),
+              (std::vector<PersistMode>{PersistMode::Eadr,
+                                        PersistMode::PmemStrict}));
+}
+
+TEST(CliEnumValueDeath, BadNameExitsNamingItsArgument)
+{
+    EXPECT_EXIT(
+        readEnum<DrainPolicy>({"--policy", "lrw", "--policy", "bogus"}),
+        ::testing::ExitedWithCode(2),
+        "error: --policy \\(argument 3\\): unknown drain policy "
+        "'bogus'\nusage: test-binary");
+    EXPECT_EXIT(
+        {
+            Argv a({"--policies", "none,bogus"});
+            cli::Args args(a.argc(), a.argv(), "usage: test-binary");
+            args.next();
+            args.enumListValue<DegradePolicy>();
+        },
+        ::testing::ExitedWithCode(2),
+        "error: --policies \\(argument 1\\): unknown degrade policy "
+        "'bogus'");
 }
