@@ -137,15 +137,16 @@ void
 BM_WorkloadPrepare(benchmark::State &state)
 {
     // Host cost of Workload::install (the functional prebuild behind
-    // workloads.install_s) at the fig7 grid's shape: 8 cores, 12,500
-    // prebuilt elements per thread. The machine is built and torn down
-    // outside the timed region. Arg: rtree, ctree, hashmap. Items are
-    // prebuilt elements.
+    // workloads.install_s) on the fig7 machine, 8 cores. The machine is
+    // built and torn down outside the timed region. Arg 0: rtree, ctree,
+    // hashmap. Arg 1: prebuilt elements per thread, 12,500 (the fig7
+    // grid's bench shape) or 100,000 (bench_paper's full fig7 shape).
+    // Items are prebuilt elements.
     static const char *const kWorkloads[] = {"rtree", "ctree", "hashmap"};
     const char *name = kWorkloads[state.range(0)];
     state.SetLabel(name);
     WorkloadParams params;
-    params.initial_elements = 12500;
+    params.initial_elements = static_cast<std::uint64_t>(state.range(1));
     SystemConfig cfg = benchConfig(PersistMode::BbbMemSide);
     unsigned cores = cfg.num_cores;
     for (auto _ : state) {
@@ -164,7 +165,7 @@ BM_WorkloadPrepare(benchmark::State &state)
                             static_cast<std::int64_t>(params.initial_elements));
 }
 BENCHMARK(BM_WorkloadPrepare)
-    ->DenseRange(0, 2)
+    ->ArgsProduct({{0, 1, 2}, {12500, 100000}})
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -178,9 +178,6 @@ class CacheHierarchy
 
     MemCtrl &ctrlFor(Addr block);
 
-    Tick l1Lat() const { return _l1_lat; }
-    Tick llcLat() const { return _llc_lat; }
-
     SystemConfig _cfg;
     AddrMap _map;
     EventQueue &_eq;

@@ -42,13 +42,6 @@ canWriteSilently(Mesi s)
     return s == Mesi::Modified || s == Mesi::Exclusive;
 }
 
-/** True if the local copy may be newer than the LLC's. */
-inline bool
-mayBeDirty(Mesi s)
-{
-    return s == Mesi::Modified;
-}
-
 } // namespace bbb
 
 #endif // BBB_CACHE_MESI_HH

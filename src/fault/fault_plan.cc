@@ -3,10 +3,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "energy/energy_model.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace bbb
 {
@@ -98,6 +100,12 @@ parsePlan(const std::string &token, FaultPlan *plan)
             bad = "non-numeric fault-plan value '" + pair + "'";
             return 0.0;
         };
+        auto count = [&](auto *field) {
+            using T = std::remove_pointer_t<decltype(field)>;
+            if (!parseUnsigned(val, field))
+                bad = "fault-plan value '" + pair + "' is not " +
+                      unsignedWant<T>();
+        };
 
         if (key == "media") {
             plan->media = findName<MediaKind>(val);
@@ -109,18 +117,18 @@ parsePlan(const std::string &token, FaultPlan *plan)
             if (plan->media_fail_p < 0.0 || plan->media_fail_p >= 1.0)
                 bad = "media_p must be in [0, 1): " + val;
         } else if (key == "media_retries") {
-            plan->media_retries = static_cast<unsigned>(num());
+            count(&plan->media_retries);
         } else if (key == "media_backoff_ns") {
             plan->media_backoff = nsToTicks(num());
         } else if (key == "recrash_blocks") {
-            plan->recrash_after_blocks = static_cast<std::uint64_t>(num());
+            count(&plan->recrash_after_blocks);
         } else if (key == "recrash_factor") {
             plan->recrash_budget_factor = num();
             if (plan->recrash_budget_factor < 0.0 ||
                 plan->recrash_budget_factor > 1.0)
                 bad = "recrash_factor must be in [0, 1]: " + val;
         } else if (key == "fault_seed") {
-            plan->fault_seed = static_cast<std::uint64_t>(num());
+            count(&plan->fault_seed);
         } else {
             bad = "unknown fault-plan key '" + key + "' in '" + token + "'";
         }

@@ -48,14 +48,6 @@ class PmemImage
         return _store.read64(a);
     }
 
-    std::uint32_t
-    read32(Addr a) const
-    {
-        std::uint32_t v = 0;
-        read(a, &v, sizeof(v));
-        return v;
-    }
-
     void
     read(Addr a, void *out, std::size_t size) const
     {

@@ -126,8 +126,6 @@ struct PowerWindow
 
     /** Window run length in ticks (the round's crash tick). */
     Tick runTicks() const { return outage - start; }
-    /** Warning offset from window start. */
-    Tick warningOffset() const { return warning - start; }
 };
 
 class PowerScheduler

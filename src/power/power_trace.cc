@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 #include "sim/rng.hh"
 
 namespace bbb
@@ -86,25 +87,55 @@ validateSegments(const std::vector<PowerSegment> &segs,
 /** Parsed `key=value` preset parameters after the preset name. */
 struct PresetParams
 {
-    std::vector<std::pair<std::string, double>> kv;
+    struct Param
+    {
+        std::string key;
+        std::string text;
+        double value;
+    };
+    std::vector<Param> kv;
+
+    const Param *
+    find(const char *key) const
+    {
+        for (const Param &p : kv) {
+            if (p.key == key)
+                return &p;
+        }
+        return nullptr;
+    }
 
     double
     get(const char *key, double def) const
     {
-        for (const auto &p : kv) {
-            if (p.first == key)
-                return p.second;
-        }
-        return def;
+        const Param *p = find(key);
+        return p ? p->value : def;
     }
 
+    /** The integer parameter @p key into *out (left at its default when
+     *  absent); false, with *err set, when it is not a @p T. */
+    template <class T>
     bool
-    known(const std::vector<std::string> &keys, std::string *err) const
+    count(const char *key, T *out, std::string *err) const
     {
-        for (const auto &p : kv) {
-            if (std::find(keys.begin(), keys.end(), p.first) ==
-                keys.end()) {
-                *err = "unknown trace parameter '" + p.first + "'";
+        const Param *p = find(key);
+        if (!p || parseUnsigned(p->text, out))
+            return true;
+        *err = "malformed trace parameter '" + p->key + "=" + p->text +
+               "' (want " + unsignedWant<T>() + ")";
+        return false;
+    }
+
+    /** Whether every parameter is one of @p keys (nullptr-padded). */
+    template <std::size_t N>
+    bool
+    known(const char *const (&keys)[N], std::string *err) const
+    {
+        for (const Param &p : kv) {
+            if (std::find_if(keys, keys + N, [&](const char *k) {
+                    return k && p.key == k;
+                }) == keys + N) {
+                *err = "unknown trace parameter '" + p.key + "'";
                 return false;
             }
         }
@@ -125,7 +156,7 @@ parsePresetParams(const std::vector<std::string> &parts, PresetParams *out,
                    "' (want key=NUMBER)";
             return false;
         }
-        out->kv.emplace_back(parts[i].substr(0, eq), v);
+        out->kv.push_back({parts[i].substr(0, eq), parts[i].substr(eq + 1), v});
     }
     return true;
 }
@@ -140,6 +171,78 @@ appendUs(std::vector<PowerSegment> &segs, Tick &at, double us,
     at += len;
 }
 
+/** One preset: its name, the parameters it takes and its builder. */
+struct Preset
+{
+    const char *name;
+    const char *keys[3];
+    bool (*build)(const PresetParams &, std::vector<PowerSegment> &,
+                  std::string *err);
+};
+
+/** Every preset, in powerTracePresetNames() order. */
+const Preset kPresets[] = {
+    {"steady", {"us"},
+     [](const PresetParams &params, std::vector<PowerSegment> &segs,
+        std::string *) {
+         Tick at = 0;
+         appendUs(segs, at, params.get("us", 400.0), 1.0);
+         return true;
+     }},
+    {"brownout", {"cycles"},
+     [](const PresetParams &params, std::vector<PowerSegment> &segs,
+        std::string *err) {
+         unsigned cycles = 4;
+         if (!params.count("cycles", &cycles, err))
+             return false;
+         Tick at = 0;
+         for (unsigned c = 0; c < cycles; ++c) {
+             appendUs(segs, at, 60.0, 1.0);  // full power
+             appendUs(segs, at, 25.0, 0.35); // brownout: battery supplements
+             appendUs(segs, at, 10.0, 0.0);  // outage
+         }
+         return true;
+     }},
+    {"square", {"cycles", "on_us", "off_us"},
+     [](const PresetParams &params, std::vector<PowerSegment> &segs,
+        std::string *err) {
+         unsigned cycles = 5;
+         if (!params.count("cycles", &cycles, err))
+             return false;
+         double on_us = params.get("on_us", 45.0);
+         double off_us = params.get("off_us", 35.0);
+         Tick at = 0;
+         for (unsigned c = 0; c < cycles; ++c) {
+             appendUs(segs, at, on_us, 1.0);
+             appendUs(segs, at, off_us, 0.0);
+         }
+         return true;
+     }},
+    {"outages", {"seed", "cycles"},
+     [](const PresetParams &params, std::vector<PowerSegment> &segs,
+        std::string *err) {
+         std::uint64_t seed = 1;
+         unsigned cycles = 5;
+         if (!params.count("seed", &seed, err) ||
+             !params.count("cycles", &cycles, err))
+             return false;
+         Rng rng(seed ^ 0x70ace5ull);
+         Tick at = 0;
+         for (unsigned c = 0; c < cycles; ++c) {
+             double on_us = 30.0 + static_cast<double>(rng.below(61));
+             double level = 0.8 + 0.2 * rng.uniform();
+             appendUs(segs, at, on_us, level);
+             if (rng.chance(0.25)) { // occasional brownout before the cut
+                 appendUs(segs, at,
+                          10.0 + static_cast<double>(rng.below(11)), 0.3);
+             }
+             appendUs(segs, at,
+                      10.0 + static_cast<double>(rng.below(31)), 0.0);
+         }
+         return true;
+     }},
+};
+
 bool
 buildPreset(const std::string &token, std::vector<PowerSegment> *segs,
             std::string *err)
@@ -149,59 +252,10 @@ buildPreset(const std::string &token, std::vector<PowerSegment> *segs,
     PresetParams params;
     if (!parsePresetParams(parts, &params, err))
         return false;
-
-    Tick at = 0;
-    if (name == "steady") {
-        if (!params.known({"us"}, err))
-            return false;
-        appendUs(*segs, at, params.get("us", 400.0), 1.0);
-        return true;
-    }
-    if (name == "brownout") {
-        if (!params.known({"cycles"}, err))
-            return false;
-        unsigned cycles =
-            static_cast<unsigned>(params.get("cycles", 4.0));
-        for (unsigned c = 0; c < cycles; ++c) {
-            appendUs(*segs, at, 60.0, 1.0);  // full power
-            appendUs(*segs, at, 25.0, 0.35); // brownout: battery supplements
-            appendUs(*segs, at, 10.0, 0.0);  // outage
-        }
-        return true;
-    }
-    if (name == "square") {
-        if (!params.known({"cycles", "on_us", "off_us"}, err))
-            return false;
-        unsigned cycles =
-            static_cast<unsigned>(params.get("cycles", 5.0));
-        double on_us = params.get("on_us", 45.0);
-        double off_us = params.get("off_us", 35.0);
-        for (unsigned c = 0; c < cycles; ++c) {
-            appendUs(*segs, at, on_us, 1.0);
-            appendUs(*segs, at, off_us, 0.0);
-        }
-        return true;
-    }
-    if (name == "outages") {
-        if (!params.known({"seed", "cycles"}, err))
-            return false;
-        std::uint64_t seed =
-            static_cast<std::uint64_t>(params.get("seed", 1.0));
-        unsigned cycles =
-            static_cast<unsigned>(params.get("cycles", 5.0));
-        Rng rng(seed ^ 0x70ace5ull);
-        for (unsigned c = 0; c < cycles; ++c) {
-            double on_us = 30.0 + static_cast<double>(rng.below(61));
-            double level = 0.8 + 0.2 * rng.uniform();
-            appendUs(*segs, at, on_us, level);
-            if (rng.chance(0.25)) { // occasional brownout before the cut
-                appendUs(*segs, at,
-                         10.0 + static_cast<double>(rng.below(11)), 0.3);
-            }
-            appendUs(*segs, at,
-                     10.0 + static_cast<double>(rng.below(31)), 0.0);
-        }
-        return true;
+    for (const Preset &preset : kPresets) {
+        if (name == preset.name)
+            return params.known(preset.keys, err) &&
+                   preset.build(params, *segs, err);
     }
     *err = "unknown power-trace preset '" + name + "'";
     return false;
@@ -318,7 +372,10 @@ powerTraceError(const std::string &token)
 std::vector<std::string>
 powerTracePresetNames()
 {
-    return {"steady", "brownout", "square", "outages"};
+    std::vector<std::string> names;
+    for (const Preset &preset : kPresets)
+        names.push_back(preset.name);
+    return names;
 }
 
 } // namespace bbb

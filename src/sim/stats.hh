@@ -112,7 +112,6 @@ class StatHistogram
 
     std::uint64_t bucketCount(std::size_t i) const { return _counts.at(i); }
     std::size_t buckets() const { return _counts.size(); }
-    std::uint64_t bucketWidth() const { return _width; }
 
     void
     reset()

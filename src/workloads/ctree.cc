@@ -1,25 +1,49 @@
 #include "workloads/ctree.hh"
 
+#include "workloads/rank_index.hh"
+
 namespace bbb
 {
 
 namespace
 {
+
 constexpr unsigned kMaxDepth = 128;
 constexpr std::uint64_t kNodeBytes = 32;
+
+constexpr Addr kOffLeft = 16;
+constexpr Addr kOffRight = 24;
+
+/** Build and persist a new leaf for @p key, not yet linked. */
+Addr
+newLeaf(MemAccessor &m, PersistentHeap &heap, unsigned arena,
+        std::uint64_t key)
+{
+    Addr node = heap.alloc(arena, kNodeBytes, kNodeBytes);
+    m.st(node + 0, key);
+    m.st(node + 8, nodeChecksum(key));
+    m.st(node + kOffLeft, 0);
+    m.st(node + kOffRight, 0);
+    m.persistObject(node, kNodeBytes);
+    return node;
+}
+
+/** Point @p link at @p node: the insert's single publishing store. */
+void
+publish(MemAccessor &m, Addr link, Addr node)
+{
+    m.st(link, node);
+    m.wb(link);
+    m.barrier();
+}
+
 } // namespace
 
 void
 CtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
                       Addr root, std::uint64_t key)
 {
-    // Build and persist the new leaf first.
-    Addr node = heap.alloc(arena, kNodeBytes, kNodeBytes);
-    m.st(node + 0, key);
-    m.st(node + 8, nodeChecksum(key));
-    m.st(node + 16, 0);
-    m.st(node + 24, 0);
-    m.persistObject(node, kNodeBytes);
+    Addr node = newLeaf(m, heap, arena, key);
 
     // Find the link to update.
     Addr link = root;
@@ -27,15 +51,27 @@ CtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
     unsigned depth = 0;
     while (cur != 0) {
         std::uint64_t cur_key = m.ld(cur + 0);
-        link = (key < cur_key) ? cur + 16 : cur + 24;
+        link = (key < cur_key) ? cur + kOffLeft : cur + kOffRight;
         cur = m.ld(link);
         BBB_ASSERT(++depth < 4096, "ctree descend runaway");
     }
+    publish(m, link, node);
+}
 
-    // Publish.
-    m.st(link, node);
-    m.wb(link);
-    m.barrier();
+void
+CtreeWorkload::prebuild(MemAccessor &m, PersistentHeap &heap, unsigned arena,
+                        Addr root, const std::vector<std::uint64_t> &keys)
+{
+    RankIndex index(keys);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        Addr node = newLeaf(m, heap, arena, keys[i]);
+        RankIndex::Slot at = index.place(m, i, kOffRight);
+        publish(m,
+                at.parent == 0 ? root
+                               : at.parent + (at.right ? kOffRight : kOffLeft),
+                node);
+        index.placed(i, node);
+    }
 }
 
 void
@@ -45,8 +81,11 @@ CtreeWorkload::prepare(System &sys)
     forEachArena(sys, [&](MemAccessor &m, unsigned t) {
         Addr root = sys.heap().rootAddr(t);
         m.st(root, 0);
-        for (std::uint64_t i = 0; i < _p.initial_elements; ++i)
-            insert(m, sys.heap(), t, root, rng.next());
+        std::vector<std::uint64_t> keys = drawKeys(rng, _p.initial_elements);
+        if (!wordByWord())
+            return prebuild(m, sys.heap(), t, root, keys);
+        for (std::uint64_t key : keys)
+            insert(m, sys.heap(), t, root, key);
     });
 }
 
@@ -90,8 +129,8 @@ CtreeWorkload::walkSubtree(ImageWalk &w, const PmemImage &img, unsigned tid,
     }
     w.keep(node, kNodeBytes, 0);
     w.key(tid, key);
-    walkSubtree(w, img, tid, node + 16, depth + 1);
-    walkSubtree(w, img, tid, node + 24, depth + 1);
+    walkSubtree(w, img, tid, node + kOffLeft, depth + 1);
+    walkSubtree(w, img, tid, node + kOffRight, depth + 1);
 }
 
 } // namespace bbb

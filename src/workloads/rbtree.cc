@@ -1,5 +1,7 @@
 #include "workloads/rbtree.hh"
 
+#include "workloads/rank_index.hh"
+
 namespace bbb
 {
 
@@ -99,32 +101,28 @@ rotate(MemAccessor &m, Addr root_slot, Addr x, bool right)
     setParentColor(m, x, y, isRed(m, x));
 }
 
-} // namespace
-
-void
-RbtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
-                       Addr root_slot, std::uint64_t key)
+/** Build and persist a new (red) node for @p key, not yet linked. */
+Addr
+newNode(MemAccessor &m, PersistentHeap &heap, unsigned arena,
+        std::uint64_t key)
 {
-    // Build and persist the new (red) node before linking.
     Addr node = heap.alloc(arena, kNodeBytes, 8);
     m.st(node + kOffKey, key);
     m.st(node + kOffSum, nodeChecksum(key));
     m.st(node + kOffLeft, 0);
     m.st(node + kOffRight, 0);
-    m.st(node + kOffParent, kRed); // parent filled below
+    m.st(node + kOffParent, kRed); // parent filled in by link()
     m.persistObject(node, kNodeBytes);
+    return node;
+}
 
-    Addr root = m.ld(root_slot);
-    if (root == 0) {
-        setParentColor(m, node, 0, false); // root is black
-        m.st(root_slot, node);
-        m.wb(root_slot);
-        m.barrier();
-        return;
-    }
-
-    // Standard BST descent.
-    Addr parent = root;
+/** Standard BST descent: the slot where @p key's leaf hangs. */
+RankIndex::Slot
+descend(MemAccessor &m, Addr root_slot, std::uint64_t key)
+{
+    Addr parent = m.ld(root_slot);
+    if (parent == 0)
+        return {0, false};
     bool right = false;
     unsigned depth = 0;
     for (;;) {
@@ -132,12 +130,25 @@ RbtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
         right = key >= pkey;
         Addr next = childOf(m, parent, right);
         if (next == 0)
-            break;
+            return {parent, right};
         parent = next;
         BBB_ASSERT(++depth < 4096, "rbtree descend runaway");
     }
-    setParentColor(m, node, parent, true);
-    setChild(m, parent, right, node);
+}
+
+/** Link @p node into slot @p at, then rebalance. */
+void
+link(MemAccessor &m, Addr root_slot, Addr node, RankIndex::Slot at)
+{
+    if (at.parent == 0) {
+        setParentColor(m, node, 0, false); // root is black
+        m.st(root_slot, node);
+        m.wb(root_slot);
+        m.barrier();
+        return;
+    }
+    setParentColor(m, node, at.parent, true);
+    setChild(m, at.parent, at.right, node);
 
     // Red-black fixup (CLRS insert-fixup, iterative).
     Addr z = node;
@@ -182,6 +193,29 @@ RbtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
         setColor(m, new_root, false);
 }
 
+} // namespace
+
+void
+RbtreeWorkload::insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
+                       Addr root_slot, std::uint64_t key)
+{
+    Addr node = newNode(m, heap, arena, key);
+    link(m, root_slot, node, descend(m, root_slot, key));
+}
+
+void
+RbtreeWorkload::prebuild(MemAccessor &m, PersistentHeap &heap, unsigned arena,
+                         Addr root_slot,
+                         const std::vector<std::uint64_t> &keys)
+{
+    RankIndex index(keys);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        Addr node = newNode(m, heap, arena, keys[i]);
+        link(m, root_slot, node, index.place(m, i, kOffRight));
+        index.placed(i, node);
+    }
+}
+
 void
 RbtreeWorkload::prepare(System &sys)
 {
@@ -189,8 +223,11 @@ RbtreeWorkload::prepare(System &sys)
     forEachArena(sys, [&](MemAccessor &m, unsigned t) {
         Addr root_slot = sys.heap().rootAddr(t);
         m.st(root_slot, 0);
-        for (std::uint64_t i = 0; i < _p.initial_elements; ++i)
-            insert(m, sys.heap(), t, root_slot, rng.next());
+        std::vector<std::uint64_t> keys = drawKeys(rng, _p.initial_elements);
+        if (!wordByWord())
+            return prebuild(m, sys.heap(), t, root_slot, keys);
+        for (std::uint64_t key : keys)
+            insert(m, sys.heap(), t, root_slot, key);
     });
 }
 

@@ -47,6 +47,12 @@ class RbtreeWorkload : public Workload
     static void insert(MemAccessor &m, PersistentHeap &heap, unsigned arena,
                        Addr root_slot, std::uint64_t key);
 
+    /** insert() of each of @p keys in turn, into an empty tree, placing
+     *  each leaf through a rank index instead of a descent. */
+    static void prebuild(MemAccessor &m, PersistentHeap &heap, unsigned arena,
+                         Addr root_slot,
+                         const std::vector<std::uint64_t> &keys);
+
   private:
     void walkSubtree(ImageWalk &w, const PmemImage &img, unsigned tid,
                      Addr link, Addr parent, unsigned depth,

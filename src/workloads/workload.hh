@@ -297,6 +297,9 @@ class Workload
         _issued.at(tid).push_back(key);
     }
 
+    /** Whether this prepare() runs under installWordByWord(). */
+    bool wordByWord() const { return _word_by_word; }
+
     /** Ops performed across all lives so far: sizes cycle guards so a
      *  resumed structure's legitimate growth never reads as corruption. */
     std::uint64_t lifeOps() const { return _life_ops; }

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "api/system.hh"
 #include "energy/energy_model.hh"
 #include "fault/fault_injector.hh"
@@ -78,6 +81,42 @@ TEST(FaultPlan, RoundTripsThroughToString)
     }
     EXPECT_EQ(FaultPlan{}.toString(), "none");
     EXPECT_TRUE(FaultPlan::parse("drained-battery").enabled());
+}
+
+TEST(FaultPlan, IntegerKeysParseStrictly)
+{
+    // media_retries, recrash_blocks and fault_seed take plain decimal
+    // digits that fit the field: a sign, a fraction, an exponent or an
+    // out-of-range value is a malformed pair, not a plan.
+    const std::string u32 = "an unsigned integer up to 4294967295";
+    const std::string u64 = "an unsigned integer up to 18446744073709551615";
+    for (const auto &[token, want] :
+         {std::pair{"media_retries=-1", u32},
+          {"media_retries=1e30", u32},
+          {"media_retries=2.5", u32},
+          {"media_retries=4294967296", u32},
+          {"recrash_blocks=-5", u64},
+          {"recrash_blocks=+5", u64},
+          {"fault_seed=18446744073709551616", u64},
+          {"fault_seed=0x10", u64}}) {
+        EXPECT_EQ(faultPlanError(token),
+                  "fault-plan value '" + std::string(token) + "' is not " +
+                      want);
+    }
+    EXPECT_EXIT(FaultPlan::parse("battery_j=1e-6,recrash_blocks=-5"),
+                ::testing::ExitedWithCode(2),
+                "error: fault-plan value 'recrash_blocks=-5' is not an "
+                "unsigned integer");
+
+    // Every 64-bit seed survives toString() and back, past 2^53 too.
+    FaultPlan seeded;
+    seeded.fault_seed = 18446744073709551615ull;
+    seeded.media_retries = 4294967295u;
+    seeded.recrash_after_blocks = (1ull << 53) + 1;
+    EXPECT_EQ(seeded.toString(),
+              "media_retries=4294967295,recrash_blocks=9007199254740993,"
+              "fault_seed=18446744073709551615");
+    EXPECT_EQ(FaultPlan::parse(seeded.toString()), seeded);
 }
 
 TEST(FaultPlan, OutageTimingKeysAreNotPlanKeys)

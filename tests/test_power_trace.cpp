@@ -127,6 +127,28 @@ TEST(PowerTrace, RejectsUnknownPresetsAndParameters)
               std::string::npos);
 }
 
+TEST(PowerTrace, IntegerParametersParseStrictly)
+{
+    // cycles and seed take plain decimal digits that fit: every token
+    // here is rejected before a segment is built.
+    for (const char *token :
+         {"brownout:cycles=-1", "square:cycles=2.5", "square:cycles=1e3",
+          "brownout:cycles=4294967296", "outages:seed=-3",
+          "outages:seed=18446744073709551616", "outages:cycles=+2"}) {
+        std::string err = rejects(token);
+        std::string pair = std::string(token).substr(
+            std::string(token).find(':') + 1);
+        EXPECT_EQ(err.find("malformed trace parameter '" + pair + "'"), 0u)
+            << err;
+        EXPECT_NE(err.find("(want an unsigned integer up to "),
+                  std::string::npos)
+            << err;
+    }
+    EXPECT_EQ(PowerTrace::parse("outages:seed=18446744073709551615:cycles=2")
+                  .token(),
+              "outages:seed=18446744073709551615:cycles=2");
+}
+
 TEST(PowerTrace, FuzzedTokensNeverCrashAndErrorsAreFilled)
 {
     // Random garbage from the token alphabet: every outcome must be a
