@@ -36,10 +36,10 @@ namespace bbb
 /**
  * Each key's rank in the order of (key, position), a total order in
  * which equal keys keep their draw order. One counting pass on the
- * keys' top bits sorts them into about as many buckets as keys, so
- * random keys land about one to a bucket and an insertion sort finishes
- * the order in about one more pass. Keys that crowd one bucket (repeats,
- * say) take std::sort instead.
+ * keys' top bits sorts them into about as many buckets as keys, and an
+ * insertion sort finishes the order. Its cost grows with the square of
+ * a bucket's size, so it is linear for keys spread over the whole
+ * 64-bit range, as rng.next() draws are: about one key a bucket.
  */
 inline std::vector<std::uint32_t>
 rankKeys(const std::vector<std::uint64_t> &keys)
@@ -59,25 +59,20 @@ rankKeys(const std::vector<std::uint64_t> &keys)
     BBB_ASSERT(n < ~std::uint32_t{0}, "too many keys to rank: %zu", n);
     const int bits = std::max<int>(1, std::bit_width(n));
     std::vector<std::uint32_t> start((std::size_t{1} << bits) + 1);
-    std::uint32_t crowd = 0;
     for (std::uint64_t k : keys)
-        crowd = std::max(crowd, ++start[(k >> (64 - bits)) + 1]);
+        ++start[(k >> (64 - bits)) + 1];
     for (std::size_t b = 1; b < start.size(); ++b)
         start[b] += start[b - 1];
     std::vector<Item> order(n);
     for (std::size_t i = 0; i < n; ++i)
         order[start[keys[i] >> (64 - bits)]++] = {
             keys[i], static_cast<std::uint32_t>(i)};
-    if (crowd > 32) {
-        std::sort(order.begin(), order.end());
-    } else {
-        for (std::size_t i = 1; i < n; ++i) {
-            Item it = order[i];
-            std::size_t j = i;
-            for (; j > 0 && it < order[j - 1]; --j)
-                order[j] = order[j - 1];
-            order[j] = it;
-        }
+    for (std::size_t i = 1; i < n; ++i) {
+        Item it = order[i];
+        std::size_t j = i;
+        for (; j > 0 && it < order[j - 1]; --j)
+            order[j] = order[j - 1];
+        order[j] = it;
     }
     std::vector<std::uint32_t> rank(n);
     for (std::size_t r = 0; r < n; ++r)
@@ -86,44 +81,33 @@ rankKeys(const std::vector<std::uint64_t> &keys)
 }
 
 /**
- * A set of ranks in [0, n) with previous- and next-member queries: one
- * bit per rank, plus one summary bit per non-empty 64-rank word, so a
- * query scans at most n / 4096 summary words.
+ * A set of ranks in [0, n) with previous- and next-member queries, one
+ * bit per rank. A query scans word by word to the nearest member. With
+ * ranks inserted in random order, as the prebuild's random keys are,
+ * the gap to a neighbour averages n / i ranks at the i-th insert, so
+ * all n inserts scan about (n / 64) ln n words in total.
  */
 class RankSet
 {
   public:
     static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-    explicit RankSet(std::uint32_t n)
-        : _words((n + 63) / 64), _summary((_words.size() + 63) / 64)
-    {
-    }
+    explicit RankSet(std::uint32_t n) : _words((n + 63) / 64) {}
 
-    void
-    insert(std::uint32_t r)
-    {
-        _words[r / 64] |= bit(r % 64);
-        _summary[r / 64 / 64] |= bit(r / 64 % 64);
-    }
+    void insert(std::uint32_t r) { _words[r / 64] |= bit(r % 64); }
 
     /** The largest member below @p r, or kNone. */
     std::uint32_t
     prev(std::uint32_t r) const
     {
         std::size_t w = r / 64;
-        if (std::uint64_t below = _words[w] & lowMask(r % 64))
-            return highest(w, below);
-        // The last non-empty word before w, through the summary.
-        std::size_t s = w / 64;
-        std::uint64_t sum = _summary[s] & lowMask(w % 64);
-        while (sum == 0) {
-            if (s == 0)
+        std::uint64_t word = _words[w] & lowMask(r % 64);
+        while (word == 0) {
+            if (w == 0)
                 return kNone;
-            sum = _summary[--s];
+            word = _words[--w];
         }
-        std::size_t pw = highest(s, sum);
-        return highest(pw, _words[pw]);
+        return highest(w, word);
     }
 
     /** The smallest member above @p r, or kNone. */
@@ -131,18 +115,13 @@ class RankSet
     next(std::uint32_t r) const
     {
         std::size_t w = r / 64;
-        if (std::uint64_t above = _words[w] & highMask(r % 64))
-            return lowest(w, above);
-        // The first non-empty word after w, through the summary.
-        std::size_t s = w / 64;
-        std::uint64_t sum = _summary[s] & highMask(w % 64);
-        while (sum == 0) {
-            if (++s == _summary.size())
+        std::uint64_t word = _words[w] & highMask(r % 64);
+        while (word == 0) {
+            if (++w == _words.size())
                 return kNone;
-            sum = _summary[s];
+            word = _words[w];
         }
-        std::size_t nw = lowest(s, sum);
-        return lowest(nw, _words[nw]);
+        return lowest(w, word);
     }
 
   private:
@@ -160,8 +139,8 @@ class RankSet
         return ~std::uint64_t{1} << i;
     }
 
-    /** The index of the highest (lowest) set bit of @p word, the
-     *  @p w-th word of its level. */
+    /** The rank of the highest (lowest) set bit of @p word, the
+     *  @p w-th word. */
     static std::uint32_t
     highest(std::size_t w, std::uint64_t word)
     {
@@ -175,7 +154,6 @@ class RankSet
     }
 
     std::vector<std::uint64_t> _words;
-    std::vector<std::uint64_t> _summary;
 };
 
 /** @p n keys drawn from @p rng, one next() each: a prebuild's inserts. */

@@ -91,9 +91,9 @@ expectIndexedBuildMatchesWalk(const std::vector<std::uint64_t> &keys,
 
 TEST(RankKeys, MatchesAStableSort)
 {
-    // Random keys (an insertion sort after the bucket pass), keys full of
-    // duplicates, and keys that differ only in their top byte (both of
-    // which crowd a few buckets and take std::sort).
+    // Random keys (about one a bucket after the bucket pass), and keys
+    // full of duplicates or differing only in their top byte, which
+    // crowd a few buckets and leave the insertion sort most of the work.
     Rng rng(0x4a9c);
     std::vector<std::uint64_t> random(3000), dups(3000), top(3000);
     for (std::size_t i = 0; i < random.size(); ++i) {
@@ -147,7 +147,8 @@ TEST(RankSet, NeighboursAcrossWordEdges)
 
 TEST(RankSet, MatchesAnOrderedSet)
 {
-    // Past 4096 ranks, so the queries cross summary words too.
+    // 600 members among 12,365 ranks: most words are empty, so the
+    // queries scan across runs of empty words.
     const std::uint32_t n = 3 * 4096 + 77;
     RankSet set(n);
     std::set<std::uint32_t> ref;
