@@ -87,6 +87,35 @@ geomean(const std::vector<double> &v)
     return std::exp(log_sum / static_cast<double>(v.size()));
 }
 
+/** Last thread's finish tick. */
+std::uint64_t
+execTicks(const ExperimentResult &r)
+{
+    return r.metrics.count("system.exec_ticks");
+}
+
+/** NVMM media block writes, each flush counted once. */
+std::uint64_t
+nvmmWrites(const ExperimentResult &r)
+{
+    return r.metrics.count("system.nvmm_writes_effective");
+}
+
+/** Persisting stores rejected by a full bbPB (counted once each). */
+std::uint64_t
+rejections(const ExperimentResult &r)
+{
+    return coreSum(r.metrics, "sb", "persist_rejections");
+}
+
+/** bbPB entries drained, by the drain policy or by eviction pressure. */
+std::uint64_t
+drained(const ExperimentResult &r)
+{
+    return bbpbCount(r.metrics, "drains") +
+           bbpbCount(r.metrics, "forced_drains");
+}
+
 /**
  * Append every result to @p rep as a `workload/mode/bbpbN` experiment,
  * labelled in grid submission order.
@@ -170,10 +199,10 @@ fig7View(bool fast, Results results, BenchReport &rep)
         const ExperimentResult &bbb32 = results[w * 3 + 1];
         const ExperimentResult &bbb1024 = results[w * 3 + 2];
 
-        double t32 = double(bbb32.exec_ticks) / eadr.exec_ticks;
-        double t1024 = double(bbb1024.exec_ticks) / eadr.exec_ticks;
-        double w32 = double(bbb32.nvmm_writes) / eadr.nvmm_writes;
-        double w1024 = double(bbb1024.nvmm_writes) / eadr.nvmm_writes;
+        double t32 = double(execTicks(bbb32)) / execTicks(eadr);
+        double t1024 = double(execTicks(bbb1024)) / execTicks(eadr);
+        double w32 = double(nvmmWrites(bbb32)) / nvmmWrites(eadr);
+        double w1024 = double(nvmmWrites(bbb1024)) / nvmmWrites(eadr);
         time32.push_back(t32);
         time1024.push_back(t1024);
         writes32.push_back(w32);
@@ -260,12 +289,11 @@ fig8View(bool fast, Results results, BenchReport &rep)
             const ExperimentResult &r = results[si * workloads.size() + w];
             const ExperimentResult &b = results[w]; // 1-entry reference
             // +1 smoothing keeps ratios defined when counts reach zero.
-            rej[s].push_back(double(r.bbpb_rejections + 1) /
-                             double(b.bbpb_rejections + 1));
-            exec[s].push_back(double(r.exec_ticks) / double(b.exec_ticks));
-            std::uint64_t rd = r.bbpb_drains + r.bbpb_forced_drains;
-            std::uint64_t bd = b.bbpb_drains + b.bbpb_forced_drains;
-            drains[s].push_back(double(rd + 1) / double(bd + 1));
+            rej[s].push_back(double(rejections(r) + 1) /
+                             double(rejections(b) + 1));
+            exec[s].push_back(double(execTicks(r)) / double(execTicks(b)));
+            drains[s].push_back(double(drained(r) + 1) /
+                                double(drained(b) + 1));
         }
     }
 
@@ -324,11 +352,11 @@ pmemStrictView(bool fast, Results results, BenchReport &rep)
         const ExperimentResult &pe = results[w * 5 + 3];
         const ExperimentResult &ps = results[w * 5 + 4];
 
-        double base = double(eadr.exec_ticks);
-        double tu = unsafe.exec_ticks / base;
-        double tb = b32.exec_ticks / base;
-        double te = pe.exec_ticks / base;
-        double ts = ps.exec_ticks / base;
+        double base = double(execTicks(eadr));
+        double tu = execTicks(unsafe) / base;
+        double tb = execTicks(b32) / base;
+        double te = execTicks(pe) / base;
+        double ts = execTicks(ps) / base;
         bbb.push_back(tb);
         epoch.push_back(te);
         strict.push_back(ts);
@@ -394,12 +422,9 @@ procsideView(bool fast, Results results, BenchReport &rep)
         const ExperimentResult &mem = results[w * 3 + 1];
         const ExperimentResult &proc = results[w * 3 + 2];
 
-        double base = double(eadr.nvmm_writes);
-        auto drained = [](const ExperimentResult &r) {
-            return double(r.bbpb_drains + r.bbpb_forced_drains);
-        };
-        double mm = mem.nvmm_writes / base;
-        double pm = proc.nvmm_writes / base;
+        double base = double(nvmmWrites(eadr));
+        double mm = nvmmWrites(mem) / base;
+        double pm = nvmmWrites(proc) / base;
         double md = drained(mem) / base;
         double pd = drained(proc) / base;
         mem_media.push_back(mm);
@@ -408,7 +433,7 @@ procsideView(bool fast, Results results, BenchReport &rep)
         proc_drain.push_back(std::max(pd, 1e-3));
         std::printf("%-10s | %12.3f %12.3f | %12.3f %12.3f | %10llu\n",
                     name.c_str(), mm, pm, md, pd,
-                    (unsigned long long)proc.bbpb_rejections);
+                    (unsigned long long)rejections(proc));
         rep.measured().setReal("media_writes_x.memside." + name, mm);
         rep.measured().setReal("media_writes_x.procside." + name, pm);
         rep.measured().setReal("drain_writes_x.memside." + name, md);
@@ -479,8 +504,8 @@ drainPolicyView(bool fast, Results results, BenchReport &rep)
         double writes[3], times[3];
         for (std::size_t i = 0; i < 3; ++i) {
             const ExperimentResult &r = results[w * 3 + i];
-            writes[i] = static_cast<double>(r.nvmm_writes);
-            times[i] = static_cast<double>(r.exec_ticks);
+            writes[i] = static_cast<double>(nvmmWrites(r));
+            times[i] = static_cast<double>(execTicks(r));
             rep.addExperiment(std::string(workload) + "/" +
                                   drainPolicyName(kPolicies[i]),
                               r.metrics);
@@ -540,19 +565,19 @@ thresholdSweep(const ExperimentResult *results, BenchReport &rep)
                 "nvmm writes", "rejections", "coalesces");
     for (std::size_t i = 0; i < std::size(kThresholds); ++i) {
         const ExperimentResult &r = results[i];
+        double exec_us = ticksToNs(execTicks(r)) / 1000.0;
         std::printf("%9.0f%% %14.1f %14llu %14llu %14llu\n",
-                    kThresholds[i] * 100, ticksToNs(r.exec_ticks) / 1000.0,
-                    (unsigned long long)r.nvmm_writes,
-                    (unsigned long long)r.bbpb_rejections,
-                    (unsigned long long)r.bbpb_coalesces);
+                    kThresholds[i] * 100, exec_us,
+                    (unsigned long long)nvmmWrites(r),
+                    (unsigned long long)rejections(r),
+                    (unsigned long long)bbpbCount(r.metrics, "coalesces"));
         std::string pct =
             "pct" + std::to_string(static_cast<int>(kThresholds[i] * 100));
-        rep.measured().setReal("threshold." + pct + ".exec_us",
-                               ticksToNs(r.exec_ticks) / 1000.0);
+        rep.measured().setReal("threshold." + pct + ".exec_us", exec_us);
         rep.measured().setCount("threshold." + pct + ".nvmm_writes",
-                                r.nvmm_writes);
+                                nvmmWrites(r));
         rep.measured().setCount("threshold." + pct + ".rejections",
-                                r.bbpb_rejections);
+                                rejections(r));
         rep.addExperiment("threshold/" + pct, r.metrics);
     }
 }
@@ -570,16 +595,16 @@ writebackSkip(const ExperimentResult *results, BenchReport &rep)
                 "skipped writebacks", "writes without skip");
     for (std::size_t i = 0; i < std::size(kSkipWorkloads); ++i) {
         const ExperimentResult &r = results[i];
+        std::uint64_t writes = nvmmWrites(r);
+        std::uint64_t skipped =
+            r.metrics.count("hierarchy.skipped_writebacks");
         std::printf("%-10s %16llu %20llu %22llu\n", kSkipWorkloads[i],
-                    (unsigned long long)r.nvmm_writes,
-                    (unsigned long long)r.skipped_writebacks,
-                    (unsigned long long)(r.nvmm_writes +
-                                         r.skipped_writebacks));
+                    (unsigned long long)writes, (unsigned long long)skipped,
+                    (unsigned long long)(writes + skipped));
         std::string key = std::string("writeback_skip.") +
                           kSkipWorkloads[i];
-        rep.measured().setCount(key + ".nvmm_writes", r.nvmm_writes);
-        rep.measured().setCount(key + ".skipped_writebacks",
-                                r.skipped_writebacks);
+        rep.measured().setCount(key + ".nvmm_writes", writes);
+        rep.measured().setCount(key + ".skipped_writebacks", skipped);
         rep.addExperiment(std::string("writeback_skip/") + kSkipWorkloads[i],
                           r.metrics);
     }
@@ -596,14 +621,15 @@ reuseLadder(const ExperimentResult *results, BenchReport &rep)
                 "exec (x eADR)");
     for (std::size_t i = 0; i < std::size(kLadderSizes); ++i) {
         const ExperimentResult &r = results[1 + i];
-        std::printf("%10u %16.3f %14.3f\n", kLadderSizes[i],
-                    double(r.nvmm_writes) / eadr.nvmm_writes,
-                    double(r.exec_ticks) / eadr.exec_ticks);
+        double writes_x = double(nvmmWrites(r)) / nvmmWrites(eadr);
+        double exec_x = double(execTicks(r)) / execTicks(eadr);
+        std::printf("%10u %16.3f %14.3f\n", kLadderSizes[i], writes_x,
+                    exec_x);
         std::string bbpb = "bbpb" + std::to_string(kLadderSizes[i]);
         rep.measured().setReal("reuse_ladder." + bbpb + ".nvmm_writes_x",
-                               double(r.nvmm_writes) / eadr.nvmm_writes);
+                               writes_x);
         rep.measured().setReal("reuse_ladder." + bbpb + ".exec_time_x",
-                               double(r.exec_ticks) / eadr.exec_ticks);
+                               exec_x);
         rep.addExperiment("reuse_ladder/" + bbpb, r.metrics);
     }
     std::printf("(interior-node rectangles reuse at geometric distances; "

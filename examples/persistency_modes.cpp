@@ -82,15 +82,16 @@ main(int argc, char **argv)
     double eadr_time = 0;
     for (std::size_t i = 0; i < std::size(points); ++i) {
         const ModePoint &pt = points[i];
-        const ExperimentResult &r = results[i];
-        double us = ticksToNs(r.exec_ticks) / 1000.0;
+        const MetricSnapshot &m = results[i].metrics;
+        double us = ticksToNs(m.count("system.exec_ticks")) / 1000.0;
         if (pt.mode == PersistMode::Eadr)
             eadr_time = us;
-        std::printf("%-30s %14.1f %12llu %11llu %11llu %11.1f\n", pt.label,
-                    us, (unsigned long long)r.nvmm_writes,
-                    (unsigned long long)r.bbpb_rejections,
-                    (unsigned long long)r.bbpb_coalesces,
-                    r.stall_ticks / 1000.0 / 1000.0);
+        std::printf(
+            "%-30s %14.1f %12llu %11llu %11llu %11.1f\n", pt.label, us,
+            (unsigned long long)m.count("system.nvmm_writes_effective"),
+            (unsigned long long)coreSum(m, "sb", "persist_rejections"),
+            (unsigned long long)bbpbCount(m, "coalesces"),
+            coreSum(m, "core", "stall_ticks") / 1000.0 / 1000.0);
     }
 
     if (eadr_time > 0)

@@ -3,8 +3,8 @@
  * Example: a general-purpose experiment driver over the public API.
  *
  * Runs any registered workload under any persistency mode with arbitrary
- * bbPB sizing and prints the full metric set plus (optionally) the raw
- * statistics dump — the command-line face of the library.
+ * bbPB sizing and prints its headline figures (`--json PATH` writes
+ * every leaf of the metric tree) — the command-line face of the library.
  *
  * Usage: see the usage text in main(); it lists every mode, drain
  * policy, media kind and workload name. An unknown name exits 2 naming
@@ -13,12 +13,11 @@
  * With a single workload the full report (stats, crash drain, recovery)
  * is printed. With a comma-separated list or `all` (every registered
  * workload), the grid is submitted to the parallel experiment pool
- * (`--jobs N`, default 0 = hardware concurrency) and one CSV row is
- * printed per point. Bad usage exits 2 (src/api/cli.hh).
+ * (`--jobs N`, default 0 = hardware concurrency) and one fixed-width row
+ * is printed per point. Bad usage exits 2 (src/api/cli.hh).
  */
 
 #include <cstdio>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,7 @@ main(int argc, char **argv)
         "[--mode MODE]\n"
         "          [--entries N] [--ops N] [--initial N]\n"
         "          [--threshold F] [--policy POLICY] [--media MEDIA]\n"
-        "          [--endurance N] [--jobs N] [--stats] [--json PATH]\n"
+        "          [--endurance N] [--jobs N] [--json PATH]\n"
         "modes: " +
         joinList(nameValues<PersistMode>(), persistModeName, " ") +
         "\npolicies: " +
@@ -47,7 +46,6 @@ main(int argc, char **argv)
 
     std::vector<std::string> sweep = {"hashmap"};
     std::string json_path;
-    bool dump_stats = false;
     unsigned jobs = 0;
     SystemConfig cfg = benchConfig(PersistMode::BbbMemSide, 32);
     WorkloadParams params = benchParams();
@@ -81,8 +79,6 @@ main(int argc, char **argv)
             cfg.media.kind = args.enumValue<MediaKind>();
         } else if (args.is("--endurance")) {
             cfg.media.endurance_cycles = args.unsignedValue();
-        } else if (args.is("--stats")) {
-            dump_stats = true;
         } else if (args.is("--json")) {
             json_path = args.value();
         } else {
@@ -91,16 +87,35 @@ main(int argc, char **argv)
     }
 
     // Multi-workload sweeps go through the parallel pool as one grid and
-    // print CSV; the rich single-run report needs direct System access.
+    // print a row per point; the rich single-run report needs direct
+    // System access.
     if (sweep.size() > 1) {
         std::vector<ExperimentSpec> specs;
         for (const std::string &name : sweep)
             specs.push_back({cfg, name, params});
         std::vector<ExperimentResult> results =
             runExperiments(specs, jobs);
-        std::printf("%s\n", ExperimentResult::csvHeader().c_str());
-        for (const ExperimentResult &r : results)
-            std::printf("%s\n", r.toCsv().c_str());
+        std::printf("mode %s, %u bbPB entries\n", persistModeName(cfg.mode),
+                    cfg.bbpb.entries);
+        std::printf("%-14s %12s %12s %11s %11s %11s %9s\n", "workload",
+                    "exec(us)", "nvmm_writes", "rejections", "drains",
+                    "coalesces", "%P-store");
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            const MetricSnapshot &m = results[i].metrics;
+            std::uint64_t stores = m.count("hierarchy.stores");
+            std::printf(
+                "%-14s %12.1f %12llu %11llu %11llu %11llu %8.1f%%\n",
+                sweep[i].c_str(),
+                ticksToNs(m.count("system.exec_ticks")) / 1000.0,
+                (unsigned long long)m.count("system.nvmm_writes_effective"),
+                (unsigned long long)coreSum(m, "sb", "persist_rejections"),
+                (unsigned long long)(bbpbCount(m, "drains") +
+                                     bbpbCount(m, "forced_drains")),
+                (unsigned long long)bbpbCount(m, "coalesces"),
+                stores ? 100.0 * m.count("hierarchy.persisting_stores") /
+                             stores
+                       : 0.0);
+        }
         if (!json_path.empty()) {
             BenchReport report("run_experiment");
             report.setConfig("mode", persistModeName(cfg.mode));
@@ -122,6 +137,7 @@ main(int argc, char **argv)
     auto wl = makeWorkload(workload, params);
     wl->install(sys);
     sys.run();
+    const MetricSnapshot run = sys.snapshotMetrics();
 
     std::printf("workload            %s\n", workload.c_str());
     std::printf("mode                %s\n", persistModeName(cfg.mode));
@@ -133,29 +149,20 @@ main(int argc, char **argv)
                     "%u): %llu programs, %llu migrations, %llu retired\n",
                     (unsigned long long)cfg.media.endurance_cycles,
                     cfg.media.wear_delta,
-                    (unsigned long long)sys.stats().lookup("media",
-                                                           "programs"),
-                    (unsigned long long)sys.stats().lookup("media",
-                                                           "migrations"),
-                    (unsigned long long)sys.stats().lookup(
-                        "media", "retired_frames"));
+                    (unsigned long long)run.count("media.programs"),
+                    (unsigned long long)run.count("media.migrations"),
+                    (unsigned long long)run.count("media.retired_frames"));
     std::printf("execution time      %.1f us\n",
-                ticksToNs(sys.executionTime()) / 1000.0);
+                ticksToNs(run.count("system.exec_ticks")) / 1000.0);
     std::printf("nvmm writes         %llu (flush-fair)\n",
-                (unsigned long long)sys.effectiveNvmmWrites());
+                (unsigned long long)run.count("system.nvmm_writes_effective"));
     std::printf("persisting stores   %llu of %llu stores\n",
-                (unsigned long long)sys.stats().lookup(
-                    "hierarchy", "persisting_stores"),
-                (unsigned long long)sys.stats().lookup("hierarchy",
-                                                       "stores"));
-    const char *bbpb_group =
-        cfg.mode == PersistMode::BbbProcSide ? "bbpb_proc" : "bbpb";
+                (unsigned long long)run.count("hierarchy.persisting_stores"),
+                (unsigned long long)run.count("hierarchy.stores"));
     std::printf("bbpb drains         %llu (+%llu forced, %llu coalesces)\n",
-                (unsigned long long)sys.stats().lookup(bbpb_group, "drains"),
-                (unsigned long long)sys.stats().lookup(bbpb_group,
-                                                       "forced_drains"),
-                (unsigned long long)sys.stats().lookup(bbpb_group,
-                                                       "coalesces"));
+                (unsigned long long)bbpbCount(run, "drains"),
+                (unsigned long long)bbpbCount(run, "forced_drains"),
+                (unsigned long long)bbpbCount(run, "coalesces"));
 
     // End-of-run crash: what would the battery have to drain right now?
     CrashReport rep = sys.crashNow();
@@ -172,10 +179,6 @@ main(int argc, char **argv)
                 (unsigned long long)res.dangling,
                 res.consistent() ? "CONSISTENT" : "CORRUPT");
 
-    if (dump_stats) {
-        std::printf("\n");
-        sys.stats().dumpAll(std::cout);
-    }
     if (!json_path.empty()) {
         BenchReport report("run_experiment");
         report.setConfig("workload", workload);

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "sim/names.hh"
+#include "sim/parse.hh"
 
 namespace bbb
 {
@@ -53,18 +54,8 @@ inline std::uint64_t
 unsignedArg(const char *flag, const std::string &text,
             std::uint64_t min = 0, std::uint64_t max = UINT64_MAX)
 {
-    // Plain decimal digits only: no sign, space or suffix.
-    bool ok = !text.empty();
     std::uint64_t v = 0;
-    for (char c : text) {
-        unsigned d = static_cast<unsigned>(c - '0');
-        if (d > 9 || d > max || v > (max - d) / 10) {
-            ok = false;
-            break;
-        }
-        v = v * 10 + d;
-    }
-    if (ok && v >= min)
+    if (parseUnsigned(text, &v) && v >= min && v <= max)
         return v;
     std::string range;
     if (max != UINT64_MAX)

@@ -6,13 +6,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
 #include "api/system.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace bbb
 {
@@ -49,28 +50,6 @@ benchParams()
     return p;
 }
 
-std::string
-ExperimentResult::csvHeader()
-{
-    return "workload,mode,bbpb_entries,exec_ns,nvmm_writes,"
-           "bbpb_rejections,bbpb_drains,bbpb_forced_drains,"
-           "bbpb_coalesces,bbpb_migrations,skipped_writebacks,stores,"
-           "persisting_stores,stall_ns";
-}
-
-std::string
-ExperimentResult::toCsv() const
-{
-    std::ostringstream os;
-    os << workload << ',' << persistModeName(mode) << ',' << bbpb_entries
-       << ',' << ticksToNs(exec_ticks) << ',' << nvmm_writes << ','
-       << bbpb_rejections << ',' << bbpb_drains << ','
-       << bbpb_forced_drains << ',' << bbpb_coalesces << ','
-       << bbpb_migrations << ',' << skipped_writebacks << ',' << stores
-       << ',' << persisting_stores << ',' << ticksToNs(stall_ticks);
-    return os.str();
-}
-
 ExperimentResult
 runExperiment(const SystemConfig &cfg, const std::string &workload,
               const WorkloadParams &params, bool crash_at_end)
@@ -84,26 +63,6 @@ runExperiment(const SystemConfig &cfg, const std::string &workload,
     r.workload = workload;
     r.mode = cfg.mode;
     r.bbpb_entries = cfg.bbpb.entries;
-    r.exec_ticks = sys.executionTime();
-    r.nvmm_writes = sys.effectiveNvmmWrites();
-
-    const std::string bbpb_group =
-        cfg.mode == PersistMode::BbbProcSide ? "bbpb_proc" : "bbpb";
-    auto &stats = sys.stats();
-    r.bbpb_drains = stats.lookup(bbpb_group, "drains");
-    r.bbpb_forced_drains = stats.lookup(bbpb_group, "forced_drains");
-    r.bbpb_coalesces = stats.lookup(bbpb_group, "coalesces");
-    r.bbpb_migrations = stats.lookup(bbpb_group, "migrations");
-    r.skipped_writebacks = stats.lookup("hierarchy", "skipped_writebacks");
-    r.stores = stats.lookup("hierarchy", "stores");
-    r.persisting_stores = stats.lookup("hierarchy", "persisting_stores");
-
-    for (CoreId c = 0; c < cfg.num_cores; ++c) {
-        r.bbpb_rejections +=
-            stats.lookup("sb" + std::to_string(c), "persist_rejections");
-        r.stall_ticks +=
-            stats.lookup("core" + std::to_string(c), "stall_ticks");
-    }
     if (crash_at_end) {
         // Full power failure at quiescence; the FTL "mount" then
         // flattens its remap table into the logical image.
@@ -113,6 +72,26 @@ runExperiment(const SystemConfig &cfg, const std::string &workload,
     }
     r.metrics = sys.snapshotMetrics();
     return r;
+}
+
+std::uint64_t
+bbpbCount(const MetricSnapshot &m, const std::string &stat)
+{
+    const std::string proc = "bbpb_proc." + stat;
+    return m.find(proc) ? m.count(proc) : m.count("bbpb." + stat);
+}
+
+std::uint64_t
+coreSum(const MetricSnapshot &m, const std::string &group,
+        const std::string &stat)
+{
+    std::uint64_t sum = 0;
+    for (unsigned c = 0;; ++c) {
+        const MetricValue *v = m.find(group + std::to_string(c) + "." + stat);
+        if (!v)
+            return sum;
+        sum += v->count;
+    }
 }
 
 unsigned
@@ -130,12 +109,12 @@ jobTimeoutSeconds()
     const char *env = std::getenv("BBB_JOB_TIMEOUT_S");
     if (!env || !*env)
         return 0;
-    char *end = nullptr;
-    long s = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || s < 0)
+    unsigned long s = 0;
+    if (!parseUnsigned(env, &s) ||
+        s > static_cast<unsigned long>(std::numeric_limits<long>::max()))
         fatal("BBB_JOB_TIMEOUT_S ('%s') is not a whole number of seconds",
               env);
-    return s;
+    return static_cast<long>(s);
 }
 
 namespace

@@ -23,57 +23,40 @@
 namespace bbb
 {
 
-/** Metrics from one simulated run. */
+/** One simulated run: its metric tree and its recovery verdict. */
 struct ExperimentResult
 {
+    /** The point's identity, for labels. */
     std::string workload;
     PersistMode mode{};
     unsigned bbpb_entries = 0;
 
-    /** Last thread's finish tick. */
-    Tick exec_ticks = 0;
-    /** NVMM media block writes. */
-    std::uint64_t nvmm_writes = 0;
-    /** Persisting stores rejected by a full bbPB (counted once each). */
-    std::uint64_t bbpb_rejections = 0;
-    /** bbPB entries drained by the drain policy. */
-    std::uint64_t bbpb_drains = 0;
-    /** bbPB entries drained by eviction pressure. */
-    std::uint64_t bbpb_forced_drains = 0;
-    /** Stores coalesced into live bbPB entries. */
-    std::uint64_t bbpb_coalesces = 0;
-    /** bbPB entries dropped because their block migrated cores. */
-    std::uint64_t bbpb_migrations = 0;
-    /** LLC writebacks skipped by the Section III-E optimisation. */
-    std::uint64_t skipped_writebacks = 0;
-    /** All stores / persisting stores (Table IV's %P-stores). */
-    std::uint64_t stores = 0;
-    std::uint64_t persisting_stores = 0;
-    /** Core ticks spent stalled on the store buffer. */
-    std::uint64_t stall_ticks = 0;
-    /** Recovery check verdict of a crash_at_end run (else false). */
-    bool recovery_consistent = false;
-
     /**
      * The run's full metric tree (System::snapshotMetrics): every
-     * registry stat plus the derived `system.*` values. The loose fields
-     * above are views into it kept for ergonomic table printing.
+     * registry stat plus the derived `system.*` values. Every figure of
+     * the run is read from here, e.g. `system.exec_ticks`,
+     * `system.nvmm_writes_effective` and `hierarchy.persisting_stores`;
+     * bbpbCount() and coreSum() below read the rest.
      */
     MetricSnapshot metrics;
 
-    double
-    pStoreFraction() const
-    {
-        return stores ? static_cast<double>(persisting_stores) / stores
-                      : 0.0;
-    }
-
-    /** CSV header matching toCsv() (for scripting over bench output). */
-    static std::string csvHeader();
-
-    /** One CSV row of every metric. */
-    std::string toCsv() const;
+    /** Recovery check verdict of a crash_at_end run (else false). */
+    bool recovery_consistent = false;
 };
+
+/**
+ * `bbpb.@p stat` of a run's metric tree, or `bbpb_proc.@p stat` when the
+ * machine's bbPB sits on the processor side; 0 for a machine without one.
+ */
+std::uint64_t bbpbCount(const MetricSnapshot &m, const std::string &stat);
+
+/**
+ * `@p group<c>.@p stat` of a run's metric tree summed over every core c,
+ * e.g. coreSum(m, "sb", "persist_rejections") or
+ * coreSum(m, "core", "stall_ticks").
+ */
+std::uint64_t coreSum(const MetricSnapshot &m, const std::string &group,
+                      const std::string &stat);
 
 /**
  * Build, run, and harvest one experiment.

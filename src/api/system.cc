@@ -66,11 +66,9 @@ System::System(const SystemConfig &cfg)
                                            _cores, _stats);
 
     StatGroup &sim = _stats.group("sim");
-    sim.addCounter("ops", &_sim.ops, "memory operations simulated");
-    sim.addCounter("events_fired", &_sim.events_fired,
-                   "events executed by the event queue");
-    sim.addCounter("events_inlined", &_sim.events_inlined,
-                   "events_fired that fired in place without queueing");
+    sim.addCounter("ops", &_sim.ops);
+    sim.addCounter("events_fired", &_sim.events_fired);
+    sim.addCounter("events_inlined", &_sim.events_inlined);
 
     // Stamp the heap magic in media so recovery can sanity-check it.
     _store.write64(_heap->magicAddr(), PersistentHeap::kMagic);
@@ -111,9 +109,9 @@ System::snapshotMetrics(bool histogram_buckets) const
     m.setReal("system.exec_ns", ticksToNs(_exec_time));
     m.setCount("system.nvmm_writes", _nvmm->mediaWrites());
     m.setCount("system.nvmm_writes_effective", effectiveNvmmWrites());
-    m.setLevel("system.wpq_occupancy",
+    m.setReal("system.wpq_occupancy",
                static_cast<double>(_nvmm->wpqOccupancy()));
-    m.setLevel("system.backend_occupancy",
+    m.setReal("system.backend_occupancy",
                static_cast<double>(_backend->occupancy()));
 
     // Media-layer derived leaves: write amplification always, plus the
@@ -122,13 +120,13 @@ System::snapshotMetrics(bool histogram_buckets) const
 
     // Instantaneous dirty-state watermarks from the hierarchy walk.
     DirtyStats d = _hier->dirtyStats();
-    m.setLevel("hierarchy.l1_dirty_blocks",
+    m.setReal("hierarchy.l1_dirty_blocks",
                static_cast<double>(d.l1_dirty_blocks));
-    m.setLevel("hierarchy.l1_valid_blocks",
+    m.setReal("hierarchy.l1_valid_blocks",
                static_cast<double>(d.l1_valid_blocks));
-    m.setLevel("hierarchy.llc_dirty_blocks",
+    m.setReal("hierarchy.llc_dirty_blocks",
                static_cast<double>(d.llc_dirty_blocks));
-    m.setLevel("hierarchy.llc_valid_blocks",
+    m.setReal("hierarchy.llc_valid_blocks",
                static_cast<double>(d.llc_valid_blocks));
     return m;
 }

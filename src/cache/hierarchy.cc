@@ -22,28 +22,21 @@ CacheHierarchy::CacheHierarchy(const SystemConfig &cfg, const AddrMap &map,
     }
 
     StatGroup &g = stats.group("hierarchy");
-    g.addCounter("loads", &_loads, "core load operations");
-    g.addCounter("stores", &_stores, "core store operations");
-    g.addCounter("persisting_stores", &_persisting_stores,
-                 "stores to the persistent range");
-    g.addCounter("l1_hits", &_l1_hits, "");
-    g.addCounter("l1_misses", &_l1_misses, "");
-    g.addCounter("llc_hits", &_llc_hits, "");
-    g.addCounter("llc_misses", &_llc_misses, "");
-    g.addCounter("interventions", &_interventions,
-                 "remote M/E copies downgraded for a read");
-    g.addCounter("upgrades", &_upgrades, "S->M upgrade transactions");
-    g.addCounter("invalidations", &_invalidations,
-                 "L1 copies invalidated by remote writes");
-    g.addCounter("l1_writebacks", &_l1_writebacks,
-                 "dirty L1 victims written to LLC");
-    g.addCounter("llc_writebacks", &_llc_writebacks,
-                 "dirty LLC victims written to memory");
-    g.addCounter("skipped_writebacks", &_skipped_writebacks,
-                 "LLC writebacks skipped (persistent, BBB)");
-    g.addCounter("forced_drains", &_forced_drains,
-                 "bbPB forced drains triggered by evictions");
-    g.addCounter("flushes", &_flushes, "explicit clwb-style flushes");
+    g.addCounter("loads", &_loads);
+    g.addCounter("stores", &_stores);
+    g.addCounter("persisting_stores", &_persisting_stores);
+    g.addCounter("l1_hits", &_l1_hits);
+    g.addCounter("l1_misses", &_l1_misses);
+    g.addCounter("llc_hits", &_llc_hits);
+    g.addCounter("llc_misses", &_llc_misses);
+    g.addCounter("interventions", &_interventions);
+    g.addCounter("upgrades", &_upgrades);
+    g.addCounter("invalidations", &_invalidations);
+    g.addCounter("l1_writebacks", &_l1_writebacks);
+    g.addCounter("llc_writebacks", &_llc_writebacks);
+    g.addCounter("skipped_writebacks", &_skipped_writebacks);
+    g.addCounter("forced_drains", &_forced_drains);
+    g.addCounter("flushes", &_flushes);
 }
 
 MemCtrl &

@@ -195,19 +195,19 @@ class CacheHierarchy
     // Statistics
     StatCounter _loads;
     StatCounter _stores;
-    StatCounter _persisting_stores;
+    StatCounter _persisting_stores;  ///< stores to the persistent range
     StatCounter _l1_hits;
     StatCounter _l1_misses;
     StatCounter _llc_hits;
     StatCounter _llc_misses;
-    StatCounter _interventions;
-    StatCounter _upgrades;
-    StatCounter _invalidations;
-    StatCounter _l1_writebacks;
-    StatCounter _llc_writebacks;
-    StatCounter _skipped_writebacks;
-    StatCounter _forced_drains;
-    StatCounter _flushes;
+    StatCounter _interventions;      ///< remote M/E copies downgraded
+    StatCounter _upgrades;           ///< S->M upgrade transactions
+    StatCounter _invalidations;      ///< L1 copies killed by remote writes
+    StatCounter _l1_writebacks;      ///< dirty L1 victims written to LLC
+    StatCounter _llc_writebacks;     ///< dirty LLC victims written to memory
+    StatCounter _skipped_writebacks; ///< persistent LLC victims (BBB)
+    StatCounter _forced_drains;      ///< bbPB drains forced by evictions
+    StatCounter _flushes;            ///< explicit clwb-style flushes
 };
 
 } // namespace bbb

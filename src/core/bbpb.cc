@@ -12,22 +12,16 @@ namespace bbb
 void
 BbpbStats::registerWith(StatGroup &g)
 {
-    g.addCounter("allocations", &allocations, "bbPB entries allocated");
-    g.addCounter("coalesces", &coalesces, "stores coalesced into entries");
-    g.addCounter("drains", &drains, "entries drained by the drain policy");
-    g.addCounter("forced_drains", &forced_drains,
-                 "entries drained by eviction pressure");
-    g.addCounter("migrations", &migrations,
-                 "entries dropped because the block migrated cores");
-    g.addCounter("wpq_retries", &wpq_retries,
-                 "drain attempts deferred by a full WPQ");
-    g.addCounter("crash_drained", &crash_drained,
-                 "entries drained at crash time");
-    g.addCounter("proactive_drains", &proactive_drains,
-                 "entries drained proactively on low battery");
-    g.addHistogram("occupancy", &occupancy, "occupancy seen at allocation");
-    g.addHistogram("residency_ns", &residency_ns,
-                   "entry lifetime from allocation to drain");
+    g.addCounter("allocations", &allocations);
+    g.addCounter("coalesces", &coalesces);
+    g.addCounter("drains", &drains);
+    g.addCounter("forced_drains", &forced_drains);
+    g.addCounter("migrations", &migrations);
+    g.addCounter("wpq_retries", &wpq_retries);
+    g.addCounter("crash_drained", &crash_drained);
+    g.addCounter("proactive_drains", &proactive_drains);
+    g.addHistogram("occupancy", &occupancy);
+    g.addHistogram("residency_ns", &residency_ns);
 }
 
 namespace

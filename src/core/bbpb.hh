@@ -55,7 +55,7 @@ struct BbpbStats
     StatCounter wpq_retries;    ///< drain attempts stalled by a full WPQ
     StatCounter crash_drained;  ///< entries drained at crash time
     StatCounter proactive_drains; ///< entries drained on low battery
-    StatHistogram occupancy{33, 1};
+    StatHistogram occupancy{33, 1}; ///< occupancy seen at allocation
     /** Entry lifetime from allocation to drain, in nanoseconds: how long
      *  a value enjoys coalescing before it costs an NVMM write. Sampled
      *  by the memory side only. */

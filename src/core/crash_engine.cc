@@ -8,38 +8,24 @@ namespace bbb
 void
 CrashStats::registerWith(StatGroup &g)
 {
-    g.addCounter("crashes", &crashes, "power failures taken");
-    g.addCounter("wpq_blocks", &wpq_blocks, "WPQ blocks drained");
-    g.addCounter("bbpb_blocks", &bbpb_blocks, "bbPB blocks drained");
-    g.addCounter("cache_blocks_l1", &cache_blocks_l1,
-                 "dirty L1 blocks drained (eADR)");
-    g.addCounter("cache_blocks_llc", &cache_blocks_llc,
-                 "dirty LLC blocks drained (eADR)");
-    g.addCounter("sb_entries", &sb_entries,
-                 "battery-backed store-buffer entries drained");
-    g.addCounter("drained_bytes", &drained_bytes,
-                 "bytes drained (excluding the WPQ)");
-    g.addCounter("sacrificed_blocks", &sacrificed_blocks,
-                 "items lost to an exhausted battery");
-    g.addCounter("torn_media_blocks", &torn_media_blocks,
-                 "drained blocks torn by terminal media failures");
-    g.addCounter("media_retries", &media_retries,
-                 "media write retries during the drain");
-    g.addCounter("recrashes", &recrashes, "mid-drain re-crashes taken");
-    g.addCounter("battery_exhausted", &battery_exhausted,
-                 "crashes whose battery ran out mid-drain");
-    g.addCounter("prefix_violations", &prefix_violations,
-                 "crashes violating the oldest-first prefix oracle");
-    g.addCounter("proactive_drains", &proactive_drains,
-                 "low-battery proactive backup invocations");
-    g.addCounter("proactive_drain_blocks", &proactive_drain_blocks,
-                 "blocks drained by low-battery backups");
-    g.addAverage("drain_energy_j", &drain_energy_j,
-                 "drain energy per crash (J, Table VI model)");
-    g.addAverage("drain_time_s", &drain_time_s,
-                 "drain time per crash (s)");
-    g.addAverage("battery_spent_j", &battery_spent_j,
-                 "battery energy drawn per crash (J, including the WPQ)");
+    g.addCounter("crashes", &crashes);
+    g.addCounter("wpq_blocks", &wpq_blocks);
+    g.addCounter("bbpb_blocks", &bbpb_blocks);
+    g.addCounter("cache_blocks_l1", &cache_blocks_l1);
+    g.addCounter("cache_blocks_llc", &cache_blocks_llc);
+    g.addCounter("sb_entries", &sb_entries);
+    g.addCounter("drained_bytes", &drained_bytes);
+    g.addCounter("sacrificed_blocks", &sacrificed_blocks);
+    g.addCounter("torn_media_blocks", &torn_media_blocks);
+    g.addCounter("media_retries", &media_retries);
+    g.addCounter("recrashes", &recrashes);
+    g.addCounter("battery_exhausted", &battery_exhausted);
+    g.addCounter("prefix_violations", &prefix_violations);
+    g.addCounter("proactive_drains", &proactive_drains);
+    g.addCounter("proactive_drain_blocks", &proactive_drain_blocks);
+    g.addAverage("drain_energy_j", &drain_energy_j);
+    g.addAverage("drain_time_s", &drain_time_s);
+    g.addAverage("battery_spent_j", &battery_spent_j);
 }
 
 void

@@ -108,24 +108,24 @@ struct CrashReport
  */
 struct CrashStats
 {
-    StatCounter crashes;
-    StatCounter wpq_blocks;
-    StatCounter bbpb_blocks;
-    StatCounter cache_blocks_l1;
-    StatCounter cache_blocks_llc;
-    StatCounter sb_entries;
-    StatCounter drained_bytes;
-    StatCounter sacrificed_blocks;
-    StatCounter torn_media_blocks;
-    StatCounter media_retries;
-    StatCounter recrashes;
-    StatCounter battery_exhausted;
-    StatCounter prefix_violations;
+    StatCounter crashes;                ///< power failures taken
+    StatCounter wpq_blocks;             ///< WPQ blocks drained
+    StatCounter bbpb_blocks;            ///< bbPB blocks drained
+    StatCounter cache_blocks_l1;        ///< dirty L1 blocks drained (eADR)
+    StatCounter cache_blocks_llc;       ///< dirty LLC blocks drained (eADR)
+    StatCounter sb_entries;             ///< battery-backed SB entries drained
+    StatCounter drained_bytes;          ///< bytes drained, WPQ excluded
+    StatCounter sacrificed_blocks;      ///< items lost to a dead battery
+    StatCounter torn_media_blocks;      ///< drained blocks torn by media
+    StatCounter media_retries;          ///< media retries during the drain
+    StatCounter recrashes;              ///< mid-drain re-crashes taken
+    StatCounter battery_exhausted;      ///< battery ran out mid-drain
+    StatCounter prefix_violations;      ///< oldest-first prefix broken
     StatCounter proactive_drains;       ///< low-battery backup invocations
     StatCounter proactive_drain_blocks; ///< blocks those backups drained
-    StatAverage drain_energy_j;
-    StatAverage drain_time_s;
-    StatAverage battery_spent_j;
+    StatAverage drain_energy_j;         ///< per crash (J, Table VI model)
+    StatAverage drain_time_s;           ///< per crash (s)
+    StatAverage battery_spent_j;        ///< per crash (J, WPQ included)
 
     void registerWith(StatGroup &g);
     void note(const CrashReport &rep);

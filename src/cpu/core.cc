@@ -111,15 +111,13 @@ Core::Core(CoreId id, const SystemConfig &cfg, EventQueue &eq,
     _sb.setOutOfOrderDrain(cfg.relaxed_consistency);
 
     StatGroup &g = stats.group("core" + std::to_string(id));
-    g.addCounter("ops", &_ops, "operations issued by the thread");
-    g.addCounter("loads", &_loads, "");
-    g.addCounter("stores", &_stores, "");
-    g.addCounter("flushes", &_flushes, "");
-    g.addCounter("fences", &_fences, "");
-    g.addCounter("sb_full_stalls", &_sb_full_stalls,
-                 "stores stalled on a full store buffer");
-    g.addCounter("stall_ticks", &_stall_ticks,
-                 "ticks spent waiting on the store buffer");
+    g.addCounter("ops", &_ops);
+    g.addCounter("loads", &_loads);
+    g.addCounter("stores", &_stores);
+    g.addCounter("flushes", &_flushes);
+    g.addCounter("fences", &_fences);
+    g.addCounter("sb_full_stalls", &_sb_full_stalls);
+    g.addCounter("stall_ticks", &_stall_ticks);
 }
 
 void

@@ -183,13 +183,13 @@ class Core
     Tick _finish_tick = 0;
     Tick _wait_start = 0;
 
-    StatCounter _ops;
+    StatCounter _ops;            ///< operations issued by the thread
     StatCounter _loads;
     StatCounter _stores;
     StatCounter _flushes;
     StatCounter _fences;
-    StatCounter _sb_full_stalls;
-    StatCounter _stall_ticks;
+    StatCounter _sb_full_stalls; ///< stores stalled on a full store buffer
+    StatCounter _stall_ticks;    ///< ticks waiting on the store buffer
 };
 
 } // namespace bbb

@@ -16,15 +16,12 @@ StoreBuffer::StoreBuffer(CoreId core, const SystemConfig &cfg,
       _drain_youngest(litmusMutation("drain-youngest"))
 {
     StatGroup &g = stats.group("sb" + std::to_string(core));
-    g.addCounter("pushes", &_pushes, "stores committed into the buffer");
-    g.addCounter("forwards", &_forwards, "loads satisfied by forwarding");
-    g.addCounter("retired", &_retired, "stores written to the L1D");
-    g.addCounter("persist_rejections", &_rejections,
-                 "stores stalled by a full bbPB (counted once each)");
-    g.addCounter("retry_polls", &_retry_polls,
-                 "individual bbPB retry attempts");
-    g.addCounter("ooo_retires", &_ooo_retires,
-                 "stores retired past a blocked older store");
+    g.addCounter("pushes", &_pushes);
+    g.addCounter("forwards", &_forwards);
+    g.addCounter("retired", &_retired);
+    g.addCounter("persist_rejections", &_rejections);
+    g.addCounter("retry_polls", &_retry_polls);
+    g.addCounter("ooo_retires", &_ooo_retires);
 }
 
 void

@@ -177,12 +177,12 @@ class StoreBuffer
     const bool _drain_youngest;
     std::function<void()> _on_change;
 
-    StatCounter _pushes;
-    mutable StatCounter _forwards;
-    StatCounter _retired;
-    StatCounter _rejections;
-    StatCounter _retry_polls;
-    StatCounter _ooo_retires;
+    StatCounter _pushes;             ///< stores committed into the buffer
+    mutable StatCounter _forwards;   ///< loads satisfied by forwarding
+    StatCounter _retired;            ///< stores written to the L1D
+    StatCounter _rejections;         ///< stalled by a full bbPB, once each
+    StatCounter _retry_polls;        ///< individual bbPB retry attempts
+    StatCounter _ooo_retires;        ///< retired past a blocked older store
 };
 
 } // namespace bbb

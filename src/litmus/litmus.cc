@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "sim/parse.hh"
+
 namespace bbb
 {
 namespace litmus
@@ -69,19 +71,6 @@ tokens(const std::string &s)
     if (!cur.empty())
         out.push_back(cur);
     return out;
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-    if (end != s.c_str() + s.size())
-        return false;
-    *out = v;
-    return true;
 }
 
 struct ParseCtx
@@ -166,7 +155,7 @@ parseOp(ParseCtx &ctx, const std::string &text, SrcOp *op)
         op->var = ctx.varId(t[1]);
         if (op->var < 0)
             return ctx.fail("too many variables (max 8)");
-        if (!parseU64(t[2], &op->val))
+        if (!parseUnsigned(t[2], &op->val))
             return ctx.fail("bad store value '" + t[2] + "'");
         return true;
     }
@@ -239,7 +228,7 @@ parseWitness(ParseCtx &ctx, const std::string &rest)
                             "' is not NAME=VAL");
         std::string name = t[i].substr(0, eq);
         std::uint64_t val;
-        if (!parseU64(t[i].substr(eq + 1), &val))
+        if (!parseUnsigned(t[i].substr(eq + 1), &val))
             return ctx.fail("bad witness value in '" + t[i] + "'");
         if (w.on_crash) {
             int v = ctx.knownVar(name);

@@ -291,8 +291,8 @@ FtlMedia::addDerivedMetrics(MetricSnapshot &m, double exec_seconds) const
         minted ? static_cast<double>(wear_sum) / minted : 0.0;
 
     m.setCount("media.frames.in_service", _pmt.size());
-    m.setLevel("media.frames.max_wear", static_cast<double>(max_wear));
-    m.setLevel("media.frames.mean_wear", mean_wear);
+    m.setReal("media.frames.max_wear", static_cast<double>(max_wear));
+    m.setReal("media.frames.mean_wear", mean_wear);
 
     // Lifetime projection: days until the hottest frame reaches the
     // endurance limit at the observed wear rate, plus the observed
@@ -310,9 +310,9 @@ FtlMedia::addDerivedMetrics(MetricSnapshot &m, double exec_seconds) const
         _cfg.dwpd_rating > 0.0
             ? static_cast<double>(_cfg.endurance_cycles) / _cfg.dwpd_rating
             : 0.0;
-    m.setLevel("media.lifetime.dwpd_observed", dwpd_observed);
-    m.setLevel("media.lifetime.projected_days", projected_days);
-    m.setLevel("media.lifetime.rated_days", rated_days);
+    m.setReal("media.lifetime.dwpd_observed", dwpd_observed);
+    m.setReal("media.lifetime.projected_days", projected_days);
+    m.setReal("media.lifetime.rated_days", rated_days);
 }
 
 } // namespace bbb

@@ -6,22 +6,15 @@ namespace bbb
 void
 MediaStats::registerWith(StatGroup &g)
 {
-    g.addCounter("programs", &programs, "physical block programs");
-    g.addCounter("demand_programs", &demand_programs,
-                 "programs serving demand/drain commits");
-    g.addCounter("program_bytes", &program_bytes,
-                 "bytes physically programmed");
-    g.addCounter("torn_programs", &torn_programs,
-                 "programs torn by terminal media failures");
-    g.addCounter("byte_writes", &byte_writes,
-                 "sub-block crash-time patches");
-    g.addCounter("migrations", &migrations,
-                 "wear-leveling background migrations");
-    g.addCounter("retired_frames", &retired_frames,
-                 "frames retired at the endurance limit");
-    g.addCounter("frames_minted", &frames_minted,
-                 "physical frames brought into service");
-    g.addHistogram("wear", &wear, "frame wear sampled at each program");
+    g.addCounter("programs", &programs);
+    g.addCounter("demand_programs", &demand_programs);
+    g.addCounter("program_bytes", &program_bytes);
+    g.addCounter("torn_programs", &torn_programs);
+    g.addCounter("byte_writes", &byte_writes);
+    g.addCounter("migrations", &migrations);
+    g.addCounter("retired_frames", &retired_frames);
+    g.addCounter("frames_minted", &frames_minted);
+    g.addHistogram("wear", &wear);
 }
 
 void

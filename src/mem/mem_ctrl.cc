@@ -37,22 +37,16 @@ MemCtrl::MemCtrl(std::string name, const MemConfig &cfg, EventQueue &eq,
     _media.attachTiming(this);
 
     StatGroup &g = stats.group(_name);
-    g.addCounter("media_reads", &_media_reads, "block reads from media");
-    g.addCounter("media_writes", &_media_writes, "block writes to media");
-    g.addCounter("bytes_written", &_bytes_written, "bytes written to media");
-    g.addCounter("wpq_coalesces", &_wpq_coalesces,
-                 "writes merged into a pending WPQ block");
-    g.addCounter("wpq_rejects", &_wpq_rejects,
-                 "writes rejected because the WPQ was full");
-    g.addCounter("wpq_inserts", &_wpq_inserts, "blocks accepted into WPQ");
-    g.addCounter("wpq_bypass_writes", &_wpq_bypass_writes,
-                 "blocks force-written past a full WPQ");
-    g.addCounter("media_retry_writes", &_media_retry_writes,
-                 "media write attempts retried after injected failures");
-    g.addAverage("read_latency_ticks", &_read_latency,
-                 "average block read latency");
-    g.addHistogram("wpq_occupancy", &_wpq_occupancy,
-                   "WPQ occupancy sampled at each insert and retire");
+    g.addCounter("media_reads", &_media_reads);
+    g.addCounter("media_writes", &_media_writes);
+    g.addCounter("bytes_written", &_bytes_written);
+    g.addCounter("wpq_coalesces", &_wpq_coalesces);
+    g.addCounter("wpq_rejects", &_wpq_rejects);
+    g.addCounter("wpq_inserts", &_wpq_inserts);
+    g.addCounter("wpq_bypass_writes", &_wpq_bypass_writes);
+    g.addCounter("media_retry_writes", &_media_retry_writes);
+    g.addAverage("read_latency_ticks", &_read_latency);
+    g.addHistogram("wpq_occupancy", &_wpq_occupancy);
 }
 
 Tick

@@ -255,16 +255,16 @@ class MemCtrl : private MediaTiming
 
     std::vector<Tick> _channel_free;
 
-    StatCounter _media_reads;
-    StatCounter _media_writes;
-    StatCounter _bytes_written;
-    StatCounter _wpq_coalesces;
-    StatCounter _wpq_rejects;
-    StatCounter _wpq_inserts;
-    StatCounter _wpq_bypass_writes;
-    StatCounter _media_retry_writes;
-    StatAverage _read_latency;
-    StatHistogram _wpq_occupancy;
+    StatCounter _media_reads;        ///< block reads from media
+    StatCounter _media_writes;       ///< block writes to media
+    StatCounter _bytes_written;      ///< bytes written to media
+    StatCounter _wpq_coalesces;      ///< writes merged into a pending block
+    StatCounter _wpq_rejects;        ///< writes refused by a full WPQ
+    StatCounter _wpq_inserts;        ///< blocks accepted into the WPQ
+    StatCounter _wpq_bypass_writes;  ///< blocks forced past a full WPQ
+    StatCounter _media_retry_writes; ///< retries after injected failures
+    StatAverage _read_latency;       ///< block read latency (ticks)
+    StatHistogram _wpq_occupancy;    ///< sampled at each insert and retire
 };
 
 } // namespace bbb

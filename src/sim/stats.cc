@@ -1,6 +1,5 @@
 #include "sim/stats.hh"
 
-#include <iomanip>
 #include <sstream>
 
 #include "sim/json.hh"
@@ -135,148 +134,18 @@ MetricSnapshot::toJson() const
     return os.str();
 }
 
-// --- StatGroup ----------------------------------------------------------
-
-void
-StatGroup::accept(StatVisitor &v) const
-{
-    for (const auto &c : _counters)
-        v.counter(_name + "." + c.name, c.desc, *c.stat);
-    for (const auto &a : _averages)
-        v.average(_name + "." + a.name, a.desc, *a.stat);
-    for (const auto &h : _histograms)
-        v.histogram(_name + "." + h.name, h.desc, *h.stat);
-}
-
-namespace
-{
-
-/** The classic `group.stat value # desc` text dump as a visitor. */
-class TextDumpVisitor : public StatVisitor
-{
-  public:
-    explicit TextDumpVisitor(std::ostream &os) : _os(os) {}
-
-    void
-    counter(const std::string &name, const std::string &desc,
-            const StatCounter &c) override
-    {
-        line(name, static_cast<double>(c.value()), desc);
-    }
-
-    void
-    average(const std::string &name, const std::string &desc,
-            const StatAverage &a) override
-    {
-        line(name, a.mean(), desc);
-    }
-
-    void
-    histogram(const std::string &name, const std::string &desc,
-              const StatHistogram &h) override
-    {
-        line(name + "::samples", static_cast<double>(h.samples()), desc);
-        line(name + "::mean", h.mean(), "");
-        line(name + "::max", static_cast<double>(h.maxSample()), "");
-    }
-
-  private:
-    void
-    line(const std::string &n, double v, const std::string &d)
-    {
-        _os << std::left << std::setw(44) << n << " " << std::right
-            << std::setw(16) << v;
-        if (!d.empty())
-            _os << "  # " << d;
-        _os << "\n";
-    }
-
-    std::ostream &_os;
-};
-
-/** Captures every stat into a MetricSnapshot. */
-class SnapshotVisitor : public StatVisitor
-{
-  public:
-    SnapshotVisitor(MetricSnapshot &snap, bool buckets)
-        : _snap(snap), _buckets(buckets)
-    {
-    }
-
-    void
-    counter(const std::string &name, const std::string &,
-            const StatCounter &c) override
-    {
-        _snap.setCount(name, c.value());
-    }
-
-    void
-    average(const std::string &name, const std::string &,
-            const StatAverage &a) override
-    {
-        _snap.setReal(name + ".sum", a.sum());
-        _snap.setCount(name + ".count", a.count());
-    }
-
-    void
-    histogram(const std::string &name, const std::string &,
-              const StatHistogram &h) override
-    {
-        _snap.setCount(name + ".samples", h.samples());
-        _snap.setCount(name + ".sum", h.sum());
-        _snap.setLevel(name + ".max", static_cast<double>(h.maxSample()));
-        if (!_buckets)
-            return;
-        // Zero-padded indices keep lexicographic order == bucket order.
-        unsigned digits = 1;
-        for (std::size_t n = h.buckets() - 1; n >= 10; n /= 10)
-            ++digits;
-        for (std::size_t i = 0; i < h.buckets(); ++i) {
-            std::string idx = std::to_string(i);
-            _snap.setCount(name + ".bucket" +
-                               std::string(digits - idx.size(), '0') + idx,
-                           h.bucketCount(i));
-        }
-    }
-
-  private:
-    MetricSnapshot &_snap;
-    bool _buckets;
-};
-
-} // namespace
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    TextDumpVisitor v(os);
-    accept(v);
-}
-
-std::uint64_t
-StatGroup::counterValue(const std::string &stat_name) const
-{
-    for (const auto &c : _counters) {
-        if (c.name == stat_name)
-            return c.stat->value();
-    }
-    return 0;
-}
-
 // --- StatRegistry -------------------------------------------------------
 
 StatGroup &
 StatRegistry::group(const std::string &name)
 {
-    auto it = _groups.find(name);
-    if (it != _groups.end()) {
+    auto [it, fresh] = _groups.try_emplace(name);
+    if (!fresh) {
         fatal("stat group '%s' registered twice: two components would "
               "silently merge their stats under one name (use find() to "
               "look a group up)",
               name.c_str());
     }
-    it = _groups.emplace(name, StatGroup(name)).first;
-    _order.push_back(name);
     return it->second;
 }
 
@@ -294,34 +163,55 @@ StatRegistry::find(const std::string &name) const
     return it == _groups.end() ? nullptr : &it->second;
 }
 
-void
-StatRegistry::accept(StatVisitor &v) const
-{
-    for (const auto &name : _order)
-        _groups.at(name).accept(v);
-}
-
 MetricSnapshot
 StatRegistry::snapshot(bool histogram_buckets) const
 {
     MetricSnapshot snap;
-    SnapshotVisitor v(snap, histogram_buckets);
-    accept(v);
+    for (const auto &[group, g] : _groups) {
+        for (const auto &c : g._counters)
+            snap.setCount(group + "." + c.name, c.stat->value());
+        for (const auto &a : g._averages) {
+            std::string name = group + "." + a.name;
+            snap.setReal(name + ".sum", a.stat->sum());
+            snap.setCount(name + ".count", a.stat->count());
+        }
+        for (const auto &h : g._histograms) {
+            std::string name = group + "." + h.name;
+            const StatHistogram &hist = *h.stat;
+            snap.setCount(name + ".samples", hist.samples());
+            snap.setCount(name + ".sum", hist.sum());
+            snap.setReal(name + ".max",
+                         static_cast<double>(hist.maxSample()));
+            if (!histogram_buckets)
+                continue;
+            // Zero-padded indices keep lexicographic order == bucket
+            // order.
+            unsigned digits = 1;
+            for (std::size_t n = hist.buckets() - 1; n >= 10; n /= 10)
+                ++digits;
+            for (std::size_t i = 0; i < hist.buckets(); ++i) {
+                std::string idx = std::to_string(i);
+                snap.setCount(name + ".bucket" +
+                                  std::string(digits - idx.size(), '0') +
+                                  idx,
+                              hist.bucketCount(i));
+            }
+        }
+    }
     return snap;
-}
-
-void
-StatRegistry::dumpAll(std::ostream &os) const
-{
-    for (const auto &name : _order)
-        _groups.at(name).dump(os);
 }
 
 std::uint64_t
 StatRegistry::lookup(const std::string &g, const std::string &s) const
 {
     const StatGroup *grp = find(g);
-    return grp ? grp->counterValue(s) : 0;
+    if (grp) {
+        for (const auto &c : grp->_counters) {
+            if (c.name == s)
+                return c.stat->value();
+        }
+    }
+    return 0;
 }
 
 } // namespace bbb

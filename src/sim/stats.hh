@@ -1,19 +1,15 @@
 /**
  * @file
  * A light statistics package: named scalar counters, averages, and
- * histograms registered into per-component groups, with a text reporter
- * and a structured snapshot layer.
+ * histograms registered into per-component groups, and the metric
+ * snapshot every run's results are read from.
  *
  * Modeled loosely on the gem5 stats framework but simplified: stats are
  * plain objects owned by components; a StatGroup records (name, pointer)
- * pairs for dumping and snapshots.
- *
- * Everything that consumes the registry — the human text dump, metric
- * snapshots, lookups — goes through one StatVisitor interface, so adding
- * an output format never touches the stat types again. MetricSnapshot is
- * the machine-readable face: a deterministic, hierarchically-named value
- * tree (`core0.stall_ticks`, `bbpb.coalesces`, ...) with a
- * dependency-free JSON emitter with stable (sorted) key order.
+ * pairs, and StatRegistry::snapshot() copies every one of them into a
+ * MetricSnapshot: a deterministic, hierarchically-named value tree
+ * (`core0.stall_ticks`, `bbpb.coalesces`, ...) with a dependency-free
+ * JSON emitter with stable (sorted) key order.
  */
 
 #ifndef BBB_SIM_STATS_HH
@@ -44,7 +40,6 @@ class StatCounter
 
     void set(std::uint64_t v) { _value = v; }
     std::uint64_t value() const { return _value; }
-    void reset() { _value = 0; }
 
   private:
     std::uint64_t _value = 0;
@@ -61,16 +56,8 @@ class StatAverage
         ++_count;
     }
 
-    double mean() const { return _count ? _sum / _count : 0.0; }
     std::uint64_t count() const { return _count; }
     double sum() const { return _sum; }
-
-    void
-    reset()
-    {
-        _sum = 0.0;
-        _count = 0;
-    }
 
   private:
     double _sum = 0.0;
@@ -105,22 +92,9 @@ class StatHistogram
     std::uint64_t samples() const { return _samples; }
     std::uint64_t maxSample() const { return _max; }
     std::uint64_t sum() const { return _sum; }
-    double mean() const
-    {
-        return _samples ? static_cast<double>(_sum) / _samples : 0.0;
-    }
 
     std::uint64_t bucketCount(std::size_t i) const { return _counts.at(i); }
     std::size_t buckets() const { return _counts.size(); }
-
-    void
-    reset()
-    {
-        std::fill(_counts.begin(), _counts.end(), 0);
-        _samples = 0;
-        _sum = 0;
-        _max = 0;
-    }
 
   private:
     std::uint64_t _width;
@@ -130,33 +104,13 @@ class StatHistogram
     std::uint64_t _max = 0;
 };
 
-/**
- * Visitor over every registered stat. Names arrive fully qualified
- * (`group.stat`); the text dump, metric snapshots, and lookups are all
- * implemented against this interface.
- */
-class StatVisitor
-{
-  public:
-    virtual ~StatVisitor() = default;
-
-    virtual void counter(const std::string &name, const std::string &desc,
-                         const StatCounter &c) = 0;
-    virtual void average(const std::string &name, const std::string &desc,
-                         const StatAverage &a) = 0;
-    virtual void histogram(const std::string &name, const std::string &desc,
-                           const StatHistogram &h) = 0;
-};
-
 /** What one MetricSnapshot value measures. */
 enum class MetricKind
 {
     /** Monotonic event count (uint64, exact). */
     Count,
-    /** Accumulated real quantity (sum of samples). */
+    /** Real quantity: a sum of samples, a ratio, a level. */
     Real,
-    /** Instantaneous level / watermark. */
-    Level,
 };
 
 /** One value in a MetricSnapshot. */
@@ -199,12 +153,6 @@ class MetricSnapshot
         set(name, MetricValue{MetricKind::Real, 0, v});
     }
 
-    void
-    setLevel(const std::string &name, double v)
-    {
-        set(name, MetricValue{MetricKind::Level, 0, v});
-    }
-
     /** Value by full name, or nullptr. */
     const MetricValue *find(const std::string &name) const;
 
@@ -216,9 +164,6 @@ class MetricSnapshot
 
     bool empty() const { return _values.empty(); }
     std::size_t size() const { return _values.size(); }
-
-    /** Drop every value (an empty snapshot, not a zeroed one). */
-    void reset() { _values.clear(); }
 
     /** Copy every value of @p other in, optionally under `prefix.`. */
     void merge(const MetricSnapshot &other, const std::string &prefix = "");
@@ -246,63 +191,47 @@ class MetricSnapshot
 };
 
 /**
- * A named collection of statistics belonging to one component. The group
- * does not own the stats; components keep them as members and register
- * pointers, so hot-path updates stay a plain increment.
+ * The statistics of one component. The group does not own the stats;
+ * components keep them as members and register pointers, so hot-path
+ * updates stay a plain increment.
  */
 class StatGroup
 {
   public:
-    explicit StatGroup(std::string name) : _name(std::move(name)) {}
-
     void
-    addCounter(const std::string &stat_name, StatCounter *c,
-               const std::string &desc = "")
+    addCounter(const std::string &stat_name, StatCounter *c)
     {
-        _counters.push_back({stat_name, desc, c});
+        _counters.push_back({stat_name, c});
     }
 
     void
-    addAverage(const std::string &stat_name, StatAverage *a,
-               const std::string &desc = "")
+    addAverage(const std::string &stat_name, StatAverage *a)
     {
-        _averages.push_back({stat_name, desc, a});
+        _averages.push_back({stat_name, a});
     }
 
     void
-    addHistogram(const std::string &stat_name, StatHistogram *h,
-                 const std::string &desc = "")
+    addHistogram(const std::string &stat_name, StatHistogram *h)
     {
-        _histograms.push_back({stat_name, desc, h});
+        _histograms.push_back({stat_name, h});
     }
-
-    const std::string &name() const { return _name; }
-
-    /** Visit every registered stat as `group.stat`. */
-    void accept(StatVisitor &v) const;
-
-    /** Write `group.stat value # desc` lines, gem5 stats.txt style. */
-    void dump(std::ostream &os) const;
-
-    /** Look up a counter's current value by name; 0 if absent. */
-    std::uint64_t counterValue(const std::string &stat_name) const;
 
   private:
+    friend class StatRegistry;
+
     template <typename T>
     struct Named
     {
         std::string name;
-        std::string desc;
         T *stat;
     };
 
-    std::string _name;
     std::vector<Named<StatCounter>> _counters;
     std::vector<Named<StatAverage>> _averages;
     std::vector<Named<StatHistogram>> _histograms;
 };
 
-/** Registry of all stat groups in a simulated system. */
+/** Registry of all stat groups in a simulated system, keyed by name. */
 class StatRegistry
 {
   public:
@@ -318,25 +247,19 @@ class StatRegistry
     StatGroup *find(const std::string &name);
     const StatGroup *find(const std::string &name) const;
 
-    /** Visit every stat of every group, in registration order. */
-    void accept(StatVisitor &v) const;
-
     /**
-     * Capture every registered stat into a metric snapshot. Counters
-     * become Count values; averages expand to `.sum` (Real) and
-     * `.count`; histograms expand to `.samples`, `.sum`, `.max` (Level)
-     * and — when @p histogram_buckets — zero-padded `.bucketNN` counts.
+     * Capture every registered stat into a metric snapshot, each as
+     * `group.stat`. Counters become Count values; averages expand to
+     * `.sum` (Real) and `.count`; histograms expand to `.samples`,
+     * `.sum`, `.max` (Real) and — when @p histogram_buckets —
+     * zero-padded `.bucketNN` counts.
      */
     MetricSnapshot snapshot(bool histogram_buckets = false) const;
 
-    /** Dump every group in registration order. */
-    void dumpAll(std::ostream &os) const;
-
-    /** Convenience: counter value of `g.s`; 0 if either is absent. */
+    /** The current value of counter `g.s` (mid-run too); 0 if absent. */
     std::uint64_t lookup(const std::string &g, const std::string &s) const;
 
   private:
-    std::vector<std::string> _order;
     std::map<std::string, StatGroup> _groups;
 };
 

@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "api/experiment.hh"
 #include "api/system.hh"
 
@@ -50,13 +48,21 @@ TEST(Experiment, ProducesPopulatedMetrics)
     EXPECT_EQ(r.workload, "hashmap");
     EXPECT_EQ(r.mode, PersistMode::BbbMemSide);
     EXPECT_EQ(r.bbpb_entries, 32u);
-    EXPECT_GT(r.exec_ticks, 0u);
-    EXPECT_GT(r.nvmm_writes, 0u);
-    EXPECT_GT(r.stores, 0u);
-    EXPECT_GT(r.persisting_stores, 0u);
-    EXPECT_GT(r.bbpb_coalesces, 0u);
-    EXPECT_GT(r.pStoreFraction(), 0.0);
-    EXPECT_LE(r.pStoreFraction(), 1.0);
+    const MetricSnapshot &m = r.metrics;
+    EXPECT_GT(m.count("system.exec_ticks"), 0u);
+    EXPECT_GT(m.count("system.nvmm_writes_effective"), 0u);
+    EXPECT_GT(m.count("hierarchy.persisting_stores"), 0u);
+    EXPECT_LE(m.count("hierarchy.persisting_stores"),
+              m.count("hierarchy.stores"));
+    EXPECT_GT(bbpbCount(m, "coalesces"), 0u);
+    EXPECT_EQ(bbpbCount(m, "coalesces"), m.count("bbpb.coalesces"));
+    // The per-core sums cover both cores and nothing else.
+    EXPECT_GT(coreSum(m, "core", "ops"), 0u);
+    EXPECT_EQ(coreSum(m, "core", "ops"),
+              m.count("core0.ops") + m.count("core1.ops"));
+    EXPECT_EQ(coreSum(m, "sb", "pushes"),
+              m.count("sb0.pushes") + m.count("sb1.pushes"));
+    EXPECT_EQ(coreSum(m, "core", "no_such_stat"), 0u);
 }
 
 TEST(Experiment, CrashAtEndJudgesRecoveryAfterTheRun)
@@ -73,7 +79,8 @@ TEST(Experiment, CrashAtEndJudgesRecoveryAfterTheRun)
         ExperimentResult plain = runExperiment(cfg, "hashmap", p);
         ExperimentResult crashed = runExperiment(cfg, "hashmap", p, true);
         // The crash comes after the run, so the run itself is untouched.
-        EXPECT_EQ(crashed.exec_ticks, plain.exec_ticks);
+        EXPECT_EQ(crashed.metrics.count("system.exec_ticks"),
+                  plain.metrics.count("system.exec_ticks"));
         EXPECT_EQ(plain.metrics.count("crash.crashes"), 0u);
         EXPECT_EQ(crashed.metrics.count("crash.crashes"), 1u);
         EXPECT_EQ(crashed.metrics.count("crash.prefix_violations"), 0u);
@@ -97,7 +104,12 @@ TEST(Experiment, ProcSideReportsFromProcGroup)
     p.ops_per_thread = 100;
     p.initial_elements = 50;
     ExperimentResult r = runExperiment(cfg, "linkedlist", p);
-    EXPECT_GT(r.bbpb_drains + r.bbpb_forced_drains, 0u);
+    EXPECT_GT(bbpbCount(r.metrics, "drains") +
+                  bbpbCount(r.metrics, "forced_drains"),
+              0u);
+    EXPECT_EQ(bbpbCount(r.metrics, "drains"),
+              r.metrics.count("bbpb_proc.drains"));
+    EXPECT_EQ(r.metrics.find("bbpb.drains"), nullptr);
 }
 
 TEST(Experiment, EadrHasNoBbpbActivity)
@@ -108,9 +120,9 @@ TEST(Experiment, EadrHasNoBbpbActivity)
     p.ops_per_thread = 100;
     p.initial_elements = 50;
     ExperimentResult r = runExperiment(cfg, "hashmap", p);
-    EXPECT_EQ(r.bbpb_drains, 0u);
-    EXPECT_EQ(r.bbpb_rejections, 0u);
-    EXPECT_EQ(r.bbpb_coalesces, 0u);
+    EXPECT_EQ(bbpbCount(r.metrics, "drains"), 0u);
+    EXPECT_EQ(coreSum(r.metrics, "sb", "persist_rejections"), 0u);
+    EXPECT_EQ(bbpbCount(r.metrics, "coalesces"), 0u);
 }
 
 TEST(System, EffectiveWritesCountsResidue)
@@ -155,23 +167,6 @@ TEST(System, HeapMagicIsStamped)
     System sys(cfg);
     EXPECT_EQ(sys.image().read64(sys.heap().magicAddr()),
               PersistentHeap::kMagic);
-}
-
-TEST(System, StatsDumpIsNonEmptyAndNamespaced)
-{
-    SystemConfig cfg;
-    cfg.num_cores = 1;
-    cfg.dram.size_bytes = 64_MiB;
-    cfg.nvmm.size_bytes = 64_MiB;
-    System sys(cfg);
-    sys.onThread(0, [&](ThreadContext &tc) { tc.compute(10); });
-    sys.run();
-    std::ostringstream os;
-    sys.stats().dumpAll(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("hierarchy.loads"), std::string::npos);
-    EXPECT_NE(out.find("nvmm.media_writes"), std::string::npos);
-    EXPECT_NE(out.find("core0.ops"), std::string::npos);
 }
 
 TEST(System, RunWithoutThreadsTerminates)

@@ -97,6 +97,24 @@ TEST(LitmusDsl, RejectsMalformedInput)
     EXPECT_FALSE(parseErr(big).empty());
 }
 
+TEST(LitmusDsl, ValuesAreUnsignedDecimal)
+{
+    // A sign, a hex or octal prefix, or a value past 2^64-1 is not a
+    // store or witness value (strtoull would read 2^64-1, 16 and 8).
+    for (std::string v : {"-1", "0x10", "18446744073709551616", "+1"}) {
+        EXPECT_EQ(parseErr("test t\nt0: st x " + v + "\n"),
+                  "line 2: bad store value '" + v + "'");
+        EXPECT_EQ(parseErr("test t\nt0: st x 1\nsometimes crash x=" + v +
+                           "\n"),
+                  "line 3: bad witness value in 'x=" + v + "'");
+    }
+    LitTest t = parseOk("test t\nt0: st x 18446744073709551615; st y 010\n"
+                        "sometimes crash x=18446744073709551615 y=010\n");
+    EXPECT_EQ(t.threads[0][0].val, UINT64_MAX);
+    EXPECT_EQ(t.threads[0][1].val, 10u);
+    EXPECT_EQ(t.witnesses[0].vars[1].second, 10u);
+}
+
 TEST(LitmusDsl, ModesArePersistModeNames)
 {
     // Every litmus mode token is a persistModeName() token.

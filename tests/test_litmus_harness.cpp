@@ -226,10 +226,13 @@ TEST(LitmusHarnessDeath, MalformedTimeoutIsFatal)
     // The checker reads BBB_JOB_TIMEOUT_S through the job pool's parser:
     // a value that is not whole seconds dies instead of running
     // unguarded.
-    EXPECT_EXIT(
-        {
-            setenv("BBB_JOB_TIMEOUT_S", "abc", 1);
-            checkTest(mustFind("coww"), HarnessOptions());
-        },
-        ::testing::ExitedWithCode(2), "not a whole number of seconds");
+    for (const char *bad : {"abc", "+5"}) {
+        EXPECT_EXIT(
+            {
+                setenv("BBB_JOB_TIMEOUT_S", bad, 1);
+                checkTest(mustFind("coww"), HarnessOptions());
+            },
+            ::testing::ExitedWithCode(2), "not a whole number of seconds")
+            << bad;
+    }
 }

@@ -99,12 +99,14 @@ TEST(ExperimentMetrics, ResultCarriesMetricTree)
     ExperimentResult r =
         runExperiment(tinyCfg(), "hashmap", tinyParams());
     EXPECT_FALSE(r.metrics.empty());
-    // The loose table fields are views into the tree.
-    EXPECT_EQ(r.metrics.count("system.exec_ticks"),
-              static_cast<std::uint64_t>(r.exec_ticks));
-    EXPECT_EQ(r.metrics.count("hierarchy.stores"), r.stores);
-    EXPECT_EQ(r.metrics.count("hierarchy.persisting_stores"),
-              r.persisting_stores);
+    // The figures the paper's tables read are leaves of the tree.
+    for (const char *leaf :
+         {"system.exec_ticks", "system.nvmm_writes_effective",
+          "hierarchy.stores", "hierarchy.persisting_stores",
+          "hierarchy.skipped_writebacks", "bbpb.coalesces",
+          "sb0.persist_rejections", "core0.stall_ticks"})
+        EXPECT_NE(r.metrics.find(leaf), nullptr) << leaf;
+    EXPECT_GT(r.metrics.count("system.exec_ticks"), 0u);
 }
 
 TEST(ExperimentMetrics, SerialAndParallelMetricsBitIdentical)

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/stats.hh"
 
 using namespace bbb;
@@ -21,22 +19,17 @@ TEST(StatCounter, IncrementAndAdd)
     EXPECT_EQ(c.value(), 42u);
     c.set(7);
     EXPECT_EQ(c.value(), 7u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(StatAverage, MeanSumCount)
 {
     StatAverage a;
-    EXPECT_EQ(a.mean(), 0.0);
+    EXPECT_EQ(a.count(), 0u);
     a.sample(10);
     a.sample(20);
     a.sample(30);
-    EXPECT_DOUBLE_EQ(a.mean(), 20.0);
     EXPECT_DOUBLE_EQ(a.sum(), 60.0);
     EXPECT_EQ(a.count(), 3u);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
 }
 
 TEST(StatHistogram, BucketsAndOverflow)
@@ -54,41 +47,47 @@ TEST(StatHistogram, BucketsAndOverflow)
     EXPECT_EQ(h.bucketCount(3), 1u);
     EXPECT_EQ(h.bucketCount(4), 1u); // overflow
     EXPECT_EQ(h.maxSample(), 1000u);
-    EXPECT_DOUBLE_EQ(h.mean(), (0 + 9 + 10 + 35 + 1000) / 5.0);
+    EXPECT_EQ(h.sum(), 0u + 9 + 10 + 35 + 1000);
 }
 
 TEST(StatHistogram, Reset)
 {
+    // A histogram is reset (and reshaped) by assigning a fresh one in
+    // place, as MediaStats::reshapeWear does; a registered pointer to
+    // it stays valid.
     StatHistogram h(4, 1);
+    StatRegistry reg;
+    reg.group("g").addHistogram("h", &h);
     h.sample(2);
-    h.reset();
+    h = StatHistogram(8, 2);
     EXPECT_EQ(h.samples(), 0u);
-    EXPECT_EQ(h.bucketCount(2), 0u);
+    EXPECT_EQ(h.bucketCount(1), 0u);
     EXPECT_EQ(h.maxSample(), 0u);
-}
-
-TEST(StatGroup, DumpContainsNamesAndValues)
-{
-    StatGroup g("mygroup");
-    StatCounter c;
-    c += 42;
-    g.addCounter("answer", &c, "the answer");
-    std::ostringstream os;
-    g.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("mygroup.answer"), std::string::npos);
-    EXPECT_NE(out.find("42"), std::string::npos);
-    EXPECT_NE(out.find("the answer"), std::string::npos);
+    EXPECT_EQ(h.buckets(), 9u);
+    h.sample(3);
+    EXPECT_EQ(h.bucketCount(1), 1u);
+    EXPECT_EQ(reg.snapshot().count("g.h.samples"), 1u);
 }
 
 TEST(StatGroup, CounterValueLookup)
 {
-    StatGroup g("g");
+    // lookup() reads a group's counters by name; averages and
+    // histograms are not counters.
+    StatRegistry reg;
     StatCounter c;
+    StatAverage a;
+    StatHistogram h;
     c += 5;
+    a.sample(3.0);
+    h.sample(1);
+    StatGroup &g = reg.group("g");
     g.addCounter("x", &c);
-    EXPECT_EQ(g.counterValue("x"), 5u);
-    EXPECT_EQ(g.counterValue("missing"), 0u);
+    g.addAverage("avg", &a);
+    g.addHistogram("hist", &h);
+    EXPECT_EQ(reg.lookup("g", "x"), 5u);
+    EXPECT_EQ(reg.lookup("g", "missing"), 0u);
+    EXPECT_EQ(reg.lookup("g", "avg"), 0u);
+    EXPECT_EQ(reg.lookup("g", "hist"), 0u);
 }
 
 TEST(StatRegistry, DuplicateGroupNameIsFatal)
@@ -116,69 +115,14 @@ TEST(StatRegistry, LookupAcrossGroups)
     EXPECT_EQ(reg.lookup("alpha", "n"), 9u);
     EXPECT_EQ(reg.lookup("alpha", "m"), 0u);
     EXPECT_EQ(reg.lookup("beta", "n"), 0u);
-}
-
-TEST(StatRegistry, DumpAllInRegistrationOrder)
-{
-    StatRegistry reg;
-    StatCounter c1, c2;
-    reg.group("zzz").addCounter("a", &c1);
-    reg.group("aaa").addCounter("b", &c2);
-    std::ostringstream os;
-    reg.dumpAll(os);
-    std::string out = os.str();
-    EXPECT_LT(out.find("zzz.a"), out.find("aaa.b"));
-}
-
-namespace
-{
-
-/** Records every visited name, fully qualified. */
-struct NameCollector : StatVisitor
-{
-    std::vector<std::string> names;
-
-    void
-    counter(const std::string &n, const std::string &,
-            const StatCounter &) override
-    {
-        names.push_back(n);
-    }
-
-    void
-    average(const std::string &n, const std::string &,
-            const StatAverage &) override
-    {
-        names.push_back(n);
-    }
-
-    void
-    histogram(const std::string &n, const std::string &,
-              const StatHistogram &) override
-    {
-        names.push_back(n);
-    }
-};
-
-} // namespace
-
-TEST(StatVisitor, VisitsEveryStatFullyQualified)
-{
-    StatRegistry reg;
-    StatCounter c;
-    StatAverage a;
-    StatHistogram h(4, 10);
-    StatGroup &g = reg.group("comp");
-    g.addCounter("events", &c);
-    g.addAverage("latency", &a);
-    g.addHistogram("residency", &h);
-
-    NameCollector v;
-    reg.accept(v);
-    ASSERT_EQ(v.names.size(), 3u);
-    EXPECT_EQ(v.names[0], "comp.events");
-    EXPECT_EQ(v.names[1], "comp.latency");
-    EXPECT_EQ(v.names[2], "comp.residency");
+    // The snapshot names every stat `group.stat`, whatever the order
+    // the groups were registered in.
+    StatCounter d;
+    reg.group("aaa").addCounter("m", &d);
+    MetricSnapshot m = reg.snapshot();
+    EXPECT_EQ(m.count("alpha.n"), 9u);
+    ASSERT_NE(m.find("aaa.m"), nullptr);
+    EXPECT_EQ(m.size(), 2u);
 }
 
 TEST(StatRegistry, SnapshotExpandsEveryStatKind)
@@ -238,7 +182,7 @@ TEST(MetricSnapshot, FindCountRealAccessors)
     MetricSnapshot m;
     m.setCount("a.count", 7);
     m.setReal("a.real", 1.25);
-    m.setLevel("a.level", 3.0);
+    m.setReal("a.level", 3.0);
     ASSERT_NE(m.find("a.count"), nullptr);
     EXPECT_EQ(m.find("a.count")->kind, MetricKind::Count);
     EXPECT_EQ(m.count("a.count"), 7u);
@@ -282,7 +226,7 @@ TEST(MetricSnapshot, JsonGoldenBytes)
     MetricSnapshot m;
     m.setCount("sys.ticks", 42);
     m.setReal("sys.energy_j", 1.5);
-    m.setLevel("occupancy", 3.0);
+    m.setReal("occupancy", 3.0);
     const char *expected = "{\n"
                            "  \"occupancy\": 3,\n"
                            "  \"sys\": {\n"

@@ -1,13 +1,10 @@
 /**
  * @file
  * Edge-case and stress tests: WPQ saturation, eviction storms under tiny
- * caches, flush semantics corner cases, CSV export, and heap-pressure
- * behaviour.
+ * caches, flush semantics corner cases, and heap-pressure behaviour.
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "api/experiment.hh"
 #include "api/system.hh"
@@ -166,23 +163,6 @@ TEST(FlushSemantics, AsyncFlushesOverlapUntilFence)
     Tick batched = run(false);
     Tick serial = run(true);
     EXPECT_LT(batched, serial);
-}
-
-TEST(Csv, HeaderAndRowAgree)
-{
-    ExperimentResult r;
-    r.workload = "hashmap";
-    r.mode = PersistMode::BbbMemSide;
-    r.bbpb_entries = 32;
-    r.exec_ticks = 1000;
-    r.nvmm_writes = 5;
-    std::string header = ExperimentResult::csvHeader();
-    std::string row = r.toCsv();
-    auto commas = [](const std::string &s) {
-        return std::count(s.begin(), s.end(), ',');
-    };
-    EXPECT_EQ(commas(header), commas(row));
-    EXPECT_NE(row.find("hashmap,bbb-mem-side,32,"), std::string::npos);
 }
 
 TEST(Stress, ManyFibersManyCores)

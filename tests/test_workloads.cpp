@@ -394,9 +394,10 @@ TEST(Workloads, PStoreFractionsAreSane)
     // workloads must exceed tree workloads (Table IV shapes).
     WorkloadParams p = smallParams();
     auto frac = [&](const char *name) {
-        ExperimentResult r = runExperiment(cfg(), name, p);
-        EXPECT_GT(r.persisting_stores, 0u) << name;
-        return r.pStoreFraction();
+        const MetricSnapshot m = runExperiment(cfg(), name, p).metrics;
+        std::uint64_t persisting = m.count("hierarchy.persisting_stores");
+        EXPECT_GT(persisting, 0u) << name;
+        return double(persisting) / m.count("hierarchy.stores");
     };
     EXPECT_GT(frac("hashmap"), 0.5); // all our stores target the heap
     EXPECT_GT(frac("mutateNC"), 0.5);
